@@ -1,17 +1,25 @@
-"""Divided differences with a confluence-safe evaluation strategy.
+"""Divided differences: one Hermite table, with quadrature for near-ties.
 
-The k-th divided difference f^[k] is computed from the classical
-recursion on sorted nodes when every adjacent gap is comfortably large.
-Once nodes cluster (or coincide), the recursion loses digits to
-cancellation, so evaluation switches to the integral representation
+The k-th divided difference f^[k] of sorted nodes x_0 <= ... <= x_k is
+read off the divided-difference table. Each level L replaces adjacent
+entries by their difference quotient over x_{i+L} - x_i or, where those
+nodes coincide (and so, being sorted, all nodes between them), by the
+confluent (Hermite) value f^(L)(x_i) / L!. Distinct and exactly repeated
+nodes therefore both take the table.
+
+When distinct nodes come close, the quotients lose digits to
+cancellation. Such near-ties are evaluated through the integral
+representation
 
     f^[k](x_0..x_k) = integral over S_k of f^(k)(sum_j s_j x_j),
 
-which is a constant-weight momentum and handles repeated nodes exactly.
-Nodes are sorted on entry, making the result bit-for-bit symmetric under
-argument permutations.
+a constant-weight momentum computed by simplex quadrature. Nodes are
+sorted on entry, making the result bit-for-bit symmetric under argument
+permutations. Every entry point takes one node set or a stack of rows
+(R, k+1); the rows of a stack are evaluated together.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,58 +28,104 @@ from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
 
-# Adjacent-gap threshold, relative to the node spread, below which the
-# recursion is abandoned for the integral representation.
+# Adjacent-gap threshold, relative to the node spread, below which a row
+# without exact ties leaves the table for the integral representation.
 CONFLUENCE_FACTOR = 1e-6
+# Relative rounding error charged to each kernel value and to each step
+# of the table when bounding the table's error.
+ROUNDING = 2.0 * np.finfo(float).eps
+# A row with an exact tie keeps the table while that bound stays within
+# TIE_TABLE_RTOL of its value plus TIE_TABLE_ATOL.
+TIE_TABLE_RTOL = 1e-11
+TIE_TABLE_ATOL = 1e-15
 
 
 def _prepare(model, nodes):
+    """(model, rows sorted within each row of shape (R, k+1), k, batched)."""
     model = as_kernel(model)
-    x = np.sort(np.asarray(nodes, dtype=float).ravel())
+    x = np.asarray(nodes, dtype=float)
+    batched = x.ndim == 2
+    x = np.sort(x if batched else x.reshape(1, -1), axis=1)
     if x.size < 1:
         raise ValidationError("divided difference needs at least one node")
-    k = x.size - 1
+    k = x.shape[1] - 1
     if k > model.max_order:
         raise UnsupportedConfigError(
             f"order-{k} divided difference needs {k} continuous derivatives, "
             f"model has {model.max_order}"
         )
     lo, hi = model.domain
-    if x[0] < lo - 1e-12 or x[-1] > hi + 1e-12:
+    if x.min() < lo - 1e-12 or x.max() > hi + 1e-12:
         raise ValidationError(
-            f"nodes [{x[0]:.6g}, {x[-1]:.6g}] leave the model domain [{lo}, {hi}]"
+            f"nodes [{x.min():.6g}, {x.max():.6g}] leave the model domain [{lo}, {hi}]"
         )
-    return model, x, k
+    return model, x, k, batched
 
 
-def _recursion(model, x):
-    vals = np.asarray(model.eval(x), dtype=float)
-    k = x.size - 1
-    for level in range(1, k + 1):
-        vals = (vals[1:] - vals[:-1]) / (x[level:] - x[:-level])
-    return float(vals[0])
+def _table(model, cols):
+    """f^[k] of each node set by the Hermite table, and a first-order
+    bound on the rounding error of each value.
+
+    cols (k+1, R) holds R sorted node sets as columns, so that every step
+    runs along contiguous rows of length R.
+    """
+    vals = np.asarray(model.eval(cols), dtype=float)
+    err = ROUNDING * np.abs(vals)
+    for level in range(1, cols.shape[0]):
+        lo, hi = cols[:-level], cols[level:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (vals[1:] - vals[:-1]) / (hi - lo)
+            err = (err[1:] + err[:-1]) / (hi - lo) + ROUNDING * np.abs(vals)
+        tie = hi == lo
+        if tie.any():
+            vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
+            err[tie] = ROUNDING * np.abs(vals[tie])
+    return vals[0], err[0]
+
+
+def _near_tie(cols, values, error):
+    """Node sets (columns of cols, k >= 1) that go to quadrature.
+
+    A row without exact ties does when an adjacent gap falls below
+    CONFLUENCE_FACTOR times (1 + spread). A row with an exact tie does
+    when the table's error bound exceeds TIE_TABLE_RTOL of its value
+    plus TIE_TABLE_ATOL.
+    """
+    gaps = np.diff(cols, axis=0)
+    close = gaps.min(axis=0) < CONFLUENCE_FACTOR * (1.0 + (cols[-1] - cols[0]))
+    inexact = ~(error <= TIE_TABLE_RTOL * np.abs(values) + TIE_TABLE_ATOL)
+    return np.where((gaps == 0.0).any(axis=0), inexact, close)
 
 
 def divided_difference(model, nodes, quad_tol=1e-9):
-    """f^[k] at k+1 nodes (any multiset inside the model domain)."""
-    model, x, k = _prepare(model, nodes)
-    if k == 0:
-        return float(model.eval(x[0]))
-    gaps = np.diff(x)
-    spread = x[-1] - x[0]
-    if gaps.min() < CONFLUENCE_FACTOR * (1.0 + spread):
-        spec = MomentumSpec.from_divided_difference(model, k)
-        return momentum_quadrature(spec, x, tol=quad_tol)
-    return _recursion(model, x)
+    """f^[k] at k+1 nodes (any multiset inside the model domain).
+
+    `nodes` is one node set, giving a float, or a stack of rows of shape
+    (R, k+1), giving an array of R values. Near-tie rows are evaluated
+    by quadrature once per distinct row.
+    """
+    model, x, k, batched = _prepare(model, nodes)
+    cols = np.ascontiguousarray(x.T)
+    values, error = _table(model, cols)
+    if k:
+        near = _near_tie(cols, values, error)
+        if near.any():
+            spec = MomentumSpec.from_divided_difference(model, k)
+            rows, inverse = np.unique(x[near], axis=0, return_inverse=True)
+            quad = np.array([momentum_quadrature(spec, row, tol=quad_tol) for row in rows])
+            values[near] = quad[inverse.reshape(-1)]
+    return values if batched else float(values[0])
 
 
 def divided_difference_via_momentum(model, nodes, tol=1e-9):
     """f^[k] forced through the integral representation (oracle route)."""
-    model, x, k = _prepare(model, nodes)
+    model, x, k, _ = _prepare(model, nodes)
+    if x.shape[0] != 1:
+        raise ValidationError("the oracle route takes one node set")
     if k == 0:
-        return float(model.eval(x[0]))
+        return float(model.eval(x[0, 0]))
     spec = MomentumSpec.from_divided_difference(model, k)
-    return momentum_quadrature(spec, x, tol=tol)
+    return momentum_quadrature(spec, x[0], tol=tol)
 
 
 def tilde_divided_difference(model, nodes, quad_tol=1e-9):
@@ -101,8 +155,9 @@ class DividedDifference:
             )
 
     def __call__(self, values, quad_tol=1e-9):
+        """Value at one argument tuple, or at each row of a stack (R, order+1)."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.order + 1,):
+        if values.ndim not in (1, 2) or values.shape[-1] != self.order + 1:
             raise ValidationError(
                 f"symbol takes {self.order + 1} arguments, got {values.shape}"
             )

@@ -21,7 +21,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MoiRequest, moi_exact
+from .moi import MoiRequest, _as_decomposition, moi_exact
 from .spectral import (
     HermitianMatrix,
     SchattenExponent,
@@ -36,12 +36,6 @@ from .util import as_complex_matrix, fit_loglog_slope, operator_norm, real_trace
 MAX_FORM_ORDER = 3
 REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
-
-
-def _as_decomposition(obj):
-    if isinstance(obj, SpectralDecomposition):
-        return obj
-    return eigendecompose(obj)
 
 
 def _check_hermitian(v, what="direction"):
@@ -81,18 +75,29 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
 
 
 def model_delta_symmetric(decomposition, model, directions, quad_tol=1e-9):
-    """Symmetrization of model_delta_bracket over all argument orders."""
+    """Symmetrization of model_delta_bracket over all argument orders.
+
+    The symbol tensor is built once: one operator integral takes the
+    stacked trailing directions of all k! orders.
+    """
     vs = [as_complex_matrix(v) for v in directions]
     k = len(vs)
+    if not 1 <= k <= MAX_FORM_ORDER:
+        raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
     if k == 1:
         return model_delta_bracket(decomposition, model, vs, quad_tol=quad_tol)
     decomposition = _as_decomposition(decomposition)
-    total = 0.0
-    for perm in itertools.permutations(range(k)):
-        total += model_delta_bracket(
-            decomposition, model, [vs[i] for i in perm], quad_tol=quad_tol
+    firsts, *trailing = (np.stack(slot) for slot in zip(*itertools.permutations(vs)))
+    integrals = moi_exact(
+        MoiRequest(
+            decompositions=(decomposition,) * k,
+            perturbations=tuple(trailing),
+            symbol=DividedDifference(model.derivative_model(1), k - 1),
+            tol=quad_tol,
         )
-    return total / math.factorial(k)
+    )
+    total = sum(real_trace(v @ t) for v, t in zip(firsts, integrals))
+    return total / k / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,9 @@ def trace_identity_residual(form, direction, k=None):
     """|tr T_{f^[k]}(V..V) - (1/k) tr(V T_{g^[k-1]}(V..V))| with g = f'.
 
     The left side integrates the order-k divided difference of f itself;
-    the right side is the reduced form. Both are exact traces, so the
-    residual is purely quadrature noise.
+    the right side is the reduced form (model_delta_bracket). Both are
+    exact traces, so the residual is purely numerical noise: rounding in
+    the divided-difference tables, plus quadrature error at near-ties.
     """
     if k is None:
         k = form.order
@@ -191,24 +197,7 @@ def trace_identity_residual(form, direction, k=None):
             )
         )
     )
-    g = model.derivative_model(1)
-    if k == 1:
-        rhs = real_trace(v @ apply_scalar_function(g, dec).matrix)
-    else:
-        rhs = (
-            real_trace(
-                v
-                @ moi_exact(
-                    MoiRequest(
-                        decompositions=(dec,) * k,
-                        perturbations=(v,) * (k - 1),
-                        symbol=DividedDifference(g, k - 1),
-                        tol=form.quad_tol,
-                    )
-                )
-            )
-            / k
-        )
+    rhs = model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol)
     return abs(lhs - rhs)
 
 

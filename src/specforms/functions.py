@@ -72,7 +72,12 @@ class PowerKernel(ScalarFunctionModel):
         self.beta = float(beta)
         self.parity = int(parity) % 2
         self.domain = (float(domain[0]), float(domain[1]))
-        self.max_order = _power_max_order(self.beta, self.parity)
+        # A zero coefficient (a monomial differentiated past its degree) is
+        # the zero function, smooth whatever its exponent.
+        if self.coef == 0.0:
+            self.max_order = SMOOTH_ORDER
+        else:
+            self.max_order = _power_max_order(self.beta, self.parity)
 
     def __repr__(self):
         return f"PowerKernel({self.coef!r}, {self.beta!r}, {self.parity!r})"
@@ -102,7 +107,9 @@ class PowerKernel(ScalarFunctionModel):
         c = self._coef_at(order)
         b = self.beta - order
         par = (self.parity + order) % 2
-        if b == 0.0:
+        if c == 0.0:
+            mag = np.zeros_like(x)
+        elif b == 0.0:
             mag = np.ones_like(x)
         else:
             with np.errstate(divide="ignore"):

@@ -11,10 +11,14 @@ eigenprojection series
 In the eigenbases this is a tensor contraction of the symbol values
 against the rotated perturbations, evaluated here with einsum. Symbols
 may be divided-difference descriptors, momentum specs, separable sums,
-or bare callables; values at repeated eigenvalue tuples are memoized
-(up to ordering for symmetric symbols).
+or bare callables. Symbols that are divided differences (descriptors,
+and constant-weight momenta that remember their antiderivative) are
+evaluated for whole chunks of index tuples at once; other symbols one
+tuple at a time, with values at repeated eigenvalue tuples memoized (up
+to ordering for symmetric symbols).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,9 @@ from .spectral import SpectralDecomposition, eigendecompose
 from .util import as_complex_matrix, frobenius
 
 MAX_ORDER = 3
+# Index tuples per batched symbol call: an order-3 tensor at dim 64 has
+# 16.8M of them, which are never held as one row stack.
+CHUNK_ROWS = 1 << 16
 
 
 def _as_decomposition(obj):
@@ -67,9 +74,21 @@ class SeparableSymbol:
         return total
 
 
+def _as_perturbation(v):
+    """A square complex matrix, or a stack (B, n, n) of them."""
+    p = np.asarray(getattr(v, "matrix", v), dtype=complex)
+    if p.ndim == 3 and p.shape[1] == p.shape[2]:
+        return p
+    return as_complex_matrix(p)
+
+
 @dataclass(frozen=True)
 class MoiRequest:
-    """Decompositions, perturbations, and the symbol tying them together."""
+    """Decompositions, perturbations, and the symbol tying them together.
+
+    A perturbation may be a stack (B, n, n) of matrices; the integral is
+    then the stack of the B integrals, all from one symbol tensor.
+    """
 
     decompositions: tuple
     perturbations: tuple
@@ -78,7 +97,7 @@ class MoiRequest:
 
     def __post_init__(self):
         decs = tuple(_as_decomposition(d) for d in self.decompositions)
-        perts = tuple(as_complex_matrix(v) for v in self.perturbations)
+        perts = tuple(_as_perturbation(v) for v in self.perturbations)
         if len(decs) != len(perts) + 1:
             raise ValidationError(
                 f"{len(perts)} perturbations need {len(perts) + 1} decompositions, "
@@ -87,9 +106,12 @@ class MoiRequest:
         m = len(perts)
         if not 1 <= m <= MAX_ORDER:
             raise ValidationError(f"operator integral order {m} outside 1..{MAX_ORDER}")
-        dims = {d.dim for d in decs} | {v.shape[0] for v in perts}
+        dims = {d.dim for d in decs} | {v.shape[-1] for v in perts}
         if len(dims) != 1:
             raise ValidationError(f"all matrices must share one dimension, got {dims}")
+        stacks = {v.shape[0] for v in perts if v.ndim == 3}
+        if len(stacks) > 1:
+            raise ValidationError(f"perturbation stacks differ in length: {stacks}")
         object.__setattr__(self, "decompositions", decs)
         object.__setattr__(self, "perturbations", perts)
         object.__setattr__(self, "tol", float(self.tol))
@@ -104,46 +126,61 @@ class MoiRequest:
 
 
 def _symbol_adapter(symbol, tol):
-    """Return (eval(values) -> float, is_symmetric)."""
+    """Return (eval(values) -> float, is_symmetric, is_batched).
+
+    A batched evaluator also maps a row stack (R, m+1) to its R values.
+    """
     if isinstance(symbol, DividedDifference):
-        return (lambda vals: symbol(vals, quad_tol=tol)), True
+        return (lambda vals: symbol(vals, quad_tol=tol)), True, True
     if isinstance(symbol, MomentumSpec):
-        return (lambda vals: momentum_eval(symbol, vals, tol=tol)), symbol.is_symmetric
+        batched = symbol.origin is not None and symbol.is_symmetric
+        evaluate = lambda vals: momentum_eval(symbol, vals, tol=tol)
+        return evaluate, symbol.is_symmetric, batched
     if isinstance(symbol, SeparableSymbol):
-        return symbol, False
+        return symbol, False, False
     if callable(symbol):
-        return (lambda vals: float(symbol(*vals))), False
+        return (lambda vals: float(symbol(*vals))), False, False
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 
 def _phi_tensor(symbol, eig_sets, tol):
-    evaluate, symmetric = _symbol_adapter(symbol, tol)
+    evaluate, symmetric, batched = _symbol_adapter(symbol, tol)
     shape = tuple(e.size for e in eig_sets)
-    phi = np.empty(shape, dtype=float)
-    memo = {}
-    for idx in np.ndindex(shape):
-        vals = tuple(float(eig_sets[j][idx[j]]) for j in range(len(idx)))
-        key = tuple(sorted(vals)) if symmetric else vals
-        got = memo.get(key)
-        if got is None:
-            got = float(evaluate(np.asarray(vals)))
-            if not np.isfinite(got):
-                raise ValidationError(
-                    f"symbol evaluated to {got} at eigenvalue tuple {vals}"
-                )
-            memo[key] = got
-        phi[idx] = got
+    if batched:
+        phi = np.empty(math.prod(shape), dtype=float)
+        for start in range(0, phi.size, CHUNK_ROWS):
+            flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
+            idx = np.unravel_index(flat, shape)
+            phi[flat] = evaluate(np.stack([e[i] for e, i in zip(eig_sets, idx)], axis=1))
+        phi = phi.reshape(shape)
+    else:
+        phi = np.empty(shape, dtype=float)
+        memo = {}
+        for idx in np.ndindex(shape):
+            vals = tuple(float(eig_sets[j][idx[j]]) for j in range(len(idx)))
+            key = tuple(sorted(vals)) if symmetric else vals
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = float(evaluate(np.asarray(vals)))
+            phi[idx] = got
+    bad = np.argwhere(~np.isfinite(phi))
+    if bad.size:
+        idx = tuple(bad[0])
+        vals = tuple(float(e[i]) for e, i in zip(eig_sets, idx))
+        raise ValidationError(f"symbol evaluated to {phi[idx]} at eigenvalue tuple {vals}")
     return phi
 
 
 def _contract(phi, rotated):
+    """Core of the integral in the eigenbases; rotated matrices may carry a
+    leading stack axis."""
     m = len(rotated)
     if m == 1:
         return phi * rotated[0]
     if m == 2:
-        return np.einsum("abc,ab,bc->ac", phi, rotated[0], rotated[1])
+        return np.einsum("abc,...ab,...bc->...ac", phi, rotated[0], rotated[1])
     return np.einsum(
-        "abcd,ab,bc,cd->ad", phi, rotated[0], rotated[1], rotated[2]
+        "abcd,...ab,...bc,...cd->...ad", phi, rotated[0], rotated[1], rotated[2]
     )
 
 
@@ -229,7 +266,7 @@ def algebraic_shift(request, powers):
     if any(s < 0 for s in powers):
         raise ValidationError("monomial exponents must be >= 0")
 
-    base_eval, _ = _symbol_adapter(request.symbol, request.tol)
+    base_eval, _, _ = _symbol_adapter(request.symbol, request.tol)
 
     def shifted(*vals):
         prod = 1.0

@@ -211,7 +211,10 @@ def momentum_quadrature(spec, x, tol=1e-9):
 
 
 def momentum_eval(spec, x, tol=1e-9):
-    """Momentum value at x; divided-difference route when available."""
+    """Momentum value at x; divided-difference route when available.
+
+    On that route x may also be a stack of rows (R, m+1), giving R values.
+    """
     x = np.asarray(x, dtype=float)
     const = spec.constant_weight
     if spec.origin is not None and const is not None:

@@ -1,6 +1,7 @@
 """Divided differences: recursion, integral fallback, confluent nodes."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from specforms import (
     divided_difference_via_momentum,
     tilde_divided_difference,
 )
+from specforms import divided
 
 CROSS_TOL = 1e-8  # ten times the default 1e-9 quadrature tolerance
 
@@ -173,3 +175,83 @@ def test_polynomial_shift_rule(shift, a, b):
     got = divided_difference(f, (a, b))
     want = divided_difference(Monomial(2), (a + shift, b + shift))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+# Tie patterns by order: slot i holds the i-th distinct node level.
+TIE_PATTERNS = {
+    1: ((0, 0),),
+    2: ((0, 0, 0), (0, 0, 1), (0, 1, 1)),
+    3: (
+        (0, 0, 0, 0),
+        (0, 0, 0, 1),
+        (0, 1, 1, 1),
+        (0, 0, 1, 1),
+        (0, 0, 1, 2),
+        (0, 1, 1, 2),
+        (0, 1, 2, 2),
+    ),
+}
+
+
+def hermite_reference(p, nodes):
+    """f^[k] of |x|^p at 60 digits: the divided-difference table with the
+    analytic confluent value f^(L)(x)/L! wherever L+1 nodes coincide."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        p = mp.mpf(p)
+
+        def derivative(x, order):
+            coef = mp.mpf(1)
+            for j in range(order):
+                coef *= p - j
+            if x == 0:
+                return coef if p == order else mp.mpf(0)
+            return coef * abs(x) ** (p - order) * mp.sign(x) ** order
+
+        x = sorted(mp.mpf(float(v)) for v in nodes)
+        vals = [derivative(v, 0) for v in x]
+        for level in range(1, len(x)):
+            vals = [
+                derivative(x[i], level) / math.factorial(level)
+                if x[i + level] == x[i]
+                else (vals[i + 1] - vals[i]) / (x[i + level] - x[i])
+                for i in range(len(vals) - 1)
+            ]
+        return float(vals[0])
+
+
+@st.composite
+def tied_nodes(draw):
+    """(p, nodes): a tie pattern of order 1-3 with the other gaps drawn
+    log-uniformly from 1e-9 to 0.5, placed freely, with its tie at 0, or
+    straddling 0."""
+    p = draw(st.floats(min_value=1.0, max_value=4.0, exclude_min=True))
+    k = min(draw(st.integers(min_value=1, max_value=3)), PowerAbs(p).max_order)
+    pattern = draw(st.sampled_from(TIE_PATTERNS[k]))
+    gaps = [
+        10.0 ** draw(st.floats(min_value=-9.0, max_value=math.log10(0.5)))
+        for _ in range(max(pattern))
+    ]
+    levels = np.concatenate([[0.0], np.cumsum(gaps)])
+    placement = draw(st.sampled_from(("free", "tie_at_zero", "straddle")))
+    if placement == "free":
+        shift = draw(st.floats(min_value=-1.2, max_value=1.2 - levels[-1]))
+    elif placement == "tie_at_zero":
+        tied = next(level for level in pattern if pattern.count(level) > 1)
+        shift = -levels[tied]
+    else:
+        shift = -levels[-1] * draw(st.floats(min_value=0.01, max_value=0.99))
+    return p, levels[list(pattern)] + shift
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=tied_nodes())
+def test_tied_nodes_match_the_hermite_oracle(case):
+    p, nodes = case
+    got = divided_difference(PowerAbs(p), nodes)
+    want = hermite_reference(p, nodes)
+    cols = np.sort(nodes)[:, None]
+    if divided._near_tie(cols, *divided._table(PowerAbs(p), cols))[0]:
+        assert abs(got - want) <= CROSS_TOL
+    else:
+        assert abs(got - want) <= 1e-10 * abs(want) + 1e-15

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from specforms.divided import DividedDifference
+from specforms import divided, moi
+from specforms.divided import DividedDifference, divided_difference
 from specforms.errors import ValidationError
 from specforms.functions import Monomial, Polynomial, PowerAbs
-from specforms.instances import SplitMix64
+from specforms.instances import PROFILES, SplitMix64, generate_instance
 from specforms.moi import (
     MoiRequest,
     SeparableSymbol,
+    _phi_tensor,
     algebraic_shift,
     binned_eigenvalues,
     moi_binned,
@@ -17,7 +19,7 @@ from specforms.moi import (
     moi_separable,
     perturbation_identity,
 )
-from specforms.momenta import MomentumSpec
+from specforms.momenta import MomentumSpec, momentum_eval
 from specforms.spectral import eigendecompose
 from specforms.util import frobenius
 
@@ -208,6 +210,20 @@ def test_request_validation():
         MoiRequest((h3, h3, h3), (v3,), sym)  # count mismatch
     with pytest.raises(ValidationError):
         moi_exact(MoiRequest((h3, h3), (v3,), lambda *vals: float("nan")))
+    with pytest.raises(ValidationError):
+        MoiRequest((h3,) * 3, (np.stack([v3] * 2), np.stack([v3] * 3)), sym)  # stack lengths
+
+
+def test_stacked_perturbations_give_each_integral():
+    rng = np.random.default_rng(8)
+    decs = tuple(eigendecompose(random_hermitian(rng, 3)) for _ in range(3))
+    first = [random_hermitian(rng, 3) for _ in range(4)]
+    second = random_hermitian(rng, 3)
+    symbol = DividedDifference(PowerAbs(3.5), 2)
+    stacked = moi_exact(MoiRequest(decs, (np.stack(first), second), symbol))
+    assert stacked.shape == (4, 3, 3)
+    for v, got in zip(first, stacked):
+        np.testing.assert_allclose(got, moi_exact(MoiRequest(decs, (v, second), symbol)), atol=1e-14)
 
 
 def test_separable_symbol_validation():
@@ -221,3 +237,75 @@ def test_separable_symbol_validation():
     sym = SeparableSymbol(((2.0, (one, one)),))
     with pytest.raises(ValidationError):
         moi_separable(sym, (np.eye(2),), ())  # missing a perturbation
+
+
+def scalar_phi(symbol, eig_sets):
+    """The symbol tensor one entry at a time through the scalar routes."""
+    if isinstance(symbol, DividedDifference):
+        def value(vals):
+            return divided_difference(symbol.model, vals)
+    else:
+        def value(vals):
+            return momentum_eval(symbol, vals)
+    shape = tuple(e.size for e in eig_sets)
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = value(np.array([e[i] for e, i in zip(eig_sets, idx)]))
+    return out
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_batched_phi_matches_scalar_routes(profile, monkeypatch):
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # several chunks per tensor
+    p = 3.5
+    h, v = generate_instance(4, 4, profile, p)
+    lam = eigendecompose(h).eigenvalues
+    lam_t = eigendecompose(h.matrix + 0.01 * v.matrix).eigenvalues
+    model = PowerAbs(p)
+    for k in (1, 2, 3):
+        sets = (
+            [lam] * (k + 1),  # one spectrum in every slot: exact ties
+            [binned_eigenvalues(lam, 8)] * (k + 1),  # ties within the spectrum
+            [lam_t] + [lam] * k,  # a moving first slot, as in (H_t, H_0, ...)
+        )
+        for symbol in (DividedDifference(model, k), MomentumSpec.from_divided_difference(model, k)):
+            for eig_sets in sets:
+                got = _phi_tensor(symbol, eig_sets, 1e-9)
+                want = scalar_phi(symbol, eig_sets)
+                assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def count_quadrature(monkeypatch):
+    calls = []
+    quadrature = divided.momentum_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(divided, "momentum_quadrature", counted)
+    return calls
+
+
+def test_exact_repeats_take_no_quadrature(monkeypatch):
+    # Repeated eigenvalues, 0 among them, and no other gap below 0.05.
+    # No value is 0 by symmetry: at rows like (-a, -a, a, a) the table's
+    # error bound cannot be within a fraction of the value, and such rows
+    # take quadrature.
+    lam = np.array([-0.7, -0.7, -0.3, 0.0, 0.0, 0.2, 0.55, 0.55, 0.9])
+    dec = eigendecompose(np.diag(lam))
+    assert np.array_equal(dec.eigenvalues, np.sort(lam))
+    v = random_hermitian(np.random.default_rng(4), lam.size)
+    calls = count_quadrature(monkeypatch)
+    for model in (PowerAbs(3.5), Polynomial((0.25, -1.0, 0.5, 2.0))):
+        for k in (1, 2, 3):
+            moi_exact(MoiRequest((dec,) * (k + 1), (v,) * k, DividedDifference(model, k)))
+    assert calls == []
+
+
+def test_clustered_spectrum_still_takes_quadrature(monkeypatch):
+    h, v = generate_instance(2, 4, "clustered", 3.5)
+    dec = eigendecompose(h)
+    calls = count_quadrature(monkeypatch)
+    moi_exact(MoiRequest((dec,) * 3, (v,) * 2, DividedDifference(PowerAbs(3.5), 2)))
+    assert calls
