@@ -34,6 +34,9 @@ CONFLUENCE_FACTOR = 1e-6
 # Relative rounding error charged to each kernel value and to each step
 # of the table when bounding the table's error.
 ROUNDING = 2.0 * np.finfo(float).eps
+# Absolute error charged alongside it: a kernel value or a quotient that
+# underflows loses everything below the smallest subnormal.
+UNDERFLOW = np.finfo(float).smallest_subnormal
 # A row with an exact tie keeps the table while that bound stays within
 # TIE_TABLE_RTOL of its value plus TIE_TABLE_ATOL.
 TIE_TABLE_RTOL = 1e-11
@@ -70,16 +73,16 @@ def _table(model, cols):
     runs along contiguous rows of length R.
     """
     vals = np.asarray(model.eval(cols), dtype=float)
-    err = ROUNDING * np.abs(vals)
+    err = ROUNDING * np.abs(vals) + UNDERFLOW
     for level in range(1, cols.shape[0]):
         lo, hi = cols[:-level], cols[level:]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = (vals[1:] - vals[:-1]) / (hi - lo)
-            err = (err[1:] + err[:-1]) / (hi - lo) + ROUNDING * np.abs(vals)
+            err = (err[1:] + err[:-1]) / (hi - lo) + ROUNDING * np.abs(vals) + UNDERFLOW
         tie = hi == lo
         if tie.any():
             vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
-            err[tie] = ROUNDING * np.abs(vals[tie])
+            err[tie] = ROUNDING * np.abs(vals[tie]) + UNDERFLOW
     return vals[0], err[0]
 
 

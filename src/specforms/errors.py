@@ -14,8 +14,13 @@ class QuadratureError(RuntimeError):
 
 
 class EigenSolverError(RuntimeError):
-    """Eigendecomposition failed or left residuals above tolerance."""
+    """Eigendecomposition failed or left residuals above tolerance.
 
-    def __init__(self, message, residual=None):
+    `index` is the position of the failing matrix in the decomposed stack
+    (0 for a single matrix).
+    """
+
+    def __init__(self, message, residual=None, index=None):
         super().__init__(message)
         self.residual = residual
+        self.index = index

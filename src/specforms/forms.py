@@ -11,6 +11,7 @@ diagonal values build the Taylor polynomial of ||H + tV||_p^p; the
 leftover remainder carries the p-dependent fractional decay order.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -232,24 +233,23 @@ def fd_oracle(h, v, p, k, step=None):
     step = float(step)
 
     offsets, weights, scale = _STENCILS[k]
+    steps = (step, 2.0 * step)
+    # Both stencils' spectra come from one stacked solver call.
+    t = np.array([o * dt for dt in steps for o in offsets])
+    lams = np.linalg.eigvalsh(h + t[:, None, None] * v)
     lo, hi = WORKING_INTERVAL
-    for o in (2 * min(offsets), 2 * max(offsets)):
-        lam = np.linalg.eigvalsh(h + o * step * v)
-        if lam[0] < lo - 1e-12 or lam[-1] > hi + 1e-12:
-            raise ValidationError("finite-difference stencil leaves the working interval")
+    if lams[:, 0].min() < lo - 1e-12 or lams[:, -1].max() > hi + 1e-12:
+        raise ValidationError("finite-difference stencil leaves the working interval")
+    samples = [float(np.sum(model.eval(lam))) for lam in lams]
 
-    def g(t):
-        lam = np.linalg.eigvalsh(h + t * v)
-        return float(np.sum(model.eval(lam)))
-
-    def stencil(dt):
+    def stencil(dt, values):
         acc = 0.0
-        for o, w in zip(offsets, weights):
-            acc += w * g(o * dt)
+        for w, g in zip(weights, values):
+            acc += w * g
         return acc / (scale * dt**k)
 
-    fine = stencil(step)
-    coarse = stencil(2.0 * step)
+    fine = stencil(steps[0], samples[: len(offsets)])
+    coarse = stencil(steps[1], samples[len(offsets) :])
     correction = (fine - coarse) / 15.0  # fourth-order Richardson factor
     return fine + correction, abs(correction) + 1e-15 * (1.0 + abs(fine))
 
@@ -309,10 +309,10 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0.0):
         raise ValidationError("t grid values must be positive")
-    t_max = float(t_grid.max())
     lo, hi = WORKING_INTERVAL
     lam0 = np.linalg.eigvalsh(h)
-    lam1 = np.linalg.eigvalsh(h + t_max * v)
+    lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
+    lam1 = lams[np.argmax(t_grid)]
     if min(lam0[0], lam1[0]) < lo - 1e-12 or max(lam0[-1], lam1[-1]) > hi + 1e-12:
         raise ValidationError("H + tV leaves the working interval on the grid")
     model = PowerAbs(exponent.p)
@@ -328,8 +328,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     ]
 
     remainder = []
-    for t in t_grid:
-        lam = np.linalg.eigvalsh(h + t * v)
+    for t, lam in zip(t_grid, lams):
         value = float(np.sum(model.eval(lam)))
         poly = sum(d * t**k for k, d in enumerate(deltas, start=1))
         remainder.append(value - base - poly)
@@ -381,9 +380,13 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss01_nodes(order):
     x, w = np.polynomial.legendre.leggauss(int(order))
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
@@ -396,6 +399,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     the operator integral rides the moving point H_t; the rest stay at
     H_0. The t-integral uses Gauss-Legendre nodes with order doubling
     (8 to 64, stop at 1e-8 agreement) unless t_order pins the order.
+    Each order is one stacked decomposition of the H_t at its nodes and
+    one stacked operator integral.
     """
     exponent = SchattenExponent(p)
     if m is None:
@@ -410,36 +415,34 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     h1 = as_complex_matrix(h1)
     v = h1 - h0
     lo, hi = WORKING_INTERVAL
-    for end in (h0, h1):
-        lam = np.linalg.eigvalsh(end)
-        if lam[0] < lo - 1e-12 or lam[-1] > hi + 1e-12:
-            raise ValidationError("segment endpoints leave the working interval")
+    ends = np.linalg.eigvalsh(np.stack([h0, h1]))
+    if ends[:, 0].min() < lo - 1e-12 or ends[:, -1].max() > hi + 1e-12:
+        raise ValidationError("segment endpoints leave the working interval")
 
     model = PowerAbs(exponent.p)
     g = model.derivative_model(1)
     d0 = _as_decomposition(h0)
-    lhs = float(np.sum(model.eval(np.linalg.eigvalsh(h1))))
+    lhs = float(np.sum(model.eval(ends[1])))
     rhs = float(np.sum(model.eval(d0.eigenvalues)))
     for k in range(1, m):
         rhs += model_delta_bracket(d0, model, [v] * k, quad_tol=quad_tol)
 
-    def integrand(t):
-        dt = _as_decomposition(HermitianMatrix(h0 + t * v))
-        if m == 1:
-            return real_trace(v @ apply_scalar_function(g, dt).matrix)
-        integral = moi_exact(
-            MoiRequest(
-                decompositions=(dt,) + (d0,) * (m - 1),
-                perturbations=(v,) * (m - 1),
-                symbol=DividedDifference(g, m - 1),
-                tol=quad_tol,
-            )
-        )
-        return t ** (m - 1) * real_trace(v @ integral)
-
     def gauss_value(order):
         nodes, weights = _gauss01_nodes(order)
-        return float(sum(w * integrand(t) for t, w in zip(nodes, weights)))
+        points = _as_decomposition(h0 + nodes[:, None, None] * v)
+        if m == 1:
+            values = real_trace(v @ apply_scalar_function(g, points).matrix)
+        else:
+            integrals = moi_exact(
+                MoiRequest(
+                    decompositions=(points,) + (d0,) * (m - 1),
+                    perturbations=(v,) * (m - 1),
+                    symbol=DividedDifference(g, m - 1),
+                    tol=quad_tol,
+                )
+            )
+            values = nodes ** (m - 1) * real_trace(v @ integrals)
+        return float(sum(w * x for w, x in zip(weights, values)))
 
     if t_order is not None:
         rhs += gauss_value(int(t_order))
@@ -494,10 +497,12 @@ def holder_difference_norms(phi_model, order, base, direction, tail, perturbatio
     phi_model / order describe the divided-difference symbol g^[order]
     whose first matrix argument moves; p' is the conjugate exponent of
     p. Returns the per-t norms; a zero direction is degenerate and comes
-    back as an empty array.
+    back as an empty array, as does an empty grid. The whole grid is one
+    stacked decomposition and one stacked operator integral.
     """
     w = as_complex_matrix(direction)
-    if operator_norm(w) < 1e-14:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0 or operator_norm(w) < 1e-14:
         return np.zeros(0)
     base = _as_decomposition(base)
     tail = tuple(_as_decomposition(t) for t in tail)
@@ -518,8 +523,5 @@ def holder_difference_norms(phi_model, order, base, direction, tail, perturbatio
         )
 
     ref = value(base)
-    norms = []
-    for t in np.asarray(t_grid, dtype=float):
-        at = _as_decomposition(HermitianMatrix(base.source.matrix + t * w))
-        norms.append(schatten_norm(value(at) - ref, p_conj))
-    return np.asarray(norms)
+    moved = value(_as_decomposition(base.source.matrix + t_grid[:, None, None] * w))
+    return np.asarray([schatten_norm(diff, p_conj) for diff in moved - ref])

@@ -34,11 +34,6 @@ class ScalarFunctionModel:
         )
 
     @property
-    def holder_tag(self):
-        """Holder exponent of f^(max_order) when it is merely Holder."""
-        return None
-
-    @property
     def singular_at_zero(self):
         """True when some derivative loses smoothness at the origin."""
         return self.power_form is not None and self.max_order < SMOOTH_ORDER
@@ -85,13 +80,6 @@ class PowerKernel(ScalarFunctionModel):
     @property
     def power_form(self):
         return (self.coef, self.beta, self.parity)
-
-    @property
-    def holder_tag(self):
-        if self.max_order >= SMOOTH_ORDER or self.max_order < 0:
-            return None
-        resid = self.beta - self.max_order
-        return resid if 0.0 < resid < 1.0 else None
 
     def _coef_at(self, order):
         c = self.coef

@@ -16,6 +16,10 @@ and constant-weight momenta that remember their antiderivative) are
 evaluated for whole chunks of index tuples at once; other symbols one
 tuple at a time, with values at repeated eigenvalue tuples memoized (up
 to ordering for symmetric symbols).
+
+The first decomposition and the perturbations may each be a stack of B:
+one call then evaluates the B integrals, the symbol tensor carrying a
+leading stack axis when the first decomposition does.
 """
 
 import math
@@ -28,7 +32,7 @@ from .errors import UnsupportedConfigError, ValidationError
 from .functions import as_kernel
 from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
 from .spectral import SpectralDecomposition, eigendecompose
-from .util import as_complex_matrix, frobenius
+from .util import adjoint, as_complex_matrices, as_complex_matrix, frobenius
 
 MAX_ORDER = 3
 # Index tuples per batched symbol call: an order-3 tensor at dim 64 has
@@ -74,20 +78,14 @@ class SeparableSymbol:
         return total
 
 
-def _as_perturbation(v):
-    """A square complex matrix, or a stack (B, n, n) of them."""
-    p = np.asarray(getattr(v, "matrix", v), dtype=complex)
-    if p.ndim == 3 and p.shape[1] == p.shape[2]:
-        return p
-    return as_complex_matrix(p)
-
-
 @dataclass(frozen=True)
 class MoiRequest:
     """Decompositions, perturbations, and the symbol tying them together.
 
-    A perturbation may be a stack (B, n, n) of matrices; the integral is
-    then the stack of the B integrals, all from one symbol tensor.
+    A perturbation may be a stack (B, n, n) of matrices, and the first
+    decomposition a stack of B decompositions (the first slot riding a
+    moving point); the integral is then the stack of the B integrals.
+    Stacks in several slots have one length and pair up index by index.
     """
 
     decompositions: tuple
@@ -97,7 +95,7 @@ class MoiRequest:
 
     def __post_init__(self):
         decs = tuple(_as_decomposition(d) for d in self.decompositions)
-        perts = tuple(_as_perturbation(v) for v in self.perturbations)
+        perts = tuple(as_complex_matrices(v) for v in self.perturbations)
         if len(decs) != len(perts) + 1:
             raise ValidationError(
                 f"{len(perts)} perturbations need {len(perts) + 1} decompositions, "
@@ -109,9 +107,13 @@ class MoiRequest:
         dims = {d.dim for d in decs} | {v.shape[-1] for v in perts}
         if len(dims) != 1:
             raise ValidationError(f"all matrices must share one dimension, got {dims}")
+        if any(d.stack is not None for d in decs[1:]):
+            raise ValidationError("only the first decomposition may be a stack")
         stacks = {v.shape[0] for v in perts if v.ndim == 3}
+        if decs[0].stack is not None:
+            stacks.add(decs[0].stack)
         if len(stacks) > 1:
-            raise ValidationError(f"perturbation stacks differ in length: {stacks}")
+            raise ValidationError(f"stacks differ in length: {stacks}")
         object.__setattr__(self, "decompositions", decs)
         object.__setattr__(self, "perturbations", perts)
         object.__setattr__(self, "tol", float(self.tol))
@@ -144,20 +146,32 @@ def _symbol_adapter(symbol, tol):
 
 
 def _phi_tensor(symbol, eig_sets, tol):
+    """The symbol at every index tuple of the eigenvalue sets.
+
+    A first set of shape (B, n_0) is a stack: the tensor then carries a
+    leading axis B, and entry (b, i_0, ..., i_m) takes its first eigenvalue
+    from row b.
+    """
     evaluate, symmetric, batched = _symbol_adapter(symbol, tol)
-    shape = tuple(e.size for e in eig_sets)
+    first, rest = np.asarray(eig_sets[0]), eig_sets[1:]
+    shape = first.shape + tuple(e.size for e in rest)
+
+    def values(idx):
+        """Eigenvalues at an index tuple (of ints, or of index arrays)."""
+        head = idx[: first.ndim]
+        return [first[head]] + [e[i] for e, i in zip(rest, idx[first.ndim :])]
+
     if batched:
         phi = np.empty(math.prod(shape), dtype=float)
         for start in range(0, phi.size, CHUNK_ROWS):
             flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
-            idx = np.unravel_index(flat, shape)
-            phi[flat] = evaluate(np.stack([e[i] for e, i in zip(eig_sets, idx)], axis=1))
+            phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape)), axis=1))
         phi = phi.reshape(shape)
     else:
         phi = np.empty(shape, dtype=float)
         memo = {}
         for idx in np.ndindex(shape):
-            vals = tuple(float(eig_sets[j][idx[j]]) for j in range(len(idx)))
+            vals = tuple(float(x) for x in values(idx))
             key = tuple(sorted(vals)) if symmetric else vals
             got = memo.get(key)
             if got is None:
@@ -166,35 +180,46 @@ def _phi_tensor(symbol, eig_sets, tol):
     bad = np.argwhere(~np.isfinite(phi))
     if bad.size:
         idx = tuple(bad[0])
-        vals = tuple(float(e[i]) for e, i in zip(eig_sets, idx))
+        vals = tuple(float(x) for x in values(idx))
         raise ValidationError(f"symbol evaluated to {phi[idx]} at eigenvalue tuple {vals}")
     return phi
 
 
 def _contract(phi, rotated):
-    """Core of the integral in the eigenbases; rotated matrices may carry a
-    leading stack axis."""
+    """Core of the integral in the eigenbases. phi and the rotated matrices
+    may each carry a leading stack axis; stack axes broadcast."""
     m = len(rotated)
     if m == 1:
         return phi * rotated[0]
     if m == 2:
-        return np.einsum("abc,...ab,...bc->...ac", phi, rotated[0], rotated[1])
-    return np.einsum(
-        "abcd,...ab,...bc,...cd->...ad", phi, rotated[0], rotated[1], rotated[2]
-    )
+        return np.einsum("...abc,...ab,...bc->...ac", phi, *rotated)
+    return np.einsum("...abcd,...ab,...bc,...cd->...ad", phi, *rotated)
 
 
 def _assemble(request, eig_sets):
+    """The integral from the request's matrices and eigenvalue sets.
+
+    A stacked first slot is evaluated in groups of max(1, CHUNK_ROWS //
+    entries per integral) stack members, so that no group's symbol tensor
+    exceeds CHUNK_ROWS entries unless one integral alone does.
+    """
     decs = request.decompositions
     rotated = [
-        decs[j].eigenvectors.conj().T @ request.perturbations[j] @ decs[j + 1].eigenvectors
+        adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
-    phi = _phi_tensor(request.symbol, eig_sets, request.tol)
-    core = _contract(phi, rotated)
-    u0 = decs[0].eigenvectors
-    um = decs[-1].eigenvectors
-    return u0 @ core @ um.conj().T
+    first, rest = eig_sets[0], list(eig_sets[1:])
+    if first.ndim == 1:
+        core = _contract(_phi_tensor(request.symbol, eig_sets, request.tol), rotated)
+    else:
+        size = max(1, CHUNK_ROWS // math.prod(first.shape[1:] + tuple(e.size for e in rest)))
+        cores = []
+        for lo in range(0, first.shape[0], size):
+            part = slice(lo, lo + size)
+            phi = _phi_tensor(request.symbol, [first[part]] + rest, request.tol)
+            cores.append(_contract(phi, [r[part] if r.ndim == 3 else r for r in rotated]))
+        core = np.concatenate(cores)
+    return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
 
 
 def moi_exact(request):
@@ -242,13 +267,11 @@ def moi_separable(symbol, decompositions, perturbations):
 
 
 def _spectral_apply(model, decomposition):
-    u = decomposition.eigenvectors
-    return (u * model.eval(decomposition.eigenvalues)) @ u.conj().T
+    return decomposition.compose(model.eval(decomposition.eigenvalues))
 
 
 def _matrix_power_spectral(decomposition, s):
-    u = decomposition.eigenvectors
-    return (u * decomposition.eigenvalues ** int(s)) @ u.conj().T
+    return decomposition.compose(decomposition.eigenvalues ** int(s))
 
 
 def algebraic_shift(request, powers):

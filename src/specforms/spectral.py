@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import as_complex_matrix, operator_norm
+from .util import adjoint, as_complex_matrices, as_complex_matrix
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -20,9 +20,25 @@ RESIDUAL_TOL = 1e-10
 WORKING_INTERVAL = (-2.0, 2.0)
 
 
+def _hermitian_part(a):
+    """(A + A*)/2 of a matrix or of each matrix of a stack (B, n, n), after
+    the entrywise check |A - A*| <= HERMITICITY_TOL (non-finite entries fail
+    it). An error on a stack names the offending index."""
+    gap = np.abs(a - adjoint(a)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(gap <= HERMITICITY_TOL))
+    if bad.size:
+        where = f" at stack index {bad[0]}" if a.ndim == 3 else ""
+        raise ValidationError(
+            f"matrix{where} is not Hermitian: max |A - A*| = "
+            f"{gap.flat[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
+        )
+    return (a + adjoint(a)) / 2.0
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A square complex matrix validated to be Hermitian.
+    """A square complex matrix, or a stack (B, n, n) of them, validated to
+    be Hermitian.
 
     The stored array is the symmetrized (A + A*)/2 of the input, which
     removes roundoff-level asymmetry once the 1e-12 entrywise check has
@@ -32,21 +48,16 @@ class HermitianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_complex_matrix(self.matrix)
-        if a.shape[0] < 1:
+        a = as_complex_matrices(self.matrix)
+        if a.shape[-1] < 1:
             raise ValidationError("matrix must have dimension >= 1")
-        gap = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if gap > HERMITICITY_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |A - A*| = {gap:.3e} > {HERMITICITY_TOL:.0e}"
-            )
-        sym = (a + a.conj().T) / 2.0
+        sym = _hermitian_part(a)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def to_dict(self):
         return {
@@ -72,7 +83,11 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors."""
+    """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors.
+
+    A decomposition of a stack carries the stack axis in front:
+    eigenvalues (B, n) and eigenvectors (B, n, n).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -80,48 +95,76 @@ class SpectralDecomposition:
 
     @property
     def dim(self):
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
+
+    @property
+    def stack(self):
+        """Number of decomposed matrices of a stack; None for one matrix."""
+        return self.eigenvalues.shape[0] if self.eigenvalues.ndim == 2 else None
+
+    def compose(self, values):
+        """U diag(values) U*: the matrix with these eigenvalues in this
+        eigenbasis (for each matrix of a stack)."""
+        u = self.eigenvectors
+        return (u * values[..., None, :]) @ adjoint(u)
 
     def reconstruct(self):
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return self.compose(self.eigenvalues)
 
     def project_directions(self, v):
         """Conjugate a matrix into the eigenbasis: U* V U."""
         u = self.eigenvectors
-        return u.conj().T @ as_complex_matrix(v) @ u
+        return adjoint(u) @ as_complex_matrix(v) @ u
 
 
 def _fix_phases(u):
-    """Rotate each column so its first non-negligible entry is real positive."""
-    u = np.array(u, dtype=complex)
-    d = u.shape[0]
-    for j in range(d):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = col[idx[0]] if idx.size else 1.0
-        u[:, j] = col * (np.conj(lead) / abs(lead))
-    return u
+    """Rotate each column of a stack (B, n, n) so that its first
+    non-negligible entry is real positive."""
+    big = np.abs(u) > 1e-12
+    first = np.argmax(big, axis=-2)[..., None, :]
+    lead = np.take_along_axis(u, first, axis=-2)
+    lead = np.where(np.take_along_axis(big, first, axis=-2), lead, 1.0)
+    return u * (np.conj(lead) / np.abs(lead))
 
 
-def eigendecompose(h):
-    """Spectral decomposition of a Hermitian matrix with fixed conventions."""
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)
+def _decompose(a):
+    """Eigenvalues (B, n) and phase-fixed eigenvectors (B, n, n) of a
+    symmetrized stack, from one stacked solver call, with the residual and
+    orthogonality checks of each matrix."""
     try:
-        w, u = np.linalg.eigh(h.matrix)
+        w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
     u = _fix_phases(u)
-    scale = 1.0 + (abs(w[0]) if w.size else 0.0) + (abs(w[-1]) if w.size else 0.0)
-    resid = np.max(np.abs((u * w) @ u.conj().T - h.matrix))
-    ortho = np.max(np.abs(u.conj().T @ u - np.eye(h.dim)))
-    if resid > RESIDUAL_TOL * scale or ortho > RESIDUAL_TOL:
+    scale = 1.0 + np.abs(w[:, 0]) + np.abs(w[:, -1])
+    resid = np.abs((u * w[:, None, :]) @ adjoint(u) - a).max(axis=(-2, -1))
+    ortho = np.abs(adjoint(u) @ u - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~((resid <= RESIDUAL_TOL * scale) & (ortho <= RESIDUAL_TOL)))
+    if bad.size:
+        i = int(bad[0])
         raise EigenSolverError(
-            f"eigendecomposition residuals too large (recon {resid:.3e}, ortho {ortho:.3e})",
-            residual=max(resid, ortho),
+            f"eigendecomposition residuals too large at stack index {i} "
+            f"(recon {resid[i]:.3e}, ortho {ortho[i]:.3e})",
+            residual=max(resid[i], ortho[i]),
+            index=i,
         )
-    w = w.copy()
+    return w, u
+
+
+def eigendecompose(h):
+    """Spectral decomposition with fixed conventions of a Hermitian matrix,
+    or of each matrix of a stack (B, n, n) at once.
+
+    One matrix is decomposed as a stack of one. A stack gives one
+    SpectralDecomposition whose arrays carry the stack axis in front; an
+    error names the offending stack index.
+    """
+    if not isinstance(h, HermitianMatrix):
+        h = HermitianMatrix(h)
+    single = h.matrix.ndim == 2
+    w, u = _decompose(h.matrix[None] if single else h.matrix)
+    if single:
+        w, u = w[0], u[0]
     w.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u, source=h)
@@ -208,9 +251,9 @@ def _check_domain(model, values):
 
 
 def apply_scalar_function(model, decomp):
-    """f(H) = U diag(f(lambda)) U* for a scalar model f."""
+    """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
+    a stacked decomposition)."""
     lam = decomp.eigenvalues
     _check_domain(model, lam)
-    u = decomp.eigenvectors
-    out = (u * model.eval(lam)) @ u.conj().T
-    return HermitianMatrix((out + out.conj().T) / 2.0)
+    out = decomp.compose(model.eval(lam))
+    return HermitianMatrix((out + adjoint(out)) / 2.0)

@@ -18,14 +18,31 @@ def as_complex_matrix(a):
     return m
 
 
+def as_complex_matrices(a):
+    """A square complex matrix, or a stack (B, n, n) of them."""
+    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    if m.ndim == 3 and m.shape[1] == m.shape[2]:
+        return m
+    return as_complex_matrix(m)
+
+
+def adjoint(a):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def real_trace(a):
-    """Trace of `a` asserted real: |imag| <= 1e-10 * (1 + |real|)."""
-    t = np.trace(as_complex_matrix(a))
-    if abs(t.imag) > TRACE_IMAG_TOL * (1.0 + abs(t.real)):
+    """Trace of `a` asserted real: |imag| <= 1e-10 * (1 + |real|).
+
+    A stack (B, n, n) gives the array of its B traces.
+    """
+    t = np.trace(as_complex_matrices(a), axis1=-2, axis2=-1)
+    bad = np.abs(t.imag) > TRACE_IMAG_TOL * (1.0 + np.abs(t.real))
+    if bad.any():
         raise ValidationError(
-            f"trace has a non-negligible imaginary part: {t!r}"
+            f"trace has a non-negligible imaginary part: {t[bad].flat[0]!r}"
         )
-    return float(t.real)
+    return float(t.real) if t.ndim == 0 else t.real
 
 
 def frobenius(a):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from specforms import moi
+from specforms.divided import DividedDifference
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.forms import (
     FrechetForm,
@@ -13,14 +15,17 @@ from specforms.forms import (
     embedded_delta,
     fd_oracle,
     holder_difference_norms,
+    model_delta_bracket,
     selfadjoint_embed,
     taylor_expand,
     taylor_integral_form,
     trace_identity_residual,
 )
 from specforms.functions import Monomial, PowerAbs
-from specforms.instances import generate_instance
-from specforms.spectral import eigendecompose, schatten_norm
+from specforms.instances import PROFILES, generate_instance
+from specforms.moi import MoiRequest, moi_exact
+from specforms.spectral import apply_scalar_function, eigendecompose, schatten_norm
+from specforms.util import real_trace
 
 
 def small_hermitian(rng, dim, scale=0.5):
@@ -178,6 +183,78 @@ def test_integral_expansion_first_order_branch():
     h1 = h0 + 0.2 * small_hermitian(rng, 3, scale=1.0)
     lhs, rhs = taylor_integral_form(h0, h1, 2.5, m=1)
     assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
+
+
+def per_node_integral_form(h0, h1, p, m, t_order):
+    """rhs of taylor_integral_form, one decomposition and integral per node."""
+    v = h1 - h0
+    model = PowerAbs(p)
+    g = model.derivative_model(1)
+    d0 = eigendecompose(h0)
+    rhs = float(np.sum(model.eval(d0.eigenvalues)))
+    for k in range(1, m):
+        rhs += model_delta_bracket(d0, model, [v] * k)
+    x, w = np.polynomial.legendre.leggauss(t_order)
+    total = 0.0
+    for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
+        dt = eigendecompose(h0 + t * v)
+        if m == 1:
+            value = real_trace(v @ apply_scalar_function(g, dt).matrix)
+        else:
+            symbol = DividedDifference(g, m - 1)
+            request = MoiRequest((dt,) + (d0,) * (m - 1), (v,) * (m - 1), symbol)
+            value = t ** (m - 1) * real_trace(v @ moi_exact(request))
+        total += weight * value
+    return rhs + total
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_stacked_integral_form_matches_per_node_reference(profile, monkeypatch):
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # several groups per Gauss level
+    p = 3.5
+    h0, v = generate_instance(6, 3, profile, p)
+    h1 = h0.matrix + 0.3 * v.matrix / np.linalg.norm(v.matrix)
+    for m in (1, 2, 3):
+        _, rhs = taylor_integral_form(h0.matrix, h1, p, m=m, t_order=8)
+        want = per_node_integral_form(h0.matrix, h1, p, m, 8)
+        assert abs(rhs - want) <= 1e-13 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_stacked_holder_norms_match_per_node_reference(profile, monkeypatch):
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)
+    p = 3.5
+    g = PowerAbs(p).derivative_model(1)
+    base, w = generate_instance(8, 3, profile, p)
+    t_grid = np.array([1e-3, 1e-2, 0.05, 0.1])
+    for order in (0, 1, 2):
+        draws = [generate_instance(20 + j, 3, profile, p) for j in range(order)]
+        tail = tuple(eigendecompose(h) for h, _ in draws)
+        perts = tuple(u.matrix for _, u in draws)
+
+        def value(dec):
+            if order == 0:
+                return apply_scalar_function(g, dec).matrix
+            return moi_exact(MoiRequest((dec,) + tail, perts, DividedDifference(g, order)))
+
+        got = holder_difference_norms(
+            g, order, eigendecompose(base), w.matrix, tail, perts, t_grid, p
+        )
+        ref = value(eigendecompose(base))
+        for t, norm in zip(t_grid, got):
+            want = schatten_norm(value(eigendecompose(base.matrix + t * w.matrix)) - ref, p / (p - 1.0))
+            assert abs(norm - want) <= 1e-13 * (1.0 + want)
+
+
+def test_taylor_remainder_is_the_per_point_difference():
+    h, v = generate_instance(3, 4, "generic", 2.5)
+    report = taylor_expand(h.matrix, v.matrix, 2.5, with_oracle=False)
+    model = PowerAbs(2.5)
+    base = float(np.sum(model.eval(np.linalg.eigvalsh(h.matrix))))
+    for t, got in zip(report.t_grid, report.remainder):
+        value = float(np.sum(model.eval(np.linalg.eigvalsh(h.matrix + t * v.matrix))))
+        poly = sum(d * t**k for k, d in enumerate(report.deltas, start=1))
+        assert got == value - base - poly
 
 
 def test_integral_expansion_validation():

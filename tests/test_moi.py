@@ -212,6 +212,11 @@ def test_request_validation():
         moi_exact(MoiRequest((h3, h3), (v3,), lambda *vals: float("nan")))
     with pytest.raises(ValidationError):
         MoiRequest((h3,) * 3, (np.stack([v3] * 2), np.stack([v3] * 3)), sym)  # stack lengths
+    points = eigendecompose(np.stack([v3] * 2))
+    with pytest.raises(ValidationError):
+        MoiRequest((points, h3), (np.stack([v3] * 3),), sym)  # stack lengths
+    with pytest.raises(ValidationError):
+        MoiRequest((h3, points), (v3,), sym)  # only the first slot may be a stack
 
 
 def test_stacked_perturbations_give_each_integral():
@@ -224,6 +229,33 @@ def test_stacked_perturbations_give_each_integral():
     assert stacked.shape == (4, 3, 3)
     for v, got in zip(first, stacked):
         np.testing.assert_allclose(got, moi_exact(MoiRequest(decs, (v, second), symbol)), atol=1e-14)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch):
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # groups of max(1, 37 // 3^(order+1))
+    rng = np.random.default_rng(10 + order)
+    points = np.stack([random_hermitian(rng, 3, scale=0.8) for _ in range(5)])
+    tail = tuple(eigendecompose(random_hermitian(rng, 3, scale=0.8)) for _ in range(order))
+    first = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    rest = tuple(random_hermitian(rng, 3) for _ in range(order - 1))
+    sizes = []
+    build = moi._phi_tensor
+
+    def recorded(*args):
+        phi = build(*args)
+        sizes.append(phi.size)
+        return phi
+
+    monkeypatch.setattr(moi, "_phi_tensor", recorded)
+    for symbol in (DividedDifference(PowerAbs(3.5), order), lambda *vals: float(np.prod(vals))):
+        stacked = moi_exact(MoiRequest((eigendecompose(points),) + tail, (first,) + rest, symbol))
+        assert stacked.shape == (5, 3, 3)
+        # no group's tensor exceeds CHUNK_ROWS entries, unless one integral's does
+        assert max(sizes) <= max(37, 3 ** (order + 1))
+        for h, v, got in zip(points, first, stacked):
+            want = moi_exact(MoiRequest((eigendecompose(h),) + tail, (v,) + rest, symbol))
+            assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
 def test_separable_symbol_validation():

@@ -16,6 +16,7 @@ from specforms import (
     singular_values,
     truncated_norm,
 )
+from specforms import spectral
 from specforms.errors import EigenSolverError
 
 RTOL = 1e-12
@@ -78,6 +79,56 @@ def test_eigendecompose_phase_is_deterministic():
         lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         assert abs(lead.imag) < 1e-14
         assert lead.real > 0
+
+
+def random_stack(rng, d, count):
+    stack = np.stack([random_hermitian(rng, d) for _ in range(count)])
+    stack[1] = np.diag(np.round(rng.normal(size=d), 1))  # exact ties, exact vectors
+    return stack
+
+
+def test_stacked_eigendecompose_equals_single_calls_bitwise():
+    rng = np.random.default_rng(13)
+    for d in (1, 3, 8):
+        stack = random_stack(rng, d, 5)
+        dec = eigendecompose(stack)
+        assert dec.stack == 5 and dec.dim == d
+        assert dec.eigenvalues.shape == (5, d) and dec.eigenvectors.shape == (5, d, d)
+        assert eigendecompose(stack[0]).stack is None
+        for i, h in enumerate(stack):
+            one = eigendecompose(h)
+            np.testing.assert_array_equal(dec.eigenvalues[i], one.eigenvalues)
+            np.testing.assert_array_equal(dec.eigenvectors[i], one.eigenvectors)
+            # the phase convention holds in every matrix of the stack
+            for col in dec.eigenvectors[i].T:
+                lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                assert lead.imag == 0.0 and lead.real > 0
+        np.testing.assert_allclose(dec.reconstruct(), stack, atol=1e-12)
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0, 0] = 9.0
+
+
+def test_stacked_eigendecompose_errors_name_the_index(monkeypatch):
+    rng = np.random.default_rng(17)
+    stack = random_stack(rng, 3, 4)
+    skew = stack.copy()
+    skew[2, 0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="stack index 2"):
+        eigendecompose(skew)
+    broken = stack.copy()
+    broken[3, 1, 1] = np.nan  # non-finite entries fail the Hermitian check
+    with pytest.raises(ValidationError, match="stack index 3"):
+        eigendecompose(broken)
+    with pytest.raises(ValidationError):
+        eigendecompose(broken[3])
+    # With no residual allowed, only the diagonal matrix, whose
+    # decomposition is exact, passes: the error names the first failure.
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+    eigendecompose(stack[1])
+    with pytest.raises(EigenSolverError, match="stack index 1") as info:
+        eigendecompose(stack[1:])
+    assert info.value.index == 1
+    assert info.value.residual > 0.0
 
 
 def test_eigendecompose_output_is_write_protected():
