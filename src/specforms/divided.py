@@ -27,6 +27,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
+from .util import map_distinct_rows
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -114,9 +115,9 @@ def divided_difference(model, nodes, quad_tol=1e-9):
         near = _near_tie(cols, values, error)
         if near.any():
             spec = MomentumSpec.from_divided_difference(model, k)
-            rows, inverse = np.unique(x[near], axis=0, return_inverse=True)
-            quad = np.array([momentum_quadrature(spec, row, tol=quad_tol) for row in rows])
-            values[near] = quad[inverse.reshape(-1)]
+            values[near] = map_distinct_rows(
+                lambda row: momentum_quadrature(spec, row, tol=quad_tol), x[near]
+            )
     return values if batched else float(values[0])
 
 
@@ -129,16 +130,6 @@ def divided_difference_via_momentum(model, nodes, tol=1e-9):
         return float(model.eval(x[0, 0]))
     spec = MomentumSpec.from_divided_difference(model, k)
     return momentum_quadrature(spec, x[0], tol=tol)
-
-
-def tilde_divided_difference(model, nodes, quad_tol=1e-9):
-    """g^[k-1] with g = f', the reduced symbol behind the trace forms.
-
-    Equivalently the order-(k-1) momentum with kernel f^(k) and constant
-    weight, where k-1 is the number of gaps between the supplied nodes.
-    """
-    model = as_kernel(model)
-    return divided_difference(model.derivative_model(1), nodes, quad_tol=quad_tol)
 
 
 @dataclass(frozen=True)

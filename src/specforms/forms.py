@@ -11,7 +11,6 @@ diagonal values build the Taylor polynomial of ||H + tV||_p^p; the
 leftover remainder carries the p-dependent fractional decay order.
 """
 
-import functools
 import itertools
 import math
 import time
@@ -23,11 +22,13 @@ from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
 from .moi import MoiRequest, _as_decomposition, moi_exact
+from .simplex import _gauss01
 from .spectral import (
     HermitianMatrix,
     SchattenExponent,
     SpectralDecomposition,
     WORKING_INTERVAL,
+    _check_hermitian,
     apply_scalar_function,
     eigendecompose,
     schatten_norm,
@@ -39,12 +40,9 @@ REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
 
 
-def _check_hermitian(v, what="direction"):
-    v = as_complex_matrix(v)
-    gap = np.max(np.abs(v - v.conj().T))
-    if gap > 1e-12:
-        raise ValidationError(f"{what} is not Hermitian (defect {gap:.3e})")
-    return v
+def _direction(v):
+    """v as a complex matrix, checked Hermitian but not symmetrized."""
+    return _check_hermitian(as_complex_matrix(v), "direction")
 
 
 def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
@@ -147,7 +145,7 @@ class FrechetForm:
         object.__setattr__(self, "_limit", limit)
 
     def directions_ok(self, directions):
-        vs = [_check_hermitian(v) for v in directions]
+        vs = [_direction(v) for v in directions]
         if len(vs) != self.order:
             raise ValidationError(
                 f"form of order {self.order} takes {self.order} directions, "
@@ -185,7 +183,7 @@ def trace_identity_residual(form, direction, k=None):
     k = int(k)
     if not 1 <= k <= min(getattr(form, "_limit", MAX_FORM_ORDER), MAX_FORM_ORDER):
         raise UnsupportedConfigError(f"order {k} outside this form's range")
-    v = _check_hermitian(direction)
+    v = _direction(direction)
     dec = form.base
     model = form.model
     lhs = real_trace(
@@ -303,7 +301,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     exponent = SchattenExponent(p)
     m = min(exponent.m, MAX_FORM_ORDER)
     h = as_complex_matrix(h)
-    v = _check_hermitian(v)
+    v = _direction(v)
     if t_grid is None:
         t_grid = np.logspace(-4, -1, 13)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -380,15 +378,6 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss01_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(int(order))
-    nodes, weights = (x + 1.0) / 2.0, w / 2.0
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     """Both sides of the exact integral expansion of tr |H_1|^p.
 
@@ -428,7 +417,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
         rhs += model_delta_bracket(d0, model, [v] * k, quad_tol=quad_tol)
 
     def gauss_value(order):
-        nodes, weights = _gauss01_nodes(order)
+        nodes, weights = _gauss01(order)
         points = _as_decomposition(h0 + nodes[:, None, None] * v)
         if m == 1:
             values = real_trace(v @ apply_scalar_function(g, points).matrix)

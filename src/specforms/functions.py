@@ -195,32 +195,3 @@ def as_kernel(obj):
         return CallableKernel(obj)
     raise ValidationError(f"cannot use {obj!r} as a scalar kernel")
 
-
-def kernel_to_dict(model):
-    """Serialize the kernel kinds that appear in momentum specifications."""
-    if isinstance(model, Polynomial):
-        return {"kind": "poly", "coeffs": model.coeffs}
-    if isinstance(model, PowerKernel):
-        if model.power_form == (1.0, model.beta, 0) and model.beta > 1.0:
-            return {"kind": "power_abs", "p": model.beta}
-        return {
-            "kind": "power_kernel",
-            "coef": model.coef,
-            "beta": model.beta,
-            "parity": model.parity,
-        }
-    raise UnsupportedConfigError(f"kernel {model!r} has no serial form")
-
-
-def kernel_from_dict(data):
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed kernel payload: {exc}") from exc
-    if kind == "power_abs":
-        return PowerAbs(data["p"])
-    if kind == "poly":
-        return Polynomial(data["coeffs"])
-    if kind == "power_kernel":
-        return PowerKernel(data["coef"], data["beta"], data.get("parity", 0))
-    raise ValidationError(f"unknown kernel kind {kind!r}")

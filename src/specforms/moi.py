@@ -11,11 +11,10 @@ eigenprojection series
 In the eigenbases this is a tensor contraction of the symbol values
 against the rotated perturbations, evaluated here with einsum. Symbols
 may be divided-difference descriptors, momentum specs, separable sums,
-or bare callables. Symbols that are divided differences (descriptors,
-and constant-weight momenta that remember their antiderivative) are
-evaluated for whole chunks of index tuples at once; other symbols one
-tuple at a time, with values at repeated eigenvalue tuples memoized (up
-to ordering for symmetric symbols).
+or bare callables. Every kind is evaluated for whole chunks of index
+tuples at once, as a row stack of eigenvalue tuples: divided differences
+through their table, separable sums term by term, momenta by quadrature
+and bare callables once per distinct tuple of the chunk.
 
 The first decomposition and the perturbations may each be a stack of B:
 one call then evaluates the B integrals, the symbol tensor carrying a
@@ -32,7 +31,13 @@ from .errors import UnsupportedConfigError, ValidationError
 from .functions import as_kernel
 from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
 from .spectral import SpectralDecomposition, eigendecompose
-from .util import adjoint, as_complex_matrices, as_complex_matrix, frobenius
+from .util import (
+    adjoint,
+    as_complex_matrices,
+    as_complex_matrix,
+    frobenius,
+    map_distinct_rows,
+)
 
 MAX_ORDER = 3
 # Index tuples per batched symbol call: an order-3 tensor at dim 64 has
@@ -68,13 +73,18 @@ class SeparableSymbol:
         return len(self.terms[0][1]) - 1
 
     def __call__(self, values):
+        """Value at one argument tuple, or at each row of a stack (R, m+1)."""
         values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.order + 1:
+            raise ValidationError(
+                f"symbol takes {self.order + 1} arguments, got {values.shape}"
+            )
         total = 0.0
         for w, fns in self.terms:
             prod = w
-            for fn, x in zip(fns, values):
-                prod *= float(fn.eval(x))
-            total += prod
+            for fn, x in zip(fns, values.T):
+                prod = prod * fn.eval(x)
+            total = total + prod
         return total
 
 
@@ -128,20 +138,15 @@ class MoiRequest:
 
 
 def _symbol_adapter(symbol, tol):
-    """Return (eval(values) -> float, is_symmetric, is_batched).
-
-    A batched evaluator also maps a row stack (R, m+1) to its R values.
-    """
+    """The symbol as one evaluator mapping a row stack (R, m+1) to R values."""
     if isinstance(symbol, DividedDifference):
-        return (lambda vals: symbol(vals, quad_tol=tol)), True, True
+        return lambda rows: symbol(rows, quad_tol=tol)
     if isinstance(symbol, MomentumSpec):
-        batched = symbol.origin is not None and symbol.is_symmetric
-        evaluate = lambda vals: momentum_eval(symbol, vals, tol=tol)
-        return evaluate, symbol.is_symmetric, batched
+        return lambda rows: momentum_eval(symbol, rows, tol=tol)
     if isinstance(symbol, SeparableSymbol):
-        return symbol, False, False
+        return symbol
     if callable(symbol):
-        return (lambda vals: float(symbol(*vals))), False, False
+        return lambda rows: map_distinct_rows(lambda row: symbol(*row.tolist()), rows)
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 
@@ -152,7 +157,7 @@ def _phi_tensor(symbol, eig_sets, tol):
     leading axis B, and entry (b, i_0, ..., i_m) takes its first eigenvalue
     from row b.
     """
-    evaluate, symmetric, batched = _symbol_adapter(symbol, tol)
+    evaluate = _symbol_adapter(symbol, tol)
     first, rest = np.asarray(eig_sets[0]), eig_sets[1:]
     shape = first.shape + tuple(e.size for e in rest)
 
@@ -161,22 +166,11 @@ def _phi_tensor(symbol, eig_sets, tol):
         head = idx[: first.ndim]
         return [first[head]] + [e[i] for e, i in zip(rest, idx[first.ndim :])]
 
-    if batched:
-        phi = np.empty(math.prod(shape), dtype=float)
-        for start in range(0, phi.size, CHUNK_ROWS):
-            flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
-            phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape)), axis=1))
-        phi = phi.reshape(shape)
-    else:
-        phi = np.empty(shape, dtype=float)
-        memo = {}
-        for idx in np.ndindex(shape):
-            vals = tuple(float(x) for x in values(idx))
-            key = tuple(sorted(vals)) if symmetric else vals
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = float(evaluate(np.asarray(vals)))
-            phi[idx] = got
+    phi = np.empty(math.prod(shape), dtype=float)
+    for start in range(0, phi.size, CHUNK_ROWS):
+        flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
+        phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape)), axis=1))
+    phi = phi.reshape(shape)
     bad = np.argwhere(~np.isfinite(phi))
     if bad.size:
         idx = tuple(bad[0])
@@ -289,13 +283,13 @@ def algebraic_shift(request, powers):
     if any(s < 0 for s in powers):
         raise ValidationError("monomial exponents must be >= 0")
 
-    base_eval, _, _ = _symbol_adapter(request.symbol, request.tol)
+    base_eval = _symbol_adapter(request.symbol, request.tol)
 
     def shifted(*vals):
         prod = 1.0
         for x, s in zip(vals, powers):
             prod *= x ** s
-        return prod * base_eval(np.asarray(vals))
+        return prod * base_eval(np.asarray([vals]))[0]
 
     lhs = moi_exact(
         MoiRequest(

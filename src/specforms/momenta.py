@@ -19,20 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, UnsupportedConfigError, ValidationError
-from .functions import (
-    ScalarFunctionModel,
-    as_kernel,
-    kernel_from_dict,
-    kernel_to_dict,
-)
+from .functions import ScalarFunctionModel, as_kernel
 from .simplex import (
     ORDER_LADDER,
     Piece,
+    _simplex_vertices,
     graded_pieces,
     join_rule,
     split_by_kink,
     subsimplex_rule,
 )
+from .util import map_distinct_rows
 
 
 def _normalize_terms(m, q_terms):
@@ -103,10 +100,6 @@ class MomentumSpec:
             c += coef
         return c
 
-    @property
-    def is_symmetric(self):
-        return self.constant_weight is not None
-
     def weight_values(self, points):
         """Evaluate Q at simplex points of shape (N, m)."""
         const = self.constant_weight
@@ -121,24 +114,6 @@ class MomentumSpec:
                     term = term * sbar[:, j] ** a
             out += term
         return out
-
-    def to_dict(self):
-        return {
-            "m": self.m,
-            "kernel": kernel_to_dict(self.kernel),
-            "Q": [{"alpha": list(alpha), "c": coef} for alpha, coef in self.q_terms],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            m = int(data["m"])
-            kernel = kernel_from_dict(data["kernel"])
-            raw = data["Q"]
-            terms = [(tuple(t["alpha"]), float(t["c"])) for t in raw]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed momentum payload: {exc}") from exc
-        return cls(m=m, kernel=kernel, q_terms=tuple(terms))
 
 
 def _check_hull(kernel, x):
@@ -191,8 +166,7 @@ def momentum_quadrature(spec, x, tol=1e-9):
     if spec.kernel.singular_at_zero:
         pieces = [sub for piece in split_by_kink(x) for sub in graded_pieces(piece)]
     else:
-        m = spec.m
-        verts = np.vstack([np.zeros((1, m)), np.eye(m)])
+        verts = _simplex_vertices(spec.m)
         pieces = [Piece(verts=verts, ell=x.copy(), sign=int(np.sign(x[0]) or 1))]
 
     previous = None
@@ -213,7 +187,9 @@ def momentum_quadrature(spec, x, tol=1e-9):
 def momentum_eval(spec, x, tol=1e-9):
     """Momentum value at x; divided-difference route when available.
 
-    On that route x may also be a stack of rows (R, m+1), giving R values.
+    x may also be a stack of rows (R, m+1), giving R values. Quadrature
+    then runs once per distinct row, rows of a constant-weight (hence
+    symmetric) momentum being sorted first.
     """
     x = np.asarray(x, dtype=float)
     const = spec.constant_weight
@@ -221,7 +197,11 @@ def momentum_eval(spec, x, tol=1e-9):
         from .divided import divided_difference  # deferred: circular otherwise
 
         return const * divided_difference(spec.origin, x, quad_tol=tol)
-    return momentum_quadrature(spec, x, tol=tol)
+    if x.ndim != 2:
+        return momentum_quadrature(spec, x, tol=tol)
+    if const is not None:
+        x = np.sort(x, axis=1)
+    return map_distinct_rows(lambda row: momentum_quadrature(spec, row, tol=tol), x)
 
 
 def momentum_perturbation_pair(spec):

@@ -11,6 +11,10 @@ the origin, R_m is subdivided along the hyperplane where the argument
 vanishes and each side is triangulated. Sub-simplices that touch the
 kink get a radial Gauss-Jacobi rule whose weight absorbs an algebraic
 |argument|^beta factor exactly; everything else uses plain Gauss nodes.
+
+This module holds the geometry and the rules only. The one quadrature
+engine built on them is momenta.momentum_quadrature, which escalates the
+per-axis order along ORDER_LADDER.
 """
 
 import math
@@ -23,7 +27,6 @@ from scipy.special import roots_jacobi
 
 from .errors import QuadratureError, ValidationError
 
-MAX_AXIS_ORDER = 40
 # Escalation ladder for the per-axis order; stop once two successive
 # levels agree within tolerance.
 ORDER_LADDER = (4, 6, 8, 11, 15, 20, 27, 34, 40)
@@ -336,94 +339,12 @@ def join_rule(piece, q, beta):
     )
 
 
-_jacobi_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _jacobi01(q, alpha, beta):
     """Gauss-Jacobi nodes on [0,1] for weight (1-r)^alpha * r^beta."""
-    key = (int(q), alpha, beta)
-    hit = _jacobi_cache.get(key)
-    if hit is None:
-        x, w = roots_jacobi(int(q), alpha, beta)
-        r = (x + 1.0) / 2.0
-        w = w * 2.0 ** (-(alpha + beta + 1.0))
-        r.setflags(write=False)
-        w.setflags(write=False)
-        hit = _jacobi_cache[key] = (r, w)
-    return hit
-
-
-@dataclass(frozen=True)
-class SimplexQuadratureRule:
-    """Nodes and weights for plain integrands over R_m."""
-
-    m: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != self.m:
-            raise ValidationError("nodes must have shape (N, m)")
-        if weights.shape != (nodes.shape[0],):
-            raise ValidationError("weights must match the node count")
-        if np.any(nodes < -1e-12) or np.any(nodes.sum(axis=1) > 1.0 + 1e-12):
-            raise ValidationError("nodes must lie inside the corner simplex")
-        volume = 1.0 / _factorial(self.m)
-        if abs(weights.sum() - volume) > 1e-12:
-            raise ValidationError(
-                f"weights sum to {weights.sum()!r}, expected simplex volume {volume!r}"
-            )
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def integrate(self, fn):
-        """Apply the rule to fn mapping an (N, m) node array to values."""
-        values = np.asarray(fn(self.nodes), dtype=float)
-        if values.shape != (self.nodes.shape[0],):
-            raise ValidationError("integrand must return one value per node")
-        return float(self.weights @ values)
-
-
-def build_quadrature(m, target_tol=1e-12, kink_nodes=None):
-    """Construct a rule over R_m, subdividing along a kink hyperplane.
-
-    kink_nodes, when given, holds the m+1 vertex values of the affine
-    argument whose zero set is the kink locus. The per-axis order is a
-    heuristic tied to target_tol; polynomial integrands up to the
-    declared degree are integrated exactly either way.
-    """
-    m = int(m)
-    if not 1 <= m <= 4:
-        raise ValidationError(f"simplex order {m} outside the supported 1..4")
-    target_tol = float(target_tol)
-    if not 0 < target_tol < 1:
-        raise ValidationError("target_tol must be in (0, 1)")
-    q = min(MAX_AXIS_ORDER, max(4, int(np.ceil(-np.log10(target_tol))) + 2))
-
-    if kink_nodes is None:
-        pieces = [Piece(verts=_simplex_vertices(m), ell=np.zeros(m + 1), sign=0)]
-    else:
-        kink_nodes = np.asarray(kink_nodes, dtype=float)
-        if kink_nodes.shape != (m + 1,):
-            raise ValidationError(
-                f"kink locator needs {m + 1} vertex values, got shape {kink_nodes.shape}"
-            )
-        pieces = split_by_kink(kink_nodes)
-
-    all_nodes = []
-    all_weights = []
-    for piece in pieces:
-        pts, wts = subsimplex_rule(piece.verts, q)
-        all_nodes.append(pts)
-        all_weights.append(wts)
-    return SimplexQuadratureRule(
-        m=m,
-        nodes=np.vstack(all_nodes),
-        weights=np.concatenate(all_weights),
-        degree=2 * q - m,
-    )
+    x, w = roots_jacobi(int(q), alpha, beta)
+    r = (x + 1.0) / 2.0
+    w = w * 2.0 ** (-(alpha + beta + 1.0))
+    r.setflags(write=False)
+    w.setflags(write=False)
+    return r, w

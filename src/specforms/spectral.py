@@ -20,18 +20,25 @@ RESIDUAL_TOL = 1e-10
 WORKING_INTERVAL = (-2.0, 2.0)
 
 
-def _hermitian_part(a):
-    """(A + A*)/2 of a matrix or of each matrix of a stack (B, n, n), after
-    the entrywise check |A - A*| <= HERMITICITY_TOL (non-finite entries fail
-    it). An error on a stack names the offending index."""
-    gap = np.abs(a - adjoint(a)).max(axis=(-2, -1))
+def _check_hermitian(a, what="matrix"):
+    """a itself, a matrix or a stack (B, n, n), after the entrywise check
+    |A - A*| <= HERMITICITY_TOL (non-finite entries fail it). An error on a
+    stack names the offending index."""
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - adjoint(a)).max(axis=(-2, -1))
     bad = np.flatnonzero(~(gap <= HERMITICITY_TOL))
     if bad.size:
         where = f" at stack index {bad[0]}" if a.ndim == 3 else ""
         raise ValidationError(
-            f"matrix{where} is not Hermitian: max |A - A*| = "
+            f"{what}{where} is not Hermitian: max |A - A*| = "
             f"{gap.flat[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
         )
+    return a
+
+
+def _hermitian_part(a):
+    """(A + A*)/2 of a checked matrix or of each matrix of a stack."""
+    _check_hermitian(a)
     return (a + adjoint(a)) / 2.0
 
 
@@ -235,10 +242,13 @@ def truncated_norm(a, p, nu):
 
 
 def schatten_power_trace(decomp, model):
-    """tr f(H) evaluated from eigenvalues; for f = |x|^p this is ||H||_p^p."""
+    """tr f(H) evaluated from eigenvalues; for f = |x|^p this is ||H||_p^p.
+
+    A stacked decomposition gives one value per stack member."""
     lam = decomp.eigenvalues
     _check_domain(model, lam)
-    return float(np.sum(model.eval(lam)))
+    total = np.sum(model.eval(lam), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _check_domain(model, values):

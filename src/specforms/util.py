@@ -45,6 +45,16 @@ def real_trace(a):
     return float(t.real) if t.ndim == 0 else t.real
 
 
+def map_distinct_rows(fn, rows):
+    """fn at each row of a stack (R, n), called once per distinct row.
+
+    Returns the R float values in row order.
+    """
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    values = np.array([fn(row) for row in distinct], dtype=float)
+    return values[inverse.reshape(-1)]
+
+
 def frobenius(a):
     return float(np.linalg.norm(np.asarray(a)))
 

@@ -17,7 +17,6 @@ from specforms import (
     ValidationError,
     divided_difference,
     divided_difference_via_momentum,
-    tilde_divided_difference,
 )
 from specforms import divided
 
@@ -112,18 +111,6 @@ def test_cluster_at_kink_stays_finite():
     # radial rule; for p = 2.5 the confluent value is f'(0) = 0.
     got = divided_difference(PowerAbs(2.5), (0.0, 1e-8))
     np.testing.assert_allclose(got, 0.0, atol=1e-8)
-
-
-def test_tilde_reduces_the_order():
-    # tilde f^[k] on k nodes equals g^[k-1] with g = f'
-    p = 3.5
-    g = PowerAbs(p).derivative_model(1)
-    nodes = (0.4, -0.3, 0.8)
-    np.testing.assert_allclose(
-        tilde_divided_difference(PowerAbs(p), nodes),
-        divided_difference(g, nodes),
-        rtol=1e-12,
-    )
 
 
 def test_symbol_descriptor_validates():

@@ -168,6 +168,17 @@ def test_taylor_input_validation():
         taylor_expand(h, np.array([[0.0, 1.0], [0.0, 0.0]]), 2.5)  # not Hermitian
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_directions_are_rejected(bad):
+    h = np.diag([0.5, -0.4])
+    v = np.array([[0.1, 0.2], [0.2, bad]])
+    form = FrechetForm(base=eigendecompose(h), exponent=2.5, order=2)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        delta_symmetric(form, [v, v])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        taylor_expand(h, v, 2.5)
+
+
 def test_integral_expansion_closes():
     rng = np.random.default_rng(14)
     for p in (2.5, 3.5):

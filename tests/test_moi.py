@@ -269,6 +269,8 @@ def test_separable_symbol_validation():
     sym = SeparableSymbol(((2.0, (one, one)),))
     with pytest.raises(ValidationError):
         moi_separable(sym, (np.eye(2),), ())  # missing a perturbation
+    with pytest.raises(ValidationError):
+        sym(np.zeros((2, 3)))  # rows of three arguments for a two-argument symbol
 
 
 def scalar_phi(symbol, eig_sets):
@@ -305,6 +307,47 @@ def test_batched_phi_matches_scalar_routes(profile, monkeypatch):
                 got = _phi_tensor(symbol, eig_sets, 1e-9)
                 want = scalar_phi(symbol, eig_sets)
                 assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
+    # Separable sums, quadrature-route momenta and bare callables fill the
+    # tensor chunk by chunk, matching their values at single tuples.
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
+    lam = np.array([-0.6, 0.0, 0.0, 0.45])
+    sets = [lam, binned_eigenvalues(lam, 4), lam]
+    cubic = Polynomial((0.2, -1.0, 0.5))
+    kernel = PowerAbs(2.5).derivative_model(2)
+    symbols = (
+        SeparableSymbol(((0.5, (cubic, Monomial(1), cubic)), (-2.0, (Monomial(2),) * 3))),
+        MomentumSpec(m=2, kernel=kernel, q_terms=(((1, 0, 2), 1.5),)),
+        MomentumSpec(m=2, kernel=kernel),
+    )
+    for symbol in symbols:
+        if isinstance(symbol, SeparableSymbol):
+            single = symbol
+        else:
+            single = lambda x, symbol=symbol: momentum_eval(symbol, x)
+        got = _phi_tensor(symbol, sets, 1e-9)
+        for idx in np.ndindex(got.shape):
+            want = single(np.array([e[i] for e, i in zip(sets, idx)]))
+            assert abs(got[idx] - want) <= 1e-12 * (1.0 + abs(want))
+
+    seen = []
+
+    def bare(x, y, z):
+        seen.append((x, y, z))
+        return x - 2.0 * y * z
+
+    got = _phi_tensor(bare, sets, 1e-9)
+    assert all(type(x) is float for row in seen for x in row)
+    for idx in np.ndindex(got.shape):
+        x, y, z = (e[i] for e, i in zip(sets, idx))
+        assert got[idx] == x - 2.0 * y * z
+    flat = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 3)
+    distinct = sum(
+        len(np.unique(flat[lo : lo + 7], axis=0)) for lo in range(0, len(flat), 7)
+    )
+    assert len(seen) == distinct < len(flat)
 
 
 def count_quadrature(monkeypatch):

@@ -62,8 +62,8 @@ def test_constant_weight_symmetry():
     base = momentum_eval(spec, x)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0)):
         np.testing.assert_allclose(momentum_eval(spec, x[list(perm)]), base, rtol=1e-12)
-    assert spec.is_symmetric
-    assert MomentumSpec(m=2, kernel=ONE, q_terms=(((1, 0, 0), 1.0),)).is_symmetric is False
+    assert spec.constant_weight == 1.0
+    assert MomentumSpec(m=2, kernel=ONE, q_terms=(((1, 0, 0), 1.0),)).constant_weight is None
 
 
 def test_divided_difference_route_matches_quadrature():
@@ -130,15 +130,27 @@ def test_perturbation_pair_splits_weight_binomially():
     np.testing.assert_allclose(lhs, (phi0 - phi1) / (x0 - x1), rtol=0, atol=1e-8)
 
 
-def test_momentum_dict_round_trip():
-    spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2), q_terms=(((0, 1, 1), 1.5),))
-    back = MomentumSpec.from_dict(spec.to_dict())
-    assert back.m == spec.m
-    assert back.q_terms == spec.q_terms
-    x = np.array([0.4, -0.2, 0.7])
-    np.testing.assert_allclose(
-        momentum_quadrature(back, x), momentum_quadrature(spec, x), rtol=1e-12
-    )
+def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
+    # A momentum without a divided-difference route maps a row stack to
+    # one value per row; a constant-weight one counts permuted rows once.
+    from specforms import momenta
+
+    calls = []
+    quadrature = momenta.momentum_quadrature
+
+    def counted(spec, x, tol=1e-9):
+        calls.append(tuple(x))
+        return quadrature(spec, x, tol=tol)
+
+    monkeypatch.setattr(momenta, "momentum_quadrature", counted)
+    rows = np.array([[0.3, -0.2, 0.8], [0.8, 0.3, -0.2], [0.3, -0.2, 0.8], [0.1, 0.5, -0.6]])
+    for q_terms, distinct in ((None, 2), ((((0, 1, 1), 1.0),), 3)):
+        spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2), q_terms=q_terms)
+        calls.clear()
+        got = momentum_eval(spec, rows, tol=QUAD_TOL)
+        assert got.shape == (4,) and len(calls) == distinct
+        args = np.sort(rows, axis=1) if q_terms is None else rows
+        np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
 
 
 def test_validation_guards():

@@ -200,6 +200,16 @@ def test_power_trace_matches_norm_power():
         )
 
 
+def test_power_trace_gives_one_value_per_stack_member():
+    rng = np.random.default_rng(32)
+    h = random_hermitian(rng, 4) / 4.0
+    single = schatten_power_trace(eigendecompose(h), PowerAbs(2.5))
+    assert isinstance(single, float)
+    stacked = schatten_power_trace(eigendecompose(np.stack([h, h, 0.5 * h])), PowerAbs(2.5))
+    assert stacked.shape == (3,)
+    np.testing.assert_allclose(stacked, [single, single, 0.5**2.5 * single], rtol=1e-12)
+
+
 def test_apply_scalar_function_matches_eigenreconstruction():
     rng = np.random.default_rng(37)
     h = random_hermitian(rng, 5) / 5.0
