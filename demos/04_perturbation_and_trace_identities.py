@@ -87,7 +87,7 @@ for p in (2.5, 3.0, 3.5):
         tails.append(eigendecompose(th))
         perts.append(tv.matrix)
     norms = holder_difference_norms(
-        g, m - 1, eigendecompose(base), w.matrix, tails, perts, t_grid, p)
+        g, eigendecompose(base), w.matrix, tails, perts, t_grid, p)
     usable = norms > 1e-12
     slope = fit_loglog_slope(t_grid[usable], norms[usable])
     print(f"  p = {p}: fitted slope {slope:.3f} vs alpha = {alpha}")

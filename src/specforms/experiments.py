@@ -97,7 +97,7 @@ class ExperimentConfig:
     dir_paths: tuple = ()
     out_dir: str = ""
     fmt: str = "json"
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -128,10 +128,9 @@ class ExperimentConfig:
         object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        merged["quad_tol"] = self.quad_tol
-        object.__setattr__(self, "tolerances", merged)
+        object.__setattr__(
+            self, "tolerances", dict(DEFAULT_TOLERANCES, quad_tol=self.quad_tol)
+        )
 
     def echo(self):
         """The config fields a report embeds (output paths excluded)."""
@@ -438,7 +437,6 @@ def run_holder_scan(config):
             perts.append(tv.matrix)
         norms = holder_difference_norms(
             g,
-            m - 1,
             eigendecompose(b),
             w.matrix,
             tails,
@@ -485,6 +483,25 @@ def _perturbation_instance(seed, dim, p, m):
     return a, b, tails, perts
 
 
+def _perturbation_residuals(config, seeds, m):
+    """Worst perturbation-identity residuals at order m over the seeds:
+    (cubic polynomial kernel, |x|^(m + 1.5) kernel)."""
+    p_m = m + 1.5
+    phis = [
+        MomentumSpec.from_divided_difference(model, m)
+        for model in (_PERTURBATION_POLY, PowerAbs(p_m))
+    ]
+
+    def one(seed):
+        a, b, tails, perts = _perturbation_instance(seed, config.dim, p_m, m)
+        return [
+            perturbation_identity(phi, a, b, tails, perts, tol=config.quad_tol)
+            for phi in phis
+        ]
+
+    return tuple(max(column) for column in zip(*_map_ordered(one, seeds)))
+
+
 def run_perturbation_check(config):
     """First-variable perturbation identity, 20 seeds, orders m = 1, 2."""
     started = time.perf_counter()
@@ -492,30 +509,9 @@ def run_perturbation_check(config):
     seeds = list(range(config.seed, config.seed + 20))
     checks = CheckSet()
     for m in (1, 2):
-        p_m = m + 1.5
-        phi_poly = MomentumSpec.from_divided_difference(_PERTURBATION_POLY, m)
-        phi_power = MomentumSpec.from_divided_difference(PowerAbs(p_m), m)
-
-        def one(seed, m=m, p_m=p_m, phi_poly=phi_poly, phi_power=phi_power):
-            a, b, tails, perts = _perturbation_instance(seed, config.dim, p_m, m)
-            return (
-                perturbation_identity(phi_poly, a, b, tails, perts, tol=config.quad_tol),
-                perturbation_identity(phi_power, a, b, tails, perts, tol=config.quad_tol),
-            )
-
-        residuals = _map_ordered(one, seeds)
-        checks.add(
-            f"poly_m{m}_max_residual",
-            max(r[0] for r in residuals),
-            "<=",
-            tol["perturbation_poly"],
-        )
-        checks.add(
-            f"power_m{m}_max_residual",
-            max(r[1] for r in residuals),
-            "<=",
-            tol["perturbation_power"],
-        )
+        poly, power = _perturbation_residuals(config, seeds, m)
+        checks.add(f"poly_m{m}_max_residual", poly, "<=", tol["perturbation_poly"])
+        checks.add(f"power_m{m}_max_residual", power, "<=", tol["perturbation_power"])
 
     # By-hand anchor: f(x) = x^2, m = 1 — both sides reduce to (A - B)V.
     a, b, tails, perts = _perturbation_instance(config.seed, config.dim, 2.0, 1)
@@ -657,30 +653,9 @@ def run_selftest(config):
 
     # Perturbation identity, both kernel families.
     for m in (1, 2):
-        p_m = m + 1.5
-        phi_poly = MomentumSpec.from_divided_difference(_PERTURBATION_POLY, m)
-        phi_power = MomentumSpec.from_divided_difference(PowerAbs(p_m), m)
-
-        def one_pert(seed, m=m, p_m=p_m, phi_poly=phi_poly, phi_power=phi_power):
-            a, b, tails, perts = _perturbation_instance(seed, config.dim, p_m, m)
-            return (
-                perturbation_identity(phi_poly, a, b, tails, perts, tol=config.quad_tol),
-                perturbation_identity(phi_power, a, b, tails, perts, tol=config.quad_tol),
-            )
-
-        residuals = _map_ordered(one_pert, short)
-        checks.add(
-            f"perturbation_poly_m{m}",
-            max(r[0] for r in residuals),
-            "<=",
-            tol["perturbation_poly"],
-        )
-        checks.add(
-            f"perturbation_power_m{m}",
-            max(r[1] for r in residuals),
-            "<=",
-            tol["perturbation_power"],
-        )
+        poly, power = _perturbation_residuals(config, short, m)
+        checks.add(f"perturbation_poly_m{m}", poly, "<=", tol["perturbation_poly"])
+        checks.add(f"perturbation_power_m{m}", power, "<=", tol["perturbation_power"])
 
     return _finish(config, checks, {}, started)
 

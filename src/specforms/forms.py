@@ -1,14 +1,17 @@
 """Derivative forms of tr f(H) and Taylor expansions of Schatten powers.
 
 The k-th directional derivative of t -> tr f(H + tV) factors through
-operator integrals with reduced divided-difference symbols: one trace
-against f'(H) at first order, and
+operator integrals with reduced divided-difference symbols,
 
     (1/k) tr(V_1 T_{g^[k-1]}(V_2, ..., V_k)),   g = f',
 
-beyond. Symmetrized over arguments these are the polylinear forms whose
-diagonal values build the Taylor polynomial of ||H + tV||_p^p; the
-leftover remainder carries the p-dependent fractional decay order.
+where the integral of order 0 is g(H) itself. Symmetrized over arguments
+these are the polylinear forms whose diagonal values build the Taylor
+polynomial of ||H + tV||_p^p; the leftover remainder carries the
+p-dependent fractional decay order. The brackets, their symmetrization,
+the trace identity, the integral Taylor remainder and the Hoelder
+differences all build their integrals through one helper,
+_divided_integral.
 """
 
 import itertools
@@ -33,7 +36,9 @@ from .spectral import (
     eigendecompose,
     schatten_norm,
 )
-from .util import as_complex_matrix, fit_loglog_slope, operator_norm, real_trace
+from .util import (
+    as_complex_matrices, as_complex_matrix, fit_loglog_slope, operator_norm, real_trace
+)
 
 MAX_FORM_ORDER = 3
 REMAINDER_FLOOR = 1e-12
@@ -45,58 +50,66 @@ def _direction(v):
     return _check_hermitian(as_complex_matrix(v), "direction")
 
 
+def _check_interval(lams, message):
+    """Raise unless the sorted spectra lams lie in WORKING_INTERVAL (1e-12 slack)."""
+    lo, hi = WORKING_INTERVAL
+    if lams.size and (lams[..., 0].min() < lo - 1e-12 or lams[..., -1].max() > hi + 1e-12):
+        raise ValidationError(message)
+
+
+def _check_unit_ball(lam, p):
+    norm = float(np.sum(np.abs(lam) ** p)) ** (1.0 / p)
+    if norm > 1.0 + 1e-9:
+        raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
+
+
+def _divided_integral(g, decompositions, perturbations, quad_tol):
+    """T^{(H_0..H_j)}_{g^[j]}(V_1..V_j) with j = len(perturbations).
+
+    At j = 0 this is g(H_0). The first decomposition and the perturbations
+    may be stacks, as in MoiRequest; the result is then the stack of values.
+    """
+    if not perturbations:
+        return apply_scalar_function(g, decompositions[0]).matrix
+    return moi_exact(
+        MoiRequest(
+            decompositions=tuple(decompositions),
+            perturbations=tuple(perturbations),
+            symbol=DividedDifference(g, len(perturbations)),
+            tol=quad_tol,
+        )
+    )
+
+
 def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
     """Unsymmetrized k-linear derivative form of tr f(H) for a scalar model.
 
-    directions is the list (V_1, ..., V_k); the value is tr(V_1 f'(H))
-    for k = 1 and (1/k) tr(V_1 T_{g^[k-1]}(V_2..V_k)) with g = f' beyond.
-    This is the model-level route; it accepts any model smooth enough to
-    supply the needed derivative kernel.
+    directions is the list (V_1, ..., V_k); the value is
+    (1/k) tr(V_1 T_{g^[k-1]}(V_2..V_k)) with g = f', which is tr(V_1 g(H))
+    at k = 1. Any direction may be a stack (B, n, n); the value is then one
+    per stack member. This is the model-level route; it accepts any model
+    smooth enough to supply the needed derivative kernel.
     """
     decomposition = _as_decomposition(decomposition)
-    vs = [as_complex_matrix(v) for v in directions]
+    vs = [as_complex_matrices(v) for v in directions]
     k = len(vs)
     if not 1 <= k <= MAX_FORM_ORDER:
         raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
     g = model.derivative_model(1)
-    if k == 1:
-        return real_trace(vs[0] @ apply_scalar_function(g, decomposition).matrix)
-    symbol = DividedDifference(g, k - 1)
-    integral = moi_exact(
-        MoiRequest(
-            decompositions=(decomposition,) * k,
-            perturbations=tuple(vs[1:]),
-            symbol=symbol,
-            tol=quad_tol,
-        )
-    )
+    integral = _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol)
     return real_trace(vs[0] @ integral) / k
 
 
 def model_delta_symmetric(decomposition, model, directions, quad_tol=1e-9):
     """Symmetrization of model_delta_bracket over all argument orders.
 
-    The symbol tensor is built once: one operator integral takes the
-    stacked trailing directions of all k! orders.
+    The k! orders are stacked slot by slot, so that one bracket call, and
+    one symbol tensor, serves them all.
     """
-    vs = [as_complex_matrix(v) for v in directions]
-    k = len(vs)
-    if not 1 <= k <= MAX_FORM_ORDER:
-        raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
-    if k == 1:
-        return model_delta_bracket(decomposition, model, vs, quad_tol=quad_tol)
-    decomposition = _as_decomposition(decomposition)
-    firsts, *trailing = (np.stack(slot) for slot in zip(*itertools.permutations(vs)))
-    integrals = moi_exact(
-        MoiRequest(
-            decompositions=(decomposition,) * k,
-            perturbations=tuple(trailing),
-            symbol=DividedDifference(model.derivative_model(1), k - 1),
-            tol=quad_tol,
-        )
-    )
-    total = sum(real_trace(v @ t) for v, t in zip(firsts, integrals))
-    return total / k / math.factorial(k)
+    vs = (as_complex_matrix(v) for v in directions)
+    orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
+    brackets = model_delta_bracket(decomposition, model, orders, quad_tol=quad_tol)
+    return float(sum(brackets)) / math.factorial(len(orders))
 
 
 @dataclass(frozen=True)
@@ -123,15 +136,8 @@ class FrechetForm:
             exp = SchattenExponent(exp)
         object.__setattr__(self, "exponent", exp)
         object.__setattr__(self, "order", int(self.order))
-        lam = dec.eigenvalues
-        lo, hi = WORKING_INTERVAL
-        if lam.size and (lam[0] < lo - 1e-12 or lam[-1] > hi + 1e-12):
-            raise ValidationError("base spectrum leaves the working interval")
-        norm = float(np.sum(np.abs(lam) ** exp.p)) ** (1.0 / exp.p)
-        if norm > 1.0 + 1e-9:
-            raise ValidationError(
-                f"base point must satisfy ||H||_p <= 1, got {norm:.6f}"
-            )
+        _check_interval(dec.eigenvalues, "base spectrum leaves the working interval")
+        _check_unit_ball(dec.eigenvalues, exp.p)
         if self.model is None:
             object.__setattr__(self, "model", PowerAbs(exp.p))
             limit = min(exp.m, MAX_FORM_ORDER)
@@ -186,16 +192,7 @@ def trace_identity_residual(form, direction, k=None):
     v = _direction(direction)
     dec = form.base
     model = form.model
-    lhs = real_trace(
-        moi_exact(
-            MoiRequest(
-                decompositions=(dec,) * (k + 1),
-                perturbations=(v,) * k,
-                symbol=DividedDifference(model, k),
-                tol=form.quad_tol,
-            )
-        )
-    )
+    lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
     rhs = model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol)
     return abs(lhs - rhs)
 
@@ -235,9 +232,7 @@ def fd_oracle(h, v, p, k, step=None):
     # Both stencils' spectra come from one stacked solver call.
     t = np.array([o * dt for dt in steps for o in offsets])
     lams = np.linalg.eigvalsh(h + t[:, None, None] * v)
-    lo, hi = WORKING_INTERVAL
-    if lams[:, 0].min() < lo - 1e-12 or lams[:, -1].max() > hi + 1e-12:
-        raise ValidationError("finite-difference stencil leaves the working interval")
+    _check_interval(lams, "finite-difference stencil leaves the working interval")
     samples = [float(np.sum(model.eval(lam))) for lam in lams]
 
     def stencil(dt, values):
@@ -307,19 +302,15 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0.0):
         raise ValidationError("t grid values must be positive")
-    lo, hi = WORKING_INTERVAL
-    lam0 = np.linalg.eigvalsh(h)
+    decomposition = _as_decomposition(h)
+    lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
     lam1 = lams[np.argmax(t_grid)]
-    if min(lam0[0], lam1[0]) < lo - 1e-12 or max(lam0[-1], lam1[-1]) > hi + 1e-12:
-        raise ValidationError("H + tV leaves the working interval on the grid")
-    model = PowerAbs(exponent.p)
-    norm = float(np.sum(model.eval(lam0))) ** (1.0 / exponent.p)
-    if norm > 1.0 + 1e-9:
-        raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
+    _check_interval(np.stack([lam0, lam1]), "H + tV leaves the working interval on the grid")
+    _check_unit_ball(lam0, exponent.p)
 
-    decomposition = _as_decomposition(h)
-    base = float(np.sum(model.eval(decomposition.eigenvalues)))
+    model = PowerAbs(exponent.p)
+    base = float(np.sum(model.eval(lam0)))
     deltas = [
         model_delta_bracket(decomposition, model, [v] * k, quad_tol=quad_tol)
         for k in range(1, m + 1)
@@ -403,10 +394,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     h0 = as_complex_matrix(h0)
     h1 = as_complex_matrix(h1)
     v = h1 - h0
-    lo, hi = WORKING_INTERVAL
     ends = np.linalg.eigvalsh(np.stack([h0, h1]))
-    if ends[:, 0].min() < lo - 1e-12 or ends[:, -1].max() > hi + 1e-12:
-        raise ValidationError("segment endpoints leave the working interval")
+    _check_interval(ends, "segment endpoints leave the working interval")
 
     model = PowerAbs(exponent.p)
     g = model.derivative_model(1)
@@ -419,18 +408,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     def gauss_value(order):
         nodes, weights = _gauss01(order)
         points = _as_decomposition(h0 + nodes[:, None, None] * v)
-        if m == 1:
-            values = real_trace(v @ apply_scalar_function(g, points).matrix)
-        else:
-            integrals = moi_exact(
-                MoiRequest(
-                    decompositions=(points,) + (d0,) * (m - 1),
-                    perturbations=(v,) * (m - 1),
-                    symbol=DividedDifference(g, m - 1),
-                    tol=quad_tol,
-                )
-            )
-            values = nodes ** (m - 1) * real_trace(v @ integrals)
+        integrals = _divided_integral(g, (points,) + (d0,) * (m - 1), (v,) * (m - 1), quad_tol)
+        values = nodes ** (m - 1) * real_trace(v @ integrals)
         return float(sum(w * x for w, x in zip(weights, values)))
 
     if t_order is not None:
@@ -480,15 +459,20 @@ def embedded_delta(h, v, p, k, quad_tol=1e-9):
     return delta_symmetric(form, [av.matrix] * int(k))
 
 
-def holder_difference_norms(phi_model, order, base, direction, tail, perturbations, t_grid, p, quad_tol=1e-9):
+def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_grid, p, quad_tol=1e-9):
     """||T(A_t) - T(B)||_{p'} along A_t = B + tW for a kinked symbol.
 
-    phi_model / order describe the divided-difference symbol g^[order]
-    whose first matrix argument moves; p' is the conjugate exponent of
-    p. Returns the per-t norms; a zero direction is degenerate and comes
-    back as an empty array, as does an empty grid. The whole grid is one
-    stacked decomposition and one stacked operator integral.
+    T(A) is the operator integral T^{(A, tail)}_{phi^[j]}(perturbations),
+    j = len(perturbations) (phi(A) itself at j = 0), whose first matrix
+    argument moves; tail holds one decomposition per perturbation. p' is
+    the conjugate exponent of p. Returns the per-t norms; a zero direction
+    is degenerate and comes back as an empty array, as does an empty grid.
+    The whole grid is one stacked decomposition and one stacked integral.
     """
+    if len(tail) != len(perturbations):
+        raise ValidationError(
+            f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"
+        )
     w = as_complex_matrix(direction)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or operator_norm(w) < 1e-14:
@@ -499,18 +483,7 @@ def holder_difference_norms(phi_model, order, base, direction, tail, perturbatio
     p = float(p)
     p_conj = p / (p - 1.0)
 
-    def value(dec):
-        if order == 0:
-            return apply_scalar_function(phi_model, dec).matrix
-        return moi_exact(
-            MoiRequest(
-                decompositions=(dec,) + tail,
-                perturbations=perts,
-                symbol=DividedDifference(phi_model, order),
-                tol=quad_tol,
-            )
-        )
-
-    ref = value(base)
-    moved = value(_as_decomposition(base.source.matrix + t_grid[:, None, None] * w))
+    moving = _as_decomposition(base.source.matrix + t_grid[:, None, None] * w)
+    ref = _divided_integral(phi_model, (base,) + tail, perts, quad_tol)
+    moved = _divided_integral(phi_model, (moving,) + tail, perts, quad_tol)
     return np.asarray([schatten_norm(diff, p_conj) for diff in moved - ref])

@@ -224,7 +224,7 @@ def test_criterion_07_holder_saturation():
                 tails.append(eigendecompose(th))
                 perts.append(tv.matrix)
             norms = holder_difference_norms(
-                g, m - 1, eigendecompose(base), w.matrix, tails, perts, t_grid, p
+                g, eigendecompose(base), w.matrix, tails, perts, t_grid, p
             )
             usable = norms > 1e-12
             assert np.count_nonzero(usable) >= 4, f"p={p} seed={seed}: degenerate scan"

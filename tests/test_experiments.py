@@ -46,15 +46,15 @@ def test_config_validation():
 
 
 def test_config_tolerances_merge_and_echo():
-    config = ExperimentConfig(
-        mode="selftest", quad_tol=1e-8, tolerances={"trace_identity": 1e-5}
-    )
-    assert config.tolerances["trace_identity"] == 1e-5
-    assert config.tolerances["quad_tol"] == 1e-8
-    assert config.tolerances["oracle_rel"] == DEFAULT_TOLERANCES["oracle_rel"]
+    config = ExperimentConfig(mode="selftest", quad_tol=1e-8)
+    assert config.tolerances == dict(DEFAULT_TOLERANCES, quad_tol=1e-8)
     echo = config.echo()
+    assert echo["tolerances"] == config.tolerances
+    assert echo["quad_tol"] == 1e-8
     assert "out_dir" not in echo and "fmt" not in echo
     assert echo["mode"] == "selftest"
+    with pytest.raises(TypeError):
+        ExperimentConfig(mode="selftest", tolerances={"trace_identity": 1e-5})
 
 
 def test_checkset_ops_and_guards():

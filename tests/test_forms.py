@@ -78,6 +78,22 @@ def test_symmetric_form_is_permutation_average():
     np.testing.assert_allclose(sym, delta_symmetric(form, [v2, v1]), rtol=1e-14)
 
 
+def test_stacked_bracket_matches_member_calls():
+    rng = np.random.default_rng(41)
+    dec = eigendecompose(small_hermitian(rng, 3))
+    model = PowerAbs(3.5)
+    for k in (1, 2, 3):
+        stacks = [
+            np.stack([small_hermitian(rng, 3, scale=1.0) for _ in range(4)])
+            for _ in range(k)
+        ]
+        got = model_delta_bracket(dec, model, stacks)
+        assert got.shape == (4,)
+        for b in range(4):
+            want = model_delta_bracket(dec, model, [s[b] for s in stacks])
+            assert abs(got[b] - want) <= 1e-14 * (1.0 + abs(want))
+
+
 def test_trace_identity_cubic_hand_case():
     form = FrechetForm(base=np.diag([0.0, 1.0]), exponent=2.0, order=2, model=Monomial(3))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -168,6 +184,16 @@ def test_taylor_input_validation():
         taylor_expand(h, np.array([[0.0, 1.0], [0.0, 0.0]]), 2.5)  # not Hermitian
 
 
+def test_spectrum_guards():
+    h = np.diag([0.5, -0.4])
+    with pytest.raises(ValidationError, match="segment endpoints"):
+        taylor_integral_form(h, np.diag([2.5, 0.0]), 2.5)
+    with pytest.raises(ValidationError, match="on the grid"):
+        taylor_expand(h, np.eye(2), 2.5, t_grid=[0.01, 0.1, 2.0])  # reaches 2.5
+    with pytest.raises(ValidationError, match=r"\|\|H\|\|_p <= 1"):
+        taylor_expand(np.diag([0.9, 0.9]), np.eye(2), 2.5)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_directions_are_rejected(bad):
     h = np.diag([0.5, -0.4])
@@ -249,7 +275,7 @@ def test_stacked_holder_norms_match_per_node_reference(profile, monkeypatch):
             return moi_exact(MoiRequest((dec,) + tail, perts, DividedDifference(g, order)))
 
         got = holder_difference_norms(
-            g, order, eigendecompose(base), w.matrix, tail, perts, t_grid, p
+            g, eigendecompose(base), w.matrix, tail, perts, t_grid, p
         )
         ref = value(eigendecompose(base))
         for t, norm in zip(t_grid, got):
@@ -346,7 +372,6 @@ def test_holder_norms_zero_direction_is_degenerate():
     base = np.diag([0.3, -0.2])
     got = holder_difference_norms(
         PowerAbs(2.5).derivative_model(1),
-        0,
         base,
         np.zeros((2, 2)),
         (),
@@ -361,7 +386,17 @@ def test_holder_norms_grow_from_zero():
     base = np.diag([0.3, -0.2])
     w = 0.5 * np.eye(2)
     got = holder_difference_norms(
-        Monomial(2), 0, base, w, (), (), [0.01, 0.02, 0.04], 2.0
+        Monomial(2), base, w, (), (), [0.01, 0.02, 0.04], 2.0
     )
     assert got.shape == (3,)
     assert np.all(np.diff(got) > 0)
+
+
+def test_holder_norms_need_one_tail_per_perturbation():
+    base = np.diag([0.3, -0.2])
+    w = 0.5 * np.eye(2)
+    g = PowerAbs(2.5).derivative_model(1)
+    with pytest.raises(ValidationError, match="tail"):
+        holder_difference_norms(g, base, w, (base,), (), [0.01], 2.5)
+    with pytest.raises(ValidationError, match="tail"):
+        holder_difference_norms(g, base, w, (), (np.eye(2),), [0.01], 2.5)
