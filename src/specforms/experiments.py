@@ -260,6 +260,16 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
+def _seed_streams(seeds, streams, dim, profile, p):
+    """Stream j = 0..streams-1 of each seed, the instance of seed
+    + j * SEED_STRIDE, from one stacked draw: one list of `streams`
+    (H, V) pairs per seed."""
+    draws = generate_instance(
+        [seed + SEED_STRIDE * j for seed in seeds for j in range(streams)], dim, profile, p
+    )
+    return [draws[i : i + streams] for i in range(0, len(draws), streams)]
+
+
 def load_matrix(path):
     """Read a Hermitian matrix from its JSON file format."""
     with open(path) as fh:
@@ -358,14 +368,15 @@ def run_moi_convergence(config):
     n_grid = config.n_grid
     symbol = DividedDifference(PowerAbs(config.p), 1)
 
-    def one(seed):
-        h, v = generate_instance(seed, config.dim, "generic", config.p)
+    def one(instance):
+        h, v = instance
         dec = eigendecompose(h)
         req = MoiRequest((dec, dec), (v.matrix,), symbol, config.quad_tol)
         exact = moi_exact(req)
         return [frobenius(moi_binned(req, n) - exact) for n in n_grid]
 
-    curves = _map_ordered(one, range(config.seed, config.seed + 10))
+    seeds = list(range(config.seed, config.seed + 10))
+    curves = _map_ordered(one, generate_instance(seeds, config.dim, "generic", config.p))
     max_curve = np.max(np.asarray(curves), axis=0)
 
     checks = CheckSet()
@@ -425,22 +436,14 @@ def run_holder_scan(config):
 
     # Singular tails put a node of the symbol at the kink of the kernel,
     # so the observed exponent saturates at alpha instead of overshooting.
-    def one(seed):
-        b, w = generate_instance(seed, config.dim, "singular", config.p)
-        tails = []
-        perts = []
-        for j in range(m - 1):
-            th, tv = generate_instance(
-                seed + SEED_STRIDE * (j + 1), config.dim, "singular", config.p
-            )
-            tails.append(eigendecompose(th))
-            perts.append(tv.matrix)
+    def one(streams):
+        (b, w), tails = streams[0], streams[1:]
         norms = holder_difference_norms(
             g,
             eigendecompose(b),
             w.matrix,
-            tails,
-            perts,
+            [eigendecompose(th) for th, _ in tails],
+            [tv.matrix for _, tv in tails],
             t_grid,
             config.p,
             quad_tol=config.quad_tol,
@@ -453,7 +456,7 @@ def run_holder_scan(config):
         return fit_loglog_slope(t_grid[usable], norms[usable]), False
 
     seeds = list(range(config.seed, config.seed + 10))
-    results = _map_ordered(one, seeds)
+    results = _map_ordered(one, _seed_streams(seeds, m, config.dim, "singular", config.p))
     checks = CheckSet()
     slopes = []
     for seed, (slope, degenerate) in zip(seeds, results):
@@ -469,18 +472,19 @@ def run_holder_scan(config):
 _PERTURBATION_POLY = Polynomial((0.25, -1.0, 0.5, 2.0))
 
 
-def _perturbation_instance(seed, dim, p, m):
-    """Deterministic (A, B, tails, perturbations) tuple for one seed."""
-    a, va = generate_instance(seed, dim, "generic", p)
-    b, vb = generate_instance(seed + SEED_STRIDE, dim, "generic", p)
-    tails = []
-    perts = [va.matrix, vb.matrix][:m]
-    for j in range(m):
-        th, tv = generate_instance(seed + SEED_STRIDE * (j + 2), dim, "generic", p)
-        tails.append(eigendecompose(th))
-        if len(perts) < m:
-            perts.append(tv.matrix)
-    return a, b, tails, perts
+def _perturbation_instances(seeds, dim, p, m):
+    """Deterministic (A, B, tails, perturbations) tuple for each seed, with
+    m <= 2: streams 0 and 1 give A and B and the perturbations, streams
+    2..m+1 the tails. A, B and the tails are decompositions."""
+    return [
+        (
+            eigendecompose(a),
+            eigendecompose(b),
+            [eigendecompose(h) for h, _ in tails],
+            [va.matrix, vb.matrix][:m],
+        )
+        for (a, va), (b, vb), *tails in _seed_streams(seeds, m + 2, dim, "generic", p)
+    ]
 
 
 def _perturbation_residuals(config, seeds, m):
@@ -492,14 +496,13 @@ def _perturbation_residuals(config, seeds, m):
         for model in (_PERTURBATION_POLY, PowerAbs(p_m))
     ]
 
-    def one(seed):
-        a, b, tails, perts = _perturbation_instance(seed, config.dim, p_m, m)
+    def one(instance):
         return [
-            perturbation_identity(phi, a, b, tails, perts, tol=config.quad_tol)
-            for phi in phis
+            perturbation_identity(phi, *instance, tol=config.quad_tol) for phi in phis
         ]
 
-    return tuple(max(column) for column in zip(*_map_ordered(one, seeds)))
+    instances = _perturbation_instances(seeds, config.dim, p_m, m)
+    return tuple(max(column) for column in zip(*_map_ordered(one, instances)))
 
 
 def run_perturbation_check(config):
@@ -514,13 +517,10 @@ def run_perturbation_check(config):
         checks.add(f"power_m{m}_max_residual", power, "<=", tol["perturbation_power"])
 
     # By-hand anchor: f(x) = x^2, m = 1 — both sides reduce to (A - B)V.
-    a, b, tails, perts = _perturbation_instance(config.seed, config.dim, 2.0, 1)
+    (instance,) = _perturbation_instances([config.seed], config.dim, 2.0, 1)
     hand = perturbation_identity(
         MomentumSpec.from_divided_difference(Monomial(2), 1),
-        a,
-        b,
-        tails,
-        perts,
+        *instance,
         tol=config.quad_tol,
     )
     checks.add("hand_quadratic_residual", hand, "<=", tol["hand_case"])
@@ -556,8 +556,8 @@ def run_selftest(config):
         if not ks:
             continue
 
-        def one_trace(seed, p=p, ks=ks):
-            h, v = generate_instance(seed, config.dim, "generic", p)
+        def one_trace(instance, p=p, ks=ks):
+            h, v = instance
             form = FrechetForm(
                 base=eigendecompose(h),
                 exponent=SchattenExponent(p),
@@ -566,7 +566,9 @@ def run_selftest(config):
             )
             return max(trace_identity_residual(form, v.matrix, k) for k in ks)
 
-        worst = max(_map_ordered(one_trace, seeds))
+        worst = max(
+            _map_ordered(one_trace, generate_instance(seeds, config.dim, "generic", p))
+        )
         checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
 
     # Hand-checkable trace identity: H = diag(0, 1), f = x^3, order 2.
@@ -585,10 +587,12 @@ def run_selftest(config):
         tol["hand_case"],
     )
 
-    # Monomial-shift identity on random order-2 integrals.
-    def one_shift(seed):
-        h, v = generate_instance(seed, config.dim, "generic", 2.5)
-        h2, v2 = generate_instance(seed + SEED_STRIDE, config.dim, "generic", 2.5)
+    # Monomial-shift identity on random order-2 integrals; it shares its
+    # instance pairs with the separable battery.
+    pairs = _seed_streams(mid, 2, config.dim, "generic", 2.5)
+
+    def one_shift(streams):
+        (h, v), (h2, v2) = streams
         dec, dec2 = eigendecompose(h), eigendecompose(h2)
         req = MoiRequest(
             (dec, dec2, dec),
@@ -601,15 +605,14 @@ def run_selftest(config):
 
     checks.add(
         "algebraic_shift_max",
-        max(_map_ordered(one_shift, mid)),
+        max(_map_ordered(one_shift, pairs)),
         "<=",
         tol["algebraic_shift"],
     )
 
     # Separable symbols against the dense tensor path.
-    def one_separable(seed):
-        h, v = generate_instance(seed, config.dim, "generic", 2.5)
-        h2, v2 = generate_instance(seed + SEED_STRIDE, config.dim, "generic", 2.5)
+    def one_separable(item):
+        seed, ((h, v), (h2, v2)) = item
         rng = SplitMix64(seed * 2 + 1)
         terms = []
         for _ in range(3):
@@ -628,7 +631,7 @@ def run_selftest(config):
 
     checks.add(
         "separable_cross_max",
-        max(_map_ordered(one_separable, mid)),
+        max(_map_ordered(one_separable, zip(mid, pairs))),
         "<=",
         tol["separable_cross"],
     )
@@ -636,8 +639,8 @@ def run_selftest(config):
     # Integral Taylor formula at small perturbations, d = 3.
     for p in _selftest_ps(config.p):
 
-        def one_integral(seed, p=p):
-            h0, v = generate_instance(seed, 3, "generic", p)
+        def one_integral(instance, p=p):
+            h0, v = instance
             step = 0.3 * v.matrix / frobenius(v.matrix)
             lhs, rhs = taylor_integral_form(
                 h0.matrix, h0.matrix + step, p, quad_tol=config.quad_tol
@@ -646,7 +649,7 @@ def run_selftest(config):
 
         checks.add(
             f"integral_taylor_p{p:g}",
-            max(_map_ordered(one_integral, short)),
+            max(_map_ordered(one_integral, generate_instance(short, 3, "generic", p))),
             "<=",
             tol["integral_taylor"],
         )

@@ -8,10 +8,12 @@ operator integrals with reduced divided-difference symbols,
 where the integral of order 0 is g(H) itself. Symmetrized over arguments
 these are the polylinear forms whose diagonal values build the Taylor
 polynomial of ||H + tV||_p^p; the leftover remainder carries the
-p-dependent fractional decay order. The brackets, their symmetrization,
-the trace identity, the integral Taylor remainder and the Hoelder
-differences all build their integrals through one helper,
-_divided_integral.
+p-dependent fractional decay order. A bracket of distinct complex
+Hermitian directions is complex at order 3; only its symmetrization is
+real, so that is where the symmetrized form checks the reality of the
+trace. The brackets, their symmetrization, the trace identity, the
+integral Taylor remainder and the Hoelder differences all build their
+integrals through one helper, _divided_integral.
 """
 
 import itertools
@@ -37,7 +39,12 @@ from .spectral import (
     schatten_norm,
 )
 from .util import (
-    as_complex_matrices, as_complex_matrix, fit_loglog_slope, operator_norm, real_trace
+    as_complex_matrices,
+    as_complex_matrix,
+    fit_loglog_slope,
+    operator_norm,
+    real_trace,
+    real_value,
 )
 
 MAX_FORM_ORDER = 3
@@ -86,9 +93,17 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
 
     directions is the list (V_1, ..., V_k); the value is
     (1/k) tr(V_1 T_{g^[k-1]}(V_2..V_k)) with g = f', which is tr(V_1 g(H))
-    at k = 1. Any direction may be a stack (B, n, n); the value is then one
-    per stack member. This is the model-level route; it accepts any model
-    smooth enough to supply the needed derivative kernel.
+    at k = 1. This is the model-level route; it accepts any model smooth
+    enough to supply the needed derivative kernel.
+
+    One bracket is returned as a float, its trace checked real. For
+    Hermitian directions that holds at k <= 2 and for equal directions,
+    but at k = 3 the bracket of distinct complex directions is complex
+    (those of (V_1, V_2, V_3) and (V_1, V_3, V_2) are conjugates), so it
+    raises ValidationError; only sums over argument orders, such as
+    model_delta_symmetric, are real there. Any direction may instead be a
+    stack (B, n, n): the value is then the complex array of the B brackets,
+    unchecked, for the caller to combine and check.
     """
     decomposition = _as_decomposition(decomposition)
     vs = [as_complex_matrices(v) for v in directions]
@@ -97,19 +112,29 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
         raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
     g = model.derivative_model(1)
     integral = _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol)
-    return real_trace(vs[0] @ integral) / k
+    traces = np.trace(vs[0] @ integral, axis1=-2, axis2=-1)
+    if traces.ndim == 0:
+        return real_value(traces) / k
+    # Real and imaginary parts divided apart: a complex division by k
+    # multiplies by 1/k, which differs from it in the last bit.
+    brackets = np.empty_like(traces)
+    brackets.real, brackets.imag = traces.real / k, traces.imag / k
+    return brackets
 
 
 def model_delta_symmetric(decomposition, model, directions, quad_tol=1e-9):
     """Symmetrization of model_delta_bracket over all argument orders.
 
     The k! orders are stacked slot by slot, so that one bracket call, and
-    one symbol tensor, serves them all.
+    one symbol tensor, serves them all. The complex brackets are summed
+    and the sum is checked real once: single brackets of distinct complex
+    directions are complex at order 3.
     """
     vs = (as_complex_matrix(v) for v in directions)
     orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
     brackets = model_delta_bracket(decomposition, model, orders, quad_tol=quad_tol)
-    return float(sum(brackets)) / math.factorial(len(orders))
+    total = complex(sum(brackets.real), sum(brackets.imag))
+    return real_value(total) / math.factorial(len(orders))
 
 
 @dataclass(frozen=True)

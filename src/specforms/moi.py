@@ -14,13 +14,16 @@ may be divided-difference descriptors, momentum specs, separable sums,
 or bare callables. Every kind is evaluated for whole chunks of index
 tuples at once, as a row stack of eigenvalue tuples: divided differences
 through their table, separable sums term by term, momenta by quadrature
-and bare callables once per distinct tuple of the chunk.
+and bare callables once per distinct tuple of the chunk. The monomial
+shift of a symbol (algebraic_shift) is its tensor times the outer product
+of the eigenvalue powers.
 
 The first decomposition and the perturbations may each be a stack of B:
 one call then evaluates the B integrals, the symbol tensor carrying a
 leading stack axis when the first decomposition does.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +140,14 @@ class MoiRequest:
         return self.decompositions[0].dim
 
 
+@dataclass(frozen=True)
+class _MonomialShift:
+    """psi = x_0^{s_0} ... x_m^{s_m} * phi for a symbol phi."""
+
+    symbol: object
+    powers: tuple
+
+
 def _symbol_adapter(symbol, tol):
     """The symbol as one evaluator mapping a row stack (R, m+1) to R values."""
     if isinstance(symbol, DividedDifference):
@@ -157,6 +168,16 @@ def _phi_tensor(symbol, eig_sets, tol):
     leading axis B, and entry (b, i_0, ..., i_m) takes its first eigenvalue
     from row b.
     """
+    if isinstance(symbol, _MonomialShift):
+        # Python-float powers, multiplied left to right and then onto phi:
+        # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
+        powers = [
+            np.reshape([x**s for x in np.ravel(e).tolist()], np.shape(e))
+            for e, s in zip(eig_sets, symbol.powers)
+        ]
+        return functools.reduce(np.multiply.outer, powers) * _phi_tensor(
+            symbol.symbol, eig_sets, tol
+        )
     evaluate = _symbol_adapter(symbol, tol)
     first, rest = np.asarray(eig_sets[0]), eig_sets[1:]
     shape = first.shape + tuple(e.size for e in rest)
@@ -283,19 +304,11 @@ def algebraic_shift(request, powers):
     if any(s < 0 for s in powers):
         raise ValidationError("monomial exponents must be >= 0")
 
-    base_eval = _symbol_adapter(request.symbol, request.tol)
-
-    def shifted(*vals):
-        prod = 1.0
-        for x, s in zip(vals, powers):
-            prod *= x ** s
-        return prod * base_eval(np.asarray([vals]))[0]
-
     lhs = moi_exact(
         MoiRequest(
             decompositions=request.decompositions,
             perturbations=request.perturbations,
-            symbol=shifted,
+            symbol=_MonomialShift(request.symbol, powers),
             tol=request.tol,
         )
     )

@@ -32,11 +32,17 @@ def adjoint(a):
 
 
 def real_trace(a):
-    """Trace of `a` asserted real: |imag| <= 1e-10 * (1 + |real|).
+    """Trace of `a` asserted real (see real_value).
 
     A stack (B, n, n) gives the array of its B traces.
     """
-    t = np.trace(as_complex_matrices(a), axis1=-2, axis2=-1)
+    return real_value(np.trace(as_complex_matrices(a), axis1=-2, axis2=-1))
+
+
+def real_value(t):
+    """Real part of a trace-valued complex number, or of each entry of an
+    array of them, asserted real: |imag| <= 1e-10 * (1 + |real|)."""
+    t = np.asarray(t)
     bad = np.abs(t.imag) > TRACE_IMAG_TOL * (1.0 + np.abs(t.real))
     if bad.any():
         raise ValidationError(

@@ -11,11 +11,14 @@ from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import (
     CheckSet,
     DEFAULT_TOLERANCES,
+    SEED_STRIDE,
     ExperimentConfig,
+    _seed_streams,
     run,
     run_selftest,
 )
 from specforms.forms import FrechetForm, delta_symmetric
+from specforms.instances import generate_instance
 from specforms.spectral import HermitianMatrix, eigendecompose
 from specforms.util import canonical_json
 
@@ -160,6 +163,31 @@ def test_derivative_driver_matches_library_call(tmp_path):
     assert report.passed
     form = FrechetForm(base=eigendecompose(h), exponent=2.5, order=1)
     np.testing.assert_allclose(report.data["value"], delta_symmetric(form, [v]))
+
+
+def test_cli_derivative_of_distinct_complex_directions(tmp_path, capsys):
+    h, v = generate_instance(1, 3, "generic", 3.5)
+    dirs = [v.matrix] + [generate_instance(s, 3, "generic", 3.5)[1].matrix for s in (101, 201)]
+    argv = ["derivative", "--p", "3.5", "--order", "3"]
+    argv += ["--matrix", _write_matrix(tmp_path / "h.json", h.matrix)]
+    for i, d in enumerate(dirs):
+        argv += ["--dir", _write_matrix(tmp_path / f"v{i}.json", d)]
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["passed"] is True
+    form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=3)
+    assert payload["data"]["value"] == delta_symmetric(form, dirs)
+
+
+def test_seed_streams_follow_the_stride():
+    # Stream j of a seed is the instance of seed + j * SEED_STRIDE, as each
+    # battery drew them one call at a time.
+    streams = _seed_streams([4, 9], 3, 3, "singular", 2.5)
+    assert [len(group) for group in streams] == [3, 3]
+    for seed, group in zip([4, 9], streams):
+        for j, (h, v) in enumerate(group):
+            h1, v1 = generate_instance(seed + SEED_STRIDE * j, 3, "singular", 2.5)
+            assert np.array_equal(h.matrix, h1.matrix) and np.array_equal(v.matrix, v1.matrix)
 
 
 def test_cli_taylor_scan_roundtrip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for derivative forms, Taylor data, and the Hermitian dilation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from specforms import moi
 from specforms.divided import DividedDifference
 from specforms.errors import UnsupportedConfigError, ValidationError
+from specforms.experiments import DEFAULT_TOLERANCES
 from specforms.forms import (
+    FD_SAFE_GAP,
     FrechetForm,
     delta_bracket,
     delta_symmetric,
@@ -76,6 +79,57 @@ def test_symmetric_form_is_permutation_average():
     brackets = delta_bracket(form, [v1, v2]), delta_bracket(form, [v2, v1])
     np.testing.assert_allclose(sym, sum(brackets) / 2.0, rtol=1e-14)
     np.testing.assert_allclose(sym, delta_symmetric(form, [v2, v1]), rtol=1e-14)
+
+
+def _complex_directions(seed, dim, k, p=3.5):
+    """The V of seeds seed + 100, seed + 200, ...: complex Hermitian."""
+    return [generate_instance(seed + 100 * j, dim, "generic", p)[1].matrix for j in range(1, k + 1)]
+
+
+def test_symmetric_form_of_distinct_complex_directions():
+    # Each order-3 bracket is complex here; only their sum is real.
+    h, v = generate_instance(1, 3, "generic", 3.5)
+    dirs = [v.matrix] + _complex_directions(1, 3, 2)
+    form = FrechetForm(base=h, exponent=3.5, order=3)
+    value = delta_symmetric(form, dirs)
+    assert isinstance(value, float) and np.isfinite(value)
+    for order in itertools.permutations(dirs):
+        assert abs(delta_symmetric(form, list(order)) - value) <= 1e-14 * (1.0 + abs(value))
+    with pytest.raises(ValidationError, match="imaginary part"):
+        delta_bracket(form, dirs)
+    brackets = model_delta_bracket(form.base, form.model, [np.stack([d]) for d in dirs])
+    assert brackets.dtype == complex and abs(brackets[0].imag) > 1e-3
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_symmetric_form_polarises_its_diagonal(profile):
+    # A symmetric k-linear form is fixed by its diagonal:
+    # L(V_1..V_k) = (1/(k! 2^k)) sum_eps eps_1..eps_k L(X_eps, .., X_eps),
+    # X_eps = sum eps_i V_i. Each diagonal value is checked against the
+    # finite-difference oracle (k! L(X..X)) when the spectrum is clear of 0.
+    p = 3.5
+    fd_legs = 0
+    for dim in (3, 4):
+        for seed in (1, 3):
+            h, _ = generate_instance(seed, dim, profile, p)
+            fd_ok = float(np.min(np.abs(np.linalg.eigvalsh(h.matrix)))) >= FD_SAFE_GAP
+            fd_legs += fd_ok
+            for k in (2, 3):
+                dirs = _complex_directions(seed, dim, k)
+                form = FrechetForm(base=h, exponent=p, order=k)
+                want = delta_symmetric(form, dirs)
+                scale = 2**k * math.factorial(k)
+                diagonal = oracle = 0.0
+                for eps in itertools.product((1.0, -1.0), repeat=k):
+                    x = sum(e * d for e, d in zip(eps, dirs))
+                    diagonal += math.prod(eps) * delta_symmetric(form, [x] * k)
+                    if fd_ok:
+                        oracle += math.prod(eps) * fd_oracle(h.matrix, x, p, k)[0]
+                assert abs(diagonal / scale - want) <= 1e-13 * (1.0 + abs(want))
+                if fd_ok:
+                    bound = DEFAULT_TOLERANCES["oracle_abs"] / math.factorial(k)
+                    assert abs(oracle / math.factorial(k) / scale - want) <= bound
+    assert fd_legs or profile == "singular"
 
 
 def test_stacked_bracket_matches_member_calls():

@@ -1,11 +1,17 @@
 """Tests for the portable seeded instance generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from specforms.errors import ValidationError
 from specforms.instances import (
     CLUSTER_GAP,
+    GOLDEN,
+    MASK64,
+    MIX1,
+    MIX2,
     PROFILES,
     SplitMix64,
     generate_instance,
@@ -104,3 +110,93 @@ def test_generate_instance_validation():
         generate_instance(1, 4, profile="weird")
     with pytest.raises(ValidationError):
         generate_instance(1, 4, p=0.5)
+
+
+# SHA-256 of the bytes of H then V over the grid of
+# test_instance_bytes_are_pinned, as drawn one seed at a time by the scalar
+# generator before block draws existed (x86-64, numpy 2.4, OpenBLAS).
+INSTANCE_GRID_SHA256 = "40ddc996b7f0af106ad50f349f2b032f8194d19302b84d0363cfa4723b10315e"
+
+
+def test_instance_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in (3, 2**64 - 1):
+        for dim in (2, 3, 4, 8):
+            for profile in PROFILES:
+                for p in (2.0, 3.5):
+                    h, v = generate_instance(seed, dim, profile, p)
+                    digest.update(h.matrix.tobytes())
+                    digest.update(v.matrix.tobytes())
+    assert digest.hexdigest() == INSTANCE_GRID_SHA256
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_stacked_seeds_match_single_calls_bitwise(profile):
+    seeds = [0, 5, 104729, 2**63, 2**64 - 1]
+    for dim, p in ((2, 2.0), (4, 2.5), (7, 3.5)):
+        stacked = generate_instance(seeds, dim, profile, p)
+        assert len(stacked) == len(seeds)
+        for seed, (h, v) in zip(seeds, stacked):
+            h1, v1 = generate_instance(seed, dim, profile, p)
+            assert h.matrix.tobytes() == h1.matrix.tobytes()
+            assert v.matrix.tobytes() == v1.matrix.tobytes()
+    assert generate_instance(range(3), 3, profile)[2][0].matrix.tobytes() == (
+        generate_instance(2, 3, profile)[0].matrix.tobytes()
+    )
+
+
+class _ScalarSplitMix64:
+    """The module docstring's algorithm restated one scalar at a time."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+        self.spare = None
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return ((self.next_u64() >> 11) + 1) * 2.0**-53
+
+    def normal(self):
+        if self.spare is not None:
+            out, self.spare = self.spare, None
+            return out
+        u1 = self.uniform()
+        u2 = self.uniform()
+        r = np.sqrt(-2.0 * np.log(u1))
+        self.spare = r * np.sin(2.0 * np.pi * u2)
+        return r * np.cos(2.0 * np.pi * u2)
+
+    def hermitian(self, dim):
+        g = np.empty((dim, dim), dtype=complex)
+        for i in range(dim):
+            for j in range(dim):
+                a = self.normal()
+                b = self.normal()
+                g[i, j] = a + 1j * b
+        return (g + g.conj().T) / 2.0
+
+
+def test_block_draws_match_the_scalar_algorithm():
+    # Odd counts and a Hermitian draw with a spare pending exercise the
+    # spare hand-over between scalar and block draws.
+    for seed in (0, 77, 2**64 - 1):
+        rng, ref = SplitMix64(seed), _ScalarSplitMix64(seed)
+        script = [
+            ("normal",), ("normals", 3), ("hermitian", 3), ("uniform",),
+            ("normals", 0), ("normal",), ("hermitian", 2), ("normals", 5),
+            ("normals", 4), ("next_u64",), ("normal",),
+        ]
+        for name, *args in script * 3:
+            if name == "normals":
+                want = np.array([ref.normal() for _ in range(args[0])])
+            else:
+                want = getattr(ref, name)(*args)
+            got = getattr(rng, name)(*args)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (seed, name)
+            assert rng.state == ref.state

@@ -152,6 +152,47 @@ def test_algebraic_shift_random_residuals():
         assert frobenius(lhs - rhs) <= 1e-10 * (1.0 + frobenius(lhs))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_algebraic_shift_left_side_matches_bare_callable(stacked):
+    # The left side multiplies the symbol tensor by the eigenvalue powers;
+    # the reference evaluates psi = x_0^s_0 ... x_m^s_m * phi entry by entry.
+    rng = np.random.default_rng(29)
+    for symbol in (DividedDifference(PowerAbs(2.5), 2), DividedDifference(Monomial(4), 2)):
+        for powers in ((1, 2, 0), (0, 0, 3), (2, 1, 1)):
+            first = np.stack([random_hermitian(rng, 3) for _ in range(2)]) if stacked else (
+                random_hermitian(rng, 3)
+            )
+            decs = (eigendecompose(first),) + tuple(
+                eigendecompose(random_hermitian(rng, 3)) for _ in range(2)
+            )
+            perts = tuple(random_hermitian(rng, 3) for _ in range(2))
+
+            def shifted(*vals, symbol=symbol, powers=powers):
+                prod = 1.0
+                for x, s in zip(vals, powers):
+                    prod *= x**s
+                return prod * symbol(np.asarray([vals]))[0]
+
+            lhs, _ = algebraic_shift(MoiRequest(decs, perts, symbol), powers)
+            want = moi_exact(MoiRequest(decs, perts, shifted))
+            assert lhs.shape == want.shape
+            assert np.all(np.abs(lhs - want) <= 1e-15 * (1.0 + np.abs(want)))
+
+
+def test_perturbation_identity_takes_decompositions_bitwise():
+    rng = np.random.default_rng(43)
+    for model in (Polynomial((0.25, -1.0, 0.5, 2.0)), PowerAbs(2.5)):
+        spec = MomentumSpec.from_divided_difference(model, 1)
+        a, b, h = (random_hermitian(rng, 4, scale=0.5) for _ in range(3))
+        v = random_hermitian(rng, 4)
+        tail = (eigendecompose(h),)
+        from_matrices = perturbation_identity(spec, a, b, tail, (v,))
+        decomposed = perturbation_identity(
+            spec, eigendecompose(a), eigendecompose(b), tail, (v,)
+        )
+        assert decomposed == from_matrices
+
+
 def test_separable_matches_tensor_path():
     rng = SplitMix64(77)
     nprng = np.random.default_rng(77)

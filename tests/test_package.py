@@ -1,4 +1,9 @@
-"""The package's export list."""
+"""The package's export list, and the names the benchmark traces."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
 
 import specforms
 
@@ -11,3 +16,47 @@ def test_star_import_binds_exactly_the_export_list():
     assert set(namespace) == set(specforms.__all__)
     for name in specforms.__all__:
         assert getattr(specforms, name) is namespace[name]
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _expected_spans():
+    """(workload class, span name) for every name listed in an
+    `expected_spans` tuple of bench/workloads.py, read without importing it."""
+    tree = ast.parse(WORKLOADS.read_text())
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "expected_spans" for t in stmt.targets
+            ):
+                for name in ast.literal_eval(stmt.value):
+                    yield cls.name, name
+
+
+def _defined_in(obj, module):
+    target = getattr(obj, "__wrapped__", obj)
+    return getattr(target, "__module__", None) == module.__name__
+
+
+def test_benchmark_spans_name_public_callables():
+    # The benchmark's traced run wraps public functions of the layer modules
+    # (and a few class methods) and fails when an expected span is never
+    # called; a renamed or privatised function must fail here first.
+    spans = list(_expected_spans())
+    assert len(spans) > 20
+    for workload, name in spans:
+        layer, *path = name.split(".")
+        module = importlib.import_module(f"specforms.{layer}")
+        obj = module
+        for part in path:
+            assert not part.startswith("_") or part == "__call__", (workload, name)
+            obj = getattr(obj, part, None)
+            assert obj is not None, (workload, name)
+        assert callable(obj), (workload, name)
+        owner = getattr(module, path[0])
+        assert _defined_in(owner, module), (workload, name)
+        if len(path) == 1:
+            assert inspect.isfunction(getattr(obj, "__wrapped__", obj)), (workload, name)
+        else:
+            assert inspect.isclass(owner) and path[1] in vars(owner), (workload, name)
