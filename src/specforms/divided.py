@@ -16,7 +16,9 @@ representation
 a constant-weight momentum computed by simplex quadrature. Nodes are
 sorted on entry, making the result bit-for-bit symmetric under argument
 permutations. Every entry point takes one node set or a stack of rows
-(R, k+1); the rows of a stack are evaluated together.
+(R, k+1); the rows of a stack are evaluated together, and the distinct
+near-tie rows of a call go to quadrature as one stack, each row keeping
+the bits of its own one-row call.
 """
 
 import math
@@ -105,8 +107,8 @@ def divided_difference(model, nodes, quad_tol=1e-9):
     """f^[k] at k+1 nodes (any multiset inside the model domain).
 
     `nodes` is one node set, giving a float, or a stack of rows of shape
-    (R, k+1), giving an array of R values. Near-tie rows are evaluated
-    by quadrature once per distinct row.
+    (R, k+1), giving an array of R values. The distinct near-tie rows are
+    evaluated by one quadrature call on their stack.
     """
     model, x, k, batched = _prepare(model, nodes)
     cols = np.ascontiguousarray(x.T)
@@ -116,7 +118,7 @@ def divided_difference(model, nodes, quad_tol=1e-9):
         if near.any():
             spec = MomentumSpec.from_divided_difference(model, k)
             values[near] = map_distinct_rows(
-                lambda row: momentum_quadrature(spec, row, tol=quad_tol), x[near]
+                lambda rows: momentum_quadrature(spec, rows, tol=quad_tol), x[near]
             )
     return values if batched else float(values[0])
 

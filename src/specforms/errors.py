@@ -10,7 +10,19 @@ class UnsupportedConfigError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not reach the requested tolerance.
+
+    When the ladder runs out, `nodes`, `order`, `level` and `change` are
+    the failing row, the momentum order, the last per-axis order tried
+    and the last change between levels (None for geometry failures).
+    """
+
+    def __init__(self, message, nodes=None, order=None, level=None, change=None):
+        super().__init__(message)
+        self.nodes = nodes
+        self.order = order
+        self.level = level
+        self.change = change
 
 
 class EigenSolverError(RuntimeError):

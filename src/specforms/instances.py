@@ -29,7 +29,7 @@ last bit, and would change the instances.
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import HermitianMatrix
+from .spectral import _hermitian_members
 from .util import adjoint
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -181,5 +181,5 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
         h = (u * w[:, None, :]) @ adjoint(u)
 
     v = v / np.linalg.norm(v, ord=2, axis=(-2, -1))[:, None, None]
-    out = [(HermitianMatrix(a), HermitianMatrix(b)) for a, b in zip(h, v)]
+    out = list(zip(_hermitian_members(h), _hermitian_members(v)))
     return out[0] if single else out

@@ -157,7 +157,9 @@ def _symbol_adapter(symbol, tol):
     if isinstance(symbol, SeparableSymbol):
         return symbol
     if callable(symbol):
-        return lambda rows: map_distinct_rows(lambda row: symbol(*row.tolist()), rows)
+        return lambda rows: map_distinct_rows(
+            lambda distinct: [symbol(*row) for row in distinct.tolist()], rows
+        )
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 

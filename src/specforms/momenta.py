@@ -11,6 +11,13 @@ With Q = 1 and h = f^(m) this is exactly the m-th divided difference of
 f, which is both the bridge to operator integrals and the fast
 evaluation route: such specs remember the antiderivative model and are
 evaluated through the divided-difference table whenever possible.
+
+Quadrature takes one row of arguments or a stack of rows (R, m+1). A row
+whose integrand needs no kink split and no grading covers R_m with one
+piece, and all such rows of a stack share one product rule per ladder
+level: one kernel call on their (R, N) argument array. The other rows
+sum over their own pieces. Every row leaves the ladder on its own test
+and keeps the bits of its one-row call.
 """
 
 import math
@@ -21,8 +28,10 @@ import numpy as np
 from .errors import QuadratureError, UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .simplex import (
+    _SNAP,
+    GRADE_FACTOR,
+    GRADE_THRESHOLD,
     ORDER_LADDER,
-    Piece,
     _simplex_vertices,
     graded_pieces,
     join_rule,
@@ -118,7 +127,7 @@ class MomentumSpec:
 
 def _check_hull(kernel, x):
     lo, hi = kernel.domain
-    if x.min() < lo - 1e-12 or x.max() > hi + 1e-12:
+    if x.size and (x.min() < lo - 1e-12 or x.max() > hi + 1e-12):
         raise ValidationError(
             f"arguments [{x.min():.6g}, {x.max():.6g}] leave the kernel domain [{lo}, {hi}]"
         )
@@ -148,39 +157,94 @@ def _piece_value(spec, piece, x, q):
     return float(weights @ (kernel.eval(arg) * spec.weight_values(points)))
 
 
+def _plain_rows(kernel, rows):
+    """Rows of a stack (R, m+1) whose cover is R_m itself.
+
+    Restates the tests of split_by_kink and graded_pieces: a kinked
+    kernel's row is plain when every node keeps one strict sign after the
+    snap to zero and grading would place no cut. Every row of a kernel
+    without a kink is plain.
+    """
+    if not kernel.singular_at_zero:
+        return np.ones(rows.shape[0], dtype=bool)
+    mag = np.abs(rows)
+    top = mag.max(axis=1)
+    ell = np.where(mag <= (_SNAP * np.maximum(1.0, top))[:, None], 0.0, rows)
+    one_sign = (ell > 0.0).all(axis=1) | (ell < 0.0).all(axis=1)
+    # graded_pieces places no cut; its earlier exit at
+    # delta >= GRADE_THRESHOLD * top implies this test.
+    uncut = mag.min(axis=1) * GRADE_FACTOR >= top * GRADE_THRESHOLD
+    return one_sign & uncut
+
+
+def _plain_values(spec, rows, q):
+    """Level-q values of plain rows (R, m+1), all from one rule on R_m.
+
+    The affine argument is an elementwise sum over the m columns, not a
+    matmul, and each value is its row's own dot product with the weights,
+    so no row's bits depend on the other rows of the stack.
+    """
+    points, weights = subsimplex_rule(_simplex_vertices(spec.m), q)
+    steps = rows[:, 1:] - rows[:, :1]
+    dot = steps[:, :1] * points[:, 0]
+    for j in range(1, spec.m):
+        dot = dot + steps[:, j : j + 1] * points[:, j]
+    vals = spec.kernel.eval(rows[:, :1] + dot) * spec.weight_values(points)
+    return [float(weights @ row) for row in vals]
+
+
 def momentum_quadrature(spec, x, tol=1e-9):
     """Evaluate the momentum by adaptive simplex quadrature.
 
-    Escalates the per-axis order until two successive levels agree within
-    the absolute tolerance; raises QuadratureError when the 40-node cap
-    is reached without agreement.
+    x is one row of m+1 arguments, giving a float, or a stack (R, m+1),
+    giving R values. Each row escalates the per-axis order until two
+    successive levels agree within the absolute tolerance. Plain rows
+    (see _plain_rows) share one rule per ladder level; the others sum
+    over their kink and grading pieces. Raises QuadratureError, naming
+    the row, when the 40-node cap is reached without agreement.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m + 1,):
+    rows = x.reshape(1, -1) if x.ndim == 1 else x
+    if rows.ndim != 2 or rows.shape[1] != spec.m + 1:
         raise ValidationError(
             f"momentum of order {spec.m} takes {spec.m + 1} arguments, got {x.shape}"
         )
-    _check_hull(spec.kernel, x)
+    _check_hull(spec.kernel, rows)
     tol = float(tol)
 
-    if spec.kernel.singular_at_zero:
-        pieces = [sub for piece in split_by_kink(x) for sub in graded_pieces(piece)]
-    else:
-        verts = _simplex_vertices(spec.m)
-        pieces = [Piece(verts=verts, ell=x.copy(), sign=int(np.sign(x[0]) or 1))]
-
+    plain = _plain_rows(spec.kernel, rows)
+    pieces = {
+        i: [sub for piece in split_by_kink(rows[i]) for sub in graded_pieces(piece)]
+        for i in np.flatnonzero(~plain).tolist()
+    }
+    values = np.empty(rows.shape[0])
+    todo = np.arange(rows.shape[0])
     previous = None
-    change = math.inf
+    change = np.full(todo.size, math.inf)
     for q in ORDER_LADDER:
-        value = sum(_piece_value(spec, piece, x, q) for piece in pieces)
+        current = np.empty(todo.size)
+        shared = plain[todo]
+        if shared.any():
+            current[shared] = _plain_values(spec, rows[todo[shared]], q)
+        for j in np.flatnonzero(~shared).tolist():
+            i = int(todo[j])
+            current[j] = sum(_piece_value(spec, piece, rows[i], q) for piece in pieces[i])
         if previous is not None:
-            change = abs(value - previous)
-            if change <= max(tol, 1e-14 * (1.0 + abs(value))):
-                return value
-        previous = value
+            change = np.abs(current - previous)
+            done = change <= np.maximum(tol, 1e-14 * (1.0 + np.abs(current)))
+            values[todo[done]] = current[done]
+            todo, current, change = todo[~done], current[~done], change[~done]
+            if not todo.size:
+                return float(values[0]) if x.ndim == 1 else values
+        previous = current
+    i = int(todo[0])
     raise QuadratureError(
-        f"momentum quadrature did not reach tol={tol} within the "
-        f"{ORDER_LADDER[-1]}-node axis cap (last change {change:.3e})"
+        f"momentum quadrature of order {spec.m} at nodes {rows[i].tolist()} did not "
+        f"reach tol={tol} within the {q}-node axis cap (last change {change[0]:.3e})",
+        nodes=rows[i].copy(),
+        order=spec.m,
+        level=q,
+        change=float(change[0]),
     )
 
 
@@ -188,8 +252,8 @@ def momentum_eval(spec, x, tol=1e-9):
     """Momentum value at x; divided-difference route when available.
 
     x may also be a stack of rows (R, m+1), giving R values. Quadrature
-    then runs once per distinct row, rows of a constant-weight (hence
-    symmetric) momentum being sorted first.
+    then takes the stack of distinct rows in one call, rows of a
+    constant-weight (hence symmetric) momentum being sorted first.
     """
     x = np.asarray(x, dtype=float)
     const = spec.constant_weight
@@ -201,7 +265,7 @@ def momentum_eval(spec, x, tol=1e-9):
         return momentum_quadrature(spec, x, tol=tol)
     if const is not None:
         x = np.sort(x, axis=1)
-    return map_distinct_rows(lambda row: momentum_quadrature(spec, row, tol=tol), x)
+    return map_distinct_rows(lambda rows: momentum_quadrature(spec, rows, tol=tol), x)
 
 
 def momentum_perturbation_pair(spec):

@@ -88,6 +88,20 @@ class HermitianMatrix:
         return cls(re + 1j * im)
 
 
+def _hermitian_members(stack):
+    """The HermitianMatrix of each member of a stack (B, n, n).
+
+    The stack is checked and symmetrized once; each member stores a
+    read-only view of the result, with the bits of its own construction.
+    """
+    members = []
+    for a in HermitianMatrix(stack).matrix:
+        member = object.__new__(HermitianMatrix)
+        object.__setattr__(member, "matrix", a)
+        members.append(member)
+    return members
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors.

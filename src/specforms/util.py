@@ -52,13 +52,13 @@ def real_value(t):
 
 
 def map_distinct_rows(fn, rows):
-    """fn at each row of a stack (R, n), called once per distinct row.
+    """fn applied to the stack of distinct rows of `rows` (R, n) in one call.
 
-    Returns the R float values in row order.
+    fn maps a stack (D, n) to D values; the result scatters them back to
+    the R float values in row order.
     """
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-    values = np.array([fn(row) for row in distinct], dtype=float)
-    return values[inverse.reshape(-1)]
+    return np.asarray(fn(distinct), dtype=float)[inverse.reshape(-1)]
 
 
 def frobenius(a):

@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specforms import (
+    CallableKernel,
     Monomial,
     MomentumSpec,
     Polynomial,
     PowerAbs,
+    QuadratureError,
     UnsupportedConfigError,
     ValidationError,
     momentum_eval,
     momentum_perturbation_pair,
 )
-from specforms.momenta import momentum_quadrature
+from specforms import momenta
+from specforms.momenta import _plain_rows, momentum_quadrature
+from specforms.simplex import _SNAP, graded_pieces, split_by_kink
 
 QUAD_TOL = 1e-9
 CROSS_TOL = 1e-8
@@ -133,23 +139,25 @@ def test_perturbation_pair_splits_weight_binomially():
 def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
     # A momentum without a divided-difference route maps a row stack to
     # one value per row; a constant-weight one counts permuted rows once.
+    # Quadrature takes the distinct rows as one stack.
     from specforms import momenta
 
-    calls = []
+    rows_seen = []
     quadrature = momenta.momentum_quadrature
 
     def counted(spec, x, tol=1e-9):
-        calls.append(tuple(x))
+        rows_seen.extend(map(tuple, np.atleast_2d(x)))
         return quadrature(spec, x, tol=tol)
 
     monkeypatch.setattr(momenta, "momentum_quadrature", counted)
     rows = np.array([[0.3, -0.2, 0.8], [0.8, 0.3, -0.2], [0.3, -0.2, 0.8], [0.1, 0.5, -0.6]])
     for q_terms, distinct in ((None, 2), ((((0, 1, 1), 1.0),), 3)):
         spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2), q_terms=q_terms)
-        calls.clear()
+        rows_seen.clear()
         got = momentum_eval(spec, rows, tol=QUAD_TOL)
-        assert got.shape == (4,) and len(calls) == distinct
+        assert got.shape == (4,) and len(rows_seen) == len(set(rows_seen)) == distinct
         args = np.sort(rows, axis=1) if q_terms is None else rows
+        assert set(rows_seen) == set(map(tuple, args))
         np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
 
 
@@ -167,3 +175,148 @@ def test_validation_guards():
         momentum_eval(spec, np.array([0.1, 0.2]))
     with pytest.raises(ValidationError, match="domain"):
         momentum_eval(MomentumSpec.from_divided_difference(PowerAbs(2.5), 1), np.array([0.1, 5.0]))
+
+
+def stack_specs(m):
+    """A kinked kernel, a polynomial, an opaque callable and a
+    non-constant weight, all of order m."""
+    weight = (((1,) + (0,) * (m - 1) + (2,), 1.0), ((0,) * (m + 1), 0.5))
+    return {
+        "power": MomentumSpec.from_divided_difference(PowerAbs(3.5), m),
+        "polynomial": MomentumSpec(m=m, kernel=Polynomial((0.3, -1.0, 0.5, 2.0))),
+        "exp": MomentumSpec(m=m, kernel=CallableKernel(np.exp)),
+        "weighted": MomentumSpec(
+            m=m, kernel=PowerAbs(3.5).derivative_model(m), q_terms=weight
+        ),
+    }
+
+
+def mixed_rows(m, rng):
+    """Plain, near-tie, graded and kink-crossing rows of order m."""
+    rows = []
+    for _ in range(6):
+        a = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        rows.append(a + rng.uniform(-0.05, 0.05, m + 1))  # plain
+        tied = np.full(m + 1, a)
+        tied[-1] += 10.0 ** rng.uniform(-5, -3)
+        rows.append(tied)  # plain near-tie
+        rows.append(a * np.append(rng.uniform(0.5, 1.0, m), 0.02))  # graded
+        rows.append(rng.uniform(-0.9, 0.9, m + 1) * np.append(np.ones(m), -1.0))  # crossing
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["power", "polynomial", "exp", "weighted"])
+def test_stacked_quadrature_matches_row_calls_bitwise(m, kind):
+    spec = stack_specs(m)[kind]
+    rows = mixed_rows(m, np.random.default_rng(10 * m + len(kind)))
+    plain = _plain_rows(spec.kernel, rows)
+    if spec.kernel.singular_at_zero:
+        assert plain.any() and not plain.all()
+    got = momentum_quadrature(spec, rows, tol=1e-9)
+    assert got.shape == (len(rows),)
+    assert momentum_quadrature(spec, rows[:0]).shape == (0,)
+    each = [momentum_quadrature(spec, row, tol=1e-9) for row in rows]
+    assert all(type(v) is float for v in each)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in each]
+
+
+def covered_by_one_plain_piece(row):
+    """The cover split_by_kink + graded_pieces give is R_m itself, with one
+    strict sign (a single piece touching the kink takes the join rule)."""
+    pieces = split_by_kink(row)
+    if len(pieces) != 1 or pieces[0].sign == 0 or pieces[0].touches_kink:
+        return False
+    graded = graded_pieces(pieces[0])
+    return len(graded) == 1 and graded[0] is pieces[0]
+
+
+@st.composite
+def kink_probe_rows(draw):
+    """Rows with nodes at and within _SNAP of 0, and smallest-to-largest
+    magnitude ratios at and around the grading thresholds 1/9 and 1/3."""
+    m = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([5e-14, 2e-13, 1e-3, 0.37, 1.0, 1.9]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    ratio = draw(st.sampled_from([1.0 / 9.0, 1.0 / 3.0, 0.1, 0.3, 0.5]))
+    ulps = draw(st.integers(-2, 2))
+    delta = top * ratio
+    for _ in range(abs(ulps)):
+        delta = np.nextafter(delta, np.inf if ulps > 0 else -np.inf)
+    node = st.one_of(
+        st.just(0.0),
+        st.floats(-2.0 * _SNAP * top, 2.0 * _SNAP * top),
+        st.builds(float.__mul__, st.floats(0.01, 1.9), st.sampled_from([-1.0, 1.0])),
+        st.sampled_from([sign * delta, -sign * delta, sign * top * 0.6]),
+    )
+    rest = draw(st.lists(node, min_size=m - 1, max_size=m - 1))
+    return np.array([sign * top, sign * delta, *rest])[: m + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=kink_probe_rows())
+def test_plain_rows_restate_kink_split_and_grading(row):
+    kernel = PowerAbs(3.5).derivative_model(2)
+    stack = np.array([row, -row, row[::-1]])
+    expected = [covered_by_one_plain_piece(r) for r in stack]
+    assert _plain_rows(kernel, stack).tolist() == expected
+    assert _plain_rows(Polynomial((1.0, 2.0)), stack).all()
+
+
+# Tied rows (a, .., a, a + gap) at the parent of the row-stack change,
+# each through its own call; m = 1 and 2, kernel f^(m) of |x|^3.5. Rows at
+# a = 4e-4 step down by the gap, so the 1e-3 gap crosses the kink.
+TIED_HEX = {
+    1: {
+        (-0.6, 1e-3): "-0x1.f2aae8aa8ed26p-1",
+        (-0.6, 1e-4): "-0x1.f39a8c7c60f7ap-1",
+        (-0.6, 1e-5): "-0x1.f3b288551d8afp-1",
+        (0.45, 1e-3): "0x1.e8355f4f7d182p-2",
+        (0.45, 1e-4): "0x1.e6fd678832012p-2",
+        (0.45, 1e-5): "0x1.e6de3dee6053fp-2",
+        (4e-4, 1e-3): "-0x1.13a076099a7c3p-28",
+        (4e-4, 1e-4): "0x1.171ebc1046577p-27",
+        (4e-4, 1e-5): "0x1.74f3f8bd28183p-27",
+    },
+    2: {
+        (-0.6, 1e-3): "0x1.040c3211a073ep+1",
+        (-0.6, 1e-4): "0x1.043e27a810c1ap+1",
+        (-0.6, 1e-5): "0x1.044326e110fafp+1",
+        (0.45, 1e-3): "0x1.5278203d770c1p+0",
+        (0.45, 1e-4): "0x1.52218c2d59484p+0",
+        (0.45, 1e-5): "0x1.5218e46149391p+0",
+        (4e-4, 1e-3): "0x1.fe649e190204cp-17",
+        (4e-4, 1e-4): "0x1.02142204103b9p-15",
+        (4e-4, 1e-5): "0x1.21f158d3e2c66p-15",
+    },
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_tied_rows_keep_their_pinned_bits(m):
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
+    keys = list(TIED_HEX[m])
+    rows = np.array(
+        [[a] * m + [a - gap if a == 4e-4 else a + gap] for a, gap in keys]
+    )
+    expected = [TIED_HEX[m][key] for key in keys]
+    assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
+    assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
+
+
+def test_quadrature_error_names_its_row(monkeypatch):
+    # Two ladder levels: the near-constant plain row converges, the
+    # kink-crossing row and the smooth plain row do not; the error names
+    # the first row of the stack that failed.
+    monkeypatch.setattr(momenta, "ORDER_LADDER", (4, 6))
+    spec = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
+    easy, crossing, smooth = [0.3, 0.3, 0.3001], [-0.8, 0.5, 0.2], [0.2, 0.5, 0.9]
+    for rows, bad in (([easy, crossing, smooth], crossing), ([smooth, easy, crossing], smooth)):
+        with pytest.raises(QuadratureError) as info:
+            momentum_quadrature(spec, np.array(rows), tol=1e-12)
+        err = info.value
+        assert err.nodes.tolist() == bad and err.order == 2 and err.level == 6
+        assert err.change > 1e-12
+        text = str(err)
+        assert f"order 2 at nodes {bad}" in text and "6-node" in text
+        assert f"{err.change:.3e}" in text
