@@ -270,6 +270,19 @@ def _seed_streams(seeds, streams, dim, profile, p):
     return [draws[i : i + streams] for i in range(0, len(draws), streams)]
 
 
+def _decomposed_streams(seeds, streams, dim, profile, p):
+    """_seed_streams with each H replaced by its decomposition: every H of
+    the battery goes through one stacked eigendecompose call and is handed
+    out as a member. One list of `streams` (decomposition, V) pairs per
+    seed."""
+    groups = _seed_streams(seeds, streams, dim, profile, p)
+    whole = eigendecompose(np.stack([h.matrix for group in groups for h, _ in group]))
+    return [
+        [(whole[i * streams + j], v) for j, (_, v) in enumerate(group)]
+        for i, group in enumerate(groups)
+    ]
+
+
 def load_matrix(path):
     """Read a Hermitian matrix from its JSON file format."""
     with open(path) as fh:
@@ -368,15 +381,14 @@ def run_moi_convergence(config):
     n_grid = config.n_grid
     symbol = DividedDifference(PowerAbs(config.p), 1)
 
-    def one(instance):
-        h, v = instance
-        dec = eigendecompose(h)
+    def one(streams):
+        ((dec, v),) = streams
         req = MoiRequest((dec, dec), (v.matrix,), symbol, config.quad_tol)
         exact = moi_exact(req)
         return [frobenius(moi_binned(req, n) - exact) for n in n_grid]
 
     seeds = list(range(config.seed, config.seed + 10))
-    curves = _map_ordered(one, generate_instance(seeds, config.dim, "generic", config.p))
+    curves = _map_ordered(one, _decomposed_streams(seeds, 1, config.dim, "generic", config.p))
     max_curve = np.max(np.asarray(curves), axis=0)
 
     checks = CheckSet()
@@ -440,9 +452,9 @@ def run_holder_scan(config):
         (b, w), tails = streams[0], streams[1:]
         norms = holder_difference_norms(
             g,
-            eigendecompose(b),
+            b,
             w.matrix,
-            [eigendecompose(th) for th, _ in tails],
+            [th for th, _ in tails],
             [tv.matrix for _, tv in tails],
             t_grid,
             config.p,
@@ -456,7 +468,9 @@ def run_holder_scan(config):
         return fit_loglog_slope(t_grid[usable], norms[usable]), False
 
     seeds = list(range(config.seed, config.seed + 10))
-    results = _map_ordered(one, _seed_streams(seeds, m, config.dim, "singular", config.p))
+    results = _map_ordered(
+        one, _decomposed_streams(seeds, m, config.dim, "singular", config.p)
+    )
     checks = CheckSet()
     slopes = []
     for seed, (slope, degenerate) in zip(seeds, results):
@@ -475,15 +489,11 @@ _PERTURBATION_POLY = Polynomial((0.25, -1.0, 0.5, 2.0))
 def _perturbation_instances(seeds, dim, p, m):
     """Deterministic (A, B, tails, perturbations) tuple for each seed, with
     m <= 2: streams 0 and 1 give A and B and the perturbations, streams
-    2..m+1 the tails. A, B and the tails are decompositions."""
+    2..m+1 the tails. A, B and the tails are decompositions, all of them
+    from one stacked call."""
     return [
-        (
-            eigendecompose(a),
-            eigendecompose(b),
-            [eigendecompose(h) for h, _ in tails],
-            [va.matrix, vb.matrix][:m],
-        )
-        for (a, va), (b, vb), *tails in _seed_streams(seeds, m + 2, dim, "generic", p)
+        (a, b, [h for h, _ in tails], [va.matrix, vb.matrix][:m])
+        for (a, va), (b, vb), *tails in _decomposed_streams(seeds, m + 2, dim, "generic", p)
     ]
 
 
@@ -556,10 +566,10 @@ def run_selftest(config):
         if not ks:
             continue
 
-        def one_trace(instance, p=p, ks=ks):
-            h, v = instance
+        def one_trace(streams, p=p, ks=ks):
+            ((dec, v),) = streams
             form = FrechetForm(
-                base=eigendecompose(h),
+                base=dec,
                 exponent=SchattenExponent(p),
                 order=ks[0],
                 quad_tol=config.quad_tol,
@@ -567,7 +577,7 @@ def run_selftest(config):
             return max(trace_identity_residual(form, v.matrix, k) for k in ks)
 
         worst = max(
-            _map_ordered(one_trace, generate_instance(seeds, config.dim, "generic", p))
+            _map_ordered(one_trace, _decomposed_streams(seeds, 1, config.dim, "generic", p))
         )
         checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
 
@@ -588,12 +598,11 @@ def run_selftest(config):
     )
 
     # Monomial-shift identity on random order-2 integrals; it shares its
-    # instance pairs with the separable battery.
-    pairs = _seed_streams(mid, 2, config.dim, "generic", 2.5)
+    # decomposed instance pairs with the separable battery.
+    pairs = _decomposed_streams(mid, 2, config.dim, "generic", 2.5)
 
     def one_shift(streams):
-        (h, v), (h2, v2) = streams
-        dec, dec2 = eigendecompose(h), eigendecompose(h2)
+        (dec, v), (dec2, v2) = streams
         req = MoiRequest(
             (dec, dec2, dec),
             (v.matrix, v2.matrix),
@@ -612,7 +621,7 @@ def run_selftest(config):
 
     # Separable symbols against the dense tensor path.
     def one_separable(item):
-        seed, ((h, v), (h2, v2)) = item
+        seed, ((dec, v), (dec2, v2)) = item
         rng = SplitMix64(seed * 2 + 1)
         terms = []
         for _ in range(3):
@@ -623,7 +632,7 @@ def run_selftest(config):
             )
             terms.append((weight, models))
         sym = SeparableSymbol(tuple(terms))
-        decs = (eigendecompose(h), eigendecompose(h2), eigendecompose(h))
+        decs = (dec, dec2, dec)
         perts = (v.matrix, v2.matrix)
         product = moi_separable(sym, decs, perts)
         dense = moi_exact(MoiRequest(decs, perts, sym, config.quad_tol))

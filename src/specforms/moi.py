@@ -33,7 +33,7 @@ from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import as_kernel
 from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
-from .spectral import SpectralDecomposition, eigendecompose
+from .spectral import SpectralDecomposition, _check_hermitian, _checked, eigendecompose
 from .util import (
     adjoint,
     as_complex_matrices,
@@ -52,6 +52,48 @@ def _as_decomposition(obj):
     if isinstance(obj, SpectralDecomposition):
         return obj
     return eigendecompose(obj)
+
+
+def _stacked_decomposition(items, names):
+    """One stacked decomposition of a mix of matrices and decompositions of
+    one matrix each, member i for items[i].
+
+    The matrices go through one eigendecompose call; a decomposition is
+    stacked by its arrays, not decomposed again. The items must share one
+    dimension, checked before anything is stacked, and an error on an item
+    names it by names[i].
+    """
+    members, raw, dims = list(items), [], set()
+    for i, (name, item) in enumerate(zip(names, items)):
+        if isinstance(item, SpectralDecomposition):
+            if item.stack is not None:
+                raise ValidationError(f"{name} must be one matrix, got a stack of {item.stack}")
+            dims.add(item.dim)
+        else:
+            try:
+                members[i] = as_complex_matrix(item)
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from exc
+            raw.append(i)
+            dims.add(members[i].shape[0])
+    if len(dims) != 1:
+        raise ValidationError(f"all matrices must share one dimension, got {dims}")
+    if raw:
+        try:
+            fresh = eigendecompose(np.stack([members[i] for i in raw]))
+        except ValidationError:
+            for i in raw:  # name the argument, not its index in the stack
+                _check_hermitian(members[i], what=names[i])
+            raise
+        for k, i in enumerate(raw):
+            members[i] = fresh[k]
+    arrays = []
+    for parts in zip(*((d.eigenvalues, d.eigenvectors, d.source.matrix) for d in members)):
+        stacked = np.stack(parts)
+        stacked.setflags(write=False)
+        arrays.append(stacked)
+    w, u, sources = arrays
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=u, source=_checked(sources))
 
 
 @dataclass(frozen=True)
@@ -340,12 +382,15 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
     the difference equals the companion momentum psi of order m+1 on
     (A, B, H_1..H_m) applied to (A - B, V_1..V_m). Returns the Frobenius
     norm of lhs - rhs; psi is built by momentum_perturbation_pair.
+
+    A, B and the tail may each be a matrix or its decomposition. They
+    form one stacked decomposition: the matrices among them are
+    decomposed in one call, the decompositions are reused. T_A and T_B
+    are one integral whose first slot is the stack (A, B).
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
-    da = _as_decomposition(a)
-    db = _as_decomposition(b)
-    tail = tuple(_as_decomposition(h) for h in tail)
+    tail = tuple(tail)
     perts = tuple(as_complex_matrix(v) for v in perturbations)
     if len(tail) != phi_spec.m or len(perts) != phi_spec.m:
         raise ValidationError(
@@ -358,8 +403,11 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
             f"supported {MAX_ORDER}"
         )
 
-    t_a = moi_exact(MoiRequest((da,) + tail, perts, phi_spec, tol))
-    t_b = moi_exact(MoiRequest((db,) + tail, perts, phi_spec, tol))
+    names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
+    whole = _stacked_decomposition((a, b) + tail, names)
+    da, db = whole[0], whole[1]
+    tail = tuple(whole[j] for j in range(2, whole.stack))
+    t_a, t_b = moi_exact(MoiRequest((whole[0:2],) + tail, perts, phi_spec, tol))
     psi = momentum_perturbation_pair(phi_spec)
     gap = da.source.matrix - db.source.matrix
     t_psi = moi_exact(MoiRequest((da, db) + tail, (gap,) + perts, psi, tol))

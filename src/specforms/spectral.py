@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import adjoint, as_complex_matrices, as_complex_matrix
+from .util import adjoint, as_complex_matrices
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -88,18 +88,21 @@ class HermitianMatrix:
         return cls(re + 1j * im)
 
 
+def _checked(a):
+    """A HermitianMatrix storing `a` as is: a read-only array (or view) that
+    has already passed the check and the symmetrization."""
+    member = object.__new__(HermitianMatrix)
+    object.__setattr__(member, "matrix", a)
+    return member
+
+
 def _hermitian_members(stack):
     """The HermitianMatrix of each member of a stack (B, n, n).
 
     The stack is checked and symmetrized once; each member stores a
     read-only view of the result, with the bits of its own construction.
     """
-    members = []
-    for a in HermitianMatrix(stack).matrix:
-        member = object.__new__(HermitianMatrix)
-        object.__setattr__(member, "matrix", a)
-        members.append(member)
-    return members
+    return [_checked(a) for a in HermitianMatrix(stack).matrix]
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,9 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors.
 
     A decomposition of a stack carries the stack axis in front:
-    eigenvalues (B, n) and eigenvectors (B, n, n).
+    eigenvalues (B, n) and eigenvectors (B, n, n). Indexing it gives a
+    member (dec[i]) or a sub-stack (dec[i:j]) as read-only views, with the
+    bits of the member's own decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -132,10 +137,16 @@ class SpectralDecomposition:
     def reconstruct(self):
         return self.compose(self.eigenvalues)
 
-    def project_directions(self, v):
-        """Conjugate a matrix into the eigenbasis: U* V U."""
-        u = self.eigenvectors
-        return adjoint(u) @ as_complex_matrix(v) @ u
+    def __getitem__(self, index):
+        if self.stack is None:
+            raise ValidationError("only a stacked decomposition has members")
+        if not isinstance(index, (int, np.integer, slice)):
+            raise ValidationError(f"index a stack by an int or a slice, got {index!r}")
+        return SpectralDecomposition(
+            eigenvalues=self.eigenvalues[index],
+            eigenvectors=self.eigenvectors[index],
+            source=_checked(self.source.matrix[index]),
+        )
 
 
 def _fix_phases(u):
@@ -240,19 +251,6 @@ def schatten_norm(a, p):
         return 0.0
     # Factor out the largest singular value to avoid overflow for large p.
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
-
-
-def truncated_norm(a, p, nu):
-    """l^p norm of the nu largest singular values."""
-    s = singular_values(a)
-    nu = int(nu)
-    if not 1 <= nu <= s.size:
-        raise ValidationError(f"truncation rank {nu} outside 1..{s.size}")
-    s = s[:nu]
-    top = s[0]
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((s / top) ** float(p)) ** (1.0 / float(p)))
 
 
 def schatten_power_trace(decomp, model):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from specforms import experiments
 from specforms.cli import main
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import (
@@ -13,6 +14,7 @@ from specforms.experiments import (
     DEFAULT_TOLERANCES,
     SEED_STRIDE,
     ExperimentConfig,
+    _perturbation_instances,
     _seed_streams,
     run,
     run_selftest,
@@ -188,6 +190,30 @@ def test_seed_streams_follow_the_stride():
         for j, (h, v) in enumerate(group):
             h1, v1 = generate_instance(seed + SEED_STRIDE * j, 3, "singular", 2.5)
             assert np.array_equal(h.matrix, h1.matrix) and np.array_equal(v.matrix, v1.matrix)
+
+
+def test_perturbation_battery_is_decomposed_in_one_call(monkeypatch):
+    calls = []
+    decompose = experiments.eigendecompose
+
+    def counted(h):
+        calls.append(h)
+        return decompose(h)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counted)
+    seeds, m = [4, 9, 11], 2
+    instances = _perturbation_instances(seeds, 3, 3.5, m)
+    assert len(calls) == 1 and calls[0].shape == (len(seeds) * (m + 2), 3, 3)
+    # Each member has the bits of its matrix decomposed alone.
+    groups = _seed_streams(seeds, m + 2, 3, "generic", 3.5)
+    for (a, b, tails, perts), group in zip(instances, groups):
+        assert len(tails) == m and len(perts) == m
+        for dec, (h, _) in zip([a, b] + tails, group):
+            one = decompose(h)
+            assert dec.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+            assert dec.eigenvectors.tobytes() == one.eigenvectors.tobytes()
+            assert dec.source.matrix.tobytes() == h.matrix.tobytes()
+        assert all(np.array_equal(v, w.matrix) for v, (_, w) in zip(perts, group))
 
 
 def test_cli_taylor_scan_roundtrip(tmp_path, capsys):

@@ -193,6 +193,101 @@ def test_perturbation_identity_takes_decompositions_bitwise():
         assert decomposed == from_matrices
 
 
+# Residuals of perturbation_identity computed when T_A and T_B were still
+# two integrals over separately decomposed A and B: the stacked evaluation
+# keeps every bit, whichever mix of matrices and decompositions is passed.
+PINNED_RESIDUALS = {
+    (1, "cubic"): "0x1.17566d911144ap-49",
+    (1, "power"): "0x1.57aa4c0593c8fp-50",
+    (2, "cubic"): "0x1.f79bb5015a2e5p-50",
+    (2, "power"): "0x1.1ce7b8e71d751p-50",
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_perturbation_identity_keeps_its_pinned_bits(m):
+    p = m + 1.5
+    draws = generate_instance([11 * m + j for j in range(m + 2)], 5, "generic", p)
+    (a, va), (b, vb) = draws[:2]
+    tails = [h.matrix for h, _ in draws[2:]]
+    perts = [va.matrix, vb.matrix][:m]
+    inputs = (
+        (a.matrix, b.matrix, tails),
+        (eigendecompose(a), eigendecompose(b), [eigendecompose(h) for h in tails]),
+        (a, eigendecompose(b), [eigendecompose(tails[0])] + tails[1:]),
+    )
+    for kind, model in (("cubic", Polynomial((0.25, -1.0, 0.5, 2.0))), ("power", PowerAbs(p))):
+        spec = MomentumSpec.from_divided_difference(model, m)
+        for args in inputs:
+            got = perturbation_identity(spec, *args, perts)
+            assert got.hex() == PINNED_RESIDUALS[(m, kind)]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name with a counter; returns the list of its calls."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch):
+    rng = np.random.default_rng(53)
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+    a, b, h1, h2 = (random_hermitian(rng, 4, scale=0.5) for _ in range(4))
+    perts = (random_hermitian(rng, 4), random_hermitian(rng, 4))
+    decomposed = [eigendecompose(x) for x in (a, b, h1, h2)]
+    eig = count_calls(monkeypatch, moi, "eigendecompose")
+    exact = count_calls(monkeypatch, moi, "moi_exact")
+    perturbation_identity(spec, a, b, (h1, h2), perts)
+    assert len(eig) == 1 and eig[0][0].shape == (4, 4, 4)
+    assert len(exact) == 2
+    perturbation_identity(spec, decomposed[0], b, (decomposed[2], h2), perts)
+    assert len(eig) == 2 and eig[1][0].shape == (2, 4, 4)
+    perturbation_identity(spec, *decomposed[:2], decomposed[2:], perts)
+    assert len(eig) == 2 and len(exact) == 6
+
+
+def test_perturbation_identity_errors_name_the_argument():
+    rng = np.random.default_rng(47)
+    spec1 = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
+    spec2 = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+    a, b, h, h2 = (random_hermitian(rng, 4, scale=0.5) for _ in range(4))
+    v = random_hermitian(rng, 4)
+    small = random_hermitian(rng, 3, scale=0.5)
+    # Mixed dimensions are caught before anything is stacked.
+    for args in (
+        (a, small, (h,)),
+        (a, b, (eigendecompose(small),)),
+        (eigendecompose(small), b, (h,)),
+    ):
+        with pytest.raises(ValidationError, match="all matrices must share one dimension"):
+            perturbation_identity(spec1, *args, (v,))
+    skew = a.copy()
+    skew[0, 1] += 1e-6
+    nan = b.copy()
+    nan[1, 1] = np.nan
+    inf = h.copy()
+    inf[2, 3] = np.inf
+    for spec, args, name in (
+        (spec1, (skew, b, (h,)), "A"),
+        (spec1, (a, skew, (h,)), "B"),
+        (spec1, (a, nan, (h,)), "B"),
+        (spec1, (eigendecompose(a), b, (inf,)), "tail 0"),
+        (spec2, (a, b, (h, nan)), "tail 1"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} is not Hermitian"):
+            perturbation_identity(spec, *args, (v,) * spec.m)
+    with pytest.raises(ValidationError, match="^B: expected a square matrix"):
+        perturbation_identity(spec1, a, np.ones((4, 3)), (h,), (v,))
+    with pytest.raises(ValidationError, match="^A must be one matrix"):
+        perturbation_identity(spec1, eigendecompose(np.stack([a, b])), b, (h,), (v,))
+
+
 def test_separable_matches_tensor_path():
     rng = SplitMix64(77)
     nprng = np.random.default_rng(77)

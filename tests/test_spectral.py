@@ -13,8 +13,6 @@ from specforms import (
     eigendecompose,
     schatten_norm,
     schatten_power_trace,
-    singular_values,
-    truncated_norm,
 )
 from specforms import spectral
 from specforms.errors import EigenSolverError
@@ -139,14 +137,44 @@ def test_eigendecompose_output_is_write_protected():
         dec.eigenvectors[0, 0] = 9.0
 
 
-def test_project_directions_round_trip():
+def test_stack_members_keep_their_own_bits():
     rng = np.random.default_rng(19)
-    h = random_hermitian(rng, 4)
-    v = random_hermitian(rng, 4)
-    dec = eigendecompose(h)
-    vt = dec.project_directions(v)
-    u = dec.eigenvectors
-    np.testing.assert_allclose(u @ vt @ u.conj().T, v, atol=1e-12)
+    for d in (1, 3, 8):
+        stack = random_stack(rng, d, 5)
+        dec = eigendecompose(stack)
+        for i, h in enumerate(stack):
+            member, one = dec[i], eigendecompose(h)
+            assert member.stack is None and member.dim == d
+            for got, want in (
+                (member.eigenvalues, one.eigenvalues),
+                (member.eigenvectors, one.eigenvectors),
+                (member.source.matrix, one.source.matrix),
+            ):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        assert dec[-1].eigenvalues.tobytes() == dec.eigenvalues[4].tobytes()
+        part = dec[1:4]
+        assert part.stack == 3
+        for j in range(3):
+            assert part[j].eigenvectors.tobytes() == dec[1 + j].eigenvectors.tobytes()
+            assert part.source.matrix[j].tobytes() == dec.source.matrix[1 + j].tobytes()
+        with pytest.raises(ValueError):
+            dec[0].eigenvalues[0] = 9.0
+        with pytest.raises(ValueError):
+            part.source.matrix[0, 0, 0] = 9.0
+        with pytest.raises(IndexError):
+            dec[5]
+        with pytest.raises(ValidationError):
+            dec[[0, 1]]
+
+
+def test_indexing_a_single_decomposition_raises():
+    dec = eigendecompose(np.diag([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="stacked"):
+        dec[0]
+    with pytest.raises(ValidationError, match="stacked"):
+        dec[0:1]
 
 
 def test_schatten_exponent_orders():
@@ -176,16 +204,6 @@ def test_schatten_norm_against_direct_formula():
 
 def test_schatten_norm_of_zero_matrix():
     assert schatten_norm(np.zeros((3, 3)), 2.5) == 0.0
-
-
-def test_truncated_norm_matches_top_singular_values():
-    rng = np.random.default_rng(29)
-    a = rng.normal(size=(5, 5))
-    s = singular_values(a)
-    np.testing.assert_allclose(truncated_norm(a, 2.0, 2), np.hypot(s[0], s[1]), rtol=1e-12)
-    np.testing.assert_allclose(truncated_norm(a, 3.0, 5), schatten_norm(a, 3.0), rtol=1e-12)
-    with pytest.raises(ValidationError):
-        truncated_norm(a, 2.0, 6)
 
 
 def test_power_trace_matches_norm_power():
