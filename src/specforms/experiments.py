@@ -270,17 +270,24 @@ def _seed_streams(seeds, streams, dim, profile, p):
     return [draws[i : i + streams] for i in range(0, len(draws), streams)]
 
 
-def _decomposed_streams(seeds, streams, dim, profile, p):
-    """_seed_streams with each H replaced by its decomposition: every H of
-    the battery goes through one stacked eigendecompose call and is handed
-    out as a member. One list of `streams` (decomposition, V) pairs per
-    seed."""
+def _stream_stacks(seeds, streams, dim, profile, p):
+    """Stream j = 0..streams-1 of every seed as stacks over the seeds: one
+    (decomposition of the H's, array (S, n, n) of the V's) pair per stream.
+    Every H of the battery goes through one stacked eigendecompose call."""
     groups = _seed_streams(seeds, streams, dim, profile, p)
-    whole = eigendecompose(np.stack([h.matrix for group in groups for h, _ in group]))
+    count = len(groups)
+    whole = eigendecompose(np.stack([g[j][0].matrix for j in range(streams) for g in groups]))
     return [
-        [(whole[i * streams + j], v) for j, (_, v) in enumerate(group)]
-        for i, group in enumerate(groups)
+        (whole[j * count : (j + 1) * count], np.stack([g[j][1].matrix for g in groups]))
+        for j in range(streams)
     ]
+
+
+def _decomposed_streams(seeds, streams, dim, profile, p):
+    """_stream_stacks handed out by seed: one list of `streams`
+    (decomposition, V matrix) pairs per seed, each a member of its stack."""
+    stacks = _stream_stacks(seeds, streams, dim, profile, p)
+    return [[(h[i], v[i]) for h, v in stacks] for i in range(len(seeds))]
 
 
 def load_matrix(path):
@@ -381,14 +388,13 @@ def run_moi_convergence(config):
     n_grid = config.n_grid
     symbol = DividedDifference(PowerAbs(config.p), 1)
 
-    def one(streams):
-        ((dec, v),) = streams
-        req = MoiRequest((dec, dec), (v.matrix,), symbol, config.quad_tol)
-        exact = moi_exact(req)
-        return [frobenius(moi_binned(req, n) - exact) for n in n_grid]
-
+    # All seeds as one stacked integral per grid size, and one exact one.
     seeds = list(range(config.seed, config.seed + 10))
-    curves = _map_ordered(one, _decomposed_streams(seeds, 1, config.dim, "generic", config.p))
+    ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", config.p)
+    req = MoiRequest((dec, dec), (v,), symbol, config.quad_tol)
+    exact = moi_exact(req)
+    errors = [[frobenius(e) for e in moi_binned(req, n) - exact] for n in n_grid]
+    curves = [list(curve) for curve in zip(*errors)]
     max_curve = np.max(np.asarray(curves), axis=0)
 
     checks = CheckSet()
@@ -453,9 +459,9 @@ def run_holder_scan(config):
         norms = holder_difference_norms(
             g,
             b,
-            w.matrix,
+            w,
             [th for th, _ in tails],
-            [tv.matrix for _, tv in tails],
+            [tv for _, tv in tails],
             t_grid,
             config.p,
             quad_tol=config.quad_tol,
@@ -486,33 +492,29 @@ def run_holder_scan(config):
 _PERTURBATION_POLY = Polynomial((0.25, -1.0, 0.5, 2.0))
 
 
-def _perturbation_instances(seeds, dim, p, m):
-    """Deterministic (A, B, tails, perturbations) tuple for each seed, with
-    m <= 2: streams 0 and 1 give A and B and the perturbations, streams
-    2..m+1 the tails. A, B and the tails are decompositions, all of them
-    from one stacked call."""
-    return [
-        (a, b, [h for h, _ in tails], [va.matrix, vb.matrix][:m])
-        for (a, va), (b, vb), *tails in _decomposed_streams(seeds, m + 2, dim, "generic", p)
-    ]
+def _perturbation_battery(seeds, dim, p, m):
+    """(A, B, tails, perturbations) of the order-m battery, m <= 2, each a
+    stack over the seeds: streams 0 and 1 give A and B and the
+    perturbations, streams 2..m+1 the tails. A, B and the tails are
+    decompositions, all of them from one stacked call."""
+    (a, va), (b, vb), *tails = _stream_stacks(seeds, m + 2, dim, "generic", p)
+    return a, b, [h for h, _ in tails], [va, vb][:m]
 
 
 def _perturbation_residuals(config, seeds, m):
     """Worst perturbation-identity residuals at order m over the seeds:
-    (cubic polynomial kernel, |x|^(m + 1.5) kernel)."""
+    (cubic polynomial kernel, |x|^(m + 1.5) kernel), each from one stacked
+    call over all the seeds."""
     p_m = m + 1.5
-    phis = [
-        MomentumSpec.from_divided_difference(model, m)
+    battery = _perturbation_battery(seeds, config.dim, p_m, m)
+    return tuple(
+        max(
+            perturbation_identity(
+                MomentumSpec.from_divided_difference(model, m), *battery, tol=config.quad_tol
+            )
+        )
         for model in (_PERTURBATION_POLY, PowerAbs(p_m))
-    ]
-
-    def one(instance):
-        return [
-            perturbation_identity(phi, *instance, tol=config.quad_tol) for phi in phis
-        ]
-
-    instances = _perturbation_instances(seeds, config.dim, p_m, m)
-    return tuple(max(column) for column in zip(*_map_ordered(one, instances)))
+    )
 
 
 def run_perturbation_check(config):
@@ -527,10 +529,9 @@ def run_perturbation_check(config):
         checks.add(f"power_m{m}_max_residual", power, "<=", tol["perturbation_power"])
 
     # By-hand anchor: f(x) = x^2, m = 1 — both sides reduce to (A - B)V.
-    (instance,) = _perturbation_instances([config.seed], config.dim, 2.0, 1)
-    hand = perturbation_identity(
+    (hand,) = perturbation_identity(
         MomentumSpec.from_divided_difference(Monomial(2), 1),
-        *instance,
+        *_perturbation_battery([config.seed], config.dim, 2.0, 1),
         tol=config.quad_tol,
     )
     checks.add("hand_quadratic_residual", hand, "<=", tol["hand_case"])
@@ -574,7 +575,7 @@ def run_selftest(config):
                 order=ks[0],
                 quad_tol=config.quad_tol,
             )
-            return max(trace_identity_residual(form, v.matrix, k) for k in ks)
+            return max(trace_identity_residual(form, v, k) for k in ks)
 
         worst = max(
             _map_ordered(one_trace, _decomposed_streams(seeds, 1, config.dim, "generic", p))
@@ -605,7 +606,7 @@ def run_selftest(config):
         (dec, v), (dec2, v2) = streams
         req = MoiRequest(
             (dec, dec2, dec),
-            (v.matrix, v2.matrix),
+            (v, v2),
             DividedDifference(PowerAbs(2.5), 2),
             config.quad_tol,
         )
@@ -633,7 +634,7 @@ def run_selftest(config):
             terms.append((weight, models))
         sym = SeparableSymbol(tuple(terms))
         decs = (dec, dec2, dec)
-        perts = (v.matrix, v2.matrix)
+        perts = (v, v2)
         product = moi_separable(sym, decs, perts)
         dense = moi_exact(MoiRequest(decs, perts, sym, config.quad_tol))
         return frobenius(product - dense)

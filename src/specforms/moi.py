@@ -18,9 +18,11 @@ and bare callables once per distinct tuple of the chunk. The monomial
 shift of a symbol (algebraic_shift) is its tensor times the outer product
 of the eigenvalue powers.
 
-The first decomposition and the perturbations may each be a stack of B:
-one call then evaluates the B integrals, the symbol tensor carrying a
-leading stack axis when the first decomposition does.
+Any decomposition and any perturbation may be a stack of one common
+length S, and a slot holding one matrix broadcasts against the stacks:
+one call then evaluates the S integrals. The symbol tensor carries a
+leading stack axis when some decomposition is a stack, its entry
+(b, i_0, ..., i_m) reading row b of every stacked eigenvalue set.
 """
 
 import functools
@@ -54,45 +56,66 @@ def _as_decomposition(obj):
     return eigendecompose(obj)
 
 
-def _stacked_decomposition(items, names):
-    """One stacked decomposition of a mix of matrices and decompositions of
-    one matrix each, member i for items[i].
+def _stack_length(stacks):
+    """The one length among `stacks` (None entries ignored), or None."""
+    lengths = set(stacks) - {None}
+    if len(lengths) > 1:
+        raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else None
 
-    The matrices go through one eigendecompose call; a decomposition is
-    stacked by its arrays, not decomposed again. The items must share one
-    dimension, checked before anything is stacked, and an error on an item
-    names it by names[i].
+
+def _decomposed_slots(items, names):
+    """The decomposition of each item of a mix of matrices, stacks (S, n, n)
+    of them, and decompositions of one matrix or of a stack.
+
+    The matrices and stacks go through one eigendecompose call, each item
+    taking its member or sub-stack of the result; a decomposition is reused.
+    The items must share one dimension and one stack length, checked before
+    anything is decomposed, and an error on an item names it by names[i]
+    (and a member of a stack by its index).
     """
-    members, raw, dims = list(items), [], set()
+    decs, raw, dims, stacks = list(items), [], set(), []
     for i, (name, item) in enumerate(zip(names, items)):
         if isinstance(item, SpectralDecomposition):
-            if item.stack is not None:
-                raise ValidationError(f"{name} must be one matrix, got a stack of {item.stack}")
             dims.add(item.dim)
-        else:
-            try:
-                members[i] = as_complex_matrix(item)
-            except ValidationError as exc:
-                raise ValidationError(f"{name}: {exc}") from exc
-            raw.append(i)
-            dims.add(members[i].shape[0])
+            stacks.append(item.stack)
+            continue
+        try:
+            decs[i] = as_complex_matrices(item)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
+        raw.append(i)
+        dims.add(decs[i].shape[-1])
+        stacks.append(len(decs[i]) if decs[i].ndim == 3 else None)
     if len(dims) != 1:
         raise ValidationError(f"all matrices must share one dimension, got {dims}")
+    _stack_length(stacks)
     if raw:
+        (n,) = dims
         try:
-            fresh = eigendecompose(np.stack([members[i] for i in raw]))
+            fresh = eigendecompose(np.concatenate([decs[i].reshape(-1, n, n) for i in raw]))
         except ValidationError:
             for i in raw:  # name the argument, not its index in the stack
-                _check_hermitian(members[i], what=names[i])
+                _check_hermitian(decs[i], what=names[i])
             raise
-        for k, i in enumerate(raw):
-            members[i] = fresh[k]
-    arrays = []
-    for parts in zip(*((d.eigenvalues, d.eigenvectors, d.source.matrix) for d in members)):
-        stacked = np.stack(parts)
-        stacked.setflags(write=False)
-        arrays.append(stacked)
-    w, u, sources = arrays
+        lo = 0
+        for i in raw:
+            count = stacks[i]
+            decs[i] = fresh[lo] if count is None else fresh[lo : lo + count]
+            lo += 1 if count is None else count
+    return decs
+
+
+def _joined(decs, count):
+    """One stacked decomposition of decs in turn, each a stack of `count`
+    or the decomposition of one matrix taken `count` times."""
+    parts = ([], [], [])
+    for d in decs:
+        for part, x in zip(parts, (d.eigenvalues, d.eigenvectors, d.source.matrix)):
+            part.extend([x] if d.stack is not None else [x[None]] * count)
+    w, u, sources = (np.concatenate(part) for part in parts)
+    for x in (w, u, sources):
+        x.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u, source=_checked(sources))
 
 
@@ -137,10 +160,11 @@ class SeparableSymbol:
 class MoiRequest:
     """Decompositions, perturbations, and the symbol tying them together.
 
-    A perturbation may be a stack (B, n, n) of matrices, and the first
-    decomposition a stack of B decompositions (the first slot riding a
-    moving point); the integral is then the stack of the B integrals.
-    Stacks in several slots have one length and pair up index by index.
+    Any perturbation may be a stack (S, n, n) of matrices, and any
+    decomposition a stack of S decompositions (a slot riding a moving
+    point, or one instance per seed); the integral is then the stack of the
+    S integrals. Stacks in several slots have one length and pair up index
+    by index; a slot holding one matrix serves every index.
     """
 
     decompositions: tuple
@@ -162,13 +186,7 @@ class MoiRequest:
         dims = {d.dim for d in decs} | {v.shape[-1] for v in perts}
         if len(dims) != 1:
             raise ValidationError(f"all matrices must share one dimension, got {dims}")
-        if any(d.stack is not None for d in decs[1:]):
-            raise ValidationError("only the first decomposition may be a stack")
-        stacks = {v.shape[0] for v in perts if v.ndim == 3}
-        if decs[0].stack is not None:
-            stacks.add(decs[0].stack)
-        if len(stacks) > 1:
-            raise ValidationError(f"stacks differ in length: {stacks}")
+        _stack_length([d.stack for d in decs] + [len(v) if v.ndim == 3 else None for v in perts])
         object.__setattr__(self, "decompositions", decs)
         object.__setattr__(self, "perturbations", perts)
         object.__setattr__(self, "tol", float(self.tol))
@@ -208,28 +226,34 @@ def _symbol_adapter(symbol, tol):
 def _phi_tensor(symbol, eig_sets, tol):
     """The symbol at every index tuple of the eigenvalue sets.
 
-    A first set of shape (B, n_0) is a stack: the tensor then carries a
-    leading axis B, and entry (b, i_0, ..., i_m) takes its first eigenvalue
-    from row b.
+    A set of shape (S, n_j) is a stack, and stacked sets share one length
+    S: the tensor then carries a leading axis S, and entry
+    (b, i_0, ..., i_m) takes the eigenvalue of each stacked slot from its
+    row b.
     """
+    eig_sets = [np.asarray(e) for e in eig_sets]
+    lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
+    shape = lead + tuple(e.shape[-1] for e in eig_sets)
     if isinstance(symbol, _MonomialShift):
         # Python-float powers, multiplied left to right and then onto phi:
         # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
-        powers = [
-            np.reshape([x**s for x in np.ravel(e).tolist()], np.shape(e))
-            for e, s in zip(eig_sets, symbol.powers)
-        ]
-        return functools.reduce(np.multiply.outer, powers) * _phi_tensor(
-            symbol.symbol, eig_sets, tol
-        )
+        # Each slot's powers lie along its own axis (and the stack axis).
+        powers = []
+        for j, (e, s) in enumerate(zip(eig_sets, symbol.powers)):
+            axes = [1] * len(shape)
+            axes[len(lead) + j] = e.shape[-1]
+            if e.ndim == 2:
+                axes[0] = len(e)
+            powers.append(np.reshape([x**s for x in e.ravel().tolist()], axes))
+        return functools.reduce(np.multiply, powers) * _phi_tensor(symbol.symbol, eig_sets, tol)
     evaluate = _symbol_adapter(symbol, tol)
-    first, rest = np.asarray(eig_sets[0]), eig_sets[1:]
-    shape = first.shape + tuple(e.size for e in rest)
 
     def values(idx):
         """Eigenvalues at an index tuple (of ints, or of index arrays)."""
-        head = idx[: first.ndim]
-        return [first[head]] + [e[i] for e, i in zip(rest, idx[first.ndim :])]
+        head = idx[: len(lead)]
+        return [
+            e[head + (i,)] if e.ndim == 2 else e[i] for e, i in zip(eig_sets, idx[len(lead) :])
+        ]
 
     phi = np.empty(math.prod(shape), dtype=float)
     for start in range(0, phi.size, CHUNK_ROWS):
@@ -258,26 +282,33 @@ def _contract(phi, rotated):
 def _assemble(request, eig_sets):
     """The integral from the request's matrices and eigenvalue sets.
 
-    A stacked first slot is evaluated in groups of max(1, CHUNK_ROWS //
-    entries per integral) stack members, so that no group's symbol tensor
-    exceeds CHUNK_ROWS entries unless one integral alone does.
+    When some eigenvalue set is a stack, the stack is evaluated in groups
+    of max(1, CHUNK_ROWS // entries per integral) members, every stacked
+    set and rotated perturbation sliced alike, so that no group's symbol
+    tensor exceeds CHUNK_ROWS entries unless one integral alone does.
+    Otherwise one symbol tensor serves every member of a perturbation stack.
     """
     decs = request.decompositions
     rotated = [
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
-    first, rest = eig_sets[0], list(eig_sets[1:])
-    if first.ndim == 1:
-        core = _contract(_phi_tensor(request.symbol, eig_sets, request.tol), rotated)
+    stack = next((len(e) for e in eig_sets if e.ndim == 2), None)
+    if stack is None:
+        parts = [slice(None)]
     else:
-        size = max(1, CHUNK_ROWS // math.prod(first.shape[1:] + tuple(e.size for e in rest)))
-        cores = []
-        for lo in range(0, first.shape[0], size):
-            part = slice(lo, lo + size)
-            phi = _phi_tensor(request.symbol, [first[part]] + rest, request.tol)
-            cores.append(_contract(phi, [r[part] if r.ndim == 3 else r for r in rotated]))
-        core = np.concatenate(cores)
+        size = max(1, CHUNK_ROWS // math.prod(e.shape[-1] for e in eig_sets))
+        parts = [slice(lo, lo + size) for lo in range(0, stack, size)]
+    cores = [
+        _contract(
+            _phi_tensor(
+                request.symbol, [e[part] if e.ndim == 2 else e for e in eig_sets], request.tol
+            ),
+            [r[part] if r.ndim == 3 else r for r in rotated],
+        )
+        for part in parts
+    ]
+    core = cores[0] if len(cores) == 1 else np.concatenate(cores)
     return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
 
 
@@ -381,17 +412,23 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
     With phi of order m evaluated on (A, H_1..H_m) and on (B, H_1..H_m),
     the difference equals the companion momentum psi of order m+1 on
     (A, B, H_1..H_m) applied to (A - B, V_1..V_m). Returns the Frobenius
-    norm of lhs - rhs; psi is built by momentum_perturbation_pair.
+    norm of lhs - rhs; psi is built by momentum_perturbation_pair, once
+    per call.
 
-    A, B and the tail may each be a matrix or its decomposition. They
-    form one stacked decomposition: the matrices among them are
-    decomposed in one call, the decompositions are reused. T_A and T_B
-    are one integral whose first slot is the stack (A, B).
+    A, B and each tail may be a matrix, a stack (S, n, n) of matrices, or
+    the decomposition of either; each perturbation may be a matrix or a
+    stack of S. With a stack anywhere, the call checks S instances, a slot
+    holding one matrix serving all of them, and returns the array of their
+    S residuals, each the Frobenius norm of its own member; otherwise it
+    returns one float. The matrices among A, B and the tails are
+    decomposed in one call, the decompositions reused. T_A and T_B are one
+    integral whose first slot is the stack (A, B) of 2S, every other
+    stacked slot taken twice.
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
     tail = tuple(tail)
-    perts = tuple(as_complex_matrix(v) for v in perturbations)
+    perts = tuple(as_complex_matrices(v) for v in perturbations)
     if len(tail) != phi_spec.m or len(perts) != phi_spec.m:
         raise ValidationError(
             f"momentum of order {phi_spec.m} needs {phi_spec.m} trailing "
@@ -404,11 +441,26 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
         )
 
     names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
-    whole = _stacked_decomposition((a, b) + tail, names)
-    da, db = whole[0], whole[1]
-    tail = tuple(whole[j] for j in range(2, whole.stack))
-    t_a, t_b = moi_exact(MoiRequest((whole[0:2],) + tail, perts, phi_spec, tol))
+    da, db, *tail = _decomposed_slots((a, b) + tail, names)
+    stack = _stack_length(
+        [d.stack for d in (da, db, *tail)] + [len(v) if v.ndim == 3 else None for v in perts]
+    )
+    half = stack or 1
+
+    def twice(x):
+        """A stacked slot taken twice, to pair with the (A, B) stack."""
+        if isinstance(x, SpectralDecomposition):
+            return x if x.stack is None else _joined((x, x), half)
+        return x if x.ndim == 2 else np.concatenate((x, x))
+
+    pair = _joined((da, db), half)
+    t_ab = moi_exact(
+        MoiRequest((pair, *map(twice, tail)), tuple(map(twice, perts)), phi_spec, tol)
+    )
     psi = momentum_perturbation_pair(phi_spec)
     gap = da.source.matrix - db.source.matrix
-    t_psi = moi_exact(MoiRequest((da, db) + tail, (gap,) + perts, psi, tol))
-    return frobenius(t_a - t_b - t_psi)
+    t_psi = moi_exact(MoiRequest((da, db, *tail), (gap,) + perts, psi, tol))
+    residuals = t_ab[:half] - t_ab[half:] - t_psi
+    if stack is None:
+        return frobenius(residuals[0])
+    return np.array([frobenius(r) for r in residuals])

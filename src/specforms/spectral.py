@@ -67,6 +67,11 @@ class HermitianMatrix:
         return self.matrix.shape[-1]
 
     def to_dict(self):
+        """The JSON payload of one matrix, which from_dict reads back."""
+        if self.matrix.ndim != 2:
+            raise ValidationError(
+                f"a payload holds one matrix, got a stack of {self.matrix.shape[0]}"
+            )
         return {
             "dim": self.dim,
             "re": self.matrix.real.tolist(),

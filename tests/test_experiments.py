@@ -14,7 +14,7 @@ from specforms.experiments import (
     DEFAULT_TOLERANCES,
     SEED_STRIDE,
     ExperimentConfig,
-    _perturbation_instances,
+    _perturbation_battery,
     _seed_streams,
     run,
     run_selftest,
@@ -202,18 +202,49 @@ def test_perturbation_battery_is_decomposed_in_one_call(monkeypatch):
 
     monkeypatch.setattr(experiments, "eigendecompose", counted)
     seeds, m = [4, 9, 11], 2
-    instances = _perturbation_instances(seeds, 3, 3.5, m)
+    a, b, tails, perts = _perturbation_battery(seeds, 3, 3.5, m)
     assert len(calls) == 1 and calls[0].shape == (len(seeds) * (m + 2), 3, 3)
-    # Each member has the bits of its matrix decomposed alone.
+    assert len(tails) == m and len(perts) == m
+    # Each slot is a stack over the seeds whose members have the bits of
+    # their matrices decomposed alone.
     groups = _seed_streams(seeds, m + 2, 3, "generic", 3.5)
-    for (a, b, tails, perts), group in zip(instances, groups):
-        assert len(tails) == m and len(perts) == m
+    for i, group in enumerate(groups):
         for dec, (h, _) in zip([a, b] + tails, group):
             one = decompose(h)
-            assert dec.eigenvalues.tobytes() == one.eigenvalues.tobytes()
-            assert dec.eigenvectors.tobytes() == one.eigenvectors.tobytes()
-            assert dec.source.matrix.tobytes() == h.matrix.tobytes()
-        assert all(np.array_equal(v, w.matrix) for v, (_, w) in zip(perts, group))
+            assert dec.stack == len(seeds)
+            assert dec[i].eigenvalues.tobytes() == one.eigenvalues.tobytes()
+            assert dec[i].eigenvectors.tobytes() == one.eigenvectors.tobytes()
+            assert dec[i].source.matrix.tobytes() == h.matrix.tobytes()
+        assert all(np.array_equal(v[i], w.matrix) for v, (_, w) in zip(perts, group))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name with a counter; returns the list of its calls."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_batteries_send_their_seeds_through_one_stacked_call(monkeypatch):
+    identity = count_calls(monkeypatch, experiments, "perturbation_identity")
+    report = run(ExperimentConfig(mode="perturbation-check"))
+    assert report.passed
+    # One call per (order, kernel) over the 20 seeds, then the hand case.
+    assert [args[1].stack for args in identity] == [20] * 4 + [1]
+    exact = count_calls(monkeypatch, experiments, "moi_exact")
+    binned = count_calls(monkeypatch, experiments, "moi_binned")
+    config = ExperimentConfig(mode="moi-convergence")
+    assert run(config).passed
+    # One exact and one binned integral per grid size over the 10 seeds;
+    # the hand cases are the unstacked calls.
+    assert [req.decompositions[0].stack for (req,) in exact] == [10, None]
+    stacked = [n for req, n in binned if req.decompositions[0].stack == 10]
+    assert stacked == list(config.n_grid)
 
 
 def test_cli_taylor_scan_roundtrip(tmp_path, capsys):

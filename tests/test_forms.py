@@ -109,12 +109,12 @@ def test_symmetric_form_polarises_its_diagonal(profile):
     # finite-difference oracle (k! L(X..X)) when the spectrum is clear of 0.
     p = 3.5
     fd_legs = 0
-    for dim in (3, 4):
+    for dim in (3, 4, 7):
         for seed in (1, 3):
             h, _ = generate_instance(seed, dim, profile, p)
             fd_ok = float(np.min(np.abs(np.linalg.eigvalsh(h.matrix)))) >= FD_SAFE_GAP
             fd_legs += fd_ok
-            for k in (2, 3):
+            for k in (1, 2, 3):
                 dirs = _complex_directions(seed, dim, k)
                 form = FrechetForm(base=h, exponent=p, order=k)
                 want = delta_symmetric(form, dirs)

@@ -1,5 +1,7 @@
 """Tests for multiple operator integrals (eigenprojection tensor path)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,70 @@ def test_perturbation_identity_keeps_its_pinned_bits(m):
             assert got.hex() == PINNED_RESIDUALS[(m, kind)]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_stacked_perturbation_identity_matches_instance_calls_bitwise(m):
+    # Three instances, the first the pinned one. A stacked call gives each
+    # residual the bits of its instance's own call, whether the stacks come
+    # as matrices, as stacked decompositions or mixed, and a slot holding
+    # one matrix serves every instance.
+    p = m + 1.5
+    instances = [
+        generate_instance([seed + j for j in range(m + 2)], 5, "generic", p)
+        for seed in (11 * m, 100 + 10 * m, 200 + 10 * m)
+    ]
+    a, b, *tails = (np.stack([draws[j][0].matrix for draws in instances]) for j in range(m + 2))
+    perts = [np.stack([draws[j][1].matrix for draws in instances]) for j in range(m)]
+
+    def member(i, *slots):
+        """Member i of each stacked slot; a one-matrix slot as it is."""
+        return [x[i] if getattr(x, "stack", None) or np.ndim(x) == 3 else x for x in slots]
+
+    for kind, model in (("cubic", Polynomial((0.25, -1.0, 0.5, 2.0))), ("power", PowerAbs(p))):
+        spec = MomentumSpec.from_divided_difference(model, m)
+        for args in (
+            (a, b, tails, perts),
+            (eigendecompose(a), eigendecompose(b), [eigendecompose(t) for t in tails], perts),
+            (a, eigendecompose(b), [eigendecompose(tails[0])] + tails[1:], perts),
+            (a, b[1], tails[:-1] + [tails[-1][2]], perts),  # one B and one last tail
+            (a[0], b[0], [t[0] for t in tails], perts),  # perturbation stacks only
+        ):
+            got = perturbation_identity(spec, *args)
+            want = [
+                perturbation_identity(
+                    spec, *member(i, *args[:2]), member(i, *args[2]), member(i, *args[3])
+                )
+                for i in range(len(instances))
+            ]
+            assert [r.hex() for r in got] == [r.hex() for r in want]
+        assert want[0].hex() == PINNED_RESIDUALS[(m, kind)]
+
+
+def test_stacked_perturbation_identity_errors_name_the_member():
+    rng = np.random.default_rng(59)
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+
+    def stack(count=3):
+        return np.stack([random_hermitian(rng, 4, scale=0.5) for _ in range(count)])
+
+    a, b, h1, h2, v1, v2 = (stack() for _ in range(6))
+    skew, nan, inf = a.copy(), b.copy(), h2.copy()
+    skew[1, 0, 1] += 1e-6
+    nan[2, 1, 1] = np.nan
+    inf[0, 2, 3] = np.inf
+    for args, message in (
+        ((skew, b, (h1, h2)), "A at stack index 1 is not Hermitian"),
+        ((a, nan, (h1, h2)), "B at stack index 2 is not Hermitian"),
+        ((eigendecompose(a), b[0], (h1, inf)), "tail 1 at stack index 0 is not Hermitian"),
+        ((a, b, (h1, stack(2))), r"stacks differ in length: \[2, 3\]"),
+        ((a, eigendecompose(stack(2)), (h1, h2)), r"stacks differ in length: \[2, 3\]"),
+        ((a, b, (h1, np.ones((3, 4, 5)))), "tail 1: expected a square matrix"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            perturbation_identity(spec, *args, (v1, v2))
+    with pytest.raises(ValidationError, match=r"^stacks differ in length: \[2, 3\]"):
+        perturbation_identity(spec, a, b, (h1, h2), (v1, stack(2)))
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name with a counter; returns the list of its calls."""
     calls, fn = [], getattr(module, name)
@@ -284,8 +350,10 @@ def test_perturbation_identity_errors_name_the_argument():
             perturbation_identity(spec, *args, (v,) * spec.m)
     with pytest.raises(ValidationError, match="^B: expected a square matrix"):
         perturbation_identity(spec1, a, np.ones((4, 3)), (h,), (v,))
-    with pytest.raises(ValidationError, match="^A must be one matrix"):
-        perturbation_identity(spec1, eigendecompose(np.stack([a, b])), b, (h,), (v,))
+    with pytest.raises(ValidationError, match=r"^stacks differ in length: \[2, 3\]"):
+        perturbation_identity(
+            spec1, eigendecompose(np.stack([a, b])), np.stack([b] * 3), (h,), (v,)
+        )
 
 
 def test_separable_matches_tensor_path():
@@ -351,8 +419,8 @@ def test_request_validation():
     points = eigendecompose(np.stack([v3] * 2))
     with pytest.raises(ValidationError):
         MoiRequest((points, h3), (np.stack([v3] * 3),), sym)  # stack lengths
-    with pytest.raises(ValidationError):
-        MoiRequest((h3, points), (v3,), sym)  # only the first slot may be a stack
+    with pytest.raises(ValidationError, match="stacks differ in length"):
+        MoiRequest((h3, points), (np.stack([v3] * 3),), sym)  # a later slot's stack too
 
 
 def test_stacked_perturbations_give_each_integral():
@@ -392,6 +460,64 @@ def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch
         for h, v, got in zip(points, first, stacked):
             want = moi_exact(MoiRequest((eigendecompose(h),) + tail, (v,) + rest, symbol))
             assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def _stack_placements(order):
+    """Decomposition and perturbation slots holding a stack: the first, a
+    middle and the last slot alone, and several at once."""
+    placements = [({0}, set()), ({order}, set()), ({0, order}, {order - 1})]
+    if order >= 2:
+        placements += [({1}, set()), ({1, order}, {0, order - 1})]
+    return placements
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # several groups per stack
+    rng = np.random.default_rng(60 + order)
+    count, dim = 3, 3
+    cubic = Polynomial((0.2, -1.0, 0.5))
+    symbols = (
+        DividedDifference(PowerAbs(3.5), order),
+        MomentumSpec(m=order, kernel=cubic, q_terms=(((1,) + (0,) * order, 1.5),)),
+        SeparableSymbol(((0.5, (cubic,) * (order + 1)), (-2.0, (Monomial(2),) * (order + 1)))),
+        lambda *vals: vals[0] - 2.0 * math.prod(vals[1:]),
+    )
+
+    def draw(stacked):
+        # A scale of its own for each matrix: no eigenvalue is shared.
+        def one():
+            return random_hermitian(rng, dim, rng.uniform(0.5, 1))
+
+        return np.stack([one() for _ in range(count)]) if stacked else one()
+
+    for stacked_decs, stacked_perts in _stack_placements(order):
+        hs = [draw(j in stacked_decs) for j in range(order + 1)]
+        vs = [draw(j in stacked_perts) for j in range(order)]
+        decs = tuple(eigendecompose(h) for h in hs)
+
+        def member(b):
+            """Slot by slot, member b of a stack or the one matrix."""
+            return (
+                tuple(d[b] if d.stack else d for d in decs),
+                tuple(v[b] if v.ndim == 3 else v for v in vs),
+            )
+
+        for symbol in symbols:
+            request = MoiRequest(decs, tuple(vs), symbol)
+            got = moi_exact(request)
+            assert got.shape == (count, dim, dim)
+            for b in range(count):
+                want = moi_exact(MoiRequest(*member(b), symbol))
+                assert got[b].tobytes() == want.tobytes()
+        request = MoiRequest(decs, tuple(vs), symbols[0])
+        binned = moi_binned(request, 8)
+        shifted = algebraic_shift(request, tuple(range(1, order + 2)))
+        for b in range(count):
+            one = MoiRequest(*member(b), symbols[0])
+            assert binned[b].tobytes() == moi_binned(one, 8).tobytes()
+            for side, want in zip(shifted, algebraic_shift(one, tuple(range(1, order + 2)))):
+                assert side[b].tobytes() == want.tobytes()
 
 
 def test_separable_symbol_validation():

@@ -52,6 +52,18 @@ def test_hermitian_matrix_dict_round_trip():
         HermitianMatrix.from_dict({"dim": 3, "re": [[0.0]], "im": [[0.0]]})
 
 
+def test_stack_has_no_dict_payload():
+    # A payload holds one matrix: a stack raises instead of writing one
+    # that from_dict would reject, and each member still round-trips.
+    rng = np.random.default_rng(8)
+    stack = HermitianMatrix(np.stack([random_hermitian(rng, 3) for _ in range(2)]))
+    with pytest.raises(ValidationError, match="^a payload holds one matrix, got a stack of 2"):
+        stack.to_dict()
+    for member in stack.matrix:
+        back = HermitianMatrix.from_dict(HermitianMatrix(member).to_dict())
+        assert back.matrix.tobytes() == member.tobytes()
+
+
 def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(11)
     for d in (2, 3, 5, 8):
