@@ -8,6 +8,7 @@ given, written into that directory as well.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import UnsupportedConfigError, ValidationError
@@ -40,7 +41,10 @@ def _int_list(text):
     return values
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process, as it depends only on
+    constants."""
     parser = argparse.ArgumentParser(
         prog="specforms",
         description="Higher-order derivative and operator-integral experiments.",

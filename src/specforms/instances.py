@@ -108,11 +108,6 @@ class SplitMix64:
     def normal(self):
         return self.normals(1)[0]
 
-    def hermitian(self, dim):
-        """(G + G*)/2 with complex standard-normal entries, row-major fill."""
-        dim = int(dim)
-        return _hermitian(self.normals(2 * dim * dim).reshape(dim, dim, 2))
-
 
 def _lp_norms(spectra, p):
     """The l^p norm of each row of a stack of spectra. The final power is a

@@ -7,23 +7,23 @@ Integrals over the standard simplex in barycentric form,
 are computed with product Gauss rules transported from the unit cube by
 the collapsing (Duffy) map. The affine argument of h takes the value x_j
 at the j-th vertex of R_m, so when the x_j straddle zero and h kinks at
-the origin, R_m is subdivided along the hyperplane where the argument
-vanishes and each side is triangulated. Sub-simplices that touch the
-kink get a radial Gauss-Jacobi rule whose weight absorbs an algebraic
-|argument|^beta factor exactly; everything else uses plain Gauss nodes.
+the origin, R_m is cut along the hyperplane where the argument vanishes
+and each side is covered by its staircase triangulation. Sub-simplices
+that touch the kink get a radial Gauss-Jacobi rule whose weight absorbs
+an algebraic |argument|^beta factor exactly; everything else uses plain
+Gauss nodes.
 
 This module holds the geometry and the rules only. The one quadrature
 engine built on them is momenta.momentum_quadrature, which escalates the
 per-axis order along ORDER_LADDER.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
-from scipy.special import roots_jacobi
 
 from .errors import QuadratureError, ValidationError
 
@@ -117,21 +117,53 @@ def _simplex_vertices(m):
     return np.vstack([np.zeros((1, m)), np.eye(m)])
 
 
-def _triangulate(points):
-    """Triangulate a full-dimensional convex point set, dropping slivers."""
-    m = points.shape[1]
-    if points.shape[0] == m + 1:
-        return [np.arange(m + 1)]
-    try:
-        tri = Delaunay(points)
-    except QhullError:
-        tri = Delaunay(points, qhull_options="QJ Pp")
-    out = []
-    for simplex in tri.simplices:
-        det = np.linalg.det(points[simplex[1:]] - points[simplex[0]])
-        if abs(det) > 1e-300:
-            out.append(np.asarray(simplex))
-    return out
+@lru_cache(maxsize=None)
+def _staircases(rows, cols):
+    """Monotone lattice paths from (0, 0) to (rows-1, cols-1), as index arrays."""
+    steps = rows + cols - 2
+    paths = []
+    for down in itertools.combinations(range(steps), rows - 1):
+        i = np.cumsum([0] + [step in down for step in range(steps)])
+        paths.append((i, np.arange(steps + 1) - i))
+    return tuple(paths)
+
+
+def _cut(verts, d, vals, level):
+    """Both sides {d >= 0} and {d <= 0} of a simplex cut by d = 0.
+
+    verts holds the vertices, d the signed affine values that define the
+    cut, vals the kink argument at each vertex; cut points take the
+    argument value level. With S the vertices where d > 0, O those where
+    d < 0 and Z those where d = 0, grid point (i, 0) is S[i] and (i, j) the
+    cut point on the edge S[i]-O[j-1]. Each monotone lattice path through
+    the grid, joined with Z, is one simplex of the staircase triangulation
+    of the side of S, which is combinatorially a product of two simplices;
+    the side of O is built the same way with S and O swapped. Returns two
+    lists of (vertices, values) pairs.
+
+    S and O are taken by decreasing |vals|. Only one path passes through
+    the grid point (i, 0) of the last row, so the vertex nearest the kink
+    on each side lies in a single piece, and grading refines that piece
+    alone.
+    """
+    order = np.argsort(-np.abs(vals), kind="stable")
+    verts, d, vals = verts[order], d[order], vals[order]
+    s, o, z = d > 0, d < 0, d == 0
+    t = (d[s][:, None] / (d[s][:, None] - d[o]))[..., None]
+    cut = verts[s][:, None] + t * (verts[o] - verts[s][:, None])
+    sides = []
+    for near, grid in ((s, cut), (o, cut.transpose(1, 0, 2))):
+        pts = np.concatenate([verts[near][:, None], grid], axis=1)
+        ell = np.concatenate(
+            [vals[near][:, None], np.full(grid.shape[:2], float(level))], axis=1
+        )
+        sides.append(
+            [
+                (np.vstack([pts[i, j], verts[z]]), np.concatenate([ell[i, j], vals[z]]))
+                for i, j in _staircases(*ell.shape)
+            ]
+        )
+    return sides
 
 
 def split_by_kink(x):
@@ -150,33 +182,13 @@ def split_by_kink(x):
     snap = _SNAP * max(1.0, float(np.max(np.abs(x))))
     ell = np.where(np.abs(x) <= snap, 0.0, x)
 
-    pos = np.flatnonzero(ell > 0.0)
-    neg = np.flatnonzero(ell < 0.0)
-    zero = np.flatnonzero(ell == 0.0)
-    if pos.size == 0 or neg.size == 0:
-        sign = 1 if pos.size else (-1 if neg.size else 0)
-        return [Piece(verts=verts, ell=ell, sign=sign)]
+    pos, neg = np.any(ell > 0.0), np.any(ell < 0.0)
+    if not (pos and neg):
+        return [Piece(verts=verts, ell=ell, sign=1 if pos else (-1 if neg else 0))]
 
-    cut_pts = []
-    for i in pos:
-        for j in neg:
-            w = (ell[i] * verts[j] - ell[j] * verts[i]) / (ell[i] - ell[j])
-            cut_pts.append(w)
-    cut_pts = np.asarray(cut_pts)
-
-    pieces = []
-    for side, sign in ((pos, 1), (neg, -1)):
-        pts = np.vstack([verts[side], verts[zero], cut_pts])
-        vals = np.concatenate(
-            [ell[side], np.zeros(zero.size), np.zeros(len(cut_pts))]
-        )
-        if pts.shape[0] < m + 1 or np.linalg.matrix_rank(pts - pts[0]) < m:
-            continue
-        for idx in _triangulate(pts):
-            pieces.append(Piece(verts=pts[idx], ell=vals[idx], sign=sign))
-    # Delaunay can emit slivers whose vertices all sit on the cut plane;
-    # their volume is pure roundoff and they would confuse the radial rule.
-    pieces = [p for p in pieces if p.volume > 1e-12 / _factorial(m)]
+    upper, lower = _cut(verts, ell, ell, 0.0)
+    pieces = [Piece(verts=v, ell=e, sign=1) for v, e in upper]
+    pieces += [Piece(verts=v, ell=e, sign=-1) for v, e in lower]
 
     total = sum(p.volume for p in pieces)
     if abs(total - 1.0 / _factorial(m)) > 1e-9:
@@ -200,47 +212,22 @@ def _split_piece_at_level(piece, level, scale):
     """Cut one piece by the hyperplane ell = level; (near-zero, far) lists."""
     d = piece.ell - level
     d = np.where(np.abs(d) <= 1e-13 * scale, 0.0, d)
-    above = np.flatnonzero(d > 0)
-    below = np.flatnonzero(d < 0)
-    on = np.flatnonzero(d == 0)
-    if above.size == 0 or below.size == 0:
-        side = [piece]
-        none = []
-        if piece.sign > 0:
-            # for positive pieces, "below the level" is the near-zero side
-            return (side, none) if below.size else (none, side)
-        return (side, none) if above.size else (none, side)
-
-    cut_pts = []
-    for i in above:
-        for j in below:
-            t = d[i] / (d[i] - d[j])
-            cut_pts.append(piece.verts[i] + t * (piece.verts[j] - piece.verts[i]))
-    cut_pts = np.asarray(cut_pts)
-
-    sides = {}
-    for name, idx in (("above", above), ("below", below)):
-        pts = np.vstack([piece.verts[idx], piece.verts[on], cut_pts])
-        vals = np.concatenate(
-            [piece.ell[idx], piece.ell[on], np.full(len(cut_pts), level)]
-        )
-        m = piece.dim
-        out = []
-        if pts.shape[0] >= m + 1 and np.linalg.matrix_rank(pts - pts[0]) >= m:
-            for tri in _triangulate(pts):
-                sub = Piece(verts=pts[tri], ell=vals[tri], sign=piece.sign)
-                if sub.volume > 1e-12 * piece.volume:
-                    out.append(sub)
-        sides[name] = out
-    total = sum(p.volume for p in sides["above"] + sides["below"])
+    above, below = np.any(d > 0), np.any(d < 0)
+    if not (above and below):
+        # for positive pieces, "below the level" is the near-zero side
+        near = below if piece.sign > 0 else above
+        return ([piece], []) if near else ([], [piece])
+    upper, lower = (
+        [Piece(verts=v, ell=e, sign=piece.sign) for v, e in side]
+        for side in _cut(piece.verts, d, piece.ell, level)
+    )
+    total = sum(p.volume for p in upper + lower)
     if abs(total - piece.volume) > 1e-9 * max(1.0, piece.volume):
         raise QuadratureError(
             f"graded subdivision lost volume: pieces sum to {total!r}, "
             f"expected {piece.volume!r}"
         )
-    if piece.sign > 0:
-        return sides["below"], sides["above"]
-    return sides["above"], sides["below"]
+    return (lower, upper) if piece.sign > 0 else (upper, lower)
 
 
 def graded_pieces(piece):
@@ -341,10 +328,34 @@ def join_rule(piece, q, beta):
 
 @lru_cache(maxsize=None)
 def _jacobi01(q, alpha, beta):
-    """Gauss-Jacobi nodes on [0,1] for weight (1-r)^alpha * r^beta."""
-    x, w = roots_jacobi(int(q), alpha, beta)
+    """Gauss-Jacobi nodes on [0,1] for weight (1-r)^alpha * r^beta.
+
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
+    matrix (diagonal a, off-diagonal b) of the orthonormal polynomials,
+    polished by two Newton steps on p_q through the recurrence
+    b_(k+1) p_(k+1) = (x - a_k) p_k - b_k p_(k-1) from p_0 = 1. The
+    weights are the Christoffel numbers mu_0 / sum_(k<q) p_k(x)^2, where
+    mu_0 = B(alpha+1, beta+1) is the mass of the weight on [0, 1].
+    """
+    k = np.arange(1.0, q + 1.0)
+    s = 2.0 * k + alpha + beta
+    a = np.append((beta - alpha) / s[0], (beta**2 - alpha**2) / (s * (s + 2.0)))
+    b = np.append(0.0, np.sqrt(4 * k * (k + alpha) * (k + beta) * (s - k) / (s**2 * (s**2 - 1))))
+    x = np.linalg.eigvalsh(np.diag(a[:q]) + np.diag(b[1:q], 1) + np.diag(b[1:q], -1))
+    for newton in (True, True, False):
+        p, prev, dp, dprev, norm = np.ones(q), np.zeros(q), np.zeros(q), np.zeros(q), 0.0
+        for j in range(q):
+            norm = norm + p * p
+            p, prev, dp, dprev = (
+                ((x - a[j]) * p - b[j] * prev) / b[j + 1],
+                p,
+                (p + (x - a[j]) * dp - b[j] * dprev) / b[j + 1],
+                dp,
+            )
+        if newton:
+            x = x - p / dp
     r = (x + 1.0) / 2.0
-    w = w * 2.0 ** (-(alpha + beta + 1.0))
+    w = math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(alpha + beta + 2.0) / norm
     r.setflags(write=False)
     w.setflags(write=False)
     return r, w

@@ -139,9 +139,6 @@ class SpectralDecomposition:
         u = self.eigenvectors
         return (u * values[..., None, :]) @ adjoint(u)
 
-    def reconstruct(self):
-        return self.compose(self.eigenvalues)
-
     def __getitem__(self, index):
         if self.stack is None:
             raise ValidationError("only a stacked decomposition has members")
@@ -256,16 +253,6 @@ def schatten_norm(a, p):
         return 0.0
     # Factor out the largest singular value to avoid overflow for large p.
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
-
-
-def schatten_power_trace(decomp, model):
-    """tr f(H) evaluated from eigenvalues; for f = |x|^p this is ||H||_p^p.
-
-    A stacked decomposition gives one value per stack member."""
-    lam = decomp.eigenvalues
-    _check_domain(model, lam)
-    total = np.sum(model.eval(lam), axis=-1)
-    return float(total) if total.ndim == 0 else total
 
 
 def _check_domain(model, values):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from specforms import (
     DividedDifference,
@@ -186,7 +187,6 @@ TIE_PATTERNS = {
 def hermite_reference(p, nodes):
     """f^[k] of |x|^p at 60 digits: the divided-difference table with the
     analytic confluent value f^(L)(x)/L! wherever L+1 nodes coincide."""
-    mp = pytest.importorskip("mpmath").mp
     with mp.workdps(60):
         p = mp.mpf(p)
 

@@ -45,11 +45,6 @@ def test_splitmix_normals_moments():
     assert abs(xs.std() - 1.0) < 0.03
 
 
-def test_hermitian_draw_is_hermitian():
-    g = SplitMix64(9).hermitian(5)
-    np.testing.assert_allclose(g, g.conj().T, atol=0.0)
-
-
 def test_instances_are_bit_for_bit_reproducible():
     for profile in PROFILES:
         h1, v1 = generate_instance(42, 5, profile=profile, p=2.5)
@@ -172,24 +167,16 @@ class _ScalarSplitMix64:
         self.spare = r * np.sin(2.0 * np.pi * u2)
         return r * np.cos(2.0 * np.pi * u2)
 
-    def hermitian(self, dim):
-        g = np.empty((dim, dim), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                a = self.normal()
-                b = self.normal()
-                g[i, j] = a + 1j * b
-        return (g + g.conj().T) / 2.0
-
 
 def test_block_draws_match_the_scalar_algorithm():
-    # Odd counts and a Hermitian draw with a spare pending exercise the
-    # spare hand-over between scalar and block draws.
+    # Odd counts, and the even counts of dim-3 and dim-2 Hermitian draws
+    # with a spare pending, exercise the spare hand-over between scalar
+    # and block draws.
     for seed in (0, 77, 2**64 - 1):
         rng, ref = SplitMix64(seed), _ScalarSplitMix64(seed)
         script = [
-            ("normal",), ("normals", 3), ("hermitian", 3), ("uniform",),
-            ("normals", 0), ("normal",), ("hermitian", 2), ("normals", 5),
+            ("normal",), ("normals", 3), ("normals", 18), ("uniform",),
+            ("normals", 0), ("normal",), ("normals", 8), ("normals", 5),
             ("normals", 4), ("next_u64",), ("normal",),
         ]
         for name, *args in script * 3:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specforms import (
@@ -14,6 +14,7 @@ from specforms import (
     QuadratureError,
     UnsupportedConfigError,
     ValidationError,
+    divided_difference,
     momentum_eval,
     momentum_perturbation_pair,
 )
@@ -93,6 +94,14 @@ def test_quadrature_handles_arguments_straddling_zero():
     fast = momentum_eval(spec, x, tol=QUAD_TOL)
     slow = momentum_quadrature(spec, x, tol=QUAD_TOL)
     np.testing.assert_allclose(fast, slow, rtol=0, atol=CROSS_TOL)
+    # A node 7.5e-10 from the kink: triangulating the cut sides with a
+    # Delaunay (Qhull) call raised QhullError here, even with joggling.
+    x = np.array(
+        [0.03923010488866392, -7.510138023989476e-10, -0.8248415645362699, -0.0049459421552124835]
+    )
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 3)
+    slow = momentum_quadrature(spec, x, tol=QUAD_TOL)
+    np.testing.assert_allclose(slow, divided_difference(PowerAbs(3.5), x), rtol=0, atol=QUAD_TOL)
 
 
 def test_perturbation_pair_quotient_identity():
@@ -255,6 +264,9 @@ def kink_probe_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(row=kink_probe_rows())
+# Grading toward a node 2.3e-13 from the kink, just outside the snap:
+# a Delaunay (Qhull) triangulation of the level cuts raised QhullError.
+@example(row=np.array([-1.9, -0.19, -2.2957341e-13, -0.5]))
 def test_plain_rows_restate_kink_split_and_grading(row):
     kernel = PowerAbs(3.5).derivative_model(2)
     stack = np.array([row, -row, row[::-1]])
@@ -265,7 +277,8 @@ def test_plain_rows_restate_kink_split_and_grading(row):
 
 # Tied rows (a, .., a, a + gap) at the parent of the row-stack change,
 # each through its own call; m = 1 and 2, kernel f^(m) of |x|^3.5. Rows at
-# a = 4e-4 step down by the gap, so the 1e-3 gap crosses the kink.
+# a = 4e-4 step down by the gap, so the 1e-3 gap crosses the kink; those
+# two rows carry the bits of the staircase cut and Golub-Welsch rules.
 TIED_HEX = {
     1: {
         (-0.6, 1e-3): "-0x1.f2aae8aa8ed26p-1",
@@ -274,7 +287,7 @@ TIED_HEX = {
         (0.45, 1e-3): "0x1.e8355f4f7d182p-2",
         (0.45, 1e-4): "0x1.e6fd678832012p-2",
         (0.45, 1e-5): "0x1.e6de3dee6053fp-2",
-        (4e-4, 1e-3): "-0x1.13a076099a7c3p-28",
+        (4e-4, 1e-3): "-0x1.13a076099a7c4p-28",
         (4e-4, 1e-4): "0x1.171ebc1046577p-27",
         (4e-4, 1e-5): "0x1.74f3f8bd28183p-27",
     },
@@ -285,7 +298,7 @@ TIED_HEX = {
         (0.45, 1e-3): "0x1.5278203d770c1p+0",
         (0.45, 1e-4): "0x1.52218c2d59484p+0",
         (0.45, 1e-5): "0x1.5218e46149391p+0",
-        (4e-4, 1e-3): "0x1.fe649e190204cp-17",
+        (4e-4, 1e-3): "0x1.fe649e190204ep-17",
         (4e-4, 1e-4): "0x1.02142204103b9p-15",
         (4e-4, 1e-5): "0x1.21f158d3e2c66p-15",
     },

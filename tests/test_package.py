@@ -1,8 +1,12 @@
-"""The package's export list, and the names the benchmark traces."""
+"""The package's export list, its runtime imports, and the names the
+benchmark traces."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import specforms
@@ -16,6 +20,22 @@ def test_star_import_binds_exactly_the_export_list():
     assert set(namespace) == set(specforms.__all__)
     for name in specforms.__all__:
         assert getattr(specforms, name) is namespace[name]
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    src = str(Path(specforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, specforms.cli; print(sorted(sys.modules))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    modules = ast.literal_eval(out)
+    assert "specforms.simplex" in modules
+    assert not [name for name in modules if name.split(".")[0] == "scipy"]
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

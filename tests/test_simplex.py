@@ -1,4 +1,6 @@
-"""Simplex quadrature (momentum_quadrature) against closed forms and scipy.
+"""Simplex quadrature (momentum_quadrature) against closed forms and scipy,
+and its rules (Gauss-Jacobi, the staircase cut) against mpmath and exact
+polynomial integrals.
 
 Each integral is a momentum: a kernel h of the affine argument
 ell(s) = x_0 + sum_j s_j (x_j - x_0) against a polynomial weight Q(s)
@@ -9,11 +11,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 from scipy import integrate
 
 from specforms import CallableKernel, MomentumSpec, Polynomial, PowerKernel, ValidationError
 from specforms.momenta import momentum_quadrature
-from specforms.simplex import ORDER_LADDER, corner_rule
+from specforms.simplex import (
+    ORDER_LADDER,
+    _cut,
+    _jacobi01,
+    _simplex_vertices,
+    corner_rule,
+    subsimplex_rule,
+)
 
 SIMPLEX_TOL = 1e-11
 
@@ -142,3 +154,88 @@ def test_corner_rule_ladder_is_increasing():
     pts, wts = corner_rule(2, 8)
     assert pts.shape == (64, 2)
     np.testing.assert_allclose(wts.sum(), 0.5, rtol=1e-13)
+
+
+@pytest.mark.parametrize("q", ORDER_LADDER)
+def test_jacobi_rule_matches_mpmath(q):
+    # The rules join_rule asks for: alpha is the dimension of the kink face
+    # (up to 3 at order 4), beta > -1 is g plus the kernel exponent. The
+    # oracle nodes are the roots of P_q^(alpha, beta)(2r - 1), found by
+    # Newton from each node: a step under 1e-15 leaves the root accurate
+    # to about its square. The oracle weights are the closed form on
+    # [-1, 1], 2^(a+b+1) Gamma(q+a+1) Gamma(q+b+1) / (Gamma(q+a+b+1) q!)
+    # / ((1 - x^2) P_q'(x)^2), whose factor 2^(a+b+1) the map onto [0, 1]
+    # cancels.
+    with mp.workdps(20):
+        for alpha in (0.0, 1.0, 2.0, 3.0):
+            for beta in (-0.5, 0.5, 2.0, 3.5):
+                r, w = _jacobi01(q, alpha, beta)
+                assert r.shape == w.shape == (q,) and np.all(np.diff(r) > 0)
+                a, b = mp.mpf(alpha), mp.mpf(beta)
+                scale = mp.gamma(q + a + 1) * mp.gamma(q + b + 1)
+                scale /= mp.gamma(q + a + b + 1) * mp.factorial(q)
+
+                def dp(x):
+                    return (q + a + b + 1) / 2 * mp.jacobi(q - 1, a + 1, b + 1, x)
+
+                for node, weight in zip(r, w):
+                    x = mp.findroot(
+                        lambda t: mp.jacobi(q, a, b, t, zeroprec=4 * mp.prec),
+                        2 * mp.mpf(node) - 1,
+                        solver="newton",
+                        df=dp,
+                        tol=1e-15,
+                        verify=False,
+                    )
+                    assert abs((x + 1) / 2 - node) <= 1e-15, (alpha, beta, node)
+                    want = scale / ((1 - x * x) * dp(x) ** 2)
+                    assert abs(weight - want) <= 1e-12 * want, (alpha, beta, node)
+
+
+@st.composite
+def cut_rows(draw):
+    """Vertex values of an affine argument on R_m that change sign: zeros
+    and magnitudes spread over 1e-8..1."""
+    m = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda e, sign: sign * 10.0**e,
+            st.floats(-8.0, 0.0),
+            st.sampled_from([-1.0, 1.0]),
+        ),
+    )
+    rest = draw(st.lists(value, min_size=m - 1, max_size=m - 1))
+    row = np.array([draw(value.filter(bool)), *rest])
+    row = np.append(row, -np.sign(row[0]) * 10.0 ** draw(st.floats(-8.0, 0.0)))
+    return row[draw(st.permutations(range(m + 1)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(row=cut_rows())
+def test_staircase_cut_covers_both_sides(row):
+    m = row.size - 1
+    verts = _simplex_vertices(m)
+    upper, lower = _cut(verts, row, row, 0.0)
+    # the affine argument at a point of R_m, recomputed from coordinates
+    slack = 1e-14 * np.abs(row).max()
+    volume = 0.0
+    for side, sign in ((upper, 1.0), (lower, -1.0)):
+        for pts, vals in side:
+            assert pts.shape == (m + 1, m)
+            assert np.all(sign * vals >= 0.0)
+            ell = row[0] + pts @ (row[1:] - row[0])
+            assert np.all(sign * ell >= -slack)
+            np.testing.assert_allclose(ell, vals, rtol=0, atol=slack)
+            volume += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(m)
+    np.testing.assert_allclose(volume, 1.0 / math.factorial(m), rtol=1e-12)
+    # Degree <= 4 in the barycentric coordinates (s_0, ..., s_m):
+    # s^a integrates to prod(a!) / (|a| + m)! over R_m.
+    for a in ((4,) + (0,) * m, (0,) * m + (4,), (2, 1, 1, 0)[: m + 1], (1,) * (m + 1)):
+        got = 0.0
+        for pts, _ in upper + lower:
+            nodes, weights = subsimplex_rule(pts, ORDER_LADDER[0])
+            s = np.hstack([1.0 - nodes.sum(axis=1, keepdims=True), nodes])
+            got += weights @ np.prod(s ** np.array(a), axis=1)
+        want = math.prod(map(math.factorial, a)) / math.factorial(sum(a) + m)
+        np.testing.assert_allclose(got, want, rtol=1e-12)

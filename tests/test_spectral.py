@@ -12,7 +12,6 @@ from specforms import (
     apply_scalar_function,
     eigendecompose,
     schatten_norm,
-    schatten_power_trace,
 )
 from specforms import spectral
 from specforms.errors import EigenSolverError
@@ -69,7 +68,7 @@ def test_eigendecompose_reconstructs():
     for d in (2, 3, 5, 8):
         h = random_hermitian(rng, d)
         dec = eigendecompose(h)
-        np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-12)
+        np.testing.assert_allclose(dec.compose(dec.eigenvalues), h, atol=1e-12)
         # ascending eigenvalues, orthonormal columns
         assert np.all(np.diff(dec.eigenvalues) >= 0)
         np.testing.assert_allclose(
@@ -113,7 +112,7 @@ def test_stacked_eigendecompose_equals_single_calls_bitwise():
             for col in dec.eigenvectors[i].T:
                 lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
                 assert lead.imag == 0.0 and lead.real > 0
-        np.testing.assert_allclose(dec.reconstruct(), stack, atol=1e-12)
+        np.testing.assert_allclose(dec.compose(dec.eigenvalues), stack, atol=1e-12)
         with pytest.raises(ValueError):
             dec.eigenvectors[0, 0, 0] = 9.0
 
@@ -216,28 +215,6 @@ def test_schatten_norm_against_direct_formula():
 
 def test_schatten_norm_of_zero_matrix():
     assert schatten_norm(np.zeros((3, 3)), 2.5) == 0.0
-
-
-def test_power_trace_matches_norm_power():
-    rng = np.random.default_rng(31)
-    h = random_hermitian(rng, 4) / 4.0
-    dec = eigendecompose(h)
-    for p in (1.5, 2.5, 3.5):
-        np.testing.assert_allclose(
-            schatten_power_trace(dec, PowerAbs(p)),
-            schatten_norm(h, p) ** p,
-            rtol=1e-12,
-        )
-
-
-def test_power_trace_gives_one_value_per_stack_member():
-    rng = np.random.default_rng(32)
-    h = random_hermitian(rng, 4) / 4.0
-    single = schatten_power_trace(eigendecompose(h), PowerAbs(2.5))
-    assert isinstance(single, float)
-    stacked = schatten_power_trace(eigendecompose(np.stack([h, h, 0.5 * h])), PowerAbs(2.5))
-    assert stacked.shape == (3,)
-    np.testing.assert_allclose(stacked, [single, single, 0.5**2.5 * single], rtol=1e-12)
 
 
 def test_apply_scalar_function_matches_eigenreconstruction():
