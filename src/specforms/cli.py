@@ -1,10 +1,17 @@
 """Command-line front end over the experiment drivers.
 
-Subcommands map one-to-one onto the drivers in experiments.py. Exit
-status: 0 when every check in the report passed, 1 when at least one
-check failed, 2 on a validation or unsupported-configuration error
-(message on stderr). Reports are printed to stdout and, when --out is
-given, written into that directory as well.
+Subcommands map one-to-one onto the drivers in experiments.py. Each flag
+stores into the ExperimentConfig field named by its dest and has no
+default of its own: the parsed namespace holds the subcommand and the
+flags given, and ExperimentConfig supplies every other value. The global
+flags (--out, --format, --tol-quad) are accepted before or after the
+subcommand; given on both sides, the later one wins.
+
+Exit status: 0 when every check in the report passed, 1 when at least one
+check failed, 2 on invalid configuration or input, an unreadable matrix
+file or an --out that is not a directory (message on stderr). Reports are
+printed to stdout and, when --out is given, written into that directory
+as well.
 """
 
 import argparse
@@ -12,149 +19,93 @@ import functools
 import sys
 
 from .errors import UnsupportedConfigError, ValidationError
-from .experiments import (
-    DEFAULT_N_GRID,
-    DEFAULT_T_GRID,
-    ExperimentConfig,
-    run,
-)
+from .experiments import ExperimentConfig, run
 from .instances import PROFILES
 
 
-def _float_list(text):
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid value: {exc}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("grid must be nonempty")
-    return values
+def _grid(kind):
+    """argparse type for a comma-separated grid of `kind` values."""
+
+    def parse(text):
+        try:
+            return tuple(kind(x) for x in text.split(",") if x.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad grid value: {exc}") from exc
+
+    return parse
 
 
-def _int_list(text):
-    try:
-        values = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid value: {exc}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("grid must be nonempty")
-    return values
+def _parent():
+    """A parent parser whose flags have no default: a flag not given stays
+    out of the namespace."""
+    return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
 
 
 @functools.cache
 def build_parser():
     """The argument parser; built once per process, as it depends only on
     constants."""
+    common = _parent()
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="directory for the report")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
+    common.add_argument(
+        "--tol-quad", dest="quad_tol", type=float, metavar="TOL", help="quadrature tolerance"
+    )
+    exponent = _parent()
+    exponent.add_argument("--p", type=float)
+    seeded = _parent()
+    seeded.add_argument("--dim", type=int)
+    seeded.add_argument("--seed", type=int)
+    t_grid = _parent()
+    t_grid.add_argument("--t-grid", type=_grid(float))
+
     parser = argparse.ArgumentParser(
         prog="specforms",
         description="Higher-order derivative and operator-integral experiments.",
+        parents=[common],
     )
-    parser.add_argument(
-        "--out", default="", help="directory to write the run report into"
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    parser.add_argument(
-        "--tol-quad", type=float, default=1e-9, help="quadrature tolerance"
-    )
-
-    # The global flags are also accepted after the subcommand; SUPPRESS
-    # keeps the subparser from clobbering values parsed at the top level.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    common.add_argument(
-        "--tol-quad", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    p_der = sub.add_parser(
-        "derivative", parents=[common], help="evaluate delta^(k) at matrices from disk"
+    def add(mode, text, *parents):
+        return sub.add_parser(
+            mode, parents=[common, *parents], help=text, argument_default=argparse.SUPPRESS
+        )
+
+    p_der = add("derivative", "evaluate delta^(k) at matrices from disk", exponent)
+    p_der.add_argument("--order", type=int)
+    p_der.add_argument(
+        "--matrix", dest="matrix_path", metavar="FILE", required=True, help="base matrix JSON file"
     )
-    p_der.add_argument("--p", type=float, required=True)
-    p_der.add_argument("--order", type=int, default=0)
-    p_der.add_argument("--matrix", required=True, help="base matrix JSON file")
     p_der.add_argument(
         "--dir",
-        dest="dirs",
+        dest="dir_paths",
+        metavar="FILE",
         action="append",
-        default=[],
         required=True,
         help="direction matrix JSON file (repeat once per slot)",
     )
-
-    p_tay = sub.add_parser("taylor-scan", parents=[common], help="Taylor remainder decay scan")
-    p_tay.add_argument("--p", type=float, default=2.5)
-    p_tay.add_argument("--dim", type=int, default=4)
-    p_tay.add_argument("--seed", type=int, default=1)
-    p_tay.add_argument("--profile", choices=PROFILES, default="generic")
-    p_tay.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
-
-    p_moi = sub.add_parser("moi-convergence", parents=[common], help="spectral-bin convergence study")
-    p_moi.add_argument("--p", type=float, default=2.5)
-    p_moi.add_argument("--dim", type=int, default=4)
-    p_moi.add_argument("--seed", type=int, default=1)
-    p_moi.add_argument("--n-grid", type=_int_list, default=DEFAULT_N_GRID)
-
-    p_hol = sub.add_parser("holder-scan", parents=[common], help="fractional smoothness scan")
-    p_hol.add_argument("--p", type=float, default=2.5)
-    p_hol.add_argument("--dim", type=int, default=4)
-    p_hol.add_argument("--seed", type=int, default=1)
-    p_hol.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
-
-    p_per = sub.add_parser("perturbation-check", parents=[common], help="first-variable identity battery")
-    p_per.add_argument("--dim", type=int, default=4)
-    p_per.add_argument("--seed", type=int, default=1)
-
-    p_self = sub.add_parser("selftest", parents=[common], help="full cross-check battery")
-    p_self.add_argument("--p", type=float, default=2.5)
-    p_self.add_argument("--dim", type=int, default=4)
-    p_self.add_argument("--seed", type=int, default=1)
-
+    add("taylor-scan", "Taylor remainder decay scan", exponent, seeded, t_grid).add_argument(
+        "--profile", choices=PROFILES
+    )
+    add("moi-convergence", "spectral-bin convergence study", exponent, seeded).add_argument(
+        "--n-grid", type=_grid(int)
+    )
+    add("holder-scan", "fractional smoothness scan", exponent, seeded, t_grid)
+    add("perturbation-check", "first-variable identity battery", seeded)
+    add("selftest", "full cross-check battery", exponent, seeded)
     return parser
 
 
-def _config_from_args(args):
-    kwargs = {
-        "mode": args.mode,
-        "quad_tol": args.tol_quad,
-        "out_dir": args.out,
-        "fmt": args.format,
-    }
-    for name in ("p", "dim", "seed", "profile", "order"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "t_grid"):
-        kwargs["t_grid"] = args.t_grid
-    if hasattr(args, "n_grid"):
-        kwargs["n_grid"] = args.n_grid
-    if hasattr(args, "matrix"):
-        kwargs["matrix_path"] = args.matrix
-        kwargs["dir_paths"] = tuple(args.dirs)
-    return ExperimentConfig(**kwargs)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = ExperimentConfig(**vars(args))
         report = run(config)
-    except (ValidationError, UnsupportedConfigError) as exc:
+        if config.out_dir:
+            report.save(config.out_dir, config.fmt)
+    except (ValidationError, UnsupportedConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.out_dir:
-        report.save(config.out_dir, config.fmt)
     sys.stdout.write(report.to_csv() if config.fmt == "csv" else report.to_json() + "\n")
     if not report.passed:
         failed = [row["name"] for row in report.checks if not row["passed"]]

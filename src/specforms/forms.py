@@ -325,8 +325,8 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     if t_grid is None:
         t_grid = np.logspace(-4, -1, 13)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0.0):
-        raise ValidationError("t grid values must be positive")
+    if t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+        raise ValidationError("t grid values must be finite and positive")
     decomposition = _as_decomposition(h)
     lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)

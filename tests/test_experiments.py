@@ -6,14 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from specforms import experiments
-from specforms.cli import main
+from specforms import cli, experiments
+from specforms.cli import build_parser, main
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import (
     CheckSet,
     DEFAULT_TOLERANCES,
+    MODES,
     SEED_STRIDE,
     ExperimentConfig,
+    RunReport,
     _perturbation_battery,
     _seed_streams,
     run,
@@ -48,6 +50,11 @@ def test_config_validation():
         ExperimentConfig(mode="selftest", quad_tol=0.0)
     with pytest.raises(ValidationError):
         ExperimentConfig(mode="selftest", fmt="xml")
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentConfig(mode="taylor-scan", t_grid=(bad, 0.1))
+    with pytest.raises(ValidationError, match="order"):
+        ExperimentConfig(mode="derivative", order=-1)
 
 
 def test_config_tolerances_merge_and_echo():
@@ -308,3 +315,84 @@ def test_cli_reports_selftest_gate(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "unsupported" in captured.err
+
+
+# The flags each subcommand requires, and the config fields they give.
+REQUIRED = {
+    "derivative": (
+        ["--matrix", "h.json", "--dir", "v.json"],
+        {"matrix_path": "h.json", "dir_paths": ("v.json",)},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_flags_not_given_take_the_config_defaults(mode, monkeypatch, capsys):
+    argv, fields = REQUIRED.get(mode, ([], {}))
+    assert vars(build_parser().parse_args([mode] + argv)).keys() == {"mode", *fields}
+    built = []
+
+    def record(config):
+        built.append(config)
+        return RunReport(config.mode, config.echo(), [], True)
+
+    monkeypatch.setattr(cli, "run", record)
+    assert main([mode] + argv) == 0
+    assert built == [ExperimentConfig(mode=mode, **fields)]
+
+
+def _cli_output(argv, capsys):
+    """stdout of a passing main(argv), JSON reports without volatile keys."""
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    return canonical_json(json.loads(text), drop_volatile=True) if text[0] == "{" else text
+
+
+@pytest.mark.parametrize("flag", ["--tol-quad", "--format", "--out"])
+def test_cli_global_flags_on_either_side_give_one_report(flag, tmp_path, capsys):
+    mode = ["moi-convergence", "--n-grid", "8,16,32"]
+    plain = _cli_output(mode, capsys)
+    reports = []
+    for i, (before, after) in enumerate([(1, 0), (0, 1), (1, 1)]):
+        out = tmp_path / str(i)
+        given = [flag, {"--tol-quad": "1e-8", "--format": "csv", "--out": str(out)}[flag]]
+        reports.append(_cli_output(given * before + mode + given * after, capsys))
+        if flag == "--out":
+            saved = json.loads((out / "moi_convergence_report.json").read_text())
+            assert canonical_json(saved, drop_volatile=True) == reports[-1]
+    assert reports[1:] == reports[:1] * 2
+    assert (reports[0] == plain) == (flag == "--out")
+
+
+@pytest.mark.parametrize("mode", ["taylor-scan", "holder-scan"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_rejects_non_finite_t_grid(mode, bad, capsys):
+    assert main([mode, "--t-grid", f"{bad},0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: t grid must be nonempty, finite")
+
+
+def test_cli_unreadable_matrix_files_exit_two(tmp_path, capsys):
+    good = _write_matrix(tmp_path / "v.json", np.eye(2))
+    text = tmp_path / "h.txt"
+    text.write_text("not json")
+    for path in (str(text), str(tmp_path)):
+        assert main(["derivative", "--matrix", path, "--dir", good]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read matrix file {path!r}")
+
+
+def test_cli_out_that_is_a_file_exits_two_before_the_run(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran with a bad --out"))
+    assert main(["perturbation-check", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: out_dir")
+    assert target.read_text() == "kept"
+
+
+def test_cli_negative_order_exits_two(tmp_path, capsys):
+    argv = ["derivative", "--p", "2.5", "--order", "-1"]
+    argv += ["--matrix", _write_matrix(tmp_path / "h.json", np.diag([0.5, -0.4]))]
+    argv += ["--dir", _write_matrix(tmp_path / "v.json", np.eye(2))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: order must be >= 0")

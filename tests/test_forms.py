@@ -232,6 +232,9 @@ def test_taylor_input_validation():
         taylor_expand(h, v, 2.5, t_grid=[])
     with pytest.raises(ValidationError):
         taylor_expand(h, v, 2.5, t_grid=[-0.1, 0.1, 0.2, 0.3])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            taylor_expand(h, v, 2.5, t_grid=[bad, 0.01, 0.02, 0.05])
     with pytest.raises(ValidationError):
         taylor_expand(np.diag([3.0, 0.0]), v, 2.5)  # outside working interval
     with pytest.raises(ValidationError):
