@@ -6,8 +6,10 @@ row per named check (value, bound, comparison, pass/fail), optional
 curve data, and a wall clock. Serialized reports are byte-identical
 across runs of the same config once the volatile keys are stripped.
 
-The SF_THREADS environment variable caps the worker pool used for
-per-seed parallelism; results are always assembled in seed order.
+The SF_THREADS environment variable caps the worker pool that runs
+selftest's separable and integral-Taylor batteries seed by seed; results
+are always assembled in seed order. Every other battery is one stacked
+call over its seeds.
 """
 
 import json
@@ -283,13 +285,6 @@ def _stream_stacks(seeds, streams, dim, profile, p):
     ]
 
 
-def _decomposed_streams(seeds, streams, dim, profile, p):
-    """_stream_stacks handed out by seed: one list of `streams`
-    (decomposition, V matrix) pairs per seed, each a member of its stack."""
-    stacks = _stream_stacks(seeds, streams, dim, profile, p)
-    return [[(h[i], v[i]) for h, v in stacks] for i in range(len(seeds))]
-
-
 def load_matrix(path):
     """Read a Hermitian matrix from its JSON file format. A file that cannot
     be read as one raises ValidationError naming the path."""
@@ -457,37 +452,29 @@ def run_holder_scan(config):
 
     # Singular tails put a node of the symbol at the kink of the kernel,
     # so the observed exponent saturates at alpha instead of overshooting.
-    def one(streams):
-        (b, w), tails = streams[0], streams[1:]
-        norms = holder_difference_norms(
-            g,
-            b,
-            w,
-            [th for th, _ in tails],
-            [tv for _, tv in tails],
-            t_grid,
-            config.p,
-            quad_tol=config.quad_tol,
-        )
-        if norms.size == 0:
-            return float("nan"), True
-        usable = norms > 1e-12
-        if np.count_nonzero(usable) < 2:
-            return float("nan"), True
-        return fit_loglog_slope(t_grid[usable], norms[usable]), False
-
+    # All seeds are one stacked call; a zero direction gives a NaN row.
     seeds = list(range(config.seed, config.seed + 10))
-    results = _map_ordered(
-        one, _decomposed_streams(seeds, m, config.dim, "singular", config.p)
+    (b, w), *tails = _stream_stacks(seeds, m, config.dim, "singular", config.p)
+    norms = holder_difference_norms(
+        g,
+        b,
+        w,
+        [th for th, _ in tails],
+        [tv for _, tv in tails],
+        t_grid,
+        config.p,
+        quad_tol=config.quad_tol,
     )
     checks = CheckSet()
     slopes = []
-    for seed, (slope, degenerate) in zip(seeds, results):
-        slopes.append(slope)
-        if degenerate:
+    for seed, row in zip(seeds, norms):
+        usable = row > 1e-12
+        if np.count_nonzero(usable) < 2:
+            slopes.append(float("nan"))
             checks.add(f"degenerate_seed{seed}", True, "true", None)
         else:
-            checks.add(f"slope_seed{seed}", slope, ">=", alpha - tol["slope_margin"])
+            slopes.append(fit_loglog_slope(t_grid[usable], row[usable]))
+            checks.add(f"slope_seed{seed}", slopes[-1], ">=", alpha - tol["slope_margin"])
     data = {"alpha": alpha, "m": m, "slopes": slopes, "t_grid": list(config.t_grid)}
     return _finish(config, checks, data, started)
 
@@ -563,26 +550,21 @@ def run_selftest(config):
     short = seeds[:3]
     mid = seeds[:5]
 
-    # Trace identity across the battery exponents.
+    # Trace identity across the battery exponents: one form over the seeds'
+    # stack per exponent, one stacked call per order.
     for p in _selftest_ps(config.p):
         m = SchattenExponent(p).m
         ks = [k for k in (2, 3) if k <= min(m, MAX_FORM_ORDER)]
         if not ks:
             continue
-
-        def one_trace(streams, p=p, ks=ks):
-            ((dec, v),) = streams
-            form = FrechetForm(
-                base=dec,
-                exponent=SchattenExponent(p),
-                order=ks[0],
-                quad_tol=config.quad_tol,
-            )
-            return max(trace_identity_residual(form, v, k) for k in ks)
-
-        worst = max(
-            _map_ordered(one_trace, _decomposed_streams(seeds, 1, config.dim, "generic", p))
+        ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", p)
+        form = FrechetForm(
+            base=dec,
+            exponent=SchattenExponent(p),
+            order=ks[0],
+            quad_tol=config.quad_tol,
         )
+        worst = max(max(trace_identity_residual(form, v, k)) for k in ks)
         checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
 
     # Hand-checkable trace identity: H = diag(0, 1), f = x^3, order 2.
@@ -622,16 +604,15 @@ def run_selftest(config):
 
     # Separable symbols against the dense tensor path.
     def one_separable(i):
-        rng = SplitMix64(mid[i] * 2 + 1)
-        terms = []
-        for _ in range(3):
-            weight = rng.normal()
-            models = tuple(
-                Polynomial([rng.normal(), rng.normal(), 0.5 * rng.normal()])
-                for _ in range(3)
+        # Three terms of a weight and three quadratics, one block draw: the
+        # normals of 30 normal() calls in turn.
+        draws = SplitMix64(mid[i] * 2 + 1).normals(30).reshape(3, 10)
+        sym = SeparableSymbol(
+            tuple(
+                (x[0], tuple(Polynomial([a, b, 0.5 * c]) for a, b, c in x[1:].reshape(3, 3)))
+                for x in draws
             )
-            terms.append((weight, models))
-        sym = SeparableSymbol(tuple(terms))
+        )
         decs = (dec[i], dec2[i], dec[i])
         perts = (v[i], v2[i])
         product = moi_separable(sym, decs, perts)

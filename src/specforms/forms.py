@@ -14,6 +14,11 @@ real, so that is where the symmetrized form checks the reality of the
 trace. The brackets, their symmetrization, the trace identity, the
 integral Taylor remainder and the Hoelder differences all build their
 integrals through one helper, _divided_integral.
+
+The trace identity and the Hoelder differences also check a stack of S
+instances in one call (a stacked base decomposition, stacked directions,
+tails and perturbations), returning S values whose bits are those of the
+S one-instance calls.
 """
 
 import itertools
@@ -26,7 +31,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MoiRequest, _as_decomposition, moi_exact
+from .moi import MoiRequest, _as_decomposition, _joined, _stack_length, moi_exact
 from .simplex import _gauss01
 from .spectral import (
     HermitianMatrix,
@@ -53,8 +58,9 @@ FD_SAFE_GAP = 0.05
 
 
 def _direction(v):
-    """v as a complex matrix, checked Hermitian but not symmetrized."""
-    return _check_hermitian(as_complex_matrix(v), "direction")
+    """v as a complex matrix, or a stack (S, n, n) of them, checked
+    Hermitian but not symmetrized."""
+    return _check_hermitian(as_complex_matrices(v), "direction")
 
 
 def _check_interval(lams, message):
@@ -64,10 +70,13 @@ def _check_interval(lams, message):
         raise ValidationError(message)
 
 
-def _check_unit_ball(lam, p):
-    norm = float(np.sum(np.abs(lam) ** p)) ** (1.0 / p)
-    if norm > 1.0 + 1e-9:
-        raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
+def _check_unit_ball(lams, p):
+    """Raise unless the spectrum lams, or each spectrum of a stack (S, n),
+    has l^p norm <= 1 (1e-9 slack), each norm a Python-float pow."""
+    for lam in np.atleast_2d(lams):
+        norm = float(np.sum(np.abs(lam) ** p)) ** (1.0 / p)
+        if norm > 1.0 + 1e-9:
+            raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
 
 
 def _divided_integral(g, decompositions, perturbations, quad_tol):
@@ -145,6 +154,11 @@ class FrechetForm:
     sense (residual smoothness of |x|^p is p - m). Supplying a smoother
     model (a polynomial, say) lifts that ceiling to the model's own
     derivative count, still capped at order 3.
+
+    The base may be a stacked decomposition of S points, each checked
+    against the working interval and the unit ball on its own; the trace
+    identity then checks the S points in one call, and delta_bracket and
+    delta_symmetric reject it.
     """
 
     base: SpectralDecomposition
@@ -176,6 +190,8 @@ class FrechetForm:
         object.__setattr__(self, "_limit", limit)
 
     def directions_ok(self, directions):
+        if self.base.stack is not None:
+            raise ValidationError("the forms of a stacked base are taken member by member")
         vs = [_direction(v) for v in directions]
         if len(vs) != self.order:
             raise ValidationError(
@@ -208,6 +224,11 @@ def trace_identity_residual(form, direction, k=None):
     the right side is the reduced form (model_delta_bracket). Both are
     exact traces, so the residual is purely numerical noise: rounding in
     the divided-difference tables, plus quadrature error at near-ties.
+
+    With a stacked base or a stack (S, n, n) of directions the call returns
+    the array of S residuals, a base or direction of one matrix serving
+    every member; each side's integrals are one stacked call, and each
+    residual has the bits of its member's one-instance call.
     """
     if k is None:
         k = form.order
@@ -218,7 +239,7 @@ def trace_identity_residual(form, direction, k=None):
     dec = form.base
     model = form.model
     lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
-    rhs = model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol)
+    rhs = real_value(model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol))
     return abs(lhs - rhs)
 
 
@@ -492,23 +513,54 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     argument moves; tail holds one decomposition per perturbation. p' is
     the conjugate exponent of p. Returns the per-t norms; a zero direction
     is degenerate and comes back as an empty array, as does an empty grid.
-    The whole grid is one stacked decomposition and one stacked integral.
+
+    The base, the direction, each tail and each perturbation may instead be
+    a stack of S, a slot holding one matrix serving every member: the call
+    then returns an (S, len(t_grid)) array, a member with a zero direction
+    giving a row of NaN. The moving points of all members are one stacked
+    decomposition, seed-major, with the stacked tails and perturbations
+    repeated along them, and the norms come from one stacked integral and
+    one stacked norm call; each row has the bits of its member's
+    one-instance call.
     """
     if len(tail) != len(perturbations):
         raise ValidationError(
             f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"
         )
-    w = as_complex_matrix(direction)
+    p = SchattenExponent(p).p
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or operator_norm(w) < 1e-14:
-        return np.zeros(0)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t grid values must be finite")
+    w = as_complex_matrices(direction)
     base = _as_decomposition(base)
     tail = tuple(_as_decomposition(t) for t in tail)
-    perts = tuple(as_complex_matrix(u) for u in perturbations)
-    p = float(p)
+    perts = tuple(as_complex_matrices(u) for u in perturbations)
+    stack = _stack_length(
+        [base.stack, len(w) if w.ndim == 3 else None]
+        + [d.stack for d in tail]
+        + [len(u) if u.ndim == 3 else None for u in perts]
+    )
+    n = base.dim
+    if w.shape[-1] != n:
+        raise ValidationError(f"direction shape {w.shape[-2:]} != ({n}, {n})")
+    zero = np.linalg.norm(w, ord=2, axis=(-2, -1)) < 1e-14
+    if t_grid.size == 0 or (stack is None and zero):
+        return np.zeros((0,) if stack is None else (stack, 0))
+    count, steps = stack or 1, t_grid.size
     p_conj = p / (p - 1.0)
 
-    moving = _as_decomposition(base.source.matrix + t_grid[:, None, None] * w)
+    points = base.source.matrix[..., None, :, :] + t_grid[:, None, None] * w[..., None, :, :]
+    moving = _as_decomposition(np.broadcast_to(points, (count, steps, n, n)).reshape(-1, n, n))
     ref = _divided_integral(phi_model, (base,) + tail, perts, quad_tol)
+    # Stacked tails and perturbations follow the seed-major moving points.
+    tail = tuple(
+        d if d.stack is None else _joined([d[i] for i in range(count)], steps) for d in tail
+    )
+    perts = tuple(u if u.ndim == 2 else np.repeat(u, steps, axis=0) for u in perts)
     moved = _divided_integral(phi_model, (moving,) + tail, perts, quad_tol)
-    return np.asarray([schatten_norm(diff, p_conj) for diff in moved - ref])
+    diffs = moved.reshape(count, steps, n, n) - ref.reshape(-1, 1, n, n)
+    norms = schatten_norm(diffs.reshape(-1, n, n), p_conj).reshape(count, steps)
+    if stack is None:
+        return norms[0]
+    norms[np.broadcast_to(zero, (count,))] = np.nan
+    return norms

@@ -4,7 +4,9 @@ Everything downstream (operator integrals, derivative forms) works in an
 eigenbasis, so this module pins down the conventions once: validated
 Hermitian storage, ascending eigenvalues, a deterministic eigenvector
 phase (first nonzero component real positive), and scalar functions
-applied through the spectral theorem.
+applied through the spectral theorem. Decompositions, singular values and
+Schatten norms take one matrix or a stack of them; a stack goes through
+one solver call, and each member keeps the bits of its one-matrix call.
 """
 
 from dataclasses import dataclass, field
@@ -231,19 +233,15 @@ class SchattenExponent:
 
 
 def singular_values(a):
-    """Singular values in descending order (any complex matrix)."""
+    """Singular values in descending order of any complex matrix, or of
+    each matrix of a stack (B, r, c), from one solver call."""
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
     return np.linalg.svd(m, compute_uv=False)
 
 
-def schatten_norm(a, p):
-    """Schatten p-norm: l^p norm of the singular values, p >= 1."""
-    p = float(p)
-    if p < 1.0:
-        raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    s = singular_values(a)
+def _lp_of_singular_values(s, p):
     if not s.size:
         return 0.0
     if np.isinf(p):
@@ -253,6 +251,22 @@ def schatten_norm(a, p):
         return 0.0
     # Factor out the largest singular value to avoid overflow for large p.
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
+
+
+def schatten_norm(a, p):
+    """Schatten p-norm, the l^p norm of the singular values, p >= 1.
+
+    A stack (B, r, c) gives the array of its B norms: the singular values
+    of all members come from one solver call, and each norm is the
+    expression of its one-matrix call on its own row.
+    """
+    p = float(p)
+    if not p >= 1.0:
+        raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
+    s = singular_values(a)
+    if s.ndim == 1:
+        return _lp_of_singular_values(s, p)
+    return np.array([_lp_of_singular_values(row, p) for row in s])
 
 
 def _check_domain(model, values):

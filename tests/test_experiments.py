@@ -133,7 +133,8 @@ def test_selftest_rejects_unsupported_order():
 
 
 def test_reports_are_deterministic(monkeypatch):
-    config = ExperimentConfig(mode="taylor-scan", seed=4, p=3.5, profile="singular")
+    # selftest's separable and integral-Taylor batteries run on the pool.
+    config = ExperimentConfig(mode="selftest", seed=4, dim=3, p=3.5)
     first = run(config).to_json(drop_volatile=True)
     second = run(config).to_json(drop_volatile=True)
     assert first == second
@@ -252,6 +253,35 @@ def test_batteries_send_their_seeds_through_one_stacked_call(monkeypatch):
     assert [req.decompositions[0].stack for (req,) in exact] == [10, None]
     stacked = [n for req, n in binned if req.decompositions[0].stack == 10]
     assert stacked == list(config.n_grid)
+    traces = count_calls(monkeypatch, experiments, "trace_identity_residual")
+    assert run(ExperimentConfig(mode="selftest")).passed
+    # One call per order over the 10 seeds (k = 2 at p 2.5, k = 2, 3 at
+    # p 3.5), then the hand case.
+    assert [(form.base.stack, k) for form, _, k in traces] == [
+        (10, 2), (10, 2), (10, 3), (None, 2)
+    ]
+    holder = count_calls(monkeypatch, experiments, "holder_difference_norms")
+    assert run(ExperimentConfig(mode="holder-scan", p=3.5)).passed
+    ((_, base, direction, tails, perts, *_),) = holder
+    assert base.stack == 10 and direction.shape[0] == 10
+    assert [d.stack for d in tails] == [10, 10] and [len(u) for u in perts] == [10, 10]
+
+
+def test_holder_scan_reports_a_zero_direction_as_degenerate(monkeypatch):
+    norms = experiments.holder_difference_norms
+
+    def zeroed(g, base, direction, *rest, **kwargs):
+        direction = direction.copy()
+        direction[3] = 0.0
+        return norms(g, base, direction, *rest, **kwargs)
+
+    monkeypatch.setattr(experiments, "holder_difference_norms", zeroed)
+    report = run(ExperimentConfig(mode="holder-scan", seed=5))
+    names = [row["name"] for row in report.checks]
+    assert names == [
+        "degenerate_seed8" if seed == 8 else f"slope_seed{seed}" for seed in range(5, 15)
+    ]
+    assert report.passed and np.isnan(report.data["slopes"][3])
 
 
 def test_cli_taylor_scan_roundtrip(tmp_path, capsys):

@@ -27,7 +27,12 @@ from specforms.forms import (
 from specforms.functions import Monomial, PowerAbs
 from specforms.instances import PROFILES, generate_instance
 from specforms.moi import MoiRequest, moi_exact
-from specforms.spectral import apply_scalar_function, eigendecompose, schatten_norm
+from specforms.spectral import (
+    SchattenExponent,
+    apply_scalar_function,
+    eigendecompose,
+    schatten_norm,
+)
 from specforms.util import real_trace
 
 
@@ -161,6 +166,26 @@ def test_trace_identity_kink_kernel():
         v = small_hermitian(rng, 4, scale=1.0)
         form = FrechetForm(base=h, exponent=3.5, order=k)
         assert trace_identity_residual(form, v) <= 1e-7
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_stacked_trace_identity_matches_member_calls(profile):
+    for p in (2.5, 3.5):
+        draws = generate_instance([3, 8, 13, 21], 4, profile, p)
+        dec = eigendecompose(np.stack([h.matrix for h, _ in draws]))
+        v = np.stack([u.matrix for _, u in draws])
+        form = FrechetForm(base=dec, exponent=p, order=2)
+        for k in range(2, SchattenExponent(p).m + 1):
+            got = trace_identity_residual(form, v, k)
+            want = [
+                trace_identity_residual(FrechetForm(base=dec[i], exponent=p, order=2), v[i], k)
+                for i in range(len(draws))
+            ]
+            assert got.shape == (4,) and np.array_equal(got, want)
+        # A base of one matrix serves every direction of the stack.
+        one_base = FrechetForm(base=dec[0], exponent=p, order=2)
+        got = trace_identity_residual(one_base, v, 2)
+        assert np.array_equal(got, [trace_identity_residual(one_base, u, 2) for u in v])
 
 
 def test_fd_oracle_square_function():
@@ -340,6 +365,40 @@ def test_stacked_holder_norms_match_per_node_reference(profile, monkeypatch):
             assert abs(norm - want) <= 1e-13 * (1.0 + want)
 
 
+def test_stacked_holder_norms_match_member_calls():
+    p = 3.5
+    g = PowerAbs(p).derivative_model(1)
+    draws = generate_instance([8, 9, 10, 11], 3, "singular", p)
+    base = eigendecompose(np.stack([h.matrix for h, _ in draws]))
+    w = np.stack([u.matrix for _, u in draws])
+    w[2] = 0.0  # a degenerate member
+    t_grid = np.array([1e-3, 1e-2, 0.05, 0.1])
+    for order in (0, 1, 2):
+        extra = [
+            generate_instance([20 + j, 30 + j, 40 + j, 50 + j], 3, "singular", p)
+            for j in range(order)
+        ]
+        tail = [eigendecompose(np.stack([h.matrix for h, _ in d])) for d in extra]
+        perts = [np.stack([u.matrix for _, u in d]) for d in extra]
+        got = holder_difference_norms(g, base, w, tail, perts, t_grid, p)
+        assert got.shape == (4, 4)
+        for i in range(4):
+            one = holder_difference_norms(
+                g, base[i], w[i], [d[i] for d in tail], [u[i] for u in perts], t_grid, p
+            )
+            if i == 2:  # degenerate: an empty array alone, a NaN row in a stack
+                assert one.size == 0 and np.isnan(got[i]).all()
+            else:
+                assert np.array_equal(got[i], one)
+    # A slot holding one matrix serves every member.
+    got = holder_difference_norms(g, base[0], w, tail, perts, t_grid, p)
+    for i in (0, 1, 3):
+        one = holder_difference_norms(
+            g, base[0], w[i], [d[i] for d in tail], [u[i] for u in perts], t_grid, p
+        )
+        assert np.array_equal(got[i], one)
+
+
 def test_taylor_remainder_is_the_per_point_difference():
     h, v = generate_instance(3, 4, "generic", 2.5)
     report = taylor_expand(h.matrix, v.matrix, 2.5, with_oracle=False)
@@ -414,6 +473,12 @@ def test_form_input_validation():
         FrechetForm(base=np.diag([0.9, 0.9]), exponent=2.5)  # ||H||_p > 1
     with pytest.raises(ValidationError):
         FrechetForm(base=np.diag([2.5, 0.0]), exponent=2.5)  # leaves interval
+    # a stacked base is checked member by member
+    stacked = FrechetForm(base=np.stack([np.diag([0.9, 0.0])] * 2), exponent=2.5, order=2)
+    with pytest.raises(ValidationError, match="stacked"):
+        delta_symmetric(stacked, [np.eye(2)] * 2)  # would pair 2 members with 2! orders
+    with pytest.raises(ValidationError):
+        FrechetForm(base=np.stack([np.diag([0.5, -0.4]), np.diag([0.9, 0.9])]), exponent=2.5)
     form = FrechetForm(base=np.diag([0.5, -0.4]), exponent=2.5, order=2)
     with pytest.raises(ValidationError):
         delta_symmetric(form, [np.eye(2)])  # wrong direction count
@@ -457,3 +522,15 @@ def test_holder_norms_need_one_tail_per_perturbation():
         holder_difference_norms(g, base, w, (base,), (), [0.01], 2.5)
     with pytest.raises(ValidationError, match="tail"):
         holder_difference_norms(g, base, w, (), (np.eye(2),), [0.01], 2.5)
+
+
+def test_holder_norms_input_validation():
+    base = np.diag([0.3, -0.2])
+    w = 0.5 * np.eye(2)
+    g = PowerAbs(2.5).derivative_model(1)
+    for p in (1.0, 0.5, np.nan):
+        with pytest.raises(ValidationError, match="1 < p"):
+            holder_difference_norms(g, base, w, (), (), [0.01], p)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="t grid"):
+            holder_difference_norms(g, base, w, (), (), [0.01, bad], 2.5)

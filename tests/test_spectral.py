@@ -209,12 +209,23 @@ def test_schatten_norm_against_direct_formula():
         )
     np.testing.assert_allclose(schatten_norm(a, np.inf), s[0], rtol=1e-12)
     np.testing.assert_allclose(schatten_norm(a, 2.0), np.linalg.norm(a), rtol=1e-12)
-    with pytest.raises(ValidationError):
-        schatten_norm(a, 0.5)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ValidationError):
+            schatten_norm(a, bad)
 
 
 def test_schatten_norm_of_zero_matrix():
     assert schatten_norm(np.zeros((3, 3)), 2.5) == 0.0
+
+
+def test_stacked_schatten_norms_match_member_calls():
+    rng = np.random.default_rng(29)
+    stack = rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6))
+    stack[2] = 0.0
+    for p in (1.0, 2.5, 3.5 / 2.5, np.inf):
+        got = schatten_norm(stack, p)
+        assert got.shape == (5,) and got[2] == 0.0
+        assert np.array_equal(got, [schatten_norm(a, p) for a in stack])
 
 
 def test_apply_scalar_function_matches_eigenreconstruction():
