@@ -29,7 +29,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
-from .util import map_distinct_rows
+from .util import check_within, map_distinct_rows
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -60,11 +60,7 @@ def _prepare(model, nodes):
             f"order-{k} divided difference needs {k} continuous derivatives, "
             f"model has {model.max_order}"
         )
-    lo, hi = model.domain
-    if x.min() < lo - 1e-12 or x.max() > hi + 1e-12:
-        raise ValidationError(
-            f"nodes [{x.min():.6g}, {x.max():.6g}] leave the model domain [{lo}, {hi}]"
-        )
+    check_within(x, model.domain, "nodes")
     return model, x, k, batched
 
 

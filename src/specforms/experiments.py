@@ -231,13 +231,10 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def save(self, out_dir, fmt="json"):
-        os.makedirs(out_dir, exist_ok=True)
         stem = self.mode.replace("-", "_") + "_report"
-        path = os.path.join(out_dir, f"{stem}.{'csv' if fmt == 'csv' else 'json'}")
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w") as fh:
-            fh.write(text)
-        return path
+        if fmt == "csv":
+            return _write_text(out_dir, f"{stem}.csv", self.to_csv())
+        return _write_text(out_dir, f"{stem}.json", self.to_json())
 
 
 def thread_count():

@@ -31,7 +31,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MoiRequest, _as_decomposition, _joined, _stack_length, moi_exact
+from .moi import MoiRequest, _as_decomposition, _joined, _prepared_slots, moi_exact
 from .simplex import _gauss01
 from .spectral import (
     HermitianMatrix,
@@ -46,7 +46,9 @@ from .spectral import (
 from .util import (
     as_complex_matrices,
     as_complex_matrix,
+    check_within,
     fit_loglog_slope,
+    lp_norms,
     operator_norm,
     real_trace,
     real_value,
@@ -63,19 +65,11 @@ def _direction(v):
     return _check_hermitian(as_complex_matrices(v), "direction")
 
 
-def _check_interval(lams, message):
-    """Raise unless the sorted spectra lams lie in WORKING_INTERVAL (1e-12 slack)."""
-    lo, hi = WORKING_INTERVAL
-    if lams.size and (lams[..., 0].min() < lo - 1e-12 or lams[..., -1].max() > hi + 1e-12):
-        raise ValidationError(message)
-
-
 def _check_unit_ball(lams, p):
     """Raise unless the spectrum lams, or each spectrum of a stack (S, n),
-    has l^p norm <= 1 (1e-9 slack), each norm a Python-float pow."""
-    for lam in np.atleast_2d(lams):
-        norm = float(np.sum(np.abs(lam) ** p)) ** (1.0 / p)
-        if norm > 1.0 + 1e-9:
+    has l^p norm <= 1 (1e-9 slack)."""
+    for norm in lp_norms(np.atleast_2d(lams), p):
+        if not norm <= 1.0 + 1e-9:
             raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
 
 
@@ -175,7 +169,7 @@ class FrechetForm:
             exp = SchattenExponent(exp)
         object.__setattr__(self, "exponent", exp)
         object.__setattr__(self, "order", int(self.order))
-        _check_interval(dec.eigenvalues, "base spectrum leaves the working interval")
+        check_within(dec.eigenvalues, WORKING_INTERVAL, "base spectrum")
         _check_unit_ball(dec.eigenvalues, exp.p)
         if self.model is None:
             object.__setattr__(self, "model", PowerAbs(exp.p))
@@ -266,19 +260,21 @@ def fd_oracle(h, v, p, k, step=None):
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
     h = as_complex_matrix(h)
     v = as_complex_matrix(v)
-    model = PowerAbs(float(p))
+    model = PowerAbs(p)
 
     if step is None:
         eps = np.finfo(float).eps
         step = eps ** (1.0 / (k + 2)) * (1.0 + operator_norm(h)) / (1.0 + operator_norm(v))
     step = float(step)
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValidationError(f"finite-difference step must be finite and positive, got {step}")
 
     offsets, weights, scale = _STENCILS[k]
     steps = (step, 2.0 * step)
     # Both stencils' spectra come from one stacked solver call.
     t = np.array([o * dt for dt in steps for o in offsets])
     lams = np.linalg.eigvalsh(h + t[:, None, None] * v)
-    _check_interval(lams, "finite-difference stencil leaves the working interval")
+    check_within(lams, WORKING_INTERVAL, "finite-difference stencil spectra")
     samples = [float(np.sum(model.eval(lam))) for lam in lams]
 
     def stencil(dt, values):
@@ -352,7 +348,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
     lam1 = lams[np.argmax(t_grid)]
-    _check_interval(np.stack([lam0, lam1]), "H + tV leaves the working interval on the grid")
+    check_within((lam0, lam1), WORKING_INTERVAL, "spectra of H + tV on the grid")
     _check_unit_ball(lam0, exponent.p)
 
     model = PowerAbs(exponent.p)
@@ -441,7 +437,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     h1 = as_complex_matrix(h1)
     v = h1 - h0
     ends = np.linalg.eigvalsh(np.stack([h0, h1]))
-    _check_interval(ends, "segment endpoints leave the working interval")
+    check_within(ends, WORKING_INTERVAL, "spectra of the segment endpoints")
 
     model = PowerAbs(exponent.p)
     g = model.derivative_model(1)
@@ -476,7 +472,7 @@ def selfadjoint_embed(x, p):
     """Hermitian dilation 2^{-1/p} [[0, X], [X*, 0]] preserving ||.||_p."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValidationError(f"embedding needs p >= 1, got {p}")
     n, r = x.shape
     out = np.zeros((n + r, n + r), dtype=complex)
@@ -521,7 +517,9 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     decomposition, seed-major, with the stacked tails and perturbations
     repeated along them, and the norms come from one stacked integral and
     one stacked norm call; each row has the bits of its member's
-    one-instance call.
+    one-instance call. The direction joins the perturbations in the slot
+    check, and the matrices among the base and the tails are decomposed in
+    one call.
     """
     if len(tail) != len(perturbations):
         raise ValidationError(
@@ -531,18 +529,12 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):
         raise ValidationError("t grid values must be finite")
-    w = as_complex_matrices(direction)
-    base = _as_decomposition(base)
-    tail = tuple(_as_decomposition(t) for t in tail)
-    perts = tuple(as_complex_matrices(u) for u in perturbations)
-    stack = _stack_length(
-        [base.stack, len(w) if w.ndim == 3 else None]
-        + [d.stack for d in tail]
-        + [len(u) if u.ndim == 3 else None for u in perts]
+    names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)
+    names += tuple(f"perturbation {j}" for j in range(len(perturbations)))
+    (base, *tail), (w, *perts), stack = _prepared_slots(
+        (base, *tail), (direction, *perturbations), names
     )
     n = base.dim
-    if w.shape[-1] != n:
-        raise ValidationError(f"direction shape {w.shape[-2:]} != ({n}, {n})")
     zero = np.linalg.norm(w, ord=2, axis=(-2, -1)) < 1e-14
     if t_grid.size == 0 or (stack is None and zero):
         return np.zeros((0,) if stack is None else (stack, 0))
@@ -551,7 +543,7 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
 
     points = base.source.matrix[..., None, :, :] + t_grid[:, None, None] * w[..., None, :, :]
     moving = _as_decomposition(np.broadcast_to(points, (count, steps, n, n)).reshape(-1, n, n))
-    ref = _divided_integral(phi_model, (base,) + tail, perts, quad_tol)
+    ref = _divided_integral(phi_model, (base, *tail), perts, quad_tol)
     # Stacked tails and perturbations follow the seed-major moving points.
     tail = tuple(
         d if d.stack is None else _joined([d[i] for i in range(count)], steps) for d in tail

@@ -10,7 +10,7 @@ as a separate smooth model.
 import numpy as np
 
 from .errors import UnsupportedConfigError, ValidationError
-from .spectral import WORKING_INTERVAL
+from .spectral import WORKING_INTERVAL, SchattenExponent
 
 # Stand-in for "derivatives of every order are continuous".
 SMOOTH_ORDER = 10**9
@@ -118,10 +118,7 @@ class PowerKernel(ScalarFunctionModel):
 
 def PowerAbs(p):
     """|x|^p on the working interval, the integrand behind ||H||_p^p."""
-    p = float(p)
-    if p <= 1.0:
-        raise ValidationError(f"power |x|^p supported for p > 1, got {p}")
-    return PowerKernel(1.0, p, 0)
+    return PowerKernel(1.0, SchattenExponent(p).p, 0)
 
 
 def Monomial(n):

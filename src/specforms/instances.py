@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import _hermitian_members
-from .util import adjoint
+from .util import adjoint, lp_norms
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -109,13 +109,6 @@ class SplitMix64:
         return self.normals(1)[0]
 
 
-def _lp_norms(spectra, p):
-    """The l^p norm of each row of a stack of spectra. The final power is a
-    Python-float pow per row: the array power differs from it in the last
-    bit."""
-    return np.array([float(np.sum(np.abs(row) ** p)) ** (1.0 / p) for row in spectra])
-
-
 def generate_instance(seed, dim, profile="generic", p=2.0):
     """Deterministic (H, V) pair for one seed, or the list of pairs for a
     sequence of seeds.
@@ -142,7 +135,7 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValidationError(f"instance normalization needs p >= 1, got {p}")
 
     single = np.ndim(seed) == 0
@@ -153,11 +146,11 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
     h, v = _hermitian(normals).swapaxes(0, 1)
 
     if profile == "generic":
-        h = h / _lp_norms(np.linalg.eigvalsh(h), p)[:, None, None]
+        h = h / lp_norms(np.linalg.eigvalsh(h), p)[:, None, None]
     elif profile == "singular":
         h[:, dim - 1, :] = 0.0
         h[:, :, dim - 1] = 0.0
-        h = h / _lp_norms(np.linalg.eigvalsh(h), p)[:, None, None]
+        h = h / lp_norms(np.linalg.eigvalsh(h), p)[:, None, None]
         v = v * (SINGULAR_BACKGROUND / np.linalg.norm(v, ord=2, axis=(-2, -1)))[:, None, None]
         v[:, dim - 1, dim - 1] += SINGULAR_COUPLING
     else:  # clustered
@@ -172,7 +165,7 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
         # pinch, rescale to norm 0.99, and re-pin the gaps; the second
         # pinch moves the norm by at most a gap's width, keeping it < 1
         w = pinch(w)
-        w = pinch(w * (0.99 / _lp_norms(w, p))[:, None])
+        w = pinch(w * (0.99 / lp_norms(w, p))[:, None])
         h = (u * w[:, None, :]) @ adjoint(u)
 
     v = v / np.linalg.norm(v, ord=2, axis=(-2, -1))[:, None, None]

@@ -23,6 +23,14 @@ length S, and a slot holding one matrix broadcasts against the stacks:
 one call then evaluates the S integrals. The symbol tensor carries a
 leading stack axis when some decomposition is a stack, its entry
 (b, i_0, ..., i_m) reading row b of every stacked eigenvalue set.
+
+The slots of a request, of perturbation_identity and of
+forms.holder_difference_norms are prepared in one place
+(_prepared_slots): one dimension and one stack length are checked before
+anything is decomposed, and the raw matrices among the decomposition
+slots go through one eigendecompose call, a decomposition being reused.
+An error names the slot ("decomposition j" or "perturbation j" of a
+request) and a member of a stack by its index.
 """
 
 import functools
@@ -56,54 +64,53 @@ def _as_decomposition(obj):
     return eigendecompose(obj)
 
 
-def _stack_length(stacks):
-    """The one length among `stacks` (None entries ignored), or None."""
-    lengths = set(stacks) - {None}
-    if len(lengths) > 1:
-        raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
-    return lengths.pop() if lengths else None
+def _prepared_slots(items, perturbations, names):
+    """(decompositions, perturbations, stack length) of an integral's slots.
 
-
-def _decomposed_slots(items, names):
-    """The decomposition of each item of a mix of matrices, stacks (S, n, n)
-    of them, and decompositions of one matrix or of a stack.
-
-    The matrices and stacks go through one eigendecompose call, each item
-    taking its member or sub-stack of the result; a decomposition is reused.
-    The items must share one dimension and one stack length, checked before
-    anything is decomposed, and an error on an item names it by names[i]
-    (and a member of a stack by its index).
+    Each item is a matrix, a stack (S, n, n) of matrices, or the
+    decomposition of either; each perturbation is a matrix or a stack of
+    S. All slots must share one dimension and one stack length S, checked
+    before anything is decomposed; the length is None when no slot is a
+    stack. The matrices and stacks among the items then go through one
+    eigendecompose call, each item taking its member or sub-stack of the
+    result, and a decomposition is reused. An error on a slot names it by
+    names[i], the items' names followed by the perturbations', and a
+    member of a stack by its index.
     """
-    decs, raw, dims, stacks = list(items), [], set(), []
-    for i, (name, item) in enumerate(zip(names, items)):
-        if isinstance(item, SpectralDecomposition):
+    split = len(items)
+    slots, raw, dims, stacks = list(items) + list(perturbations), [], set(), []
+    for i, (name, item) in enumerate(zip(names, slots, strict=True)):
+        if isinstance(item, SpectralDecomposition) and i < split:
             dims.add(item.dim)
             stacks.append(item.stack)
             continue
         try:
-            decs[i] = as_complex_matrices(item)
+            slots[i] = as_complex_matrices(item)
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
-        raw.append(i)
-        dims.add(decs[i].shape[-1])
-        stacks.append(len(decs[i]) if decs[i].ndim == 3 else None)
+        if i < split:
+            raw.append(i)
+        dims.add(slots[i].shape[-1])
+        stacks.append(len(slots[i]) if slots[i].ndim == 3 else None)
     if len(dims) != 1:
         raise ValidationError(f"all matrices must share one dimension, got {dims}")
-    _stack_length(stacks)
+    lengths = set(stacks) - {None}
+    if len(lengths) > 1:
+        raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
     if raw:
         (n,) = dims
         try:
-            fresh = eigendecompose(np.concatenate([decs[i].reshape(-1, n, n) for i in raw]))
+            fresh = eigendecompose(np.concatenate([slots[i].reshape(-1, n, n) for i in raw]))
         except ValidationError:
             for i in raw:  # name the argument, not its index in the stack
-                _check_hermitian(decs[i], what=names[i])
+                _check_hermitian(slots[i], what=names[i])
             raise
         lo = 0
         for i in raw:
             count = stacks[i]
-            decs[i] = fresh[lo] if count is None else fresh[lo : lo + count]
+            slots[i] = fresh[lo] if count is None else fresh[lo : lo + count]
             lo += 1 if count is None else count
-    return decs
+    return tuple(slots[:split]), tuple(slots[split:]), (lengths.pop() if lengths else None)
 
 
 def _joined(decs, count):
@@ -173,20 +180,17 @@ class MoiRequest:
     tol: float = 1e-9
 
     def __post_init__(self):
-        decs = tuple(_as_decomposition(d) for d in self.decompositions)
-        perts = tuple(as_complex_matrices(v) for v in self.perturbations)
-        if len(decs) != len(perts) + 1:
+        m = len(self.perturbations)
+        if len(self.decompositions) != m + 1:
             raise ValidationError(
-                f"{len(perts)} perturbations need {len(perts) + 1} decompositions, "
-                f"got {len(decs)}"
+                f"{m} perturbations need {m + 1} decompositions, "
+                f"got {len(self.decompositions)}"
             )
-        m = len(perts)
         if not 1 <= m <= MAX_ORDER:
             raise ValidationError(f"operator integral order {m} outside 1..{MAX_ORDER}")
-        dims = {d.dim for d in decs} | {v.shape[-1] for v in perts}
-        if len(dims) != 1:
-            raise ValidationError(f"all matrices must share one dimension, got {dims}")
-        _stack_length([d.stack for d in decs] + [len(v) if v.ndim == 3 else None for v in perts])
+        names = [f"decomposition {j}" for j in range(m + 1)]
+        names += [f"perturbation {j}" for j in range(m)]
+        decs, perts, _ = _prepared_slots(self.decompositions, self.perturbations, names)
         object.__setattr__(self, "decompositions", decs)
         object.__setattr__(self, "perturbations", perts)
         object.__setattr__(self, "tol", float(self.tol))
@@ -427,8 +431,7 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
-    tail = tuple(tail)
-    perts = tuple(as_complex_matrices(v) for v in perturbations)
+    tail, perts = tuple(tail), tuple(perturbations)
     if len(tail) != phi_spec.m or len(perts) != phi_spec.m:
         raise ValidationError(
             f"momentum of order {phi_spec.m} needs {phi_spec.m} trailing "
@@ -441,10 +444,8 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
         )
 
     names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
-    da, db, *tail = _decomposed_slots((a, b) + tail, names)
-    stack = _stack_length(
-        [d.stack for d in (da, db, *tail)] + [len(v) if v.ndim == 3 else None for v in perts]
-    )
+    names += tuple(f"perturbation {j}" for j in range(len(perts)))
+    (da, db, *tail), perts, stack = _prepared_slots((a, b) + tail, perts, names)
     half = stack or 1
 
     def twice(x):

@@ -38,7 +38,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import map_distinct_rows
+from .util import check_within, map_distinct_rows
 
 
 def _normalize_terms(m, q_terms):
@@ -125,14 +125,6 @@ class MomentumSpec:
         return out
 
 
-def _check_hull(kernel, x):
-    lo, hi = kernel.domain
-    if x.size and (x.min() < lo - 1e-12 or x.max() > hi + 1e-12):
-        raise ValidationError(
-            f"arguments [{x.min():.6g}, {x.max():.6g}] leave the kernel domain [{lo}, {hi}]"
-        )
-
-
 def _piece_value(spec, piece, x, q):
     """One sub-simplex contribution at per-axis order q."""
     kernel = spec.kernel
@@ -209,8 +201,10 @@ def momentum_quadrature(spec, x, tol=1e-9):
         raise ValidationError(
             f"momentum of order {spec.m} takes {spec.m + 1} arguments, got {x.shape}"
         )
-    _check_hull(spec.kernel, rows)
+    check_within(rows, spec.kernel.domain, "arguments")
     tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
 
     plain = _plain_rows(spec.kernel, rows)
     pieces = {

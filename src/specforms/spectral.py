@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import adjoint, as_complex_matrices
+from .util import adjoint, as_complex_matrices, check_within
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -269,19 +269,10 @@ def schatten_norm(a, p):
     return np.array([_lp_of_singular_values(row, p) for row in s])
 
 
-def _check_domain(model, values):
-    lo, hi = model.domain
-    v = np.asarray(values, dtype=float)
-    if v.size and (v.min() < lo - 1e-12 or v.max() > hi + 1e-12):
-        raise ValidationError(
-            f"values [{v.min():.6g}, {v.max():.6g}] leave the model domain [{lo}, {hi}]"
-        )
-
-
 def apply_scalar_function(model, decomp):
     """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
     a stacked decomposition)."""
     lam = decomp.eigenvalues
-    _check_domain(model, lam)
+    check_within(lam, model.domain, "values")
     out = decomp.compose(model.eval(lam))
     return HermitianMatrix((out + adjoint(out)) / 2.0)

@@ -51,6 +51,25 @@ def real_value(t):
     return float(t.real) if t.ndim == 0 else t.real
 
 
+def check_within(values, bounds, what):
+    """Raise ValidationError unless every value lies in the closed interval
+    bounds = (lo, hi), with 1e-12 slack; a NaN value fails. `what` is the
+    noun phrase the message names the values by."""
+    lo, hi = bounds
+    v = np.asarray(values, dtype=float)
+    if v.size and not (v.min() >= lo - 1e-12 and v.max() <= hi + 1e-12):
+        raise ValidationError(
+            f"{what} [{v.min():.6g}, {v.max():.6g}] outside the domain [{lo}, {hi}]"
+        )
+
+
+def lp_norms(spectra, p):
+    """The l^p norm of each row of a stack of spectra (R, n). The final
+    power is a Python-float pow per row: the array power differs from it in
+    the last bit."""
+    return np.array([float(np.sum(np.abs(row) ** p)) ** (1.0 / p) for row in spectra])
+
+
 def map_distinct_rows(fn, rows):
     """fn applied to the stack of distinct rows of `rows` (R, n) in one call.
 
@@ -77,8 +96,8 @@ def fit_loglog_slope(x, y):
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise ValidationError("slope fit needs at least two points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValidationError("slope fit needs positive data")
+    if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
+        raise ValidationError("slope fit needs finite positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 

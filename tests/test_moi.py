@@ -318,6 +318,42 @@ def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch)
     assert len(eig) == 2 and len(exact) == 6
 
 
+def test_request_decomposes_its_raw_slots_in_one_call(monkeypatch):
+    rng = np.random.default_rng(61)
+    a, b, c = (random_hermitian(rng, 4, scale=0.5) for _ in range(3))
+    points = np.stack([random_hermitian(rng, 4, scale=0.5) for _ in range(3)])
+    perts = (random_hermitian(rng, 4), np.stack([random_hermitian(rng, 4) for _ in range(3)]))
+    sym = DividedDifference(PowerAbs(3.5), 2)
+    per_slot = MoiRequest(
+        (eigendecompose(a), eigendecompose(points), eigendecompose(c)), perts, sym
+    )
+    reused = eigendecompose(b)
+    eig = count_calls(monkeypatch, moi, "eigendecompose")
+    raw = MoiRequest((a, points, c), perts, sym)
+    assert len(eig) == 1 and eig[0][0].shape == (5, 4, 4)
+    mixed = MoiRequest((a, reused, points), perts, sym)
+    assert len(eig) == 2 and eig[1][0].shape == (4, 4, 4)
+    assert mixed.decompositions[1] is reused
+    for got, want in zip(raw.decompositions, per_slot.decompositions):
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert np.array_equal(moi_exact(raw), moi_exact(per_slot))
+
+
+def test_request_errors_name_the_slot():
+    rng = np.random.default_rng(67)
+    h, v = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    skew = h.copy()
+    skew[0, 1] += 1e-6
+    sym = DividedDifference(PowerAbs(2.5), 1)
+    with pytest.raises(ValidationError, match="^decomposition 1 is not Hermitian"):
+        MoiRequest((h, skew), (v,), sym)
+    with pytest.raises(ValidationError, match="^perturbation 0: expected a square matrix"):
+        MoiRequest((h, h), (np.ones((3, 2)),), sym)
+    with pytest.raises(ValidationError, match="all matrices must share one dimension"):
+        MoiRequest((h, h), (np.eye(4),), sym)
+
+
 def test_perturbation_identity_errors_name_the_argument():
     rng = np.random.default_rng(47)
     spec1 = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
