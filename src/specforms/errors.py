@@ -10,11 +10,16 @@ class UnsupportedConfigError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance.
+    """Adaptive quadrature could not cut, integrate or converge on a row.
 
-    When the ladder runs out, `nodes`, `order`, `level` and `change` are
-    the failing row, the momentum order, the last per-axis order tried
-    and the last change between levels (None for geometry failures).
+    Raised inside momentum_quadrature, the error names its row: `nodes`,
+    `order` and `level` are the failing row, the momentum order and the
+    per-axis order being tried. `change` is the last change between
+    levels when the ladder runs out, and None for the other failures: a
+    kink or grading cut that lost volume (at the first level, where the
+    pieces are cut), a face the kernel is not integrable against, or a
+    kernel singular on a whole piece. Raised by the simplex geometry on
+    its own, all four are None.
     """
 
     def __init__(self, message, nodes=None, order=None, level=None, change=None):

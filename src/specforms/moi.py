@@ -24,8 +24,8 @@ one call then evaluates the S integrals. The symbol tensor carries a
 leading stack axis when some decomposition is a stack, its entry
 (b, i_0, ..., i_m) reading row b of every stacked eigenvalue set.
 
-The slots of a request, of perturbation_identity and of
-forms.holder_difference_norms are prepared in one place
+The slots of a request, of moi_separable, of perturbation_identity and
+of forms.holder_difference_norms are prepared in one place
 (_prepared_slots): one dimension and one stack length are checked before
 anything is decomposed, and the raw matrices among the decomposition
 slots go through one eigendecompose call, a decomposition being reused.
@@ -47,7 +47,6 @@ from .spectral import SpectralDecomposition, _check_hermitian, _checked, eigende
 from .util import (
     adjoint,
     as_complex_matrices,
-    as_complex_matrix,
     frobenius,
     map_distinct_rows,
 )
@@ -78,10 +77,10 @@ def _prepared_slots(items, perturbations, names):
     member of a stack by its index.
     """
     split = len(items)
-    slots, raw, dims, stacks = list(items) + list(perturbations), [], set(), []
+    slots, raw, dims, stacks = list(items) + list(perturbations), [], [], []
     for i, (name, item) in enumerate(zip(names, slots, strict=True)):
         if isinstance(item, SpectralDecomposition) and i < split:
-            dims.add(item.dim)
+            dims.append(item.dim)
             stacks.append(item.stack)
             continue
         try:
@@ -90,15 +89,19 @@ def _prepared_slots(items, perturbations, names):
             raise ValidationError(f"{name}: {exc}") from exc
         if i < split:
             raw.append(i)
-        dims.add(slots[i].shape[-1])
+        dims.append(slots[i].shape[-1])
         stacks.append(len(slots[i]) if slots[i].ndim == 3 else None)
-    if len(dims) != 1:
-        raise ValidationError(f"all matrices must share one dimension, got {dims}")
+    if len(set(dims)) > 1:
+        odd = next(i for i, n in enumerate(dims) if n != dims[0])
+        raise ValidationError(
+            f"all matrices must share one dimension, got {set(dims)}: "
+            f"{names[odd]} has {dims[odd]}, {names[0]} has {dims[0]}"
+        )
     lengths = set(stacks) - {None}
     if len(lengths) > 1:
         raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
     if raw:
-        (n,) = dims
+        n = dims[0]
         try:
             fresh = eigendecompose(np.concatenate([slots[i].reshape(-1, n, n) for i in raw]))
         except ValidationError:
@@ -341,16 +344,20 @@ def moi_separable(symbol, decompositions, perturbations):
 
     sum_t w_t a_0(H_0) V_1 a_1(H_1) ... V_m a_m(H_m), each factor applied
     spectrally. Cross-validates the tensor path without any quadrature.
+    The slots are prepared as a request's are, so any of them may be a
+    stack of one common length and an error names its slot.
     """
     if not isinstance(symbol, SeparableSymbol):
         raise ValidationError("moi_separable needs a SeparableSymbol")
-    decs = [_as_decomposition(d) for d in decompositions]
-    perts = [as_complex_matrix(v) for v in perturbations]
-    if len(decs) != symbol.order + 1 or len(perts) != symbol.order:
+    decompositions, perturbations = tuple(decompositions), tuple(perturbations)
+    if len(decompositions) != symbol.order + 1 or len(perturbations) != symbol.order:
         raise ValidationError(
             f"separable symbol of order {symbol.order} needs "
             f"{symbol.order + 1} decompositions and {symbol.order} perturbations"
         )
+    names = [f"decomposition {j}" for j in range(len(decompositions))]
+    names += [f"perturbation {j}" for j in range(len(perturbations))]
+    decs, perts, _ = _prepared_slots(decompositions, perturbations, names)
     total = None
     for w, fns in symbol.terms:
         factor = _spectral_apply(fns[0], decs[0])

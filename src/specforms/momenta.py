@@ -16,8 +16,14 @@ Quadrature takes one row of arguments or a stack of rows (R, m+1). A row
 whose integrand needs no kink split and no grading covers R_m with one
 piece, and all such rows of a stack share one product rule per ladder
 level: one kernel call on their (R, N) argument array. The other rows
-sum over their own pieces. Every row leaves the ladder on its own test
-and keeps the bits of its one-row call.
+are cut into kink and grading pieces once, and the pieces are grouped by
+the rule they take (simplex.group_pieces): plain pieces, join-rule
+pieces by kink-face and opposite-face sizes, and pieces on which the
+argument vanishes. At each level every group of the rows still on the
+ladder builds its rule once and takes its kernel in one call per
+bounded chunk; a row's value is the sum of its pieces' values in order.
+Every row leaves the ladder on its own test and keeps the bits of its
+one-row call.
 """
 
 import math
@@ -34,11 +40,16 @@ from .simplex import (
     ORDER_LADDER,
     _simplex_vertices,
     graded_pieces,
+    group_pieces,
     join_rule,
     split_by_kink,
     subsimplex_rule,
 )
 from .util import check_within, map_distinct_rows
+
+# Nodes per stacked kernel call of a piece group: the graded pieces of one
+# row reach about a million nodes at q = 11, which are never held at once.
+CHUNK_NODES = 1 << 14
 
 
 def _normalize_terms(m, q_terms):
@@ -110,43 +121,20 @@ class MomentumSpec:
         return c
 
     def weight_values(self, points):
-        """Evaluate Q at simplex points of shape (N, m)."""
+        """Evaluate Q at simplex points of shape (..., m)."""
         const = self.constant_weight
         if const is not None:
-            return np.full(points.shape[0], const)
-        sbar = np.hstack([1.0 - points.sum(axis=1, keepdims=True), points])
-        out = np.zeros(points.shape[0])
+            return np.full(points.shape[:-1], const)
+        lead = 1.0 - points.sum(axis=-1, keepdims=True)
+        sbar = np.concatenate([lead, points], axis=-1)
+        out = np.zeros(points.shape[:-1])
         for alpha, coef in self.q_terms:
-            term = np.full(points.shape[0], coef)
+            term = np.full(points.shape[:-1], coef)
             for j, a in enumerate(alpha):
                 if a:
-                    term = term * sbar[:, j] ** a
+                    term = term * sbar[..., j] ** a
             out += term
         return out
-
-
-def _piece_value(spec, piece, x, q):
-    """One sub-simplex contribution at per-axis order q."""
-    kernel = spec.kernel
-    if piece.sign == 0 and kernel.singular_at_zero:
-        # The affine argument vanishes identically on this piece.
-        h0 = kernel.eval(0.0)
-        if not np.isfinite(h0):
-            raise QuadratureError(
-                "kernel is singular on the whole simplex (all arguments zero)"
-            )
-        points, weights = subsimplex_rule(piece.verts, q)
-        return float(weights @ (h0 * spec.weight_values(points)))
-    if kernel.singular_at_zero and piece.touches_kink:
-        coef, beta, parity = kernel.power_form
-        points, weights, lhat = join_rule(piece, q, beta)
-        smooth = coef * np.abs(lhat) ** beta
-        if parity:
-            smooth = smooth * np.sign(lhat)
-        return float(weights @ (smooth * spec.weight_values(points)))
-    points, weights = subsimplex_rule(piece.verts, q)
-    arg = x[0] + points @ (x[1:] - x[0])
-    return float(weights @ (kernel.eval(arg) * spec.weight_values(points)))
 
 
 def _plain_rows(kernel, rows):
@@ -185,15 +173,77 @@ def _plain_values(spec, rows, q):
     return [float(weights @ row) for row in vals]
 
 
+def _row_failure(message, row, order, level):
+    """A QuadratureError that names the row it was raised on."""
+    return QuadratureError(
+        f"momentum quadrature of order {order} at nodes {row.tolist()}: {message}",
+        nodes=row.copy(),
+        order=order,
+        level=level,
+    )
+
+
+def _piece_values(spec, groups, rows, owner, todo, q):
+    """Level-q value of each piece of the rows todo, by its place in the
+    piece list; owner[k] is the row of piece k.
+
+    Each group builds its rule once and takes its kernel in one call per
+    chunk of at most CHUNK_NODES nodes; each piece's value is still its
+    own dot product with its weights.
+    """
+    kernel, const = spec.kernel, spec.constant_weight
+    active = np.zeros(rows.shape[0], dtype=bool)
+    active[todo] = True
+    values = np.empty(owner.size)
+    size = max(1, CHUNK_NODES // q**spec.m)
+    for group in groups:
+        group = group[active[owner[group.index]]]
+        for lo in range(0, group.index.size, size):
+            part = group[lo : lo + size]
+            x = rows[owner[part.index]]
+            if group.f < 0:  # clear of the kink: the kernel itself
+                points, weights = subsimplex_rule(part.verts, q, part.det)
+                arg = np.matmul(points, (x[:, 1:] - x[:, :1])[:, :, None])[..., 0]
+                arg += x[:, :1]
+                vals = kernel.eval(arg)
+            elif group.g < 0:  # the argument vanishes on the whole piece
+                points, weights = subsimplex_rule(part.verts, q, part.det)
+                h0 = kernel.eval(0.0)
+                if not np.isfinite(h0):
+                    raise _row_failure(
+                        "kernel is singular on the whole simplex (all arguments zero)",
+                        x[0],
+                        spec.m,
+                        q,
+                    )
+                vals = np.full(weights.shape, h0)
+            else:  # join rule: the power form on the opposite face
+                coef, beta, parity = kernel.power_form
+                try:
+                    points, weights, lhat = join_rule(part, q, beta, const is None)
+                except QuadratureError as exc:
+                    raise _row_failure(exc, x[0], spec.m, q) from exc
+                smooth = coef * np.abs(lhat) ** beta
+                if parity:
+                    smooth = smooth * np.sign(lhat)
+                vals = np.tile(smooth, weights.shape[1] // smooth.shape[1])
+            vals = vals * (const if const is not None else spec.weight_values(points))
+            values[part.index] = [float(w @ v) for w, v in zip(weights, vals)]
+    return values
+
+
 def momentum_quadrature(spec, x, tol=1e-9):
     """Evaluate the momentum by adaptive simplex quadrature.
 
     x is one row of m+1 arguments, giving a float, or a stack (R, m+1),
     giving R values. Each row escalates the per-axis order until two
     successive levels agree within the absolute tolerance. Plain rows
-    (see _plain_rows) share one rule per ladder level; the others sum
-    over their kink and grading pieces. Raises QuadratureError, naming
-    the row, when the 40-node cap is reached without agreement.
+    (see _plain_rows) share one rule per ladder level. The other rows are
+    cut into kink and grading pieces once; at each level the pieces of
+    the rows still on the ladder are grouped by the rule they take, and a
+    row's value is the sum of its pieces in their order. Raises
+    QuadratureError naming the row when its pieces cannot be cut or
+    integrated, or when the 40-node cap is reached without agreement.
     """
     x = np.asarray(x, dtype=float)
     rows = x.reshape(1, -1) if x.ndim == 1 else x
@@ -207,10 +257,17 @@ def momentum_quadrature(spec, x, tol=1e-9):
         raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
 
     plain = _plain_rows(spec.kernel, rows)
-    pieces = {
-        i: [sub for piece in split_by_kink(rows[i]) for sub in graded_pieces(piece)]
-        for i in np.flatnonzero(~plain).tolist()
-    }
+    pieces, owner, spans = [], [], {}
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            cut = [sub for piece in split_by_kink(rows[i]) for sub in graded_pieces(piece)]
+        except QuadratureError as exc:
+            raise _row_failure(exc, rows[i], spec.m, ORDER_LADDER[0]) from exc
+        spans[i] = slice(len(pieces), len(pieces) + len(cut))
+        pieces += cut
+        owner += [i] * len(cut)
+    owner = np.array(owner, dtype=int)
+    groups = group_pieces(pieces)
     values = np.empty(rows.shape[0])
     todo = np.arange(rows.shape[0])
     previous = None
@@ -220,9 +277,10 @@ def momentum_quadrature(spec, x, tol=1e-9):
         shared = plain[todo]
         if shared.any():
             current[shared] = _plain_values(spec, rows[todo[shared]], q)
-        for j in np.flatnonzero(~shared).tolist():
-            i = int(todo[j])
-            current[j] = sum(_piece_value(spec, piece, rows[i], q) for piece in pieces[i])
+        if not shared.all():
+            piece_values = _piece_values(spec, groups, rows, owner, todo, q)
+            for j in np.flatnonzero(~shared).tolist():
+                current[j] = sum(piece_values[spans[int(todo[j])]].tolist())
         if previous is not None:
             change = np.abs(current - previous)
             done = change <= np.maximum(tol, 1e-14 * (1.0 + np.abs(current)))

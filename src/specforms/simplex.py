@@ -13,9 +13,11 @@ that touch the kink get a radial Gauss-Jacobi rule whose weight absorbs
 an algebraic |argument|^beta factor exactly; everything else uses plain
 Gauss nodes.
 
-This module holds the geometry and the rules only. The one quadrature
-engine built on them is momenta.momentum_quadrature, which escalates the
-per-axis order along ORDER_LADDER.
+This module holds the geometry and the rules only. Pieces carry their
+|det|, group_pieces stacks them by the rule they take, and both rules
+map onto a whole stack at once. The one quadrature engine built on them
+is momenta.momentum_quadrature, which escalates the per-axis order along
+ORDER_LADDER.
 """
 
 import itertools
@@ -83,12 +85,13 @@ class Piece:
     verts: (m+1, m) vertex coordinates, ell: value of the affine argument
     at each vertex (exact zeros mark the kink face), sign: side of the
     kink this piece lies on (+1, -1, or 0 when the argument vanishes
-    identically).
+    identically), det: |det| of the edges verts[1:] - verts[0].
     """
 
     verts: np.ndarray
     ell: np.ndarray
     sign: int
+    det: float
 
     @property
     def dim(self):
@@ -96,17 +99,11 @@ class Piece:
 
     @property
     def volume(self):
-        d = self.dim
-        det = np.linalg.det(self.verts[1:] - self.verts[0]) if d else 1.0
-        return abs(det) / _factorial(d)
+        return self.det / _factorial(self.dim)
 
     @property
     def zero_mask(self):
         return self.ell == 0.0
-
-    @property
-    def touches_kink(self):
-        return bool(np.any(self.zero_mask))
 
 
 def _factorial(n):
@@ -117,15 +114,40 @@ def _simplex_vertices(m):
     return np.vstack([np.zeros((1, m)), np.eye(m)])
 
 
+def _pieces(verts, ell, sign):
+    """Pieces of one sign from a stack of simplices (K, m+1, m) and their
+    argument values (K, m+1), each with its |det|."""
+    dets = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
+    return [Piece(v, e, sign, d) for v, e, d in zip(verts, ell, dets.tolist())]
+
+
 @lru_cache(maxsize=None)
-def _staircases(rows, cols):
-    """Monotone lattice paths from (0, 0) to (rows-1, cols-1), as index arrays."""
-    steps = rows + cols - 2
-    paths = []
-    for down in itertools.combinations(range(steps), rows - 1):
-        i = np.cumsum([0] + [step in down for step in range(steps)])
-        paths.append((i, np.arange(steps + 1) - i))
-    return tuple(paths)
+def _staircases(ns, nz, no):
+    """Vertex indices (paths, m+1) of the staircase simplices of both sides.
+
+    The indices point into the table [S, Z, O, cut points] of _cut, the
+    cut point on the edge S[i]-O[k] being row m+1 + i*no + k. On the side
+    of S, grid point (i, 0) is S[i] and (i, j) the cut point on the edge
+    S[i]-O[j-1]; each monotone lattice path from (0, 0) to (ns-1, no),
+    joined with Z, is one simplex. The side of O swaps S and O.
+    """
+    cuts = ns + nz + no + np.arange(ns * no).reshape(ns, no)
+    zero = np.arange(ns, ns + nz)
+    sides = []
+    for grid in (
+        np.column_stack([np.arange(ns), cuts]),
+        np.column_stack([ns + nz + np.arange(no), cuts.T]),
+    ):
+        rows, cols = grid.shape
+        steps = rows + cols - 2
+        paths = []
+        for down in itertools.combinations(range(steps), rows - 1):
+            i = np.cumsum([0] + [step in down for step in range(steps)])
+            paths.append(np.concatenate([grid[i, np.arange(steps + 1) - i], zero]))
+        paths = np.array(paths)
+        paths.setflags(write=False)
+        sides.append(paths)
+    return tuple(sides)
 
 
 def _cut(verts, d, vals, level):
@@ -134,36 +156,25 @@ def _cut(verts, d, vals, level):
     verts holds the vertices, d the signed affine values that define the
     cut, vals the kink argument at each vertex; cut points take the
     argument value level. With S the vertices where d > 0, O those where
-    d < 0 and Z those where d = 0, grid point (i, 0) is S[i] and (i, j) the
-    cut point on the edge S[i]-O[j-1]. Each monotone lattice path through
-    the grid, joined with Z, is one simplex of the staircase triangulation
-    of the side of S, which is combinatorially a product of two simplices;
-    the side of O is built the same way with S and O swapped. Returns two
-    lists of (vertices, values) pairs.
+    d < 0 and Z those where d = 0, each side is covered by its staircase
+    triangulation (see _staircases), which is combinatorially a product of
+    two simplices joined with Z. Returns one (vertices (K, m+1, m), values
+    (K, m+1)) pair per side.
 
-    S and O are taken by decreasing |vals|. Only one path passes through
-    the grid point (i, 0) of the last row, so the vertex nearest the kink
-    on each side lies in a single piece, and grading refines that piece
-    alone.
+    S, Z and O are each taken by decreasing |vals|. Only one path passes
+    through the grid point (i, 0) of the last row, so the vertex nearest
+    the kink on each side lies in a single piece, and grading refines that
+    piece alone.
     """
-    order = np.argsort(-np.abs(vals), kind="stable")
+    order = np.lexsort((-np.abs(vals), np.sign(-d)))
     verts, d, vals = verts[order], d[order], vals[order]
-    s, o, z = d > 0, d < 0, d == 0
-    t = (d[s][:, None] / (d[s][:, None] - d[o]))[..., None]
-    cut = verts[s][:, None] + t * (verts[o] - verts[s][:, None])
-    sides = []
-    for near, grid in ((s, cut), (o, cut.transpose(1, 0, 2))):
-        pts = np.concatenate([verts[near][:, None], grid], axis=1)
-        ell = np.concatenate(
-            [vals[near][:, None], np.full(grid.shape[:2], float(level))], axis=1
-        )
-        sides.append(
-            [
-                (np.vstack([pts[i, j], verts[z]]), np.concatenate([ell[i, j], vals[z]]))
-                for i, j in _staircases(*ell.shape)
-            ]
-        )
-    return sides
+    ns, no = int((d > 0).sum()), int((d < 0).sum())
+    ds, do = d[:ns, None], d[d.size - no :]
+    vs, vo = verts[:ns, None], verts[d.size - no :]
+    cut = vs + (ds / (ds - do))[..., None] * (vo - vs)
+    table = np.concatenate([verts, cut.reshape(-1, verts.shape[1])])
+    ell = np.concatenate([vals, np.full(ns * no, float(level))])
+    return [(table[index], ell[index]) for index in _staircases(ns, d.size - ns - no, no)]
 
 
 def split_by_kink(x):
@@ -184,11 +195,10 @@ def split_by_kink(x):
 
     pos, neg = np.any(ell > 0.0), np.any(ell < 0.0)
     if not (pos and neg):
-        return [Piece(verts=verts, ell=ell, sign=1 if pos else (-1 if neg else 0))]
+        return [Piece(verts=verts, ell=ell, sign=1 if pos else (-1 if neg else 0), det=1.0)]
 
     upper, lower = _cut(verts, ell, ell, 0.0)
-    pieces = [Piece(verts=v, ell=e, sign=1) for v, e in upper]
-    pieces += [Piece(verts=v, ell=e, sign=-1) for v, e in lower]
+    pieces = _pieces(*upper, 1) + _pieces(*lower, -1)
 
     total = sum(p.volume for p in pieces)
     if abs(total - 1.0 / _factorial(m)) > 1e-9:
@@ -217,10 +227,8 @@ def _split_piece_at_level(piece, level, scale):
         # for positive pieces, "below the level" is the near-zero side
         near = below if piece.sign > 0 else above
         return ([piece], []) if near else ([], [piece])
-    upper, lower = (
-        [Piece(verts=v, ell=e, sign=piece.sign) for v, e in side]
-        for side in _cut(piece.verts, d, piece.ell, level)
-    )
+    sides = _cut(piece.verts, d, piece.ell, level)
+    upper, lower = (_pieces(*side, piece.sign) for side in sides)
     total = sum(p.volume for p in upper + lower)
     if abs(total - piece.volume) > 1e-9 * max(1.0, piece.volume):
         raise QuadratureError(
@@ -270,60 +278,122 @@ def graded_pieces(piece):
     return out
 
 
-def subsimplex_rule(verts, q):
-    """Plain product Gauss rule mapped onto one sub-simplex."""
-    m = verts.shape[1]
+@dataclass(frozen=True)
+class PieceGroup:
+    """Pieces that take one rule, stacked with their geometry free of q.
+
+    Each member has f + 1 vertices on the kink face (ell == 0) and g + 1
+    off it, f + g = m - 1: f = -1 for a piece clear of the kink, which
+    takes the plain rule, g = -1 for a piece of sign 0, on which the
+    argument vanishes, and both >= 0 for a piece that takes the join rule.
+    verts (P, m+1, m) lists each member's kink face, then its opposite
+    face, each in the member's own vertex order; gell (P, g+1) holds the
+    argument on the opposite face and det (P,) the |det| of the edges of
+    the member in its own vertex order. index (P,) places the members in
+    the piece list given to group_pieces.
+    """
+
+    f: int
+    g: int
+    index: np.ndarray
+    verts: np.ndarray
+    gell: np.ndarray
+    det: np.ndarray
+
+    def __getitem__(self, keep):
+        """The members selected by a mask, an index array or a slice."""
+        return PieceGroup(
+            self.f, self.g, self.index[keep], self.verts[keep], self.gell[keep], self.det[keep]
+        )
+
+
+def group_pieces(pieces):
+    """Stack pieces by face shape (f, g); one PieceGroup per shape, by key."""
+    keys = np.array([np.count_nonzero(p.zero_mask) - 1 for p in pieces], dtype=int)
+    groups = []
+    for f in sorted(set(keys.tolist())):
+        index = np.flatnonzero(keys == f)
+        verts = np.stack([pieces[k].verts for k in index])
+        ell = np.stack([pieces[k].ell for k in index])
+        zero = ell == 0.0
+        count, m = len(index), verts.shape[-1]
+        g = m - 1 - f
+        faces = (verts[zero].reshape(count, f + 1, m), verts[~zero].reshape(count, g + 1, m))
+        groups.append(
+            PieceGroup(
+                f=f,
+                g=g,
+                index=index,
+                verts=np.concatenate(faces, axis=1),
+                gell=ell[~zero].reshape(count, g + 1),
+                det=np.array([pieces[k].det for k in index]),
+            )
+        )
+    return groups
+
+
+def subsimplex_rule(verts, q, det=None):
+    """Plain product Gauss rule mapped onto a sub-simplex (m+1, m).
+
+    verts may also be a stack (P, m+1, m), giving points (P, N, m) and
+    weights (P, N). det is the |det| of the edges when the caller holds it.
+    """
+    m = verts.shape[-1]
     u, w = corner_rule(m, q)
-    edges = verts[1:] - verts[0]
-    det = abs(np.linalg.det(edges))
-    points = verts[0] + u @ edges
-    return points, w * det
+    edges = verts[..., 1:, :] - verts[..., :1, :]
+    if det is None:
+        det = np.abs(np.linalg.det(edges))
+    points = np.matmul(u, edges)
+    points += verts[..., :1, :]
+    return points, w * np.asarray(det)[..., None]
 
 
-def join_rule(piece, q, beta):
-    """Radial Gauss-Jacobi rule on a sub-simplex touching the kink face.
+@lru_cache(maxsize=None)
+def _join_base(f, g, q, beta):
+    """The member-free part of the join rule: radial nodes, barycentric
+    maps of the two face rules, and the product weights flattened with the
+    radial index slowest and the opposite-face index fastest."""
+    xj, wj = _jacobi01(q, float(f), float(g + beta))
+    lam_coords, lam_w = corner_rule(f, q)
+    mu_coords, mu_w = corner_rule(g, q)
+    weights = (wj[:, None, None] * lam_w[None, :, None] * mu_w[None, None, :]).ravel()
+    out = (xj, _barycentric(lam_coords), _barycentric(mu_coords), weights)
+    for x in out:
+        x.setflags(write=False)
+    return out
 
-    Writes the simplex as the join of its kink face F (where the affine
+
+def join_rule(group, q, beta, with_points):
+    """Radial Gauss-Jacobi rule on each member of a join group.
+
+    Writes a member as the join of its kink face F (where the affine
     argument is exactly zero) and the opposite face G, with radial
     coordinate r measuring the barycentric weight on G. The argument then
     factors exactly as ell = r * lhat(mu) with mu on G, so a Jacobi weight
     r^(g+beta) (1-r)^f integrates |ell|^beta without sampling the
-    singularity. Returns (points, weights, lhat) where the caller still
-    multiplies by the smooth part of the integrand and by |lhat|^beta.
+    singularity. Returns (points, weights, lhat): points (P, N, m), or
+    None without with_points, weights (P, N), and lhat (P, Ng) on the
+    Ng = N / q^(f+1) nodes of G, node k of a member taking lhat[k % Ng].
+    The caller still multiplies by the smooth part of the integrand and
+    by |lhat|^beta.
     """
-    zmask = piece.zero_mask
-    fverts = piece.verts[zmask]
-    gverts = piece.verts[~zmask]
-    gell = piece.ell[~zmask]
-    f = fverts.shape[0] - 1
-    g = gverts.shape[0] - 1
-    if fverts.shape[0] == 0 or gverts.shape[0] == 0:
+    f, g = group.f, group.g
+    if f < 0 or g < 0:
         raise ValidationError("join rule needs both a kink face and an opposite face")
     if g + beta <= -1.0:
         raise QuadratureError(
             f"kernel exponent {beta} is not integrable against this face"
         )
-
-    xj, wj = _jacobi01(q, float(f), float(g + beta))
-    lam_coords, lam_w = corner_rule(f, q)
-    mu_coords, mu_w = corner_rule(g, q)
-    a = _barycentric(lam_coords) @ fverts  # (Nf, m)
-    b = _barycentric(mu_coords) @ gverts  # (Ng, m)
-    lhat = _barycentric(mu_coords) @ gell  # (Ng,)
-
-    r = xj[:, None, None, None]
-    points = (1.0 - r) * a[None, :, None, :] + r * b[None, None, :, :]
-    weights = (
-        wj[:, None, None] * lam_w[None, :, None] * mu_w[None, None, :]
-    )
-    det = abs(np.linalg.det(piece.verts[1:] - piece.verts[0]))
-    m = piece.dim
-    lfull = np.broadcast_to(lhat[None, None, :], weights.shape)
-    return (
-        points.reshape(-1, m),
-        (weights * det).ravel(),
-        lfull.ravel(),
-    )
+    r, lam, mu, weights = _join_base(f, g, q, beta)
+    lhat = np.matmul(mu, group.gell[:, :, None])[..., 0]
+    points = None
+    if with_points:
+        a = np.matmul(lam, group.verts[:, : f + 1])  # (P, Nf, m)
+        b = np.matmul(mu, group.verts[:, f + 1 :])  # (P, Ng, m)
+        r = r[:, None, None, None]
+        points = (1.0 - r) * a[:, None, :, None, :] + r * b[:, None, None, :, :]
+        points = points.reshape(a.shape[0], -1, a.shape[-1])
+    return points, weights * group.det[:, None], lhat
 
 
 @lru_cache(maxsize=None)

@@ -354,6 +354,38 @@ def test_request_errors_name_the_slot():
         MoiRequest((h, h), (np.eye(4),), sym)
 
 
+def test_separable_slots_are_prepared_like_a_request():
+    # moi_separable checks its slots before any product: an error names the
+    # slot, and a stack in any slot gives each member's product bitwise.
+    rng = np.random.default_rng(71)
+    h, g, v = (random_hermitian(rng, 3) for _ in range(3))
+    skew = g.copy()
+    skew[0, 1] += 1e-6
+    one, x = Polynomial((1.0,)), Polynomial((0.0, 1.0))
+    sym = SeparableSymbol(((2.0, (one, x)),))
+    with pytest.raises(
+        ValidationError, match="dimension.*decomposition 1 has 4, decomposition 0 has 3$"
+    ):
+        moi_separable(sym, [np.eye(3), np.eye(4)], [np.eye(3)])
+    with pytest.raises(ValidationError, match="^decomposition 1 is not Hermitian"):
+        moi_separable(sym, (h, skew), (v,))
+    with pytest.raises(ValidationError, match="^perturbation 0: expected a square matrix"):
+        moi_separable(sym, (h, g), (np.ones((3, 2)),))
+    sym = SeparableSymbol(
+        tuple(
+            (w, tuple(Polynomial(tuple(rng.uniform(-1.0, 1.0, 3))) for _ in range(3)))
+            for w in (0.7, -1.3)
+        )
+    )
+    hs = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    vs = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    stacked = moi_separable(sym, (hs, g, eigendecompose(hs)), (vs, v))
+    assert stacked.shape == (4, 3, 3)
+    for b in range(4):
+        want = moi_separable(sym, (hs[b], g, eigendecompose(hs[b])), (vs[b], v))
+        assert stacked[b].tobytes() == want.tobytes()
+
+
 def test_perturbation_identity_errors_name_the_argument():
     rng = np.random.default_rng(47)
     spec1 = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)

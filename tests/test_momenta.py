@@ -11,6 +11,7 @@ from specforms import (
     MomentumSpec,
     Polynomial,
     PowerAbs,
+    PowerKernel,
     QuadratureError,
     UnsupportedConfigError,
     ValidationError,
@@ -18,9 +19,9 @@ from specforms import (
     momentum_eval,
     momentum_perturbation_pair,
 )
-from specforms import momenta
+from specforms import momenta, simplex
 from specforms.momenta import _plain_rows, momentum_quadrature
-from specforms.simplex import _SNAP, graded_pieces, split_by_kink
+from specforms.simplex import ORDER_LADDER, _SNAP, graded_pieces, group_pieces, split_by_kink
 
 QUAD_TOL = 1e-9
 CROSS_TOL = 1e-8
@@ -201,7 +202,8 @@ def stack_specs(m):
 
 
 def mixed_rows(m, rng):
-    """Plain, near-tie, graded and kink-crossing rows of order m."""
+    """Plain, near-tie, graded and kink-crossing rows of order m, and one
+    row graded toward a node within 1e-8 of the kink."""
     rows = []
     for _ in range(6):
         a = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
@@ -211,6 +213,9 @@ def mixed_rows(m, rng):
         rows.append(tied)  # plain near-tie
         rows.append(a * np.append(rng.uniform(0.5, 1.0, m), 0.02))  # graded
         rows.append(rng.uniform(-0.9, 0.9, m + 1) * np.append(np.ones(m), -1.0))  # crossing
+    near = rng.uniform(0.2, 0.9, m + 1) * np.resize([1.0, -1.0], m + 1)
+    near[-1] = 10.0 ** rng.uniform(-9.5, -8.0)
+    rows.append(near)  # graded; crossing, in hundreds of pieces, for m >= 2
     return np.array(rows)
 
 
@@ -234,7 +239,7 @@ def covered_by_one_plain_piece(row):
     """The cover split_by_kink + graded_pieces give is R_m itself, with one
     strict sign (a single piece touching the kink takes the join rule)."""
     pieces = split_by_kink(row)
-    if len(pieces) != 1 or pieces[0].sign == 0 or pieces[0].touches_kink:
+    if len(pieces) != 1 or pieces[0].sign == 0 or pieces[0].zero_mask.any():
         return False
     graded = graded_pieces(pieces[0])
     return len(graded) == 1 and graded[0] is pieces[0]
@@ -315,6 +320,95 @@ def test_tied_rows_keep_their_pinned_bits(m):
     expected = [TIED_HEX[m][key] for key in keys]
     assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
     assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
+
+
+# Rows of order 3 cut into many pieces, at the parent of the grouped piece
+# quadrature, each through its own call at the default tol: the former
+# Qhull row (824 pieces), two rows graded toward a node within 1e-8 of the
+# kink (49 pieces each) and a kink-crossing row with a node 2e-9 from it
+# (804 pieces). The "weighted" spec of stack_specs carries the points of
+# every rule into a non-constant weight.
+MANY_PIECE_ROWS = (
+    (0.03923010488866392, -7.510138023989476e-10, -0.8248415645362699, -0.0049459421552124835),
+    (0.6, 0.3, 0.45, 3e-9),
+    (-0.2, -0.75, -4e-9, -0.5),
+    (-0.5, 0.7, 2e-9, 0.2),
+)
+MANY_PIECE_HEX = {
+    "power": (
+        "-0x1.ba7494ad2f544p-1",
+        "0x1.413cdcb029ddbp+0",
+        "-0x1.4b5243cfffd61p+0",
+        "0x1.afd5bd109cd58p-2",
+    ),
+    "weighted": (
+        "-0x1.c4f563f55f78bp-2",
+        "0x1.4af17607d35b6p-1",
+        "-0x1.56bb9d4704064p-1",
+        "0x1.b75ed6994df58p-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["power", "weighted"])
+def test_many_piece_rows_keep_their_pinned_bits(kind):
+    spec = stack_specs(3)[kind]
+    rows = np.array(MANY_PIECE_ROWS)
+    expected = list(MANY_PIECE_HEX[kind])
+    assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
+    assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
+
+
+def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
+    # Crossing and graded rows cut into hundreds of pieces: at each ladder
+    # level the plain rows take one kernel call and each piece group at
+    # most one (join groups take the power form on their own), so the
+    # count per level is bounded by the number of groups plus one.
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+    rows = np.array(
+        [[-0.5, 0.7, 2e-9], [0.6, 0.3, 4e-9], [0.4, -0.6, 0.8], [0.3, 0.31, 0.32], [-0.45, -3e-9, 0.1]]
+    )
+    cut = rows[~_plain_rows(spec.kernel, rows)]
+    pieces = [sub for row in cut for piece in split_by_kink(row) for sub in graded_pieces(piece)]
+    groups = group_pieces(pieces)
+    assert len(pieces) > 500 and len(groups) == 3
+    per_level = {}
+    evaluate = PowerKernel.eval
+
+    def counted(self, x, order=0):
+        nodes = np.shape(x)[-1]  # q^m nodes per row or piece at level q
+        per_level[nodes] = per_level.get(nodes, 0) + 1
+        return evaluate(self, x, order)
+
+    monkeypatch.setattr(PowerKernel, "eval", counted)
+    momentum_quadrature(spec, rows)
+    assert set(per_level) <= {q**2 for q in ORDER_LADDER} and len(per_level) >= 3
+    assert max(per_level.values()) <= len(groups) + 1
+
+
+def test_geometry_failures_name_their_row(monkeypatch):
+    # A face the kernel is not integrable against, a kernel singular on a
+    # whole piece, and cuts that lose volume (one simplex of every cut
+    # dropped): each error names its row of the stack, at the first level.
+    smooth = [0.3, 0.4, 0.5]
+    singular = MomentumSpec(m=2, kernel=PowerKernel(1.0, -1.5))
+    power = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+    cases = [
+        (singular, [-0.5, 0.3, 0.2], "kernel exponent -1.5 is not integrable"),
+        (singular, [0.0, 0.0, 0.0], "kernel is singular on the whole simplex"),
+        (power, [-0.5, 0.3, 0.2], "kink subdivision lost volume"),
+        (power, [0.6, 0.3, 1e-6], "graded subdivision lost volume"),
+    ]
+    cut = simplex._cut
+    for spec, row, message in cases:
+        if "lost volume" in message:
+            monkeypatch.setattr(simplex, "_cut", lambda *a: [(v[1:], e[1:]) for v, e in cut(*a)])
+        with pytest.raises(QuadratureError, match=message) as info:
+            momentum_quadrature(spec, np.array([smooth, row]))
+        err = info.value
+        assert err.nodes.tolist() == row and err.order == 2
+        assert err.level == ORDER_LADDER[0] and err.change is None
+        assert f"order 2 at nodes {row}" in str(err)
 
 
 def test_quadrature_error_names_its_row(monkeypatch):

@@ -221,7 +221,7 @@ def test_staircase_cut_covers_both_sides(row):
     slack = 1e-14 * np.abs(row).max()
     volume = 0.0
     for side, sign in ((upper, 1.0), (lower, -1.0)):
-        for pts, vals in side:
+        for pts, vals in zip(*side):
             assert pts.shape == (m + 1, m)
             assert np.all(sign * vals >= 0.0)
             ell = row[0] + pts @ (row[1:] - row[0])
@@ -233,7 +233,7 @@ def test_staircase_cut_covers_both_sides(row):
     # s^a integrates to prod(a!) / (|a| + m)! over R_m.
     for a in ((4,) + (0,) * m, (0,) * m + (4,), (2, 1, 1, 0)[: m + 1], (1,) * (m + 1)):
         got = 0.0
-        for pts, _ in upper + lower:
+        for pts in np.concatenate([upper[0], lower[0]]):
             nodes, weights = subsimplex_rule(pts, ORDER_LADDER[0])
             s = np.hstack([1.0 - nodes.sum(axis=1, keepdims=True), nodes])
             got += weights @ np.prod(s ** np.array(a), axis=1)
