@@ -19,15 +19,17 @@ class QuadratureError(RuntimeError):
     kink or grading cut that lost volume (at the first level, where the
     pieces are cut), a face the kernel is not integrable against, or a
     kernel singular on a whole piece. Raised by the simplex geometry on
-    its own, all four are None.
+    its own, a cut that lost volume names its row by `row`, its index in
+    the stack given to simplex.split_by_kink; the other fields are None.
     """
 
-    def __init__(self, message, nodes=None, order=None, level=None, change=None):
+    def __init__(self, message, nodes=None, order=None, level=None, change=None, row=None):
         super().__init__(message)
         self.nodes = nodes
         self.order = order
         self.level = level
         self.change = change
+        self.row = row
 
 
 class EigenSolverError(RuntimeError):

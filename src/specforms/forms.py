@@ -253,13 +253,14 @@ def fd_oracle(h, v, p, k, step=None):
     Richardson extrapolation; returns (value, error_estimate). The
     default step balances truncation against cancellation at order k,
     and the doubled comparison step keeps the fine evaluation out of
-    the roundoff-dominated regime.
+    the roundoff-dominated regime. A non-Hermitian H or V raises
+    ValidationError naming the base or the direction.
     """
     k = int(k)
     if k not in _STENCILS:
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
-    h = as_complex_matrix(h)
-    v = as_complex_matrix(v)
+    h = _check_hermitian(as_complex_matrix(h), "base")
+    v = _check_hermitian(as_complex_matrix(v), "direction")
     model = PowerAbs(p)
 
     if step is None:
@@ -422,7 +423,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     H_0. The t-integral uses Gauss-Legendre nodes with order doubling
     (8 to 64, stop at 1e-8 agreement) unless t_order pins the order.
     Each order is one stacked decomposition of the H_t at its nodes and
-    one stacked operator integral.
+    one stacked operator integral. A non-Hermitian endpoint raises
+    ValidationError naming h0 or h1.
     """
     exponent = SchattenExponent(p)
     if m is None:
@@ -433,8 +435,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     if not m < exponent.p:
         raise ValidationError(f"integral form needs m < p, got m={m}, p={exponent.p}")
 
-    h0 = as_complex_matrix(h0)
-    h1 = as_complex_matrix(h1)
+    h0 = _check_hermitian(as_complex_matrix(h0), "h0")
+    h1 = _check_hermitian(as_complex_matrix(h1), "h1")
     v = h1 - h0
     ends = np.linalg.eigvalsh(np.stack([h0, h1]))
     check_within(ends, WORKING_INTERVAL, "spectra of the segment endpoints")

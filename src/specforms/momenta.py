@@ -12,18 +12,18 @@ f, which is both the bridge to operator integrals and the fast
 evaluation route: such specs remember the antiderivative model and are
 evaluated through the divided-difference table whenever possible.
 
-Quadrature takes one row of arguments or a stack of rows (R, m+1). A row
-whose integrand needs no kink split and no grading covers R_m with one
-piece, and all such rows of a stack share one product rule per ladder
-level: one kernel call on their (R, N) argument array. The other rows
-are cut into kink and grading pieces once, and the pieces are grouped by
-the rule they take (simplex.group_pieces): plain pieces, join-rule
-pieces by kink-face and opposite-face sizes, and pieces on which the
-argument vanishes. At each level every group of the rows still on the
-ladder builds its rule once and takes its kernel in one call per
-bounded chunk; a row's value is the sum of its pieces' values in order.
-Every row leaves the ladder on its own test and keeps the bits of its
-one-row call.
+Quadrature takes one row of arguments or a stack of rows (R, m+1), and
+every row takes the one path. The stack is cut once (simplex.split_by_kink
+and simplex.graded_pieces): a row that needs no kink split and no
+grading, and every row of a kernel without a kink, keeps R_m as its one
+piece with no work of its own, and only the other rows are cut. The
+pieces are grouped by the rule they take (simplex.group_pieces): plain
+pieces, join-rule pieces by kink-face and opposite-face sizes, and pieces
+on which the argument vanishes. At each level every group of the rows
+still on the ladder builds its rule once and takes its kernel in one call
+per chunk of at most CHUNK_NODES nodes; a row's value is the sum of its
+pieces' values in order. Every row leaves the ladder on its own test and
+keeps the bits of its one-row call.
 """
 
 import math
@@ -34,11 +34,7 @@ import numpy as np
 from .errors import QuadratureError, UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .simplex import (
-    _SNAP,
-    GRADE_FACTOR,
-    GRADE_THRESHOLD,
     ORDER_LADDER,
-    _simplex_vertices,
     graded_pieces,
     group_pieces,
     join_rule,
@@ -137,42 +133,6 @@ class MomentumSpec:
         return out
 
 
-def _plain_rows(kernel, rows):
-    """Rows of a stack (R, m+1) whose cover is R_m itself.
-
-    Restates the tests of split_by_kink and graded_pieces: a kinked
-    kernel's row is plain when every node keeps one strict sign after the
-    snap to zero and grading would place no cut. Every row of a kernel
-    without a kink is plain.
-    """
-    if not kernel.singular_at_zero:
-        return np.ones(rows.shape[0], dtype=bool)
-    mag = np.abs(rows)
-    top = mag.max(axis=1)
-    ell = np.where(mag <= (_SNAP * np.maximum(1.0, top))[:, None], 0.0, rows)
-    one_sign = (ell > 0.0).all(axis=1) | (ell < 0.0).all(axis=1)
-    # graded_pieces places no cut; its earlier exit at
-    # delta >= GRADE_THRESHOLD * top implies this test.
-    uncut = mag.min(axis=1) * GRADE_FACTOR >= top * GRADE_THRESHOLD
-    return one_sign & uncut
-
-
-def _plain_values(spec, rows, q):
-    """Level-q values of plain rows (R, m+1), all from one rule on R_m.
-
-    The affine argument is an elementwise sum over the m columns, not a
-    matmul, and each value is its row's own dot product with the weights,
-    so no row's bits depend on the other rows of the stack.
-    """
-    points, weights = subsimplex_rule(_simplex_vertices(spec.m), q)
-    steps = rows[:, 1:] - rows[:, :1]
-    dot = steps[:, :1] * points[:, 0]
-    for j in range(1, spec.m):
-        dot = dot + steps[:, j : j + 1] * points[:, j]
-    vals = spec.kernel.eval(rows[:, :1] + dot) * spec.weight_values(points)
-    return [float(weights @ row) for row in vals]
-
-
 def _row_failure(message, row, order, level):
     """A QuadratureError that names the row it was raised on."""
     return QuadratureError(
@@ -237,8 +197,7 @@ def momentum_quadrature(spec, x, tol=1e-9):
 
     x is one row of m+1 arguments, giving a float, or a stack (R, m+1),
     giving R values. Each row escalates the per-axis order until two
-    successive levels agree within the absolute tolerance. Plain rows
-    (see _plain_rows) share one rule per ladder level. The other rows are
+    successive levels agree within the absolute tolerance. The stack is
     cut into kink and grading pieces once; at each level the pieces of
     the rows still on the ladder are grouped by the rule they take, and a
     row's value is the sum of its pieces in their order. Raises
@@ -256,31 +215,26 @@ def momentum_quadrature(spec, x, tol=1e-9):
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
 
-    plain = _plain_rows(spec.kernel, rows)
-    pieces, owner, spans = [], [], {}
-    for i in np.flatnonzero(~plain).tolist():
-        try:
-            cut = [sub for piece in split_by_kink(rows[i]) for sub in graded_pieces(piece)]
-        except QuadratureError as exc:
-            raise _row_failure(exc, rows[i], spec.m, ORDER_LADDER[0]) from exc
-        spans[i] = slice(len(pieces), len(pieces) + len(cut))
-        pieces += cut
-        owner += [i] * len(cut)
-    owner = np.array(owner, dtype=int)
+    # A kernel without a kink takes R_m whole for every row, as for an
+    # argument that stays at 1, clear of any kink.
+    kink = rows if spec.kernel.singular_at_zero else np.ones_like(rows)
+    try:
+        pieces = graded_pieces(split_by_kink(kink))
+    except QuadratureError as exc:
+        raise _row_failure(exc, rows[exc.row], spec.m, ORDER_LADDER[0]) from exc
     groups = group_pieces(pieces)
+    # the pieces of row i are pieces[bounds[i] : bounds[i + 1]]
+    bounds = np.searchsorted(pieces.row, np.arange(rows.shape[0] + 1))
     values = np.empty(rows.shape[0])
     todo = np.arange(rows.shape[0])
     previous = None
     change = np.full(todo.size, math.inf)
     for q in ORDER_LADDER:
-        current = np.empty(todo.size)
-        shared = plain[todo]
-        if shared.any():
-            current[shared] = _plain_values(spec, rows[todo[shared]], q)
-        if not shared.all():
-            piece_values = _piece_values(spec, groups, rows, owner, todo, q)
-            for j in np.flatnonzero(~shared).tolist():
-                current[j] = sum(piece_values[spans[int(todo[j])]].tolist())
+        piece_values = _piece_values(spec, groups, rows, pieces.row, todo, q)
+        lo, hi = bounds[todo], bounds[todo + 1]
+        current = piece_values[lo]
+        for j in np.flatnonzero(hi - lo > 1).tolist():
+            current[j] = sum(piece_values[lo[j] : hi[j]].tolist())
         if previous is not None:
             change = np.abs(current - previous)
             done = change <= np.maximum(tol, 1e-14 * (1.0 + np.abs(current)))

@@ -13,16 +13,20 @@ that touch the kink get a radial Gauss-Jacobi rule whose weight absorbs
 an algebraic |argument|^beta factor exactly; everything else uses plain
 Gauss nodes.
 
-This module holds the geometry and the rules only. Pieces carry their
-|det|, group_pieces stacks them by the rule they take, and both rules
-map onto a whole stack at once. The one quadrature engine built on them
-is momenta.momentum_quadrature, which escalates the per-axis order along
+This module holds the geometry and the rules only. split_by_kink and
+graded_pieces cover every row of a stack at once: one snap and one sign
+test pick the rows to cut, one grading test the pieces to grade, and the
+other rows keep R_m as their one piece with no work of their own. The
+pieces form one stacked record (Pieces) carrying their |det| and their
+row, group_pieces stacks them by the rule they take, and both rules map
+onto a whole stack at once. The one quadrature engine built on them is
+momenta.momentum_quadrature, which escalates the per-axis order along
 ORDER_LADDER.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -79,46 +83,75 @@ def _barycentric(coords):
 
 
 @dataclass(frozen=True)
-class Piece:
-    """A sub-simplex of R_m with affine values of the kink argument.
+class Pieces:
+    """Sub-simplices of R_m, stacked, with affine values of the kink argument.
 
-    verts: (m+1, m) vertex coordinates, ell: value of the affine argument
-    at each vertex (exact zeros mark the kink face), sign: side of the
-    kink this piece lies on (+1, -1, or 0 when the argument vanishes
-    identically), det: |det| of the edges verts[1:] - verts[0].
+    verts (P, m+1, m) holds the vertex coordinates, ell (P, m+1) the
+    argument at each vertex (exact zeros mark the kink face), sign (P,)
+    the side of the kink each piece lies on (+1, -1, or 0 where the
+    argument vanishes identically), det (P,) the |det| of the edges
+    verts[1:] - verts[0], and row (P,) the row of the stack given to
+    split_by_kink that the piece covers. The pieces of a row are
+    contiguous and in the order of their cuts.
     """
 
     verts: np.ndarray
     ell: np.ndarray
-    sign: int
-    det: float
+    sign: np.ndarray
+    det: np.ndarray
+    row: np.ndarray
 
-    @property
-    def dim(self):
-        return self.verts.shape[1]
+    def __len__(self):
+        return self.row.size
 
-    @property
-    def volume(self):
-        return self.det / _factorial(self.dim)
-
-    @property
-    def zero_mask(self):
-        return self.ell == 0.0
+    def __getitem__(self, keep):
+        """The pieces selected by a mask, an index array or a slice."""
+        return Pieces(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
 def _factorial(n):
     return float(math.factorial(n))
 
 
+@lru_cache(maxsize=None)
 def _simplex_vertices(m):
-    return np.vstack([np.zeros((1, m)), np.eye(m)])
+    verts = np.vstack([np.zeros((1, m)), np.eye(m)])
+    verts.setflags(write=False)
+    return verts
 
 
-def _pieces(verts, ell, sign):
-    """Pieces of one sign from a stack of simplices (K, m+1, m) and their
-    argument values (K, m+1), each with its |det|."""
-    dets = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    return [Piece(v, e, sign, d) for v, e, d in zip(verts, ell, dets.tolist())]
+def _replaced(pieces, index, parts):
+    """pieces with each pieces[index[j]] replaced in place by the stack
+    parts[j]."""
+    if not index:
+        return pieces
+    keep = np.ones(len(pieces), dtype=bool)
+    keep[index] = False
+    stacks = [pieces[keep], *parts]
+    place = [np.flatnonzero(keep)] + [np.full(len(p), k) for k, p in zip(index, parts)]
+    order = np.argsort(np.concatenate(place), kind="stable")
+    return Pieces(
+        *(np.concatenate([getattr(s, f.name) for s in stacks])[order] for f in fields(Pieces))
+    )
+
+
+def _sides(verts, d, vals, level):
+    """The sides of _cut as lists of pieces (vertices, values, |det|), one
+    det call per side, and their volume as the Python sum of det / m!."""
+    sides = []
+    for v, e in _cut(verts, d, vals, level):
+        sides.append(list(zip(v, e, np.abs(np.linalg.det(v[:, 1:] - v[:, :1])))))
+    volume = sum(det / _factorial(verts.shape[-1]) for side in sides for _, _, det in side)
+    return sides, volume
+
+
+def _stack(parts, sign, row):
+    """Pieces of one row from a list of (vertices, values, |det|) and the
+    sign of each."""
+    verts, ell, det = zip(*parts)
+    return Pieces(
+        np.stack(verts), np.stack(ell), np.array(sign), np.array(det), np.full(len(det), row)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -177,36 +210,44 @@ def _cut(verts, d, vals, level):
     return [(table[index], ell[index]) for index in _staircases(ns, d.size - ns - no, no)]
 
 
-def split_by_kink(x):
-    """Cover R_m by sub-simplices compatible with the kink of s -> h(ell(s)).
+def split_by_kink(rows):
+    """Cover R_m, for each row of a stack (R, m+1), by sub-simplices
+    compatible with the kink of s -> h(ell(s)).
 
-    x holds the m+1 vertex values of the affine argument (x_j at vertex j).
-    Without a sign change the cover is R_m itself; otherwise R_m is cut
-    along {ell = 0} and both sides are triangulated. Vertex values within
-    a snap tolerance of zero are treated as exactly zero.
+    A row holds the m+1 vertex values of the affine argument (x_j at
+    vertex j); values within a snap tolerance of zero are treated as
+    exactly zero. The snap and the sign test run once over the stack: a
+    row without a sign change is covered by R_m itself, with no work of
+    its own, and only a row that changes sign is cut along {ell = 0},
+    both sides being triangulated. A cut that loses volume raises
+    QuadratureError with the index of its row.
     """
-    x = np.asarray(x, dtype=float)
-    m = x.size - 1
-    if m < 1:
-        raise ValidationError("need at least two vertex values")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValidationError(f"need rows of at least two vertex values, got shape {rows.shape}")
+    count, m = rows.shape[0], rows.shape[1] - 1
+    mag = np.abs(rows)
+    ell = np.where(mag <= (_SNAP * np.maximum(1.0, mag.max(axis=1)))[:, None], 0.0, rows)
+    pos, neg = (ell > 0.0).any(axis=1), (ell < 0.0).any(axis=1)
     verts = _simplex_vertices(m)
-    snap = _SNAP * max(1.0, float(np.max(np.abs(x))))
-    ell = np.where(np.abs(x) <= snap, 0.0, x)
-
-    pos, neg = np.any(ell > 0.0), np.any(ell < 0.0)
-    if not (pos and neg):
-        return [Piece(verts=verts, ell=ell, sign=1 if pos else (-1 if neg else 0), det=1.0)]
-
-    upper, lower = _cut(verts, ell, ell, 0.0)
-    pieces = _pieces(*upper, 1) + _pieces(*lower, -1)
-
-    total = sum(p.volume for p in pieces)
-    if abs(total - 1.0 / _factorial(m)) > 1e-9:
-        raise QuadratureError(
-            f"kink subdivision lost volume: pieces sum to {total!r}, "
-            f"expected {1.0 / _factorial(m)!r}"
-        )
-    return pieces
+    whole = Pieces(
+        np.repeat(verts[None], count, axis=0),
+        ell,
+        pos.astype(int) - neg,
+        np.ones(count),
+        np.arange(count),
+    )
+    index, parts = np.flatnonzero(pos & neg).tolist(), []
+    for i in index:
+        (upper, lower), total = _sides(verts, ell[i], ell[i], 0.0)
+        if abs(total - 1.0 / _factorial(m)) > 1e-9:
+            raise QuadratureError(
+                f"kink subdivision lost volume: pieces sum to {total!r}, "
+                f"expected {1.0 / _factorial(m)!r}",
+                row=i,
+            )
+        parts.append(_stack(upper + lower, [1] * len(upper) + [-1] * len(lower), i))
+    return _replaced(whole, index, parts)
 
 
 # Grading of same-sign pieces: once the argument's smallest magnitude
@@ -218,64 +259,68 @@ GRADE_FACTOR = 3.0
 GRADE_THRESHOLD = 1.0 / 3.0
 
 
-def _split_piece_at_level(piece, level, scale):
-    """Cut one piece by the hyperplane ell = level; (near-zero, far) lists."""
-    d = piece.ell - level
+def _split_at_level(part, sign, level, scale, row):
+    """Cut one piece (vertices, values, |det|) of sign and row by the
+    hyperplane ell = level; (near-zero, far) lists of such pieces."""
+    verts, ell, det = part
+    d = ell - level
     d = np.where(np.abs(d) <= 1e-13 * scale, 0.0, d)
     above, below = np.any(d > 0), np.any(d < 0)
     if not (above and below):
         # for positive pieces, "below the level" is the near-zero side
-        near = below if piece.sign > 0 else above
-        return ([piece], []) if near else ([], [piece])
-    sides = _cut(piece.verts, d, piece.ell, level)
-    upper, lower = (_pieces(*side, piece.sign) for side in sides)
-    total = sum(p.volume for p in upper + lower)
-    if abs(total - piece.volume) > 1e-9 * max(1.0, piece.volume):
+        near = below if sign > 0 else above
+        return ([part], []) if near else ([], [part])
+    (upper, lower), total = _sides(verts, d, ell, level)
+    volume = det / _factorial(verts.shape[-1])
+    if abs(total - volume) > 1e-9 * max(1.0, volume):
         raise QuadratureError(
-            f"graded subdivision lost volume: pieces sum to {total!r}, "
-            f"expected {piece.volume!r}"
+            f"graded subdivision lost volume: pieces sum to {total!r}, expected {volume!r}",
+            row=row,
         )
-    return (lower, upper) if piece.sign > 0 else (upper, lower)
+    return (lower, upper) if sign > 0 else (upper, lower)
 
 
-def graded_pieces(piece):
-    """Refine one same-sign piece toward the zero locus of its argument.
-
-    Grading is keyed on the nonzero vertex magnitudes: for a piece away
-    from the kink they control the distance of the branch point from the
-    hull, and for a piece touching the kink they control how close the
-    outer face comes to the kink plane (the radial Jacobi weight only
-    absorbs the singularity along rays). Returns the piece unchanged when
-    those magnitudes stay within a bounded ratio or its sign is 0.
-    """
-    if piece.sign == 0:
-        return [piece]
-    mag = np.abs(piece.ell)
-    nonzero = mag[mag > 0.0]
-    if nonzero.size == 0:
-        return [piece]
-    delta, top = float(nonzero.min()), float(mag.max())
-    if delta >= GRADE_THRESHOLD * top:
-        return [piece]
+def _graded(pieces, k, delta, top):
+    """The slabs of pieces[k] between the levels |ell| = delta *
+    GRADE_FACTOR^j below top * GRADE_THRESHOLD, far ones first."""
     cuts = []
     c = delta * GRADE_FACTOR
     while c < top * GRADE_THRESHOLD:
         cuts.append(c)
         c *= GRADE_FACTOR
-    if not cuts:
-        return [piece]
-    out = []
-    active = [piece]
+    sign, row = int(pieces.sign[k]), int(pieces.row[k])
+    out, active = [], [(pieces.verts[k], pieces.ell[k], pieces.det[k])]
     for c in reversed(cuts):
-        level = piece.sign * c
         remaining = []
         for part in active:
-            near, far = _split_piece_at_level(part, level, top)
-            out.extend(far)
-            remaining.extend(near)
+            near, far = _split_at_level(part, sign, sign * c, top, row)
+            out += far
+            remaining += near
         active = remaining
-    out.extend(active)
-    return out
+    out += active
+    return _stack(out, [sign] * len(out), row)
+
+
+def graded_pieces(pieces):
+    """Refine the same-sign pieces of a stack toward the zero locus of
+    their argument.
+
+    Grading is keyed on the nonzero vertex magnitudes: for a piece away
+    from the kink they control the distance of the branch point from the
+    hull, and for a piece touching the kink they control how close the
+    outer face comes to the kink plane (the radial Jacobi weight only
+    absorbs the singularity along rays). One test over the stack picks
+    the pieces whose magnitudes leave a bounded ratio (a piece of sign 0
+    has none); only those are cut, and each is replaced in place by its
+    slabs. A cut that loses volume raises QuadratureError with the index
+    of its row.
+    """
+    mag = np.abs(pieces.ell)
+    top = mag.max(axis=1)
+    delta = np.where(mag > 0.0, mag, np.inf).min(axis=1)
+    index = np.flatnonzero(delta * GRADE_FACTOR < top * GRADE_THRESHOLD).tolist()
+    parts = [_graded(pieces, k, float(delta[k]), float(top[k])) for k in index]
+    return _replaced(pieces, index, parts)
 
 
 @dataclass(frozen=True)
@@ -309,26 +354,17 @@ class PieceGroup:
 
 def group_pieces(pieces):
     """Stack pieces by face shape (f, g); one PieceGroup per shape, by key."""
-    keys = np.array([np.count_nonzero(p.zero_mask) - 1 for p in pieces], dtype=int)
+    zero = pieces.ell == 0.0
+    keys = zero.sum(axis=1) - 1
+    # each piece's kink face first, then its opposite face, each in order
+    count, m = zero.shape[0], zero.shape[1] - 1
+    place = np.argsort(~zero, axis=1, kind="stable") + (m + 1) * np.arange(count)[:, None]
+    verts, ell = pieces.verts.reshape(-1, m)[place], pieces.ell.reshape(-1)[place]
     groups = []
     for f in sorted(set(keys.tolist())):
         index = np.flatnonzero(keys == f)
-        verts = np.stack([pieces[k].verts for k in index])
-        ell = np.stack([pieces[k].ell for k in index])
-        zero = ell == 0.0
-        count, m = len(index), verts.shape[-1]
         g = m - 1 - f
-        faces = (verts[zero].reshape(count, f + 1, m), verts[~zero].reshape(count, g + 1, m))
-        groups.append(
-            PieceGroup(
-                f=f,
-                g=g,
-                index=index,
-                verts=np.concatenate(faces, axis=1),
-                gell=ell[~zero].reshape(count, g + 1),
-                det=np.array([pieces[k].det for k in index]),
-            )
-        )
+        groups.append(PieceGroup(f, g, index, verts[index], ell[index, f + 1 :], pieces.det[index]))
     return groups
 
 

@@ -1,6 +1,7 @@
-"""Every guarded entry point rejects NaN, and the numeric arguments that
-must be finite and positive reject infinities and non-positive values,
-with a ValidationError that names the offending argument."""
+"""Every guarded entry point rejects NaN, the numeric arguments that must
+be finite and positive reject infinities and non-positive values, and the
+matrix arguments of the oracles reject non-Hermitian input, with a
+ValidationError that names the offending argument."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from specforms import (
     fd_oracle,
     fit_loglog_slope,
     generate_instance,
+    taylor_integral_form,
 )
 from specforms.forms import selfadjoint_embed
 from specforms.momenta import MomentumSpec, momentum_eval, momentum_quadrature
@@ -20,6 +22,8 @@ from specforms.momenta import MomentumSpec, momentum_eval, momentum_quadrature
 NAN = float("nan")
 H = np.diag([0.3, -0.2])
 V = 0.5 * np.eye(2)
+# 0.3 above the diagonal only: the lower triangle alone looks Hermitian.
+SKEW = np.array([[0.0, 0.3], [0.0, 0.0]])
 DD_SPEC = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
 # No origin model, so momentum_eval takes the quadrature route.
 PLAIN_SPEC = MomentumSpec(1, PowerAbs(2.5).derivative_model(1))
@@ -43,6 +47,16 @@ CALLS = {
     "fd_oracle step": (lambda: fd_oracle(H, V, 2.5, 1, step=NAN), "^finite-difference step"),
     "selfadjoint_embed": (lambda: selfadjoint_embed(np.eye(2), NAN), "needs p >= 1, got nan"),
     "generate_instance": (lambda: generate_instance(1, 3, "generic", NAN), "needs p >= 1, got nan"),
+    "fd_oracle base": (lambda: fd_oracle(H + SKEW, V, 3.5, 2), "^base is not Hermitian"),
+    "fd_oracle direction": (lambda: fd_oracle(H, V + SKEW, 3.5, 2), "^direction is not Hermitian"),
+    "taylor_integral_form h0": (
+        lambda: taylor_integral_form(H + SKEW, H + 0.1 * V, 3.5),
+        "^h0 is not Hermitian",
+    ),
+    "taylor_integral_form h1": (
+        lambda: taylor_integral_form(H, H + SKEW, 3.5),
+        "^h1 is not Hermitian",
+    ),
     "fit_loglog_slope x": (lambda: fit_loglog_slope([1.0, NAN, 3.0], [1.0, 2.0, 3.0]), "^slope fit"),
     "fit_loglog_slope y": (lambda: fit_loglog_slope([1.0, 2.0, 3.0], [1.0, NAN, 3.0]), "^slope fit"),
     "fit_loglog_slope inf": (

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import specforms
 
 
@@ -80,3 +82,47 @@ def test_benchmark_spans_name_public_callables():
             assert inspect.isfunction(getattr(obj, "__wrapped__", obj)), (workload, name)
         else:
             assert inspect.isclass(owner) and path[1] in vars(owner), (workload, name)
+
+
+def _reached(call):
+    """Span names ("layer.qualname") of the specforms functions entered
+    while call runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("specforms."):
+            seen.add(f"{module.removeprefix('specforms.')}.{frame.f_code.co_qualname}")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _tied_forms():
+    # a clustered spectrum: near-ties whose quadrature rows cross the kink
+    h, v = specforms.generate_instance(1, 8, "clustered", 3.5)
+    for k in (1, 2, 3):
+        form = specforms.FrechetForm(h.matrix, specforms.SchattenExponent(3.5), k, 1e-9)
+        specforms.delta_symmetric(form, [v.matrix] * k)
+
+
+def _moving_segment():
+    for p in (2.5, 3.5):
+        h0, v = specforms.generate_instance(1, 4, "generic", p)
+        step = 0.3 * v.matrix / np.linalg.norm(v.matrix)
+        specforms.taylor_integral_form(h0.matrix, h0.matrix + step, p)
+
+
+def test_small_requests_reach_every_benchmark_span():
+    # sys.setprofile sees every function entered, whatever alias calls it,
+    # so a change that stops calling a span a workload requires fails here
+    # before the traced benchmark run does.
+    expected = {}
+    for workload, name in _expected_spans():
+        expected.setdefault(workload, set()).add(name)
+    for workload, request in (("TiedForms", _tied_forms), ("MovingSegment", _moving_segment)):
+        assert not expected[workload] - _reached(request), workload
