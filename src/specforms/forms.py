@@ -23,6 +23,7 @@ S one-instance calls.
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ from .util import (
     as_complex_matrices,
     as_complex_matrix,
     check_within,
+    checked_tol,
     fit_loglog_slope,
     lp_norms,
     operator_norm,
@@ -169,6 +171,7 @@ class FrechetForm:
             exp = SchattenExponent(exp)
         object.__setattr__(self, "exponent", exp)
         object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "quad_tol", checked_tol(self.quad_tol))
         check_within(dec.eigenvalues, WORKING_INTERVAL, "base spectrum")
         _check_unit_ball(dec.eigenvalues, exp.p)
         if self.model is None:
@@ -412,6 +415,14 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     )
 
 
+def _whole_number(value, what):
+    """value as an int, or a ValidationError naming `what` when it is not a
+    whole number: 2.7 is not truncated, and NaN is not a number of nodes."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     """Both sides of the exact integral expansion of tr |H_1|^p.
 
@@ -422,52 +433,72 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     the operator integral rides the moving point H_t; the rest stay at
     H_0. The t-integral uses Gauss-Legendre nodes with order doubling
     (8 to 64, stop at 1e-8 agreement) unless t_order pins the order.
-    Each order is one stacked decomposition of the H_t at its nodes and
-    one stacked operator integral. A non-Hermitian endpoint raises
-    ValidationError naming h0 or h1.
+    H_0 and the H_t at the nodes of the first two orders (8 and 16, or
+    the pinned order alone) are one stacked decomposition, and their
+    operator integrals one stacked integral, each order summing its own
+    slice; orders 32 and 64 run only while the last two orders disagree,
+    with one decomposition and one integral each. Every value has the
+    bits of a separate decomposition and integral per order. A
+    non-Hermitian endpoint, an h1 of another shape than h0, and an m or
+    t_order that is not a whole number raise ValidationError naming it.
     """
+    quad_tol = checked_tol(quad_tol)
     exponent = SchattenExponent(p)
-    if m is None:
-        m = min(exponent.m, MAX_FORM_ORDER)
-    m = int(m)
+    m = min(exponent.m, MAX_FORM_ORDER) if m is None else _whole_number(m, "m")
     if not 1 <= m <= MAX_FORM_ORDER:
         raise UnsupportedConfigError(f"integral form order {m} outside 1..{MAX_FORM_ORDER}")
     if not m < exponent.p:
         raise ValidationError(f"integral form needs m < p, got m={m}, p={exponent.p}")
+    if t_order is not None:
+        t_order = _whole_number(t_order, "t_order")
+        if t_order < 1:
+            raise ValidationError(f"t_order must be at least 1, got {t_order}")
 
     h0 = _check_hermitian(as_complex_matrix(h0), "h0")
     h1 = _check_hermitian(as_complex_matrix(h1), "h1")
+    if h1.shape != h0.shape:
+        raise ValidationError(f"h1 has shape {h1.shape}, h0 has {h0.shape}")
     v = h1 - h0
     ends = np.linalg.eigvalsh(np.stack([h0, h1]))
     check_within(ends, WORKING_INTERVAL, "spectra of the segment endpoints")
 
     model = PowerAbs(exponent.p)
     g = model.derivative_model(1)
-    d0 = _as_decomposition(h0)
+
+    def moving(orders):
+        """H_t at the nodes of each order in turn."""
+        return h0 + np.concatenate([_gauss01(q)[0] for q in orders])[:, None, None] * v
+
+    first = (8, 16) if t_order is None else (t_order,)
+    whole = eigendecompose(np.concatenate([h0[None], moving(first)]))
+    d0 = whole[0]
     lhs = float(np.sum(model.eval(ends[1])))
     rhs = float(np.sum(model.eval(d0.eigenvalues)))
     for k in range(1, m):
         rhs += model_delta_bracket(d0, model, [v] * k, quad_tol=quad_tol)
 
-    def gauss_value(order):
-        nodes, weights = _gauss01(order)
-        points = _as_decomposition(h0 + nodes[:, None, None] * v)
+    def gauss_values(orders, points):
+        """The t-integral at each order, from the stacked decomposition of
+        moving(orders)."""
         integrals = _divided_integral(g, (points,) + (d0,) * (m - 1), (v,) * (m - 1), quad_tol)
-        values = nodes ** (m - 1) * real_trace(v @ integrals)
-        return float(sum(w * x for w, x in zip(weights, values)))
+        traces = real_trace(v @ integrals)
+        values, lo = [], 0
+        for q in orders:
+            nodes, weights = _gauss01(q)
+            terms = nodes ** (m - 1) * traces[lo : lo + q]
+            values.append(float(sum(w * x for w, x in zip(weights, terms))))
+            lo += q
+        return values
 
-    if t_order is not None:
-        rhs += gauss_value(int(t_order))
-        return lhs, rhs
-
-    value = previous = gauss_value(8)
-    for order in (16, 32, 64):
-        value = gauss_value(order)
-        if abs(value - previous) <= 1e-8 * (1.0 + abs(value)):
-            break
-        previous = value
-    rhs += value
-    return lhs, rhs
+    values = gauss_values(first, whole[1:])
+    value = values[-1]
+    if t_order is None:
+        previous = values[0]
+        for order in (32, 64):
+            if abs(value - previous) <= 1e-8 * (1.0 + abs(value)):
+                break
+            previous, value = value, gauss_values((order,), eigendecompose(moving((order,))))[0]
+    return lhs, rhs + value
 
 
 def selfadjoint_embed(x, p):

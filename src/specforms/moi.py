@@ -47,6 +47,7 @@ from .spectral import SpectralDecomposition, _check_hermitian, _checked, eigende
 from .util import (
     adjoint,
     as_complex_matrices,
+    checked_tol,
     frobenius,
     map_distinct_rows,
 )
@@ -191,12 +192,12 @@ class MoiRequest:
             )
         if not 1 <= m <= MAX_ORDER:
             raise ValidationError(f"operator integral order {m} outside 1..{MAX_ORDER}")
+        object.__setattr__(self, "tol", checked_tol(self.tol))
         names = [f"decomposition {j}" for j in range(m + 1)]
         names += [f"perturbation {j}" for j in range(m)]
         decs, perts, _ = _prepared_slots(self.decompositions, self.perturbations, names)
         object.__setattr__(self, "decompositions", decs)
         object.__setattr__(self, "perturbations", perts)
-        object.__setattr__(self, "tol", float(self.tol))
 
     @property
     def order(self):

@@ -41,7 +41,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import check_within, map_distinct_rows
+from .util import check_within, checked_tol, map_distinct_rows
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -211,9 +211,7 @@ def momentum_quadrature(spec, x, tol=1e-9):
             f"momentum of order {spec.m} takes {spec.m + 1} arguments, got {x.shape}"
         )
     check_within(rows, spec.kernel.domain, "arguments")
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
+    tol = checked_tol(tol)
 
     # A kernel without a kink takes R_m whole for every row, as for an
     # argument that stays at 1, clear of any kink.

@@ -63,6 +63,15 @@ def check_within(values, bounds, what):
         )
 
 
+def checked_tol(tol):
+    """A quadrature tolerance as a float, checked finite and positive where
+    it enters (a request, a form, a quadrature call)."""
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
+    return tol
+
+
 def lp_norms(spectra, p):
     """The l^p norm of each row of a stack of spectra (R, n). The final
     power is a Python-float pow per row: the array power differs from it in

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specforms import moi
+from specforms import forms, moi
 from specforms.divided import DividedDifference
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import DEFAULT_TOLERANCES
@@ -408,6 +408,67 @@ def test_taylor_remainder_is_the_per_point_difference():
         value = float(np.sum(model.eval(np.linalg.eigvalsh(h.matrix + t * v.matrix))))
         poly = sum(d * t**k for k, d in enumerate(report.deltas, start=1))
         assert got == value - base - poly
+
+
+# lhs and rhs of taylor_integral_form on the dim-4 segment from H_0 to
+# H_0 + 0.3 V/|V|_F of a seeded instance, and the Gauss order its ladder
+# stops at: (profile, p, seed, final order, lhs, rhs).
+INTEGRAL_FORM_HEX = [
+    ("generic", 2.5, 1, 16, "0x1.9605b96c6ff44p+0", "0x1.9605b96c6ff3ep+0"),
+    ("generic", 3.5, 12, 64, "0x1.495be6ed4bd18p+0", "0x1.495be6ed6ad98p+0"),
+    ("singular", 2.5, 1, 32, "0x1.1d271671b4fb0p+0", "0x1.1d27167094c58p+0"),
+    ("singular", 3.5, 1, 16, "0x1.1b640efbafdc9p+0", "0x1.1b640efbc957ep+0"),
+    ("clustered", 2.5, 2, 64, "0x1.54a1d9e742fa9p+0", "0x1.54a1d8d99e739p+0"),
+    ("clustered", 3.5, 2, 32, "0x1.73ea6c1184c4cp+0", "0x1.73ea6c14a7bc7p+0"),
+]
+
+
+SEGMENT_IDS = [f"{profile}-{p}-{seed}" for profile, p, seed, *_ in INTEGRAL_FORM_HEX]
+
+
+def moving_segment(profile, p, seed):
+    h0, v = generate_instance(seed, 4, profile, p)
+    return h0.matrix, h0.matrix + 0.3 * v.matrix / np.linalg.norm(v.matrix)
+
+
+@pytest.mark.parametrize("profile, p, seed, final, lhs, rhs", INTEGRAL_FORM_HEX, ids=SEGMENT_IDS)
+def test_integral_form_keeps_its_bits(profile, p, seed, final, lhs, rhs):
+    h0, h1 = moving_segment(profile, p, seed)
+    got = taylor_integral_form(h0, h1, p)
+    assert (got[0].hex(), got[1].hex()) == (lhs, rhs)
+    # The ladder's value is that of its final order alone.
+    assert taylor_integral_form(h0, h1, p, t_order=final) == got
+
+
+@pytest.mark.parametrize(
+    "profile, p, seed, final", [row[:4] for row in INTEGRAL_FORM_HEX], ids=SEGMENT_IDS
+)
+def test_first_two_gauss_orders_share_one_decomposition_and_integral(
+    profile, p, seed, final, monkeypatch
+):
+    calls = {"eigendecompose": 0, "moi_exact": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(forms, "eigendecompose")
+    counted(moi, "eigendecompose")
+    counted(forms, "moi_exact")
+    h0, h1 = moving_segment(profile, p, seed)
+    taylor_integral_form(h0, h1, p)
+    later = (16, 32, 64).index(final)  # orders 32 and 64 run on their own
+    m = SchattenExponent(p).m
+    # H_0 and orders 8 and 16 in one call, and one more call per later order.
+    assert calls["eigendecompose"] == 1 + later
+    # The derivative term of order 2 (at m = 3) makes one integral, and the
+    # Gauss orders one for 8 and 16 together and one per later order.
+    assert calls["moi_exact"] == (m - 2) + 1 + later
 
 
 def test_integral_expansion_validation():

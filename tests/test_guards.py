@@ -1,6 +1,7 @@
 """Every guarded entry point rejects NaN, the numeric arguments that must
-be finite and positive reject infinities and non-positive values, and the
-matrix arguments of the oracles reject non-Hermitian input, with a
+be finite and positive reject infinities and non-positive values, those
+that count reject fractions, and the matrix arguments of the oracles reject
+non-Hermitian input or a shape unlike their partner's, with a
 ValidationError that names the offending argument."""
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 
 from specforms import (
     DividedDifference,
+    FrechetForm,
+    MoiRequest,
     PowerAbs,
     ValidationError,
     divided_difference,
     fd_oracle,
+    eigendecompose,
     fit_loglog_slope,
     generate_instance,
     taylor_integral_form,
@@ -57,6 +61,23 @@ CALLS = {
         lambda: taylor_integral_form(H, H + SKEW, 3.5),
         "^h1 is not Hermitian",
     ),
+    "taylor_integral_form h1 shape": (
+        lambda: taylor_integral_form(H, np.diag([0.3, -0.2, 0.1]), 3.5),
+        "^h1 has shape",
+    ),
+    "taylor_integral_form m": (
+        lambda: taylor_integral_form(H, H + 0.1 * V, 3.5, m=2.5),
+        "^m must be a whole number",
+    ),
+    "taylor_integral_form quad_tol": (
+        # m = 1 builds no request: the form checks its tolerance itself.
+        lambda: taylor_integral_form(H, H + 0.1 * V, 2.5, m=1, quad_tol=NAN),
+        "^quadrature tol",
+    ),
+    "FrechetForm quad_tol": (
+        lambda: FrechetForm(eigendecompose(H), 2.5, quad_tol=NAN),
+        "^quadrature tol",
+    ),
     "fit_loglog_slope x": (lambda: fit_loglog_slope([1.0, NAN, 3.0], [1.0, 2.0, 3.0]), "^slope fit"),
     "fit_loglog_slope y": (lambda: fit_loglog_slope([1.0, 2.0, 3.0], [1.0, NAN, 3.0]), "^slope fit"),
     "fit_loglog_slope inf": (
@@ -64,6 +85,18 @@ CALLS = {
         "^slope fit",
     ),
 }
+for bad in (0, -2, NAN, 2.7):
+    CALLS[f"taylor_integral_form t_order={bad}"] = (
+        lambda bad=bad: taylor_integral_form(H, H + 0.1 * V, 3.5, t_order=bad),
+        "^t_order",
+    )
+# A request's tolerance is checked where the request is made, even when no
+# row of its symbol would reach quadrature.
+for bad in (NAN, 0.0, -1.0, np.inf):
+    CALLS[f"MoiRequest tol={bad}"] = (
+        lambda bad=bad: MoiRequest((H, H), (V,), DividedDifference(PowerAbs(2.5), 1), bad),
+        "^quadrature tol",
+    )
 # Infinite, zero and negative tolerances and steps fail the same guards.
 for bad in (0.0, -1e-9, np.inf):
     CALLS[f"momentum_quadrature tol={bad}"] = (
