@@ -12,11 +12,18 @@ In the eigenbases this is a tensor contraction of the symbol values
 against the rotated perturbations, evaluated here with einsum. Symbols
 may be divided-difference descriptors, momentum specs, separable sums,
 or bare callables. Every kind is evaluated for whole chunks of index
-tuples at once, as a row stack of eigenvalue tuples: divided differences
-through their table, separable sums term by term, momenta by quadrature
-and bare callables once per distinct tuple of the chunk. The monomial
-shift of a symbol (algebraic_shift) is its tensor times the outer product
-of the eigenvalue powers.
+tuples at once, each chunk handed over as the transpose of its column
+stack of eigenvalues: divided differences (and constant-weight momenta
+with an origin) through divided_difference, separable sums term by term,
+other momenta by quadrature and bare callables once per distinct tuple of
+the chunk. A divided difference or constant-weight momentum whose slots
+all hold one eigenvalue set (per member of a stack) is symmetric: it is
+evaluated on the sorted index tuples i_0 <= ... <= i_m alone, whose
+eigenvalues are already sorted, and each value fills every permutation of
+its tuple, through a cached rank table for a small tensor and by
+permutation scatters for a large one. The monomial shift of a symbol
+(algebraic_shift) is its tensor times the outer product of the eigenvalue
+powers.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
@@ -34,6 +41,7 @@ request) and a member of a stack by its index.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -231,13 +239,118 @@ def _symbol_adapter(symbol, tol):
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 
+@functools.lru_cache(maxsize=8)
+def _sorted_tuples(n, width):
+    """The index tuples i_0 <= ... <= i_{width-1} below n, C(n + width - 1,
+    width) of them in lexicographic order, as the columns of a read-only
+    array of the smallest unsigned type that holds n - 1."""
+    cols = np.arange(n)[None]
+    for _ in range(width - 1):
+        last = cols[-1]
+        count = n - last  # continuations last, ..., n - 1 of each tuple
+        start = np.cumsum(count) - count
+        nxt = np.arange(count.sum()) - np.repeat(start - last, count)
+        cols = np.vstack([np.repeat(cols, count, axis=1), nxt])
+    cols = cols.astype(np.min_scalar_type(n - 1))
+    cols.setflags(write=False)
+    return cols
+
+
+def _scatter_permutations(out, values, idx, base, n):
+    """out[base + flat index of each permutation of the tuple idx[:, r]] =
+    values[r], for tuples of indices below n (idx of shape (width, R))."""
+    width = len(idx)
+    # scaled[j][slot]: the flat offset of index idx[j] in that slot
+    scaled = [[i * n ** (width - 1 - slot) for slot in range(width)] for i in idx]
+    for order in itertools.permutations(range(width)):
+        flat = base + scaled[order[0]][0]
+        for slot, j in enumerate(order[1:], 1):
+            flat += scaled[j][slot]
+        out[flat] = values
+
+
+@functools.lru_cache(maxsize=8)
+def _tuple_ranks(n, width):
+    """For each flat index of an (n,) * width tensor, the place of its
+    sorted index tuple in _sorted_tuples(n, width); read-only."""
+    tuples = _sorted_tuples(n, width)
+    ranks = np.empty(n**width, dtype=np.intp)
+    _scatter_permutations(ranks, np.arange(tuples.shape[1]), tuples.astype(np.intp), 0, n)
+    ranks.setflags(write=False)
+    return ranks
+
+
+def _shared_set(symbol, eig_sets):
+    """The eigenvalue set (n,) or stack (S, n) that every slot holds, when
+    the symbol's value at a tuple is its value at the sorted tuple; else
+    None.
+
+    That holds for a divided difference and for a constant-weight momentum,
+    which sort their rows first. The set must ascend, so that the index
+    tuples i_0 <= ... <= i_k give sorted rows, and must not hold a zero of
+    each sign: those compare equal, and the sort keeps their order.
+    """
+    if not (
+        isinstance(symbol, DividedDifference)
+        or (isinstance(symbol, MomentumSpec) and symbol.constant_weight is not None)
+    ):
+        return None
+    e = eig_sets[0]
+    if e.dtype != float or any(
+        x is not e and (x.dtype != e.dtype or x.shape != e.shape or x.tobytes() != e.tobytes())
+        for x in eig_sets[1:]
+    ):
+        return None
+    if not (e[..., 1:] >= e[..., :-1]).all():
+        return None
+    zero = e == 0.0
+    if zero.any():
+        negative = np.signbit(e)
+        if ((zero & negative).any(axis=-1) & (zero & ~negative).any(axis=-1)).any():
+            return None
+    return e
+
+
+def _symmetric_phi(evaluate, e, width):
+    """Flat tensor of a symmetric symbol whose `width` slots all hold the
+    sorted set e (n,) or each member of the stack e (S, n).
+
+    The symbol is evaluated once per member and index tuple i_0 <= ... <=
+    i_k, whose eigenvalues are already sorted, in chunks of CHUNK_ROWS
+    tuples. A member tensor of at most CHUNK_ROWS entries then gathers its
+    values through the cached ranks of its index tuples; a larger one is
+    filled chunk by chunk, each value scattered to every permutation of its
+    tuple.
+    """
+    n = e.shape[-1]
+    e = e.ravel()
+    count = e.size // n
+    tuples = _sorted_tuples(n, width)
+    gather = n**width <= CHUNK_ROWS
+    values = np.empty(count * tuples.shape[1])
+    phi = None if gather else np.empty(count * n**width)
+    for start in range(0, values.size, CHUNK_ROWS):
+        part = slice(start, min(start + CHUNK_ROWS, values.size))
+        member, t = np.divmod(np.arange(part.start, part.stop), tuples.shape[1])
+        idx = tuples[:, t].astype(np.intp)
+        values[part] = evaluate(e[member * n + idx].T)
+        if not gather:
+            _scatter_permutations(phi, values[part], idx, member * n**width, n)
+    if gather:
+        return values.reshape(count, -1)[:, _tuple_ranks(n, width)]
+    return phi
+
+
 def _phi_tensor(symbol, eig_sets, tol):
     """The symbol at every index tuple of the eigenvalue sets.
 
     A set of shape (S, n_j) is a stack, and stacked sets share one length
     S: the tensor then carries a leading axis S, and entry
     (b, i_0, ..., i_m) takes the eigenvalue of each stacked slot from its
-    row b.
+    row b. A symmetric symbol whose slots all hold one set is evaluated on
+    the sorted index tuples alone (_symmetric_phi); otherwise every index
+    tuple is, in chunks of CHUNK_ROWS, each chunk handed to the symbol as
+    the transpose of its (m+1, R) column stack.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
@@ -263,14 +376,18 @@ def _phi_tensor(symbol, eig_sets, tol):
             e[head + (i,)] if e.ndim == 2 else e[i] for e, i in zip(eig_sets, idx[len(lead) :])
         ]
 
-    phi = np.empty(math.prod(shape), dtype=float)
-    for start in range(0, phi.size, CHUNK_ROWS):
-        flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
-        phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape)), axis=1))
+    shared = _shared_set(symbol, eig_sets)
+    if shared is not None:
+        phi = _symmetric_phi(evaluate, shared, len(eig_sets))
+    else:
+        phi = np.empty(math.prod(shape), dtype=float)
+        for start in range(0, phi.size, CHUNK_ROWS):
+            flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
+            phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape))).T)
     phi = phi.reshape(shape)
-    bad = np.argwhere(~np.isfinite(phi))
-    if bad.size:
-        idx = tuple(bad[0])
+    finite = np.isfinite(phi)
+    if not finite.all():
+        idx = tuple(np.argwhere(~finite)[0])
         vals = tuple(float(x) for x in values(idx))
         raise ValidationError(f"symbol evaluated to {phi[idx]} at eigenvalue tuple {vals}")
     return phi

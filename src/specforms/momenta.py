@@ -41,7 +41,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import check_within, checked_tol, map_distinct_rows
+from .util import check_within, checked_tol, map_distinct_rows, sorted_columns
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -257,7 +257,9 @@ def momentum_eval(spec, x, tol=1e-9):
 
     x may also be a stack of rows (R, m+1), giving R values. Quadrature
     then takes the stack of distinct rows in one call, rows of a
-    constant-weight (hence symmetric) momentum being sorted first.
+    constant-weight (hence symmetric) momentum being sorted first by the
+    compare-exchange network that divided differences use
+    (util.sorted_columns).
     """
     x = np.asarray(x, dtype=float)
     const = spec.constant_weight
@@ -268,7 +270,7 @@ def momentum_eval(spec, x, tol=1e-9):
     if x.ndim != 2:
         return momentum_quadrature(spec, x, tol=tol)
     if const is not None:
-        x = np.sort(x, axis=1)
+        x = sorted_columns(x).T
     return map_distinct_rows(lambda rows: momentum_quadrature(spec, rows, tol=tol), x)
 
 

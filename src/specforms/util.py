@@ -79,6 +79,31 @@ def lp_norms(spectra, p):
     return np.array([float(np.sum(np.abs(row) ** p)) ** (1.0 / p) for row in spectra])
 
 
+def sorted_columns(rows):
+    """Each row of a stack (R, m) sorted ascending, as the columns of a new
+    (m, R) array.
+
+    An odd-even transposition network of compare-exchanges, each running
+    along two whole columns. A pair is exchanged only where its first entry
+    is the greater (`a > b`), so entries that compare equal, such as -0.0
+    and 0.0, keep their order. The exchange moves bit patterns: the int64
+    views trade their difference, which may wrap but is exact. (np.minimum
+    and np.maximum turn [-0.0, 0.0] into [0.0, 0.0]; np.where also moves
+    bits but takes three times as long on unpredictable masks.)
+    """
+    cols = np.array(rows.T, dtype=float, order="C")
+    bits = cols.view(np.int64)
+    m = len(cols)
+    for step in range(m):
+        for i in range(step % 2, m - 1, 2):
+            swap = cols[i] > cols[i + 1]
+            if swap.any():
+                trade = (bits[i + 1] - bits[i]) * swap
+                bits[i] += trade
+                bits[i + 1] -= trade
+    return cols
+
+
 def map_distinct_rows(fn, rows):
     """fn applied to the stack of distinct rows of `rows` (R, n) in one call.
 

@@ -20,6 +20,7 @@ from specforms import (
     divided_difference_via_momentum,
 )
 from specforms import divided
+from specforms.util import sorted_columns
 
 CROSS_TOL = 1e-8  # ten times the default 1e-9 quadrature tolerance
 
@@ -241,7 +242,111 @@ def test_tied_nodes_match_the_hermite_oracle(case):
     got = divided_difference(PowerAbs(p), nodes)
     want = hermite_reference(p, nodes)
     cols = np.sort(nodes)[:, None]
-    if divided._near_tie(cols, *divided._table(PowerAbs(p), cols))[0]:
+    if divided._routed_table(PowerAbs(p), cols)[1][0]:
         assert abs(got - want) <= CROSS_TOL
     else:
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-15
+
+
+def test_sorted_columns_sort_each_row_stably():
+    # Entries that compare equal (-0.0 and 0.0) keep their order and bits,
+    # as in Python's stable sort; the columns come out C-contiguous.
+    rng = np.random.default_rng(7)
+    alphabet = [-0.0, 0.0, 0.5, -0.5, 1e-300, -np.inf, np.inf]
+    for m in range(1, 6):
+        rows = rng.choice(alphabet, size=(400, m))
+        for stack in (rows, np.ascontiguousarray(rows.T).T):
+            got = sorted_columns(stack)
+            assert got.shape == (m, 400) and got.flags.c_contiguous
+            want = np.array([sorted(row) for row in rows.tolist()])
+            assert got.T.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def sorted_row_route(model, rows, quad_tol=1e-9):
+    """The route before the column network, restated: np.sort each row,
+    the full table with its error bound on every stack, routing by the gap
+    switch or (rows with an exact tie) by that bound, and one quadrature
+    call on the distinct near rows."""
+    x = np.sort(rows, axis=1)
+    cols = np.ascontiguousarray(x.T)
+    vals = np.asarray(model.eval(cols), dtype=float)
+    err = divided.ROUNDING * np.abs(vals) + divided.UNDERFLOW
+    for level in range(1, cols.shape[0]):
+        lo, hi = cols[:-level], cols[level:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = (vals[1:] - vals[:-1]) / (hi - lo)
+            err = (err[1:] + err[:-1]) / (hi - lo) + divided.ROUNDING * np.abs(vals)
+            err += divided.UNDERFLOW
+        tie = hi == lo
+        if tie.any():
+            vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
+            err[tie] = divided.ROUNDING * np.abs(vals[tie]) + divided.UNDERFLOW
+    values, error = vals[0], err[0]
+    if cols.shape[0] > 1:
+        gaps = np.diff(cols, axis=0)
+        close = gaps.min(axis=0) < divided.CONFLUENCE_FACTOR * (1.0 + (cols[-1] - cols[0]))
+        inexact = ~(error <= divided.TIE_TABLE_RTOL * np.abs(values) + divided.TIE_TABLE_ATOL)
+        near = np.where((gaps == 0.0).any(axis=0), inexact, close)
+        if near.any():
+            spec = divided.MomentumSpec.from_divided_difference(model, cols.shape[0] - 1)
+            values[near] = divided.map_distinct_rows(
+                lambda distinct: divided.momentum_quadrature(spec, distinct, tol=quad_tol),
+                x[near],
+            )
+    return values
+
+
+def mixed_rows(rng, k, count, tied):
+    """A stack of order-k node rows, each row in a random order: tie-free
+    rows, 1e-7 near-ties, rows holding -0.0 or 0.0, rows crossing the kink
+    at 0 (at orders 1 and 2 one of them a near-tie) and, when `tied`, rows
+    with an exact tie, among them rows holding both -0.0 and 0.0 (which
+    compare equal)."""
+    width = k + 1
+    rows = [rng.uniform(-1.0, 1.0, width) for _ in range(count)]
+    for zero in (-0.0, 0.0):
+        row = rng.uniform(-1.0, 1.0, width)
+        row[0] = zero
+        rows.append(row)
+    if width > 1:
+        for _ in range(2):
+            row = rng.uniform(-0.9, 0.9, width)
+            row[1] = row[0] + 1e-7
+            rows.append(row)
+        rows.append(np.linspace(-0.3, 0.4, width))
+        rows.append(rng.uniform(-1e-3, 1e-3, width))
+    if 1 <= k <= 2:  # at order 3 its graded quadrature takes 0.3 s
+        row = rng.uniform(-1.0, 1.0, width)
+        row[:2] = (-4e-8, 6e-8)  # a near-tie across the kink
+        rows.append(row)
+    if tied and width > 1:
+        for _ in range(3):
+            row = rng.uniform(-1.0, 1.0, width)
+            row[:2] = (-0.0, 0.0)
+            rows.append(row)
+        for _ in range(count // 2):
+            row = rng.uniform(-1.0, 1.0, width)
+            row[-1] = row[0]
+            rows.append(row)
+        rows.append(np.zeros(width))
+        rows.append(np.full(width, 0.5))
+    rows = np.array(rows)
+    order = rng.permuted(np.tile(np.arange(width), (len(rows), 1)), axis=1)
+    return np.take_along_axis(rows, order, axis=1)
+
+
+def test_row_api_matches_the_sorted_row_route_bitwise():
+    # The column network, the .T column stack and a table that bounds its
+    # error only for a stack holding a tie leave every value's bits alone.
+    rng = np.random.default_rng(19)
+    models = (PowerAbs(3.5), PowerAbs(2.5), Polynomial((0.25, -1.0, 0.5, 2.0)))
+    for model in models:
+        for k in range(min(3, model.max_order) + 1):
+            for tied in (False, True):
+                rows = mixed_rows(rng, k, 40, tied)
+                want = sorted_row_route(model, rows)
+                for stack in (rows, np.ascontiguousarray(rows.T).T):
+                    got = divided_difference(model, stack)
+                    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+                one = [divided_difference(model, row) for row in rows]
+                assert np.array(one).view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -1,5 +1,6 @@
 """Tests for multiple operator integrals (eigenprojection tensor path)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -636,7 +637,71 @@ def test_batched_phi_matches_scalar_routes(profile, monkeypatch):
             for eig_sets in sets:
                 got = _phi_tensor(symbol, eig_sets, 1e-9)
                 want = scalar_phi(symbol, eig_sets)
-                assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+                assert got.tobytes() == want.tobytes()
+
+
+def test_sorted_tuples_list_each_multiset_once():
+    for n, width in ((1, 3), (3, 1), (4, 2), (5, 3), (6, 4)):
+        got = moi._sorted_tuples(n, width)
+        want = list(itertools.combinations_with_replacement(range(n), width))
+        assert got.T.tolist() == [list(t) for t in want]
+        assert got.dtype == np.uint8 and not got.flags.writeable
+
+
+def all_tuple_phi(symbol, eig_sets, monkeypatch):
+    """The tensor with every index tuple evaluated, as for distinct sets."""
+    with monkeypatch.context() as patch:
+        patch.setattr(moi, "_shared_set", lambda symbol, eig_sets: None)
+        return _phi_tensor(symbol, eig_sets, 1e-9)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_shared_set_tensors_match_the_all_tuple_path_bitwise(profile, monkeypatch):
+    # Sorted index tuples only, chunked small so that tuples of one member
+    # and members of a stack span chunks, then filled into every
+    # permutation (a rank gather up to CHUNK_ROWS entries per member,
+    # scatters above): each entry keeps the bits of the all-tuple path.
+    model = PowerAbs(3.5)
+    cases = [(3, 1), (3, 2), (3, 3), (8, 1), (8, 2), (8, 3), (16, 2), (16, 3)]
+    if profile == "generic":
+        cases.append((32, 3))
+    for dim, k in cases:
+        h, v = generate_instance(19 + dim, dim, profile, 3.5)
+        lam = eigendecompose(h).eigenvalues
+        lam_t = eigendecompose(h.matrix + 0.01 * v.matrix).eigenvalues
+        binned = binned_eigenvalues(lam, 8)
+        stack = np.stack([lam, lam_t, binned])
+        symbols = [DividedDifference(model, k)]
+        if dim <= 8:  # the same divided differences, through momentum_eval
+            symbols.append(MomentumSpec.from_divided_difference(model, k))
+        if dim == 3:  # a constant weight without an origin: quadrature only
+            kernel = model.derivative_model(k)
+            symbols.append(MomentumSpec(m=k, kernel=kernel, q_terms=(((0,) * (k + 1), 2.0),)))
+            symbols.append(moi._MonomialShift(symbols[0], tuple(range(1, k + 2))))
+        for eig_set in ((lam, binned, stack) if dim <= 16 else (lam,)):
+            for symbol in symbols:
+                inner = getattr(symbol, "symbol", symbol)
+                assert moi._shared_set(inner, [eig_set] * (k + 1)) is eig_set
+                want = all_tuple_phi(symbol, [eig_set] * (k + 1), monkeypatch)
+                monkeypatch.setattr(moi, "CHUNK_ROWS", 37 if dim == 3 else 1000)
+                got = _phi_tensor(symbol, [eig_set] * (k + 1), 1e-9)
+                monkeypatch.undo()
+                assert got.tobytes() == want.tobytes()
+
+
+def test_sets_that_are_not_one_sorted_set_take_the_all_tuple_path():
+    lam = np.array([-0.6, -0.2, 0.0, 0.45])
+    signed = np.array([-0.6, -0.0, 0.0, 0.45])  # zeros of both signs compare equal
+    symbol = DividedDifference(PowerAbs(3.5), 2)
+    assert moi._shared_set(symbol, [lam] * 3) is lam
+    assert moi._shared_set(symbol, [lam, lam, lam.copy()]) is lam
+    for sets in ([lam, lam, lam[::-1]], [lam[::-1]] * 3, [lam, lam, lam + 1e-9], [signed] * 3):
+        assert moi._shared_set(symbol, sets) is None
+    assert moi._shared_set(SeparableSymbol(((1.0, (Monomial(1),) * 3),)), [lam] * 3) is None
+    weighted = MomentumSpec(m=2, kernel=Monomial(1), q_terms=(((1, 0, 0), 1.0),))
+    assert moi._shared_set(weighted, [lam] * 3) is None
+    got = _phi_tensor(symbol, [signed] * 3, 1e-9)
+    assert got.tobytes() == scalar_phi(symbol, [signed] * 3).tobytes()
 
 
 def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):

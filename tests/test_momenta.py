@@ -171,6 +171,25 @@ def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
         np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
 
 
+def test_constant_weight_rows_sort_as_np_sort_bitwise():
+    # The column network in place of np.sort: tie-free rows, exact ties,
+    # rows crossing the kink, and rows holding -0.0, 0.0 or both.
+    rng = np.random.default_rng(19)
+    for m in (1, 2):
+        rows = rng.uniform(-0.9, 0.9, (12, m + 1))
+        rows[1] = rows[0]
+        rows[1, :2] = rows[0, 1::-1]  # row 0 in another order
+        rows[2, -1] = rows[2, 0]
+        rows[3, :2] = (-0.0, 0.0)
+        rows[4, :2] = (0.0, -0.0)
+        rows[5, 0], rows[6, -1] = -0.0, 0.0
+        rows[7] = np.linspace(-0.2, 0.3, m + 1)[::-1]
+        spec = MomentumSpec(m=m, kernel=PowerAbs(3.5).derivative_model(m))
+        got = momentum_eval(spec, rows, tol=QUAD_TOL)
+        want = [momentum_quadrature(spec, x, tol=QUAD_TOL) for x in np.sort(rows, axis=1)]
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 def test_validation_guards():
     with pytest.raises(ValidationError):
         MomentumSpec(m=0, kernel=ONE)
