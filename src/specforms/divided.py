@@ -35,7 +35,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
-from .util import check_within, map_distinct_rows, sorted_columns
+from .util import check_within, map_distinct_rows, sorted_columns, whole_number
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -155,6 +155,7 @@ class DividedDifference:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "order", whole_number(self.order, "divided-difference order"))
         if self.order < 0:
             raise ValidationError("divided-difference order must be >= 0")
         if self.order > self.model.max_order:

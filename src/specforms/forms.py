@@ -23,7 +23,6 @@ S one-instance calls.
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +53,7 @@ from .util import (
     operator_norm,
     real_trace,
     real_value,
+    whole_number,
 )
 
 MAX_FORM_ORDER = 3
@@ -415,14 +415,6 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     )
 
 
-def _whole_number(value, what):
-    """value as an int, or a ValidationError naming `what` when it is not a
-    whole number: 2.7 is not truncated, and NaN is not a number of nodes."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValidationError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     """Both sides of the exact integral expansion of tr |H_1|^p.
 
@@ -444,13 +436,13 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     """
     quad_tol = checked_tol(quad_tol)
     exponent = SchattenExponent(p)
-    m = min(exponent.m, MAX_FORM_ORDER) if m is None else _whole_number(m, "m")
+    m = min(exponent.m, MAX_FORM_ORDER) if m is None else whole_number(m, "m")
     if not 1 <= m <= MAX_FORM_ORDER:
         raise UnsupportedConfigError(f"integral form order {m} outside 1..{MAX_FORM_ORDER}")
     if not m < exponent.p:
         raise ValidationError(f"integral form needs m < p, got m={m}, p={exponent.p}")
     if t_order is not None:
-        t_order = _whole_number(t_order, "t_order")
+        t_order = whole_number(t_order, "t_order")
         if t_order < 1:
             raise ValidationError(f"t_order must be at least 1, got {t_order}")
 

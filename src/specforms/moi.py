@@ -58,6 +58,7 @@ from .util import (
     checked_tol,
     frobenius,
     map_distinct_rows,
+    whole_number,
 )
 
 MAX_ORDER = 3
@@ -445,7 +446,7 @@ def moi_exact(request):
 
 def binned_eigenvalues(eigenvalues, n):
     """Snap each eigenvalue to the left edge of its bin [l/n, (l+1)/n)."""
-    n = int(n)
+    n = whole_number(n, "bin count")
     if n < 1:
         raise ValidationError("bin count must be >= 1")
     return np.floor(np.asarray(eigenvalues, dtype=float) * n) / n

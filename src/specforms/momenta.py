@@ -41,7 +41,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import check_within, checked_tol, map_distinct_rows, sorted_columns
+from .util import check_within, checked_tol, map_distinct_rows, sorted_columns, whole_number
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -53,7 +53,7 @@ def _normalize_terms(m, q_terms):
         q_terms = (((0,) * (m + 1), 1.0),)
     terms = []
     for alpha, coef in q_terms:
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(whole_number(a, "monomial exponent") for a in alpha)
         if len(alpha) != m + 1:
             raise ValidationError(
                 f"monomial multi-index {alpha} needs {m + 1} slots for order {m}"
@@ -81,7 +81,7 @@ class MomentumSpec:
     origin: ScalarFunctionModel = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = int(self.m)
+        m = whole_number(self.m, "momentum order")
         if not 1 <= m <= 4:
             raise ValidationError(f"momentum order {m} outside the supported 1..4")
         object.__setattr__(self, "m", m)

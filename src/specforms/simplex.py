@@ -16,8 +16,10 @@ Gauss nodes.
 This module holds the geometry and the rules only. split_by_kink and
 graded_pieces cover every row of a stack at once: one snap and one sign
 test pick the rows to cut, one grading test the pieces to grade, and the
-other rows keep R_m as their one piece with no work of their own. The
-pieces form one stacked record (Pieces) carrying their |det| and their
+other rows keep R_m as their one piece with no work of their own. One
+stacked cut (_cut) splits a whole stack of pieces, each by its own
+hyperplane: the kink split is one such cut, and grading one per level.
+The pieces form one stacked record (Pieces) carrying their |det| and their
 row, group_pieces stacks them by the rule they take, and both rules map
 onto a whole stack at once. The one quadrature engine built on them is
 momenta.momentum_quadrature, which escalates the per-axis order along
@@ -26,7 +28,7 @@ ORDER_LADDER.
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -109,10 +111,6 @@ class Pieces:
         return Pieces(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
-def _factorial(n):
-    return float(math.factorial(n))
-
-
 @lru_cache(maxsize=None)
 def _simplex_vertices(m):
     verts = np.vstack([np.zeros((1, m)), np.eye(m)])
@@ -120,49 +118,15 @@ def _simplex_vertices(m):
     return verts
 
 
-def _replaced(pieces, index, parts):
-    """pieces with each pieces[index[j]] replaced in place by the stack
-    parts[j]."""
-    if not index:
-        return pieces
-    keep = np.ones(len(pieces), dtype=bool)
-    keep[index] = False
-    stacks = [pieces[keep], *parts]
-    place = [np.flatnonzero(keep)] + [np.full(len(p), k) for k, p in zip(index, parts)]
-    order = np.argsort(np.concatenate(place), kind="stable")
-    return Pieces(
-        *(np.concatenate([getattr(s, f.name) for s in stacks])[order] for f in fields(Pieces))
-    )
-
-
-def _sides(verts, d, vals, level):
-    """The sides of _cut as lists of pieces (vertices, values, |det|), one
-    det call per side, and their volume as the Python sum of det / m!."""
-    sides = []
-    for v, e in _cut(verts, d, vals, level):
-        sides.append(list(zip(v, e, np.abs(np.linalg.det(v[:, 1:] - v[:, :1])))))
-    volume = sum(det / _factorial(verts.shape[-1]) for side in sides for _, _, det in side)
-    return sides, volume
-
-
-def _stack(parts, sign, row):
-    """Pieces of one row from a list of (vertices, values, |det|) and the
-    sign of each."""
-    verts, ell, det = zip(*parts)
-    return Pieces(
-        np.stack(verts), np.stack(ell), np.array(sign), np.array(det), np.full(len(det), row)
-    )
-
-
 @lru_cache(maxsize=None)
 def _staircases(ns, nz, no):
     """Vertex indices (paths, m+1) of the staircase simplices of both sides.
 
-    The indices point into the table [S, Z, O, cut points] of _cut, the
-    cut point on the edge S[i]-O[k] being row m+1 + i*no + k. On the side
-    of S, grid point (i, 0) is S[i] and (i, j) the cut point on the edge
-    S[i]-O[j-1]; each monotone lattice path from (0, 0) to (ns-1, no),
-    joined with Z, is one simplex. The side of O swaps S and O.
+    The indices point into the table [S, Z, O, cut points] of a piece in
+    _cut, the cut point on the edge S[i]-O[k] being row m+1 + i*no + k. On
+    the side of S, grid point (i, 0) is S[i] and (i, j) the cut point on
+    the edge S[i]-O[j-1]; each monotone lattice path from (0, 0) to
+    (ns-1, no), joined with Z, is one simplex. The side of O swaps S and O.
     """
     cuts = ns + nz + no + np.arange(ns * no).reshape(ns, no)
     zero = np.arange(ns, ns + nz)
@@ -183,31 +147,64 @@ def _staircases(ns, nz, no):
     return tuple(sides)
 
 
-def _cut(verts, d, vals, level):
-    """Both sides {d >= 0} and {d <= 0} of a simplex cut by d = 0.
+def _cut(pieces, d, level, what):
+    """Every piece of a stack split into its parts on {d >= 0} and {d <= 0}.
 
-    verts holds the vertices, d the signed affine values that define the
-    cut, vals the kink argument at each vertex; cut points take the
-    argument value level. With S the vertices where d > 0, O those where
-    d < 0 and Z those where d = 0, each side is covered by its staircase
-    triangulation (see _staircases), which is combinatorially a product of
-    two simplices joined with Z. Returns one (vertices (K, m+1, m), values
-    (K, m+1)) pair per side.
+    d (P, m+1) holds the signed affine values that define each cut, level
+    (P,) the argument value at its cut points. A piece with no vertex on
+    one side passes through whole. In the others, with S the vertices
+    where d > 0, O those where d < 0 and Z those where d = 0, each side is
+    covered by its staircase triangulation (see _staircases), which is
+    combinatorially a product of two simplices joined with Z; one group of
+    pieces is cut per (|S|, |O|). S, Z and O are each taken by decreasing
+    |ell|. Only one path passes through the grid point (i, 0) of the last
+    row, so the vertex nearest the kink on each side lies in a single
+    part, and grading refines that part alone.
 
-    S, Z and O are each taken by decreasing |vals|. Only one path passes
-    through the grid point (i, 0) of the last row, so the vertex nearest
-    the kink on each side lies in a single piece, and grading refines that
-    piece alone.
+    Returns (parts, parent, side): the parts with the sign and row of
+    their piece, ordered by piece, side ({d >= 0} first) and path; the
+    index of each part's piece; and +1 or -1 for the side of a cut part, 0
+    for a whole piece. A cut that loses volume raises QuadratureError
+    naming `what` and its row.
     """
-    order = np.lexsort((-np.abs(vals), np.sign(-d)))
-    verts, d, vals = verts[order], d[order], vals[order]
-    ns, no = int((d > 0).sum()), int((d < 0).sum())
-    ds, do = d[:ns, None], d[d.size - no :]
-    vs, vo = verts[:ns, None], verts[d.size - no :]
-    cut = vs + (ds / (ds - do))[..., None] * (vo - vs)
-    table = np.concatenate([verts, cut.reshape(-1, verts.shape[1])])
-    ell = np.concatenate([vals, np.full(ns * no, float(level))])
-    return [(table[index], ell[index]) for index in _staircases(ns, d.size - ns - no, no)]
+    m = d.shape[1] - 1
+    cross = (d > 0.0).any(axis=1) & (d < 0.0).any(axis=1)
+    whole, cut = np.flatnonzero(~cross), np.flatnonzero(cross)
+    order = cut[:, None], np.lexsort((-np.abs(pieces.ell[cut]), np.sign(-d[cut])))
+    verts, ell, d = pieces.verts[order], pieces.ell[order], d[order]
+    ns, no = (d > 0.0).sum(axis=1), (d < 0.0).sum(axis=1)
+    zero = np.zeros_like(whole)
+    blocks = [(pieces.verts[whole], pieces.ell[whole], whole, zero, zero)]
+    for s, o in sorted(set(zip(ns.tolist(), no.tolist()))):
+        group = np.flatnonzero((ns == s) & (no == o))
+        v, g, e = verts[group], d[group], ell[group]
+        ds, vs = g[:, :s, None], v[:, :s, None]
+        do, vo = g[:, None, m + 1 - o :], v[:, None, m + 1 - o :]
+        points = vs + (ds / (ds - do))[..., None] * (vo - vs)
+        table = np.concatenate([v, points.reshape(group.size, s * o, m)], axis=1)
+        values = np.concatenate([e, np.repeat(level[cut[group], None], s * o, axis=1)], axis=1)
+        for sign, index in zip((1, -1), _staircases(s, m + 1 - s - o, o)):
+            k, size = len(index), group.size
+            parts = table[:, index].reshape(-1, m + 1, m), values[:, index].reshape(-1, m + 1)
+            keys = np.repeat(cut[group], k), np.full(size * k, sign), np.arange(size * k) % k
+            blocks.append(parts + keys)
+    verts, ell, parent, side, path = (np.concatenate(b) for b in zip(*blocks))
+    edges = verts[whole.size :, 1:] - verts[whole.size :, :1]
+    det = np.concatenate([pieces.det[whole], np.abs(np.linalg.det(edges))])
+    volume = pieces.det / math.factorial(m)
+    total = np.bincount(parent, det, len(pieces)) / math.factorial(m)
+    lost = np.flatnonzero(np.abs(total - volume) > 1e-9 * np.maximum(1.0, volume))
+    if lost.size:
+        k = lost[0]
+        raise QuadratureError(
+            f"{what} subdivision lost volume: pieces sum to {float(total[k])!r}, "
+            f"expected {float(volume[k])!r}",
+            row=int(pieces.row[k]),
+        )
+    order = np.lexsort((path, -side, parent))
+    parent = parent[order]
+    parts = Pieces(verts[order], ell[order], pieces.sign[parent], det[order], pieces.row[parent])
+    return parts, parent, side[order]
 
 
 def split_by_kink(rows):
@@ -217,10 +214,10 @@ def split_by_kink(rows):
     A row holds the m+1 vertex values of the affine argument (x_j at
     vertex j); values within a snap tolerance of zero are treated as
     exactly zero. The snap and the sign test run once over the stack: a
-    row without a sign change is covered by R_m itself, with no work of
-    its own, and only a row that changes sign is cut along {ell = 0},
-    both sides being triangulated. A cut that loses volume raises
-    QuadratureError with the index of its row.
+    row without a sign change is covered by R_m itself, and the rows that
+    change sign are cut along {ell = 0} in one _cut, both sides being
+    triangulated. A cut that loses volume raises QuadratureError with the
+    index of its row.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2:
@@ -229,25 +226,17 @@ def split_by_kink(rows):
     mag = np.abs(rows)
     ell = np.where(mag <= (_SNAP * np.maximum(1.0, mag.max(axis=1)))[:, None], 0.0, rows)
     pos, neg = (ell > 0.0).any(axis=1), (ell < 0.0).any(axis=1)
-    verts = _simplex_vertices(m)
     whole = Pieces(
-        np.repeat(verts[None], count, axis=0),
+        np.repeat(_simplex_vertices(m)[None], count, axis=0),
         ell,
         pos.astype(int) - neg,
         np.ones(count),
         np.arange(count),
     )
-    index, parts = np.flatnonzero(pos & neg).tolist(), []
-    for i in index:
-        (upper, lower), total = _sides(verts, ell[i], ell[i], 0.0)
-        if abs(total - 1.0 / _factorial(m)) > 1e-9:
-            raise QuadratureError(
-                f"kink subdivision lost volume: pieces sum to {total!r}, "
-                f"expected {1.0 / _factorial(m)!r}",
-                row=i,
-            )
-        parts.append(_stack(upper + lower, [1] * len(upper) + [-1] * len(lower), i))
-    return _replaced(whole, index, parts)
+    if not (pos & neg).any():
+        return whole
+    parts, _, side = _cut(whole, ell, np.zeros(count), "kink")
+    return replace(parts, sign=np.where(side != 0, side, parts.sign))
 
 
 # Grading of same-sign pieces: once the argument's smallest magnitude
@@ -257,48 +246,6 @@ def split_by_kink(rows):
 # Gauss nodes converge geometrically again.
 GRADE_FACTOR = 3.0
 GRADE_THRESHOLD = 1.0 / 3.0
-
-
-def _split_at_level(part, sign, level, scale, row):
-    """Cut one piece (vertices, values, |det|) of sign and row by the
-    hyperplane ell = level; (near-zero, far) lists of such pieces."""
-    verts, ell, det = part
-    d = ell - level
-    d = np.where(np.abs(d) <= 1e-13 * scale, 0.0, d)
-    above, below = np.any(d > 0), np.any(d < 0)
-    if not (above and below):
-        # for positive pieces, "below the level" is the near-zero side
-        near = below if sign > 0 else above
-        return ([part], []) if near else ([], [part])
-    (upper, lower), total = _sides(verts, d, ell, level)
-    volume = det / _factorial(verts.shape[-1])
-    if abs(total - volume) > 1e-9 * max(1.0, volume):
-        raise QuadratureError(
-            f"graded subdivision lost volume: pieces sum to {total!r}, expected {volume!r}",
-            row=row,
-        )
-    return (lower, upper) if sign > 0 else (upper, lower)
-
-
-def _graded(pieces, k, delta, top):
-    """The slabs of pieces[k] between the levels |ell| = delta *
-    GRADE_FACTOR^j below top * GRADE_THRESHOLD, far ones first."""
-    cuts = []
-    c = delta * GRADE_FACTOR
-    while c < top * GRADE_THRESHOLD:
-        cuts.append(c)
-        c *= GRADE_FACTOR
-    sign, row = int(pieces.sign[k]), int(pieces.row[k])
-    out, active = [], [(pieces.verts[k], pieces.ell[k], pieces.det[k])]
-    for c in reversed(cuts):
-        remaining = []
-        for part in active:
-            near, far = _split_at_level(part, sign, sign * c, top, row)
-            out += far
-            remaining += near
-        active = remaining
-    out += active
-    return _stack(out, [sign] * len(out), row)
 
 
 def graded_pieces(pieces):
@@ -311,16 +258,42 @@ def graded_pieces(pieces):
     outer face comes to the kink plane (the radial Jacobi weight only
     absorbs the singularity along rays). One test over the stack picks
     the pieces whose magnitudes leave a bounded ratio (a piece of sign 0
-    has none); only those are cut, and each is replaced in place by its
-    slabs. A cut that loses volume raises QuadratureError with the index
-    of its row.
+    has none). Each is replaced in place by its slabs between the levels
+    |ell| = delta * GRADE_FACTOR^j below top * GRADE_THRESHOLD, far ones
+    first: level by level, the near parts of every such piece are cut in
+    one _cut and the far ones set aside. A cut that loses volume raises
+    QuadratureError with the index of its row.
     """
     mag = np.abs(pieces.ell)
     top = mag.max(axis=1)
     delta = np.where(mag > 0.0, mag, np.inf).min(axis=1)
-    index = np.flatnonzero(delta * GRADE_FACTOR < top * GRADE_THRESHOLD).tolist()
-    parts = [_graded(pieces, k, float(delta[k]), float(top[k])) for k in index]
-    return _replaced(pieces, index, parts)
+    # the levels of each piece from the top down, inf where it has none
+    bound, c, levels = top * GRADE_THRESHOLD, delta * GRADE_FACTOR, []
+    while (c < bound).any():
+        levels.insert(0, np.where(c < bound, c, np.inf))
+        c = c * GRADE_FACTOR
+    if not levels:
+        return pieces
+    graded = np.isfinite(levels[-1])
+    done, owner = [pieces[~graded]], [np.flatnonzero(~graded)]
+    active, own = pieces[graded], np.flatnonzero(graded)
+    for c in levels:
+        level = active.sign * c[own]
+        d = active.ell - level[:, None]
+        d = np.where(np.abs(d) <= _SNAP * top[own, None], 0.0, d)
+        # a part left whole is near when it reaches below the level towards
+        # zero (some d < 0 when positive, d > 0 when negative; always at an
+        # infinite level), a cut part when it lies on that side
+        whole = np.where(active.sign > 0, (d < 0.0).any(axis=1), (d > 0.0).any(axis=1))
+        parts, parent, side = _cut(active, d, level, "graded")
+        near = np.where(side == 0, whole[parent], side == -parts.sign)
+        done.append(parts[~near])
+        owner.append(own[parent[~near]])
+        active, own = parts[near], own[parent[near]]
+    done.append(active)
+    owner.append(own)
+    stack = Pieces(*(np.concatenate([getattr(p, f.name) for p in done]) for f in fields(Pieces)))
+    return stack[np.argsort(np.concatenate(owner), kind="stable")]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Small numeric helpers used across modules."""
 
 import json
+import numbers
 
 import numpy as np
 
@@ -61,6 +62,14 @@ def check_within(values, bounds, what):
         raise ValidationError(
             f"{what} [{v.min():.6g}, {v.max():.6g}] outside the domain [{lo}, {hi}]"
         )
+
+
+def whole_number(value, what):
+    """value as an int, or a ValidationError naming `what` when it is not a
+    whole number: 2.7 is not truncated, and NaN is not a number of nodes."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def checked_tol(tol):

@@ -21,6 +21,7 @@ from specforms import (
     taylor_integral_form,
 )
 from specforms.forms import selfadjoint_embed
+from specforms.moi import binned_eigenvalues
 from specforms.momenta import MomentumSpec, momentum_eval, momentum_quadrature
 
 NAN = float("nan")
@@ -89,6 +90,24 @@ for bad in (0, -2, NAN, 2.7):
     CALLS[f"taylor_integral_form t_order={bad}"] = (
         lambda bad=bad: taylor_integral_form(H, H + 0.1 * V, 3.5, t_order=bad),
         "^t_order",
+    )
+# Counts and orders are not truncated: a fraction or NaN is rejected.
+for bad in (NAN, 2.7):
+    CALLS[f"MomentumSpec m={bad}"] = (
+        lambda bad=bad: MomentumSpec(m=bad, kernel=PowerAbs(2.5)),
+        "^momentum order must be a whole number",
+    )
+    CALLS[f"MomentumSpec exponent={bad}"] = (
+        lambda bad=bad: MomentumSpec(m=1, kernel=PowerAbs(2.5), q_terms=(((bad, 0), 1.0),)),
+        "^monomial exponent must be a whole number",
+    )
+    CALLS[f"binned_eigenvalues n={bad}"] = (
+        lambda bad=bad: binned_eigenvalues([0.1, 0.5], bad),
+        "^bin count must be a whole number",
+    )
+    CALLS[f"DividedDifference order={bad}"] = (
+        lambda bad=bad: DividedDifference(PowerAbs(3.5), bad),
+        "^divided-difference order must be a whole number",
     )
 # A request's tolerance is checked where the request is made, even when no
 # row of its symbol would reach quadrature.

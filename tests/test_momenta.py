@@ -271,12 +271,8 @@ def test_stacked_quadrature_matches_row_calls_bitwise(m, kind, monkeypatch):
 @st.composite
 def kink_probe_rows(draw):
     """Rows with nodes at and within _SNAP of 0, and smallest-to-largest
-    magnitude ratios at and around the grading thresholds 1/9 and 1/3.
-
-    Orders 1 and 2 only: at order 3 a row that crosses the kink next to a
-    node 1e-13 from it is cut into tens of thousands of pieces (about 2 s).
-    """
-    m = draw(st.integers(1, 2))
+    magnitude ratios at and around the grading thresholds 1/9 and 1/3."""
+    m = draw(st.integers(1, 3))
     top = draw(st.sampled_from([5e-14, 2e-13, 1e-3, 0.37, 1.0, 1.9]))
     sign = draw(st.sampled_from([-1.0, 1.0]))
     ratio = draw(st.sampled_from([1.0 / 9.0, 1.0 / 3.0, 0.1, 0.3, 0.5]))
@@ -316,6 +312,9 @@ def assert_rows_cut_as_alone(rows):
 # inside it and a ratio at the grading threshold 1/3.
 @example(row=np.array([1.0, 0.1, 1.5e-13, 0.6]))
 @example(row=np.array([0.37, 0.37 / 3.0, 5e-14, -0.2]))
+# Order 3, two nodes snapped to the kink and one just outside the snap,
+# graded over twelve decades: 16,276 pieces per row.
+@example(row=np.array([0.87, 2e-13, 1e-13, -1e-13]))
 def test_stacked_cover_cuts_each_row_as_alone(row):
     assert_rows_cut_as_alone(np.array([row, -row, row[::-1]]))
 
@@ -427,8 +426,9 @@ def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
 
 def test_geometry_failures_name_their_row(monkeypatch):
     # A face the kernel is not integrable against, a kernel singular on a
-    # whole piece, and cuts that lose volume (one simplex of every cut
-    # dropped): each error names its row of the stack, at the first level.
+    # whole piece, and cuts that lose volume (one staircase simplex of each
+    # side dropped): each error names its row of the stack, at the first
+    # level.
     smooth = [0.3, 0.4, 0.5]
     singular = MomentumSpec(m=2, kernel=PowerKernel(1.0, -1.5))
     power = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
@@ -438,10 +438,12 @@ def test_geometry_failures_name_their_row(monkeypatch):
         (power, [-0.5, 0.3, 0.2], "kink subdivision lost volume"),
         (power, [0.6, 0.3, 1e-6], "graded subdivision lost volume"),
     ]
-    cut = simplex._cut
+    staircases = simplex._staircases
     for spec, row, message in cases:
         if "lost volume" in message:
-            monkeypatch.setattr(simplex, "_cut", lambda *a: [(v[1:], e[1:]) for v, e in cut(*a)])
+            monkeypatch.setattr(
+                simplex, "_staircases", lambda *a: tuple(p[1:] for p in staircases(*a))
+            )
         with pytest.raises(QuadratureError, match=message) as info:
             momentum_quadrature(spec, np.array([smooth, row]))
         err = info.value

@@ -20,10 +20,9 @@ from specforms import CallableKernel, MomentumSpec, Polynomial, PowerKernel, Val
 from specforms.momenta import momentum_quadrature
 from specforms.simplex import (
     ORDER_LADDER,
-    _cut,
     _jacobi01,
-    _simplex_vertices,
     corner_rule,
+    split_by_kink,
     subsimplex_rule,
 )
 
@@ -215,25 +214,24 @@ def cut_rows(draw):
 @given(row=cut_rows())
 def test_staircase_cut_covers_both_sides(row):
     m = row.size - 1
-    verts = _simplex_vertices(m)
-    upper, lower = _cut(verts, row, row, 0.0)
+    pieces = split_by_kink(row[None])
+    assert set(pieces.sign.tolist()) == {-1, 1}
     # the affine argument at a point of R_m, recomputed from coordinates
     slack = 1e-14 * np.abs(row).max()
     volume = 0.0
-    for side, sign in ((upper, 1.0), (lower, -1.0)):
-        for pts, vals in zip(*side):
-            assert pts.shape == (m + 1, m)
-            assert np.all(sign * vals >= 0.0)
-            ell = row[0] + pts @ (row[1:] - row[0])
-            assert np.all(sign * ell >= -slack)
-            np.testing.assert_allclose(ell, vals, rtol=0, atol=slack)
-            volume += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(m)
+    for pts, vals, sign in zip(pieces.verts, pieces.ell, pieces.sign):
+        assert pts.shape == (m + 1, m)
+        assert np.all(sign * vals >= 0.0)
+        ell = row[0] + pts @ (row[1:] - row[0])
+        assert np.all(sign * ell >= -slack)
+        np.testing.assert_allclose(ell, vals, rtol=0, atol=slack)
+        volume += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(m)
     np.testing.assert_allclose(volume, 1.0 / math.factorial(m), rtol=1e-12)
     # Degree <= 4 in the barycentric coordinates (s_0, ..., s_m):
     # s^a integrates to prod(a!) / (|a| + m)! over R_m.
     for a in ((4,) + (0,) * m, (0,) * m + (4,), (2, 1, 1, 0)[: m + 1], (1,) * (m + 1)):
         got = 0.0
-        for pts in np.concatenate([upper[0], lower[0]]):
+        for pts in pieces.verts:
             nodes, weights = subsimplex_rule(pts, ORDER_LADDER[0])
             s = np.hstack([1.0 - nodes.sum(axis=1, keepdims=True), nodes])
             got += weights @ np.prod(s ** np.array(a), axis=1)
