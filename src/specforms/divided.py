@@ -13,10 +13,11 @@ representation
 
     f^[k](x_0..x_k) = integral over S_k of f^(k)(sum_j s_j x_j),
 
-a constant-weight momentum computed by simplex quadrature. A row without
-exact ties goes there when an adjacent gap is small; a row with one when
-the table's rounding-error bound is large (_routed_table). That bound is
-computed only for a stack holding an exact tie.
+the order-k momentum of f^(k) with weight 1, computed by simplex
+quadrature. A row without exact ties goes there when an adjacent gap is
+small; a row with one when the table's rounding-error bound is large
+(_routed_table). That bound is computed only for a stack holding an
+exact tie.
 
 Every entry point takes one node set or a stack of rows (R, k+1), which
 may be the transpose of a (k+1, R) column stack. The rows are sorted into

@@ -170,7 +170,7 @@ class FrechetForm:
         if not isinstance(exp, SchattenExponent):
             exp = SchattenExponent(exp)
         object.__setattr__(self, "exponent", exp)
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", whole_number(self.order, "form order"))
         object.__setattr__(self, "quad_tol", checked_tol(self.quad_tol))
         check_within(dec.eigenvalues, WORKING_INTERVAL, "base spectrum")
         _check_unit_ball(dec.eigenvalues, exp.p)
@@ -229,7 +229,7 @@ def trace_identity_residual(form, direction, k=None):
     """
     if k is None:
         k = form.order
-    k = int(k)
+    k = whole_number(k, "order k")
     if not 1 <= k <= min(getattr(form, "_limit", MAX_FORM_ORDER), MAX_FORM_ORDER):
         raise UnsupportedConfigError(f"order {k} outside this form's range")
     v = _direction(direction)
@@ -259,7 +259,7 @@ def fd_oracle(h, v, p, k, step=None):
     the roundoff-dominated regime. A non-Hermitian H or V raises
     ValidationError naming the base or the direction.
     """
-    k = int(k)
+    k = whole_number(k, "order k")
     if k not in _STENCILS:
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
     h = _check_hermitian(as_complex_matrix(h), "base")
@@ -515,15 +515,16 @@ def embedded_delta(h, v, p, k, quad_tol=1e-9):
     expansion coefficients of the original curve, with no extra factor.
     For Hermitian inputs this reproduces the direct form.
     """
+    k = whole_number(k, "order k")
     ah = selfadjoint_embed(h, p)
     av = selfadjoint_embed(v, p)
     form = FrechetForm(
         base=eigendecompose(ah),
         exponent=SchattenExponent(p),
-        order=int(k),
+        order=k,
         quad_tol=quad_tol,
     )
-    return delta_symmetric(form, [av.matrix] * int(k))
+    return delta_symmetric(form, [av.matrix] * k)
 
 
 def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_grid, p, quad_tol=1e-9):

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import UnsupportedConfigError, ValidationError
 from .spectral import WORKING_INTERVAL, SchattenExponent
+from .util import whole_number
 
 # Stand-in for "derivatives of every order are continuous".
 SMOOTH_ORDER = 10**9
@@ -106,7 +107,7 @@ class PowerKernel(ScalarFunctionModel):
         return out if out.shape else float(out)
 
     def derivative_model(self, k=1):
-        k = int(k)
+        k = whole_number(k, "derivative order")
         if k < 0:
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
@@ -122,7 +123,7 @@ def PowerAbs(p):
 
 
 def Monomial(n):
-    n = int(n)
+    n = whole_number(n, "monomial degree")
     if n < 0:
         raise ValidationError("monomial degree must be >= 0")
     return PowerKernel(1.0, n, n, domain=(-np.inf, np.inf))
@@ -157,7 +158,7 @@ class Polynomial(ScalarFunctionModel):
         return out if out.shape else float(out)
 
     def derivative_model(self, k=1):
-        k = int(k)
+        k = whole_number(k, "derivative order")
         if k == 0:
             return self
         return Polynomial(list(self._poly.deriv(k).coef), domain=self.domain)

@@ -13,15 +13,15 @@ against the rotated perturbations, evaluated here with einsum. Symbols
 may be divided-difference descriptors, momentum specs, separable sums,
 or bare callables. Every kind is evaluated for whole chunks of index
 tuples at once, each chunk handed over as the transpose of its column
-stack of eigenvalues: divided differences (and constant-weight momenta
-with an origin) through divided_difference, separable sums term by term,
-other momenta by quadrature and bare callables once per distinct tuple of
-the chunk. A divided difference or constant-weight momentum whose slots
-all hold one eigenvalue set (per member of a stack) is symmetric: it is
-evaluated on the sorted index tuples i_0 <= ... <= i_m alone, whose
-eigenvalues are already sorted, and each value fills every permutation of
-its tuple, through a cached rank table for a small tensor and by
-permutation scatters for a large one. The monomial shift of a symbol
+stack of eigenvalues: divided differences (and momenta with an origin)
+through divided_difference, separable sums term by term, other momenta by
+quadrature and bare callables once per distinct tuple of the chunk. A
+divided difference or momentum (a constant times its kernel integral)
+whose slots all hold one eigenvalue set (per member of a stack) is
+symmetric: it is evaluated on the sorted index tuples i_0 <= ... <= i_m
+alone, whose eigenvalues are already sorted, and each value fills every
+permutation of its tuple, through a cached rank table for a small tensor
+and by permutation scatters for a large one. The monomial shift of a symbol
 (algebraic_shift) is its tensor times the outer product of the eigenvalue
 powers.
 
@@ -286,15 +286,12 @@ def _shared_set(symbol, eig_sets):
     the symbol's value at a tuple is its value at the sorted tuple; else
     None.
 
-    That holds for a divided difference and for a constant-weight momentum,
-    which sort their rows first. The set must ascend, so that the index
+    That holds for a divided difference and for a momentum, which sort
+    their rows first. The set must ascend, so that the index
     tuples i_0 <= ... <= i_k give sorted rows, and must not hold a zero of
     each sign: those compare equal, and the sort keeps their order.
     """
-    if not (
-        isinstance(symbol, DividedDifference)
-        or (isinstance(symbol, MomentumSpec) and symbol.constant_weight is not None)
-    ):
+    if not isinstance(symbol, (DividedDifference, MomentumSpec)):
         return None
     e = eig_sets[0]
     if e.dtype != float or any(
@@ -501,7 +498,7 @@ def algebraic_shift(request, powers):
     T_phi with H_0^{s_0} multiplied onto the left of V_1 and H_j^{s_j}
     onto the right of V_j. Returns (lhs, rhs) evaluated independently.
     """
-    powers = tuple(int(s) for s in powers)
+    powers = tuple(whole_number(s, "monomial exponent") for s in powers)
     if len(powers) != request.order + 1:
         raise ValidationError(
             f"need {request.order + 1} exponents, got {len(powers)}"

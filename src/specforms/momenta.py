@@ -1,16 +1,15 @@
-"""Polynomial integral momenta over the standard simplex.
+"""Integral momenta over the standard simplex.
 
-A momentum of order m pairs a scalar kernel h with a polynomial weight Q
-in the barycentric coordinates (s_0, ..., s_m) and maps m+1 real
-arguments to
+A momentum of order m pairs a scalar kernel h with a constant weight c
+and maps m+1 real arguments to
 
-    phi(x_0, ..., x_m) = integral over S_m of Q(s) h(sum_j s_j x_j),
+    phi(x_0, ..., x_m) = c * integral over S_m of h(sum_j s_j x_j),
 
 with S_m carrying the usual corner-simplex measure of total mass 1/m!.
-With Q = 1 and h = f^(m) this is exactly the m-th divided difference of
-f, which is both the bridge to operator integrals and the fast
-evaluation route: such specs remember the antiderivative model and are
-evaluated through the divided-difference table whenever possible.
+With h = f^(m) this is c times the m-th divided difference of f, which
+is both the bridge to operator integrals and the fast evaluation route:
+such specs remember the antiderivative model and are evaluated through
+the divided-difference table whenever possible.
 
 Quadrature takes one row of arguments or a stack of rows (R, m+1), and
 every row takes the one path. The stack is cut once (simplex.split_by_kink
@@ -49,35 +48,31 @@ CHUNK_NODES = 1 << 14
 
 
 def _normalize_terms(m, q_terms):
-    if q_terms is None:
-        q_terms = (((0,) * (m + 1), 1.0),)
-    terms = []
-    for alpha, coef in q_terms:
-        alpha = tuple(whole_number(a, "monomial exponent") for a in alpha)
-        if len(alpha) != m + 1:
+    """The one weight term ((0,) * (m+1), c), c the sum of the coefficients
+    of q_terms (1 without terms), each of whose exponents must be zero."""
+    zero = (0,) * (m + 1)
+    c = 0.0
+    for alpha, coef in q_terms or ((zero, 1.0),):
+        if tuple(alpha) != zero:
             raise ValidationError(
-                f"monomial multi-index {alpha} needs {m + 1} slots for order {m}"
+                f"weight term {alpha} of an order-{m} momentum is not the constant "
+                f"{zero}: polynomial weights are retired"
             )
-        if any(a < 0 for a in alpha):
-            raise ValidationError(f"monomial exponents must be >= 0, got {alpha}")
-        coef = float(coef)
-        if not np.isfinite(coef):
-            raise ValidationError("monomial coefficients must be finite")
-        terms.append((alpha, coef))
-    if not terms:
-        terms = [((0,) * (m + 1), 1.0)]
-    return tuple(terms)
+        c += float(coef)
+    if not np.isfinite(c):
+        raise ValidationError("weight coefficients must be finite")
+    return ((zero, c),)
 
 
 @dataclass(frozen=True)
 class MomentumSpec:
-    """Order m, kernel h, and polynomial weight Q as monomial terms."""
+    """Order m, kernel h, and constant weight c as q_terms = (((0,) * (m+1), c),)."""
 
     m: int
     kernel: ScalarFunctionModel
     q_terms: tuple = None
-    #: model whose m-th derivative equals the kernel, when Q is constant;
-    #: enables the divided-difference evaluation route
+    #: model whose m-th derivative equals the kernel; enables the
+    #: divided-difference evaluation route
     origin: ScalarFunctionModel = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -92,45 +87,19 @@ class MomentumSpec:
     def from_divided_difference(cls, model, k):
         """Spec realizing f^[k] as the order-k momentum with kernel f^(k)."""
         model = as_kernel(model)
-        k = int(k)
+        k = whole_number(k, "divided-difference order")
         if k < 1:
             raise ValidationError("divided-difference order must be >= 1")
         if k > model.max_order:
             raise UnsupportedConfigError(
                 f"model exposes {model.max_order} continuous derivatives, need {k}"
             )
-        return cls(
-            m=k,
-            kernel=model.derivative_model(k),
-            q_terms=(((0,) * (k + 1), 1.0),),
-            origin=model,
-        )
+        return cls(m=k, kernel=model.derivative_model(k), origin=model)
 
     @property
     def constant_weight(self):
-        """The constant c when Q = c identically, else None."""
-        c = 0.0
-        for alpha, coef in self.q_terms:
-            if any(alpha):
-                return None
-            c += coef
-        return c
-
-    def weight_values(self, points):
-        """Evaluate Q at simplex points of shape (..., m)."""
-        const = self.constant_weight
-        if const is not None:
-            return np.full(points.shape[:-1], const)
-        lead = 1.0 - points.sum(axis=-1, keepdims=True)
-        sbar = np.concatenate([lead, points], axis=-1)
-        out = np.zeros(points.shape[:-1])
-        for alpha, coef in self.q_terms:
-            term = np.full(points.shape[:-1], coef)
-            for j, a in enumerate(alpha):
-                if a:
-                    term = term * sbar[..., j] ** a
-            out += term
-        return out
+        """The constant c of the weight."""
+        return self.q_terms[0][1]
 
 
 def _row_failure(message, row, order, level):
@@ -167,7 +136,7 @@ def _piece_values(spec, groups, rows, owner, todo, q):
                 arg += x[:, :1]
                 vals = kernel.eval(arg)
             elif group.g < 0:  # the argument vanishes on the whole piece
-                points, weights = subsimplex_rule(part.verts, q, part.det)
+                _, weights = subsimplex_rule(part.verts, q, part.det)
                 h0 = kernel.eval(0.0)
                 if not np.isfinite(h0):
                     raise _row_failure(
@@ -180,14 +149,14 @@ def _piece_values(spec, groups, rows, owner, todo, q):
             else:  # join rule: the power form on the opposite face
                 coef, beta, parity = kernel.power_form
                 try:
-                    points, weights, lhat = join_rule(part, q, beta, const is None)
+                    weights, lhat = join_rule(part, q, beta)
                 except QuadratureError as exc:
                     raise _row_failure(exc, x[0], spec.m, q) from exc
                 smooth = coef * np.abs(lhat) ** beta
                 if parity:
                     smooth = smooth * np.sign(lhat)
                 vals = np.tile(smooth, weights.shape[1] // smooth.shape[1])
-            vals = vals * (const if const is not None else spec.weight_values(points))
+            vals = vals * const
             values[part.index] = [float(w @ v) for w, v in zip(weights, vals)]
     return values
 
@@ -256,21 +225,18 @@ def momentum_eval(spec, x, tol=1e-9):
     """Momentum value at x; divided-difference route when available.
 
     x may also be a stack of rows (R, m+1), giving R values. Quadrature
-    then takes the stack of distinct rows in one call, rows of a
-    constant-weight (hence symmetric) momentum being sorted first by the
-    compare-exchange network that divided differences use
-    (util.sorted_columns).
+    then takes the stack of distinct rows in one call, the rows of the
+    symmetric momentum being sorted first by the compare-exchange network
+    that divided differences use (util.sorted_columns).
     """
     x = np.asarray(x, dtype=float)
-    const = spec.constant_weight
-    if spec.origin is not None and const is not None:
+    if spec.origin is not None:
         from .divided import divided_difference  # deferred: circular otherwise
 
-        return const * divided_difference(spec.origin, x, quad_tol=tol)
+        return spec.constant_weight * divided_difference(spec.origin, x, quad_tol=tol)
     if x.ndim != 2:
         return momentum_quadrature(spec, x, tol=tol)
-    if const is not None:
-        x = sorted_columns(x).T
+    x = sorted_columns(x).T
     return map_distinct_rows(lambda rows: momentum_quadrature(spec, rows, tol=tol), x)
 
 
@@ -279,9 +245,8 @@ def momentum_perturbation_pair(spec):
 
     psi satisfies psi(x_0, x_1, y_1, ..., y_m) = the first divided
     difference of x -> phi(x, y_1, ..., y_m) taken at (x_0, x_1), which
-    is the scalar identity behind the operator perturbation formula. The
-    weight of psi reuses Q with its first barycentric slot split in two:
-    s_0 becomes s_0' + s_1', expanded binomially into monomials.
+    is the scalar identity behind the operator perturbation formula. psi
+    keeps the constant weight c of phi.
     """
     kernel = spec.kernel
     try:
@@ -295,16 +260,8 @@ def momentum_perturbation_pair(spec):
             "kernel derivative is not integrable; cannot form the companion"
         )
 
-    new_terms = []
-    for alpha, coef in spec.q_terms:
-        a0, rest = alpha[0], alpha[1:]
-        for i in range(a0 + 1):
-            c = coef * math.comb(a0, i)
-            new_terms.append(((i, a0 - i) + rest, c))
-
     origin = None
     if spec.origin is not None and spec.m + 1 <= spec.origin.max_order:
         origin = spec.origin
-    return MomentumSpec(
-        m=spec.m + 1, kernel=new_kernel, q_terms=tuple(new_terms), origin=origin
-    )
+    weight = (((0,) * (spec.m + 2), spec.constant_weight),)
+    return MomentumSpec(m=spec.m + 1, kernel=new_kernel, q_terms=weight, origin=origin)

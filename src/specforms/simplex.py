@@ -2,7 +2,7 @@
 
 Integrals over the standard simplex in barycentric form,
 
-    integral over R_m of  W(s) * h(x_0 + sum_j s_j (x_j - x_0)) ds,
+    integral over R_m of  h(x_0 + sum_j s_j (x_j - x_0)) ds,
 
 are computed with product Gauss rules transported from the unit cube by
 the collapsing (Duffy) map. The affine argument of h takes the value x_j
@@ -359,20 +359,20 @@ def subsimplex_rule(verts, q, det=None):
 
 @lru_cache(maxsize=None)
 def _join_base(f, g, q, beta):
-    """The member-free part of the join rule: radial nodes, barycentric
-    maps of the two face rules, and the product weights flattened with the
-    radial index slowest and the opposite-face index fastest."""
-    xj, wj = _jacobi01(q, float(f), float(g + beta))
-    lam_coords, lam_w = corner_rule(f, q)
+    """The member-free part of the join rule: the barycentric map of the
+    opposite-face rule, and the product weights flattened with the radial
+    index slowest and the opposite-face index fastest."""
+    wj = _jacobi01(q, float(f), float(g + beta))[1]
+    lam_w = corner_rule(f, q)[1]
     mu_coords, mu_w = corner_rule(g, q)
     weights = (wj[:, None, None] * lam_w[None, :, None] * mu_w[None, None, :]).ravel()
-    out = (xj, _barycentric(lam_coords), _barycentric(mu_coords), weights)
+    out = (_barycentric(mu_coords), weights)
     for x in out:
         x.setflags(write=False)
     return out
 
 
-def join_rule(group, q, beta, with_points):
+def join_rule(group, q, beta):
     """Radial Gauss-Jacobi rule on each member of a join group.
 
     Writes a member as the join of its kink face F (where the affine
@@ -380,11 +380,10 @@ def join_rule(group, q, beta, with_points):
     coordinate r measuring the barycentric weight on G. The argument then
     factors exactly as ell = r * lhat(mu) with mu on G, so a Jacobi weight
     r^(g+beta) (1-r)^f integrates |ell|^beta without sampling the
-    singularity. Returns (points, weights, lhat): points (P, N, m), or
-    None without with_points, weights (P, N), and lhat (P, Ng) on the
-    Ng = N / q^(f+1) nodes of G, node k of a member taking lhat[k % Ng].
-    The caller still multiplies by the smooth part of the integrand and
-    by |lhat|^beta.
+    singularity. Returns (weights, lhat): weights (P, N), and lhat (P, Ng)
+    on the Ng = N / q^(f+1) nodes of G, node k of a member taking
+    lhat[k % Ng]. The caller still multiplies by |lhat|^beta and by the
+    constant weight.
     """
     f, g = group.f, group.g
     if f < 0 or g < 0:
@@ -393,16 +392,9 @@ def join_rule(group, q, beta, with_points):
         raise QuadratureError(
             f"kernel exponent {beta} is not integrable against this face"
         )
-    r, lam, mu, weights = _join_base(f, g, q, beta)
+    mu, weights = _join_base(f, g, q, beta)
     lhat = np.matmul(mu, group.gell[:, :, None])[..., 0]
-    points = None
-    if with_points:
-        a = np.matmul(lam, group.verts[:, : f + 1])  # (P, Nf, m)
-        b = np.matmul(mu, group.verts[:, f + 1 :])  # (P, Ng, m)
-        r = r[:, None, None, None]
-        points = (1.0 - r) * a[:, None, :, None, :] + r * b[:, None, None, :, :]
-        points = points.reshape(a.shape[0], -1, a.shape[-1])
-    return points, weights * group.det[:, None], lhat
+    return weights * group.det[:, None], lhat
 
 
 @lru_cache(maxsize=None)

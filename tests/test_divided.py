@@ -185,9 +185,9 @@ TIE_PATTERNS = {
 }
 
 
-def hermite_reference(p, nodes):
-    """f^[k] of |x|^p at 60 digits: the divided-difference table with the
-    analytic confluent value f^(L)(x)/L! wherever L+1 nodes coincide."""
+def hermite_value(p, nodes):
+    """f^[k] of |x|^p as a 60-digit mpf: the divided-difference table with
+    the analytic confluent value f^(L)(x)/L! wherever L+1 nodes coincide."""
     with mp.workdps(60):
         p = mp.mpf(p)
 
@@ -208,7 +208,12 @@ def hermite_reference(p, nodes):
                 else (vals[i + 1] - vals[i]) / (x[i + level] - x[i])
                 for i in range(len(vals) - 1)
             ]
-        return float(vals[0])
+        return vals[0]
+
+
+def hermite_reference(p, nodes):
+    """hermite_value rounded to a float."""
+    return float(hermite_value(p, nodes))
 
 
 @st.composite

@@ -9,16 +9,22 @@ import pytest
 
 from specforms import (
     DividedDifference,
+    ExperimentConfig,
     FrechetForm,
     MoiRequest,
+    Monomial,
+    Polynomial,
     PowerAbs,
     ValidationError,
+    algebraic_shift,
     divided_difference,
+    embedded_delta,
     fd_oracle,
     eigendecompose,
     fit_loglog_slope,
     generate_instance,
     taylor_integral_form,
+    trace_identity_residual,
 )
 from specforms.forms import selfadjoint_embed
 from specforms.moi import binned_eigenvalues
@@ -97,10 +103,6 @@ for bad in (NAN, 2.7):
         lambda bad=bad: MomentumSpec(m=bad, kernel=PowerAbs(2.5)),
         "^momentum order must be a whole number",
     )
-    CALLS[f"MomentumSpec exponent={bad}"] = (
-        lambda bad=bad: MomentumSpec(m=1, kernel=PowerAbs(2.5), q_terms=(((bad, 0), 1.0),)),
-        "^monomial exponent must be a whole number",
-    )
     CALLS[f"binned_eigenvalues n={bad}"] = (
         lambda bad=bad: binned_eigenvalues([0.1, 0.5], bad),
         "^bin count must be a whole number",
@@ -109,6 +111,45 @@ for bad in (NAN, 2.7):
         lambda bad=bad: DividedDifference(PowerAbs(3.5), bad),
         "^divided-difference order must be a whole number",
     )
+# Orders, degrees, exponents and the integer fields of a run config are not
+# truncated either.
+WHOLE = {
+    "from_divided_difference k": (
+        lambda: MomentumSpec.from_divided_difference(PowerAbs(3.5), 2.7),
+        "^divided-difference order",
+    ),
+    "trace_identity_residual k": (
+        lambda: trace_identity_residual(FrechetForm(eigendecompose(H), 3.5, order=2), V, k=2.7),
+        "^order k",
+    ),
+    "fd_oracle k": (lambda: fd_oracle(H, V, 3.5, 2.7), "^order k"),
+    "embedded_delta k": (lambda: embedded_delta(H, V, 3.5, 2.7), "^order k"),
+    "PowerKernel.derivative_model k": (
+        lambda: PowerAbs(3.5).derivative_model(2.7),
+        "^derivative order",
+    ),
+    "Polynomial.derivative_model k": (
+        lambda: Polynomial((0.5, 1.0, 2.0)).derivative_model(2.7),
+        "^derivative order",
+    ),
+    "Monomial n": (lambda: Monomial(2.7), "^monomial degree"),
+    "FrechetForm order": (lambda: FrechetForm(eigendecompose(H), 3.5, order=2.7), "^form order"),
+    "algebraic_shift powers": (
+        lambda: algebraic_shift(
+            MoiRequest((H, H), (V,), DividedDifference(PowerAbs(3.5), 1)), (1, 2.7)
+        ),
+        "^monomial exponent",
+    ),
+    "ExperimentConfig seed": (lambda: ExperimentConfig("selftest", seed=2.7), "^seed"),
+    "ExperimentConfig dim": (lambda: ExperimentConfig("selftest", dim=2.7), "^dim"),
+    "ExperimentConfig order": (lambda: ExperimentConfig("selftest", order=2.7), "^order"),
+    "ExperimentConfig n_grid": (
+        lambda: ExperimentConfig("selftest", n_grid=(2.7, 8)),
+        "^n grid entry",
+    ),
+}
+for name, (call, message) in WHOLE.items():
+    CALLS[f"{name}=2.7"] = (call, message + " must be a whole number, got 2.7")
 # A request's tolerance is checked where the request is made, even when no
 # row of its symbol would reach quadrature.
 for bad in (NAN, 0.0, -1.0, np.inf):

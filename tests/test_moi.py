@@ -548,7 +548,7 @@ def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
     cubic = Polynomial((0.2, -1.0, 0.5))
     symbols = (
         DividedDifference(PowerAbs(3.5), order),
-        MomentumSpec(m=order, kernel=cubic, q_terms=(((1,) + (0,) * order, 1.5),)),
+        MomentumSpec(m=order, kernel=cubic, q_terms=(((0,) * (order + 1), 1.5),)),
         SeparableSymbol(((0.5, (cubic,) * (order + 1)), (-2.0, (Monomial(2),) * (order + 1)))),
         lambda *vals: vals[0] - 2.0 * math.prod(vals[1:]),
     )
@@ -698,8 +698,6 @@ def test_sets_that_are_not_one_sorted_set_take_the_all_tuple_path():
     for sets in ([lam, lam, lam[::-1]], [lam[::-1]] * 3, [lam, lam, lam + 1e-9], [signed] * 3):
         assert moi._shared_set(symbol, sets) is None
     assert moi._shared_set(SeparableSymbol(((1.0, (Monomial(1),) * 3),)), [lam] * 3) is None
-    weighted = MomentumSpec(m=2, kernel=Monomial(1), q_terms=(((1, 0, 0), 1.0),))
-    assert moi._shared_set(weighted, [lam] * 3) is None
     got = _phi_tensor(symbol, [signed] * 3, 1e-9)
     assert got.tobytes() == scalar_phi(symbol, [signed] * 3).tobytes()
 
@@ -714,7 +712,6 @@ def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
     kernel = PowerAbs(2.5).derivative_model(2)
     symbols = (
         SeparableSymbol(((0.5, (cubic, Monomial(1), cubic)), (-2.0, (Monomial(2),) * 3))),
-        MomentumSpec(m=2, kernel=kernel, q_terms=(((1, 0, 2), 1.5),)),
         MomentumSpec(m=2, kernel=kernel),
     )
     for symbol in symbols:

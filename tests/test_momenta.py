@@ -1,4 +1,4 @@
-"""Integral momenta over the simplex: hand values, weights, companions."""
+"""Integral momenta over the simplex: hand values, constant weights, companions."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,12 @@ from specforms import (
     UnsupportedConfigError,
     ValidationError,
     divided_difference,
+    generate_instance,
     momentum_eval,
     momentum_perturbation_pair,
+    perturbation_identity,
 )
-from specforms import momenta, simplex
+from specforms import experiments, moi, momenta, simplex
 from specforms.momenta import momentum_quadrature
 from specforms.simplex import ORDER_LADDER, _SNAP, graded_pieces, group_pieces, split_by_kink
 
@@ -45,24 +47,6 @@ def test_linear_kernel_hand_value():
         np.testing.assert_allclose(momentum_eval(spec, x), sum(x), rtol=1e-12)
 
 
-def test_monomial_weight_hand_value():
-    # Q = s_1 s_2 with kernel 1: integral of s1 s2 over R_2 is 1/24
-    spec = MomentumSpec(m=2, kernel=ONE, q_terms=(((0, 1, 1), 1.0),))
-    x = np.array([0.3, -0.2, 0.8])
-    np.testing.assert_allclose(momentum_eval(spec, x), 1.0 / 24.0, rtol=1e-10)
-
-
-def test_weight_linearity():
-    x = np.array([0.4, -0.3, 0.25])
-    kernel = Polynomial((0.5, 1.0, -2.0))
-    q1 = (((1, 0, 0), 1.0),)
-    q2 = (((0, 2, 0), 1.0),)
-    combined = MomentumSpec(m=2, kernel=kernel, q_terms=q1 + (((0, 2, 0), 2.0),))
-    a = momentum_eval(MomentumSpec(m=2, kernel=kernel, q_terms=q1), x)
-    b = momentum_eval(MomentumSpec(m=2, kernel=kernel, q_terms=q2), x)
-    np.testing.assert_allclose(momentum_eval(combined, x), a + 2.0 * b, rtol=1e-10)
-
-
 def test_constant_weight_symmetry():
     # Q = 1 makes phi symmetric in its arguments.
     spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
@@ -71,7 +55,43 @@ def test_constant_weight_symmetry():
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0)):
         np.testing.assert_allclose(momentum_eval(spec, x[list(perm)]), base, rtol=1e-12)
     assert spec.constant_weight == 1.0
-    assert MomentumSpec(m=2, kernel=ONE, q_terms=(((1, 0, 0), 1.0),)).constant_weight is None
+
+
+def test_constant_weight_contract(monkeypatch):
+    # The weight is one constant c: it scales both routes of momentum_eval
+    # exactly (a power of two, with the quadrature's absolute tolerance
+    # scaled alike), it passes to the companion, and nothing but a constant
+    # term is accepted.
+    c, m = 4.0, 2
+    one = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
+    weight = (((0,) * (m + 1), c),)
+    rows = np.array([[0.7, -0.2, 0.4], [0.3, 0.3, 0.3001], [0.6, 0.3, 4e-9], [0.2, 0.5, 0.9]])
+    for origin in (one.origin, None):
+        spec = MomentumSpec(m=m, kernel=one.kernel, q_terms=weight, origin=origin)
+        assert spec.constant_weight == c
+        base = MomentumSpec(m=m, kernel=one.kernel, origin=origin)
+        got = momentum_eval(spec, rows, tol=c * QUAD_TOL)
+        assert got.tobytes() == (c * momentum_eval(base, rows, tol=QUAD_TOL)).tobytes()
+        psi = momentum_perturbation_pair(spec)
+        assert psi.constant_weight == c and psi.q_terms == (((0,) * (m + 2), c),)
+    with pytest.raises(ValidationError, match="polynomial weights are retired"):
+        MomentumSpec(m=m, kernel=ONE, q_terms=(((0, 1, 1), 1.0),))
+
+    # A companion scaled by 1 + 1e-3, as the benchmark's perturbed-companion
+    # check scales it, fails the order-1 cubic perturbation identity.
+    cubic = MomentumSpec.from_divided_difference(experiments._PERTURBATION_POLY, 1)
+    (a, v), (b, _), (h, _) = generate_instance([1, 2, 3], 4, "generic", 2.5)
+    tol = experiments.DEFAULT_TOLERANCES["perturbation_poly"]
+    assert perturbation_identity(cubic, a, b, [h], [v]) <= tol
+    pair = moi.momentum_perturbation_pair
+
+    def scaled(spec):
+        psi = pair(spec)
+        terms = tuple((alpha, w * (1.0 + 1e-3)) for alpha, w in psi.q_terms)
+        return MomentumSpec(m=psi.m, kernel=psi.kernel, q_terms=terms, origin=psi.origin)
+
+    monkeypatch.setattr(moi, "momentum_perturbation_pair", scaled)
+    assert perturbation_identity(cubic, a, b, [h], [v]) > tol
 
 
 def test_divided_difference_route_matches_quadrature():
@@ -133,23 +153,10 @@ def test_perturbation_pair_confluent_matches_partial_derivative():
     np.testing.assert_allclose(lhs, (plus - minus) / (2.0 * h), rtol=0, atol=1e-6)
 
 
-def test_perturbation_pair_splits_weight_binomially():
-    # Q = s_0^2 becomes (s_0 + s_1)^2 in the companion.
-    spec = MomentumSpec(m=1, kernel=Polynomial((0.0, 0.0, 3.0)), q_terms=(((2, 0), 1.0),))
-    psi = momentum_perturbation_pair(spec)
-    terms = dict(psi.q_terms)
-    assert terms == {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 2, 0): 1.0}
-    x0, x1, y = 0.5, -0.1, 0.3
-    lhs = momentum_eval(psi, np.array([x0, x1, y]), tol=1e-10)
-    phi0 = momentum_eval(spec, np.array([x0, y]), tol=1e-12)
-    phi1 = momentum_eval(spec, np.array([x1, y]), tol=1e-12)
-    np.testing.assert_allclose(lhs, (phi0 - phi1) / (x0 - x1), rtol=0, atol=1e-8)
-
-
 def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
     # A momentum without a divided-difference route maps a row stack to
-    # one value per row; a constant-weight one counts permuted rows once.
-    # Quadrature takes the distinct rows as one stack.
+    # one value per row, counting permuted rows once. Quadrature takes the
+    # distinct rows as one stack.
     from specforms import momenta
 
     rows_seen = []
@@ -161,14 +168,12 @@ def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
 
     monkeypatch.setattr(momenta, "momentum_quadrature", counted)
     rows = np.array([[0.3, -0.2, 0.8], [0.8, 0.3, -0.2], [0.3, -0.2, 0.8], [0.1, 0.5, -0.6]])
-    for q_terms, distinct in ((None, 2), ((((0, 1, 1), 1.0),), 3)):
-        spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2), q_terms=q_terms)
-        rows_seen.clear()
-        got = momentum_eval(spec, rows, tol=QUAD_TOL)
-        assert got.shape == (4,) and len(rows_seen) == len(set(rows_seen)) == distinct
-        args = np.sort(rows, axis=1) if q_terms is None else rows
-        assert set(rows_seen) == set(map(tuple, args))
-        np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
+    spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2))
+    got = momentum_eval(spec, rows, tol=QUAD_TOL)
+    assert got.shape == (4,) and len(rows_seen) == len(set(rows_seen)) == 2
+    args = np.sort(rows, axis=1)
+    assert set(rows_seen) == set(map(tuple, args))
+    np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
 
 
 def test_constant_weight_rows_sort_as_np_sort_bitwise():
@@ -207,16 +212,11 @@ def test_validation_guards():
 
 
 def stack_specs(m):
-    """A kinked kernel, a polynomial, an opaque callable and a
-    non-constant weight, all of order m."""
-    weight = (((1,) + (0,) * (m - 1) + (2,), 1.0), ((0,) * (m + 1), 0.5))
+    """A kinked kernel, a polynomial and an opaque callable, all of order m."""
     return {
         "power": MomentumSpec.from_divided_difference(PowerAbs(3.5), m),
         "polynomial": MomentumSpec(m=m, kernel=Polynomial((0.3, -1.0, 0.5, 2.0))),
         "exp": MomentumSpec(m=m, kernel=CallableKernel(np.exp)),
-        "weighted": MomentumSpec(
-            m=m, kernel=PowerAbs(3.5).derivative_model(m), q_terms=weight
-        ),
     }
 
 
@@ -249,7 +249,7 @@ def plain_rows(rows):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["power", "polynomial", "exp", "weighted"])
+@pytest.mark.parametrize("kind", ["power", "polynomial", "exp"])
 def test_stacked_quadrature_matches_row_calls_bitwise(m, kind, monkeypatch):
     spec = stack_specs(m)[kind]
     rows = mixed_rows(m, np.random.default_rng(10 * m + len(kind)))
@@ -365,8 +365,7 @@ def test_tied_rows_keep_their_pinned_bits(m):
 # quadrature, each through its own call at the default tol: the former
 # Qhull row (824 pieces), two rows graded toward a node within 1e-8 of the
 # kink (49 pieces each) and a kink-crossing row with a node 2e-9 from it
-# (804 pieces). The "weighted" spec of stack_specs carries the points of
-# every rule into a non-constant weight.
+# (804 pieces).
 MANY_PIECE_ROWS = (
     (0.03923010488866392, -7.510138023989476e-10, -0.8248415645362699, -0.0049459421552124835),
     (0.6, 0.3, 0.45, 3e-9),
@@ -380,20 +379,13 @@ MANY_PIECE_HEX = {
         "-0x1.4b5243cfffd61p+0",
         "0x1.afd5bd109cd58p-2",
     ),
-    "weighted": (
-        "-0x1.c4f563f55f78bp-2",
-        "0x1.4af17607d35b6p-1",
-        "-0x1.56bb9d4704064p-1",
-        "0x1.b75ed6994df58p-3",
-    ),
 }
 
 
-@pytest.mark.parametrize("kind", ["power", "weighted"])
-def test_many_piece_rows_keep_their_pinned_bits(kind):
-    spec = stack_specs(3)[kind]
+def test_many_piece_rows_keep_their_pinned_bits():
+    spec = stack_specs(3)["power"]
     rows = np.array(MANY_PIECE_ROWS)
-    expected = list(MANY_PIECE_HEX[kind])
+    expected = list(MANY_PIECE_HEX["power"])
     assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
     assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
 

@@ -33,11 +33,6 @@ ABS = PowerKernel(1.0, 1.0)
 ABS_CUBED = PowerKernel(1.0, 3.0)
 
 
-def weighted(m, alpha):
-    """The momentum of the constant kernel 1 against Q = s^alpha."""
-    return MomentumSpec(m=m, kernel=ONE, q_terms=((alpha, 1.0),))
-
-
 def dblquad_of_ell(fn, x):
     """scipy's adaptive integral over R_2 of fn(ell(s)) and its error."""
     return integrate.dblquad(
@@ -73,24 +68,34 @@ def test_rejects_bad_orders():
         momentum_quadrature(MomentumSpec(m=2, kernel=ONE), np.array([0.1, 0.2]))
 
 
+def monomial_integrals(m, powers, q):
+    """The integral over R_m of s^powers by corner_rule, and by
+    subsimplex_rule on R_m with its vertices in reverse order."""
+    values = []
+    for points, weights in (
+        corner_rule(m, q),
+        subsimplex_rule(np.vstack([np.zeros((1, m)), np.eye(m)])[::-1], q),
+    ):
+        values.append(weights @ np.prod(points**powers, axis=1))
+    return values
+
+
 def test_polynomial_exactness_m2():
     # closed forms: int over {s1,s2>=0, s1+s2<=1} of s1^a s2^b = a! b! / (a+b+2)!
-    x = np.array([0.3, -0.2, 0.8])
     for a, b in ((0, 0), (1, 0), (1, 1), (2, 3), (4, 4)):
         exact = (
             math.factorial(a)
             * math.factorial(b)
             / math.factorial(a + b + 2)
         )
-        got = momentum_quadrature(weighted(2, (0, a, b)), x)
-        np.testing.assert_allclose(got, exact, rtol=1e-13)
+        for got in monomial_integrals(2, (a, b), ORDER_LADDER[1]):
+            np.testing.assert_allclose(got, exact, rtol=1e-13)
 
 
 def test_polynomial_exactness_m3():
     # int s1 s2 s3 over R_3 = 1!1!1!/6! = 1/720
-    x = np.array([0.3, -0.2, 0.8, 0.1])
-    got = momentum_quadrature(weighted(3, (0, 1, 1, 1)), x)
-    np.testing.assert_allclose(got, 1.0 / 720.0, rtol=1e-13)
+    for got in monomial_integrals(3, (1, 1, 1), ORDER_LADDER[1]):
+        np.testing.assert_allclose(got, 1.0 / 720.0, rtol=1e-13)
 
 
 def test_smooth_integrand_matches_dblquad():
