@@ -89,7 +89,7 @@ class PowerKernel(ScalarFunctionModel):
         return c
 
     def eval(self, x, order=0):
-        order = int(order)
+        order = whole_number(order, "derivative order")
         if order < 0:
             raise ValidationError("derivative order must be >= 0")
         x = np.asarray(x, dtype=float)
@@ -149,7 +149,7 @@ class Polynomial(ScalarFunctionModel):
         return list(self._poly.coef)
 
     def eval(self, x, order=0):
-        order = int(order)
+        order = whole_number(order, "derivative order")
         if order < 0:
             raise ValidationError("derivative order must be >= 0")
         p = self._poly.deriv(order) if order else self._poly
@@ -159,6 +159,8 @@ class Polynomial(ScalarFunctionModel):
 
     def derivative_model(self, k=1):
         k = whole_number(k, "derivative order")
+        if k < 0:
+            raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
         return Polynomial(list(self._poly.deriv(k).coef), domain=self.domain)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import _hermitian_members
-from .util import adjoint, lp_norms
+from .util import adjoint, lp_norms, whole_number
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -77,7 +77,7 @@ class SplitMix64:
     """The documented counter-based generator; see the module docstring."""
 
     def __init__(self, seed):
-        self.state = int(seed) & MASK64
+        self.state = whole_number(seed, "seed") & MASK64
         self._spare = None
 
     def next_u64(self):
@@ -94,7 +94,9 @@ class SplitMix64:
     def normals(self, n):
         """The next n normals: a pending spare first, then fresh pairs; the
         second member of an odd last pair is kept as the spare."""
-        n = int(n)
+        n = whole_number(n, "normal count")
+        if n < 0:
+            raise ValidationError(f"normal count must be >= 0, got {n}")
         head = []
         if n and self._spare is not None:
             head, self._spare = [self._spare], None
@@ -129,7 +131,7 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
     A sequence of seeds is drawn as one stack, and each pair has the bits
     of its own single-seed call.
     """
-    dim = int(dim)
+    dim = whole_number(dim, "instance dimension")
     if dim < 2:
         raise ValidationError(f"instance dimension must be >= 2, got {dim}")
     if profile not in PROFILES:
@@ -140,7 +142,7 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
 
     single = np.ndim(seed) == 0
     seeds = [seed] if single else seed
-    states = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
+    states = np.array([whole_number(s, "seed") & MASK64 for s in seeds], dtype=np.uint64)
     # Each seed's stream gives H its first dim^2 normal pairs, V the next.
     normals = _normal_block(states, 2 * dim * dim).reshape(-1, 2, dim, dim, 2)
     h, v = _hermitian(normals).swapaxes(0, 1)

@@ -66,7 +66,10 @@ def check_within(values, bounds, what):
 
 def whole_number(value, what):
     """value as an int, or a ValidationError naming `what` when it is not a
-    whole number: 2.7 is not truncated, and NaN is not a number of nodes."""
+    whole number: 2.7 is not truncated, and NaN is not a number of nodes.
+    An integer of any size passes as it is."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValidationError(f"{what} must be a whole number, got {value!r}")
     return int(value)

@@ -15,6 +15,7 @@ from specforms import (
     Monomial,
     Polynomial,
     PowerAbs,
+    SplitMix64,
     ValidationError,
     algebraic_shift,
     divided_difference,
@@ -133,6 +134,16 @@ WHOLE = {
         "^derivative order",
     ),
     "Monomial n": (lambda: Monomial(2.7), "^monomial degree"),
+    "PowerKernel.eval order": (lambda: PowerAbs(3.5).eval(0.5, order=2.7), "^derivative order"),
+    "Polynomial.eval order": (
+        lambda: Polynomial((0.5, 1.0, 2.0)).eval(0.5, order=2.7),
+        "^derivative order",
+    ),
+    "generate_instance dim": (lambda: generate_instance(1, 2.7), "^instance dimension"),
+    "generate_instance seed": (lambda: generate_instance(2.7, 3), "^seed"),
+    "generate_instance seeds": (lambda: generate_instance([1, 2.7], 3), "^seed"),
+    "SplitMix64 seed": (lambda: SplitMix64(2.7), "^seed"),
+    "SplitMix64.normals n": (lambda: SplitMix64(1).normals(2.7), "^normal count"),
     "FrechetForm order": (lambda: FrechetForm(eigendecompose(H), 3.5, order=2.7), "^form order"),
     "algebraic_shift powers": (
         lambda: algebraic_shift(
@@ -150,6 +161,15 @@ WHOLE = {
 }
 for name, (call, message) in WHOLE.items():
     CALLS[f"{name}=2.7"] = (call, message + " must be a whole number, got 2.7")
+# Negative orders and counts raise the typed error too.
+CALLS["Polynomial.derivative_model k=-1"] = (
+    lambda: Polynomial((0.5, 1.0, 2.0)).derivative_model(-1),
+    "^derivative order must be >= 0",
+)
+CALLS["SplitMix64.normals n=-1"] = (
+    lambda: SplitMix64(1).normals(-1),
+    "^normal count must be >= 0, got -1",
+)
 # A request's tolerance is checked where the request is made, even when no
 # row of its symbol would reach quadrature.
 for bad in (NAN, 0.0, -1.0, np.inf):

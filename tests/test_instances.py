@@ -187,3 +187,14 @@ def test_block_draws_match_the_scalar_algorithm():
             got = getattr(rng, name)(*args)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (seed, name)
             assert rng.state == ref.state
+
+
+def test_integer_seeds_wrap_modulo_two_to_the_64():
+    # Negative and very large integer seeds (beyond float range too) still
+    # wrap with MASK64; only fractions are rejected.
+    for seed, wrapped in ((-1, MASK64), (2**64 + 5, 5), (10**400, 10**400 & MASK64)):
+        assert SplitMix64(seed).state == wrapped
+        for got, want in zip(generate_instance(seed, 3), generate_instance(wrapped, 3)):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert SplitMix64(np.int64(-1)).state == MASK64
+    assert SplitMix64(5.0).state == 5

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
+import sys
+import threading
+
 from specforms import (
+    FrechetForm,
     HermitianMatrix,
+    MomentumSpec,
     Monomial,
+    Polynomial,
     PowerAbs,
     SchattenExponent,
     ValidationError,
     apply_scalar_function,
+    delta_symmetric,
     eigendecompose,
+    generate_instance,
+    perturbation_identity,
     schatten_norm,
 )
 from specforms import spectral
@@ -248,3 +257,151 @@ def test_apply_scalar_function_domain_guard():
 
 def test_eigensolver_error_type_exists():
     assert issubclass(EigenSolverError, RuntimeError)
+
+
+# The one-entry memo of eigendecompose: a call handed the bits of the last
+# decomposition's source returns that decomposition without a solve.
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of solver calls, counted from an empty memo."""
+    monkeypatch.setattr(spectral, "_last", (None, None))
+    count = [0]
+    solve = spectral._decompose
+
+    def counted(a):
+        count[0] += 1
+        return solve(a)
+
+    monkeypatch.setattr(spectral, "_decompose", counted)
+    return count
+
+
+def same_bits(a, b):
+    return all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in (
+            (a.eigenvalues, b.eigenvalues),
+            (a.eigenvectors, b.eigenvectors),
+            (a.source.matrix, b.source.matrix),
+        )
+    )
+
+
+def test_repeat_call_takes_one_solve(solves):
+    h = random_hermitian(np.random.default_rng(41), 5)
+    first = eigendecompose(h)
+    assert solves[0] == 1
+    for again in (h.copy(), HermitianMatrix(h), first.source):
+        assert same_bits(eigendecompose(again), first)
+    assert solves[0] == 1
+
+
+def test_changed_bits_take_a_fresh_solve(solves):
+    h = random_hermitian(np.random.default_rng(43), 4)
+    eigendecompose(h)
+    ulp = h.copy()
+    ulp[2, 2] = np.nextafter(h[2, 2].real, np.inf)
+    eigendecompose(ulp)
+    assert solves[0] == 2
+    # Equal values, different bits: a negative zero is a different input.
+    plus = np.diag([0.3, -0.2, 0.1]).astype(complex)
+    minus = plus.copy()
+    minus[0, 1], minus[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    assert np.signbit(HermitianMatrix(minus).matrix[0, 1].real)
+    eigendecompose(plus)
+    eigendecompose(minus)
+    eigendecompose(plus)
+    assert solves[0] == 5
+
+
+def test_matrix_and_its_stack_of_one_are_kept_apart(solves):
+    h = random_hermitian(np.random.default_rng(47), 3)
+    one = eigendecompose(h)
+    stacked = eigendecompose(h[None])
+    assert solves[0] == 2
+    assert one.stack is None and stacked.stack == 1
+    assert eigendecompose(h[None]).stack == 1
+    assert solves[0] == 2
+    assert eigendecompose(h).stack is None
+    assert solves[0] == 3
+    assert same_bits(stacked[0], one)
+
+
+def test_non_hermitian_input_after_a_hit_raises(solves):
+    h = random_hermitian(np.random.default_rng(53), 3)
+    eigendecompose(h)
+    eigendecompose(h)
+    skew = h.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        eigendecompose(skew)
+    assert solves[0] == 1
+
+
+def test_failed_call_is_not_remembered(solves, monkeypatch):
+    h = random_hermitian(np.random.default_rng(59), 4)
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+    for _ in range(2):
+        with pytest.raises(EigenSolverError):
+            eigendecompose(h)
+    assert solves[0] == 2
+
+
+def test_caller_array_changed_in_place_takes_a_fresh_solve(solves):
+    a = random_hermitian(np.random.default_rng(61), 4)
+    before = eigendecompose(a)
+    kept = before.eigenvalues.copy()
+    a[0, 0] += 0.25
+    after = eigendecompose(a)
+    assert solves[0] == 2
+    assert np.array_equal(before.eigenvalues, kept)
+    assert not np.array_equal(after.eigenvalues, kept)
+    np.testing.assert_allclose(after.compose(after.eigenvalues), a, atol=1e-12)
+
+
+def test_threads_alternating_matrices_get_their_own_bits(solves):
+    rng = np.random.default_rng(67)
+    mats = [random_hermitian(rng, 6) for _ in range(2)]
+    refs = [eigendecompose(m) for m in mats]
+    wrong, barrier = [], threading.Barrier(2)
+
+    def worker(phase):
+        # Each matrix twice in a row, so that calls both hit and miss.
+        barrier.wait()
+        for i in range(400):
+            j = (i // 2 + phase) % 2
+            if not same_bits(eigendecompose(mats[j]), refs[j]):
+                wrong.append((phase, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(phase,)) for phase in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_forms_of_one_base_take_one_solve(solves):
+    h, v = generate_instance(5, 4, "generic", 3.5)
+    forms = [FrechetForm(h.matrix, 3.5, k) for k in (1, 2, 3)]
+    values = [delta_symmetric(form, [v.matrix] * form.order) for form in forms]
+    assert solves[0] == 1
+    assert all(np.isfinite(values))
+    assert forms[0].base is forms[1].base is forms[2].base
+
+
+def test_perturbation_identities_on_one_set_take_one_solve(solves):
+    (a, _), (b, _), (t, w) = generate_instance([3, 4, 5], 4, "generic", 2.5)
+    raw = (a.matrix, b.matrix, [t.matrix], [w.matrix])
+    cubic = MomentumSpec.from_divided_difference(Polynomial((0.25, -1.0, 0.5, 2.0)), 1)
+    power = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
+    assert perturbation_identity(cubic, *raw) <= 1e-12
+    assert perturbation_identity(power, *raw) <= 1e-6
+    assert solves[0] == 1
