@@ -40,12 +40,6 @@ class ScalarFunctionModel:
         return self.power_form is not None and self.max_order < SMOOTH_ORDER
 
 
-def _sign_power(x, parity):
-    if parity % 2 == 0:
-        return np.ones_like(x)
-    return np.sign(x)
-
-
 def _power_max_order(beta, parity):
     if beta >= 0 and beta == int(beta):
         if (int(beta) + parity) % 2 == 0:
@@ -66,7 +60,7 @@ class PowerKernel(ScalarFunctionModel):
     def __init__(self, coef, beta, parity=0, domain=WORKING_INTERVAL):
         self.coef = float(coef)
         self.beta = float(beta)
-        self.parity = int(parity) % 2
+        self.parity = whole_number(parity, "parity") % 2
         self.domain = (float(domain[0]), float(domain[1]))
         # A zero coefficient (a monomial differentiated past its degree) is
         # the zero function, smooth whatever its exponent.
@@ -103,7 +97,7 @@ class PowerKernel(ScalarFunctionModel):
         else:
             with np.errstate(divide="ignore"):
                 mag = np.abs(x) ** b
-        out = c * mag * _sign_power(x, par)
+        out = c * mag * np.sign(x) if par else c * mag
         return out if out.shape else float(out)
 
     def derivative_model(self, k=1):

@@ -8,28 +8,19 @@ eigenprojection series
         = sum over index tuples of phi(lam^0_{i_0}, ..., lam^m_{i_m})
           P^0_{i_0} V_1 P^1_{i_1} ... V_m P^m_{i_m}.
 
-In the eigenbases this is a tensor contraction of the symbol values
-against the rotated perturbations, evaluated here with einsum. Symbols
-may be divided-difference descriptors, momentum specs, separable sums,
-or bare callables. Every kind is evaluated for whole chunks of index
-tuples at once, each chunk handed over as the transpose of its column
-stack of eigenvalues: divided differences (and momenta with an origin)
-through divided_difference, separable sums term by term, other momenta by
-quadrature and bare callables once per distinct tuple of the chunk. A
-divided difference or momentum (a constant times its kernel integral)
-whose slots all hold one eigenvalue set (per member of a stack) is
-symmetric: it is evaluated on the sorted index tuples i_0 <= ... <= i_m
-alone, whose eigenvalues are already sorted, and each value fills every
-permutation of its tuple, through a cached rank table for a small tensor
-and by permutation scatters for a large one. The monomial shift of a symbol
-(algebraic_shift) is its tensor times the outer product of the eigenvalue
-powers.
+moi_exact integrates a divided-difference symbol by the Sylvester
+recurrence (_sylvester_core). Every other symbol, and moi_binned for every
+symbol, takes the symbol tensor, contracted against the rotated
+perturbations with einsum: divided differences (and momenta with an
+origin) through divided_difference, separable sums term by term, other
+momenta by quadrature and bare callables once per distinct index tuple, in
+chunks of index tuples, each handed over as the transpose of its column
+stack. The monomial shift of a symbol (algebraic_shift) is its tensor times
+the outer product of the eigenvalue powers.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
-one call then evaluates the S integrals. The symbol tensor carries a
-leading stack axis when some decomposition is a stack, its entry
-(b, i_0, ..., i_m) reading row b of every stacked eigenvalue set.
+one call then evaluates the S integrals.
 
 The slots of a request, of moi_separable, of perturbation_identity and
 of forms.holder_difference_norms are prepared in one place
@@ -41,7 +32,6 @@ request) and a member of a stack by its index.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +39,7 @@ import numpy as np
 
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
-from .functions import as_kernel
+from .functions import Polynomial, PowerKernel, as_kernel
 from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
 from .spectral import SpectralDecomposition, _check_hermitian, _checked, eigendecompose
 from .util import (
@@ -65,6 +55,13 @@ MAX_ORDER = 3
 # Index tuples per batched symbol call: an order-3 tensor at dim 64 has
 # 16.8M of them, which are never held as one row stack.
 CHUNK_ROWS = 1 << 16
+# A pair of eigenvalues x, y of slots two or more apart is too close to
+# divide by in the Sylvester recurrence when |x - y| < NEAR_PAIR (1 + |x| + |y|).
+NEAR_PAIR = 1e-2
+# The last Loewner values of the recurrence, with their key and eigenvalue
+# arrays: forms of several orders on one base ask for them again. One tuple,
+# swapped whole for the threads of the driver pool.
+_last_loewner = (None, None, None)
 
 
 def _as_decomposition(obj):
@@ -240,103 +237,15 @@ def _symbol_adapter(symbol, tol):
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 
-@functools.lru_cache(maxsize=8)
-def _sorted_tuples(n, width):
-    """The index tuples i_0 <= ... <= i_{width-1} below n, C(n + width - 1,
-    width) of them in lexicographic order, as the columns of a read-only
-    array of the smallest unsigned type that holds n - 1."""
-    cols = np.arange(n)[None]
-    for _ in range(width - 1):
-        last = cols[-1]
-        count = n - last  # continuations last, ..., n - 1 of each tuple
-        start = np.cumsum(count) - count
-        nxt = np.arange(count.sum()) - np.repeat(start - last, count)
-        cols = np.vstack([np.repeat(cols, count, axis=1), nxt])
-    cols = cols.astype(np.min_scalar_type(n - 1))
-    cols.setflags(write=False)
-    return cols
-
-
-def _scatter_permutations(out, values, idx, base, n):
-    """out[base + flat index of each permutation of the tuple idx[:, r]] =
-    values[r], for tuples of indices below n (idx of shape (width, R))."""
-    width = len(idx)
-    # scaled[j][slot]: the flat offset of index idx[j] in that slot
-    scaled = [[i * n ** (width - 1 - slot) for slot in range(width)] for i in idx]
-    for order in itertools.permutations(range(width)):
-        flat = base + scaled[order[0]][0]
-        for slot, j in enumerate(order[1:], 1):
-            flat += scaled[j][slot]
-        out[flat] = values
-
-
-@functools.lru_cache(maxsize=8)
-def _tuple_ranks(n, width):
-    """For each flat index of an (n,) * width tensor, the place of its
-    sorted index tuple in _sorted_tuples(n, width); read-only."""
-    tuples = _sorted_tuples(n, width)
-    ranks = np.empty(n**width, dtype=np.intp)
-    _scatter_permutations(ranks, np.arange(tuples.shape[1]), tuples.astype(np.intp), 0, n)
-    ranks.setflags(write=False)
-    return ranks
-
-
-def _shared_set(symbol, eig_sets):
-    """The eigenvalue set (n,) or stack (S, n) that every slot holds, when
-    the symbol's value at a tuple is its value at the sorted tuple; else
-    None.
-
-    That holds for a divided difference and for a momentum, which sort
-    their rows first. The set must ascend, so that the index
-    tuples i_0 <= ... <= i_k give sorted rows, and must not hold a zero of
-    each sign: those compare equal, and the sort keeps their order.
-    """
-    if not isinstance(symbol, (DividedDifference, MomentumSpec)):
-        return None
-    e = eig_sets[0]
-    if e.dtype != float or any(
-        x is not e and (x.dtype != e.dtype or x.shape != e.shape or x.tobytes() != e.tobytes())
-        for x in eig_sets[1:]
-    ):
-        return None
-    if not (e[..., 1:] >= e[..., :-1]).all():
-        return None
-    zero = e == 0.0
-    if zero.any():
-        negative = np.signbit(e)
-        if ((zero & negative).any(axis=-1) & (zero & ~negative).any(axis=-1)).any():
-            return None
-    return e
-
-
-def _symmetric_phi(evaluate, e, width):
-    """Flat tensor of a symmetric symbol whose `width` slots all hold the
-    sorted set e (n,) or each member of the stack e (S, n).
-
-    The symbol is evaluated once per member and index tuple i_0 <= ... <=
-    i_k, whose eigenvalues are already sorted, in chunks of CHUNK_ROWS
-    tuples. A member tensor of at most CHUNK_ROWS entries then gathers its
-    values through the cached ranks of its index tuples; a larger one is
-    filled chunk by chunk, each value scattered to every permutation of its
-    tuple.
-    """
-    n = e.shape[-1]
-    e = e.ravel()
-    count = e.size // n
-    tuples = _sorted_tuples(n, width)
-    gather = n**width <= CHUNK_ROWS
-    values = np.empty(count * tuples.shape[1])
-    phi = None if gather else np.empty(count * n**width)
-    for start in range(0, values.size, CHUNK_ROWS):
-        part = slice(start, min(start + CHUNK_ROWS, values.size))
-        member, t = np.divmod(np.arange(part.start, part.stop), tuples.shape[1])
-        idx = tuples[:, t].astype(np.intp)
-        values[part] = evaluate(e[member * n + idx].T)
-        if not gather:
-            _scatter_permutations(phi, values[part], idx, member * n**width, n)
-    if gather:
-        return values.reshape(count, -1)[:, _tuple_ranks(n, width)]
-    return phi
+def _checked_values(values, cols):
+    """The symbol's values at the columns of cols (m+1, R), or a
+    ValidationError naming the first eigenvalue tuple without a finite one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        vals = tuple(float(x) for x in cols[:, r])
+        raise ValidationError(f"symbol evaluated to {values[r]} at eigenvalue tuple {vals}")
+    return values
 
 
 def _phi_tensor(symbol, eig_sets, tol):
@@ -345,10 +254,8 @@ def _phi_tensor(symbol, eig_sets, tol):
     A set of shape (S, n_j) is a stack, and stacked sets share one length
     S: the tensor then carries a leading axis S, and entry
     (b, i_0, ..., i_m) takes the eigenvalue of each stacked slot from its
-    row b. A symmetric symbol whose slots all hold one set is evaluated on
-    the sorted index tuples alone (_symmetric_phi); otherwise every index
-    tuple is, in chunks of CHUNK_ROWS, each chunk handed to the symbol as
-    the transpose of its (m+1, R) column stack.
+    row b. The index tuples go in chunks of CHUNK_ROWS, each handed to the
+    symbol as the transpose of its (m+1, R) column stack.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
@@ -366,29 +273,15 @@ def _phi_tensor(symbol, eig_sets, tol):
             powers.append(np.reshape([x**s for x in e.ravel().tolist()], axes))
         return functools.reduce(np.multiply, powers) * _phi_tensor(symbol.symbol, eig_sets, tol)
     evaluate = _symbol_adapter(symbol, tol)
-
-    def values(idx):
-        """Eigenvalues at an index tuple (of ints, or of index arrays)."""
+    phi = np.empty(math.prod(shape), dtype=float)
+    for start in range(0, phi.size, CHUNK_ROWS):
+        idx = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, phi.size)), shape)
         head = idx[: len(lead)]
-        return [
-            e[head + (i,)] if e.ndim == 2 else e[i] for e, i in zip(eig_sets, idx[len(lead) :])
-        ]
-
-    shared = _shared_set(symbol, eig_sets)
-    if shared is not None:
-        phi = _symmetric_phi(evaluate, shared, len(eig_sets))
-    else:
-        phi = np.empty(math.prod(shape), dtype=float)
-        for start in range(0, phi.size, CHUNK_ROWS):
-            flat = np.arange(start, min(start + CHUNK_ROWS, phi.size))
-            phi[flat] = evaluate(np.stack(values(np.unravel_index(flat, shape))).T)
-    phi = phi.reshape(shape)
-    finite = np.isfinite(phi)
-    if not finite.all():
-        idx = tuple(np.argwhere(~finite)[0])
-        vals = tuple(float(x) for x in values(idx))
-        raise ValidationError(f"symbol evaluated to {phi[idx]} at eigenvalue tuple {vals}")
-    return phi
+        cols = np.stack(
+            [e[head + (i,)] if e.ndim == 2 else e[i] for e, i in zip(eig_sets, idx[len(lead) :])]
+        )
+        phi[start : start + cols.shape[1]] = _checked_values(evaluate(cols.T), cols)
+    return phi.reshape(shape)
 
 
 def _contract(phi, rotated):
@@ -402,20 +295,12 @@ def _contract(phi, rotated):
     return np.einsum("...abcd,...ab,...bc,...cd->...ad", phi, *rotated)
 
 
-def _assemble(request, eig_sets):
-    """The integral from the request's matrices and eigenvalue sets.
-
-    When some eigenvalue set is a stack, the stack is evaluated in groups
-    of max(1, CHUNK_ROWS // entries per integral) members, every stacked
-    set and rotated perturbation sliced alike, so that no group's symbol
-    tensor exceeds CHUNK_ROWS entries unless one integral alone does.
-    Otherwise one symbol tensor serves every member of a perturbation stack.
-    """
-    decs = request.decompositions
-    rotated = [
-        adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
-        for j in range(request.order)
-    ]
+def _tensor_core(request, eig_sets, rotated):
+    """The core of the integral: the symbol tensor contracted with the
+    rotated perturbations. A stack of eigenvalue sets goes in groups of
+    max(1, CHUNK_ROWS // entries per integral) members, so that no group's
+    tensor exceeds CHUNK_ROWS entries unless one integral alone does;
+    otherwise one tensor serves every member of a perturbation stack."""
     stack = next((len(e) for e in eig_sets if e.ndim == 2), None)
     if stack is None:
         parts = [slice(None)]
@@ -431,14 +316,129 @@ def _assemble(request, eig_sets):
         )
         for part in parts
     ]
-    core = cores[0] if len(cores) == 1 else np.concatenate(cores)
+    return cores[0] if len(cores) == 1 else np.concatenate(cores)
+
+
+def _direct_sums(symbol, eigs, rots, entries, tol):
+    """Entries (member, i, l) of a block of _sylvester_core, each summed
+    over the n^(L-1) index tuples of its inner slots, L = symbol.order.
+
+    eigs (members, n) and rots (..., members, n, n) are the block's slots;
+    the sums keep any stack axis of the perturbations in front. The entries
+    go in chunks of max(1, CHUNK_ROWS // n^(L-1)), one symbol call each.
+    """
+    level, n = symbol.order, eigs[0].shape[-1]
+    grid = (n,) * (level - 1)
+
+    def along(x, axis, width=1):
+        """x (..., chunk, n^width), its n-axes moved to the inner axes from
+        `axis` on of the chunk's (chunk,) + grid index grid."""
+        cut, after = x.ndim - width, (1,) * (level - 1 - axis - width)
+        return x.reshape(x.shape[:cut] + (1,) * axis + x.shape[cut:] + after)
+
+    size, sums = max(1, CHUNK_ROWS // n ** (level - 1)), []
+    for lo in range(0, len(entries[0]), size):
+        m, i, l = (x[lo : lo + size] for x in entries)
+        cols = np.empty((level + 1, len(i)) + grid)
+        cols[0], cols[level] = along(eigs[0][m, i], 0, 0), along(eigs[level][m, l], 0, 0)
+        for r in range(1, level):
+            cols[r] = along(eigs[r][m], r - 1)
+        cols = cols.reshape(level + 1, -1)
+        terms = _checked_values(symbol(cols.T, quad_tol=tol), cols).reshape((len(i),) + grid)
+        terms = terms * along(rots[0][..., m, i, :], 0)
+        for r in range(1, level - 1):
+            terms = terms * along(rots[r][..., m, :, :], r - 1, 2)
+        terms = terms * along(rots[-1].swapaxes(-1, -2)[..., m, l, :], level - 2)
+        terms = np.ascontiguousarray(terms).reshape(terms.shape[: terms.ndim - level + 1] + (-1,))
+        sums.append(terms.sum(axis=-1))
+    return np.concatenate(sums, axis=-1)
+
+
+def _sylvester_core(request, eig_sets, rotated):
+    """The core of the integral of a divided difference f^[k] by the
+    Sylvester recurrence, with no tensor over k+1 slots.
+
+    Block (a, b) is the core of T_{f^[b-a]}(V_{a+1}..V_b) on (H_a..H_b).
+    Level 1 is the Loewner blocks f^[1](lam^a_i, lam^{a+1}_l) V_{a+1}[i, l],
+    one symbol call evaluating each distinct pair of eigenvalue arrays. As
+    (x_0 - x_L) f^[L](x_0..x_L) = f^[L-1](x_0..x_{L-1}) - f^[L-1](x_1..x_L),
+    a block of level L >= 2 solves
+
+        (lam^a_i - lam^b_l) B_ab[i, l] = (B_a,b-1 V_b - V_{a+1} B_a+1,b)[i, l],
+
+    except at the near pairs, |lam^a_i - lam^b_l| < NEAR_PAIR (1 + |lam^a_i|
+    + |lam^b_l|), which are summed directly (_direct_sums). Every array has
+    a member axis, the stack of eigenvalue sets or one member, which rides
+    the matmul batch axis with any stack of the perturbations.
+    """
+    global _last_loewner
+    model, k, tol = request.symbol.model, request.order, request.tol
+    if request.symbol.order != k:
+        raise ValidationError(f"symbol takes {request.symbol.order + 1} arguments, got {k + 1}")
+    n = eig_sets[0].shape[-1]
+    members = next((len(e) for e in eig_sets if e.ndim == 2), None)
+    if members:
+        eigs = [np.broadcast_to(e, (members, n)) for e in eig_sets]
+        rots = [np.broadcast_to(r, (members, n, n)) for r in rotated]
+    else:
+        eigs, rots = [e[None] for e in eig_sets], [r[..., None, :, :] for r in rotated]
+    keys = [(id(eig_sets[a]), id(eig_sets[a + 1])) for a in range(k)]
+    spans, rows = {}, 0  # each distinct pair: its first slot, member count and first row
+    for a, key in enumerate(keys):
+        if key not in spans:
+            count = members if eig_sets[a].ndim + eig_sets[a + 1].ndim > 2 else 1
+            spans[key], rows = (a, count, rows), rows + count * n * n
+    cols = np.empty((rows, 2))
+    for a, count, lo in spans.values():
+        pair = cols[lo : lo + count * n * n].reshape(count, n, n, 2)
+        pair[..., 0], pair[..., 1] = eig_sets[a][..., None], eig_sets[a + 1][..., None, :]
+    # Kept by the model (whose repr carries every parameter for these two
+    # kinds), the tolerance and the eigenvalue arrays themselves, pinned.
+    arrays = tuple(eig_sets[j] for a, _, _ in spans.values() for j in (a, a + 1))
+    known = isinstance(model, (PowerKernel, Polynomial))
+    memo = (repr(model), model.domain, tol, tuple(map(id, arrays))) if known else None
+    last_key, _, values = _last_loewner
+    if memo is None or memo != last_key:
+        values = _checked_values(DividedDifference(model, 1)(cols, quad_tol=tol), cols.T)
+        values.setflags(write=False)
+        _last_loewner = (memo, arrays, values)
+    blocks = {}
+    for a, key in enumerate(keys):
+        _, count, lo = spans[key]
+        blocks[a, a + 1] = values[lo : lo + count * n * n].reshape(count, n, n) * rots[a]
+    for level in range(2, k + 1):
+        symbol = DividedDifference(model, level)
+        for a in range(k - level + 1):
+            b = a + level
+            x, y = eigs[a][..., None], eigs[b][..., None, :]
+            close = np.abs(x - y) < NEAR_PAIR * (1.0 + np.abs(x) + np.abs(y))
+            step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
+            blocks[a, b] = step / np.where(close, 1.0, x - y)
+            m, i, l = np.nonzero(close)
+            if len(i):
+                sums = _direct_sums(symbol, eigs[a : b + 1], rots[a:b], (m, i, l), tol)
+                blocks[a, b][..., m, i, l] = sums
+    return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
+
+
+def _assemble(request, eig_sets, core):
+    """The integral from the request's matrices and eigenvalue sets, its
+    core in the eigenbases computed by core(request, eig_sets, rotated)."""
+    decs = request.decompositions
+    rotated = [
+        adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
+        for j in range(request.order)
+    ]
+    core = core(request, eig_sets, rotated)
     return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
 
 
 def moi_exact(request):
-    """Dense evaluation of the operator integral."""
+    """Dense evaluation of the operator integral: by the Sylvester
+    recurrence for a divided difference, else by the symbol tensor."""
     eig_sets = [d.eigenvalues for d in request.decompositions]
-    return _assemble(request, eig_sets)
+    divided = isinstance(request.symbol, DividedDifference)
+    return _assemble(request, eig_sets, _sylvester_core if divided else _tensor_core)
 
 
 def binned_eigenvalues(eigenvalues, n):
@@ -452,7 +452,7 @@ def binned_eigenvalues(eigenvalues, n):
 def moi_binned(request, n):
     """Operator integral with the symbol read on the 1/n eigenvalue grid."""
     eig_sets = [binned_eigenvalues(d.eigenvalues, n) for d in request.decompositions]
-    return _assemble(request, eig_sets)
+    return _assemble(request, eig_sets, _tensor_core)
 
 
 def moi_separable(symbol, decompositions, perturbations):

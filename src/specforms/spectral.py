@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import adjoint, as_complex_matrices, check_within
+from .util import adjoint, as_complex_matrices, check_within, whole_number
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -85,7 +85,7 @@ class HermitianMatrix:
     @classmethod
     def from_dict(cls, data):
         try:
-            dim = int(data["dim"])
+            dim = whole_number(data["dim"], "matrix dimension")
             re = np.asarray(data["re"], dtype=float)
             im = np.asarray(data["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:

@@ -11,10 +11,12 @@ from specforms import (
     DividedDifference,
     ExperimentConfig,
     FrechetForm,
+    HermitianMatrix,
     MoiRequest,
     Monomial,
     Polynomial,
     PowerAbs,
+    PowerKernel,
     SplitMix64,
     ValidationError,
     algebraic_shift,
@@ -111,6 +113,14 @@ for bad in (NAN, 2.7):
     CALLS[f"DividedDifference order={bad}"] = (
         lambda bad=bad: DividedDifference(PowerAbs(3.5), bad),
         "^divided-difference order must be a whole number",
+    )
+    CALLS[f"PowerKernel parity={bad}"] = (
+        lambda bad=bad: PowerKernel(1.0, 2.5, parity=bad),
+        "^parity must be a whole number",
+    )
+    CALLS[f"HermitianMatrix.from_dict dim={bad}"] = (
+        lambda bad=bad: HermitianMatrix.from_dict({"dim": bad, "re": np.eye(2), "im": 0 * H}),
+        "^malformed matrix payload: matrix dimension must be a whole number",
     )
 # Orders, degrees, exponents and the integer fields of a run config are not
 # truncated either.

@@ -1,4 +1,5 @@
-"""Tests for multiple operator integrals (eigenprojection tensor path)."""
+"""Tests for multiple operator integrals (the Sylvester recurrence and the
+symbol-tensor path)."""
 
 import itertools
 import math
@@ -9,7 +10,7 @@ import pytest
 from specforms import divided, moi
 from specforms.divided import DividedDifference, divided_difference
 from specforms.errors import ValidationError
-from specforms.functions import Monomial, Polynomial, PowerAbs
+from specforms.functions import Monomial, Polynomial, PowerAbs, PowerKernel, ScalarFunctionModel
 from specforms.instances import PROFILES, SplitMix64, generate_instance
 from specforms.moi import (
     MoiRequest,
@@ -483,6 +484,8 @@ def test_request_validation():
         MoiRequest((h3, h3, h3), (v3,), sym)  # count mismatch
     with pytest.raises(ValidationError):
         moi_exact(MoiRequest((h3, h3), (v3,), lambda *vals: float("nan")))
+    with pytest.raises(ValidationError, match="symbol takes 2 arguments"):
+        moi_exact(MoiRequest((h3,) * 3, (v3,) * 2, sym))  # a symbol of another order
     with pytest.raises(ValidationError):
         MoiRequest((h3,) * 3, (np.stack([v3] * 2), np.stack([v3] * 3)), sym)  # stack lengths
     points = eigendecompose(np.stack([v3] * 2))
@@ -524,8 +527,9 @@ def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch
     for symbol in (DividedDifference(PowerAbs(3.5), order), lambda *vals: float(np.prod(vals))):
         stacked = moi_exact(MoiRequest((eigendecompose(points),) + tail, (first,) + rest, symbol))
         assert stacked.shape == (5, 3, 3)
-        # no group's tensor exceeds CHUNK_ROWS entries, unless one integral's does
-        assert max(sizes) <= max(37, 3 ** (order + 1))
+        if not isinstance(symbol, DividedDifference):  # the recurrence builds no tensor
+            # no group's tensor exceeds CHUNK_ROWS entries, unless one integral's does
+            assert sizes and max(sizes) <= max(37, 3 ** (order + 1))
         for h, v, got in zip(points, first, stacked):
             want = moi_exact(MoiRequest((eigendecompose(h),) + tail, (v,) + rest, symbol))
             assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
@@ -589,6 +593,129 @@ def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
                 assert side[b].tobytes() == want.tobytes()
 
 
+def _with_pair_at_the_switch(h, top, index, factor):
+    """h with its eigenvalue number `index` (ascending) moved to top - g,
+    where g = factor * NEAR_PAIR * (1 + |top| + |top - g|): a pair with
+    top just above the recurrence's switch (factor > 1) or below it."""
+    lam, u = np.linalg.eigh(h)
+    gap = 0.0
+    for _ in range(20):
+        gap = factor * moi.NEAR_PAIR * (1.0 + abs(top) + abs(top - gap))
+    lam[index] = top - gap
+    return (u * lam) @ u.conj().T
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+def test_recurrence_matches_the_tensor_path(profile, shared):
+    # The left side of algebraic_shift at zero powers is the tensor path
+    # (x^0 phi). At order 1 the recurrence is the Loewner block, bit for
+    # bit. Orders 2-3 divide by gaps, each request holding a pair just
+    # above or just below the switch to direct sums: 1e-12 relative, but
+    # 1e-11 on a shared set at order 3, where the tensor path itself is off
+    # from the 60-digit series by up to 1.6e-12 and the recurrence, next to
+    # its switch, by up to 4.8e-12. Each member of a stack (perturbations
+    # only; the first, a middle or the last slot; every slot of a shared
+    # set) has the bits of its own call.
+    dim, count = 5, 3
+    for order, factor in itertools.product((1, 2, 3), (1.01, 0.99)):
+        seeds = list(range(40 + order, 40 + order + count * (order + 1)))
+        draws = generate_instance(seeds, dim, profile, 3.5)
+        hs = np.stack([h.matrix for h, _ in draws]).reshape(count, order + 1, dim, dim)
+        vs = np.stack([v.matrix for _, v in draws]).reshape(count, order + 1, dim, dim)
+        top = np.linalg.eigvalsh(hs[0, 0])[-1]
+        if shared:  # a pair in every matrix, and one matrix in each slot of member 0
+            hs = np.array([[_with_pair_at_the_switch(h, top, -2, factor) for h in r] for r in hs])
+            hs[0] = hs[0, 0]
+        else:  # a pair between the first and the last slot
+            hs[:, order] = [_with_pair_at_the_switch(h, top, -1, factor) for h in hs[:, order]]
+        slots = sorted({0, (order + 1) // 2, order})
+        placements = [((), 0)] + [((j,), min(j, order - 1)) for j in slots]
+        if shared:
+            placements.append((tuple(range(order + 1)), 0))
+        for stacked, moving in placements:
+            if shared and len(stacked) > 1:
+                decs = (eigendecompose(hs[:, 0]),) * (order + 1)
+            else:
+                decs = tuple(
+                    eigendecompose(hs[:, j] if j in stacked else hs[0, j]) for j in range(order + 1)
+                )
+            perts = tuple(vs[:, j] if j == moving else vs[0, j] for j in range(order))
+            request = MoiRequest(decs, perts, DividedDifference(PowerAbs(3.5), order))
+            got = moi_exact(request)
+            tensor, _ = algebraic_shift(request, (0,) * (order + 1))
+            bound = 1e-11 if shared and order == 3 else 1e-12
+            for b in range(count):
+                one = (
+                    tuple(d[b] if d.stack else d for d in decs),
+                    tuple(v[b] if v.ndim == 3 else v for v in perts),
+                )
+                want = moi_exact(MoiRequest(*one, request.symbol))
+                assert got[b].tobytes() == want.tobytes(), (order, stacked, b)
+                if order == 1:
+                    assert tensor[b].tobytes() == want.tobytes(), (stacked, b)
+                else:
+                    error = np.linalg.norm(tensor[b] - want) / np.linalg.norm(want)
+                    assert error <= bound, (order, factor, stacked, b, error)
+
+
+def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
+    # Integrals of orders 1 and 2 of one kernel on one decomposition both
+    # need its Loewner matrix: the second takes the kept values, bit for
+    # bit. Another model, domain, tolerance or decomposition evaluates anew,
+    # and a model whose repr need not carry its parameters is never kept.
+    rng = np.random.default_rng(83)
+    dec = eigendecompose(random_hermitian(rng, 4, scale=0.8))
+    v = random_hermitian(rng, 4)
+    orders, call = [], DividedDifference.__call__
+
+    def counted(self, values, quad_tol=1e-9):
+        orders.append(self.order)
+        return call(self, values, quad_tol=quad_tol)
+
+    def integral(model, order, tol=1e-9, d=dec):
+        symbol = DividedDifference(model, order)
+        return moi_exact(MoiRequest((d,) * (order + 1), (v,) * order, symbol, tol))
+
+    class Opaque(ScalarFunctionModel):
+        """A model whose repr leaves out its scale."""
+
+        max_order = 5
+
+        def __init__(self, scale):
+            self.scale = scale
+
+        def __repr__(self):
+            return "Opaque()"
+
+        def eval(self, x, order=0):
+            return self.scale * PowerAbs(3.5).eval(x, order)
+
+    monkeypatch.setattr(DividedDifference, "__call__", counted)
+    monkeypatch.setattr(moi, "_last_loewner", (None, None, None))
+    kernel = PowerAbs(3.5).derivative_model(1)
+    first = integral(kernel, 1)
+    integral(PowerAbs(3.5).derivative_model(1), 2)
+    assert orders == [1, 2]
+    assert integral(kernel, 1).tobytes() == first.tobytes()
+    assert orders == [1, 2]
+    moved = eigendecompose(dec.source.matrix + 1e-12 * np.eye(4))
+    narrow = PowerKernel(3.5, 2.5, 1, domain=(-0.99, 0.99))  # the kernel's repr
+    for args in (
+        (PowerAbs(3.25).derivative_model(1), 2),
+        (narrow, 2),
+        (kernel, 2, 1e-8),
+        (kernel, 2, 1e-9, moved),
+    ):
+        integral(kernel, 1)  # keep the kernel's values, then change one thing
+        orders.clear()
+        integral(*args)
+        assert orders == [1, 2], args
+    once = integral(Opaque(1.0), 2)
+    assert np.array_equal(integral(Opaque(2.0), 2), 2.0 * once)
+    assert orders == [1, 2, 1, 2, 1, 2]
+
+
 def test_separable_symbol_validation():
     one = Polynomial((1.0,))
     with pytest.raises(ValidationError):
@@ -640,64 +767,9 @@ def test_batched_phi_matches_scalar_routes(profile, monkeypatch):
                 assert got.tobytes() == want.tobytes()
 
 
-def test_sorted_tuples_list_each_multiset_once():
-    for n, width in ((1, 3), (3, 1), (4, 2), (5, 3), (6, 4)):
-        got = moi._sorted_tuples(n, width)
-        want = list(itertools.combinations_with_replacement(range(n), width))
-        assert got.T.tolist() == [list(t) for t in want]
-        assert got.dtype == np.uint8 and not got.flags.writeable
-
-
-def all_tuple_phi(symbol, eig_sets, monkeypatch):
-    """The tensor with every index tuple evaluated, as for distinct sets."""
-    with monkeypatch.context() as patch:
-        patch.setattr(moi, "_shared_set", lambda symbol, eig_sets: None)
-        return _phi_tensor(symbol, eig_sets, 1e-9)
-
-
-@pytest.mark.parametrize("profile", PROFILES)
-def test_shared_set_tensors_match_the_all_tuple_path_bitwise(profile, monkeypatch):
-    # Sorted index tuples only, chunked small so that tuples of one member
-    # and members of a stack span chunks, then filled into every
-    # permutation (a rank gather up to CHUNK_ROWS entries per member,
-    # scatters above): each entry keeps the bits of the all-tuple path.
-    model = PowerAbs(3.5)
-    cases = [(3, 1), (3, 2), (3, 3), (8, 1), (8, 2), (8, 3), (16, 2), (16, 3)]
-    if profile == "generic":
-        cases.append((32, 3))
-    for dim, k in cases:
-        h, v = generate_instance(19 + dim, dim, profile, 3.5)
-        lam = eigendecompose(h).eigenvalues
-        lam_t = eigendecompose(h.matrix + 0.01 * v.matrix).eigenvalues
-        binned = binned_eigenvalues(lam, 8)
-        stack = np.stack([lam, lam_t, binned])
-        symbols = [DividedDifference(model, k)]
-        if dim <= 8:  # the same divided differences, through momentum_eval
-            symbols.append(MomentumSpec.from_divided_difference(model, k))
-        if dim == 3:  # a constant weight without an origin: quadrature only
-            kernel = model.derivative_model(k)
-            symbols.append(MomentumSpec(m=k, kernel=kernel, q_terms=(((0,) * (k + 1), 2.0),)))
-            symbols.append(moi._MonomialShift(symbols[0], tuple(range(1, k + 2))))
-        for eig_set in ((lam, binned, stack) if dim <= 16 else (lam,)):
-            for symbol in symbols:
-                inner = getattr(symbol, "symbol", symbol)
-                assert moi._shared_set(inner, [eig_set] * (k + 1)) is eig_set
-                want = all_tuple_phi(symbol, [eig_set] * (k + 1), monkeypatch)
-                monkeypatch.setattr(moi, "CHUNK_ROWS", 37 if dim == 3 else 1000)
-                got = _phi_tensor(symbol, [eig_set] * (k + 1), 1e-9)
-                monkeypatch.undo()
-                assert got.tobytes() == want.tobytes()
-
-
-def test_sets_that_are_not_one_sorted_set_take_the_all_tuple_path():
-    lam = np.array([-0.6, -0.2, 0.0, 0.45])
+def test_tensor_of_signed_zeros_matches_scalar_routes():
     signed = np.array([-0.6, -0.0, 0.0, 0.45])  # zeros of both signs compare equal
     symbol = DividedDifference(PowerAbs(3.5), 2)
-    assert moi._shared_set(symbol, [lam] * 3) is lam
-    assert moi._shared_set(symbol, [lam, lam, lam.copy()]) is lam
-    for sets in ([lam, lam, lam[::-1]], [lam[::-1]] * 3, [lam, lam, lam + 1e-9], [signed] * 3):
-        assert moi._shared_set(symbol, sets) is None
-    assert moi._shared_set(SeparableSymbol(((1.0, (Monomial(1),) * 3),)), [lam] * 3) is None
     got = _phi_tensor(symbol, [signed] * 3, 1e-9)
     assert got.tobytes() == scalar_phi(symbol, [signed] * 3).tobytes()
 

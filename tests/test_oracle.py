@@ -61,7 +61,7 @@ def horner_block(coeffs, hs, vs):
     return out[:n, k * n :]
 
 
-@pytest.mark.parametrize("dim", [8, 32])
+@pytest.mark.parametrize("dim", [8, 32, 64])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
 def test_polynomial_integrals_match_the_block_matrix(dim, shared):
     for order in (1, 2, 3):
