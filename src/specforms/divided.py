@@ -156,6 +156,7 @@ class DividedDifference:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "model", as_kernel(self.model))
         object.__setattr__(self, "order", whole_number(self.order, "divided-difference order"))
         if self.order < 0:
             raise ValidationError("divided-difference order must be >= 0")

@@ -11,9 +11,10 @@ polynomial of ||H + tV||_p^p; the leftover remainder carries the
 p-dependent fractional decay order. A bracket of distinct complex
 Hermitian directions is complex at order 3; only its symmetrization is
 real, so that is where the symmetrized form checks the reality of the
-trace. The brackets, their symmetrization, the trace identity, the
-integral Taylor remainder and the Hoelder differences all build their
-integrals through one helper, _divided_integral.
+trace: delta_symmetric stacks the k! argument orders into one bracket
+call and checks their sum. The brackets, their symmetrization, the trace
+identity, the integral Taylor remainder and the Hoelder differences all
+build their integrals through one helper, _divided_integral.
 
 The trace identity and the Hoelder differences also check a stack of S
 instances in one call (a stacked base decomposition, stacked directions,
@@ -106,7 +107,7 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
     but at k = 3 the bracket of distinct complex directions is complex
     (those of (V_1, V_2, V_3) and (V_1, V_3, V_2) are conjugates), so it
     raises ValidationError; only sums over argument orders, such as
-    model_delta_symmetric, are real there. Any direction may instead be a
+    delta_symmetric, are real there. Any direction may instead be a
     stack (B, n, n): the value is then the complex array of the B brackets,
     unchecked, for the caller to combine and check.
     """
@@ -125,21 +126,6 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
     brackets = np.empty_like(traces)
     brackets.real, brackets.imag = traces.real / k, traces.imag / k
     return brackets
-
-
-def model_delta_symmetric(decomposition, model, directions, quad_tol=1e-9):
-    """Symmetrization of model_delta_bracket over all argument orders.
-
-    The k! orders are stacked slot by slot, so that one bracket call, and
-    one symbol tensor, serves them all. The complex brackets are summed
-    and the sum is checked real once: single brackets of distinct complex
-    directions are complex at order 3.
-    """
-    vs = (as_complex_matrix(v) for v in directions)
-    orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
-    brackets = model_delta_bracket(decomposition, model, orders, quad_tol=quad_tol)
-    total = complex(sum(brackets.real), sum(brackets.imag))
-    return real_value(total) / math.factorial(len(orders))
 
 
 @dataclass(frozen=True)
@@ -209,9 +195,18 @@ def delta_bracket(form, directions):
 
 
 def delta_symmetric(form, directions):
-    """delta^(k): average of delta^[k] over all argument permutations."""
+    """delta^(k): average of delta^[k] over all argument permutations.
+
+    The k! orders are stacked slot by slot, so that one bracket call, and
+    one integral, serves them all. The complex brackets are summed and the
+    sum is checked real once: single brackets of distinct complex
+    directions are complex at order 3.
+    """
     vs = form.directions_ok(directions)
-    return model_delta_symmetric(form.base, form.model, vs, quad_tol=form.quad_tol)
+    orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
+    brackets = model_delta_bracket(form.base, form.model, orders, quad_tol=form.quad_tol)
+    total = complex(sum(brackets.real), sum(brackets.imag))
+    return real_value(total) / math.factorial(len(orders))
 
 
 def trace_identity_residual(form, direction, k=None):
@@ -249,12 +244,12 @@ _STENCILS = {
 }
 
 
-def fd_oracle(h, v, p, k, step=None):
+def fd_oracle(h, v, p, k):
     """Finite-difference k-th derivative of t -> tr |H + tV|^p at t = 0.
 
     Uses a fourth-order central stencil at steps h and 2h with
     Richardson extrapolation; returns (value, error_estimate). The
-    default step balances truncation against cancellation at order k,
+    step h balances truncation against cancellation at order k,
     and the doubled comparison step keeps the fine evaluation out of
     the roundoff-dominated regime. A non-Hermitian H or V raises
     ValidationError naming the base or the direction.
@@ -266,12 +261,8 @@ def fd_oracle(h, v, p, k, step=None):
     v = _check_hermitian(as_complex_matrix(v), "direction")
     model = PowerAbs(p)
 
-    if step is None:
-        eps = np.finfo(float).eps
-        step = eps ** (1.0 / (k + 2)) * (1.0 + operator_norm(h)) / (1.0 + operator_norm(v))
-    step = float(step)
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValidationError(f"finite-difference step must be finite and positive, got {step}")
+    eps = np.finfo(float).eps
+    step = eps ** (1.0 / (k + 2)) * (1.0 + operator_norm(h)) / (1.0 + operator_norm(v))
 
     offsets, weights, scale = _STENCILS[k]
     steps = (step, 2.0 * step)
@@ -327,7 +318,7 @@ class TaylorReport:
         return "\n".join(lines) + "\n"
 
 
-def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
+def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
     """Taylor data of t -> ||H + tV||_p^p on a grid of small t > 0.
 
     Computes the diagonal derivative forms delta^(k) for k = 1..m, the
@@ -346,8 +337,10 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     if t_grid is None:
         t_grid = np.logspace(-4, -1, 13)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
-        raise ValidationError("t grid values must be finite and positive")
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+        raise ValidationError(
+            f"t grid must be one nonempty row of finite positive values, got {t_grid}"
+        )
     decomposition = _as_decomposition(h)
     lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
@@ -384,7 +377,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
     gap = min(float(np.min(np.abs(lam0))), float(np.min(np.abs(lam1))))
     oracle_skipped = gap < FD_SAFE_GAP
     oracle = []
-    if with_oracle and not oracle_skipped:
+    if not oracle_skipped:
         for k, d in enumerate(deltas, start=1):
             fd, fd_err = fd_oracle(h, v, exponent.p, k)
             series = math.factorial(k) * d
@@ -409,7 +402,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9, with_oracle=True):
         tolerances={
             "quad_tol": quad_tol,
             "remainder_floor": REMAINDER_FLOOR,
-            "oracle_skipped_near_zero": bool(oracle_skipped or not with_oracle),
+            "oracle_skipped_near_zero": oracle_skipped,
         },
         wall_clock_s=time.perf_counter() - started,
     )

@@ -60,6 +60,8 @@ class PowerKernel(ScalarFunctionModel):
     def __init__(self, coef, beta, parity=0, domain=WORKING_INTERVAL):
         self.coef = float(coef)
         self.beta = float(beta)
+        if not np.isfinite(self.beta):
+            raise ValidationError(f"power exponent beta must be finite, got {self.beta}")
         self.parity = whole_number(parity, "parity") % 2
         self.domain = (float(domain[0]), float(domain[1]))
         # A zero coefficient (a monomial differentiated past its degree) is

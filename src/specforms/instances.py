@@ -137,8 +137,8 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
     p = float(p)
-    if not p >= 1.0:
-        raise ValidationError(f"instance normalization needs p >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValidationError(f"instance normalization needs p >= 1, got {p}; p must be finite")
 
     single = np.ndim(seed) == 0
     seeds = [seed] if single else seed

@@ -8,15 +8,17 @@ eigenprojection series
         = sum over index tuples of phi(lam^0_{i_0}, ..., lam^m_{i_m})
           P^0_{i_0} V_1 P^1_{i_1} ... V_m P^m_{i_m}.
 
-moi_exact integrates a divided-difference symbol by the Sylvester
-recurrence (_sylvester_core). Every other symbol, and moi_binned for every
-symbol, takes the symbol tensor, contracted against the rotated
-perturbations with einsum: divided differences (and momenta with an
-origin) through divided_difference, separable sums term by term, other
-momenta by quadrature and bare callables once per distinct index tuple, in
-chunks of index tuples, each handed over as the transpose of its column
-stack. The monomial shift of a symbol (algebraic_shift) is its tensor times
-the outer product of the eigenvalue powers.
+moi_exact and moi_binned integrate a divided-difference symbol by the
+Sylvester recurrence (_sylvester_core). Every other symbol takes the symbol
+tensor, contracted against the rotated perturbations with einsum: momenta
+with an origin through divided_difference, separable sums term by term,
+other momenta by quadrature and bare callables once per distinct index
+tuple, in chunks of index tuples, each handed over as the transpose of its
+column stack. The monomial shift of a symbol (algebraic_shift), a divided
+difference included, is its tensor times the outer product of the
+eigenvalue powers. The recurrence keeps its last Loewner values, keyed by
+the model, the tolerance and the bits of the eigenvalue pairs, so that
+forms of several orders on one base evaluate them once.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
@@ -58,10 +60,10 @@ CHUNK_ROWS = 1 << 16
 # A pair of eigenvalues x, y of slots two or more apart is too close to
 # divide by in the Sylvester recurrence when |x - y| < NEAR_PAIR (1 + |x| + |y|).
 NEAR_PAIR = 1e-2
-# The last Loewner values of the recurrence, with their key and eigenvalue
-# arrays: forms of several orders on one base ask for them again. One tuple,
-# swapped whole for the threads of the driver pool.
-_last_loewner = (None, None, None)
+# The key and values of the recurrence's last Loewner rows: forms of several
+# orders on one base ask for them again. The pair is swapped as one
+# reference, so each thread of the driver pool reads a matching pair.
+_last_loewner = (None, None)
 
 
 def _as_decomposition(obj):
@@ -393,15 +395,15 @@ def _sylvester_core(request, eig_sets, rotated):
         pair = cols[lo : lo + count * n * n].reshape(count, n, n, 2)
         pair[..., 0], pair[..., 1] = eig_sets[a][..., None], eig_sets[a + 1][..., None, :]
     # Kept by the model (whose repr carries every parameter for these two
-    # kinds), the tolerance and the eigenvalue arrays themselves, pinned.
-    arrays = tuple(eig_sets[j] for a, _, _ in spans.values() for j in (a, a + 1))
+    # kinds), the domain, the tolerance and the bits of the rows, which are
+    # pairs: the bytes fix their count.
     known = isinstance(model, (PowerKernel, Polynomial))
-    memo = (repr(model), model.domain, tol, tuple(map(id, arrays))) if known else None
-    last_key, _, values = _last_loewner
+    memo = (repr(model), model.domain, tol, cols.tobytes()) if known else None
+    last_key, values = _last_loewner
     if memo is None or memo != last_key:
         values = _checked_values(DividedDifference(model, 1)(cols, quad_tol=tol), cols.T)
         values.setflags(write=False)
-        _last_loewner = (memo, arrays, values)
+        _last_loewner = (memo, values)
     blocks = {}
     for a, key in enumerate(keys):
         _, count, lo = spans[key]
@@ -421,24 +423,23 @@ def _sylvester_core(request, eig_sets, rotated):
     return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
 
 
-def _assemble(request, eig_sets, core):
+def _integral(request, eig_sets):
     """The integral from the request's matrices and eigenvalue sets, its
-    core in the eigenbases computed by core(request, eig_sets, rotated)."""
+    core in the eigenbases taken by the Sylvester recurrence for a divided
+    difference, else by the symbol tensor."""
     decs = request.decompositions
     rotated = [
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
-    core = core(request, eig_sets, rotated)
+    divided = isinstance(request.symbol, DividedDifference)
+    core = (_sylvester_core if divided else _tensor_core)(request, eig_sets, rotated)
     return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
 
 
 def moi_exact(request):
-    """Dense evaluation of the operator integral: by the Sylvester
-    recurrence for a divided difference, else by the symbol tensor."""
-    eig_sets = [d.eigenvalues for d in request.decompositions]
-    divided = isinstance(request.symbol, DividedDifference)
-    return _assemble(request, eig_sets, _sylvester_core if divided else _tensor_core)
+    """Dense evaluation of the operator integral."""
+    return _integral(request, [d.eigenvalues for d in request.decompositions])
 
 
 def binned_eigenvalues(eigenvalues, n):
@@ -452,7 +453,7 @@ def binned_eigenvalues(eigenvalues, n):
 def moi_binned(request, n):
     """Operator integral with the symbol read on the 1/n eigenvalue grid."""
     eig_sets = [binned_eigenvalues(d.eigenvalues, n) for d in request.decompositions]
-    return _assemble(request, eig_sets, _tensor_core)
+    return _integral(request, eig_sets)
 
 
 def moi_separable(symbol, decompositions, perturbations):

@@ -4,9 +4,9 @@ Everything downstream (operator integrals, derivative forms) works in an
 eigenbasis, so this module pins down the conventions once: validated
 Hermitian storage, ascending eigenvalues, a deterministic eigenvector
 phase (first nonzero component real positive), and scalar functions
-applied through the spectral theorem. Decompositions, singular values and
-Schatten norms take one matrix or a stack of them; a stack goes through
-one solver call, and each member keeps the bits of its one-matrix call.
+applied through the spectral theorem. Decompositions and Schatten norms
+take one matrix or a stack of them; a stack goes through one solver call,
+and each member keeps the bits of its one-matrix call.
 eigendecompose remembers its last decomposition: a call handed the same
 shape and bits again returns it without a second solve.
 """
@@ -251,15 +251,6 @@ class SchattenExponent:
         return self.p - self.m
 
 
-def singular_values(a):
-    """Singular values in descending order of any complex matrix, or of
-    each matrix of a stack (B, r, c), from one solver call."""
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
-    if m.ndim not in (2, 3):
-        raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def _lp_of_singular_values(s, p):
     if not s.size:
         return 0.0
@@ -282,7 +273,10 @@ def schatten_norm(a, p):
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    s = singular_values(a)
+    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    if m.ndim not in (2, 3):
+        raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
+    s = np.linalg.svd(m, compute_uv=False)
     if s.ndim == 1:
         return _lp_of_singular_values(s, p)
     return np.array([_lp_of_singular_values(row, p) for row in s])

@@ -78,7 +78,10 @@ def whole_number(value, what):
 def checked_tol(tol):
     """A quadrature tolerance as a float, checked finite and positive where
     it enters (a request, a form, a quadrature call)."""
-    tol = float(tol)
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"quadrature tol must be a number, got {tol!r}") from exc
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
     return tol

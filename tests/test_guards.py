@@ -18,6 +18,7 @@ from specforms import (
     PowerAbs,
     PowerKernel,
     SplitMix64,
+    UnsupportedConfigError,
     ValidationError,
     algebraic_shift,
     divided_difference,
@@ -26,6 +27,7 @@ from specforms import (
     eigendecompose,
     fit_loglog_slope,
     generate_instance,
+    taylor_expand,
     taylor_integral_form,
     trace_identity_residual,
 )
@@ -58,9 +60,26 @@ CALLS = {
     ),
     "PowerAbs": (lambda: PowerAbs(NAN), "1 < p < inf, got nan"),
     "fd_oracle p": (lambda: fd_oracle(H, V, NAN, 1), "1 < p < inf, got nan"),
-    "fd_oracle step": (lambda: fd_oracle(H, V, 2.5, 1, step=NAN), "^finite-difference step"),
     "selfadjoint_embed": (lambda: selfadjoint_embed(np.eye(2), NAN), "needs p >= 1, got nan"),
     "generate_instance": (lambda: generate_instance(1, 3, "generic", NAN), "needs p >= 1, got nan"),
+    # An infinite p would leave ||H||_inf, not ||H||_p, at 1.
+    "generate_instance p=inf": (
+        lambda: generate_instance(1, 4, "generic", np.inf),
+        "needs p >= 1, got inf; p must be finite",
+    ),
+    "PowerKernel beta": (lambda: PowerKernel(1.0, NAN), "^power exponent beta must be finite"),
+    "DividedDifference model": (
+        lambda: DividedDifference(None, 1),
+        "^cannot use None as a scalar kernel",
+    ),
+    "MoiRequest tol='x'": (
+        lambda: MoiRequest((H, H), (V,), DividedDifference(PowerAbs(2.5), 1), "x"),
+        "^quadrature tol must be a number, got 'x'",
+    ),
+    "taylor_expand t_grid rows": (
+        lambda: taylor_expand(H, V, 2.5, t_grid=[[1e-3, 1e-2], [1e-2, 1e-1]]),
+        "^t grid must be one nonempty row",
+    ),
     "fd_oracle base": (lambda: fd_oracle(H + SKEW, V, 3.5, 2), "^base is not Hermitian"),
     "fd_oracle direction": (lambda: fd_oracle(H, V + SKEW, 3.5, 2), "^direction is not Hermitian"),
     "taylor_integral_form h0": (
@@ -187,15 +206,11 @@ for bad in (NAN, 0.0, -1.0, np.inf):
         lambda bad=bad: MoiRequest((H, H), (V,), DividedDifference(PowerAbs(2.5), 1), bad),
         "^quadrature tol",
     )
-# Infinite, zero and negative tolerances and steps fail the same guards.
+# Infinite, zero and negative tolerances fail the same guards.
 for bad in (0.0, -1e-9, np.inf):
     CALLS[f"momentum_quadrature tol={bad}"] = (
         lambda bad=bad: momentum_quadrature(DD_SPEC, [0.2, 0.1], tol=bad),
         "^quadrature tol",
-    )
-    CALLS[f"fd_oracle step={bad}"] = (
-        lambda bad=bad: fd_oracle(H, V, 2.5, 1, step=bad),
-        "^finite-difference step",
     )
 
 
@@ -204,3 +219,9 @@ def test_bad_input_raises_validation_error_naming_the_argument(name):
     call, message = CALLS[name]
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_divided_difference_of_a_bare_callable_needs_derivatives():
+    # The callable becomes a kernel without derivatives, so no order >= 1.
+    with pytest.raises(UnsupportedConfigError, match="model has 0"):
+        DividedDifference(lambda x: x, 1)

@@ -24,7 +24,7 @@ from specforms.moi import (
     perturbation_identity,
 )
 from specforms.momenta import MomentumSpec, momentum_eval
-from specforms.spectral import eigendecompose
+from specforms.spectral import SpectralDecomposition, eigendecompose
 from specforms.util import frobenius
 
 
@@ -131,6 +131,37 @@ def test_binned_integral_converges_to_exact():
     assert errs[2] < errs[1] < errs[0]
     # first-order rate: 16x more bins should shrink the error about 16x
     assert errs[2] < 0.12 * errs[0]
+
+
+def test_divided_differences_build_no_tensor(monkeypatch):
+    # moi_exact and moi_binned integrate a divided difference of any order by
+    # the recurrence; its monomial shift, the left side of algebraic_shift,
+    # still builds the symbol tensor. On the binned spectra, with their exact
+    # ties, the recurrence agrees with that tensor.
+    built, tensor_core = [], moi._tensor_core
+
+    def counted(request, eig_sets, rotated):
+        built.append(type(request.symbol).__name__)
+        return tensor_core(request, eig_sets, rotated)
+
+    monkeypatch.setattr(moi, "_tensor_core", counted)
+    rng = np.random.default_rng(61)
+    dec = eigendecompose(random_hermitian(rng, 5, scale=0.8))
+    # Five eigenvalues in [-0.8, 0.8] snap to four bins: one tie at least.
+    snapped = binned_eigenvalues(dec.eigenvalues, 2)
+    snapped = SpectralDecomposition(snapped, dec.eigenvectors, dec.source)
+    for order in (1, 2, 3):
+        perts = tuple(random_hermitian(rng, 5) for _ in range(order))
+        symbol = DividedDifference(PowerAbs(3.5), order)
+        binned = moi_binned(MoiRequest((dec,) * (order + 1), perts, symbol), 2)
+        moi_exact(MoiRequest((dec,) * (order + 1), perts, symbol))
+        assert built == [], order
+        tensor, _ = algebraic_shift(
+            MoiRequest((snapped,) * (order + 1), perts, symbol), (0,) * (order + 1)
+        )
+        assert built == ["_MonomialShift"], order
+        built.clear()
+        assert np.linalg.norm(binned - tensor) <= 1e-12 * np.linalg.norm(tensor), order
 
 
 def test_algebraic_shift_hand_case():
@@ -692,7 +723,7 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
             return self.scale * PowerAbs(3.5).eval(x, order)
 
     monkeypatch.setattr(DividedDifference, "__call__", counted)
-    monkeypatch.setattr(moi, "_last_loewner", (None, None, None))
+    monkeypatch.setattr(moi, "_last_loewner", (None, None))
     kernel = PowerAbs(3.5).derivative_model(1)
     first = integral(kernel, 1)
     integral(PowerAbs(3.5).derivative_model(1), 2)
@@ -714,6 +745,27 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
     once = integral(Opaque(1.0), 2)
     assert np.array_equal(integral(Opaque(2.0), 2), 2.0 * once)
     assert orders == [1, 2, 1, 2, 1, 2]
+
+
+def test_loewner_values_follow_the_bits_of_the_eigenvalues(monkeypatch):
+    # An eigenvalue array changed in place between two integrals: the second
+    # integral takes the Loewner values of the new eigenvalues, as a
+    # decomposition built with those values does with nothing kept.
+    h, v = generate_instance(3, 5, "generic", 3.5)
+    dec = eigendecompose(h)
+    w = dec.eigenvalues.copy()
+    mutable = SpectralDecomposition(w, dec.eigenvectors, dec.source)
+    symbol = DividedDifference(PowerAbs(3.5), 2)
+
+    def integral(d):
+        return moi_exact(MoiRequest((d,) * 3, (v.matrix,) * 2, symbol))
+
+    integral(mutable)
+    w *= 0.5
+    got = integral(mutable)
+    monkeypatch.setattr(moi, "_last_loewner", (None, None))
+    fresh = SpectralDecomposition(w.copy(), dec.eigenvectors, dec.source)
+    assert np.array_equal(got, integral(fresh))
 
 
 def test_separable_symbol_validation():
