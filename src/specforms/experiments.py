@@ -45,7 +45,7 @@ from .moi import (
 )
 from .momenta import MomentumSpec
 from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
-from .util import canonical_json, fit_loglog_slope, frobenius, whole_number
+from .util import canonical_json, fit_loglog_slope, frobenius, real_number, whole_number
 
 MODES = (
     "derivative",
@@ -113,7 +113,7 @@ class ExperimentConfig:
             raise ValidationError(f"unknown mode {self.mode!r}; choose from {MODES}")
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         object.__setattr__(self, "dim", whole_number(self.dim, "dim"))
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", real_number(self.p, "p"))
         if not 2 <= self.dim <= 64:
             raise ValidationError(f"dim must lie in [2, 64], got {self.dim}")
         if not 1.0 < self.p <= 8.0:
@@ -122,7 +122,7 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown profile {self.profile!r}; choose from {PROFILES}"
             )
-        t_grid = tuple(float(t) for t in self.t_grid)
+        t_grid = tuple(real_number(t, "t grid entry") for t in self.t_grid)
         if not t_grid or not all(math.isfinite(t) and t > 0 for t in t_grid):
             raise ValidationError("t grid must be nonempty, finite and positive")
         object.__setattr__(self, "t_grid", t_grid)
@@ -130,9 +130,9 @@ class ExperimentConfig:
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
-        if not 0.0 < float(self.quad_tol) <= 1e-2:
+        object.__setattr__(self, "quad_tol", real_number(self.quad_tol, "quad_tol"))
+        if not 0.0 < self.quad_tol <= 1e-2:
             raise ValidationError(f"quad_tol must lie in (0, 1e-2], got {self.quad_tol}")
-        object.__setattr__(self, "quad_tol", float(self.quad_tol))
         object.__setattr__(self, "order", whole_number(self.order, "order"))
         if self.order < 0:
             raise ValidationError(f"order must be >= 0, got {self.order}")

@@ -546,8 +546,8 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
         )
     p = SchattenExponent(p).p
     t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValidationError("t grid values must be finite")
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
+        raise ValidationError(f"t grid must be one row of finite values, got {t_grid}")
     names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)
     names += tuple(f"perturbation {j}" for j in range(len(perturbations)))
     (base, *tail), (w, *perts), stack = _prepared_slots(

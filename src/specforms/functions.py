@@ -60,6 +60,8 @@ class PowerKernel(ScalarFunctionModel):
     def __init__(self, coef, beta, parity=0, domain=WORKING_INTERVAL):
         self.coef = float(coef)
         self.beta = float(beta)
+        if not np.isfinite(self.coef):
+            raise ValidationError(f"power coefficient must be finite, got {self.coef}")
         if not np.isfinite(self.beta):
             raise ValidationError(f"power exponent beta must be finite, got {self.beta}")
         self.parity = whole_number(parity, "parity") % 2
@@ -132,6 +134,8 @@ class Polynomial(ScalarFunctionModel):
 
     def __init__(self, coeffs, domain=(-np.inf, np.inf)):
         coeffs = [float(c) for c in np.atleast_1d(coeffs)]
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
         if not coeffs:
             coeffs = [0.0]
         self._poly = np.polynomial.Polynomial(coeffs)

@@ -9,16 +9,19 @@ eigenprojection series
           P^0_{i_0} V_1 P^1_{i_1} ... V_m P^m_{i_m}.
 
 moi_exact and moi_binned integrate a divided-difference symbol by the
-Sylvester recurrence (_sylvester_core). Every other symbol takes the symbol
-tensor, contracted against the rotated perturbations with einsum: momenta
-with an origin through divided_difference, separable sums term by term,
-other momenta by quadrature and bare callables once per distinct index
-tuple, in chunks of index tuples, each handed over as the transpose of its
-column stack. The monomial shift of a symbol (algebraic_shift), a divided
-difference included, is its tensor times the outer product of the
-eigenvalue powers. The recurrence keeps its last Loewner values, keyed by
-the model, the tolerance and the bits of the eigenvalue pairs, so that
-forms of several orders on one base evaluate them once.
+Sylvester recurrence (_sylvester_core), whose near pairs are a stack of
+one-entry integrals over the inner slots. Those and every other symbol's
+integral take one route (_tensor_core): the symbol tensor (_phi_tensor),
+contracted against the rotated perturbations with einsum (_contract).
+The tensor is evaluated in blocks of index tuples, each handed over as the
+transpose of its column stack: momenta with an origin through
+divided_difference, separable sums term by term, other momenta by
+quadrature and bare callables once per distinct index tuple. The
+monomial shift of a symbol (algebraic_shift), a divided difference
+included, is its tensor times the outer product of the eigenvalue powers.
+The recurrence keeps its last Loewner values, keyed by the model, the
+tolerance and the bits of the eigenvalue pairs, so that forms of several
+orders on one base evaluate them once.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
@@ -26,11 +29,12 @@ one call then evaluates the S integrals.
 
 The slots of a request, of moi_separable, of perturbation_identity and
 of forms.holder_difference_norms are prepared in one place
-(_prepared_slots): one dimension and one stack length are checked before
-anything is decomposed, and the raw matrices among the decomposition
-slots go through one eigendecompose call, a decomposition being reused.
-An error names the slot ("decomposition j" or "perturbation j" of a
-request) and a member of a stack by its index.
+(_prepared_slots): one dimension, one stack length and finite
+perturbations are checked before anything is decomposed, and the raw
+matrices among the decomposition slots go through one eigendecompose
+call, a decomposition being reused. An error names the slot
+("decomposition j" or "perturbation j" of a request) and a member of a
+stack by its index.
 """
 
 import functools
@@ -43,7 +47,13 @@ from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import Polynomial, PowerKernel, as_kernel
 from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
-from .spectral import SpectralDecomposition, _check_hermitian, _checked, eigendecompose
+from .spectral import (
+    SpectralDecomposition,
+    _check_finite,
+    _check_hermitian,
+    _checked,
+    eigendecompose,
+)
 from .util import (
     adjoint,
     as_complex_matrices,
@@ -54,8 +64,9 @@ from .util import (
 )
 
 MAX_ORDER = 3
-# Index tuples per batched symbol call: an order-3 tensor at dim 64 has
-# 16.8M of them, which are never held as one row stack.
+# Index tuples per block of a symbol tensor, one symbol call each: an
+# order-3 tensor at dim 64 has 16.8M of them, which are never held as one
+# row stack. A stack of integrals goes in groups of tensors this size.
 CHUNK_ROWS = 1 << 16
 # A pair of eigenvalues x, y of slots two or more apart is too close to
 # divide by in the Sylvester recurrence when |x - y| < NEAR_PAIR (1 + |x| + |y|).
@@ -77,9 +88,9 @@ def _prepared_slots(items, perturbations, names):
 
     Each item is a matrix, a stack (S, n, n) of matrices, or the
     decomposition of either; each perturbation is a matrix or a stack of
-    S. All slots must share one dimension and one stack length S, checked
-    before anything is decomposed; the length is None when no slot is a
-    stack. The matrices and stacks among the items then go through one
+    S, with finite entries. All slots must share one dimension and one
+    stack length S, checked before anything is decomposed; the length is
+    None when no slot is a stack. The matrices and stacks among the items then go through one
     eigendecompose call, each item taking its member or sub-stack of the
     result, and a decomposition is reused. An error on a slot names it by
     names[i], the items' names followed by the perturbations', and a
@@ -98,6 +109,8 @@ def _prepared_slots(items, perturbations, names):
             raise ValidationError(f"{name}: {exc}") from exc
         if i < split:
             raw.append(i)
+        else:
+            _check_finite(slots[i], name)
         dims.append(slots[i].shape[-1])
         stacks.append(len(slots[i]) if slots[i].ndim == 3 else None)
     if len(set(dims)) > 1:
@@ -153,6 +166,8 @@ class SeparableSymbol:
         terms = tuple(
             (float(w), tuple(as_kernel(f) for f in fns)) for w, fns in self.terms
         )
+        if not all(math.isfinite(w) for w, _ in terms):
+            raise ValidationError(f"separable weights must be finite, got {[w for w, _ in terms]}")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -256,33 +271,43 @@ def _phi_tensor(symbol, eig_sets, tol):
     A set of shape (S, n_j) is a stack, and stacked sets share one length
     S: the tensor then carries a leading axis S, and entry
     (b, i_0, ..., i_m) takes the eigenvalue of each stacked slot from its
-    row b. The index tuples go in chunks of CHUNK_ROWS, each handed to the
-    symbol as the transpose of its (m+1, R) column stack.
+    row b. Each slot's eigenvalues are broadcast over the tensor shape, and
+    the symbol is evaluated one block at a time: a block fixes the axes
+    before a cut axis, takes a slice of the cut axis and keeps every later
+    axis whole, CHUNK_ROWS index tuples at most. A block goes to the symbol
+    as the transpose of its (m+1, R) column stack.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
     shape = lead + tuple(e.shape[-1] for e in eig_sets)
+    after = len(eig_sets) - 1
+    slots = [  # each slot's eigenvalues along its own axis (and the stack axis)
+        e.reshape((e.shape[:-1] or (1,) * len(lead)) + (1,) * j + (-1,) + (1,) * (after - j))
+        for j, e in enumerate(eig_sets)
+    ]
     if isinstance(symbol, _MonomialShift):
         # Python-float powers, multiplied left to right and then onto phi:
         # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
-        # Each slot's powers lie along its own axis (and the stack axis).
-        powers = []
-        for j, (e, s) in enumerate(zip(eig_sets, symbol.powers)):
-            axes = [1] * len(shape)
-            axes[len(lead) + j] = e.shape[-1]
-            if e.ndim == 2:
-                axes[0] = len(e)
-            powers.append(np.reshape([x**s for x in e.ravel().tolist()], axes))
+        powers = [
+            np.reshape([v**s for v in x.ravel().tolist()], x.shape)
+            for x, s in zip(slots, symbol.powers)
+        ]
         return functools.reduce(np.multiply, powers) * _phi_tensor(symbol.symbol, eig_sets, tol)
     evaluate = _symbol_adapter(symbol, tol)
-    phi = np.empty(math.prod(shape), dtype=float)
-    for start in range(0, phi.size, CHUNK_ROWS):
-        idx = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, phi.size)), shape)
-        head = idx[: len(lead)]
-        cols = np.stack(
-            [e[head + (i,)] if e.ndim == 2 else e[i] for e, i in zip(eig_sets, idx[len(lead) :])]
-        )
-        phi[start : start + cols.shape[1]] = _checked_values(evaluate(cols.T), cols)
+    cut = next(c for c in range(len(shape)) if math.prod(shape[c + 1 :]) <= CHUNK_ROWS)
+    width = CHUNK_ROWS // math.prod(shape[cut + 1 :])
+    # The blocks run in the tensor's C order, each a run of its flat entries.
+    phi, start = np.empty(math.prod(shape)), 0
+    for head in np.ndindex(shape[:cut]) if cut else [()]:
+        # each slot at the head: its own index on an axis where it varies, else 0
+        fixed = [tuple(min(i, n - 1) for i, n in zip(head, x.shape)) for x in slots]
+        for lo in range(0, shape[cut], width):
+            cols = np.empty((len(slots), min(width, shape[cut] - lo)) + shape[cut + 1 :])
+            for col, x, at in zip(cols, slots, fixed):
+                col[...] = x[at] if x.shape[cut] == 1 else x[at + (slice(lo, lo + width),)]
+            cols = cols.reshape(len(slots), -1)
+            phi[start : start + cols.shape[1]] = _checked_values(evaluate(cols.T), cols)
+            start += cols.shape[1]
     return phi.reshape(shape)
 
 
@@ -297,63 +322,25 @@ def _contract(phi, rotated):
     return np.einsum("...abcd,...ab,...bc,...cd->...ad", phi, *rotated)
 
 
-def _tensor_core(request, eig_sets, rotated):
+def _tensor_core(symbol, tol, eig_sets, rotated):
     """The core of the integral: the symbol tensor contracted with the
     rotated perturbations. A stack of eigenvalue sets goes in groups of
     max(1, CHUNK_ROWS // entries per integral) members, so that no group's
-    tensor exceeds CHUNK_ROWS entries unless one integral alone does;
+    tensor exceeds CHUNK_ROWS entries unless one integral alone does, and
+    each rotated stack is sliced on its member axis, the third from last;
     otherwise one tensor serves every member of a perturbation stack."""
     stack = next((len(e) for e in eig_sets if e.ndim == 2), None)
-    if stack is None:
-        parts = [slice(None)]
-    else:
-        size = max(1, CHUNK_ROWS // math.prod(e.shape[-1] for e in eig_sets))
-        parts = [slice(lo, lo + size) for lo in range(0, stack, size)]
+    size = max(1, CHUNK_ROWS // math.prod(e.shape[-1] for e in eig_sets))
+    if stack is None or stack <= size:
+        return _contract(_phi_tensor(symbol, eig_sets, tol), rotated)
     cores = [
         _contract(
-            _phi_tensor(
-                request.symbol, [e[part] if e.ndim == 2 else e for e in eig_sets], request.tol
-            ),
-            [r[part] if r.ndim == 3 else r for r in rotated],
+            _phi_tensor(symbol, [e[lo : lo + size] if e.ndim == 2 else e for e in eig_sets], tol),
+            [r[..., lo : lo + size, :, :] if r.ndim > 2 else r for r in rotated],
         )
-        for part in parts
+        for lo in range(0, stack, size)
     ]
-    return cores[0] if len(cores) == 1 else np.concatenate(cores)
-
-
-def _direct_sums(symbol, eigs, rots, entries, tol):
-    """Entries (member, i, l) of a block of _sylvester_core, each summed
-    over the n^(L-1) index tuples of its inner slots, L = symbol.order.
-
-    eigs (members, n) and rots (..., members, n, n) are the block's slots;
-    the sums keep any stack axis of the perturbations in front. The entries
-    go in chunks of max(1, CHUNK_ROWS // n^(L-1)), one symbol call each.
-    """
-    level, n = symbol.order, eigs[0].shape[-1]
-    grid = (n,) * (level - 1)
-
-    def along(x, axis, width=1):
-        """x (..., chunk, n^width), its n-axes moved to the inner axes from
-        `axis` on of the chunk's (chunk,) + grid index grid."""
-        cut, after = x.ndim - width, (1,) * (level - 1 - axis - width)
-        return x.reshape(x.shape[:cut] + (1,) * axis + x.shape[cut:] + after)
-
-    size, sums = max(1, CHUNK_ROWS // n ** (level - 1)), []
-    for lo in range(0, len(entries[0]), size):
-        m, i, l = (x[lo : lo + size] for x in entries)
-        cols = np.empty((level + 1, len(i)) + grid)
-        cols[0], cols[level] = along(eigs[0][m, i], 0, 0), along(eigs[level][m, l], 0, 0)
-        for r in range(1, level):
-            cols[r] = along(eigs[r][m], r - 1)
-        cols = cols.reshape(level + 1, -1)
-        terms = _checked_values(symbol(cols.T, quad_tol=tol), cols).reshape((len(i),) + grid)
-        terms = terms * along(rots[0][..., m, i, :], 0)
-        for r in range(1, level - 1):
-            terms = terms * along(rots[r][..., m, :, :], r - 1, 2)
-        terms = terms * along(rots[-1].swapaxes(-1, -2)[..., m, l, :], level - 2)
-        terms = np.ascontiguousarray(terms).reshape(terms.shape[: terms.ndim - level + 1] + (-1,))
-        sums.append(terms.sum(axis=-1))
-    return np.concatenate(sums, axis=-1)
+    return np.concatenate(cores, axis=-3)
 
 
 def _sylvester_core(request, eig_sets, rotated):
@@ -369,9 +356,12 @@ def _sylvester_core(request, eig_sets, rotated):
         (lam^a_i - lam^b_l) B_ab[i, l] = (B_a,b-1 V_b - V_{a+1} B_a+1,b)[i, l],
 
     except at the near pairs, |lam^a_i - lam^b_l| < NEAR_PAIR (1 + |lam^a_i|
-    + |lam^b_l|), which are summed directly (_direct_sums). Every array has
-    a member axis, the stack of eigenvalue sets or one member, which rides
-    the matmul batch axis with any stack of the perturbations.
+    + |lam^b_l|). Those entries are summed directly, as a stack of
+    one-entry integrals (_tensor_core): the first and last slots hold the
+    one eigenvalue lam^a_i and lam^b_l, and the rotated perturbations are
+    row i of V_{a+1}, the inner ones whole and column l of V_b. Every array
+    has a member axis, the stack of eigenvalue sets or one member, which
+    rides the matmul batch axis with any stack of the perturbations.
     """
     global _last_loewner
     model, k, tol = request.symbol.model, request.order, request.tol
@@ -417,9 +407,14 @@ def _sylvester_core(request, eig_sets, rotated):
             step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
             blocks[a, b] = step / np.where(close, 1.0, x - y)
             m, i, l = np.nonzero(close)
-            if len(i):
-                sums = _direct_sums(symbol, eigs[a : b + 1], rots[a:b], (m, i, l), tol)
-                blocks[a, b][..., m, i, l] = sums
+            if len(i):  # a stack of one-entry integrals, entry (m, i, l) each
+                sets = [eigs[a][m, i, None]] + [eigs[r][m] for r in range(a + 1, b)]
+                sets.append(eigs[b][m, l, None])
+                chain = [rots[a][..., m, i, None, :]]
+                chain += [rots[r][..., m, :, :] for r in range(a + 1, b - 1)]
+                chain.append(rots[b - 1].swapaxes(-1, -2)[..., m, l, :][..., :, None])
+                core = _tensor_core(symbol, tol, sets, chain)
+                blocks[a, b][..., m, i, l] = core[..., 0, 0]
     return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
 
 
@@ -432,8 +427,10 @@ def _integral(request, eig_sets):
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
-    divided = isinstance(request.symbol, DividedDifference)
-    core = (_sylvester_core if divided else _tensor_core)(request, eig_sets, rotated)
+    if isinstance(request.symbol, DividedDifference):
+        core = _sylvester_core(request, eig_sets, rotated)
+    else:
+        core = _tensor_core(request.symbol, request.tol, eig_sets, rotated)
     return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
 
 

@@ -40,6 +40,16 @@ def _check_hermitian(a, what="matrix"):
     return a
 
 
+def _check_finite(a, what="matrix"):
+    """a itself, a matrix or a stack (B, n, n), unless an entry is NaN or
+    infinite. An error on a stack names the offending index."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
+    if bad.size:
+        where = f" at stack index {bad[0]}" if a.ndim == 3 else ""
+        raise ValidationError(f"{what}{where} has a non-finite entry")
+    return a
+
+
 def _hermitian_part(a):
     """(A + A*)/2 of a checked matrix or of each matrix of a stack."""
     _check_hermitian(a)
@@ -276,7 +286,7 @@ def schatten_norm(a, p):
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim not in (2, 3):
         raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(_check_finite(m), compute_uv=False)
     if s.ndim == 1:
         return _lp_of_singular_values(s, p)
     return np.array([_lp_of_singular_values(row, p) for row in s])

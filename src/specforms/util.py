@@ -75,13 +75,19 @@ def whole_number(value, what):
     return int(value)
 
 
+def real_number(value, what):
+    """value as a float, or a ValidationError naming `what` when float()
+    cannot read it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a number, got {value!r}") from exc
+
+
 def checked_tol(tol):
     """A quadrature tolerance as a float, checked finite and positive where
     it enters (a request, a form, a quadrature call)."""
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"quadrature tol must be a number, got {tol!r}") from exc
+    tol = real_number(tol, "quadrature tol")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"quadrature tol must be finite and positive, got {tol}")
     return tol

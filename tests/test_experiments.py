@@ -17,6 +17,7 @@ from specforms.experiments import (
     ExperimentConfig,
     RunReport,
     _perturbation_battery,
+    _perturbation_residuals,
     _seed_streams,
     run,
     run_selftest,
@@ -120,6 +121,15 @@ def test_holder_scan_driver_passes():
 def test_perturbation_check_driver_passes():
     report = run(ExperimentConfig(mode="perturbation-check", seed=1))
     assert report.passed
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_perturbation_battery_holds_at_dim_32(m):
+    # The driver's kernels and bounds on one dim-32 instance set.
+    config = ExperimentConfig(mode="perturbation-check", seed=1, dim=32)
+    poly, power = _perturbation_residuals(config, [config.seed], m)
+    assert poly <= DEFAULT_TOLERANCES["perturbation_poly"]
+    assert power <= DEFAULT_TOLERANCES["perturbation_power"]
 
 
 def test_selftest_driver_passes():

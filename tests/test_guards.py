@@ -17,6 +17,7 @@ from specforms import (
     Polynomial,
     PowerAbs,
     PowerKernel,
+    SeparableSymbol,
     SplitMix64,
     UnsupportedConfigError,
     ValidationError,
@@ -27,6 +28,11 @@ from specforms import (
     eigendecompose,
     fit_loglog_slope,
     generate_instance,
+    holder_difference_norms,
+    moi_exact,
+    moi_separable,
+    perturbation_identity,
+    schatten_norm,
     taylor_expand,
     taylor_integral_form,
     trace_identity_residual,
@@ -199,6 +205,66 @@ CALLS["SplitMix64.normals n=-1"] = (
     lambda: SplitMix64(1).normals(-1),
     "^normal count must be >= 0, got -1",
 )
+# Non-finite perturbations are rejected where the slots are prepared, each
+# named by its slot and, in a stack, by its member.
+DD1 = DividedDifference(PowerAbs(2.5), 1)
+CALLS["moi_exact perturbation"] = (
+    lambda: moi_exact(MoiRequest((H, H), (V * NAN,), DD1)),
+    "^perturbation 0 has a non-finite entry",
+)
+CALLS["moi_exact perturbation stack"] = (
+    lambda: moi_exact(MoiRequest((H, H), (np.stack([V, V * NAN]),), DD1)),
+    "^perturbation 0 at stack index 1 has a non-finite entry",
+)
+CALLS["moi_separable perturbation"] = (
+    lambda: moi_separable(SeparableSymbol(((1.0, (Monomial(1),) * 2),)), (H, H), (V * NAN,)),
+    "^perturbation 0 has a non-finite entry",
+)
+CALLS["perturbation_identity perturbation"] = (
+    lambda: perturbation_identity(DD_SPEC, H, H + 0.1 * V, [H], [V * NAN]),
+    "^perturbation 0 has a non-finite entry",
+)
+CALLS["holder_difference_norms perturbation"] = (
+    lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V * NAN], [0.1], 2.5),
+    "^perturbation 0 has a non-finite entry",
+)
+CALLS["holder_difference_norms direction"] = (
+    lambda: holder_difference_norms(PowerAbs(2.5), H, V * NAN, [H], [V], [0.1], 2.5),
+    "^direction has a non-finite entry",
+)
+CALLS["holder_difference_norms t_grid rows"] = (
+    lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [[0.1, 0.2], [0.3, 0.4]], 3),
+    "^t grid must be one row",
+)
+CALLS["schatten_norm"] = (
+    lambda: schatten_norm(np.diag([NAN, 1.0]), 2.5),
+    "^matrix has a non-finite entry",
+)
+# Model coefficients and symbol weights are checked when they are made.
+CALLS["PowerKernel coef"] = (
+    lambda: divided_difference(PowerKernel(NAN, 2.0), [0.1, 0.2]),
+    "^power coefficient must be finite, got nan",
+)
+CALLS["PowerKernel coef=inf"] = (
+    lambda: PowerKernel(np.inf, 2.0).eval(0.5),
+    "^power coefficient must be finite, got inf",
+)
+CALLS["Polynomial coeffs"] = (
+    lambda: divided_difference(Polynomial([1.0, NAN]), [0.1, 0.2]),
+    "^polynomial coefficients must be finite",
+)
+for bad in (NAN, np.inf):
+    CALLS[f"SeparableSymbol weight={bad}"] = (
+        lambda bad=bad: SeparableSymbol(((bad, (Monomial(1),) * 2),)),
+        "^separable weights must be finite",
+    )
+# Fields a run config reads as numbers name themselves.
+NUMBERS = (("p", "x", "^p"), ("quad_tol", "x", "^quad_tol"), ("t_grid", "abc", "^t grid entry"))
+for field, bad, message in NUMBERS:
+    CALLS[f"ExperimentConfig {field}={bad!r}"] = (
+        lambda field=field, bad=bad: ExperimentConfig("selftest", **{field: bad}),
+        message + " must be a number",
+    )
 # A request's tolerance is checked where the request is made, even when no
 # row of its symbol would reach quadrature.
 for bad in (NAN, 0.0, -1.0, np.inf):

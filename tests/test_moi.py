@@ -135,14 +135,21 @@ def test_binned_integral_converges_to_exact():
 
 def test_divided_differences_build_no_tensor(monkeypatch):
     # moi_exact and moi_binned integrate a divided difference of any order by
-    # the recurrence; its monomial shift, the left side of algebraic_shift,
-    # still builds the symbol tensor. On the binned spectra, with their exact
-    # ties, the recurrence agrees with that tensor.
+    # the recurrence, which builds tensors only for its near pairs: a stack
+    # of one-entry integrals, whose first and last slots hold one eigenvalue.
+    # Its monomial shift, the left side of algebraic_shift, still builds the
+    # whole symbol tensor. On the binned spectra, with their exact ties, the
+    # recurrence agrees with that tensor.
     built, tensor_core = [], moi._tensor_core
 
-    def counted(request, eig_sets, rotated):
-        built.append(type(request.symbol).__name__)
-        return tensor_core(request, eig_sets, rotated)
+    def counted(symbol, tol, eig_sets, rotated):
+        built.append((type(symbol).__name__, tuple(e.shape[-1] for e in eig_sets)))
+        return tensor_core(symbol, tol, eig_sets, rotated)
+
+    def near_pairs_only(order):
+        assert all(kind == "DividedDifference" for kind, _ in built), order
+        assert all(len(sizes) <= order + 1 for _, sizes in built), order
+        assert all(sizes[0] == sizes[-1] == 1 for _, sizes in built), (order, built)
 
     monkeypatch.setattr(moi, "_tensor_core", counted)
     rng = np.random.default_rng(61)
@@ -155,11 +162,16 @@ def test_divided_differences_build_no_tensor(monkeypatch):
         symbol = DividedDifference(PowerAbs(3.5), order)
         binned = moi_binned(MoiRequest((dec,) * (order + 1), perts, symbol), 2)
         moi_exact(MoiRequest((dec,) * (order + 1), perts, symbol))
-        assert built == [], order
+        near_pairs_only(order)
+        if order > 1:  # the ties of the binned spectrum are near pairs
+            assert built, order
+        built.clear()
         tensor, _ = algebraic_shift(
             MoiRequest((snapped,) * (order + 1), perts, symbol), (0,) * (order + 1)
         )
-        assert built == ["_MonomialShift"], order
+        assert built[0] == ("_MonomialShift", (5,) * (order + 1)), order
+        del built[0]
+        near_pairs_only(order)
         built.clear()
         assert np.linalg.norm(binned - tensor) <= 1e-12 * np.linalg.norm(tensor), order
 
@@ -636,18 +648,12 @@ def _with_pair_at_the_switch(h, top, index, factor):
     return (u * lam) @ u.conj().T
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
-def test_recurrence_matches_the_tensor_path(profile, shared):
-    # The left side of algebraic_shift at zero powers is the tensor path
-    # (x^0 phi). At order 1 the recurrence is the Loewner block, bit for
-    # bit. Orders 2-3 divide by gaps, each request holding a pair just
-    # above or just below the switch to direct sums: 1e-12 relative, but
-    # 1e-11 on a shared set at order 3, where the tensor path itself is off
-    # from the 60-digit series by up to 1.6e-12 and the recurrence, next to
-    # its switch, by up to 4.8e-12. Each member of a stack (perturbations
-    # only; the first, a middle or the last slot; every slot of a shared
-    # set) has the bits of its own call.
+def _requests_at_the_switch(profile, shared):
+    """(order, stacked decomposition slots, request) of dim-5
+    divided-difference integrals at orders 1-3, each holding a pair just
+    above or just below the recurrence's switch to direct sums. Each has a
+    stack of 3 in one perturbation slot, and in no decomposition slot, the
+    first, a middle or the last, or on a shared set in every one."""
     dim, count = 5, 3
     for order, factor in itertools.product((1, 2, 3), (1.01, 0.99)):
         seeds = list(range(40 + order, 40 + order + count * (order + 1)))
@@ -672,22 +678,72 @@ def test_recurrence_matches_the_tensor_path(profile, shared):
                     eigendecompose(hs[:, j] if j in stacked else hs[0, j]) for j in range(order + 1)
                 )
             perts = tuple(vs[:, j] if j == moving else vs[0, j] for j in range(order))
-            request = MoiRequest(decs, perts, DividedDifference(PowerAbs(3.5), order))
-            got = moi_exact(request)
-            tensor, _ = algebraic_shift(request, (0,) * (order + 1))
-            bound = 1e-11 if shared and order == 3 else 1e-12
-            for b in range(count):
-                one = (
-                    tuple(d[b] if d.stack else d for d in decs),
-                    tuple(v[b] if v.ndim == 3 else v for v in perts),
-                )
-                want = moi_exact(MoiRequest(*one, request.symbol))
-                assert got[b].tobytes() == want.tobytes(), (order, stacked, b)
-                if order == 1:
-                    assert tensor[b].tobytes() == want.tobytes(), (stacked, b)
-                else:
-                    error = np.linalg.norm(tensor[b] - want) / np.linalg.norm(want)
-                    assert error <= bound, (order, factor, stacked, b, error)
+            yield order, stacked, MoiRequest(decs, perts, DividedDifference(PowerAbs(3.5), order))
+
+
+def _member_calls(request):
+    """moi_exact of each member of the request's stacks, on its own."""
+    return [
+        moi_exact(
+            MoiRequest(
+                tuple(d[b] if d.stack else d for d in request.decompositions),
+                tuple(v[b] if v.ndim == 3 else v for v in request.perturbations),
+                request.symbol,
+            )
+        )
+        for b in range(3)
+    ]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+def test_recurrence_matches_the_tensor_path(profile, shared):
+    # The left side of algebraic_shift at zero powers is the tensor path
+    # (x^0 phi). At order 1 the recurrence is the Loewner block, bit for
+    # bit. Orders 2-3 divide by gaps, each request holding a pair just
+    # above or just below the switch to direct sums: 1e-12 relative, but
+    # 1e-11 on a shared set at order 3, where the tensor path itself is off
+    # from the 60-digit series by up to 1.6e-12 and the recurrence, next to
+    # its switch, by up to 4.8e-12. Each member of a stack (perturbations
+    # only; the first, a middle or the last slot; every slot of a shared
+    # set) has the bits of its own call.
+    for order, stacked, request in _requests_at_the_switch(profile, shared):
+        got = moi_exact(request)
+        tensor, _ = algebraic_shift(request, (0,) * (order + 1))
+        bound = 1e-11 if shared and order == 3 else 1e-12
+        for b, want in enumerate(_member_calls(request)):
+            assert got[b].tobytes() == want.tobytes(), (order, stacked, b)
+            if order == 1:
+                assert tensor[b].tobytes() == want.tobytes(), (stacked, b)
+            else:
+                error = np.linalg.norm(tensor[b] - want) / np.linalg.norm(want)
+                assert error <= bound, (order, stacked, b, error)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+def test_near_pairs_across_blocks_keep_their_bits(shared, monkeypatch):
+    # With CHUNK_ROWS = 7 the near pairs of a dim-5 integral go one entry
+    # per group, and an order-3 entry's 25 index tuples span five blocks of
+    # 5. The integral keeps the bits of the unpatched run, which takes each
+    # near-pair stack in one block, and so each member the bits of its own
+    # unpatched call. One profile: the blocks do not depend on the values,
+    # and the clustered rows' quadrature makes one-entry groups slow.
+    cases = [case for case in _requests_at_the_switch("singular", shared) if case[0] > 1]
+    whole = [(moi_exact(request), _member_calls(request)) for _, _, request in cases]
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
+    blocks, build = [], moi._phi_tensor
+
+    def recorded(symbol, eig_sets, tol):
+        blocks.append(math.prod(e.shape[-1] for e in eig_sets))
+        return build(symbol, eig_sets, tol)
+
+    monkeypatch.setattr(moi, "_phi_tensor", recorded)
+    for (order, stacked, request), (want, members) in zip(cases, whole):
+        got = moi_exact(request)
+        assert got.tobytes() == want.tobytes(), (order, stacked)
+        for b, one in enumerate(members):
+            assert got[b].tobytes() == one.tobytes(), (order, stacked, b)
+    assert max(blocks) == 25  # an order-3 near pair: 25 index tuples in five blocks
 
 
 def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
@@ -828,7 +884,7 @@ def test_tensor_of_signed_zeros_matches_scalar_routes():
 
 def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
     # Separable sums, quadrature-route momenta and bare callables fill the
-    # tensor chunk by chunk, matching their values at single tuples.
+    # tensor block by block, matching their values at single tuples.
     monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
     lam = np.array([-0.6, 0.0, 0.0, 0.45])
     sets = [lam, binned_eigenvalues(lam, 4), lam]
@@ -859,9 +915,11 @@ def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
     for idx in np.ndindex(got.shape):
         x, y, z = (e[i] for e, i in zip(sets, idx))
         assert got[idx] == x - 2.0 * y * z
+    # The 4x4x4 tensor has 16 > 7 tuples after its first axis and 4 <= 7
+    # after its second: each block is one (i, j) and all 4 values of k.
     flat = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 3)
     distinct = sum(
-        len(np.unique(flat[lo : lo + 7], axis=0)) for lo in range(0, len(flat), 7)
+        len(np.unique(flat[lo : lo + 4], axis=0)) for lo in range(0, len(flat), 4)
     )
     assert len(seen) == distinct < len(flat)
 
