@@ -52,6 +52,7 @@ from .util import (
     fit_loglog_slope,
     lp_norms,
     operator_norm,
+    real_number,
     real_trace,
     real_value,
     whole_number,
@@ -418,13 +419,19 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     the operator integral rides the moving point H_t; the rest stay at
     H_0. The t-integral uses Gauss-Legendre nodes with order doubling
     (8 to 64, stop at 1e-8 agreement) unless t_order pins the order.
-    H_0 and the H_t at the nodes of the first two orders (8 and 16, or
+
+    h0 and h1 may instead be stacks (S, n, n) of S segments' endpoints:
+    the call then returns (lhs, rhs) as two arrays of length S, each
+    member with the bits of its own one-segment call. Every H_0 of the
+    stack and the H_t at its nodes of the first two orders (8 and 16, or
     the pinned order alone) are one stacked decomposition, and their
-    operator integrals one stacked integral, each order summing its own
-    slice; orders 32 and 64 run only while the last two orders disagree,
-    with one decomposition and one integral each. Every value has the
-    bits of a separate decomposition and integral per order. A
-    non-Hermitian endpoint, an h1 of another shape than h0, and an m or
+    operator integrals one stacked integral, the slots at H_0 holding each
+    member's H_0 repeated over its nodes; each derivative term is one
+    stacked bracket. A member leaves the ladder when its own last two
+    orders agree, and the members still open go on together to order 32
+    and then 64, with one decomposition and one integral per order. One
+    segment takes the same steps with nothing repeated. A non-Hermitian
+    endpoint (by stack index), an h1 of another shape than h0, and an m or
     t_order that is not a whole number raise ValidationError naming it.
     """
     quad_tol = checked_tol(quad_tol)
@@ -439,57 +446,76 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
         if t_order < 1:
             raise ValidationError(f"t_order must be at least 1, got {t_order}")
 
-    h0 = _check_hermitian(as_complex_matrix(h0), "h0")
-    h1 = _check_hermitian(as_complex_matrix(h1), "h1")
+    h0 = _check_hermitian(as_complex_matrices(h0), "h0")
+    h1 = _check_hermitian(as_complex_matrices(h1), "h1")
     if h1.shape != h0.shape:
         raise ValidationError(f"h1 has shape {h1.shape}, h0 has {h0.shape}")
     v = h1 - h0
+    stack, n = (len(h0) if h0.ndim == 3 else None), h0.shape[-1]
+    count = stack or 1
     ends = np.linalg.eigvalsh(np.stack([h0, h1]))
     check_within(ends, WORKING_INTERVAL, "spectra of the segment endpoints")
 
     model = PowerAbs(exponent.p)
     g = model.derivative_model(1)
+    # Views with a member axis, one member when nothing is stacked.
+    h0s, vs = h0.reshape(-1, n, n), v.reshape(-1, n, n)
 
-    def moving(orders):
-        """H_t at the nodes of each order in turn."""
-        return h0 + np.concatenate([_gauss01(q)[0] for q in orders])[:, None, None] * v
+    def moving(orders, at):
+        """H_t at the nodes of each order in turn, for the members `at`,
+        member by member."""
+        t = np.concatenate([_gauss01(q)[0] for q in orders])[:, None, None]
+        return (h0s[at, None] + t * vs[at, None]).reshape(-1, n, n)
 
     first = (8, 16) if t_order is None else (t_order,)
-    whole = eigendecompose(np.concatenate([h0[None], moving(first)]))
-    d0 = whole[0]
-    lhs = float(np.sum(model.eval(ends[1])))
-    rhs = float(np.sum(model.eval(d0.eigenvalues)))
+    whole = eigendecompose(np.concatenate([h0s, moving(first, slice(None))]))
+    d0 = whole[0] if stack is None else whole[:count]
+    # Each member's sums of its own eigenvalue row, as Python floats.
+    lhs = np.array([float(np.sum(row)) for row in model.eval(ends[1]).reshape(count, n)])
+    rhs = np.array([float(np.sum(row)) for row in model.eval(d0.eigenvalues).reshape(count, n)])
     for k in range(1, m):
-        rhs += model_delta_bracket(d0, model, [v] * k, quad_tol=quad_tol)
+        rhs = rhs + real_value(model_delta_bracket(d0, model, [v] * k, quad_tol=quad_tol))
 
-    def gauss_values(orders, points):
-        """The t-integral at each order, from the stacked decomposition of
-        moving(orders)."""
-        integrals = _divided_integral(g, (points,) + (d0,) * (m - 1), (v,) * (m - 1), quad_tol)
-        traces = real_trace(v @ integrals)
-        values, lo = [], 0
-        for q in orders:
-            nodes, weights = _gauss01(q)
-            terms = nodes ** (m - 1) * traces[lo : lo + q]
-            values.append(float(sum(w * x for w, x in zip(weights, terms))))
-            lo += q
-        return values
+    def gauss_values(orders, at, points):
+        """The t-integral at each order, one row per member of `at`, from
+        points, the stacked decomposition of moving(orders, at)."""
+        q = sum(orders)
+        dec, u = d0, v
+        if stack is not None:  # each member's H_0 and V repeated over its q nodes
+            u = np.repeat(v[at], q, axis=0)
+            if m > 1:  # at m = 1 the integral is g(H_t) alone, with no slot at H_0
+                dec = _joined([d0[i] for i in np.arange(count)[at]], q)
+        integrals = _divided_integral(g, (points,) + (dec,) * (m - 1), (u,) * (m - 1), quad_tol)
+        values = []
+        for traces in real_trace(u @ integrals).reshape(-1, q):
+            row, lo = [], 0
+            for order in orders:
+                nodes, weights = _gauss01(order)
+                terms = nodes ** (m - 1) * traces[lo : lo + order]
+                row.append(float(sum(w * x for w, x in zip(weights, terms))))
+                lo += order
+            values.append(row)
+        return np.array(values)
 
-    values = gauss_values(first, whole[1:])
-    value = values[-1]
+    values = gauss_values(first, slice(None), whole[count:])
+    value = values[:, -1]
     if t_order is None:
-        previous = values[0]
+        previous = values[:, 0]
         for order in (32, 64):
-            if abs(value - previous) <= 1e-8 * (1.0 + abs(value)):
+            open_ = np.flatnonzero(~(np.abs(value - previous) <= 1e-8 * (1.0 + np.abs(value))))
+            if not open_.size:
                 break
-            previous, value = value, gauss_values((order,), eigendecompose(moving((order,))))[0]
-    return lhs, rhs + value
+            previous[open_] = value[open_]
+            points = eigendecompose(moving((order,), open_))
+            value[open_] = gauss_values((order,), open_, points)[:, 0]
+    rhs = rhs + value
+    return (lhs, rhs) if stack is not None else (float(lhs[0]), float(rhs[0]))
 
 
 def selfadjoint_embed(x, p):
     """Hermitian dilation 2^{-1/p} [[0, X], [X*, 0]] preserving ||.||_p."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    p = float(p)
+    p = real_number(p, "embedding p")
     if not p >= 1.0:
         raise ValidationError(f"embedding needs p >= 1, got {p}")
     n, r = x.shape
@@ -545,7 +571,9 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
             f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"
         )
     p = SchattenExponent(p).p
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid)
+    if t_grid.ndim == 1:
+        t_grid = np.array([real_number(t, "t grid entry") for t in t_grid.tolist()], dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ValidationError(f"t grid must be one row of finite values, got {t_grid}")
     names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)

@@ -8,10 +8,11 @@ as a separate smooth model.
 """
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedConfigError, ValidationError
 from .spectral import WORKING_INTERVAL, SchattenExponent
-from .util import whole_number
+from .util import real_number, whole_number
 
 # Stand-in for "derivatives of every order are continuous".
 SMOOTH_ORDER = 10**9
@@ -40,6 +41,15 @@ class ScalarFunctionModel:
         return self.power_form is not None and self.max_order < SMOOTH_ORDER
 
 
+def _checked_domain(domain):
+    """A model's domain (lo, hi) as floats, or a ValidationError unless
+    lo <= hi (NaN fails): every node check compares against both ends."""
+    lo, hi = (real_number(end, "domain end") for end in (domain[0], domain[1]))
+    if not lo <= hi:
+        raise ValidationError(f"domain must be an interval lo <= hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _power_max_order(beta, parity):
     if beta >= 0 and beta == int(beta):
         if (int(beta) + parity) % 2 == 0:
@@ -58,14 +68,14 @@ class PowerKernel(ScalarFunctionModel):
     """
 
     def __init__(self, coef, beta, parity=0, domain=WORKING_INTERVAL):
-        self.coef = float(coef)
-        self.beta = float(beta)
+        self.coef = real_number(coef, "power coefficient")
+        self.beta = real_number(beta, "power exponent beta")
         if not np.isfinite(self.coef):
             raise ValidationError(f"power coefficient must be finite, got {self.coef}")
         if not np.isfinite(self.beta):
             raise ValidationError(f"power exponent beta must be finite, got {self.beta}")
         self.parity = whole_number(parity, "parity") % 2
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _checked_domain(domain)
         # A zero coefficient (a monomial differentiated past its degree) is
         # the zero function, smooth whatever its exponent.
         if self.coef == 0.0:
@@ -128,33 +138,48 @@ def Monomial(n):
 
 
 class Polynomial(ScalarFunctionModel):
-    """sum_j coeffs[j] * x^j with exact derivative models."""
+    """sum_j coeffs[j] * x^j with exact derivative models.
+
+    The coefficients of each derivative order are computed once, by
+    numpy.polynomial, and kept on the instance. eval takes the steps of
+    numpy's Polynomial.__call__ itself, with the same bits: the identity
+    domain map 0.0 + 1.0*x (which turns -0.0 into 0.0), then Horner's
+    rule from c[-1] + x*0.
+    """
 
     max_order = SMOOTH_ORDER
 
     def __init__(self, coeffs, domain=(-np.inf, np.inf)):
-        coeffs = [float(c) for c in np.atleast_1d(coeffs)]
+        coeffs = np.atleast_1d(coeffs).tolist()
+        coeffs = [real_number(c, "polynomial coefficient") for c in coeffs]
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
-        if not coeffs:
-            coeffs = [0.0]
-        self._poly = np.polynomial.Polynomial(coeffs)
-        self.domain = (float(domain[0]), float(domain[1]))
+        self._coefs = {0: np.array(coeffs or [0.0])}
+        self.domain = _checked_domain(domain)
 
     def __repr__(self):
-        return f"Polynomial({list(self._poly.coef)!r})"
+        return f"Polynomial({self.coeffs!r})"
 
     @property
     def coeffs(self):
-        return list(self._poly.coef)
+        return list(self._coefs[0])
+
+    def _coef(self, order):
+        """The coefficient array of the derivative of this order."""
+        c = self._coefs.get(order)
+        if c is None:
+            c = self._coefs[order] = polyder(self._coefs[0], order)
+        return c
 
     def eval(self, x, order=0):
         order = whole_number(order, "derivative order")
         if order < 0:
             raise ValidationError("derivative order must be >= 0")
-        p = self._poly.deriv(order) if order else self._poly
-        x = np.asarray(x, dtype=float)
-        out = p(x)
+        c = self._coef(order)
+        x = 0.0 + 1.0 * np.asarray(x, dtype=float)
+        out = c[-1] + x * 0
+        for a in c[-2::-1]:
+            out = a + out * x
         return out if out.shape else float(out)
 
     def derivative_model(self, k=1):
@@ -163,7 +188,7 @@ class Polynomial(ScalarFunctionModel):
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
-        return Polynomial(list(self._poly.deriv(k).coef), domain=self.domain)
+        return Polynomial(list(self._coef(k)), domain=self.domain)
 
 
 class CallableKernel(ScalarFunctionModel):
@@ -175,7 +200,7 @@ class CallableKernel(ScalarFunctionModel):
         if not callable(fn):
             raise ValidationError("kernel must be callable")
         self._fn = fn
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _checked_domain(domain)
 
     def eval(self, x, order=0):
         if order != 0:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import _hermitian_members
-from .util import adjoint, lp_norms, whole_number
+from .util import adjoint, lp_norms, real_number, whole_number
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -136,7 +136,7 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
         raise ValidationError(f"instance dimension must be >= 2, got {dim}")
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
-    p = float(p)
+    p = real_number(p, "instance normalization p")
     if not (np.isfinite(p) and p >= 1.0):
         raise ValidationError(f"instance normalization needs p >= 1, got {p}; p must be finite")
 

@@ -60,6 +60,7 @@ from .util import (
     checked_tol,
     frobenius,
     map_distinct_rows,
+    real_number,
     whole_number,
 )
 
@@ -164,7 +165,8 @@ class SeparableSymbol:
         if len(sizes) != 1:
             raise ValidationError("all separable terms must share one arity")
         terms = tuple(
-            (float(w), tuple(as_kernel(f) for f in fns)) for w, fns in self.terms
+            (real_number(w, "separable weight"), tuple(as_kernel(f) for f in fns))
+            for w, fns in self.terms
         )
         if not all(math.isfinite(w) for w, _ in terms):
             raise ValidationError(f"separable weights must be finite, got {[w for w, _ in terms]}")
@@ -444,7 +446,10 @@ def binned_eigenvalues(eigenvalues, n):
     n = whole_number(n, "bin count")
     if n < 1:
         raise ValidationError("bin count must be >= 1")
-    return np.floor(np.asarray(eigenvalues, dtype=float) * n) / n
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if not np.isfinite(eigenvalues).all():
+        raise ValidationError(f"eigenvalues to bin must be finite, got {eigenvalues}")
+    return np.floor(eigenvalues * n) / n
 
 
 def moi_binned(request, n):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import adjoint, as_complex_matrices, check_within, whole_number
+from .util import adjoint, as_complex_matrices, check_within, real_number, whole_number
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -246,7 +246,7 @@ class SchattenExponent:
     p: float
 
     def __post_init__(self):
-        p = float(self.p)
+        p = real_number(self.p, "exponent p")
         if not np.isfinite(p) or p <= 1.0:
             raise ValidationError(f"exponent must satisfy 1 < p < inf, got {p}")
         object.__setattr__(self, "p", p)
@@ -280,7 +280,7 @@ def schatten_norm(a, p):
     of all members come from one solver call, and each norm is the
     expression of its one-matrix call on its own row.
     """
-    p = float(p)
+    p = real_number(p, "Schatten exponent p")
     if not p >= 1.0:
         raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)

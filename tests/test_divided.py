@@ -65,6 +65,28 @@ def test_zeroth_order_is_evaluation():
     np.testing.assert_allclose(divided_difference(PowerAbs(2.5), (0.6,)), 0.6**2.5, rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(3.0,), (0.25, -1.0, 0.5, 2.0), (0.0, 0.0, 0.0, 0.0, 1.0), (-0.0, 1.5, -0.0, 1e-17, -7.25)],
+)
+def test_polynomial_eval_matches_numpy_bitwise(coeffs):
+    # Polynomial.eval takes numpy's steps itself; a signed zero or a
+    # subnormal must come out with numpy's bits, at every derivative order.
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        [rng.uniform(-2.0, 2.0, 2000), [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.0, -2.0]]
+    )
+    model = Polynomial(coeffs)
+    for order in range(5):
+        reference = np.polynomial.Polynomial(coeffs).deriv(order)
+        want = reference(x)
+        for got in (model.eval(x, order), model.derivative_model(order).eval(x)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for point in (-0.0, 1e-300, 0.3):
+            one = model.eval(point, order)
+            assert type(one) is float and one.hex() == float(reference(point)).hex()
+
+
 def test_permutation_invariance_is_bitwise():
     nodes = np.array([0.85, -0.3, 0.42, -0.77])
     base = divided_difference(PowerAbs(3.5), nodes)

@@ -264,12 +264,15 @@ def test_batteries_send_their_seeds_through_one_stacked_call(monkeypatch):
     stacked = [n for req, n in binned if req.decompositions[0].stack == 10]
     assert stacked == list(config.n_grid)
     traces = count_calls(monkeypatch, experiments, "trace_identity_residual")
+    segments = count_calls(monkeypatch, experiments, "taylor_integral_form")
     assert run(ExperimentConfig(mode="selftest")).passed
     # One call per order over the 10 seeds (k = 2 at p 2.5, k = 2, 3 at
     # p 3.5), then the hand case.
     assert [(form.base.stack, k) for form, _, k in traces] == [
         (10, 2), (10, 2), (10, 3), (None, 2)
     ]
+    # One integral-Taylor call per exponent over the 3 seeds' segments.
+    assert [(p, h0.shape[0], h1.shape[0]) for h0, h1, p in segments] == [(2.5, 3, 3), (3.5, 3, 3)]
     holder = count_calls(monkeypatch, experiments, "holder_difference_norms")
     assert run(ExperimentConfig(mode="holder-scan", p=3.5)).passed
     ((_, base, direction, tails, perts, *_),) = holder

@@ -442,12 +442,8 @@ def test_integral_form_keeps_its_bits(profile, p, seed, final, lhs, rhs):
     assert taylor_integral_form(h0, h1, p, t_order=final) == got
 
 
-@pytest.mark.parametrize(
-    "profile, p, seed, final", [row[:4] for row in INTEGRAL_FORM_HEX], ids=SEGMENT_IDS
-)
-def test_first_two_gauss_orders_share_one_decomposition_and_integral(
-    profile, p, seed, final, monkeypatch
-):
+def count_solver_calls(monkeypatch):
+    """Counts of eigendecompose and moi_exact calls made from forms and moi."""
     calls = {"eigendecompose": 0, "moi_exact": 0}
 
     def counted(module, name):
@@ -462,6 +458,16 @@ def test_first_two_gauss_orders_share_one_decomposition_and_integral(
     counted(forms, "eigendecompose")
     counted(moi, "eigendecompose")
     counted(forms, "moi_exact")
+    return calls
+
+
+@pytest.mark.parametrize(
+    "profile, p, seed, final", [row[:4] for row in INTEGRAL_FORM_HEX], ids=SEGMENT_IDS
+)
+def test_first_two_gauss_orders_share_one_decomposition_and_integral(
+    profile, p, seed, final, monkeypatch
+):
+    calls = count_solver_calls(monkeypatch)
     h0, h1 = moving_segment(profile, p, seed)
     taylor_integral_form(h0, h1, p)
     later = (16, 32, 64).index(final)  # orders 32 and 64 run on their own
@@ -470,6 +476,44 @@ def test_first_two_gauss_orders_share_one_decomposition_and_integral(
     assert calls["eigendecompose"] == 1 + later
     # The derivative term of order 2 (at m = 3) makes one integral, and the
     # Gauss orders one for 8 and 16 together and one per later order.
+    assert calls["moi_exact"] == (m - 2) + 1 + later
+
+
+def stacked_segments(rows):
+    """h0 and h1 stacks of the moving segments of INTEGRAL_FORM_HEX rows."""
+    segments = [moving_segment(profile, p, seed) for profile, p, seed, *_ in rows]
+    return np.stack([h0 for h0, _ in segments]), np.stack([h1 for _, h1 in segments])
+
+
+@pytest.mark.parametrize("p", [2.5, 3.5])
+def test_stacked_integral_form_keeps_each_members_bits(p):
+    # Each exponent's rows stop at two or three different Gauss orders.
+    rows = [row for row in INTEGRAL_FORM_HEX if row[1] == p]
+    assert len({row[3] for row in rows}) > 1
+    h0, h1 = stacked_segments(rows)
+    lhs, rhs = taylor_integral_form(h0, h1, p)
+    assert lhs.shape == rhs.shape == (len(rows),)
+    assert [(a.hex(), b.hex()) for a, b in zip(lhs.tolist(), rhs.tolist())] == [
+        tuple(row[4:]) for row in rows
+    ]
+    # A pinned order, and every m, gives each member its own call's values.
+    for m in range(1, SchattenExponent(p).m + 1):
+        lhs, rhs = taylor_integral_form(h0, h1, p, m=m, t_order=8)
+        for i in range(len(rows)):
+            assert (lhs[i], rhs[i]) == taylor_integral_form(h0[i], h1[i], p, m=m, t_order=8)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.5])
+def test_stacked_integral_form_takes_one_call_per_gauss_order(p, monkeypatch):
+    rows = [row for row in INTEGRAL_FORM_HEX if row[1] == p]
+    h0, h1 = stacked_segments(rows)
+    calls = count_solver_calls(monkeypatch)
+    taylor_integral_form(h0, h1, p)
+    later = (16, 32, 64).index(max(row[3] for row in rows))
+    m = SchattenExponent(p).m
+    # Every H_0 and orders 8 and 16 of every member in one call, then one
+    # call per later order that some member reaches.
+    assert calls["eigendecompose"] == 1 + later
     assert calls["moi_exact"] == (m - 2) + 1 + later
 
 

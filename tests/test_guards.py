@@ -17,6 +17,7 @@ from specforms import (
     Polynomial,
     PowerAbs,
     PowerKernel,
+    SchattenExponent,
     SeparableSymbol,
     SplitMix64,
     UnsupportedConfigError,
@@ -265,6 +266,54 @@ for field, bad, message in NUMBERS:
         lambda field=field, bad=bad: ExperimentConfig("selftest", **{field: bad}),
         message + " must be a number",
     )
+# Numbers read from model, symbol and norm arguments name themselves.
+CALLS["PowerKernel coef='x'"] = (
+    lambda: PowerKernel("x", 2.0),
+    "^power coefficient must be a number, got 'x'",
+)
+CALLS["Polynomial coeffs='x'"] = (
+    lambda: Polynomial(["x"]),
+    "^polynomial coefficient must be a number, got 'x'",
+)
+CALLS["SeparableSymbol weight='x'"] = (
+    lambda: SeparableSymbol((("x", (Monomial(1),) * 2),)),
+    "^separable weight must be a number, got 'x'",
+)
+CALLS["schatten_norm p='x'"] = (
+    lambda: schatten_norm(np.eye(2), "x"),
+    "^Schatten exponent p must be a number, got 'x'",
+)
+CALLS["SchattenExponent p='x'"] = (lambda: SchattenExponent("x"), "^exponent p must be a number")
+CALLS["selfadjoint_embed p='x'"] = (
+    lambda: selfadjoint_embed(np.eye(2), "x"),
+    "^embedding p must be a number",
+)
+CALLS["generate_instance p='x'"] = (
+    lambda: generate_instance(1, 3, "generic", "x"),
+    "^instance normalization p must be a number",
+)
+CALLS["holder_difference_norms t_grid='a'"] = (
+    lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], ["a", "b"], 2.5),
+    "^t grid entry must be a number, got 'a'",
+)
+# NaN is neither a bin position nor a domain end.
+CALLS["binned_eigenvalues nan"] = (
+    lambda: binned_eigenvalues([NAN], 4),
+    "^eigenvalues to bin must be finite",
+)
+CALLS["PowerKernel domain nan"] = (
+    lambda: PowerKernel(1.0, 2.0, domain=(NAN, 1.0)),
+    r"^domain must be an interval lo <= hi, got \(nan, 1.0\)",
+)
+# A stack of segments names its bad member, and stacks must match.
+CALLS["taylor_integral_form h1 stack"] = (
+    lambda: taylor_integral_form(np.stack([H, H]), np.stack([H + 0.1 * V, H + SKEW]), 3.5),
+    "^h1 at stack index 1 is not Hermitian",
+)
+CALLS["taylor_integral_form stack lengths"] = (
+    lambda: taylor_integral_form(np.stack([H, H]), np.stack([H + 0.1 * V] * 3), 3.5),
+    r"^h1 has shape \(3, 2, 2\), h0 has \(2, 2, 2\)",
+)
 # A request's tolerance is checked where the request is made, even when no
 # row of its symbol would reach quadrature.
 for bad in (NAN, 0.0, -1.0, np.inf):

@@ -2,7 +2,9 @@
 benchmark traces."""
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import os
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import specforms
+import specforms.cli
 
 
 def test_star_import_binds_exactly_the_export_list():
@@ -117,12 +120,45 @@ def _moving_segment():
         specforms.taylor_integral_form(h0.matrix, h0.matrix + step, p)
 
 
-def test_small_requests_reach_every_benchmark_span():
+def _separated_integrals():
+    # distinct A, B and tails: the identity at m = 1 and 2 with both kernels
+    for m in (1, 2):
+        draws = specforms.generate_instance(list(range(1, m + 3)), 4, "generic", m + 1.5)
+        (a, va), (b, vb), *tails = draws
+        tails, perts = [h.matrix for h, _ in tails], (va.matrix, vb.matrix)[:m]
+        for model in (specforms.Polynomial((0.25, -1.0, 0.5, 2.0)), specforms.PowerAbs(m + 1.5)):
+            spec = specforms.MomentumSpec.from_divided_difference(model, m)
+            specforms.perturbation_identity(spec, a.matrix, b.matrix, tails, perts)
+
+
+def _driver_sweep():
+    sweep = (
+        ("selftest", "--dim", "2"),
+        ("perturbation-check", "--dim", "3"),
+        ("taylor-scan", "--p", "3.5", "--dim", "3"),
+        ("holder-scan", "--p", "3.5", "--dim", "2"),
+        ("moi-convergence", "--dim", "2"),
+    )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in sweep:
+            specforms.cli.main(list(argv))
+
+
+def test_small_requests_reach_every_benchmark_span(monkeypatch):
     # sys.setprofile sees every function entered, whatever alias calls it,
     # so a change that stops calling a span a workload requires fails here
-    # before the traced benchmark run does.
+    # before the traced benchmark run does. It sees only the calling
+    # thread, so the driver pool runs in it.
+    monkeypatch.setenv("SF_THREADS", "1")
     expected = {}
     for workload, name in _expected_spans():
         expected.setdefault(workload, set()).add(name)
-    for workload, request in (("TiedForms", _tied_forms), ("MovingSegment", _moving_segment)):
+    requests = {
+        "TiedForms": _tied_forms,
+        "SeparatedIntegrals": _separated_integrals,
+        "MovingSegment": _moving_segment,
+        "DriverSweep": _driver_sweep,
+    }
+    assert set(requests) == set(expected)
+    for workload, request in requests.items():
         assert not expected[workload] - _reached(request), workload
