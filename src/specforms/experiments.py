@@ -1,10 +1,11 @@
 """Seeded experiment drivers with reproducible pass/fail reports.
 
 Every driver takes an ExperimentConfig, runs a deterministic battery
-keyed by the config seed, and returns a RunReport: a config echo, one
-row per named check (value, bound, comparison, pass/fail), optional
-curve data, and a wall clock. Serialized reports are byte-identical
-across runs of the same config once the volatile keys are stripped.
+keyed by the config seed, and returns its checks, one row per named check
+(value, bound, comparison, pass/fail), and its curve data; it writes no
+file. `run` times the driver and builds the RunReport, and the CLI writes
+it. Serialized reports are byte-identical across runs of the same config
+once the volatile keys are stripped.
 
 The SF_THREADS environment variable caps the worker pool that runs
 selftest's separable battery seed by seed; results are always assembled
@@ -46,15 +47,6 @@ from .moi import (
 from .momenta import MomentumSpec
 from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
 from .util import canonical_json, fit_loglog_slope, frobenius, real_number, whole_number
-
-MODES = (
-    "derivative",
-    "taylor-scan",
-    "moi-convergence",
-    "holder-scan",
-    "perturbation-check",
-    "selftest",
-)
 
 DEFAULT_T_GRID = tuple(float(t) for t in np.logspace(-4, -1, 13))
 DEFAULT_N_GRID = (32, 64, 128, 256, 512)
@@ -152,6 +144,20 @@ class ExperimentConfig:
         return echo
 
 
+# Each check op: its test of a value against a bound, and the forms in which
+# a row records the value and the bound.
+_CHECK_OPS = {
+    "<=": (lambda value, bound: value <= bound, float, float),
+    ">=": (lambda value, bound: value >= bound, float, float),
+    "in": (
+        lambda value, bound: bound[0] <= value <= bound[1],
+        float,
+        lambda bound: [float(bound[0]), float(bound[1])],
+    ),
+    "true": (lambda value, bound: bool(value), bool, lambda bound: None),
+}
+
+
 class CheckSet:
     """Ordered, uniquely named pass/fail rows."""
 
@@ -160,35 +166,23 @@ class CheckSet:
         self._names = set()
 
     def add(self, name, value, op, bound):
+        """Record one row; a duplicate name or an unknown op raises
+        ValidationError and records nothing."""
         if name in self._names:
             raise ValidationError(f"duplicate check name {name!r}")
-        self._names.add(name)
-        if op == "<=":
-            passed = value <= bound
-        elif op == ">=":
-            passed = value >= bound
-        elif op == "in":
-            passed = bound[0] <= value <= bound[1]
-        elif op == "true":
-            passed = bool(value)
-        else:
+        if op not in _CHECK_OPS:
             raise ValidationError(f"unknown check op {op!r}")
-        if op == "true":
-            row_value, row_bound = bool(value), None
-        else:
-            row_value = float(value)
-            row_bound = (
-                [float(bound[0]), float(bound[1])] if op == "in" else float(bound)
-            )
+        passes, as_value, as_bound = _CHECK_OPS[op]
         self.rows.append(
             {
                 "name": name,
-                "value": row_value,
-                "bound": row_bound,
+                "value": as_value(value),
+                "bound": as_bound(bound),
                 "op": op,
-                "passed": bool(passed),
+                "passed": bool(passes(value, bound)),
             }
         )
+        self._names.add(name)
 
     @property
     def all_passed(self):
@@ -197,7 +191,7 @@ class CheckSet:
 
 @dataclass
 class RunReport:
-    """Outcome of one driver run."""
+    """Outcome of one driver run, built by `run`."""
 
     mode: str
     config: dict
@@ -206,18 +200,9 @@ class RunReport:
     data: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "config": self.config,
-            "checks": self.checks,
-            "passed": self.passed,
-            "data": self.data,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
     def to_json(self, drop_volatile=False):
-        return canonical_json(self.to_dict(), drop_volatile=drop_volatile)
+        # The fields as they are: asdict would deep-copy every row first.
+        return canonical_json(vars(self), drop_volatile=drop_volatile)
 
     def to_csv(self):
         lines = ["name,value,bound,op,passed"]
@@ -231,10 +216,12 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def save(self, out_dir, fmt="json"):
-        stem = self.mode.replace("-", "_") + "_report"
-        if fmt == "csv":
-            return _write_text(out_dir, f"{stem}.csv", self.to_csv())
-        return _write_text(out_dir, f"{stem}.json", self.to_json())
+        """Write the report to out_dir/<mode>_report.<fmt>; returns the path."""
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"{self.mode.replace('-', '_')}_report.{fmt}")
+        with open(path, "w") as fh:
+            fh.write(self.to_csv() if fmt == "csv" else self.to_json())
+        return path
 
 
 def thread_count():
@@ -292,28 +279,8 @@ def load_matrix(path):
         raise ValidationError(f"cannot read matrix file {path!r}: {exc}") from exc
 
 
-def _write_text(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-def _finish(config, checks, data, started):
-    return RunReport(
-        mode=config.mode,
-        config=config.echo(),
-        checks=checks.rows,
-        passed=checks.all_passed,
-        data=data,
-        wall_clock_s=time.perf_counter() - started,
-    )
-
-
 def run_derivative(config):
     """Evaluate delta^(k) at a matrix from disk along supplied directions."""
-    started = time.perf_counter()
     if not config.matrix_path:
         raise ValidationError("derivative mode needs a base matrix file")
     if not config.dir_paths:
@@ -333,12 +300,11 @@ def run_derivative(config):
     checks = CheckSet()
     checks.add("value_finite", bool(np.isfinite(value)), "true", None)
     data = {"value": value, "p": config.p, "order": k}
-    return _finish(config, checks, data, started)
+    return checks, data
 
 
 def run_taylor_scan(config):
     """Taylor remainder scan for one seeded instance."""
-    started = time.perf_counter()
     tol = config.tolerances
     h, v = generate_instance(config.seed, config.dim, config.profile, config.p)
     report = taylor_expand(
@@ -368,17 +334,11 @@ def run_taylor_scan(config):
     for entry in report.oracle:
         bound = max(tol["oracle_rel"] * abs(entry["fd"]), tol["oracle_abs"])
         checks.add(f"oracle_k{entry['k']}", entry["abs_diff"], "<=", bound)
-    data = {"taylor": report.to_dict()}
-    out = _finish(config, checks, data, started)
-    if config.out_dir:
-        _write_text(config.out_dir, "taylor_report.json", canonical_json(report.to_dict()))
-        _write_text(config.out_dir, "taylor_report.csv", report.to_csv())
-    return out
+    return checks, {"taylor": report.to_dict()}
 
 
 def run_moi_convergence(config):
     """Spectral-bin convergence of the operator integral, 10 seeds."""
-    started = time.perf_counter()
     tol = config.tolerances
     n_grid = config.n_grid
     symbol = DividedDifference(PowerAbs(config.p), 1)
@@ -430,12 +390,11 @@ def run_moi_convergence(config):
         "curves": [[float(e) for e in curve] for curve in curves],
         "max_curve": [float(e) for e in max_curve],
     }
-    return _finish(config, checks, data, started)
+    return checks, data
 
 
 def run_holder_scan(config):
     """Fractional smoothness of A -> T^{A, tail}(V...), 10 singular seeds."""
-    started = time.perf_counter()
     tol = config.tolerances
     exponent = SchattenExponent(config.p)
     m = exponent.m
@@ -473,7 +432,7 @@ def run_holder_scan(config):
             slopes.append(fit_loglog_slope(t_grid[usable], row[usable]))
             checks.add(f"slope_seed{seed}", slopes[-1], ">=", alpha - tol["slope_margin"])
     data = {"alpha": alpha, "m": m, "slopes": slopes, "t_grid": list(config.t_grid)}
-    return _finish(config, checks, data, started)
+    return checks, data
 
 
 _PERTURBATION_POLY = Polynomial((0.25, -1.0, 0.5, 2.0))
@@ -506,7 +465,6 @@ def _perturbation_residuals(config, seeds, m):
 
 def run_perturbation_check(config):
     """First-variable perturbation identity, 20 seeds, orders m = 1, 2."""
-    started = time.perf_counter()
     tol = config.tolerances
     seeds = list(range(config.seed, config.seed + 20))
     checks = CheckSet()
@@ -522,7 +480,7 @@ def run_perturbation_check(config):
         tol=config.quad_tol,
     )
     checks.add("hand_quadratic_residual", hand, "<=", tol["hand_case"])
-    return _finish(config, checks, {}, started)
+    return checks, {}
 
 
 def _selftest_ps(p):
@@ -534,7 +492,6 @@ def _selftest_ps(p):
 
 def run_selftest(config):
     """Fixed identity battery: every cross-check the library asserts."""
-    started = time.perf_counter()
     tol = config.tolerances
     exponent = SchattenExponent(config.p)
     if exponent.m > MAX_FORM_ORDER:
@@ -643,7 +600,7 @@ def run_selftest(config):
         checks.add(f"perturbation_poly_m{m}", poly, "<=", tol["perturbation_poly"])
         checks.add(f"perturbation_power_m{m}", power, "<=", tol["perturbation_power"])
 
-    return _finish(config, checks, {}, started)
+    return checks, {}
 
 
 _DRIVERS = {
@@ -654,8 +611,19 @@ _DRIVERS = {
     "perturbation-check": run_perturbation_check,
     "selftest": run_selftest,
 }
+MODES = tuple(_DRIVERS)
 
 
 def run(config):
-    """Dispatch a config to its driver."""
-    return _DRIVERS[config.mode](config)
+    """The report of a config's driver: the driver's checks and data, and
+    the wall clock of the driver call."""
+    started = time.perf_counter()
+    checks, data = _DRIVERS[config.mode](config)
+    return RunReport(
+        mode=config.mode,
+        config=config.echo(),
+        checks=checks.rows,
+        passed=checks.all_passed,
+        data=data,
+        wall_clock_s=time.perf_counter() - started,
+    )

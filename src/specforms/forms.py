@@ -24,7 +24,6 @@ S one-instance calls.
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +148,8 @@ class FrechetForm:
     order: int = 1
     quad_tol: float = 1e-9
     model: object = field(default=None, repr=False)
+    # The highest order the model allows, at most MAX_FORM_ORDER.
+    _limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dec = _as_decomposition(self.base)
@@ -226,7 +227,7 @@ def trace_identity_residual(form, direction, k=None):
     if k is None:
         k = form.order
     k = whole_number(k, "order k")
-    if not 1 <= k <= min(getattr(form, "_limit", MAX_FORM_ORDER), MAX_FORM_ORDER):
+    if not 1 <= k <= form._limit:
         raise UnsupportedConfigError(f"order {k} outside this form's range")
     v = _direction(direction)
     dec = form.base
@@ -252,8 +253,11 @@ def fd_oracle(h, v, p, k):
     Richardson extrapolation; returns (value, error_estimate). The
     step h balances truncation against cancellation at order k,
     and the doubled comparison step keeps the fine evaluation out of
-    the roundoff-dominated regime. A non-Hermitian H or V raises
-    ValidationError naming the base or the direction.
+    the roundoff-dominated regime. The estimate adds a bound on the
+    rounding in the samples, which the correction does not see; neither
+    bounds the error of a stencil that reaches across the kink at 0. A
+    non-Hermitian H or V raises ValidationError naming the base or the
+    direction.
     """
     k = whole_number(k, "order k")
     if k not in _STENCILS:
@@ -263,7 +267,8 @@ def fd_oracle(h, v, p, k):
     model = PowerAbs(p)
 
     eps = np.finfo(float).eps
-    step = eps ** (1.0 / (k + 2)) * (1.0 + operator_norm(h)) / (1.0 + operator_norm(v))
+    h_norm = operator_norm(h)
+    step = eps ** (1.0 / (k + 2)) * (1.0 + h_norm) / (1.0 + operator_norm(v))
 
     offsets, weights, scale = _STENCILS[k]
     steps = (step, 2.0 * step)
@@ -282,12 +287,18 @@ def fd_oracle(h, v, p, k):
     fine = stencil(steps[0], samples[: len(offsets)])
     coarse = stencil(steps[1], samples[len(offsets) :])
     correction = (fine - coarse) / 15.0  # fourth-order Richardson factor
-    return fine + correction, abs(correction) + 1e-15 * (1.0 + abs(fine))
+    # A sample sum f(lambda_i) >= 0 rounds by about eps (||H|| sum|f'| + sum f),
+    # which the fine stencil multiplies by sum|w| / (scale h^k); measured
+    # errors away from the kink reach 2.6 times that, so the margin is 8.
+    rounding = eps * np.max(h_norm * np.abs(model.eval(lams, 1)).sum(axis=1) + samples)
+    roundoff = 8.0 * rounding * sum(map(abs, weights)) / (scale * step**k)
+    return fine + correction, abs(correction) + roundoff + 1e-15 * (1.0 + abs(fine))
 
 
 @dataclass(frozen=True)
 class TaylorReport:
-    """Expansion data for one (H, V, p) triple."""
+    """Expansion data for one (H, V, p) triple; the taylor-scan report that
+    carries it as `data.taylor` times the run."""
 
     p: float
     m: int
@@ -297,26 +308,12 @@ class TaylorReport:
     slope: float
     oracle: tuple
     tolerances: dict
-    wall_clock_s: float = 0.0
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "deltas": list(self.deltas),
-            "t": list(self.t_grid),
-            "remainder": list(self.remainder),
-            "slope": self.slope,
-            "oracle": [dict(entry) for entry in self.oracle],
-            "tolerances": dict(self.tolerances),
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-    def to_csv(self):
-        lines = ["t,remainder"]
-        for t, r in zip(self.t_grid, self.remainder):
-            lines.append(f"{t!r},{r!r}")
-        return "\n".join(lines) + "\n"
+        """The fields as report data, the grid under the key "t"."""
+        data = dict(vars(self))
+        data["t"] = data.pop("t_grid")
+        return data
 
 
 def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
@@ -329,8 +326,8 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
     remainder (V = 0, or an exactly polynomial power) reports slope NaN.
     The finite-difference oracle entries are skipped when the spectrum
     comes within 0.05 of the kink at zero, where stencils are unreliable.
+    Returns a TaylorReport, which keeps no clock.
     """
-    started = time.perf_counter()
     exponent = SchattenExponent(p)
     m = min(exponent.m, MAX_FORM_ORDER)
     h = as_complex_matrix(h)
@@ -405,7 +402,6 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
             "remainder_floor": REMAINDER_FLOOR,
             "oracle_skipped_near_zero": oracle_skipped,
         },
-        wall_clock_s=time.perf_counter() - started,
     )
 
 
@@ -418,7 +414,9 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     over t in [0, 1], with H_t = H_0 + tV and g = f'. The first slot of
     the operator integral rides the moving point H_t; the rest stay at
     H_0. The t-integral uses Gauss-Legendre nodes with order doubling
-    (8 to 64, stop at 1e-8 agreement) unless t_order pins the order.
+    (8 to 64, stop at 1e-8 agreement) unless t_order pins the order. Order
+    64 is returned even when it disagrees with 32: over seeds 1-199 at dim 4,
+    15 of 221 did, by up to 7.7e-7, with every |lhs - rhs| at most 1.3e-7.
 
     h0 and h1 may instead be stacks (S, n, n) of S segments' endpoints:
     the call then returns (lhs, rhs) as two arrays of length S, each

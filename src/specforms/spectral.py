@@ -294,8 +294,10 @@ def schatten_norm(a, p):
 
 def apply_scalar_function(model, decomp):
     """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
-    a stacked decomposition)."""
+    a stacked decomposition), symmetrized and so exactly Hermitian."""
     lam = decomp.eigenvalues
     check_within(lam, model.domain, "values")
     out = decomp.compose(model.eval(lam))
-    return HermitianMatrix((out + adjoint(out)) / 2.0)
+    sym = _check_finite((out + adjoint(out)) / 2.0, "f(H)")
+    sym.setflags(write=False)
+    return _checked(sym)

@@ -156,7 +156,7 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-VOLATILE_REPORT_KEYS = ("wall_clock_s", "timestamp")
+VOLATILE_REPORT_KEYS = ("wall_clock_s",)
 
 
 def _strip_volatile(obj):
@@ -182,8 +182,8 @@ def _json_default(value):
 def canonical_json(obj, drop_volatile=False):
     """Deterministic JSON text: sorted keys, shortest round-trip floats.
 
-    With drop_volatile the run-to-run keys (wall clock, timestamps) are
-    removed at every nesting level, which is how reports are compared.
+    With drop_volatile the run-to-run keys (the wall clock) are removed at
+    every nesting level, which is how reports are compared.
     """
     if drop_volatile:
         obj = _strip_volatile(obj)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specforms.cli import build_parser, main
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import (
     CheckSet,
+    DEFAULT_T_GRID,
     DEFAULT_TOLERANCES,
     MODES,
     SEED_STRIDE,
@@ -79,24 +81,51 @@ def test_checkset_ops_and_guards():
     assert checks.all_passed
     checks.add("late", 2.0, "<=", 1.0)
     assert not checks.all_passed
+    rows = [dict(row) for row in checks.rows]
     with pytest.raises(ValidationError):
         checks.add("small", 0.0, "<=", 1.0)  # duplicate name
     with pytest.raises(ValidationError):
         checks.add("weird", 0.0, "~", 1.0)  # unknown comparison
+    # A rejected row records nothing: neither a row nor its name.
+    assert checks.rows == rows
+    checks.add("weird", 0.0, "<=", 1.0)
+    assert [row["name"] for row in checks.rows] == ["small", "big", "window", "flag", "late", "weird"]
 
 
-def test_taylor_scan_driver_passes_and_saves(tmp_path):
-    config = ExperimentConfig(
-        mode="taylor-scan", seed=2, p=2.5, profile="singular", out_dir=str(tmp_path)
-    )
+@pytest.mark.parametrize("rows", [[(0.5, True)], [(0.5, True), (2.0, False)], []])
+def test_run_times_the_driver_and_builds_its_report(rows, monkeypatch):
+    config = ExperimentConfig(mode="selftest")
+
+    def driver(seen):
+        assert seen is config
+        time.sleep(1e-3)
+        checks = CheckSet()
+        for i, (value, _) in enumerate(rows):
+            checks.add(f"row{i}", value, "<=", 1.0)
+        return checks, {"curve": [1.0, 2.0]}
+
+    monkeypatch.setitem(experiments._DRIVERS, "selftest", driver)
     report = run(config)
-    assert report.passed
-    names = [row["name"] for row in report.checks]
+    assert isinstance(report, RunReport)
+    assert report.mode == "selftest" and report.config == config.echo()
+    assert [row["passed"] for row in report.checks] == [ok for _, ok in rows]
+    assert report.passed == all(ok for _, ok in rows)
+    assert report.data == {"curve": [1.0, 2.0]}
+    assert report.wall_clock_s > 0.0
+
+
+def test_taylor_scan_driver_passes_and_saves(tmp_path, capsys):
+    argv = ["taylor-scan", "--seed", "2", "--p", "2.5", "--profile", "singular"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # The run writes its report and nothing else; the curve is in its data.
+    assert os.listdir(tmp_path) == ["taylor_scan_report.json"]
+    payload = json.loads((tmp_path / "taylor_scan_report.json").read_text())
+    assert payload["passed"] is True
+    names = [row["name"] for row in payload["checks"]]
     assert "slope_window" in names
-    assert (tmp_path / "taylor_report.json").exists()
-    assert (tmp_path / "taylor_report.csv").exists()
-    payload = json.loads((tmp_path / "taylor_report.json").read_text())
-    assert len(payload["t"]) == len(payload["remainder"])
+    taylor = payload["data"]["taylor"]
+    assert len(taylor["t"]) == len(taylor["remainder"]) == len(DEFAULT_T_GRID)
 
 
 def test_taylor_scan_generic_uses_slope_floor():
@@ -160,9 +189,7 @@ def test_volatile_keys_differ_but_are_stripped():
     config = ExperimentConfig(mode="moi-convergence", seed=3, n_grid=(8, 16))
     a, b = run(config), run(config)
     assert a.wall_clock_s != b.wall_clock_s  # raw reports keep the clock
-    assert canonical_json(a.to_dict(), drop_volatile=True) == canonical_json(
-        b.to_dict(), drop_volatile=True
-    )
+    assert a.to_json(drop_volatile=True) == b.to_json(drop_volatile=True)
 
 
 def _write_matrix(path, matrix):
