@@ -615,8 +615,8 @@ MODES = tuple(_DRIVERS)
 
 
 def run(config):
-    """The report of a config's driver: the driver's checks and data, and
-    the wall clock of the driver call."""
+    """The report of a config's mode: the checks and data its `_DRIVERS`
+    entry returns, and the wall clock of that call."""
     started = time.perf_counter()
     checks, data = _DRIVERS[config.mode](config)
     return RunReport(
