@@ -83,6 +83,9 @@ class ExperimentConfig:
     CLI stores each flag into the field of the same name and leaves every
     flag not given to the default here, and a report echoes every field
     but the output ones (out_dir, fmt).
+
+    p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
+    up to m = ceil(p) - 1 and so refuse an m above MAX_FORM_ORDER (p > 4).
     """
 
     mode: str
@@ -110,6 +113,11 @@ class ExperimentConfig:
             raise ValidationError(f"dim must lie in [2, 64], got {self.dim}")
         if not 1.0 < self.p <= 8.0:
             raise ValidationError(f"p must lie in (1, 8], got {self.p}")
+        m = SchattenExponent(self.p).m
+        if self.mode in ("selftest", "taylor-scan", "holder-scan") and m > MAX_FORM_ORDER:
+            raise UnsupportedConfigError(
+                f"p={self.p} needs derivative order {m}: unsupported above {MAX_FORM_ORDER}"
+            )
         if self.profile not in PROFILES:
             raise ValidationError(
                 f"unknown profile {self.profile!r}; choose from {PROFILES}"
@@ -398,10 +406,6 @@ def run_holder_scan(config):
     tol = config.tolerances
     exponent = SchattenExponent(config.p)
     m = exponent.m
-    if m > MAX_FORM_ORDER:
-        raise UnsupportedConfigError(
-            f"holder scan supports p <= {MAX_FORM_ORDER + 1}, got p={config.p}"
-        )
     alpha = exponent.holder_alpha
     g = PowerAbs(config.p).derivative_model(1)
     t_grid = np.asarray(config.t_grid)
@@ -493,12 +497,6 @@ def _selftest_ps(p):
 def run_selftest(config):
     """Fixed identity battery: every cross-check the library asserts."""
     tol = config.tolerances
-    exponent = SchattenExponent(config.p)
-    if exponent.m > MAX_FORM_ORDER:
-        raise UnsupportedConfigError(
-            f"p={config.p} needs derivative order m={exponent.m}; "
-            f"orders above {MAX_FORM_ORDER} (p > {MAX_FORM_ORDER + 1}) are unsupported"
-        )
     checks = CheckSet()
     seeds = list(range(config.seed, config.seed + 10))
     short = seeds[:3]
@@ -508,7 +506,7 @@ def run_selftest(config):
     # stack per exponent, one stacked call per order.
     for p in _selftest_ps(config.p):
         m = SchattenExponent(p).m
-        ks = [k for k in (2, 3) if k <= min(m, MAX_FORM_ORDER)]
+        ks = [k for k in (2, 3) if k <= m]
         if not ks:
             continue
         ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", p)

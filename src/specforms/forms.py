@@ -31,7 +31,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MoiRequest, _as_decomposition, _joined, _prepared_slots, moi_exact
+from .moi import MAX_ORDER, MoiRequest, _along, _as_decomposition, _prepared_slots, moi_exact
 from .simplex import _gauss01
 from .spectral import (
     HermitianMatrix,
@@ -57,7 +57,7 @@ from .util import (
     whole_number,
 )
 
-MAX_FORM_ORDER = 3
+MAX_FORM_ORDER = MAX_ORDER
 REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
 
@@ -254,10 +254,9 @@ def fd_oracle(h, v, p, k):
     step h balances truncation against cancellation at order k,
     and the doubled comparison step keeps the fine evaluation out of
     the roundoff-dominated regime. The estimate adds a bound on the
-    rounding in the samples, which the correction does not see; neither
-    bounds the error of a stencil that reaches across the kink at 0. A
-    non-Hermitian H or V raises ValidationError naming the base or the
-    direction.
+    rounding in the samples, which the correction does not see. A stencil
+    that can reach the kink at 0, min |lambda(H)| <= max|offset| 2h ||V||_2,
+    raises UnsupportedConfigError, a non-Hermitian H or V ValidationError.
     """
     k = whole_number(k, "order k")
     if k not in _STENCILS:
@@ -267,10 +266,17 @@ def fd_oracle(h, v, p, k):
     model = PowerAbs(p)
 
     eps = np.finfo(float).eps
-    h_norm = operator_norm(h)
-    step = eps ** (1.0 / (k + 2)) * (1.0 + h_norm) / (1.0 + operator_norm(v))
+    h_norm, v_norm = operator_norm(h), operator_norm(v)
+    step = eps ** (1.0 / (k + 2)) * (1.0 + h_norm) / (1.0 + v_norm)
 
     offsets, weights, scale = _STENCILS[k]
+    # By Weyl's inequality no sampled eigenvalue lies further than this from H's.
+    reach = max(map(abs, offsets)) * 2.0 * step * v_norm
+    gap = float(np.min(np.abs(np.linalg.eigvalsh(h))))
+    if gap <= reach:
+        raise UnsupportedConfigError(
+            f"order-{k} stencil can reach the kink: reach {reach:.3e} >= min |lambda(H)| {gap:.3e}"
+        )
     steps = (step, 2.0 * step)
     # Both stencils' spectra come from one stacked solver call.
     t = np.array([o * dt for dt in steps for o in offsets])
@@ -423,14 +429,15 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     member with the bits of its own one-segment call. Every H_0 of the
     stack and the H_t at its nodes of the first two orders (8 and 16, or
     the pinned order alone) are one stacked decomposition, and their
-    operator integrals one stacked integral, the slots at H_0 holding each
-    member's H_0 repeated over its nodes; each derivative term is one
+    operator integrals one stacked integral, H_0 and V taken at an index
+    that repeats each member over its nodes; each derivative term is one
     stacked bracket. A member leaves the ladder when its own last two
     orders agree, and the members still open go on together to order 32
     and then 64, with one decomposition and one integral per order. One
-    segment takes the same steps with nothing repeated. A non-Hermitian
-    endpoint (by stack index), an h1 of another shape than h0, and an m or
-    t_order that is not a whole number raise ValidationError naming it.
+    segment takes the same steps, its one-matrix slots passing through.
+    A non-Hermitian endpoint (by stack index), an h1 of another shape than
+    h0, and an m or t_order that is not a whole number raise
+    ValidationError naming it.
     """
     quad_tol = checked_tol(quad_tol)
     exponent = SchattenExponent(p)
@@ -478,11 +485,8 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
         """The t-integral at each order, one row per member of `at`, from
         points, the stacked decomposition of moving(orders, at)."""
         q = sum(orders)
-        dec, u = d0, v
-        if stack is not None:  # each member's H_0 and V repeated over its q nodes
-            u = np.repeat(v[at], q, axis=0)
-            if m > 1:  # at m = 1 the integral is g(H_t) alone, with no slot at H_0
-                dec = _joined([d0[i] for i in np.arange(count)[at]], q)
+        # each member's H_0 and V repeated over its q nodes
+        dec, u = _along((d0, v), np.repeat(np.arange(count)[at], q))
         integrals = _divided_integral(g, (points,) + (dec,) * (m - 1), (u,) * (m - 1), quad_tol)
         values = []
         for traces in real_trace(u @ integrals).reshape(-1, q):
@@ -557,12 +561,12 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     a stack of S, a slot holding one matrix serving every member: the call
     then returns an (S, len(t_grid)) array, a member with a zero direction
     giving a row of NaN. The moving points of all members are one stacked
-    decomposition, seed-major, with the stacked tails and perturbations
-    repeated along them, and the norms come from one stacked integral and
-    one stacked norm call; each row has the bits of its member's
-    one-instance call. The direction joins the perturbations in the slot
-    check, and the matrices among the base and the tails are decomposed in
-    one call.
+    decomposition, seed-major, stacked tails and perturbations taken at the
+    index that repeats each member over the grid; the norms come from one
+    stacked integral and one stacked norm call, each row with the bits of
+    its member's one-instance call. The direction joins the perturbations
+    in the slot check, and the matrices among the base and the tails are
+    decomposed in one call.
     """
     if len(tail) != len(perturbations):
         raise ValidationError(
@@ -590,11 +594,9 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     moving = _as_decomposition(np.broadcast_to(points, (count, steps, n, n)).reshape(-1, n, n))
     ref = _divided_integral(phi_model, (base, *tail), perts, quad_tol)
     # Stacked tails and perturbations follow the seed-major moving points.
-    tail = tuple(
-        d if d.stack is None else _joined([d[i] for i in range(count)], steps) for d in tail
-    )
-    perts = tuple(u if u.ndim == 2 else np.repeat(u, steps, axis=0) for u in perts)
-    moved = _divided_integral(phi_model, (moving,) + tail, perts, quad_tol)
+    seed_major = np.repeat(np.arange(count), steps)
+    tail, perts = _along(tail, seed_major), _along(perts, seed_major)
+    moved = _divided_integral(phi_model, (moving, *tail), perts, quad_tol)
     diffs = moved.reshape(count, steps, n, n) - ref.reshape(-1, 1, n, n)
     norms = schatten_norm(diffs.reshape(-1, n, n), p_conj).reshape(count, steps)
     if stack is None:

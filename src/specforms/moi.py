@@ -139,6 +139,12 @@ def _prepared_slots(items, perturbations, names):
     return tuple(slots[:split]), tuple(slots[split:]), (lengths.pop() if lengths else None)
 
 
+def _along(slots, index):
+    """Each slot, a decomposition or matrices, at the int array `index` along
+    its member axis; a slot of one matrix passes through, to broadcast."""
+    return tuple(x[index] if getattr(x, "eigenvectors", x).ndim == 3 else x for x in slots)
+
+
 def _joined(decs, count):
     """One stacked decomposition of decs in turn, each a stack of `count`
     or the decomposition of one matrix taken `count` times."""
@@ -553,7 +559,7 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
     returns one float. The matrices among A, B and the tails are
     decomposed in one call, the decompositions reused. T_A and T_B are one
     integral whose first slot is the stack (A, B) of 2S, every other
-    stacked slot taken twice.
+    stacked slot taken at the tile index 0..S-1, 0..S-1.
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
@@ -573,17 +579,9 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
     names += tuple(f"perturbation {j}" for j in range(len(perts)))
     (da, db, *tail), perts, stack = _prepared_slots((a, b) + tail, perts, names)
     half = stack or 1
-
-    def twice(x):
-        """A stacked slot taken twice, to pair with the (A, B) stack."""
-        if isinstance(x, SpectralDecomposition):
-            return x if x.stack is None else _joined((x, x), half)
-        return x if x.ndim == 2 else np.concatenate((x, x))
-
+    twice = np.tile(np.arange(half), 2)  # each stacked slot again, to pair with B's half
     pair = _joined((da, db), half)
-    t_ab = moi_exact(
-        MoiRequest((pair, *map(twice, tail)), tuple(map(twice, perts)), phi_spec, tol)
-    )
+    t_ab = moi_exact(MoiRequest((pair, *_along(tail, twice)), _along(perts, twice), phi_spec, tol))
     psi = momentum_perturbation_pair(phi_spec)
     gap = da.source.matrix - db.source.matrix
     t_psi = moi_exact(MoiRequest((da, db, *tail), (gap,) + perts, psi, tol))

@@ -130,8 +130,8 @@ class SpectralDecomposition:
 
     A decomposition of a stack carries the stack axis in front:
     eigenvalues (B, n) and eigenvectors (B, n, n). Indexing it gives a
-    member (dec[i]) or a sub-stack (dec[i:j]) as read-only views, with the
-    bits of the member's own decomposition.
+    member (dec[i]), a sub-stack (dec[i:j]) or the members a 1-D int array
+    names (dec[rows]), read-only, with each member's own bits.
     """
 
     eigenvalues: np.ndarray
@@ -156,13 +156,14 @@ class SpectralDecomposition:
     def __getitem__(self, index):
         if self.stack is None:
             raise ValidationError("only a stacked decomposition has members")
-        if not isinstance(index, (int, np.integer, slice)):
-            raise ValidationError(f"index a stack by an int or a slice, got {index!r}")
-        return SpectralDecomposition(
-            eigenvalues=self.eigenvalues[index],
-            eigenvectors=self.eigenvectors[index],
-            source=_checked(self.source.matrix[index]),
-        )
+        rows = isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu"
+        one = isinstance(index, (int, np.integer, slice)) and not isinstance(index, bool)
+        if not (rows or one):
+            raise ValidationError(f"index a stack by an int, slice or 1-D int array, got {index!r}")
+        w, u, a = (x[index] for x in (self.eigenvalues, self.eigenvectors, self.source.matrix))
+        for x in (w, u, a):
+            x.setflags(write=False)
+        return SpectralDecomposition(eigenvalues=w, eigenvectors=u, source=_checked(a))
 
 
 def _fix_phases(u):

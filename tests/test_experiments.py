@@ -387,6 +387,39 @@ def test_cli_reports_selftest_gate(capsys):
     assert "unsupported" in captured.err
 
 
+def test_cli_form_modes_refuse_orders_above_three_before_the_run(monkeypatch, capsys):
+    # One rule in the config for every mode that builds orders up to
+    # ceil(p) - 1: taylor-scan used to run and fail its slope floor.
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran with p > 4"))
+    errors = set()
+    for mode in ("taylor-scan", "selftest", "holder-scan"):
+        assert main([mode, "--p", "4.5"]) == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {
+        "error: p=4.5 needs derivative order 4: unsupported above 3\n"
+    }
+
+
+def test_cli_modes_without_the_form_batteries_keep_p_up_to_eight(tmp_path, capsys):
+    assert main(["moi-convergence", "--p", "6"]) == 0
+    capsys.readouterr()
+    argv = ["derivative", "--p", "4.5"]
+    argv += ["--matrix", _write_matrix(tmp_path / "h.json", np.diag([0.5, -0.4, 0.3]))]
+    for i, scale in enumerate((0.2, -0.1)):
+        argv += ["--dir", _write_matrix(tmp_path / f"v{i}.json", np.full((3, 3), scale))]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["order"] == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="poly_m2_max_residual reads 1.46e-11 against 1e-12: tie-free divided-difference "
+    "rows just above the table's switch lose digits",
+)
+def test_cli_perturbation_check_passes_at_dim_2(capsys):
+    assert main(["perturbation-check", "--dim", "2"]) == 0
+
+
 # The flags each subcommand requires, and the config fields they give.
 REQUIRED = {
     "derivative": (

@@ -221,6 +221,19 @@ def test_fd_oracle_error_estimate_covers_roundoff(dim):
         assert abs(fd - series) <= err, (dim, k)
 
 
+def test_fd_oracle_refuses_a_stencil_that_can_reach_the_kink():
+    # min |lambda| = 2.86e-5. Reaches 3.9e-3 (k = 3) and 4.3e-4 (k = 2) cover
+    # it, and at k = 3 the value is off by 2.1e-3 against an estimate of
+    # 2.1e-4; the k = 1 stencil reaches 2.1e-5 and stays clear of the kink.
+    h, v = generate_instance(15, 8, "generic", 3.5)
+    for k in (2, 3):
+        with pytest.raises(UnsupportedConfigError, match=f"order-{k} stencil .* 2.856e-05"):
+            fd_oracle(h.matrix, v.matrix, 3.5, k)
+    fd, err = fd_oracle(h.matrix, v.matrix, 3.5, 1)
+    series = model_delta_bracket(eigendecompose(h), PowerAbs(3.5), [v.matrix])
+    assert abs(fd - series) <= err
+
+
 def test_fd_oracle_rejects_bad_order_and_interval():
     with pytest.raises(UnsupportedConfigError):
         fd_oracle(np.eye(2) * 0.5, np.eye(2), 2.5, 4)

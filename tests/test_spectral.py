@@ -189,6 +189,27 @@ def test_stack_members_keep_their_own_bits():
             dec[[0, 1]]
 
 
+def test_an_int_array_takes_members_in_its_order():
+    rng = np.random.default_rng(23)
+    dec = eigendecompose(random_stack(rng, 4, 5))
+    index = np.array([3, 0, 3, 4, 1])
+    taken = dec[index]
+    assert taken.stack == len(index)
+    for j, i in enumerate(index):
+        for got, want in (
+            (taken.eigenvalues[j], dec[i].eigenvalues),
+            (taken.eigenvectors[j], dec[i].eigenvectors),
+            (taken.source.matrix[j], dec[i].source.matrix),
+        ):
+            assert got.tobytes() == want.tobytes()
+    for x in (taken.eigenvalues, taken.eigenvectors, taken.source.matrix):
+        assert not x.flags.writeable
+    assert dec[np.arange(5, dtype=np.uint8)].eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+    for bad in (np.ones(5, dtype=bool), np.array([[0, 1]]), np.array([0.0, 1.0]), True):
+        with pytest.raises(ValidationError, match="1-D int array"):
+            dec[bad]
+
+
 def test_indexing_a_single_decomposition_raises():
     dec = eigendecompose(np.diag([1.0, 2.0]))
     with pytest.raises(ValidationError, match="stacked"):
