@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the drivers in experiments.py. Each flag
 stores into the ExperimentConfig field named by its dest and has no
 default of its own: the parsed namespace holds the subcommand and the
 flags given, and ExperimentConfig supplies every other value. The global
-flags (--out, --format, --tol-quad) are accepted before or after the
-subcommand; given on both sides, the later one wins.
+flags (--out, --format) are accepted before or after the subcommand; given
+on both sides, the later one wins. derivative takes its order from the
+number of --dir files.
 
 Exit status: 0 when every check in the report passed, 1 when at least one
 check failed, 2 on invalid configuration or input, an unreadable matrix
@@ -48,9 +49,6 @@ def build_parser():
     common = _parent()
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="directory for the report")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
-    common.add_argument(
-        "--tol-quad", dest="quad_tol", type=float, metavar="TOL", help="quadrature tolerance"
-    )
     exponent = _parent()
     exponent.add_argument("--p", type=float)
     seeded = _parent()
@@ -72,7 +70,6 @@ def build_parser():
         )
 
     p_der = add("derivative", "evaluate delta^(k) at matrices from disk", exponent)
-    p_der.add_argument("--order", type=int)
     p_der.add_argument(
         "--matrix", dest="matrix_path", metavar="FILE", required=True, help="base matrix JSON file"
     )
@@ -82,7 +79,7 @@ def build_parser():
         metavar="FILE",
         action="append",
         required=True,
-        help="direction matrix JSON file (repeat once per slot)",
+        help="direction matrix JSON file (repeat once per slot: the order is their number)",
     )
     add("taylor-scan", "Taylor remainder decay scan", exponent, seeded, t_grid).add_argument(
         "--profile", choices=PROFILES

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
-from .util import check_within, map_distinct_rows, sorted_columns, whole_number
+from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns, whole_number
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -118,7 +118,7 @@ def _routed_table(model, cols):
     return values, near
 
 
-def divided_difference(model, nodes, quad_tol=1e-9):
+def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     """f^[k] at k+1 nodes (any multiset inside the model domain).
 
     `nodes` is one node set, giving a float, or a stack of rows of shape
@@ -137,7 +137,7 @@ def divided_difference(model, nodes, quad_tol=1e-9):
     return values if batched else float(values[0])
 
 
-def divided_difference_via_momentum(model, nodes, tol=1e-9):
+def divided_difference_via_momentum(model, nodes, tol=QUAD_TOL):
     """f^[k] forced through the integral representation (oracle route)."""
     model, cols, k, _ = _prepare(model, nodes)
     if cols.shape[1] != 1:
@@ -166,7 +166,7 @@ class DividedDifference:
                 f"continuous derivatives, model has {self.model.max_order}"
             )
 
-    def __call__(self, values, quad_tol=1e-9):
+    def __call__(self, values, quad_tol=QUAD_TOL):
         """Value at one argument tuple, or at each row of a stack (R, order+1)."""
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.shape[-1] != self.order + 1:

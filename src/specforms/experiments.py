@@ -46,15 +46,23 @@ from .moi import (
 )
 from .momenta import MomentumSpec
 from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
-from .util import canonical_json, fit_loglog_slope, frobenius, real_number, whole_number
+from .util import (
+    QUAD_TOL,
+    canonical_json,
+    fit_loglog_slope,
+    frobenius,
+    real_number,
+    whole_number,
+)
 
 DEFAULT_T_GRID = tuple(float(t) for t in np.logspace(-4, -1, 13))
 DEFAULT_N_GRID = (32, 64, 128, 256, 512)
 
-# Central table of default check tolerances; CLI flags override quad_tol,
-# everything else is pinned here so reports quote their own bounds.
+# The one table of check tolerances, which no run overrides: every check row
+# quotes its own bound. quad_tol is the library's quadrature default, which
+# every driver runs at.
 DEFAULT_TOLERANCES = {
-    "quad_tol": 1e-9,
+    "quad_tol": QUAD_TOL,
     "oracle_rel": 1e-5,
     "oracle_abs": 5e-5,
     "slope_margin": 0.1,
@@ -82,7 +90,10 @@ class ExperimentConfig:
     The fields and their defaults are the one list of driver settings: the
     CLI stores each flag into the field of the same name and leaves every
     flag not given to the default here, and a report echoes every field
-    but the output ones (out_dir, fmt).
+    but the output ones (out_dir, fmt). Nothing a run can derive is a
+    setting: derivative's order is the number of direction files, and every
+    driver runs at the library's quadrature tolerance (util.QUAD_TOL) and
+    checks against DEFAULT_TOLERANCES.
 
     p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
     up to m = ceil(p) - 1 and so refuse an m above MAX_FORM_ORDER (p > 4).
@@ -95,13 +106,10 @@ class ExperimentConfig:
     profile: str = "generic"
     t_grid: tuple = DEFAULT_T_GRID
     n_grid: tuple = DEFAULT_N_GRID
-    quad_tol: float = 1e-9
-    order: int = 0
     matrix_path: str = ""
     dir_paths: tuple = ()
     out_dir: str = ""
     fmt: str = "json"
-    tolerances: dict = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -130,20 +138,11 @@ class ExperimentConfig:
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "quad_tol", real_number(self.quad_tol, "quad_tol"))
-        if not 0.0 < self.quad_tol <= 1e-2:
-            raise ValidationError(f"quad_tol must lie in (0, 1e-2], got {self.quad_tol}")
-        object.__setattr__(self, "order", whole_number(self.order, "order"))
-        if self.order < 0:
-            raise ValidationError(f"order must be >= 0, got {self.order}")
         object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")
         if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
             raise ValidationError(f"out_dir {self.out_dir!r} exists and is not a directory")
-        object.__setattr__(
-            self, "tolerances", dict(DEFAULT_TOLERANCES, quad_tol=self.quad_tol)
-        )
 
     def echo(self):
         """The config fields a report embeds: all but out_dir and fmt."""
@@ -288,22 +287,16 @@ def load_matrix(path):
 
 
 def run_derivative(config):
-    """Evaluate delta^(k) at a matrix from disk along supplied directions."""
+    """Evaluate delta^(k) at a matrix from disk along supplied directions,
+    k the number of direction files."""
     if not config.matrix_path:
         raise ValidationError("derivative mode needs a base matrix file")
     if not config.dir_paths:
         raise ValidationError("derivative mode needs at least one direction file")
     h = load_matrix(config.matrix_path)
     dirs = [load_matrix(path).matrix for path in config.dir_paths]
-    k = config.order if config.order > 0 else len(dirs)
-    if len(dirs) != k:
-        raise ValidationError(f"order {k} needs {k} direction files, got {len(dirs)}")
-    form = FrechetForm(
-        base=eigendecompose(h),
-        exponent=SchattenExponent(config.p),
-        order=k,
-        quad_tol=config.quad_tol,
-    )
+    k = len(dirs)
+    form = FrechetForm(base=eigendecompose(h), exponent=SchattenExponent(config.p), order=k)
     value = delta_symmetric(form, dirs)
     checks = CheckSet()
     checks.add("value_finite", bool(np.isfinite(value)), "true", None)
@@ -313,15 +306,9 @@ def run_derivative(config):
 
 def run_taylor_scan(config):
     """Taylor remainder scan for one seeded instance."""
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     h, v = generate_instance(config.seed, config.dim, config.profile, config.p)
-    report = taylor_expand(
-        h.matrix,
-        v.matrix,
-        config.p,
-        t_grid=np.asarray(config.t_grid),
-        quad_tol=config.quad_tol,
-    )
+    report = taylor_expand(h.matrix, v.matrix, config.p, t_grid=np.asarray(config.t_grid))
     checks = CheckSet()
     checks.add(
         "remainder_finite",
@@ -347,14 +334,14 @@ def run_taylor_scan(config):
 
 def run_moi_convergence(config):
     """Spectral-bin convergence of the operator integral, 10 seeds."""
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     n_grid = config.n_grid
     symbol = DividedDifference(PowerAbs(config.p), 1)
 
     # All seeds as one stacked integral per grid size, and one exact one.
     seeds = list(range(config.seed, config.seed + 10))
     ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", config.p)
-    req = MoiRequest((dec, dec), (v,), symbol, config.quad_tol)
+    req = MoiRequest((dec, dec), (v,), symbol)
     exact = moi_exact(req)
     errors = [[frobenius(e) for e in moi_binned(req, n) - exact] for n in n_grid]
     curves = [list(curve) for curve in zip(*errors)]
@@ -377,16 +364,14 @@ def run_moi_convergence(config):
 
     hand = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    hand_req = MoiRequest(
-        (hand, hand), (x,), DividedDifference(Monomial(2), 1), config.quad_tol
-    )
+    hand_req = MoiRequest((hand, hand), (x,), DividedDifference(Monomial(2), 1))
     checks.add(
         "on_grid_exact",
         frobenius(moi_binned(hand_req, 2) - moi_exact(hand_req)),
         "<=",
         1e-14,
     )
-    const_req = MoiRequest((hand, hand), (x,), lambda *vals: 0.75, config.quad_tol)
+    const_req = MoiRequest((hand, hand), (x,), lambda *vals: 0.75)
     checks.add(
         "constant_symbol",
         max(frobenius(moi_binned(const_req, n) - 0.75 * x) for n in (1, 7, 32, 501)),
@@ -403,7 +388,7 @@ def run_moi_convergence(config):
 
 def run_holder_scan(config):
     """Fractional smoothness of A -> T^{A, tail}(V...), 10 singular seeds."""
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     exponent = SchattenExponent(config.p)
     m = exponent.m
     alpha = exponent.holder_alpha
@@ -416,14 +401,7 @@ def run_holder_scan(config):
     seeds = list(range(config.seed, config.seed + 10))
     (b, w), *tails = _stream_stacks(seeds, m, config.dim, "singular", config.p)
     norms = holder_difference_norms(
-        g,
-        b,
-        w,
-        [th for th, _ in tails],
-        [tv for _, tv in tails],
-        t_grid,
-        config.p,
-        quad_tol=config.quad_tol,
+        g, b, w, [th for th, _ in tails], [tv for _, tv in tails], t_grid, config.p
     )
     checks = CheckSet()
     slopes = []
@@ -459,9 +437,7 @@ def _perturbation_residuals(config, seeds, m):
     battery = _perturbation_battery(seeds, config.dim, p_m, m)
     return tuple(
         max(
-            perturbation_identity(
-                MomentumSpec.from_divided_difference(model, m), *battery, tol=config.quad_tol
-            )
+            perturbation_identity(MomentumSpec.from_divided_difference(model, m), *battery)
         )
         for model in (_PERTURBATION_POLY, PowerAbs(p_m))
     )
@@ -469,7 +445,7 @@ def _perturbation_residuals(config, seeds, m):
 
 def run_perturbation_check(config):
     """First-variable perturbation identity, 20 seeds, orders m = 1, 2."""
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     seeds = list(range(config.seed, config.seed + 20))
     checks = CheckSet()
     for m in (1, 2):
@@ -481,7 +457,6 @@ def run_perturbation_check(config):
     (hand,) = perturbation_identity(
         MomentumSpec.from_divided_difference(Monomial(2), 1),
         *_perturbation_battery([config.seed], config.dim, 2.0, 1),
-        tol=config.quad_tol,
     )
     checks.add("hand_quadratic_residual", hand, "<=", tol["hand_case"])
     return checks, {}
@@ -496,7 +471,7 @@ def _selftest_ps(p):
 
 def run_selftest(config):
     """Fixed identity battery: every cross-check the library asserts."""
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     checks = CheckSet()
     seeds = list(range(config.seed, config.seed + 10))
     short = seeds[:3]
@@ -510,12 +485,7 @@ def run_selftest(config):
         if not ks:
             continue
         ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", p)
-        form = FrechetForm(
-            base=dec,
-            exponent=SchattenExponent(p),
-            order=ks[0],
-            quad_tol=config.quad_tol,
-        )
+        form = FrechetForm(base=dec, exponent=SchattenExponent(p), order=ks[0])
         worst = max(max(trace_identity_residual(form, v, k)) for k in ks)
         checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
 
@@ -524,7 +494,6 @@ def run_selftest(config):
         base=eigendecompose(np.diag([0.0, 1.0]).astype(complex)),
         exponent=SchattenExponent(3.0),
         order=2,
-        quad_tol=config.quad_tol,
         model=Monomial(3),
     )
     hand_v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -539,13 +508,7 @@ def run_selftest(config):
     # over the seeds; the separable battery takes its members.
     (dec, v), (dec2, v2) = _stream_stacks(mid, 2, config.dim, "generic", 2.5)
     lhs, rhs = algebraic_shift(
-        MoiRequest(
-            (dec, dec2, dec),
-            (v, v2),
-            DividedDifference(PowerAbs(2.5), 2),
-            config.quad_tol,
-        ),
-        (1, 2, 0),
+        MoiRequest((dec, dec2, dec), (v, v2), DividedDifference(PowerAbs(2.5), 2)), (1, 2, 0)
     )
     checks.add(
         "algebraic_shift_max",
@@ -568,7 +531,7 @@ def run_selftest(config):
         decs = (dec[i], dec2[i], dec[i])
         perts = (v[i], v2[i])
         product = moi_separable(sym, decs, perts)
-        dense = moi_exact(MoiRequest(decs, perts, sym, config.quad_tol))
+        dense = moi_exact(MoiRequest(decs, perts, sym))
         return frobenius(product - dense)
 
     checks.add(
@@ -584,7 +547,7 @@ def run_selftest(config):
         draws = generate_instance(short, 3, "generic", p)
         h0 = np.stack([h.matrix for h, _ in draws])
         steps = np.stack([0.3 * v.matrix / frobenius(v.matrix) for _, v in draws])
-        lhs, rhs = taylor_integral_form(h0, h0 + steps, p, quad_tol=config.quad_tol)
+        lhs, rhs = taylor_integral_form(h0, h0 + steps, p)
         checks.add(
             f"integral_taylor_p{p:g}",
             max(np.abs(lhs - rhs)),

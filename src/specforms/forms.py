@@ -32,23 +32,25 @@ from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
 from .moi import MAX_ORDER, MoiRequest, _along, _as_decomposition, _prepared_slots, moi_exact
-from .simplex import _gauss01
 from .spectral import (
     HermitianMatrix,
     SchattenExponent,
     SpectralDecomposition,
     WORKING_INTERVAL,
+    _check_finite,
     _check_hermitian,
     apply_scalar_function,
     eigendecompose,
     schatten_norm,
 )
 from .util import (
+    QUAD_TOL,
     as_complex_matrices,
     as_complex_matrix,
     check_within,
     checked_tol,
     fit_loglog_slope,
+    gauss01,
     lp_norms,
     operator_norm,
     real_number,
@@ -66,6 +68,14 @@ def _direction(v):
     """v as a complex matrix, or a stack (S, n, n) of them, checked
     Hermitian but not symmetrized."""
     return _check_hermitian(as_complex_matrices(v), "direction")
+
+
+def _matching(a, b, what, other):
+    """a, unless its shape differs from b's: then a ValidationError naming
+    both."""
+    if a.shape != b.shape:
+        raise ValidationError(f"{what} has shape {a.shape}, {other} has {b.shape}")
+    return a
 
 
 def _check_unit_ball(lams, p):
@@ -94,7 +104,7 @@ def _divided_integral(g, decompositions, perturbations, quad_tol):
     )
 
 
-def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
+def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     """Unsymmetrized k-linear derivative form of tr f(H) for a scalar model.
 
     directions is the list (V_1, ..., V_k); the value is
@@ -109,10 +119,18 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=1e-9):
     raises ValidationError; only sums over argument orders, such as
     delta_symmetric, are real there. Any direction may instead be a
     stack (B, n, n): the value is then the complex array of the B brackets,
-    unchecked, for the caller to combine and check.
+    unchecked, for the caller to combine and check. A direction that is not
+    n x n, n the base's dimension, or has a non-finite entry raises
+    ValidationError naming it ("direction j").
     """
     decomposition = _as_decomposition(decomposition)
-    vs = [as_complex_matrices(v) for v in directions]
+    n = decomposition.dim
+    vs = []
+    for j, v in enumerate(directions):
+        v = as_complex_matrices(v)
+        if v.shape[-2:] != (n, n):
+            raise ValidationError(f"direction {j} has shape {v.shape}, the base is {n} x {n}")
+        vs.append(_check_finite(v, f"direction {j}"))
     k = len(vs)
     if not 1 <= k <= MAX_FORM_ORDER:
         raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
@@ -139,14 +157,14 @@ class FrechetForm:
 
     The base may be a stacked decomposition of S points, each checked
     against the working interval and the unit ball on its own; the trace
-    identity then checks the S points in one call, and delta_bracket and
-    delta_symmetric reject it.
+    identity then checks the S points in one call, and delta_symmetric
+    rejects it.
     """
 
     base: SpectralDecomposition
     exponent: SchattenExponent
     order: int = 1
-    quad_tol: float = 1e-9
+    quad_tol: float = QUAD_TOL
     model: object = field(default=None, repr=False)
     # The highest order the model allows, at most MAX_FORM_ORDER.
     _limit: int = field(init=False, repr=False, compare=False)
@@ -188,12 +206,6 @@ class FrechetForm:
             if v.shape != (d, d):
                 raise ValidationError(f"direction shape {v.shape} != ({d}, {d})")
         return vs
-
-
-def delta_bracket(form, directions):
-    """delta^[k]: the unsymmetrized derivative form of a FrechetForm."""
-    vs = form.directions_ok(directions)
-    return model_delta_bracket(form.base, form.model, vs, quad_tol=form.quad_tol)
 
 
 def delta_symmetric(form, directions):
@@ -256,13 +268,14 @@ def fd_oracle(h, v, p, k):
     the roundoff-dominated regime. The estimate adds a bound on the
     rounding in the samples, which the correction does not see. A stencil
     that can reach the kink at 0, min |lambda(H)| <= max|offset| 2h ||V||_2,
-    raises UnsupportedConfigError, a non-Hermitian H or V ValidationError.
+    raises UnsupportedConfigError; a non-Hermitian H or V, or a V of
+    another shape than H, raises ValidationError.
     """
     k = whole_number(k, "order k")
     if k not in _STENCILS:
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
     h = _check_hermitian(as_complex_matrix(h), "base")
-    v = _check_hermitian(as_complex_matrix(v), "direction")
+    v = _matching(_direction(v), h, "direction", "base")
     model = PowerAbs(p)
 
     eps = np.finfo(float).eps
@@ -322,7 +335,7 @@ class TaylorReport:
         return data
 
 
-def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
+def taylor_expand(h, v, p, t_grid=None, quad_tol=QUAD_TOL):
     """Taylor data of t -> ||H + tV||_p^p on a grid of small t > 0.
 
     Computes the diagonal derivative forms delta^(k) for k = 1..m, the
@@ -332,12 +345,19 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
     remainder (V = 0, or an exactly polynomial power) reports slope NaN.
     The finite-difference oracle entries are skipped when the spectrum
     comes within 0.05 of the kink at zero, where stencils are unreliable.
-    Returns a TaylorReport, which keeps no clock.
+    Returns a TaylorReport, which keeps no clock. A p whose degree m =
+    ceil(p) - 1 exceeds MAX_FORM_ORDER (p > 4) raises
+    UnsupportedConfigError; a V that is not one matrix of H's shape raises
+    ValidationError.
     """
     exponent = SchattenExponent(p)
-    m = min(exponent.m, MAX_FORM_ORDER)
+    m = exponent.m
+    if m > MAX_FORM_ORDER:
+        raise UnsupportedConfigError(
+            f"p={exponent.p} needs derivative order {m}: unsupported above {MAX_FORM_ORDER}"
+        )
     h = as_complex_matrix(h)
-    v = _direction(v)
+    v = _matching(_direction(v), h, "direction", "H")
     if t_grid is None:
         t_grid = np.logspace(-4, -1, 13)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -411,7 +431,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=1e-9):
     )
 
 
-def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
+def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=QUAD_TOL):
     """Both sides of the exact integral expansion of tr |H_1|^p.
 
     lhs = tr f(H_1); rhs accumulates tr f(H_0), the derivative terms
@@ -452,9 +472,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
             raise ValidationError(f"t_order must be at least 1, got {t_order}")
 
     h0 = _check_hermitian(as_complex_matrices(h0), "h0")
-    h1 = _check_hermitian(as_complex_matrices(h1), "h1")
-    if h1.shape != h0.shape:
-        raise ValidationError(f"h1 has shape {h1.shape}, h0 has {h0.shape}")
+    h1 = _matching(_check_hermitian(as_complex_matrices(h1), "h1"), h0, "h1", "h0")
     v = h1 - h0
     stack, n = (len(h0) if h0.ndim == 3 else None), h0.shape[-1]
     count = stack or 1
@@ -469,7 +487,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
     def moving(orders, at):
         """H_t at the nodes of each order in turn, for the members `at`,
         member by member."""
-        t = np.concatenate([_gauss01(q)[0] for q in orders])[:, None, None]
+        t = np.concatenate([gauss01(q)[0] for q in orders])[:, None, None]
         return (h0s[at, None] + t * vs[at, None]).reshape(-1, n, n)
 
     first = (8, 16) if t_order is None else (t_order,)
@@ -492,7 +510,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=1e-9):
         for traces in real_trace(u @ integrals).reshape(-1, q):
             row, lo = [], 0
             for order in orders:
-                nodes, weights = _gauss01(order)
+                nodes, weights = gauss01(order)
                 terms = nodes ** (m - 1) * traces[lo : lo + order]
                 row.append(float(sum(w * x for w, x in zip(weights, terms))))
                 lo += order
@@ -527,7 +545,7 @@ def selfadjoint_embed(x, p):
     return HermitianMatrix(out * 2.0 ** (-1.0 / p))
 
 
-def embedded_delta(h, v, p, k, quad_tol=1e-9):
+def embedded_delta(h, v, p, k, quad_tol=QUAD_TOL):
     """delta^(k) of ||H + tV||_p^p for arbitrary (non-Hermitian) H and V.
 
     Both arguments ride the Hermitian dilation: the value is
@@ -548,7 +566,9 @@ def embedded_delta(h, v, p, k, quad_tol=1e-9):
     return delta_symmetric(form, [av.matrix] * k)
 
 
-def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_grid, p, quad_tol=1e-9):
+def holder_difference_norms(
+    phi_model, base, direction, tail, perturbations, t_grid, p, quad_tol=QUAD_TOL
+):
     """||T(A_t) - T(B)||_{p'} along A_t = B + tW for a kinked symbol.
 
     T(A) is the operator integral T^{(A, tail)}_{phi^[j]}(perturbations),

@@ -55,6 +55,7 @@ from .spectral import (
     eigendecompose,
 )
 from .util import (
+    QUAD_TOL,
     adjoint,
     as_complex_matrices,
     checked_tol,
@@ -212,7 +213,7 @@ class MoiRequest:
     decompositions: tuple
     perturbations: tuple
     symbol: object
-    tol: float = 1e-9
+    tol: float = QUAD_TOL
 
     def __post_init__(self):
         m = len(self.perturbations)
@@ -485,19 +486,11 @@ def moi_separable(symbol, decompositions, perturbations):
     decs, perts, _ = _prepared_slots(decompositions, perturbations, names)
     total = None
     for w, fns in symbol.terms:
-        factor = _spectral_apply(fns[0], decs[0])
+        factor = decs[0].compose(fns[0].eval(decs[0].eigenvalues))
         for fn, v, d in zip(fns[1:], perts, decs[1:]):
-            factor = factor @ v @ _spectral_apply(fn, d)
+            factor = factor @ v @ d.compose(fn.eval(d.eigenvalues))
         total = w * factor if total is None else total + w * factor
     return total
-
-
-def _spectral_apply(model, decomposition):
-    return decomposition.compose(model.eval(decomposition.eigenvalues))
-
-
-def _matrix_power_spectral(decomposition, s):
-    return decomposition.compose(decomposition.eigenvalues ** int(s))
 
 
 def algebraic_shift(request, powers):
@@ -527,9 +520,10 @@ def algebraic_shift(request, powers):
     decs = request.decompositions
     new_perts = []
     for j, v in enumerate(request.perturbations):
-        w = v @ _matrix_power_spectral(decs[j + 1], powers[j + 1])
+        d = decs[j + 1]
+        w = v @ d.compose(d.eigenvalues ** powers[j + 1])
         if j == 0:
-            w = _matrix_power_spectral(decs[0], powers[0]) @ w
+            w = decs[0].compose(decs[0].eigenvalues ** powers[0]) @ w
         new_perts.append(w)
     rhs = moi_exact(
         MoiRequest(
@@ -542,7 +536,7 @@ def algebraic_shift(request, powers):
     return lhs, rhs
 
 
-def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=1e-9):
+def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     """Residual of the first-variable perturbation formula.
 
     With phi of order m evaluated on (A, H_1..H_m) and on (B, H_1..H_m),

@@ -40,7 +40,14 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import check_within, checked_tol, map_distinct_rows, sorted_columns, whole_number
+from .util import (
+    QUAD_TOL,
+    check_within,
+    checked_tol,
+    map_distinct_rows,
+    sorted_columns,
+    whole_number,
+)
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -161,7 +168,7 @@ def _piece_values(spec, groups, rows, owner, todo, q):
     return values
 
 
-def momentum_quadrature(spec, x, tol=1e-9):
+def momentum_quadrature(spec, x, tol=QUAD_TOL):
     """Evaluate the momentum by adaptive simplex quadrature.
 
     x is one row of m+1 arguments, giving a float, or a stack (R, m+1),
@@ -221,7 +228,7 @@ def momentum_quadrature(spec, x, tol=1e-9):
     )
 
 
-def momentum_eval(spec, x, tol=1e-9):
+def momentum_eval(spec, x, tol=QUAD_TOL):
     """Momentum value at x; divided-difference route when available.
 
     x may also be a stack of rows (R, m+1), giving R values. Quadrature

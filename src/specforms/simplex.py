@@ -34,22 +34,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
+from .util import gauss01
 
 # Escalation ladder for the per-axis order; stop once two successive
 # levels agree within tolerance.
 ORDER_LADDER = (4, 6, 8, 11, 15, 20, 27, 34, 40)
 
 _SNAP = 1e-13
-
-
-@lru_cache(maxsize=None)
-def _gauss01(q):
-    x, w = np.polynomial.legendre.leggauss(int(q))
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +51,7 @@ def corner_rule(dim, q):
         nodes = np.zeros((1, 0))
         weights = np.ones(1)
     else:
-        x, w = _gauss01(q)
+        x, w = gauss01(q)
         grids = np.meshgrid(*([x] * dim), indexing="ij")
         cube = np.stack([g.ravel() for g in grids], axis=1)
         wgrids = np.meshgrid(*([w] * dim), indexing="ij")

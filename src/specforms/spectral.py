@@ -50,12 +50,6 @@ def _check_finite(a, what="matrix"):
     return a
 
 
-def _hermitian_part(a):
-    """(A + A*)/2 of a checked matrix or of each matrix of a stack."""
-    _check_hermitian(a)
-    return (a + adjoint(a)) / 2.0
-
-
 @dataclass(frozen=True)
 class HermitianMatrix:
     """A square complex matrix, or a stack (B, n, n) of them, validated to
@@ -72,7 +66,8 @@ class HermitianMatrix:
         a = as_complex_matrices(self.matrix)
         if a.shape[-1] < 1:
             raise ValidationError("matrix must have dimension >= 1")
-        sym = _hermitian_part(a)
+        _check_hermitian(a)
+        sym = (a + adjoint(a)) / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 

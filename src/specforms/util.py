@@ -2,6 +2,7 @@
 
 import json
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -9,6 +10,9 @@ from .errors import ValidationError
 
 # Trace-valued quantities must be real up to this relative slack.
 TRACE_IMAG_TOL = 1e-10
+# The default tolerance of every quadrature: simplex momenta and the divided
+# differences, operator integrals and forms that may reach them.
+QUAD_TOL = 1e-9
 
 
 def as_complex_matrix(a):
@@ -93,6 +97,18 @@ def checked_tol(tol):
     return tol
 
 
+@lru_cache(maxsize=None)
+def gauss01(q):
+    """The q-node Gauss-Legendre rule on [0, 1]: read-only (nodes, weights),
+    built once per q."""
+    x, w = np.polynomial.legendre.leggauss(int(q))
+    x = (x + 1.0) / 2.0
+    w = w / 2.0
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def lp_norms(spectra, p):
     """The l^p norm of each row of a stack of spectra (R, n). The final
     power is a Python-float pow per row: the array power differs from it in
@@ -156,21 +172,6 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-VOLATILE_REPORT_KEYS = ("wall_clock_s",)
-
-
-def _strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_volatile(v)
-            for k, v in obj.items()
-            if k not in VOLATILE_REPORT_KEYS
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_strip_volatile(v) for v in obj]
-    return obj
-
-
 def _json_default(value):
     if isinstance(value, np.generic):
         return value.item()
@@ -182,9 +183,9 @@ def _json_default(value):
 def canonical_json(obj, drop_volatile=False):
     """Deterministic JSON text: sorted keys, shortest round-trip floats.
 
-    With drop_volatile the run-to-run keys (the wall clock) are removed at
-    every nesting level, which is how reports are compared.
+    With drop_volatile the one run-to-run key of a report, its top-level
+    wall clock, is removed, which is how reports are compared.
     """
     if drop_volatile:
-        obj = _strip_volatile(obj)
+        obj = {k: v for k, v in obj.items() if k != "wall_clock_s"}
     return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)

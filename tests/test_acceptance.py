@@ -25,10 +25,10 @@ from specforms.experiments import (
 )
 from specforms.forms import (
     FrechetForm,
-    delta_bracket,
     delta_symmetric,
     fd_oracle,
     holder_difference_norms,
+    model_delta_bracket,
     taylor_expand,
     taylor_integral_form,
     trace_identity_residual,
@@ -75,7 +75,8 @@ def test_criterion_01_derivatives_match_difference_oracle():
                 dec = eigendecompose(h)
                 for k in range(1, m + 1):
                     form = FrechetForm(base=dec, exponent=p, order=k)
-                    series = math.factorial(k) * delta_bracket(form, [v.matrix] * k)
+                    bracket = model_delta_bracket(form.base, form.model, [v.matrix] * k)
+                    series = math.factorial(k) * bracket
                     fd, _ = fd_oracle(h.matrix, v.matrix, p, k)
                     bound = max(1e-5 * abs(fd), 5e-5)
                     diff = abs(series - fd)

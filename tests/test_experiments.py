@@ -1,5 +1,6 @@
 """Tests for the experiment drivers, report plumbing, and the CLI."""
 
+import dataclasses
 import json
 import os
 import time
@@ -50,26 +51,21 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(mode="moi-convergence", n_grid=(64, 32))
     with pytest.raises(ValidationError):
-        ExperimentConfig(mode="selftest", quad_tol=0.0)
-    with pytest.raises(ValidationError):
         ExperimentConfig(mode="selftest", fmt="xml")
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValidationError, match="finite"):
             ExperimentConfig(mode="taylor-scan", t_grid=(bad, 0.1))
-    with pytest.raises(ValidationError, match="order"):
-        ExperimentConfig(mode="derivative", order=-1)
 
 
-def test_config_tolerances_merge_and_echo():
-    config = ExperimentConfig(mode="selftest", quad_tol=1e-8)
-    assert config.tolerances == dict(DEFAULT_TOLERANCES, quad_tol=1e-8)
-    echo = config.echo()
-    assert echo["tolerances"] == config.tolerances
-    assert echo["quad_tol"] == 1e-8
-    assert "out_dir" not in echo and "fmt" not in echo
-    assert echo["mode"] == "selftest"
-    with pytest.raises(TypeError):
-        ExperimentConfig(mode="selftest", tolerances={"trace_identity": 1e-5})
+def test_report_config_echoes_every_setting_but_the_output_ones():
+    report = run(ExperimentConfig(mode="moi-convergence", dim=2, n_grid=(8, 16)))
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(report.config) == fields - {"out_dir", "fmt"}
+    # No setting restates what the run knows: no order, tolerance or table.
+    assert set(report.config) == {
+        "mode", "seed", "dim", "p", "profile", "t_grid", "n_grid", "matrix_path", "dir_paths"
+    }
+    assert report.config["dim"] == 2 and report.config["n_grid"] == (8, 16)
 
 
 def test_checkset_ops_and_guards():
@@ -204,7 +200,7 @@ def test_derivative_driver_matches_library_call(tmp_path):
     m_path = _write_matrix(tmp_path / "h.json", h)
     d_path = _write_matrix(tmp_path / "v.json", v)
     config = ExperimentConfig(
-        mode="derivative", p=2.5, order=1, matrix_path=m_path, dir_paths=(d_path,)
+        mode="derivative", p=2.5, matrix_path=m_path, dir_paths=(d_path,)
     )
     report = run(config)
     assert report.passed
@@ -215,7 +211,7 @@ def test_derivative_driver_matches_library_call(tmp_path):
 def test_cli_derivative_of_distinct_complex_directions(tmp_path, capsys):
     h, v = generate_instance(1, 3, "generic", 3.5)
     dirs = [v.matrix] + [generate_instance(s, 3, "generic", 3.5)[1].matrix for s in (101, 201)]
-    argv = ["derivative", "--p", "3.5", "--order", "3"]
+    argv = ["derivative", "--p", "3.5"]
     argv += ["--matrix", _write_matrix(tmp_path / "h.json", h.matrix)]
     for i, d in enumerate(dirs):
         argv += ["--dir", _write_matrix(tmp_path / f"v{i}.json", d)]
@@ -451,14 +447,14 @@ def _cli_output(argv, capsys):
     return canonical_json(json.loads(text), drop_volatile=True) if text[0] == "{" else text
 
 
-@pytest.mark.parametrize("flag", ["--tol-quad", "--format", "--out"])
+@pytest.mark.parametrize("flag", ["--format", "--out"])
 def test_cli_global_flags_on_either_side_give_one_report(flag, tmp_path, capsys):
     mode = ["moi-convergence", "--n-grid", "8,16,32"]
     plain = _cli_output(mode, capsys)
     reports = []
     for i, (before, after) in enumerate([(1, 0), (0, 1), (1, 1)]):
         out = tmp_path / str(i)
-        given = [flag, {"--tol-quad": "1e-8", "--format": "csv", "--out": str(out)}[flag]]
+        given = [flag, {"--format": "csv", "--out": str(out)}[flag]]
         reports.append(_cli_output(given * before + mode + given * after, capsys))
         if flag == "--out":
             saved = json.loads((out / "moi_convergence_report.json").read_text())
@@ -493,9 +489,32 @@ def test_cli_out_that_is_a_file_exits_two_before_the_run(tmp_path, monkeypatch, 
     assert target.read_text() == "kept"
 
 
-def test_cli_negative_order_exits_two(tmp_path, capsys):
-    argv = ["derivative", "--p", "2.5", "--order", "-1"]
-    argv += ["--matrix", _write_matrix(tmp_path / "h.json", np.diag([0.5, -0.4]))]
-    argv += ["--dir", _write_matrix(tmp_path / "v.json", np.eye(2))]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: order must be >= 0")
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_cli_derivative_order_is_the_number_of_direction_files(count, tmp_path, capsys):
+    h = np.diag([0.5, -0.4, 0.3])
+    dirs = [np.full((3, 3), 0.1 * (i + 1)) for i in range(count)]
+    argv = ["derivative", "--p", "3.5", "--matrix", _write_matrix(tmp_path / "h.json", h)]
+    for i, d in enumerate(dirs):
+        argv += ["--dir", _write_matrix(tmp_path / f"v{i}.json", d)]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["data"]["order"] == count
+    form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=count)
+    assert payload["data"]["value"] == delta_symmetric(form, dirs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derivative", "--order", "2", "--matrix", "h.json", "--dir", "v.json"],
+        ["selftest", "--tol-quad", "1e-8"],
+        ["--tol-quad=1e-8", "moi-convergence"],
+    ],
+)
+def test_cli_removed_flags_exit_two_as_unknown(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran with an unknown flag"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = next(arg for arg in argv if arg.startswith(("--order", "--tol-quad")))
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from specforms.experiments import DEFAULT_TOLERANCES
 from specforms.forms import (
     FD_SAFE_GAP,
     FrechetForm,
-    delta_bracket,
     delta_symmetric,
     embedded_delta,
     fd_oracle,
@@ -81,7 +80,7 @@ def test_symmetric_form_is_permutation_average():
     v2 = small_hermitian(rng, 3, scale=1.0)
     form = FrechetForm(base=h, exponent=3.5, order=2)
     sym = delta_symmetric(form, [v1, v2])
-    brackets = delta_bracket(form, [v1, v2]), delta_bracket(form, [v2, v1])
+    brackets = [model_delta_bracket(form.base, form.model, vs) for vs in ([v1, v2], [v2, v1])]
     np.testing.assert_allclose(sym, sum(brackets) / 2.0, rtol=1e-14)
     np.testing.assert_allclose(sym, delta_symmetric(form, [v2, v1]), rtol=1e-14)
 
@@ -101,7 +100,7 @@ def test_symmetric_form_of_distinct_complex_directions():
     for order in itertools.permutations(dirs):
         assert abs(delta_symmetric(form, list(order)) - value) <= 1e-14 * (1.0 + abs(value))
     with pytest.raises(ValidationError, match="imaginary part"):
-        delta_bracket(form, dirs)
+        model_delta_bracket(form.base, form.model, dirs)
     brackets = model_delta_bracket(form.base, form.model, [np.stack([d]) for d in dirs])
     assert brackets.dtype == complex and abs(brackets[0].imag) > 1e-3
 
@@ -292,6 +291,18 @@ def test_taylor_input_validation():
         taylor_expand(np.diag([3.0, 0.0]), v, 2.5)  # outside working interval
     with pytest.raises(ValidationError):
         taylor_expand(h, np.array([[0.0, 1.0], [0.0, 0.0]]), 2.5)  # not Hermitian
+
+
+@pytest.mark.parametrize("p", [4.5, 6.0])
+def test_taylor_expand_refuses_degrees_above_the_form_cap(p):
+    # The degree ceil(p) - 1 needs forms above order 3; the expansion must not
+    # stop at degree 3 and report a truncated m.
+    h = np.diag([0.5, -0.4, 0.3])
+    with pytest.raises(UnsupportedConfigError, match=f"^p={p} needs derivative order"):
+        taylor_expand(h, 0.1 * np.eye(3), p)
+    # The integral identity is exact for any m < p, so that form keeps the cap.
+    lhs, rhs = taylor_integral_form(h, h + 0.05 * np.eye(3), p)
+    assert abs(lhs - rhs) <= 1e-6
 
 
 def test_spectrum_guards():

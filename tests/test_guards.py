@@ -30,6 +30,7 @@ from specforms import (
     fit_loglog_slope,
     generate_instance,
     holder_difference_norms,
+    model_delta_bracket,
     moi_exact,
     moi_separable,
     perturbation_identity,
@@ -189,7 +190,6 @@ WHOLE = {
     ),
     "ExperimentConfig seed": (lambda: ExperimentConfig("selftest", seed=2.7), "^seed"),
     "ExperimentConfig dim": (lambda: ExperimentConfig("selftest", dim=2.7), "^dim"),
-    "ExperimentConfig order": (lambda: ExperimentConfig("selftest", order=2.7), "^order"),
     "ExperimentConfig n_grid": (
         lambda: ExperimentConfig("selftest", n_grid=(2.7, 8)),
         "^n grid entry",
@@ -260,7 +260,7 @@ for bad in (NAN, np.inf):
         "^separable weights must be finite",
     )
 # Fields a run config reads as numbers name themselves.
-NUMBERS = (("p", "x", "^p"), ("quad_tol", "x", "^quad_tol"), ("t_grid", "abc", "^t grid entry"))
+NUMBERS = (("p", "x", "^p"), ("t_grid", "abc", "^t grid entry"))
 for field, bad, message in NUMBERS:
     CALLS[f"ExperimentConfig {field}={bad!r}"] = (
         lambda field=field, bad=bad: ExperimentConfig("selftest", **{field: bad}),
@@ -327,6 +327,33 @@ for bad in (0.0, -1e-9, np.inf):
         lambda bad=bad: momentum_quadrature(DD_SPEC, [0.2, 0.1], tol=bad),
         "^quadrature tol",
     )
+
+# A direction is checked where it enters a form: one of another size than
+# its base, a stack where one matrix is wanted, or a non-finite entry.
+H4 = np.diag([0.4, -0.3, 0.2, -0.1])
+V3 = 0.1 * np.eye(3)
+V4_NAN = np.where(np.eye(4) == 1.0, 0.1, 0.0)
+V4_NAN[0, 0] = NAN
+CALLS["taylor_expand direction size"] = (
+    lambda: taylor_expand(H4, V3, 3.5),
+    r"^direction has shape \(3, 3\), H has \(4, 4\)",
+)
+CALLS["taylor_expand direction stack"] = (
+    lambda: taylor_expand(H4, np.stack([0.1 * np.eye(4)] * 13), 3.5),
+    r"^direction has shape \(13, 4, 4\), H has \(4, 4\)",
+)
+CALLS["fd_oracle direction size"] = (
+    lambda: fd_oracle(H4, V3, 3.5, 1),
+    r"^direction has shape \(3, 3\), base has \(4, 4\)",
+)
+CALLS["model_delta_bracket direction size"] = (
+    lambda: model_delta_bracket(eigendecompose(H4), PowerAbs(3.5), [V3]),
+    r"^direction 0 has shape \(3, 3\), the base is 4 x 4",
+)
+CALLS["model_delta_bracket direction nan"] = (
+    lambda: model_delta_bracket(eigendecompose(H4), PowerAbs(3.5), [V4_NAN]),
+    "^direction 0 has a non-finite entry",
+)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

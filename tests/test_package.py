@@ -7,6 +7,7 @@ import importlib
 import io
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ import numpy as np
 
 import specforms
 import specforms.cli
+from specforms.experiments import DEFAULT_TOLERANCES
+from specforms.util import QUAD_TOL
 
 
 def test_star_import_binds_exactly_the_export_list():
@@ -162,3 +165,52 @@ def test_small_requests_reach_every_benchmark_span(monkeypatch):
     assert set(requests) == set(expected)
     for workload, request in requests.items():
         assert not expected[workload] - _reached(request), workload
+
+
+
+def _tolerance_defaults():
+    """{qualname: default} of every quad_tol or tol parameter with a default
+    among the public functions, classes and methods defined in the package's
+    modules."""
+    found = {}
+    for info in pkgutil.iter_modules(specforms.__path__):
+        module = importlib.import_module(f"specforms.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or not _defined_in(obj, module):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{attr}", value)
+                    for attr, value in vars(obj).items()
+                    if inspect.isfunction(value) and (attr == "__call__" or attr[0] != "_")
+                ]
+            for qualname, member in members:
+                if inspect.isclass(member) and issubclass(member, BaseException):
+                    continue
+                for param in inspect.signature(member).parameters.values():
+                    if param.name in ("quad_tol", "tol") and param.default is not param.empty:
+                        found[qualname] = param.default
+    return found
+
+
+def test_every_quadrature_tolerance_defaults_to_the_one_constant():
+    defaults = _tolerance_defaults()
+    assert set(defaults) == {
+        "divided_difference",
+        "divided_difference_via_momentum",
+        "DividedDifference.__call__",
+        "momentum_quadrature",
+        "momentum_eval",
+        "MoiRequest",
+        "perturbation_identity",
+        "FrechetForm",
+        "model_delta_bracket",
+        "taylor_expand",
+        "taylor_integral_form",
+        "embedded_delta",
+        "holder_difference_norms",
+    }
+    # The constant itself, not another spelling of its value.
+    assert all(default is QUAD_TOL for default in defaults.values()), defaults
+    assert DEFAULT_TOLERANCES["quad_tol"] is QUAD_TOL
