@@ -13,7 +13,12 @@ import numpy as np
 
 from specforms.divided import DividedDifference
 from specforms.experiments import SEED_STRIDE
-from specforms.forms import FrechetForm, holder_difference_norms, trace_identity_residual
+from specforms.forms import (
+    DEFAULT_T_GRID,
+    FrechetForm,
+    holder_difference_norms,
+    trace_identity_residual,
+)
 from specforms.functions import Monomial, Polynomial, PowerAbs
 from specforms.instances import generate_instance
 from specforms.moi import MoiRequest, algebraic_shift, moi_exact, perturbation_identity
@@ -27,9 +32,9 @@ from specforms.util import fit_loglog_slope, real_trace
 print("trace identity residuals at p = 3.5:")
 for seed in (1, 2, 3):
     h, v = generate_instance(seed, dim=4, profile="generic", p=3.5)
-    form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=2)
     for k in (2, 3):
-        resid = trace_identity_residual(form, v.matrix, k)
+        form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=k)
+        resid = trace_identity_residual(form, v.matrix)
         print(f"  seed {seed}, k = {k}: residual {resid:.3e}")
 
 # By hand: H = diag(0, 1), f = x^3, k = 2, V the flip — both sides are 3.
@@ -75,7 +80,7 @@ print("\nalgebraic shift (powers 1,2,0): max entry gap "
 # Hoelder saturation: slope of the difference norm equals alpha = p - m
 # ---------------------------------------------------------------------------
 print("\nfractional smoothness of the top-order form along singular data:")
-t_grid = np.logspace(-4, -1, 13)
+t_grid = np.asarray(DEFAULT_T_GRID)
 for p in (2.5, 3.0, 3.5):
     exponent = SchattenExponent(p)
     m, alpha = exponent.m, exponent.holder_alpha

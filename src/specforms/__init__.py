@@ -19,7 +19,6 @@ from .errors import (
 )
 from .experiments import (
     DEFAULT_N_GRID,
-    DEFAULT_T_GRID,
     DEFAULT_TOLERANCES,
     MODES,
     CheckSet,
@@ -35,7 +34,7 @@ from .experiments import (
     thread_count,
 )
 from .forms import (
-    MAX_FORM_ORDER,
+    DEFAULT_T_GRID,
     FrechetForm,
     TaylorReport,
     delta_symmetric,
@@ -90,7 +89,6 @@ __all__ = [
     "ExperimentConfig",
     "FrechetForm",
     "HermitianMatrix",
-    "MAX_FORM_ORDER",
     "MODES",
     "MoiRequest",
     "Monomial",

@@ -137,15 +137,16 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     return values if batched else float(values[0])
 
 
-def divided_difference_via_momentum(model, nodes, tol=QUAD_TOL):
-    """f^[k] forced through the integral representation (oracle route)."""
+def divided_difference_via_momentum(model, nodes):
+    """f^[k] forced through the integral representation (oracle route), at
+    the library's quadrature tolerance (util.QUAD_TOL)."""
     model, cols, k, _ = _prepare(model, nodes)
     if cols.shape[1] != 1:
         raise ValidationError("the oracle route takes one node set")
     if k == 0:
         return float(model.eval(cols[0, 0]))
     spec = MomentumSpec.from_divided_difference(model, k)
-    return momentum_quadrature(spec, cols[:, 0], tol=tol)
+    return momentum_quadrature(spec, cols[:, 0])
 
 
 @dataclass(frozen=True)

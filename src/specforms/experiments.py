@@ -25,7 +25,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .forms import (
-    MAX_FORM_ORDER,
+    DEFAULT_T_GRID,
     FrechetForm,
     delta_symmetric,
     holder_difference_norms,
@@ -36,6 +36,7 @@ from .forms import (
 from .functions import Monomial, Polynomial, PowerAbs
 from .instances import PROFILES, SplitMix64, generate_instance
 from .moi import (
+    MAX_ORDER,
     MoiRequest,
     SeparableSymbol,
     algebraic_shift,
@@ -55,7 +56,6 @@ from .util import (
     whole_number,
 )
 
-DEFAULT_T_GRID = tuple(float(t) for t in np.logspace(-4, -1, 13))
 DEFAULT_N_GRID = (32, 64, 128, 256, 512)
 
 # The one table of check tolerances, which no run overrides: every check row
@@ -96,7 +96,9 @@ class ExperimentConfig:
     checks against DEFAULT_TOLERANCES.
 
     p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
-    up to m = ceil(p) - 1 and so refuse an m above MAX_FORM_ORDER (p > 4).
+    up to m = ceil(p) - 1 and so refuse an m above moi.MAX_ORDER (p > 4).
+    dir_paths is a sequence of paths: one string is refused, not read as a
+    sequence of one-character paths.
     """
 
     mode: str
@@ -122,9 +124,9 @@ class ExperimentConfig:
         if not 1.0 < self.p <= 8.0:
             raise ValidationError(f"p must lie in (1, 8], got {self.p}")
         m = SchattenExponent(self.p).m
-        if self.mode in ("selftest", "taylor-scan", "holder-scan") and m > MAX_FORM_ORDER:
+        if self.mode in ("selftest", "taylor-scan", "holder-scan") and m > MAX_ORDER:
             raise UnsupportedConfigError(
-                f"p={self.p} needs derivative order {m}: unsupported above {MAX_FORM_ORDER}"
+                f"p={self.p} needs derivative order {m}: unsupported above {MAX_ORDER}"
             )
         if self.profile not in PROFILES:
             raise ValidationError(
@@ -138,6 +140,10 @@ class ExperimentConfig:
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
+        if isinstance(self.dir_paths, str):
+            raise ValidationError(
+                f"dir_paths must be a sequence of paths, got the string {self.dir_paths!r}"
+            )
         object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")
@@ -477,16 +483,17 @@ def run_selftest(config):
     short = seeds[:3]
     mid = seeds[:5]
 
-    # Trace identity across the battery exponents: one form over the seeds'
-    # stack per exponent, one stacked call per order.
+    # Trace identity across the battery exponents at orders 2..m: one form
+    # over the seeds' stack per order, one stacked call each.
     for p in _selftest_ps(config.p):
-        m = SchattenExponent(p).m
-        ks = [k for k in (2, 3) if k <= m]
-        if not ks:
+        exponent = SchattenExponent(p)
+        if exponent.m < 2:
             continue
         ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", p)
-        form = FrechetForm(base=dec, exponent=SchattenExponent(p), order=ks[0])
-        worst = max(max(trace_identity_residual(form, v, k)) for k in ks)
+        worst = max(
+            max(trace_identity_residual(FrechetForm(base=dec, exponent=exponent, order=k), v))
+            for k in range(2, exponent.m + 1)
+        )
         checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
 
     # Hand-checkable trace identity: H = diag(0, 1), f = x^3, order 2.
@@ -499,7 +506,7 @@ def run_selftest(config):
     hand_v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     checks.add(
         "hand_trace_identity",
-        trace_identity_residual(hand_form, hand_v, 2),
+        trace_identity_residual(hand_form, hand_v),
         "<=",
         tol["hand_case"],
     )

@@ -59,7 +59,8 @@ from .util import (
     whole_number,
 )
 
-MAX_FORM_ORDER = MAX_ORDER
+# The t grid of taylor_expand and of the taylor-scan and holder-scan drivers.
+DEFAULT_T_GRID = tuple(float(t) for t in np.logspace(-4, -1, 13))
 REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
 
@@ -132,8 +133,8 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
             raise ValidationError(f"direction {j} has shape {v.shape}, the base is {n} x {n}")
         vs.append(_check_finite(v, f"direction {j}"))
     k = len(vs)
-    if not 1 <= k <= MAX_FORM_ORDER:
-        raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_FORM_ORDER}")
+    if not 1 <= k <= MAX_ORDER:
+        raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_ORDER}")
     g = model.derivative_model(1)
     integral = _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol)
     traces = np.trace(vs[0] @ integral, axis1=-2, axis2=-1)
@@ -153,7 +154,10 @@ class FrechetForm:
     The default scalar model is |x|^p, for which only orders k <= m make
     sense (residual smoothness of |x|^p is p - m). Supplying a smoother
     model (a polynomial, say) lifts that ceiling to the model's own
-    derivative count, still capped at order 3.
+    derivative count, still capped at moi.MAX_ORDER (3). An order outside
+    that range raises UnsupportedConfigError. delta_symmetric and
+    trace_identity_residual both work at this order, so checking several
+    orders takes one form per order.
 
     The base may be a stacked decomposition of S points, each checked
     against the working interval and the unit ball on its own; the trace
@@ -166,8 +170,6 @@ class FrechetForm:
     order: int = 1
     quad_tol: float = QUAD_TOL
     model: object = field(default=None, repr=False)
-    # The highest order the model allows, at most MAX_FORM_ORDER.
-    _limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dec = _as_decomposition(self.base)
@@ -182,15 +184,14 @@ class FrechetForm:
         _check_unit_ball(dec.eigenvalues, exp.p)
         if self.model is None:
             object.__setattr__(self, "model", PowerAbs(exp.p))
-            limit = min(exp.m, MAX_FORM_ORDER)
+            limit = min(exp.m, MAX_ORDER)
         else:
-            limit = min(self.model.max_order, MAX_FORM_ORDER)
+            limit = min(self.model.max_order, MAX_ORDER)
         if not 1 <= self.order <= limit:
             raise UnsupportedConfigError(
                 f"derivative order {self.order} not available for p={exp.p} "
                 f"(orders 1..{limit})"
             )
-        object.__setattr__(self, "_limit", limit)
 
     def directions_ok(self, directions):
         if self.base.stack is not None:
@@ -223,24 +224,22 @@ def delta_symmetric(form, directions):
     return real_value(total) / math.factorial(len(orders))
 
 
-def trace_identity_residual(form, direction, k=None):
-    """|tr T_{f^[k]}(V..V) - (1/k) tr(V T_{g^[k-1]}(V..V))| with g = f'.
+def trace_identity_residual(form, direction):
+    """|tr T_{f^[k]}(V..V) - (1/k) tr(V T_{g^[k-1]}(V..V))| with g = f' and
+    k = form.order.
 
     The left side integrates the order-k divided difference of f itself;
     the right side is the reduced form (model_delta_bracket). Both are
     exact traces, so the residual is purely numerical noise: rounding in
     the divided-difference tables, plus quadrature error at near-ties.
+    Checking several orders takes one form per order.
 
     With a stacked base or a stack (S, n, n) of directions the call returns
     the array of S residuals, a base or direction of one matrix serving
     every member; each side's integrals are one stacked call, and each
     residual has the bits of its member's one-instance call.
     """
-    if k is None:
-        k = form.order
-    k = whole_number(k, "order k")
-    if not 1 <= k <= form._limit:
-        raise UnsupportedConfigError(f"order {k} outside this form's range")
+    k = form.order
     v = _direction(direction)
     dec = form.base
     model = form.model
@@ -335,7 +334,7 @@ class TaylorReport:
         return data
 
 
-def taylor_expand(h, v, p, t_grid=None, quad_tol=QUAD_TOL):
+def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
     """Taylor data of t -> ||H + tV||_p^p on a grid of small t > 0.
 
     Computes the diagonal derivative forms delta^(k) for k = 1..m, the
@@ -345,21 +344,21 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=QUAD_TOL):
     remainder (V = 0, or an exactly polynomial power) reports slope NaN.
     The finite-difference oracle entries are skipped when the spectrum
     comes within 0.05 of the kink at zero, where stencils are unreliable.
+    The forms run at the library's quadrature tolerance (util.QUAD_TOL).
     Returns a TaylorReport, which keeps no clock. A p whose degree m =
-    ceil(p) - 1 exceeds MAX_FORM_ORDER (p > 4) raises
-    UnsupportedConfigError; a V that is not one matrix of H's shape raises
+    ceil(p) - 1 exceeds moi.MAX_ORDER (p > 4) raises
+    UnsupportedConfigError; a V that is not one matrix of H's shape, or a
+    t grid that is not one nonempty row of finite positive values, raises
     ValidationError.
     """
     exponent = SchattenExponent(p)
     m = exponent.m
-    if m > MAX_FORM_ORDER:
+    if m > MAX_ORDER:
         raise UnsupportedConfigError(
-            f"p={exponent.p} needs derivative order {m}: unsupported above {MAX_FORM_ORDER}"
+            f"p={exponent.p} needs derivative order {m}: unsupported above {MAX_ORDER}"
         )
     h = as_complex_matrix(h)
     v = _matching(_direction(v), h, "direction", "H")
-    if t_grid is None:
-        t_grid = np.logspace(-4, -1, 13)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
         raise ValidationError(
@@ -374,10 +373,7 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=QUAD_TOL):
 
     model = PowerAbs(exponent.p)
     base = float(np.sum(model.eval(lam0)))
-    deltas = [
-        model_delta_bracket(decomposition, model, [v] * k, quad_tol=quad_tol)
-        for k in range(1, m + 1)
-    ]
+    deltas = [model_delta_bracket(decomposition, model, [v] * k) for k in range(1, m + 1)]
 
     remainder = []
     for t, lam in zip(t_grid, lams):
@@ -424,52 +420,44 @@ def taylor_expand(h, v, p, t_grid=None, quad_tol=QUAD_TOL):
         slope=slope,
         oracle=tuple(oracle),
         tolerances={
-            "quad_tol": quad_tol,
             "remainder_floor": REMAINDER_FLOOR,
             "oracle_skipped_near_zero": oracle_skipped,
         },
     )
 
 
-def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=QUAD_TOL):
+def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
     """Both sides of the exact integral expansion of tr |H_1|^p.
 
-    lhs = tr f(H_1); rhs accumulates tr f(H_0), the derivative terms
+    With m = ceil(p) - 1, capped at moi.MAX_ORDER (3): lhs = tr f(H_1);
+    rhs accumulates tr f(H_0), the derivative terms
     (1/k) tr(V T_{g^[k-1]}(V..)) for k < m at the segment base point,
     and the integral of t^{m-1} tr(V T^{(H_t, H_0..)}_{g^[m-1]}(V..)) dt
     over t in [0, 1], with H_t = H_0 + tV and g = f'. The first slot of
     the operator integral rides the moving point H_t; the rest stay at
-    H_0. The t-integral uses Gauss-Legendre nodes with order doubling
-    (8 to 64, stop at 1e-8 agreement) unless t_order pins the order. Order
-    64 is returned even when it disagrees with 32: over seeds 1-199 at dim 4,
-    15 of 221 did, by up to 7.7e-7, with every |lhs - rhs| at most 1.3e-7.
+    H_0, so at m = 1 (p <= 2) the integral is g(H_t) alone. The t-integral
+    uses Gauss-Legendre nodes with order doubling (8 and 16, then 32 and
+    64; stop at 1e-8 agreement). Order 64 is returned even when it
+    disagrees with 32: over seeds 1-199 at dim 4, 15 of 221 did, by up to
+    7.7e-7, with every |lhs - rhs| at most 1.3e-7.
 
     h0 and h1 may instead be stacks (S, n, n) of S segments' endpoints:
     the call then returns (lhs, rhs) as two arrays of length S, each
     member with the bits of its own one-segment call. Every H_0 of the
-    stack and the H_t at its nodes of the first two orders (8 and 16, or
-    the pinned order alone) are one stacked decomposition, and their
-    operator integrals one stacked integral, H_0 and V taken at an index
-    that repeats each member over its nodes; each derivative term is one
-    stacked bracket. A member leaves the ladder when its own last two
-    orders agree, and the members still open go on together to order 32
-    and then 64, with one decomposition and one integral per order. One
-    segment takes the same steps, its one-matrix slots passing through.
-    A non-Hermitian endpoint (by stack index), an h1 of another shape than
-    h0, and an m or t_order that is not a whole number raise
+    stack and the H_t at its nodes of orders 8 and 16 are one stacked
+    decomposition, and their operator integrals one stacked integral, V
+    (and from m = 2 on H_0) taken at an index that repeats each member
+    over its nodes; each derivative term is one stacked bracket. A member
+    leaves the ladder when its own last two orders agree, and the members
+    still open go on together to order 32 and then 64, with one
+    decomposition and one integral per order. One segment takes the same
+    steps, its one-matrix slots passing through. A non-Hermitian endpoint
+    (by stack index) and an h1 of another shape than h0 raise
     ValidationError naming it.
     """
     quad_tol = checked_tol(quad_tol)
     exponent = SchattenExponent(p)
-    m = min(exponent.m, MAX_FORM_ORDER) if m is None else whole_number(m, "m")
-    if not 1 <= m <= MAX_FORM_ORDER:
-        raise UnsupportedConfigError(f"integral form order {m} outside 1..{MAX_FORM_ORDER}")
-    if not m < exponent.p:
-        raise ValidationError(f"integral form needs m < p, got m={m}, p={exponent.p}")
-    if t_order is not None:
-        t_order = whole_number(t_order, "t_order")
-        if t_order < 1:
-            raise ValidationError(f"t_order must be at least 1, got {t_order}")
+    m = min(exponent.m, MAX_ORDER)
 
     h0 = _check_hermitian(as_complex_matrices(h0), "h0")
     h1 = _matching(_check_hermitian(as_complex_matrices(h1), "h1"), h0, "h1", "h0")
@@ -490,7 +478,7 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=QUAD_TOL):
         t = np.concatenate([gauss01(q)[0] for q in orders])[:, None, None]
         return (h0s[at, None] + t * vs[at, None]).reshape(-1, n, n)
 
-    first = (8, 16) if t_order is None else (t_order,)
+    first = (8, 16)
     whole = eigendecompose(np.concatenate([h0s, moving(first, slice(None))]))
     d0 = whole[0] if stack is None else whole[:count]
     # Each member's sums of its own eigenvalue row, as Python floats.
@@ -503,9 +491,12 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=QUAD_TOL):
         """The t-integral at each order, one row per member of `at`, from
         points, the stacked decomposition of moving(orders, at)."""
         q = sum(orders)
-        # each member's H_0 and V repeated over its q nodes
-        dec, u = _along((d0, v), np.repeat(np.arange(count)[at], q))
-        integrals = _divided_integral(g, (points,) + (dec,) * (m - 1), (u,) * (m - 1), quad_tol)
+        # each member's V, and its H_0 where a slot sits there (m >= 2),
+        # repeated over its q nodes
+        index = np.repeat(np.arange(count)[at], q)
+        (u,) = _along((v,), index)
+        rest = _along((d0,), index) * (m - 1) if m > 1 else ()
+        integrals = _divided_integral(g, (points, *rest), (u,) * (m - 1), quad_tol)
         values = []
         for traces in real_trace(u @ integrals).reshape(-1, q):
             row, lo = [], 0
@@ -518,16 +509,14 @@ def taylor_integral_form(h0, h1, p, m=None, t_order=None, quad_tol=QUAD_TOL):
         return np.array(values)
 
     values = gauss_values(first, slice(None), whole[count:])
-    value = values[:, -1]
-    if t_order is None:
-        previous = values[:, 0]
-        for order in (32, 64):
-            open_ = np.flatnonzero(~(np.abs(value - previous) <= 1e-8 * (1.0 + np.abs(value))))
-            if not open_.size:
-                break
-            previous[open_] = value[open_]
-            points = eigendecompose(moving((order,), open_))
-            value[open_] = gauss_values((order,), open_, points)[:, 0]
+    previous, value = values[:, 0], values[:, -1]
+    for order in (32, 64):
+        open_ = np.flatnonzero(~(np.abs(value - previous) <= 1e-8 * (1.0 + np.abs(value))))
+        if not open_.size:
+            break
+        previous[open_] = value[open_]
+        points = eigendecompose(moving((order,), open_))
+        value[open_] = gauss_values((order,), open_, points)[:, 0]
     rhs = rhs + value
     return (lhs, rhs) if stack is not None else (float(lhs[0]), float(rhs[0]))
 
@@ -545,7 +534,7 @@ def selfadjoint_embed(x, p):
     return HermitianMatrix(out * 2.0 ** (-1.0 / p))
 
 
-def embedded_delta(h, v, p, k, quad_tol=QUAD_TOL):
+def embedded_delta(h, v, p, k):
     """delta^(k) of ||H + tV||_p^p for arbitrary (non-Hermitian) H and V.
 
     Both arguments ride the Hermitian dilation: the value is
@@ -557,25 +546,19 @@ def embedded_delta(h, v, p, k, quad_tol=QUAD_TOL):
     k = whole_number(k, "order k")
     ah = selfadjoint_embed(h, p)
     av = selfadjoint_embed(v, p)
-    form = FrechetForm(
-        base=eigendecompose(ah),
-        exponent=SchattenExponent(p),
-        order=k,
-        quad_tol=quad_tol,
-    )
+    form = FrechetForm(base=eigendecompose(ah), exponent=SchattenExponent(p), order=k)
     return delta_symmetric(form, [av.matrix] * k)
 
 
-def holder_difference_norms(
-    phi_model, base, direction, tail, perturbations, t_grid, p, quad_tol=QUAD_TOL
-):
+def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_grid, p):
     """||T(A_t) - T(B)||_{p'} along A_t = B + tW for a kinked symbol.
 
     T(A) is the operator integral T^{(A, tail)}_{phi^[j]}(perturbations),
     j = len(perturbations) (phi(A) itself at j = 0), whose first matrix
     argument moves; tail holds one decomposition per perturbation. p' is
     the conjugate exponent of p. Returns the per-t norms; a zero direction
-    is degenerate and comes back as an empty array, as does an empty grid.
+    is degenerate and gives NaN at every t. A t grid that is not one row
+    of finite values with at least one entry raises ValidationError.
 
     The base, the direction, each tail and each perturbation may instead be
     a stack of S, a slot holding one matrix serving every member: the call
@@ -596,8 +579,10 @@ def holder_difference_norms(
     t_grid = np.asarray(t_grid)
     if t_grid.ndim == 1:
         t_grid = np.array([real_number(t, "t grid entry") for t in t_grid.tolist()], dtype=float)
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
-        raise ValidationError(f"t grid must be one row of finite values, got {t_grid}")
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+        raise ValidationError(
+            f"t grid must be one row of finite values with at least one entry, got {t_grid}"
+        )
     names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)
     names += tuple(f"perturbation {j}" for j in range(len(perturbations)))
     (base, *tail), (w, *perts), stack = _prepared_slots(
@@ -605,21 +590,17 @@ def holder_difference_norms(
     )
     n = base.dim
     zero = np.linalg.norm(w, ord=2, axis=(-2, -1)) < 1e-14
-    if t_grid.size == 0 or (stack is None and zero):
-        return np.zeros((0,) if stack is None else (stack, 0))
     count, steps = stack or 1, t_grid.size
     p_conj = p / (p - 1.0)
 
     points = base.source.matrix[..., None, :, :] + t_grid[:, None, None] * w[..., None, :, :]
     moving = _as_decomposition(np.broadcast_to(points, (count, steps, n, n)).reshape(-1, n, n))
-    ref = _divided_integral(phi_model, (base, *tail), perts, quad_tol)
+    ref = _divided_integral(phi_model, (base, *tail), perts, QUAD_TOL)
     # Stacked tails and perturbations follow the seed-major moving points.
     seed_major = np.repeat(np.arange(count), steps)
     tail, perts = _along(tail, seed_major), _along(perts, seed_major)
-    moved = _divided_integral(phi_model, (moving, *tail), perts, quad_tol)
+    moved = _divided_integral(phi_model, (moving, *tail), perts, QUAD_TOL)
     diffs = moved.reshape(count, steps, n, n) - ref.reshape(-1, 1, n, n)
     norms = schatten_norm(diffs.reshape(-1, n, n), p_conj).reshape(count, steps)
-    if stack is None:
-        return norms[0]
     norms[np.broadcast_to(zero, (count,))] = np.nan
-    return norms
+    return norms if stack is not None else norms[0]

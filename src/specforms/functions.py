@@ -144,18 +144,17 @@ class Polynomial(ScalarFunctionModel):
     numpy.polynomial, and kept on the instance. eval takes the steps of
     numpy's Polynomial.__call__ itself, with the same bits: the identity
     domain map 0.0 + 1.0*x (which turns -0.0 into 0.0), then Horner's
-    rule from c[-1] + x*0.
+    rule from c[-1] + x*0. The domain is the whole real line.
     """
 
     max_order = SMOOTH_ORDER
 
-    def __init__(self, coeffs, domain=(-np.inf, np.inf)):
+    def __init__(self, coeffs):
         coeffs = np.atleast_1d(coeffs).tolist()
         coeffs = [real_number(c, "polynomial coefficient") for c in coeffs]
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
         self._coefs = {0: np.array(coeffs or [0.0])}
-        self.domain = _checked_domain(domain)
 
     def __repr__(self):
         return f"Polynomial({self.coeffs!r})"
@@ -188,19 +187,19 @@ class Polynomial(ScalarFunctionModel):
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
-        return Polynomial(list(self._coef(k)), domain=self.domain)
+        return Polynomial(list(self._coef(k)))
 
 
 class CallableKernel(ScalarFunctionModel):
-    """Opaque scalar function; usable as a quadrature kernel only."""
+    """Opaque scalar function on the whole real line; usable as a
+    quadrature kernel only."""
 
     max_order = 0
 
-    def __init__(self, fn, domain=(-np.inf, np.inf)):
+    def __init__(self, fn):
         if not callable(fn):
             raise ValidationError("kernel must be callable")
         self._fn = fn
-        self.domain = _checked_domain(domain)
 
     def eval(self, x, order=0):
         if order != 0:

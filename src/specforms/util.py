@@ -172,20 +172,16 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def _json_default(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
-
-
 def canonical_json(obj, drop_volatile=False):
     """Deterministic JSON text: sorted keys, shortest round-trip floats.
+
+    Values are those json writes as they are: Python scalars, lists, tuples
+    and dicts, and np.float64, which is a float. Any other value raises
+    TypeError.
 
     With drop_volatile the one run-to-run key of a report, its top-level
     wall clock, is removed, which is how reports are compared.
     """
     if drop_volatile:
         obj = {k: v for k, v in obj.items() if k != "wall_clock_s"}
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(obj, sort_keys=True, indent=2)

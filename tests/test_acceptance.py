@@ -146,9 +146,9 @@ def test_criterion_04_trace_identity():
     # both sides equal 3 exactly.
     for seed in range(1, 21):
         h, v = generate_instance(seed, 4, "generic", 3.5)
-        form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=2)
         for k in (2, 3):
-            resid = trace_identity_residual(form, v.matrix, k)
+            form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=k)
+            resid = trace_identity_residual(form, v.matrix)
             assert resid <= 1e-7, f"seed={seed} k={k}: residual {resid:.3e}"
 
     dec = eigendecompose(np.diag([0.0, 1.0]))

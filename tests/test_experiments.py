@@ -289,9 +289,9 @@ def test_batteries_send_their_seeds_through_one_stacked_call(monkeypatch):
     traces = count_calls(monkeypatch, experiments, "trace_identity_residual")
     segments = count_calls(monkeypatch, experiments, "taylor_integral_form")
     assert run(ExperimentConfig(mode="selftest")).passed
-    # One call per order over the 10 seeds (k = 2 at p 2.5, k = 2, 3 at
-    # p 3.5), then the hand case.
-    assert [(form.base.stack, k) for form, _, k in traces] == [
+    # One form and call per order over the 10 seeds (order 2 at p 2.5,
+    # orders 2 and 3 at p 3.5), then the hand case.
+    assert [(form.base.stack, form.order) for form, _ in traces] == [
         (10, 2), (10, 2), (10, 3), (None, 2)
     ]
     # One integral-Taylor call per exponent over the 3 seeds' segments.

@@ -28,6 +28,7 @@ from specforms.instances import PROFILES, generate_instance
 from specforms.moi import MoiRequest, moi_exact
 from specforms.spectral import (
     SchattenExponent,
+    SpectralDecomposition,
     apply_scalar_function,
     eigendecompose,
     schatten_norm,
@@ -157,7 +158,7 @@ def test_stacked_bracket_matches_member_calls():
 def test_trace_identity_cubic_hand_case():
     form = FrechetForm(base=np.diag([0.0, 1.0]), exponent=2.0, order=2, model=Monomial(3))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert trace_identity_residual(form, flip, k=2) <= 1e-12
+    assert trace_identity_residual(form, flip) <= 1e-12
 
 
 def test_trace_identity_kink_kernel():
@@ -175,18 +176,17 @@ def test_stacked_trace_identity_matches_member_calls(profile):
         draws = generate_instance([3, 8, 13, 21], 4, profile, p)
         dec = eigendecompose(np.stack([h.matrix for h, _ in draws]))
         v = np.stack([u.matrix for _, u in draws])
-        form = FrechetForm(base=dec, exponent=p, order=2)
         for k in range(2, SchattenExponent(p).m + 1):
-            got = trace_identity_residual(form, v, k)
+            got = trace_identity_residual(FrechetForm(base=dec, exponent=p, order=k), v)
             want = [
-                trace_identity_residual(FrechetForm(base=dec[i], exponent=p, order=2), v[i], k)
+                trace_identity_residual(FrechetForm(base=dec[i], exponent=p, order=k), v[i])
                 for i in range(len(draws))
             ]
             assert got.shape == (4,) and np.array_equal(got, want)
         # A base of one matrix serves every direction of the stack.
         one_base = FrechetForm(base=dec[0], exponent=p, order=2)
-        got = trace_identity_residual(one_base, v, 2)
-        assert np.array_equal(got, [trace_identity_residual(one_base, u, 2) for u in v])
+        got = trace_identity_residual(one_base, v)
+        assert np.array_equal(got, [trace_identity_residual(one_base, u) for u in v])
 
 
 def test_fd_oracle_square_function():
@@ -339,12 +339,15 @@ def test_integral_expansion_first_order_branch():
     rng = np.random.default_rng(26)
     h0 = small_hermitian(rng, 3)
     h1 = h0 + 0.2 * small_hermitian(rng, 3, scale=1.0)
-    lhs, rhs = taylor_integral_form(h0, h1, 2.5, m=1)
+    lhs, rhs = taylor_integral_form(h0, h1, 1.5)  # m = 1
     assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
 
 
-def per_node_integral_form(h0, h1, p, m, t_order):
-    """rhs of taylor_integral_form, one decomposition and integral per node."""
+def per_node_integral_form(h0, h1, p):
+    """rhs of taylor_integral_form, one decomposition and integral per node:
+    each order of the 8/16/32/64 ladder summed on its own, the value that of
+    the order the ladder stops at alone."""
+    m = SchattenExponent(p).m
     v = h1 - h0
     model = PowerAbs(p)
     g = model.derivative_model(1)
@@ -352,30 +355,40 @@ def per_node_integral_form(h0, h1, p, m, t_order):
     rhs = float(np.sum(model.eval(d0.eigenvalues)))
     for k in range(1, m):
         rhs += model_delta_bracket(d0, model, [v] * k)
-    x, w = np.polynomial.legendre.leggauss(t_order)
-    total = 0.0
-    for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
-        dt = eigendecompose(h0 + t * v)
-        if m == 1:
-            value = real_trace(v @ apply_scalar_function(g, dt).matrix)
-        else:
-            symbol = DividedDifference(g, m - 1)
-            request = MoiRequest((dt,) + (d0,) * (m - 1), (v,) * (m - 1), symbol)
-            value = t ** (m - 1) * real_trace(v @ moi_exact(request))
-        total += weight * value
-    return rhs + total
+
+    def t_integral(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        total = 0.0
+        for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
+            dt = eigendecompose(h0 + t * v)
+            if m == 1:
+                value = real_trace(v @ apply_scalar_function(g, dt).matrix)
+            else:
+                symbol = DividedDifference(g, m - 1)
+                request = MoiRequest((dt,) + (d0,) * (m - 1), (v,) * (m - 1), symbol)
+                value = t ** (m - 1) * real_trace(v @ moi_exact(request))
+            total += weight * value
+        return total
+
+    previous = t_integral(8)
+    for order in (16, 32, 64):
+        value = t_integral(order)
+        if abs(value - previous) <= 1e-8 * (1.0 + abs(value)):
+            break
+        previous = value
+    return rhs + value
 
 
+# m = 1, 2, 3; the segments stop at Gauss orders 16, 32 and 64 between them.
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
 @pytest.mark.parametrize("profile", PROFILES)
-def test_stacked_integral_form_matches_per_node_reference(profile, monkeypatch):
+def test_stacked_integral_form_matches_per_node_reference(profile, p, monkeypatch):
     monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # several groups per Gauss level
-    p = 3.5
     h0, v = generate_instance(6, 3, profile, p)
     h1 = h0.matrix + 0.3 * v.matrix / np.linalg.norm(v.matrix)
-    for m in (1, 2, 3):
-        _, rhs = taylor_integral_form(h0.matrix, h1, p, m=m, t_order=8)
-        want = per_node_integral_form(h0.matrix, h1, p, m, 8)
-        assert abs(rhs - want) <= 1e-13 * (1.0 + abs(want))
+    _, rhs = taylor_integral_form(h0.matrix, h1, p)
+    want = per_node_integral_form(h0.matrix, h1, p)
+    assert abs(rhs - want) <= 1e-13 * (1.0 + abs(want))
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -425,8 +438,8 @@ def test_stacked_holder_norms_match_member_calls():
             one = holder_difference_norms(
                 g, base[i], w[i], [d[i] for d in tail], [u[i] for u in perts], t_grid, p
             )
-            if i == 2:  # degenerate: an empty array alone, a NaN row in a stack
-                assert one.size == 0 and np.isnan(got[i]).all()
+            if i == 2:  # degenerate: a NaN row, alone and in a stack
+                assert np.isnan(one).all() and np.isnan(got[i]).all()
             else:
                 assert np.array_equal(got[i], one)
     # A slot holding one matrix serves every member.
@@ -475,8 +488,6 @@ def test_integral_form_keeps_its_bits(profile, p, seed, final, lhs, rhs):
     h0, h1 = moving_segment(profile, p, seed)
     got = taylor_integral_form(h0, h1, p)
     assert (got[0].hex(), got[1].hex()) == (lhs, rhs)
-    # The ladder's value is that of its final order alone.
-    assert taylor_integral_form(h0, h1, p, t_order=final) == got
 
 
 def count_solver_calls(monkeypatch):
@@ -533,11 +544,29 @@ def test_stacked_integral_form_keeps_each_members_bits(p):
     assert [(a.hex(), b.hex()) for a, b in zip(lhs.tolist(), rhs.tolist())] == [
         tuple(row[4:]) for row in rows
     ]
-    # A pinned order, and every m, gives each member its own call's values.
-    for m in range(1, SchattenExponent(p).m + 1):
-        lhs, rhs = taylor_integral_form(h0, h1, p, m=m, t_order=8)
+    # Every m gives each member its own call's values.
+    for q in (1.5, 2.5, 3.5):  # m = 1, 2, 3
+        lhs, rhs = taylor_integral_form(h0, h1, q)
         for i in range(len(rows)):
-            assert (lhs[i], rhs[i]) == taylor_integral_form(h0[i], h1[i], p, m=m, t_order=8)
+            assert (lhs[i], rhs[i]) == taylor_integral_form(h0[i], h1[i], q)
+
+
+def test_first_order_integral_form_takes_no_decomposition_along_its_nodes(monkeypatch):
+    # At m = 1 (p <= 2) the integral is g(H_t) alone: only V is repeated
+    # over each member's Gauss nodes, no member of the H_0 decomposition.
+    taken = []
+    along = forms._along
+
+    def recorded(slots, index):
+        taken.extend(slots)
+        return along(slots, index)
+
+    monkeypatch.setattr(forms, "_along", recorded)
+    h0, h1 = stacked_segments(INTEGRAL_FORM_HEX)
+    lhs, rhs = taylor_integral_form(h0, h1, 1.5)
+    assert taken and not any(isinstance(x, SpectralDecomposition) for x in taken)
+    for i in range(len(INTEGRAL_FORM_HEX)):
+        assert (lhs[i], rhs[i]) == taylor_integral_form(h0[i], h1[i], 1.5)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.5])
@@ -552,14 +581,6 @@ def test_stacked_integral_form_takes_one_call_per_gauss_order(p, monkeypatch):
     # call per later order that some member reaches.
     assert calls["eigendecompose"] == 1 + later
     assert calls["moi_exact"] == (m - 2) + 1 + later
-
-
-def test_integral_expansion_validation():
-    h = np.diag([0.5, -0.4])
-    with pytest.raises(ValidationError):
-        taylor_integral_form(h, h, 2.5, m=3)  # needs m < p
-    with pytest.raises(UnsupportedConfigError):
-        taylor_integral_form(h, h, 2.5, m=0)
 
 
 def test_embedding_preserves_schatten_norms():
@@ -630,8 +651,6 @@ def test_form_input_validation():
         delta_symmetric(form, [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValidationError):
         delta_symmetric(form, [np.eye(2), np.eye(3)])
-    with pytest.raises(UnsupportedConfigError):
-        trace_identity_residual(form, np.eye(2), k=3)
 
 
 def test_holder_norms_zero_direction_is_degenerate():
@@ -645,7 +664,7 @@ def test_holder_norms_zero_direction_is_degenerate():
         [0.01, 0.1],
         2.5,
     )
-    assert got.size == 0
+    assert got.shape == (2,) and np.isnan(got).all()
 
 
 def test_holder_norms_grow_from_zero():

@@ -37,7 +37,6 @@ from specforms import (
     schatten_norm,
     taylor_expand,
     taylor_integral_form,
-    trace_identity_residual,
 )
 from specforms.forms import selfadjoint_embed
 from specforms.moi import binned_eigenvalues
@@ -102,13 +101,9 @@ CALLS = {
         lambda: taylor_integral_form(H, np.diag([0.3, -0.2, 0.1]), 3.5),
         "^h1 has shape",
     ),
-    "taylor_integral_form m": (
-        lambda: taylor_integral_form(H, H + 0.1 * V, 3.5, m=2.5),
-        "^m must be a whole number",
-    ),
     "taylor_integral_form quad_tol": (
-        # m = 1 builds no request: the form checks its tolerance itself.
-        lambda: taylor_integral_form(H, H + 0.1 * V, 2.5, m=1, quad_tol=NAN),
+        # m = 1 (p <= 2) builds no request: the form checks its tolerance itself.
+        lambda: taylor_integral_form(H, H + 0.1 * V, 1.5, quad_tol=NAN),
         "^quadrature tol",
     ),
     "FrechetForm quad_tol": (
@@ -122,11 +117,6 @@ CALLS = {
         "^slope fit",
     ),
 }
-for bad in (0, -2, NAN, 2.7):
-    CALLS[f"taylor_integral_form t_order={bad}"] = (
-        lambda bad=bad: taylor_integral_form(H, H + 0.1 * V, 3.5, t_order=bad),
-        "^t_order",
-    )
 # Counts and orders are not truncated: a fraction or NaN is rejected.
 for bad in (NAN, 2.7):
     CALLS[f"MomentumSpec m={bad}"] = (
@@ -155,10 +145,6 @@ WHOLE = {
     "from_divided_difference k": (
         lambda: MomentumSpec.from_divided_difference(PowerAbs(3.5), 2.7),
         "^divided-difference order",
-    ),
-    "trace_identity_residual k": (
-        lambda: trace_identity_residual(FrechetForm(eigendecompose(H), 3.5, order=2), V, k=2.7),
-        "^order k",
     ),
     "fd_oracle k": (lambda: fd_oracle(H, V, 3.5, 2.7), "^order k"),
     "embedded_delta k": (lambda: embedded_delta(H, V, 3.5, 2.7), "^order k"),
@@ -236,6 +222,15 @@ CALLS["holder_difference_norms direction"] = (
 CALLS["holder_difference_norms t_grid rows"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [[0.1, 0.2], [0.3, 0.4]], 3),
     "^t grid must be one row",
+)
+# One string is not a list of one-character paths.
+CALLS["ExperimentConfig dir_paths str"] = (
+    lambda: ExperimentConfig(mode="derivative", dir_paths="v.json"),
+    "^dir_paths must be a sequence of paths, got the string 'v.json'",
+)
+CALLS["holder_difference_norms empty t_grid"] = (
+    lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [], 3),
+    "^t grid must be one row of finite values with at least one entry",
 )
 CALLS["schatten_norm"] = (
     lambda: schatten_norm(np.diag([NAN, 1.0]), 2.5),

@@ -168,10 +168,10 @@ def test_small_requests_reach_every_benchmark_span(monkeypatch):
 
 
 
-def _tolerance_defaults():
-    """{qualname: default} of every quad_tol or tol parameter with a default
-    among the public functions, classes and methods defined in the package's
-    modules."""
+def _defaulted_parameters():
+    """{(qualname, parameter): default} of every parameter with a default
+    among the public functions, classes and methods defined in the
+    package's modules."""
     found = {}
     for info in pkgutil.iter_modules(specforms.__path__):
         module = importlib.import_module(f"specforms.{info.name}")
@@ -189,16 +189,61 @@ def _tolerance_defaults():
                 if inspect.isclass(member) and issubclass(member, BaseException):
                     continue
                 for param in inspect.signature(member).parameters.values():
-                    if param.name in ("quad_tol", "tol") and param.default is not param.empty:
-                        found[qualname] = param.default
+                    if param.default is not param.empty:
+                        found[qualname, param.name] = param.default
     return found
 
 
+# Every setting of the public callables: each parameter that has a default.
+# Each one doubles the configurations that tests must cover, so a new one is
+# added here on purpose, with a caller outside the tests that sets it.
+SETTINGS = {
+    "CallableKernel.eval": ("order",),
+    "DividedDifference.__call__": ("quad_tol",),
+    "ExperimentConfig": (
+        "seed", "dim", "p", "profile", "t_grid", "n_grid", "matrix_path", "dir_paths",
+        "out_dir", "fmt",
+    ),
+    "FrechetForm": ("order", "quad_tol", "model"),
+    "MoiRequest": ("tol",),
+    "MomentumSpec": ("q_terms", "origin"),
+    "Polynomial.derivative_model": ("k",),
+    "Polynomial.eval": ("order",),
+    "PowerKernel": ("parity", "domain"),
+    "PowerKernel.derivative_model": ("k",),
+    "PowerKernel.eval": ("order",),
+    "RunReport": ("data", "wall_clock_s"),
+    "RunReport.save": ("fmt",),
+    "RunReport.to_json": ("drop_volatile",),
+    "ScalarFunctionModel.derivative_model": ("k",),
+    "ScalarFunctionModel.eval": ("order",),
+    "canonical_json": ("drop_volatile",),
+    "divided_difference": ("quad_tol",),
+    "generate_instance": ("profile", "p"),
+    "main": ("argv",),
+    "model_delta_bracket": ("quad_tol",),
+    "momentum_eval": ("tol",),
+    "momentum_quadrature": ("tol",),
+    "perturbation_identity": ("tol",),
+    "subsimplex_rule": ("det",),
+    "taylor_expand": ("t_grid",),
+    "taylor_integral_form": ("quad_tol",),
+}
+
+
+def test_every_setting_is_listed():
+    listed = {(qualname, name) for qualname, names in SETTINGS.items() for name in names}
+    assert set(_defaulted_parameters()) == listed
+
+
 def test_every_quadrature_tolerance_defaults_to_the_one_constant():
-    defaults = _tolerance_defaults()
+    defaults = {
+        qualname: default
+        for (qualname, name), default in _defaulted_parameters().items()
+        if name in ("quad_tol", "tol")
+    }
     assert set(defaults) == {
         "divided_difference",
-        "divided_difference_via_momentum",
         "DividedDifference.__call__",
         "momentum_quadrature",
         "momentum_eval",
@@ -206,10 +251,7 @@ def test_every_quadrature_tolerance_defaults_to_the_one_constant():
         "perturbation_identity",
         "FrechetForm",
         "model_delta_bracket",
-        "taylor_expand",
         "taylor_integral_form",
-        "embedded_delta",
-        "holder_difference_norms",
     }
     # The constant itself, not another spelling of its value.
     assert all(default is QUAD_TOL for default in defaults.values()), defaults
