@@ -97,8 +97,8 @@ class ExperimentConfig:
 
     p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
     up to m = ceil(p) - 1 and so refuse an m above moi.MAX_ORDER (p > 4).
-    dir_paths is a sequence of paths: one string is refused, not read as a
-    sequence of one-character paths.
+    t_grid, n_grid and dir_paths are sequences: one string is refused, not
+    read character by character.
     """
 
     mode: str
@@ -132,6 +132,12 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown profile {self.profile!r}; choose from {PROFILES}"
             )
+        for field, items in (("t_grid", "numbers"), ("n_grid", "numbers"), ("dir_paths", "paths")):
+            value = getattr(self, field)
+            if isinstance(value, str):
+                raise ValidationError(
+                    f"{field} must be a sequence of {items}, got the string {value!r}"
+                )
         t_grid = tuple(real_number(t, "t grid entry") for t in self.t_grid)
         if not t_grid or not all(math.isfinite(t) and t > 0 for t in t_grid):
             raise ValidationError("t grid must be nonempty, finite and positive")
@@ -140,10 +146,6 @@ class ExperimentConfig:
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
-        if isinstance(self.dir_paths, str):
-            raise ValidationError(
-                f"dir_paths must be a sequence of paths, got the string {self.dir_paths!r}"
-            )
         object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")

@@ -563,9 +563,10 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     The base, the direction, each tail and each perturbation may instead be
     a stack of S, a slot holding one matrix serving every member: the call
     then returns an (S, len(t_grid)) array, a member with a zero direction
-    giving a row of NaN. The moving points of all members are one stacked
-    decomposition, seed-major, stacked tails and perturbations taken at the
-    index that repeats each member over the grid; the norms come from one
+    giving a row of NaN and costing no decomposition or integral. The
+    moving points of the other members are one stacked decomposition,
+    seed-major, stacked tails and perturbations taken at the index that
+    repeats each member over the grid; the norms come from one
     stacked integral and one stacked norm call, each row with the bits of
     its member's one-instance call. The direction joins the perturbations
     in the slot check, and the matrices among the base and the tails are
@@ -588,19 +589,21 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     (base, *tail), (w, *perts), stack = _prepared_slots(
         (base, *tail), (direction, *perturbations), names
     )
-    n = base.dim
+    n, steps = base.dim, t_grid.size
     zero = np.linalg.norm(w, ord=2, axis=(-2, -1)) < 1e-14
-    count, steps = stack or 1, t_grid.size
-    p_conj = p / (p - 1.0)
-
-    points = base.source.matrix[..., None, :, :] + t_grid[:, None, None] * w[..., None, :, :]
-    moving = _as_decomposition(np.broadcast_to(points, (count, steps, n, n)).reshape(-1, n, n))
-    ref = _divided_integral(phi_model, (base, *tail), perts, QUAD_TOL)
-    # Stacked tails and perturbations follow the seed-major moving points.
-    seed_major = np.repeat(np.arange(count), steps)
-    tail, perts = _along(tail, seed_major), _along(perts, seed_major)
-    moved = _divided_integral(phi_model, (moving, *tail), perts, QUAD_TOL)
-    diffs = moved.reshape(count, steps, n, n) - ref.reshape(-1, 1, n, n)
-    norms = schatten_norm(diffs.reshape(-1, n, n), p_conj).reshape(count, steps)
-    norms[np.broadcast_to(zero, (count,))] = np.nan
+    norms = np.full((stack or 1, steps), np.nan)
+    # Only the members with a non-zero direction move: each stacked slot is
+    # taken at them, and a zero direction costs no decomposition or integral.
+    live = np.flatnonzero(~np.broadcast_to(zero, (len(norms),)))
+    if live.size:
+        (base, *tail), (w, *perts) = _along((base, *tail), live), _along((w, *perts), live)
+        points = base.source.matrix[..., None, :, :] + t_grid[:, None, None] * w[..., None, :, :]
+        points = np.broadcast_to(points, (live.size, steps, n, n)).reshape(-1, n, n)
+        ref = _divided_integral(phi_model, (base, *tail), perts, QUAD_TOL)
+        # Stacked tails and perturbations follow the seed-major moving points.
+        seed_major = np.repeat(np.arange(live.size), steps)
+        tail, perts = _along(tail, seed_major), _along(perts, seed_major)
+        moved = _divided_integral(phi_model, (_as_decomposition(points), *tail), perts, QUAD_TOL)
+        diffs = moved.reshape(live.size, steps, n, n) - ref.reshape(-1, 1, n, n)
+        norms[live] = schatten_norm(diffs.reshape(-1, n, n), p / (p - 1.0)).reshape(-1, steps)
     return norms if stack is not None else norms[0]

@@ -1,8 +1,10 @@
 """Scalar function models with explicit derivative structure.
 
-A model knows its domain, how many continuous derivatives it has, and how
-to evaluate any of them. The central family is c * |x|^beta * sign(x)^kappa,
-which is closed under differentiation and covers |x|^p together with every
+A model knows how many continuous derivatives it has and how to evaluate
+any of them. Each model class has one fixed domain: a PowerKernel lives on
+the working interval [-2, 2], a Polynomial or CallableKernel on the whole
+real line. The central family is c * |x|^beta * sign(x)^kappa, which is
+closed under differentiation and covers |x|^p together with every
 derivative that the norm-expansion machinery needs. Polynomials are kept
 as a separate smooth model.
 """
@@ -41,15 +43,6 @@ class ScalarFunctionModel:
         return self.power_form is not None and self.max_order < SMOOTH_ORDER
 
 
-def _checked_domain(domain):
-    """A model's domain (lo, hi) as floats, or a ValidationError unless
-    lo <= hi (NaN fails): every node check compares against both ends."""
-    lo, hi = (real_number(end, "domain end") for end in (domain[0], domain[1]))
-    if not lo <= hi:
-        raise ValidationError(f"domain must be an interval lo <= hi, got ({lo}, {hi})")
-    return lo, hi
-
-
 def _power_max_order(beta, parity):
     if beta >= 0 and beta == int(beta):
         if (int(beta) + parity) % 2 == 0:
@@ -59,7 +52,7 @@ def _power_max_order(beta, parity):
 
 
 class PowerKernel(ScalarFunctionModel):
-    """f(x) = coef * |x|^beta * sign(x)^parity.
+    """f(x) = coef * |x|^beta * sign(x)^parity on the working interval.
 
     Differentiation maps (coef, beta, parity) to (coef*beta, beta-1,
     parity+1), so the family is closed under derivative_model. beta may
@@ -67,7 +60,9 @@ class PowerKernel(ScalarFunctionModel):
     but blow up at the origin.
     """
 
-    def __init__(self, coef, beta, parity=0, domain=WORKING_INTERVAL):
+    domain = WORKING_INTERVAL
+
+    def __init__(self, coef, beta, parity=0):
         self.coef = real_number(coef, "power coefficient")
         self.beta = real_number(beta, "power exponent beta")
         if not np.isfinite(self.coef):
@@ -75,7 +70,6 @@ class PowerKernel(ScalarFunctionModel):
         if not np.isfinite(self.beta):
             raise ValidationError(f"power exponent beta must be finite, got {self.beta}")
         self.parity = whole_number(parity, "parity") % 2
-        self.domain = _checked_domain(domain)
         # A zero coefficient (a monomial differentiated past its degree) is
         # the zero function, smooth whatever its exponent.
         if self.coef == 0.0:
@@ -120,9 +114,7 @@ class PowerKernel(ScalarFunctionModel):
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
-        return PowerKernel(
-            self._coef_at(k), self.beta - k, self.parity + k, domain=self.domain
-        )
+        return PowerKernel(self._coef_at(k), self.beta - k, self.parity + k)
 
 
 def PowerAbs(p):
@@ -131,10 +123,11 @@ def PowerAbs(p):
 
 
 def Monomial(n):
+    """x^n on the working interval."""
     n = whole_number(n, "monomial degree")
     if n < 0:
         raise ValidationError("monomial degree must be >= 0")
-    return PowerKernel(1.0, n, n, domain=(-np.inf, np.inf))
+    return PowerKernel(1.0, n, n)
 
 
 class Polynomial(ScalarFunctionModel):

@@ -21,16 +21,17 @@ monomial shift of a symbol (algebraic_shift), a divided difference
 included, is its tensor times the outer product of the eigenvalue powers.
 The recurrence keeps its last Loewner values, keyed by the model, the
 tolerance and the bits of the eigenvalue pairs, so that forms of several
-orders on one base evaluate them once.
+orders on one base evaluate them once. The model's class fixes its domain,
+so the key need not carry it.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
 one call then evaluates the S integrals.
 
-The slots of a request, of moi_separable, of perturbation_identity and
-of forms.holder_difference_norms are prepared in one place
-(_prepared_slots): one dimension, one stack length and finite
-perturbations are checked before anything is decomposed, and the raw
+The slots of a request (moi_separable builds one), of
+perturbation_identity and of forms.holder_difference_norms are prepared
+in one place (_prepared_slots): one dimension, one stack length and
+finite perturbations are checked before anything is decomposed, and the raw
 matrices among the decomposition slots go through one eigendecompose
 call, a decomposition being reused. An error names the slot
 ("decomposition j" or "perturbation j" of a request) and a member of a
@@ -207,7 +208,9 @@ class MoiRequest:
     decomposition a stack of S decompositions (a slot riding a moving
     point, or one instance per seed); the integral is then the stack of the
     S integrals. Stacks in several slots have one length and pair up index
-    by index; a slot holding one matrix serves every index.
+    by index; a slot holding one matrix serves every index. A symbol that
+    states its order (a divided difference or a separable symbol) must
+    take as many perturbations.
     """
 
     decompositions: tuple
@@ -224,6 +227,9 @@ class MoiRequest:
             )
         if not 1 <= m <= MAX_ORDER:
             raise ValidationError(f"operator integral order {m} outside 1..{MAX_ORDER}")
+        order = getattr(self.symbol, "order", m)
+        if order != m:
+            raise ValidationError(f"symbol takes {order + 1} arguments, got {m + 1}")
         object.__setattr__(self, "tol", checked_tol(self.tol))
         names = [f"decomposition {j}" for j in range(m + 1)]
         names += [f"perturbation {j}" for j in range(m)]
@@ -321,14 +327,13 @@ def _phi_tensor(symbol, eig_sets, tol):
 
 
 def _contract(phi, rotated):
-    """Core of the integral in the eigenbases. phi and the rotated matrices
-    may each carry a leading stack axis; stack axes broadcast."""
-    m = len(rotated)
-    if m == 1:
-        return phi * rotated[0]
-    if m == 2:
-        return np.einsum("...abc,...ab,...bc->...ac", phi, *rotated)
-    return np.einsum("...abcd,...ab,...bc,...cd->...ad", phi, *rotated)
+    """Core of the integral in the eigenbases, for any number m of rotated
+    perturbations: core[a, z] = sum of phi[a, b, .., z] V_1[a, b] ..
+    V_m[., z] over the inner indices. phi and the rotated matrices may each
+    carry a leading stack axis; stack axes broadcast."""
+    axes = "abcdefghijklmnopqrstuvwxyz"[: len(rotated) + 1]
+    pairs = ",".join(f"...{x}{y}" for x, y in zip(axes, axes[1:]))
+    return np.einsum(f"...{axes},{pairs}->...{axes[0]}{axes[-1]}", phi, *rotated)
 
 
 def _tensor_core(symbol, tol, eig_sets, rotated):
@@ -374,8 +379,6 @@ def _sylvester_core(request, eig_sets, rotated):
     """
     global _last_loewner
     model, k, tol = request.symbol.model, request.order, request.tol
-    if request.symbol.order != k:
-        raise ValidationError(f"symbol takes {request.symbol.order + 1} arguments, got {k + 1}")
     n = eig_sets[0].shape[-1]
     members = next((len(e) for e in eig_sets if e.ndim == 2), None)
     if members:
@@ -394,10 +397,10 @@ def _sylvester_core(request, eig_sets, rotated):
         pair = cols[lo : lo + count * n * n].reshape(count, n, n, 2)
         pair[..., 0], pair[..., 1] = eig_sets[a][..., None], eig_sets[a + 1][..., None, :]
     # Kept by the model (whose repr carries every parameter for these two
-    # kinds), the domain, the tolerance and the bits of the rows, which are
-    # pairs: the bytes fix their count.
+    # kinds, and whose class fixes its domain), the tolerance and the bits
+    # of the rows, which are pairs: the bytes fix their count.
     known = isinstance(model, (PowerKernel, Polynomial))
-    memo = (repr(model), model.domain, tol, cols.tobytes()) if known else None
+    memo = (repr(model), tol, cols.tobytes()) if known else None
     last_key, values = _last_loewner
     if memo is None or memo != last_key:
         values = _checked_values(DividedDifference(model, 1)(cols, quad_tol=tol), cols.T)
@@ -470,20 +473,13 @@ def moi_separable(symbol, decompositions, perturbations):
 
     sum_t w_t a_0(H_0) V_1 a_1(H_1) ... V_m a_m(H_m), each factor applied
     spectrally. Cross-validates the tensor path without any quadrature.
-    The slots are prepared as a request's are, so any of them may be a
-    stack of one common length and an error names its slot.
+    The slots are checked and prepared by a MoiRequest, so any of them may
+    be a stack of one common length and an error names its slot.
     """
     if not isinstance(symbol, SeparableSymbol):
         raise ValidationError("moi_separable needs a SeparableSymbol")
-    decompositions, perturbations = tuple(decompositions), tuple(perturbations)
-    if len(decompositions) != symbol.order + 1 or len(perturbations) != symbol.order:
-        raise ValidationError(
-            f"separable symbol of order {symbol.order} needs "
-            f"{symbol.order + 1} decompositions and {symbol.order} perturbations"
-        )
-    names = [f"decomposition {j}" for j in range(len(decompositions))]
-    names += [f"perturbation {j}" for j in range(len(perturbations))]
-    decs, perts, _ = _prepared_slots(decompositions, perturbations, names)
+    request = MoiRequest(tuple(decompositions), tuple(perturbations), symbol)
+    decs, perts = request.decompositions, request.perturbations
     total = None
     for w, fns in symbol.terms:
         factor = decs[0].compose(fns[0].eval(decs[0].eigenvalues))

@@ -14,6 +14,7 @@ from specforms import (
     Monomial,
     Polynomial,
     PowerAbs,
+    PowerKernel,
     UnsupportedConfigError,
     ValidationError,
     divided_difference,
@@ -154,6 +155,12 @@ def test_symbol_descriptor_validates():
 def test_domain_guard():
     with pytest.raises(ValidationError, match="domain"):
         divided_difference(PowerAbs(2.5), (0.5, 3.0))
+    # A Monomial is a PowerKernel, so it has the class's one domain, the
+    # working interval; no kernel takes another.
+    with pytest.raises(ValidationError, match=r"outside the domain \[-2.0, 2.0\]"):
+        divided_difference(Monomial(3), (0.0, 1.0, 2.5))
+    with pytest.raises(TypeError):
+        PowerKernel(1.0, 2.0, domain=(-1.0, 1.0))
 
 
 @settings(max_examples=40, deadline=None)

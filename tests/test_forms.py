@@ -451,6 +451,37 @@ def test_stacked_holder_norms_match_member_calls():
         assert np.array_equal(got[i], one)
 
 
+def test_zero_directions_hand_no_matrix_to_the_eigensolver(monkeypatch):
+    # Base and tail come decomposed, so the eigensolver sees only moving
+    # points: 13 for each member whose direction is not zero, none for a
+    # member whose direction is.
+    p = 3.5
+    g = PowerAbs(p).derivative_model(1)
+    draws = generate_instance([8, 9, 10], 8, "singular", p)
+    base = eigendecompose(np.stack([h.matrix for h, _ in draws]))
+    w = np.stack([u.matrix for _, u in draws])
+    w[1] = 0.0
+    extra = generate_instance([20, 30, 40], 8, "singular", p)
+    tail = [eigendecompose(np.stack([h.matrix for h, _ in extra]))]
+    perts = [np.stack([u.matrix for _, u in extra])]
+    t_grid = np.geomspace(1e-3, 0.1, 13)
+    handed, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        handed.append(len(a) if a.ndim == 3 else 1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = holder_difference_norms(g, base, w, tail, perts, t_grid, p)
+    assert sum(handed) == 2 * 13
+    assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
+    handed.clear()
+    one = holder_difference_norms(g, base[1], w[1], [tail[0][1]], [perts[0][1]], t_grid, p)
+    assert np.isnan(one).all() and handed == []
+    got = holder_difference_norms(g, base, np.zeros_like(w), tail, perts, t_grid, p)
+    assert np.isnan(got).all() and handed == []
+
+
 def test_taylor_remainder_is_the_per_point_difference():
     h, v = generate_instance(3, 4, "generic", 2.5)
     report = taylor_expand(h.matrix, v.matrix, 2.5)

@@ -207,6 +207,15 @@ CALLS["moi_separable perturbation"] = (
     lambda: moi_separable(SeparableSymbol(((1.0, (Monomial(1),) * 2),)), (H, H), (V * NAN,)),
     "^perturbation 0 has a non-finite entry",
 )
+# A symbol that states its order takes that many perturbations.
+CALLS["moi_separable order"] = (
+    lambda: moi_separable(SeparableSymbol(((1.0, (Monomial(1),) * 3),)), (H, H), (V,)),
+    "^symbol takes 3 arguments, got 2",
+)
+CALLS["MoiRequest order"] = (
+    lambda: MoiRequest((H, H), (V,), DividedDifference(PowerAbs(3.5), 2)),
+    "^symbol takes 3 arguments, got 2",
+)
 CALLS["perturbation_identity perturbation"] = (
     lambda: perturbation_identity(DD_SPEC, H, H + 0.1 * V, [H], [V * NAN]),
     "^perturbation 0 has a non-finite entry",
@@ -223,10 +232,18 @@ CALLS["holder_difference_norms t_grid rows"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [[0.1, 0.2], [0.3, 0.4]], 3),
     "^t grid must be one row",
 )
-# One string is not a list of one-character paths.
+# One string is not a list of one-character entries.
 CALLS["ExperimentConfig dir_paths str"] = (
     lambda: ExperimentConfig(mode="derivative", dir_paths="v.json"),
     "^dir_paths must be a sequence of paths, got the string 'v.json'",
+)
+CALLS["ExperimentConfig t_grid str"] = (
+    lambda: ExperimentConfig(mode="holder-scan", t_grid="12"),
+    "^t_grid must be a sequence of numbers, got the string '12'",
+)
+CALLS["ExperimentConfig n_grid str"] = (
+    lambda: ExperimentConfig(mode="moi-convergence", n_grid="48"),
+    "^n_grid must be a sequence of numbers, got the string '48'",
 )
 CALLS["holder_difference_norms empty t_grid"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [], 3),
@@ -255,7 +272,7 @@ for bad in (NAN, np.inf):
         "^separable weights must be finite",
     )
 # Fields a run config reads as numbers name themselves.
-NUMBERS = (("p", "x", "^p"), ("t_grid", "abc", "^t grid entry"))
+NUMBERS = (("p", "x", "^p"), ("t_grid", ["abc"], "^t grid entry"))
 for field, bad, message in NUMBERS:
     CALLS[f"ExperimentConfig {field}={bad!r}"] = (
         lambda field=field, bad=bad: ExperimentConfig("selftest", **{field: bad}),
@@ -291,14 +308,10 @@ CALLS["holder_difference_norms t_grid='a'"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], ["a", "b"], 2.5),
     "^t grid entry must be a number, got 'a'",
 )
-# NaN is neither a bin position nor a domain end.
+# NaN is not a bin position.
 CALLS["binned_eigenvalues nan"] = (
     lambda: binned_eigenvalues([NAN], 4),
     "^eigenvalues to bin must be finite",
-)
-CALLS["PowerKernel domain nan"] = (
-    lambda: PowerKernel(1.0, 2.0, domain=(NAN, 1.0)),
-    r"^domain must be an interval lo <= hi, got \(nan, 1.0\)",
 )
 # A stack of segments names its bad member, and stacks must match.
 CALLS["taylor_integral_form h1 stack"] = (

@@ -10,7 +10,7 @@ import pytest
 from specforms import divided, moi
 from specforms.divided import DividedDifference, divided_difference
 from specforms.errors import ValidationError
-from specforms.functions import Monomial, Polynomial, PowerAbs, PowerKernel, ScalarFunctionModel
+from specforms.functions import Monomial, Polynomial, PowerAbs, ScalarFunctionModel
 from specforms.instances import PROFILES, SplitMix64, generate_instance
 from specforms.moi import (
     MoiRequest,
@@ -55,6 +55,24 @@ def test_first_order_cubic_matches_product_rule():
         got = moi_exact(MoiRequest((dec, dec), (v,), DividedDifference(Monomial(3), 1)))
         want = h @ h @ v + h @ v @ h + v @ h @ h
         np.testing.assert_allclose(got.real, want, atol=1e-10)
+
+
+def test_contraction_takes_any_number_of_perturbations():
+    # Four perturbations, one more than MAX_ORDER: the contraction is built
+    # for any count, checked against the explicit index sum
+    # core[a, e] = sum over b, c, d of phi[a, b, c, d, e] V1[a, b] V2[b, c]
+    # V3[c, d] V4[d, e]. A stack axis on phi broadcasts against the matrices.
+    rng = np.random.default_rng(29)
+    n = 3
+    phi = rng.standard_normal((n,) * 5)
+    rotated = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(4)]
+    v1, v2, v3, v4 = rotated
+    want = np.zeros((n, n), dtype=complex)
+    for a, b, c, d, e in itertools.product(range(n), repeat=5):
+        want[a, e] += phi[a, b, c, d, e] * v1[a, b] * v2[b, c] * v3[c, d] * v4[d, e]
+    np.testing.assert_allclose(moi._contract(phi, rotated), want, rtol=1e-13, atol=1e-13)
+    got = moi._contract(np.stack([phi, -2.0 * phi]), rotated)
+    np.testing.assert_allclose(got, np.stack([want, -2.0 * want]), rtol=1e-13, atol=1e-13)
 
 
 def test_constant_symbol_collapses_to_product():
@@ -749,7 +767,7 @@ def test_near_pairs_across_blocks_keep_their_bits(shared, monkeypatch):
 def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
     # Integrals of orders 1 and 2 of one kernel on one decomposition both
     # need its Loewner matrix: the second takes the kept values, bit for
-    # bit. Another model, domain, tolerance or decomposition evaluates anew,
+    # bit. Another model, tolerance or decomposition evaluates anew,
     # and a model whose repr need not carry its parameters is never kept.
     rng = np.random.default_rng(83)
     dec = eigendecompose(random_hermitian(rng, 4, scale=0.8))
@@ -787,10 +805,8 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
     assert integral(kernel, 1).tobytes() == first.tobytes()
     assert orders == [1, 2]
     moved = eigendecompose(dec.source.matrix + 1e-12 * np.eye(4))
-    narrow = PowerKernel(3.5, 2.5, 1, domain=(-0.99, 0.99))  # the kernel's repr
     for args in (
         (PowerAbs(3.25).derivative_model(1), 2),
-        (narrow, 2),
         (kernel, 2, 1e-8),
         (kernel, 2, 1e-9, moved),
     ):

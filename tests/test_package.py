@@ -46,7 +46,8 @@ def test_cli_import_leaves_scipy_out():
     assert not [name for name in modules if name.split(".")[0] == "scipy"]
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _expected_spans():
@@ -88,6 +89,54 @@ def test_benchmark_spans_name_public_callables():
             assert inspect.isfunction(getattr(obj, "__wrapped__", obj)), (workload, name)
         else:
             assert inspect.isclass(owner) and path[1] in vars(owner), (workload, name)
+
+
+def _class_methods():
+    """The (layer, class, method) triples of bench/tracer.py's
+    CLASS_METHODS, read without importing it."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    (value,) = (
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLASS_METHODS" for t in stmt.targets)
+    )
+    return ast.literal_eval(value)
+
+
+def _api_reads():
+    """Each attribute path that bench/workloads.py reads from the package,
+    which it names `api` or `self.api`, as a list of names."""
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "self" and path[:1] == ["api"]:
+            path = path[1:]
+        elif not (isinstance(node, ast.Name) and node.id == "api"):
+            continue
+        if path:
+            yield path
+
+
+def test_benchmark_reads_only_what_the_package_has():
+    # The traced run wraps each CLASS_METHODS entry and raises when the
+    # class does not define the method itself; the workloads look their
+    # names up on the package at call time. Either way a deletion breaks
+    # the benchmark, so it must fail here first.
+    triples = _class_methods()
+    assert ("functions", "CallableKernel", "eval") in triples
+    for layer, cls_name, method in triples:
+        cls = getattr(importlib.import_module(f"specforms.{layer}"), cls_name, None)
+        assert inspect.isclass(cls) and method in vars(cls), (layer, cls_name, method)
+    reads = list(_api_reads())
+    assert ["experiments", "DEFAULT_TOLERANCES"] in reads and len(reads) > 20
+    for path in reads:
+        obj = specforms
+        for name in path:
+            assert hasattr(obj, name), path
+            obj = getattr(obj, name)
 
 
 def _reached(call):
@@ -209,7 +258,7 @@ SETTINGS = {
     "MomentumSpec": ("q_terms", "origin"),
     "Polynomial.derivative_model": ("k",),
     "Polynomial.eval": ("order",),
-    "PowerKernel": ("parity", "domain"),
+    "PowerKernel": ("parity",),
     "PowerKernel.derivative_model": ("k",),
     "PowerKernel.eval": ("order",),
     "RunReport": ("data", "wall_clock_s"),
