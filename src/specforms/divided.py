@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedConfigError, ValidationError
-from .functions import ScalarFunctionModel, as_kernel
+from .errors import ValidationError
+from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .momenta import MomentumSpec, momentum_quadrature
-from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns, whole_number
+from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -61,12 +61,7 @@ def _prepare(model, nodes):
     if x.size < 1:
         raise ValidationError("divided difference needs at least one node")
     cols = sorted_columns(x if batched else x.reshape(1, -1))
-    k = cols.shape[0] - 1
-    if k > model.max_order:
-        raise UnsupportedConfigError(
-            f"order-{k} divided difference needs {k} continuous derivatives, "
-            f"model has {model.max_order}"
-        )
+    k = _divided_order(model, cols.shape[0] - 1, 0)
     check_within(cols, model.domain, "nodes")
     return model, cols, k, batched
 
@@ -158,14 +153,7 @@ class DividedDifference:
 
     def __post_init__(self):
         object.__setattr__(self, "model", as_kernel(self.model))
-        object.__setattr__(self, "order", whole_number(self.order, "divided-difference order"))
-        if self.order < 0:
-            raise ValidationError("divided-difference order must be >= 0")
-        if self.order > self.model.max_order:
-            raise UnsupportedConfigError(
-                f"order-{self.order} divided difference needs {self.order} "
-                f"continuous derivatives, model has {self.model.max_order}"
-            )
+        object.__setattr__(self, "order", _divided_order(self.model, self.order, 0))
 
     def __call__(self, values, quad_tol=QUAD_TOL):
         """Value at one argument tuple, or at each row of a stack (R, order+1)."""

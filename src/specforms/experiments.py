@@ -7,10 +7,10 @@ file. `run` times the driver and builds the RunReport, and the CLI writes
 it. Serialized reports are byte-identical across runs of the same config
 once the volatile keys are stripped.
 
-The SF_THREADS environment variable caps the worker pool that runs
-selftest's separable battery seed by seed; results are always assembled
-in seed order. Every other battery is one stacked call over its seeds,
-the integral-Taylor battery one per exponent.
+selftest's separable battery runs seed by seed on a pool as wide as the
+machine (thread_count), its results assembled in seed order. Every other
+battery is one stacked call over its seeds, the integral-Taylor battery
+one per exponent.
 """
 
 import json
@@ -23,10 +23,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .divided import DividedDifference
-from .errors import UnsupportedConfigError, ValidationError
+from .errors import ValidationError
 from .forms import (
     DEFAULT_T_GRID,
     FrechetForm,
+    _expansion_exponent,
     delta_symmetric,
     holder_difference_norms,
     taylor_expand,
@@ -36,7 +37,6 @@ from .forms import (
 from .functions import Monomial, Polynomial, PowerAbs
 from .instances import PROFILES, SplitMix64, generate_instance
 from .moi import (
-    MAX_ORDER,
     MoiRequest,
     SeparableSymbol,
     algebraic_shift,
@@ -75,6 +75,9 @@ DEFAULT_TOLERANCES = {
     "algebraic_shift": 1e-10,
     "binned_rate_window": 0.35,
     "hand_case": 1e-12,
+    "max_curve_nonincreasing": 1e-12,
+    "on_grid_exact": 1e-14,
+    "constant_symbol": 1e-12,
 }
 
 # Fixed stride separating auxiliary draws (tails, endpoints) from the
@@ -90,13 +93,13 @@ class ExperimentConfig:
     The fields and their defaults are the one list of driver settings: the
     CLI stores each flag into the field of the same name and leaves every
     flag not given to the default here, and a report echoes every field
-    but the output ones (out_dir, fmt). Nothing a run can derive is a
-    setting: derivative's order is the number of direction files, and every
-    driver runs at the library's quadrature tolerance (util.QUAD_TOL) and
-    checks against DEFAULT_TOLERANCES.
+    but the output ones (out_dir, fmt), and none is read from the
+    environment. Nothing a run can derive is a setting: derivative's order
+    is the number of direction files, every driver runs at util.QUAD_TOL
+    against DEFAULT_TOLERANCES, and the pool is as wide as the machine.
 
     p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
-    up to m = ceil(p) - 1 and so refuse an m above moi.MAX_ORDER (p > 4).
+    up to m = ceil(p) - 1 and so refuse p > 4 (forms._expansion_exponent).
     t_grid, n_grid and dir_paths are sequences: one string is refused, not
     read character by character.
     """
@@ -123,11 +126,8 @@ class ExperimentConfig:
             raise ValidationError(f"dim must lie in [2, 64], got {self.dim}")
         if not 1.0 < self.p <= 8.0:
             raise ValidationError(f"p must lie in (1, 8], got {self.p}")
-        m = SchattenExponent(self.p).m
-        if self.mode in ("selftest", "taylor-scan", "holder-scan") and m > MAX_ORDER:
-            raise UnsupportedConfigError(
-                f"p={self.p} needs derivative order {m}: unsupported above {MAX_ORDER}"
-            )
+        if self.mode in ("selftest", "taylor-scan", "holder-scan"):
+            _expansion_exponent(self.p)
         if self.profile not in PROFILES:
             raise ValidationError(
                 f"unknown profile {self.profile!r}; choose from {PROFILES}"
@@ -240,14 +240,7 @@ class RunReport:
 
 
 def thread_count():
-    """Worker cap from SF_THREADS (falls back to a small machine default)."""
-    raw = os.environ.get("SF_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"SF_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, n)
+    """The worker pool's width: the machine's cores, at most 8."""
     return min(8, os.cpu_count() or 1)
 
 
@@ -360,7 +353,7 @@ def run_moi_convergence(config):
         "max_curve_nonincreasing",
         float(np.max(np.diff(max_curve))) if len(n_grid) > 1 else 0.0,
         "<=",
-        1e-12,
+        tol["max_curve_nonincreasing"],
     )
     window = tol["binned_rate_window"]
     checks.add(
@@ -377,14 +370,14 @@ def run_moi_convergence(config):
         "on_grid_exact",
         frobenius(moi_binned(hand_req, 2) - moi_exact(hand_req)),
         "<=",
-        1e-14,
+        tol["on_grid_exact"],
     )
     const_req = MoiRequest((hand, hand), (x,), lambda *vals: 0.75)
     checks.add(
         "constant_symbol",
         max(frobenius(moi_binned(const_req, n) - 0.75 * x) for n in (1, 7, 32, 501)),
         "<=",
-        1e-12,
+        tol["constant_symbol"],
     )
     data = {
         "n_grid": list(n_grid),

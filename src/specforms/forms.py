@@ -31,7 +31,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MAX_ORDER, MoiRequest, _along, _as_decomposition, _prepared_slots, moi_exact
+from .moi import MAX_ORDER, MoiRequest, _along, _prepared_slots, moi_exact
 from .spectral import (
     HermitianMatrix,
     SchattenExponent,
@@ -65,10 +65,29 @@ REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
 
 
-def _direction(v):
-    """v as a complex matrix, or a stack (S, n, n) of them, checked
-    Hermitian but not symmetrized."""
-    return _check_hermitian(as_complex_matrices(v), "direction")
+def _hermitian(a, what):
+    """a as a complex matrix, or a stack (S, n, n) of them, checked
+    Hermitian under the name `what` but not symmetrized."""
+    return _check_hermitian(as_complex_matrices(a), what)
+
+
+def _decomposed(base, what):
+    """base if it is a decomposition, else that of the matrix or stack
+    base, checked Hermitian under the name `what` first."""
+    if isinstance(base, SpectralDecomposition):
+        return base
+    return eigendecompose(_hermitian(base, what))
+
+
+def _expansion_exponent(p):
+    """SchattenExponent(p), unless its Taylor degree m = ceil(p) - 1 exceeds
+    moi.MAX_ORDER (p > 4): then UnsupportedConfigError."""
+    exponent = SchattenExponent(p)
+    if exponent.m > MAX_ORDER:
+        raise UnsupportedConfigError(
+            f"p={exponent.p} needs derivative order {exponent.m}: unsupported above {MAX_ORDER}"
+        )
+    return exponent
 
 
 def _matching(a, b, what, other):
@@ -122,9 +141,9 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     stack (B, n, n): the value is then the complex array of the B brackets,
     unchecked, for the caller to combine and check. A direction that is not
     n x n, n the base's dimension, or has a non-finite entry raises
-    ValidationError naming it ("direction j").
+    ValidationError naming it ("direction j"), as does a non-Hermitian base.
     """
-    decomposition = _as_decomposition(decomposition)
+    decomposition = _decomposed(decomposition, "base")
     n = decomposition.dim
     vs = []
     for j, v in enumerate(directions):
@@ -172,7 +191,7 @@ class FrechetForm:
     model: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        dec = _as_decomposition(self.base)
+        dec = _decomposed(self.base, "base")
         object.__setattr__(self, "base", dec)
         exp = self.exponent
         if not isinstance(exp, SchattenExponent):
@@ -196,7 +215,7 @@ class FrechetForm:
     def directions_ok(self, directions):
         if self.base.stack is not None:
             raise ValidationError("the forms of a stacked base are taken member by member")
-        vs = [_direction(v) for v in directions]
+        vs = [_hermitian(v, "direction") for v in directions]
         if len(vs) != self.order:
             raise ValidationError(
                 f"form of order {self.order} takes {self.order} directions, "
@@ -240,7 +259,7 @@ def trace_identity_residual(form, direction):
     residual has the bits of its member's one-instance call.
     """
     k = form.order
-    v = _direction(direction)
+    v = _hermitian(direction, "direction")
     dec = form.base
     model = form.model
     lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
@@ -274,7 +293,7 @@ def fd_oracle(h, v, p, k):
     if k not in _STENCILS:
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
     h = _check_hermitian(as_complex_matrix(h), "base")
-    v = _matching(_direction(v), h, "direction", "base")
+    v = _matching(_hermitian(v, "direction"), h, "direction", "base")
     model = PowerAbs(p)
 
     eps = np.finfo(float).eps
@@ -347,24 +366,20 @@ def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
     The forms run at the library's quadrature tolerance (util.QUAD_TOL).
     Returns a TaylorReport, which keeps no clock. A p whose degree m =
     ceil(p) - 1 exceeds moi.MAX_ORDER (p > 4) raises
-    UnsupportedConfigError; a V that is not one matrix of H's shape, or a
-    t grid that is not one nonempty row of finite positive values, raises
-    ValidationError.
+    UnsupportedConfigError; an H or V that is not Hermitian, a V that is not
+    one matrix of H's shape, or a t grid that is not one nonempty row of
+    finite positive values, raises ValidationError naming it.
     """
-    exponent = SchattenExponent(p)
+    exponent = _expansion_exponent(p)
     m = exponent.m
-    if m > MAX_ORDER:
-        raise UnsupportedConfigError(
-            f"p={exponent.p} needs derivative order {m}: unsupported above {MAX_ORDER}"
-        )
     h = as_complex_matrix(h)
-    v = _matching(_direction(v), h, "direction", "H")
+    v = _matching(_hermitian(v, "direction"), h, "direction", "H")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
         raise ValidationError(
             f"t grid must be one nonempty row of finite positive values, got {t_grid}"
         )
-    decomposition = _as_decomposition(h)
+    decomposition = _decomposed(h, "H")
     lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
     lam1 = lams[np.argmax(t_grid)]
@@ -459,8 +474,8 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
     exponent = SchattenExponent(p)
     m = min(exponent.m, MAX_ORDER)
 
-    h0 = _check_hermitian(as_complex_matrices(h0), "h0")
-    h1 = _matching(_check_hermitian(as_complex_matrices(h1), "h1"), h0, "h1", "h0")
+    h0 = _hermitian(h0, "h0")
+    h1 = _matching(_hermitian(h1, "h1"), h0, "h1", "h0")
     v = h1 - h0
     stack, n = (len(h0) if h0.ndim == 3 else None), h0.shape[-1]
     count = stack or 1
@@ -566,11 +581,11 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     giving a row of NaN and costing no decomposition or integral. The
     moving points of the other members are one stacked decomposition,
     seed-major, stacked tails and perturbations taken at the index that
-    repeats each member over the grid; the norms come from one
-    stacked integral and one stacked norm call, each row with the bits of
-    its member's one-instance call. The direction joins the perturbations
-    in the slot check, and the matrices among the base and the tails are
-    decomposed in one call.
+    repeats each member over the grid; the norms come from one stacked
+    integral and one stacked norm call, each row with the bits of its
+    member's one-instance call. The direction, checked Hermitian before
+    anything is decomposed, joins the perturbations in the slot check, and
+    the matrices among the base and the tails are decomposed in one call.
     """
     if len(tail) != len(perturbations):
         raise ValidationError(
@@ -584,6 +599,7 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
         raise ValidationError(
             f"t grid must be one row of finite values with at least one entry, got {t_grid}"
         )
+    _check_hermitian(_check_finite(as_complex_matrices(direction), "direction"), "direction")
     names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)
     names += tuple(f"perturbation {j}" for j in range(len(perturbations)))
     (base, *tail), (w, *perts), stack = _prepared_slots(
@@ -603,7 +619,7 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
         # Stacked tails and perturbations follow the seed-major moving points.
         seed_major = np.repeat(np.arange(live.size), steps)
         tail, perts = _along(tail, seed_major), _along(perts, seed_major)
-        moved = _divided_integral(phi_model, (_as_decomposition(points), *tail), perts, QUAD_TOL)
+        moved = _divided_integral(phi_model, (eigendecompose(points), *tail), perts, QUAD_TOL)
         diffs = moved.reshape(live.size, steps, n, n) - ref.reshape(-1, 1, n, n)
         norms[live] = schatten_norm(diffs.reshape(-1, n, n), p / (p - 1.0)).reshape(-1, steps)
     return norms if stack is not None else norms[0]

@@ -204,6 +204,20 @@ class CallableKernel(ScalarFunctionModel):
         return out if out.shape else float(out)
 
 
+def _divided_order(model, k, least):
+    """k as the order of a divided difference of the kernel model: whole, at
+    least `least`, and at most model.max_order (else UnsupportedConfigError)."""
+    k = whole_number(k, "divided-difference order")
+    if k < least:
+        raise ValidationError(f"divided-difference order must be >= {least}")
+    if k > model.max_order:
+        raise UnsupportedConfigError(
+            f"order-{k} divided difference needs {k} continuous derivatives, "
+            f"model has {model.max_order}"
+        )
+    return k
+
+
 def as_kernel(obj):
     """Coerce a model or bare callable into a ScalarFunctionModel."""
     if isinstance(obj, ScalarFunctionModel):

@@ -16,9 +16,9 @@ contracted against the rotated perturbations with einsum (_contract).
 The tensor is evaluated in blocks of index tuples, each handed over as the
 transpose of its column stack: momenta with an origin through
 divided_difference, separable sums term by term, other momenta by
-quadrature and bare callables once per distinct index tuple. The
+quadrature, bare callables once per distinct index tuple, and the
 monomial shift of a symbol (algebraic_shift), a divided difference
-included, is its tensor times the outer product of the eigenvalue powers.
+included, as each row's eigenvalue powers times the symbol's value there.
 The recurrence keeps its last Loewner values, keyed by the model, the
 tolerance and the bits of the eigenvalue pairs, so that forms of several
 orders on one base evaluate them once. The model's class fixes its domain,
@@ -30,10 +30,10 @@ one call then evaluates the S integrals.
 
 The slots of a request (moi_separable builds one), of
 perturbation_identity and of forms.holder_difference_norms are prepared
-in one place (_prepared_slots): one dimension, one stack length and
-finite perturbations are checked before anything is decomposed, and the raw
-matrices among the decomposition slots go through one eigendecompose
-call, a decomposition being reused. An error names the slot
+in one place (_prepared_slots): one dimension, one stack length, Hermitian
+matrices and finite perturbations are checked before anything is
+decomposed, and the raw matrices among the decomposition slots go through
+one eigendecompose call, a decomposition being reused. An error names the slot
 ("decomposition j" or "perturbation j" of a request) and a member of a
 stack by its index.
 """
@@ -80,24 +80,19 @@ NEAR_PAIR = 1e-2
 _last_loewner = (None, None)
 
 
-def _as_decomposition(obj):
-    if isinstance(obj, SpectralDecomposition):
-        return obj
-    return eigendecompose(obj)
-
-
 def _prepared_slots(items, perturbations, names):
     """(decompositions, perturbations, stack length) of an integral's slots.
 
     Each item is a matrix, a stack (S, n, n) of matrices, or the
-    decomposition of either; each perturbation is a matrix or a stack of
-    S, with finite entries. All slots must share one dimension and one
-    stack length S, checked before anything is decomposed; the length is
-    None when no slot is a stack. The matrices and stacks among the items then go through one
-    eigendecompose call, each item taking its member or sub-stack of the
-    result, and a decomposition is reused. An error on a slot names it by
-    names[i], the items' names followed by the perturbations', and a
-    member of a stack by its index.
+    decomposition of either, a matrix checked Hermitian; each perturbation
+    is a matrix or a stack of S, with finite entries. All slots must share
+    one dimension and one stack length S, checked before anything is
+    decomposed; the length is None when no slot is a stack. The matrices
+    and stacks among the items then go through one eigendecompose call,
+    each item taking its member or sub-stack of the result, and a
+    decomposition is reused. An error on a slot names it by names[i], the
+    items' names followed by the perturbations', and a member of a stack by
+    its index.
     """
     split = len(items)
     slots, raw, dims, stacks = list(items) + list(perturbations), [], [], []
@@ -111,6 +106,7 @@ def _prepared_slots(items, perturbations, names):
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
         if i < split:
+            _check_hermitian(slots[i], name)
             raw.append(i)
         else:
             _check_finite(slots[i], name)
@@ -127,12 +123,7 @@ def _prepared_slots(items, perturbations, names):
         raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
     if raw:
         n = dims[0]
-        try:
-            fresh = eigendecompose(np.concatenate([slots[i].reshape(-1, n, n) for i in raw]))
-        except ValidationError:
-            for i in raw:  # name the argument, not its index in the stack
-                _check_hermitian(slots[i], what=names[i])
-            raise
+        fresh = eigendecompose(np.concatenate([slots[i].reshape(-1, n, n) for i in raw]))
         lo = 0
         for i in raw:
             count = stacks[i]
@@ -256,6 +247,16 @@ class _MonomialShift:
 
 def _symbol_adapter(symbol, tol):
     """The symbol as one evaluator mapping a row stack (R, m+1) to R values."""
+    if isinstance(symbol, _MonomialShift):
+        phi = _symbol_adapter(symbol.symbol, tol)
+
+        def shifted(rows):
+            # Python-float powers, multiplied left to right and then onto phi:
+            # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
+            powers = [np.array([v**s for v in x.tolist()]) for x, s in zip(rows.T, symbol.powers)]
+            return functools.reduce(np.multiply, powers) * phi(rows)
+
+        return shifted
     if isinstance(symbol, DividedDifference):
         return lambda rows: symbol(rows, quad_tol=tol)
     if isinstance(symbol, MomentumSpec):
@@ -300,14 +301,6 @@ def _phi_tensor(symbol, eig_sets, tol):
         e.reshape((e.shape[:-1] or (1,) * len(lead)) + (1,) * j + (-1,) + (1,) * (after - j))
         for j, e in enumerate(eig_sets)
     ]
-    if isinstance(symbol, _MonomialShift):
-        # Python-float powers, multiplied left to right and then onto phi:
-        # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
-        powers = [
-            np.reshape([v**s for v in x.ravel().tolist()], x.shape)
-            for x, s in zip(slots, symbol.powers)
-        ]
-        return functools.reduce(np.multiply, powers) * _phi_tensor(symbol.symbol, eig_sets, tol)
     evaluate = _symbol_adapter(symbol, tol)
     cut = next(c for c in range(len(shape)) if math.prod(shape[c + 1 :]) <= CHUNK_ROWS)
     width = CHUNK_ROWS // math.prod(shape[cut + 1 :])

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, UnsupportedConfigError, ValidationError
-from .functions import ScalarFunctionModel, as_kernel
+from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .simplex import (
     ORDER_LADDER,
     graded_pieces,
@@ -94,13 +94,7 @@ class MomentumSpec:
     def from_divided_difference(cls, model, k):
         """Spec realizing f^[k] as the order-k momentum with kernel f^(k)."""
         model = as_kernel(model)
-        k = whole_number(k, "divided-difference order")
-        if k < 1:
-            raise ValidationError("divided-difference order must be >= 1")
-        if k > model.max_order:
-            raise UnsupportedConfigError(
-                f"model exposes {model.max_order} continuous derivatives, need {k}"
-            )
+        k = _divided_order(model, k, 1)
         return cls(m=k, kernel=model.derivative_model(k), origin=model)
 
     @property

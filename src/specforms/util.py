@@ -162,13 +162,13 @@ def operator_norm(a):
 
 
 def fit_loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x), at two distinct x at least."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValidationError("slope fit needs at least two points")
     if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
         raise ValidationError("slope fit needs finite positive data")
+    if np.unique(x).size < 2:
+        raise ValidationError("slope fit needs at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 

@@ -328,9 +328,10 @@ def test_criterion_09_form_symmetry_and_linearity():
     print("criterion 9 PASS: forms are symmetric and multilinear")
 
 
-def test_criterion_10_reports_are_reproducible():
+def test_criterion_10_reports_are_reproducible(monkeypatch):
     # Serialized reports are byte-identical across repeat runs and
-    # thread counts once volatile keys (wall clock) are stripped.
+    # machine widths (the worker pool's) once volatile keys (wall clock)
+    # are stripped.
     configs = [
         ExperimentConfig(mode="taylor-scan", seed=2, p=2.5, profile="singular"),
         ExperimentConfig(mode="moi-convergence", seed=1, n_grid=(16, 32, 64)),
@@ -338,19 +339,12 @@ def test_criterion_10_reports_are_reproducible():
         ExperimentConfig(mode="perturbation-check", seed=1),
         ExperimentConfig(mode="selftest", seed=1, p=2.5),
     ]
-    old = os.environ.get("SF_THREADS")
-    try:
-        for config in configs:
-            os.environ["SF_THREADS"] = "1"
-            serial = run(config).to_json(drop_volatile=True)
-            os.environ["SF_THREADS"] = "4"
-            threaded = run(config).to_json(drop_volatile=True)
-            assert serial == threaded, f"{config.mode}: thread count changed the report"
-            repeat = run(config).to_json(drop_volatile=True)
-            assert repeat == threaded, f"{config.mode}: repeat run changed the report"
-    finally:
-        if old is None:
-            os.environ.pop("SF_THREADS", None)
-        else:
-            os.environ["SF_THREADS"] = old
+    for config in configs:
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = run(config).to_json(drop_volatile=True)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        threaded = run(config).to_json(drop_volatile=True)
+        assert serial == threaded, f"{config.mode}: thread count changed the report"
+        repeat = run(config).to_json(drop_volatile=True)
+        assert repeat == threaded, f"{config.mode}: repeat run changed the report"
     print("criterion 10 PASS: reports byte-identical modulo volatile keys")

@@ -173,9 +173,10 @@ def test_reports_are_deterministic(monkeypatch):
     first = run(config).to_json(drop_volatile=True)
     second = run(config).to_json(drop_volatile=True)
     assert first == second
-    monkeypatch.setenv("SF_THREADS", "1")
+    # The pool is as wide as the machine: one core runs it serially.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     serial = run(config).to_json(drop_volatile=True)
-    monkeypatch.setenv("SF_THREADS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     threaded = run(config).to_json(drop_volatile=True)
     assert serial == first
     assert threaded == first
@@ -468,6 +469,21 @@ def test_cli_global_flags_on_either_side_give_one_report(flag, tmp_path, capsys)
 def test_cli_rejects_non_finite_t_grid(mode, bad, capsys):
     assert main([mode, "--t-grid", f"{bad},0.1"]) == 2
     assert capsys.readouterr().err.startswith("error: t grid must be nonempty, finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taylor-scan", "--p", "2.5", "--dim", "4", "--t-grid", "0.01,0.01,0.01,0.01,0.01"],
+        ["holder-scan", "--p", "2.5", "--t-grid", "0.01,0.01,0.01"],
+    ],
+)
+def test_cli_t_grid_of_one_value_has_no_slope(argv, capsys):
+    # A repeated t is one point of the fit: no slope, so no check of it.
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: slope fit needs at least two distinct x values\n"
+    )
 
 
 def test_cli_unreadable_matrix_files_exit_two(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specforms import forms, moi
+from specforms import forms, moi, spectral
 from specforms.divided import DividedDifference
 from specforms.errors import UnsupportedConfigError, ValidationError
 from specforms.experiments import DEFAULT_TOLERANCES
@@ -716,6 +716,14 @@ def test_holder_norms_need_one_tail_per_perturbation():
         holder_difference_norms(g, base, w, (base,), (), [0.01], 2.5)
     with pytest.raises(ValidationError, match="tail"):
         holder_difference_norms(g, base, w, (), (np.eye(2),), [0.01], 2.5)
+
+
+def test_holder_norms_check_the_direction_before_any_solve(monkeypatch):
+    monkeypatch.setattr(spectral, "_decompose", lambda a: pytest.fail("decomposed"))
+    base = np.diag([0.3, -0.2])
+    skew = np.array([[0.0, 0.3], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="^direction is not Hermitian"):
+        holder_difference_norms(PowerAbs(2.5), base, base + skew, [base], [base], [0.1], 2.5)
 
 
 def test_holder_norms_input_validation():

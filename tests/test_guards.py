@@ -116,6 +116,23 @@ CALLS = {
         lambda: fit_loglog_slope([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
         "^slope fit",
     ),
+    # A fit through one x value has no slope, however many points share it.
+    "fit_loglog_slope one x": (
+        lambda: fit_loglog_slope([0.01] * 4, [1.0, 2.0, 3.0, 4.0]),
+        "^slope fit needs at least two distinct x values",
+    ),
+    # A base or direction given as a matrix is checked by name before it is
+    # decomposed.
+    "FrechetForm base": (lambda: FrechetForm(H + SKEW, 2.5), "^base is not Hermitian"),
+    "model_delta_bracket base": (
+        lambda: model_delta_bracket(H + SKEW, PowerAbs(2.5), [V]),
+        "^base is not Hermitian",
+    ),
+    "taylor_expand H": (lambda: taylor_expand(H + SKEW, V, 2.5), "^H is not Hermitian"),
+    "holder_difference_norms direction Hermitian": (
+        lambda: holder_difference_norms(PowerAbs(2.5), H, V + SKEW, [H], [V], [0.1], 2.5),
+        "^direction is not Hermitian",
+    ),
 }
 # Counts and orders are not truncated: a fraction or NaN is rejected.
 for bad in (NAN, 2.7):

@@ -200,8 +200,8 @@ def test_small_requests_reach_every_benchmark_span(monkeypatch):
     # sys.setprofile sees every function entered, whatever alias calls it,
     # so a change that stops calling a span a workload requires fails here
     # before the traced benchmark run does. It sees only the calling
-    # thread, so the driver pool runs in it.
-    monkeypatch.setenv("SF_THREADS", "1")
+    # thread, so the driver pool runs in it, on a one-core machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     expected = {}
     for workload, name in _expected_spans():
         expected.setdefault(workload, set()).add(name)
@@ -305,3 +305,44 @@ def test_every_quadrature_tolerance_defaults_to_the_one_constant():
     # The constant itself, not another spelling of its value.
     assert all(default is QUAD_TOL for default in defaults.values()), defaults
     assert DEFAULT_TOLERANCES["quad_tol"] is QUAD_TOL
+
+
+def _reads_the_environment(tree):
+    """The lines of a module's AST that read os.environ or call os.getenv,
+    however they are imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if {alias.name for alias in node.names} & {"environ", "getenv"}:
+                yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    # ExperimentConfig is the one list of driver settings; a variable read
+    # from the environment would be a hidden one.
+    src = Path(specforms.__file__).resolve().parent
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _reads_the_environment(ast.parse(path.read_text()))
+    }
+    assert not found
+
+
+def test_readme_command_lines_parse():
+    # Every `specforms ...` line of README's shell blocks is a command the
+    # parser takes, its trailing comment aside.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = [
+        line.split("#")[0].split()[1:]
+        for block in blocks
+        for line in block.split("```")[0].splitlines()
+        if line.startswith("specforms ")
+    ]
+    assert len(lines) >= 6
+    for argv in lines:
+        specforms.cli.build_parser().parse_args(argv)
