@@ -14,7 +14,6 @@ one per exponent.
 """
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +27,7 @@ from .forms import (
     DEFAULT_T_GRID,
     FrechetForm,
     _expansion_exponent,
+    _t_grid,
     delta_symmetric,
     holder_difference_norms,
     taylor_expand,
@@ -46,7 +46,7 @@ from .moi import (
     perturbation_identity,
 )
 from .momenta import MomentumSpec
-from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
+from .spectral import HermitianMatrix, SchattenExponent, _symmetrized, eigendecompose
 from .util import (
     QUAD_TOL,
     canonical_json,
@@ -101,7 +101,8 @@ class ExperimentConfig:
     p lies in (1, 8]; selftest, taylor-scan and holder-scan build the orders
     up to m = ceil(p) - 1 and so refuse p > 4 (forms._expansion_exponent).
     t_grid, n_grid and dir_paths are sequences: one string is refused, not
-    read character by character.
+    read character by character. t_grid follows forms._t_grid. A grid of
+    fewer than two distinct values fits no slope and is refused up front.
     """
 
     mode: str
@@ -138,14 +139,13 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"{field} must be a sequence of {items}, got the string {value!r}"
                 )
-        t_grid = tuple(real_number(t, "t grid entry") for t in self.t_grid)
-        if not t_grid or not all(math.isfinite(t) and t > 0 for t in t_grid):
-            raise ValidationError("t grid must be nonempty, finite and positive")
-        object.__setattr__(self, "t_grid", t_grid)
+        object.__setattr__(self, "t_grid", _t_grid(self.t_grid))
         n_grid = tuple(whole_number(n, "n grid entry") for n in self.n_grid)
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
+        if len(set(self.t_grid)) < 2 or len(n_grid) < 2:
+            raise ValidationError("slope fit needs at least two distinct x values")
         object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")
@@ -267,10 +267,11 @@ def _seed_streams(seeds, streams, dim, profile, p):
 def _stream_stacks(seeds, streams, dim, profile, p):
     """Stream j = 0..streams-1 of every seed as stacks over the seeds: one
     (decomposition of the H's, array (S, n, n) of the V's) pair per stream.
-    Every H of the battery goes through one stacked eigendecompose call."""
+    Every H, a checked draw, goes through one stacked eigendecompose call."""
     groups = _seed_streams(seeds, streams, dim, profile, p)
     count = len(groups)
-    whole = eigendecompose(np.stack([g[j][0].matrix for j in range(streams) for g in groups]))
+    hs = np.stack([g[j][0].matrix for j in range(streams) for g in groups])
+    whole = eigendecompose(_symmetrized(hs))
     return [
         (whole[j * count : (j + 1) * count], np.stack([g[j][1].matrix for g in groups]))
         for j in range(streams)
@@ -351,7 +352,7 @@ def run_moi_convergence(config):
     checks = CheckSet()
     checks.add(
         "max_curve_nonincreasing",
-        float(np.max(np.diff(max_curve))) if len(n_grid) > 1 else 0.0,
+        float(np.max(np.diff(max_curve))),
         "<=",
         tol["max_curve_nonincreasing"],
     )

@@ -39,6 +39,7 @@ from .spectral import (
     WORKING_INTERVAL,
     _check_finite,
     _check_hermitian,
+    _symmetrized,
     apply_scalar_function,
     eigendecompose,
     schatten_norm,
@@ -65,18 +66,23 @@ REMAINDER_FLOOR = 1e-12
 FD_SAFE_GAP = 0.05
 
 
-def _hermitian(a, what):
-    """a as a complex matrix, or a stack (S, n, n) of them, checked
-    Hermitian under the name `what` but not symmetrized."""
-    return _check_hermitian(as_complex_matrices(a), what)
+def _t_grid(t_grid):
+    """t_grid as a tuple of floats; a ValidationError unless it is one
+    nonempty row of finite positive numbers, the t-grid rule of
+    ExperimentConfig, taylor_expand and holder_difference_norms."""
+    row = np.asarray(t_grid, dtype=object)
+    t = tuple(real_number(x, "t grid entry") for x in row.tolist()) if row.ndim == 1 else ()
+    if not t or not all(math.isfinite(x) and x > 0.0 for x in t):
+        raise ValidationError("t grid must be nonempty, finite and positive")
+    return t
 
 
 def _decomposed(base, what):
     """base if it is a decomposition, else that of the matrix or stack
-    base, checked Hermitian under the name `what` first."""
+    base, checked Hermitian under the name `what` and not again."""
     if isinstance(base, SpectralDecomposition):
         return base
-    return eigendecompose(_hermitian(base, what))
+    return eigendecompose(_symmetrized(_check_hermitian(base, what)))
 
 
 def _expansion_exponent(p):
@@ -147,7 +153,7 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     n = decomposition.dim
     vs = []
     for j, v in enumerate(directions):
-        v = as_complex_matrices(v)
+        v = as_complex_matrices(v, f"direction {j}")
         if v.shape[-2:] != (n, n):
             raise ValidationError(f"direction {j} has shape {v.shape}, the base is {n} x {n}")
         vs.append(_check_finite(v, f"direction {j}"))
@@ -215,7 +221,7 @@ class FrechetForm:
     def directions_ok(self, directions):
         if self.base.stack is not None:
             raise ValidationError("the forms of a stacked base are taken member by member")
-        vs = [_hermitian(v, "direction") for v in directions]
+        vs = [_check_hermitian(v, "direction") for v in directions]
         if len(vs) != self.order:
             raise ValidationError(
                 f"form of order {self.order} takes {self.order} directions, "
@@ -259,7 +265,7 @@ def trace_identity_residual(form, direction):
     residual has the bits of its member's one-instance call.
     """
     k = form.order
-    v = _hermitian(direction, "direction")
+    v = _check_hermitian(direction, "direction")
     dec = form.base
     model = form.model
     lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
@@ -292,8 +298,8 @@ def fd_oracle(h, v, p, k):
     k = whole_number(k, "order k")
     if k not in _STENCILS:
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
-    h = _check_hermitian(as_complex_matrix(h), "base")
-    v = _matching(_hermitian(v, "direction"), h, "direction", "base")
+    h = _check_hermitian(as_complex_matrix(h, "base"), "base")
+    v = _matching(_check_hermitian(v, "direction"), h, "direction", "base")
     model = PowerAbs(p)
 
     eps = np.finfo(float).eps
@@ -367,19 +373,15 @@ def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
     Returns a TaylorReport, which keeps no clock. A p whose degree m =
     ceil(p) - 1 exceeds moi.MAX_ORDER (p > 4) raises
     UnsupportedConfigError; an H or V that is not Hermitian, a V that is not
-    one matrix of H's shape, or a t grid that is not one nonempty row of
-    finite positive values, raises ValidationError naming it.
+    one matrix of H's shape, or a t grid that breaks _t_grid's rule, raises
+    ValidationError naming it.
     """
     exponent = _expansion_exponent(p)
     m = exponent.m
-    h = as_complex_matrix(h)
-    v = _matching(_hermitian(v, "direction"), h, "direction", "H")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
-        raise ValidationError(
-            f"t grid must be one nonempty row of finite positive values, got {t_grid}"
-        )
-    decomposition = _decomposed(h, "H")
+    h = _check_hermitian(as_complex_matrix(h, "H"), "H")
+    v = _matching(_check_hermitian(v, "direction"), h, "direction", "H")
+    t_grid = np.array(_t_grid(t_grid))
+    decomposition = eigendecompose(_symmetrized(h))
     lam0 = decomposition.eigenvalues
     lams = np.linalg.eigvalsh(h + t_grid[:, None, None] * v)
     lam1 = lams[np.argmax(t_grid)]
@@ -474,8 +476,8 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
     exponent = SchattenExponent(p)
     m = min(exponent.m, MAX_ORDER)
 
-    h0 = _hermitian(h0, "h0")
-    h1 = _matching(_hermitian(h1, "h1"), h0, "h1", "h0")
+    h0 = _check_hermitian(h0, "h0")
+    h1 = _matching(_check_hermitian(h1, "h1"), h0, "h1", "h0")
     v = h1 - h0
     stack, n = (len(h0) if h0.ndim == 3 else None), h0.shape[-1]
     count = stack or 1
@@ -572,8 +574,8 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     j = len(perturbations) (phi(A) itself at j = 0), whose first matrix
     argument moves; tail holds one decomposition per perturbation. p' is
     the conjugate exponent of p. Returns the per-t norms; a zero direction
-    is degenerate and gives NaN at every t. A t grid that is not one row
-    of finite values with at least one entry raises ValidationError.
+    is degenerate and gives NaN at every t. A t grid that is not one
+    nonempty row of finite positive numbers (_t_grid) raises ValidationError.
 
     The base, the direction, each tail and each perturbation may instead be
     a stack of S, a slot holding one matrix serving every member: the call
@@ -592,14 +594,9 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
             f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"
         )
     p = SchattenExponent(p).p
-    t_grid = np.asarray(t_grid)
-    if t_grid.ndim == 1:
-        t_grid = np.array([real_number(t, "t grid entry") for t in t_grid.tolist()], dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
-        raise ValidationError(
-            f"t grid must be one row of finite values with at least one entry, got {t_grid}"
-        )
-    _check_hermitian(_check_finite(as_complex_matrices(direction), "direction"), "direction")
+    t_grid = np.array(_t_grid(t_grid))
+    direction = _check_finite(as_complex_matrices(direction, "direction"), "direction")
+    _check_hermitian(direction, "direction")
     names = ("base",) + tuple(f"tail {j}" for j in range(len(tail))) + ("direction",)
     names += tuple(f"perturbation {j}" for j in range(len(perturbations)))
     (base, *tail), (w, *perts), stack = _prepared_slots(

@@ -53,6 +53,7 @@ from .spectral import (
     _check_finite,
     _check_hermitian,
     _checked,
+    _symmetrized,
     eigendecompose,
 )
 from .util import (
@@ -84,34 +85,27 @@ def _prepared_slots(items, perturbations, names):
     """(decompositions, perturbations, stack length) of an integral's slots.
 
     Each item is a matrix, a stack (S, n, n) of matrices, or the
-    decomposition of either, a matrix checked Hermitian; each perturbation
-    is a matrix or a stack of S, with finite entries. All slots must share
-    one dimension and one stack length S, checked before anything is
-    decomposed; the length is None when no slot is a stack. The matrices
-    and stacks among the items then go through one eigendecompose call,
-    each item taking its member or sub-stack of the result, and a
-    decomposition is reused. An error on a slot names it by names[i], the
-    items' names followed by the perturbations', and a member of a stack by
-    its index.
+    decomposition of either, a matrix checked Hermitian once; each
+    perturbation is a matrix or a stack of S, with finite entries. All slots
+    must share one dimension and one stack length S, checked before anything
+    is decomposed; the length is None when no slot is a stack. The matrices
+    and stacks among the items then go through one eigendecompose call, as
+    one HermitianMatrix, each item taking its member or sub-stack of the
+    result, and a decomposition is reused. An error on a slot names it by
+    names[i], the items' names followed by the perturbations', and a member
+    of a stack by its index.
     """
     split = len(items)
     slots, raw, dims, stacks = list(items) + list(perturbations), [], [], []
     for i, (name, item) in enumerate(zip(names, slots, strict=True)):
-        if isinstance(item, SpectralDecomposition) and i < split:
-            dims.append(item.dim)
-            stacks.append(item.stack)
-            continue
-        try:
-            slots[i] = as_complex_matrices(item)
-        except ValidationError as exc:
-            raise ValidationError(f"{name}: {exc}") from exc
-        if i < split:
-            _check_hermitian(slots[i], name)
+        if i >= split:
+            slots[i] = _check_finite(as_complex_matrices(item, name), name)
+        elif not isinstance(item, SpectralDecomposition):
+            slots[i] = _check_hermitian(item, name)
             raw.append(i)
-        else:
-            _check_finite(slots[i], name)
-        dims.append(slots[i].shape[-1])
-        stacks.append(len(slots[i]) if slots[i].ndim == 3 else None)
+        shape = getattr(slots[i], "eigenvectors", slots[i]).shape
+        dims.append(shape[-1])
+        stacks.append(shape[0] if len(shape) == 3 else None)
     if len(set(dims)) > 1:
         odd = next(i for i, n in enumerate(dims) if n != dims[0])
         raise ValidationError(
@@ -123,7 +117,8 @@ def _prepared_slots(items, perturbations, names):
         raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
     if raw:
         n = dims[0]
-        fresh = eigendecompose(np.concatenate([slots[i].reshape(-1, n, n) for i in raw]))
+        joined = np.concatenate([slots[i].reshape(-1, n, n) for i in raw])
+        fresh = eigendecompose(_symmetrized(joined))
         lo = 0
         for i in raw:
             count = stacks[i]

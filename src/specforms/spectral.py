@@ -25,9 +25,13 @@ WORKING_INTERVAL = (-2.0, 2.0)
 
 
 def _check_hermitian(a, what="matrix"):
-    """a itself, a matrix or a stack (B, n, n), after the entrywise check
-    |A - A*| <= HERMITICITY_TOL (non-finite entries fail it). An error on a
-    stack names the offending index."""
+    """a as a square complex matrix or stack (B, n, n) of dimension n >= 1,
+    after the entrywise check |A - A*| <= HERMITICITY_TOL (non-finite
+    entries fail it): the one rule for a Hermitian input. Each error names
+    `what`, and on a stack the offending index."""
+    a = as_complex_matrices(a, what)
+    if a.shape[-1] < 1:
+        raise ValidationError(f"{what} must have dimension >= 1, got shape {a.shape}")
     with np.errstate(invalid="ignore"):
         gap = np.abs(a - adjoint(a)).max(axis=(-2, -1))
     bad = np.flatnonzero(~(gap <= HERMITICITY_TOL))
@@ -53,7 +57,7 @@ def _check_finite(a, what="matrix"):
 @dataclass(frozen=True)
 class HermitianMatrix:
     """A square complex matrix, or a stack (B, n, n) of them, validated to
-    be Hermitian.
+    be Hermitian by _check_hermitian.
 
     The stored array is the symmetrized (A + A*)/2 of the input, which
     removes roundoff-level asymmetry once the 1e-12 entrywise check has
@@ -63,13 +67,7 @@ class HermitianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_complex_matrices(self.matrix)
-        if a.shape[-1] < 1:
-            raise ValidationError("matrix must have dimension >= 1")
-        _check_hermitian(a)
-        sym = (a + adjoint(a)) / 2.0
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "matrix", _symmetrized(_check_hermitian(self.matrix)).matrix)
 
     @property
     def dim(self):
@@ -108,6 +106,14 @@ def _checked(a):
     member = object.__new__(HermitianMatrix)
     object.__setattr__(member, "matrix", a)
     return member
+
+
+def _symmetrized(a):
+    """The read-only HermitianMatrix of (A + A*)/2, for a matrix or stack
+    that has passed _check_hermitian: it is not checked again."""
+    sym = (a + adjoint(a)) / 2.0
+    sym.setflags(write=False)
+    return _checked(sym)
 
 
 def _hermitian_members(stack):
@@ -208,7 +214,7 @@ def eigendecompose(h):
     SpectralDecomposition whose arrays carry the stack axis in front; an
     error names the offending stack index.
 
-    The input is built into a checked HermitianMatrix on every call. When
+    Any other input is built into a checked HermitianMatrix first. When
     its symmetrized matrix has the shape and the exact bits (-0.0 is not
     0.0) of the last decomposition's source, that decomposition is
     returned without a solve; a call that raises is not remembered.
@@ -293,7 +299,6 @@ def apply_scalar_function(model, decomp):
     a stacked decomposition), symmetrized and so exactly Hermitian."""
     lam = decomp.eigenvalues
     check_within(lam, model.domain, "values")
-    out = decomp.compose(model.eval(lam))
-    sym = _check_finite((out + adjoint(out)) / 2.0, "f(H)")
-    sym.setflags(write=False)
-    return _checked(sym)
+    out = _symmetrized(decomp.compose(model.eval(lam)))
+    _check_finite(out.matrix, "f(H)")
+    return out

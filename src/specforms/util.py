@@ -15,20 +15,20 @@ TRACE_IMAG_TOL = 1e-10
 QUAD_TOL = 1e-9
 
 
-def as_complex_matrix(a):
-    """Coerce input to a square complex ndarray."""
+def as_complex_matrix(a, what):
+    """Coerce input to a square complex ndarray; an error names `what`."""
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        raise ValidationError(f"{what}: expected a square matrix, got shape {m.shape}")
     return m
 
 
-def as_complex_matrices(a):
-    """A square complex matrix, or a stack (B, n, n) of them."""
+def as_complex_matrices(a, what):
+    """A square complex matrix, or a stack (B, n, n); an error names `what`."""
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim == 3 and m.shape[1] == m.shape[2]:
         return m
-    return as_complex_matrix(m)
+    return as_complex_matrix(m, what)
 
 
 def adjoint(a):
@@ -41,7 +41,7 @@ def real_trace(a):
 
     A stack (B, n, n) gives the array of its B traces.
     """
-    return real_value(np.trace(as_complex_matrices(a), axis1=-2, axis2=-1))
+    return real_value(np.trace(as_complex_matrices(a, "trace argument"), axis1=-2, axis2=-1))
 
 
 def real_value(t):
@@ -167,7 +167,8 @@ def fit_loglog_slope(x, y):
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
         raise ValidationError("slope fit needs finite positive data")
-    if np.unique(x).size < 2:
+    # min < max, not np.unique: the first np.unique call imports numpy.ma.
+    if not (x.size and x.min() < x.max()):
         raise ValidationError("slope fit needs at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 

@@ -245,7 +245,7 @@ def test_perturbation_battery_is_decomposed_in_one_call(monkeypatch):
     monkeypatch.setattr(experiments, "eigendecompose", counted)
     seeds, m = [4, 9, 11], 2
     a, b, tails, perts = _perturbation_battery(seeds, 3, 3.5, m)
-    assert len(calls) == 1 and calls[0].shape == (len(seeds) * (m + 2), 3, 3)
+    assert len(calls) == 1 and calls[0].matrix.shape == (len(seeds) * (m + 2), 3, 3)
     assert len(tails) == m and len(perts) == m
     # Each slot is a stack over the seeds whose members have the bits of
     # their matrices decomposed alone.
@@ -476,14 +476,24 @@ def test_cli_rejects_non_finite_t_grid(mode, bad, capsys):
     [
         ["taylor-scan", "--p", "2.5", "--dim", "4", "--t-grid", "0.01,0.01,0.01,0.01,0.01"],
         ["holder-scan", "--p", "2.5", "--t-grid", "0.01,0.01,0.01"],
+        ["moi-convergence", "--n-grid", "512"],
     ],
 )
-def test_cli_t_grid_of_one_value_has_no_slope(argv, capsys):
-    # A repeated t is one point of the fit: no slope, so no check of it.
+def test_cli_t_grid_of_one_value_has_no_slope(argv, monkeypatch, capsys):
+    # A repeated t, or a single grid size, is one point of the fit: no
+    # slope, so the config refuses it before any matrix is decomposed.
+    handed, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        handed.append(len(a) if a.ndim == 3 else 1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: slope fit needs at least two distinct x values\n"
     )
+    assert handed == []
 
 
 def test_cli_unreadable_matrix_files_exit_two(tmp_path, capsys):

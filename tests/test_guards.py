@@ -85,7 +85,7 @@ CALLS = {
     ),
     "taylor_expand t_grid rows": (
         lambda: taylor_expand(H, V, 2.5, t_grid=[[1e-3, 1e-2], [1e-2, 1e-1]]),
-        "^t grid must be one nonempty row",
+        "^t grid must be nonempty, finite and positive$",
     ),
     "fd_oracle base": (lambda: fd_oracle(H + SKEW, V, 3.5, 2), "^base is not Hermitian"),
     "fd_oracle direction": (lambda: fd_oracle(H, V + SKEW, 3.5, 2), "^direction is not Hermitian"),
@@ -247,7 +247,7 @@ CALLS["holder_difference_norms direction"] = (
 )
 CALLS["holder_difference_norms t_grid rows"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [[0.1, 0.2], [0.3, 0.4]], 3),
-    "^t grid must be one row",
+    "^t grid must be nonempty, finite and positive$",
 )
 # One string is not a list of one-character entries.
 CALLS["ExperimentConfig dir_paths str"] = (
@@ -264,8 +264,40 @@ CALLS["ExperimentConfig n_grid str"] = (
 )
 CALLS["holder_difference_norms empty t_grid"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [], 3),
-    "^t grid must be one row of finite values with at least one entry",
+    "^t grid must be nonempty, finite and positive$",
 )
+# The t-grid rule is one: a t <= 0 is refused where a grid enters.
+for bad in (0.0, -0.1):
+    CALLS[f"holder_difference_norms t={bad}"] = (
+        lambda bad=bad: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [bad, 0.1], 2.5),
+        "^t grid must be nonempty, finite and positive$",
+    )
+# A grid that no slope can be fitted to is refused by the config, before
+# any work, with the fit's own message.
+for field, grid in (("n_grid", (512,)), ("t_grid", (0.01, 0.01))):
+    CALLS[f"ExperimentConfig {field}={grid}"] = (
+        lambda field=field, grid=grid: ExperimentConfig("selftest", **{field: grid}),
+        "^slope fit needs at least two distinct x values$",
+    )
+# A 0 x 0 matrix is refused by name wherever a raw matrix enters.
+EMPTY = np.zeros((0, 0))
+EMPTY_CALLS = {
+    "FrechetForm": (lambda: FrechetForm(EMPTY, 2.5), "base"),
+    "model_delta_bracket": (lambda: model_delta_bracket(EMPTY, PowerAbs(2.5), [V]), "base"),
+    "MoiRequest": (lambda: MoiRequest((EMPTY, EMPTY), (EMPTY,), DD1), "decomposition 0"),
+    "perturbation_identity": (
+        lambda: perturbation_identity(DD_SPEC, EMPTY, EMPTY, [EMPTY], [EMPTY]),
+        "A",
+    ),
+    "taylor_expand": (lambda: taylor_expand(EMPTY, EMPTY, 2.5), "H"),
+    "fd_oracle": (lambda: fd_oracle(EMPTY, EMPTY, 3.5, 1), "base"),
+    "taylor_integral_form": (lambda: taylor_integral_form(EMPTY, EMPTY, 3.5), "h0"),
+}
+for name, (call, what) in EMPTY_CALLS.items():
+    CALLS[f"{name} 0 x 0"] = (
+        call,
+        rf"^{what} must have dimension >= 1, got shape \(0, 0\)$",
+    )
 CALLS["schatten_norm"] = (
     lambda: schatten_norm(np.diag([NAN, 1.0]), 2.5),
     "^matrix has a non-finite entry",

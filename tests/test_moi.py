@@ -373,10 +373,10 @@ def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch)
     eig = count_calls(monkeypatch, moi, "eigendecompose")
     exact = count_calls(monkeypatch, moi, "moi_exact")
     perturbation_identity(spec, a, b, (h1, h2), perts)
-    assert len(eig) == 1 and eig[0][0].shape == (4, 4, 4)
+    assert len(eig) == 1 and eig[0][0].matrix.shape == (4, 4, 4)
     assert len(exact) == 2
     perturbation_identity(spec, decomposed[0], b, (decomposed[2], h2), perts)
-    assert len(eig) == 2 and eig[1][0].shape == (2, 4, 4)
+    assert len(eig) == 2 and eig[1][0].matrix.shape == (2, 4, 4)
     perturbation_identity(spec, *decomposed[:2], decomposed[2:], perts)
     assert len(eig) == 2 and len(exact) == 6
 
@@ -393,9 +393,9 @@ def test_request_decomposes_its_raw_slots_in_one_call(monkeypatch):
     reused = eigendecompose(b)
     eig = count_calls(monkeypatch, moi, "eigendecompose")
     raw = MoiRequest((a, points, c), perts, sym)
-    assert len(eig) == 1 and eig[0][0].shape == (5, 4, 4)
+    assert len(eig) == 1 and eig[0][0].matrix.shape == (5, 4, 4)
     mixed = MoiRequest((a, reused, points), perts, sym)
-    assert len(eig) == 2 and eig[1][0].shape == (4, 4, 4)
+    assert len(eig) == 2 and eig[1][0].matrix.shape == (4, 4, 4)
     assert mixed.decompositions[1] is reused
     for got, want in zip(raw.decompositions, per_slot.decompositions):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)

@@ -30,20 +30,38 @@ def test_star_import_binds_exactly_the_export_list():
         assert getattr(specforms, name) is namespace[name]
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only runtime dependency; scipy serves the tests alone.
+def _modules_after(code):
+    """The sorted module names a fresh interpreter holds after running code."""
     src = str(Path(specforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, specforms.cli; print(sorted(sys.modules))"],
+        [sys.executable, "-c", f"{code}\nimport sys; print(sorted(sys.modules))"],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    modules = ast.literal_eval(out)
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    modules = _modules_after("import specforms.cli")
     assert "specforms.simplex" in modules
     assert not [name for name in modules if name.split(".")[0] == "scipy"]
+
+
+def test_slope_drivers_leave_numpy_ma_out():
+    # The first np.unique call of a process imports numpy.ma, some 12 ms;
+    # the drivers that fit a slope make no such call.
+    code = (
+        "import contextlib, io\n"
+        "from specforms.cli import main\n"
+        "for mode in ('taylor-scan', 'holder-scan', 'moi-convergence'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([mode, '--dim', '2']) == 0, mode\n"
+    )
+    assert "numpy.ma" not in _modules_after(code)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

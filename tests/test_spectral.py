@@ -7,8 +7,10 @@ import sys
 import threading
 
 from specforms import (
+    DividedDifference,
     FrechetForm,
     HermitianMatrix,
+    MoiRequest,
     MomentumSpec,
     Monomial,
     Polynomial,
@@ -19,10 +21,12 @@ from specforms import (
     delta_symmetric,
     eigendecompose,
     generate_instance,
+    model_delta_bracket,
     perturbation_identity,
     schatten_norm,
 )
 from specforms import spectral
+from specforms.experiments import _stream_stacks
 from specforms.errors import EigenSolverError
 
 RTOL = 1e-12
@@ -426,3 +430,35 @@ def test_perturbation_identities_on_one_set_take_one_solve(solves):
     assert perturbation_identity(cubic, *raw) <= 1e-12
     assert perturbation_identity(power, *raw) <= 1e-6
     assert solves[0] == 1
+
+
+def test_each_raw_matrix_is_checked_hermitian_once(monkeypatch):
+    # A raw matrix is checked by name where it enters, and the
+    # HermitianMatrix built from it reaches eigendecompose unchecked.
+    calls, check = [], spectral._check_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("specforms")]:
+        if getattr(module, "_check_hermitian", None) is check:
+            monkeypatch.setattr(module, "_check_hermitian", counted)
+    h = np.diag([0.3, -0.2, 0.1]).astype(complex)
+    v = np.full((3, 3), 0.1 + 0j)
+    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
+    symbol = DividedDifference(PowerAbs(3.5), 2)
+    cases = {
+        "FrechetForm": (lambda: FrechetForm(h, 2.5), 1),
+        "model_delta_bracket": (lambda: model_delta_bracket(h, PowerAbs(2.5), [v]), 1),
+        "perturbation_identity": (
+            lambda: perturbation_identity(spec, h, h + v, [h, -h], [v, v]),
+            4,
+        ),
+        "MoiRequest": (lambda: MoiRequest((h, h + v, -h), (v, v), symbol), 3),
+        "_stream_stacks": (lambda: _stream_stacks([1, 2], 1, 3, "generic", 2.5), 2),
+    }
+    for name, (call, count) in cases.items():
+        calls.clear()
+        call()
+        assert len(calls) == count, name
