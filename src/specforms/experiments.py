@@ -9,8 +9,8 @@ once the volatile keys are stripped.
 
 selftest's separable battery runs seed by seed on a pool as wide as the
 machine (thread_count), its results assembled in seed order. Every other
-battery is one stacked call over its seeds, the integral-Taylor battery
-one per exponent.
+battery is one stacked call over the stacks of one instances._draw, the
+integral-Taylor battery one per exponent.
 """
 
 import json
@@ -35,7 +35,7 @@ from .forms import (
     trace_identity_residual,
 )
 from .functions import Monomial, Polynomial, PowerAbs
-from .instances import PROFILES, SplitMix64, generate_instance
+from .instances import PROFILES, SplitMix64, _draw, generate_instance
 from .moi import (
     MoiRequest,
     SeparableSymbol,
@@ -46,7 +46,7 @@ from .moi import (
     perturbation_identity,
 )
 from .momenta import MomentumSpec
-from .spectral import HermitianMatrix, SchattenExponent, _symmetrized, eigendecompose
+from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
 from .util import (
     QUAD_TOL,
     canonical_json,
@@ -254,26 +254,18 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _seed_streams(seeds, streams, dim, profile, p):
-    """Stream j = 0..streams-1 of each seed, the instance of seed
-    + j * SEED_STRIDE, from one stacked draw: one list of `streams`
-    (H, V) pairs per seed."""
-    draws = generate_instance(
-        [seed + SEED_STRIDE * j for seed in seeds for j in range(streams)], dim, profile, p
-    )
-    return [draws[i : i + streams] for i in range(0, len(draws), streams)]
-
-
 def _stream_stacks(seeds, streams, dim, profile, p):
     """Stream j = 0..streams-1 of every seed as stacks over the seeds: one
-    (decomposition of the H's, array (S, n, n) of the V's) pair per stream.
-    Every H, a checked draw, goes through one stacked eigendecompose call."""
-    groups = _seed_streams(seeds, streams, dim, profile, p)
-    count = len(groups)
-    hs = np.stack([g[j][0].matrix for j in range(streams) for g in groups])
-    whole = eigendecompose(_symmetrized(hs))
+    (decomposition of the H's, array (S, n, n) of the V's) pair per stream,
+    stream j of a seed being the instance of seed + j * SEED_STRIDE. All
+    streams are one stacked draw, stream-major, whose H stack goes to one
+    eigendecompose call as drawn."""
+    count = len(seeds)
+    stream_seeds = [seed + SEED_STRIDE * j for j in range(streams) for seed in seeds]
+    hs, vs = _draw(stream_seeds, dim, profile, p)
+    whole = eigendecompose(hs)
     return [
-        (whole[j * count : (j + 1) * count], np.stack([g[j][1].matrix for g in groups]))
+        (whole[j * count : (j + 1) * count], vs.matrix[j * count : (j + 1) * count])
         for j in range(streams)
     ]
 
@@ -547,10 +539,9 @@ def run_selftest(config):
     # Integral Taylor formula at small perturbations, d = 3: one stacked
     # call over the seeds' segments per exponent.
     for p in _selftest_ps(config.p):
-        draws = generate_instance(short, 3, "generic", p)
-        h0 = np.stack([h.matrix for h, _ in draws])
-        steps = np.stack([0.3 * v.matrix / frobenius(v.matrix) for _, v in draws])
-        lhs, rhs = taylor_integral_form(h0, h0 + steps, p)
+        h0, v = _draw(short, 3, "generic", p)
+        steps = 0.3 * v.matrix / np.array([frobenius(x) for x in v.matrix])[:, None, None]
+        lhs, rhs = taylor_integral_form(h0.matrix, h0.matrix + steps, p)
         checks.add(
             f"integral_taylor_p{p:g}",
             max(np.abs(lhs - rhs)),

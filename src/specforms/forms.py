@@ -470,7 +470,7 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
     decomposition and one integral per order. One segment takes the same
     steps, its one-matrix slots passing through. A non-Hermitian endpoint
     (by stack index) and an h1 of another shape than h0 raise
-    ValidationError naming it.
+    ValidationError naming it. Each matrix is checked Hermitian once.
     """
     quad_tol = checked_tol(quad_tol)
     exponent = SchattenExponent(p)
@@ -491,12 +491,13 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
 
     def moving(orders, at):
         """H_t at the nodes of each order in turn, for the members `at`,
-        member by member."""
+        member by member, checked Hermitian."""
         t = np.concatenate([gauss01(q)[0] for q in orders])[:, None, None]
-        return (h0s[at, None] + t * vs[at, None]).reshape(-1, n, n)
+        points = (h0s[at, None] + t * vs[at, None]).reshape(-1, n, n)
+        return _check_hermitian(points, "moving point")
 
     first = (8, 16)
-    whole = eigendecompose(np.concatenate([h0s, moving(first, slice(None))]))
+    whole = eigendecompose(_symmetrized(np.concatenate([h0s, moving(first, slice(None))])))
     d0 = whole[0] if stack is None else whole[:count]
     # Each member's sums of its own eigenvalue row, as Python floats.
     lhs = np.array([float(np.sum(row)) for row in model.eval(ends[1]).reshape(count, n)])
@@ -532,7 +533,7 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
         if not open_.size:
             break
         previous[open_] = value[open_]
-        points = eigendecompose(moving((order,), open_))
+        points = eigendecompose(_symmetrized(moving((order,), open_)))
         value[open_] = gauss_values((order,), open_, points)[:, 0]
     rhs = rhs + value
     return (lhs, rhs) if stack is not None else (float(lhs[0]), float(rhs[0]))

@@ -19,9 +19,9 @@ Normals are drawn in blocks. After i outputs the state is
 seed + i * GOLDEN (mod 2^64), so the normals of S seeds form one uint64 and
 float64 array pass, with the operations of the scalar recurrence in its
 order: every value has the bits of a one-at-a-time draw. next_u64 and
-uniform restate the recurrence for one output. generate_instance takes a
-sequence of seeds and draws them as one stack, one seed being a stack of
-one. Its normalising p-norms are a Python-float pow per instance,
+uniform restate the recurrence for one output. _draw makes the H's and
+V's of many seeds as two checked stacks; generate_instance splits them
+into pairs. The normalising p-norms are a Python-float pow per instance,
 float(sum |lambda|^p) ** (1/p); the array power differs from that in the
 last bit, and would change the instances.
 """
@@ -29,7 +29,7 @@ last bit, and would change the instances.
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import _hermitian_members
+from .spectral import HermitianMatrix, _checked
 from .util import adjoint, lp_norms, real_number, whole_number
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -111,37 +111,11 @@ class SplitMix64:
         return self.normals(1)[0]
 
 
-def generate_instance(seed, dim, profile="generic", p=2.0):
-    """Deterministic (H, V) pair for one seed, or the list of pairs for a
-    sequence of seeds.
-
-    H is Hermitian with ||H||_p = 1 (so its spectrum sits in [-1, 1]);
-    V is Hermitian with ||V||_inf = 1. Profiles:
-
-    - "generic": plain normalized draws.
-    - "singular": the last row and column of H are exactly zero, making
-      e_{d-1} an exact null vector; V is a unit diagonal coupling into
-      that direction plus a damped random background, so the null
-      eigenvalue moves at order t and the kink of |x|^p dominates the
-      Taylor remainder across the whole default t grid.
-    - "clustered": eigenvalue pairs are pinched to distance 1e-7
-      (indices 0-1, and 2-3 when the dimension allows) with the norm
-      held at 0.99, stressing confluent divided differences.
-
-    A sequence of seeds is drawn as one stack, and each pair has the bits
-    of its own single-seed call.
-    """
-    dim = whole_number(dim, "instance dimension")
-    if dim < 2:
-        raise ValidationError(f"instance dimension must be >= 2, got {dim}")
-    if profile not in PROFILES:
-        raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
-    p = real_number(p, "instance normalization p")
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValidationError(f"instance normalization needs p >= 1, got {p}; p must be finite")
-
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else seed
+def _draw(seeds, dim, profile, p):
+    """The H's and the V's of a sequence of seeds, as two stacks: each a
+    HermitianMatrix (S, dim, dim), checked and symmetrized once, member i
+    with the bits of seed i's own instance. dim, profile and p are taken as
+    generate_instance validates them; see it for the profiles."""
     states = np.array([whole_number(s, "seed") & MASK64 for s in seeds], dtype=np.uint64)
     # Each seed's stream gives H its first dim^2 normal pairs, V the next.
     normals = _normal_block(states, 2 * dim * dim).reshape(-1, 2, dim, dim, 2)
@@ -171,5 +145,39 @@ def generate_instance(seed, dim, profile="generic", p=2.0):
         h = (u * w[:, None, :]) @ adjoint(u)
 
     v = v / np.linalg.norm(v, ord=2, axis=(-2, -1))[:, None, None]
-    out = list(zip(_hermitian_members(h), _hermitian_members(v)))
+    return HermitianMatrix(h), HermitianMatrix(v)
+
+
+def generate_instance(seed, dim, profile="generic", p=2.0):
+    """Deterministic (H, V) pair for one seed, or the list of pairs for a
+    sequence of seeds.
+
+    H is Hermitian with ||H||_p = 1 (so its spectrum sits in [-1, 1]);
+    V is Hermitian with ||V||_inf = 1. Profiles:
+
+    - "generic": plain normalized draws.
+    - "singular": the last row and column of H are exactly zero, making
+      e_{d-1} an exact null vector; V is a unit diagonal coupling into
+      that direction plus a damped random background, so the null
+      eigenvalue moves at order t and the kink of |x|^p dominates the
+      Taylor remainder across the whole default t grid.
+    - "clustered": eigenvalue pairs are pinched to distance 1e-7
+      (indices 0-1, and 2-3 when the dimension allows) with the norm
+      held at 0.99, stressing confluent divided differences.
+
+    The seeds are one _draw, one seed a stack of one; each pair holds
+    read-only views of the stacks, with the bits of its own one-seed call.
+    """
+    dim = whole_number(dim, "instance dimension")
+    if dim < 2:
+        raise ValidationError(f"instance dimension must be >= 2, got {dim}")
+    if profile not in PROFILES:
+        raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
+    p = real_number(p, "instance normalization p")
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValidationError(f"instance normalization needs p >= 1, got {p}; p must be finite")
+
+    single = np.ndim(seed) == 0
+    h, v = _draw([seed] if single else seed, dim, profile, p)
+    out = [(_checked(a), _checked(b)) for a, b in zip(h.matrix, v.matrix)]
     return out[0] if single else out

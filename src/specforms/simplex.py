@@ -332,17 +332,15 @@ def group_pieces(pieces):
     return groups
 
 
-def subsimplex_rule(verts, q, det=None):
+def subsimplex_rule(verts, q, det):
     """Plain product Gauss rule mapped onto a sub-simplex (m+1, m).
 
     verts may also be a stack (P, m+1, m), giving points (P, N, m) and
-    weights (P, N). det is the |det| of the edges when the caller holds it.
+    weights (P, N). det is the |det| of the edges, one per member.
     """
     m = verts.shape[-1]
     u, w = corner_rule(m, q)
     edges = verts[..., 1:, :] - verts[..., :1, :]
-    if det is None:
-        det = np.abs(np.linalg.det(edges))
     points = np.matmul(u, edges)
     points += verts[..., :1, :]
     return points, w * np.asarray(det)[..., None]

@@ -25,8 +25,8 @@ WORKING_INTERVAL = (-2.0, 2.0)
 
 
 def _check_hermitian(a, what="matrix"):
-    """a as a square complex matrix or stack (B, n, n) of dimension n >= 1,
-    after the entrywise check |A - A*| <= HERMITICITY_TOL (non-finite
+    """a as a square complex matrix or stack (B >= 1, n, n) of dimension
+    n >= 1, after the entrywise check |A - A*| <= HERMITICITY_TOL (non-finite
     entries fail it): the one rule for a Hermitian input. Each error names
     `what`, and on a stack the offending index."""
     a = as_complex_matrices(a, what)
@@ -114,15 +114,6 @@ def _symmetrized(a):
     sym = (a + adjoint(a)) / 2.0
     sym.setflags(write=False)
     return _checked(sym)
-
-
-def _hermitian_members(stack):
-    """The HermitianMatrix of each member of a stack (B, n, n).
-
-    The stack is checked and symmetrized once; each member stores a
-    read-only view of the result, with the bits of its own construction.
-    """
-    return [_checked(a) for a in HermitianMatrix(stack).matrix]
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,12 @@ def as_complex_matrix(a, what):
 
 
 def as_complex_matrices(a, what):
-    """A square complex matrix, or a stack (B, n, n); an error names `what`."""
+    """A square complex matrix, or a stack (B, n, n) of B >= 1 of them; an
+    error names `what`."""
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim == 3 and m.shape[1] == m.shape[2]:
+        if not len(m):
+            raise ValidationError(f"{what}: a stack must hold at least one matrix")
         return m
     return as_complex_matrix(m, what)
 

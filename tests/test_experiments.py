@@ -21,7 +21,7 @@ from specforms.experiments import (
     RunReport,
     _perturbation_battery,
     _perturbation_residuals,
-    _seed_streams,
+    _stream_stacks,
     run,
     run_selftest,
 )
@@ -226,12 +226,29 @@ def test_cli_derivative_of_distinct_complex_directions(tmp_path, capsys):
 def test_seed_streams_follow_the_stride():
     # Stream j of a seed is the instance of seed + j * SEED_STRIDE, as each
     # battery drew them one call at a time.
-    streams = _seed_streams([4, 9], 3, 3, "singular", 2.5)
-    assert [len(group) for group in streams] == [3, 3]
-    for seed, group in zip([4, 9], streams):
-        for j, (h, v) in enumerate(group):
+    streams = _stream_stacks([4, 9], 3, 3, "singular", 2.5)
+    assert [(dec.stack, len(v)) for dec, v in streams] == [(2, 2)] * 3
+    for j, (dec, v) in enumerate(streams):
+        for i, seed in enumerate([4, 9]):
             h1, v1 = generate_instance(seed + SEED_STRIDE * j, 3, "singular", 2.5)
-            assert np.array_equal(h.matrix, h1.matrix) and np.array_equal(v.matrix, v1.matrix)
+            assert np.array_equal(dec[i].source.matrix, h1.matrix)
+            assert np.array_equal(v[i], v1.matrix)
+
+
+def test_stream_stacks_decompose_the_drawn_stack(monkeypatch):
+    # One draw of every stream, whose H stack object is what eigendecompose
+    # gets: no member is split off and stacked again.
+    draws, draw = [], experiments._draw
+
+    def recorded(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(experiments, "_draw", recorded)
+    calls = count_calls(monkeypatch, experiments, "eigendecompose")
+    _stream_stacks([4, 9, 11], 3, 3, "generic", 2.5)
+    assert len(draws) == 1 and len(calls) == 1
+    assert calls[0][0] is draws[0][0]
 
 
 def test_perturbation_battery_is_decomposed_in_one_call(monkeypatch):
@@ -249,8 +266,8 @@ def test_perturbation_battery_is_decomposed_in_one_call(monkeypatch):
     assert len(tails) == m and len(perts) == m
     # Each slot is a stack over the seeds whose members have the bits of
     # their matrices decomposed alone.
-    groups = _seed_streams(seeds, m + 2, 3, "generic", 3.5)
-    for i, group in enumerate(groups):
+    for i, seed in enumerate(seeds):
+        group = [generate_instance(seed + SEED_STRIDE * j, 3, "generic", 3.5) for j in range(m + 2)]
         for dec, (h, _) in zip([a, b] + tails, group):
             one = decompose(h)
             assert dec.stack == len(seeds)

@@ -298,6 +298,28 @@ for name, (call, what) in EMPTY_CALLS.items():
         call,
         rf"^{what} must have dimension >= 1, got shape \(0, 0\)$",
     )
+# So is a stack of no matrices, wherever a matrix or a stack enters.
+EMPTY_STACK = np.zeros((0, 2, 2))
+G = PowerAbs(2.5).derivative_model(1)
+EMPTY_STACK_CALLS = {
+    "FrechetForm": (lambda: FrechetForm(EMPTY_STACK, 2.5), "base"),
+    "eigendecompose": (lambda: eigendecompose(EMPTY_STACK), "matrix"),
+    "MoiRequest": (lambda: MoiRequest((H, H), (EMPTY_STACK,), DD1), "perturbation 0"),
+    "perturbation_identity": (
+        lambda: perturbation_identity(DD_SPEC, EMPTY_STACK, H, [H], [V]),
+        "A",
+    ),
+    "taylor_integral_form": (lambda: taylor_integral_form(EMPTY_STACK, EMPTY_STACK, 3.5), "h0"),
+    "holder_difference_norms": (
+        lambda: holder_difference_norms(G, H, EMPTY_STACK, [H], [V], [0.1], 2.5),
+        "direction",
+    ),
+}
+for name, (call, what) in EMPTY_STACK_CALLS.items():
+    CALLS[f"{name} empty stack"] = (
+        call,
+        rf"^{what}: a stack must hold at least one matrix$",
+    )
 CALLS["schatten_norm"] = (
     lambda: schatten_norm(np.diag([NAN, 1.0]), 2.5),
     "^matrix has a non-finite entry",

@@ -14,6 +14,7 @@ from specforms.instances import (
     MIX2,
     PROFILES,
     SplitMix64,
+    _draw,
     generate_instance,
 )
 
@@ -130,11 +131,12 @@ def test_stacked_seeds_match_single_calls_bitwise(profile):
     seeds = [0, 5, 104729, 2**63, 2**64 - 1]
     for dim, p in ((2, 2.0), (4, 2.5), (7, 3.5)):
         stacked = generate_instance(seeds, dim, profile, p)
-        assert len(stacked) == len(seeds)
-        for seed, (h, v) in zip(seeds, stacked):
+        hs, vs = _draw(seeds, dim, profile, p)
+        assert len(stacked) == len(seeds) == len(hs.matrix) == len(vs.matrix)
+        for seed, (h, v), hd, vd in zip(seeds, stacked, hs.matrix, vs.matrix):
             h1, v1 = generate_instance(seed, dim, profile, p)
-            assert h.matrix.tobytes() == h1.matrix.tobytes()
-            assert v.matrix.tobytes() == v1.matrix.tobytes()
+            assert h.matrix.tobytes() == h1.matrix.tobytes() == hd.tobytes()
+            assert v.matrix.tobytes() == v1.matrix.tobytes() == vd.tobytes()
     assert generate_instance(range(3), 3, profile)[2][0].matrix.tobytes() == (
         generate_instance(2, 3, profile)[0].matrix.tobytes()
     )

@@ -292,7 +292,6 @@ SETTINGS = {
     "momentum_eval": ("tol",),
     "momentum_quadrature": ("tol",),
     "perturbation_identity": ("tol",),
-    "subsimplex_rule": ("det",),
     "taylor_expand": ("t_grid",),
     "taylor_integral_form": ("quad_tol",),
 }

@@ -72,10 +72,9 @@ def monomial_integrals(m, powers, q):
     """The integral over R_m of s^powers by corner_rule, and by
     subsimplex_rule on R_m with its vertices in reverse order."""
     values = []
-    for points, weights in (
-        corner_rule(m, q),
-        subsimplex_rule(np.vstack([np.zeros((1, m)), np.eye(m)])[::-1], q),
-    ):
+    verts = np.vstack([np.zeros((1, m)), np.eye(m)])[::-1]
+    det = abs(np.linalg.det(verts[1:] - verts[0]))
+    for points, weights in (corner_rule(m, q), subsimplex_rule(verts, q, det)):
         values.append(weights @ np.prod(points**powers, axis=1))
     return values
 
@@ -237,7 +236,8 @@ def test_staircase_cut_covers_both_sides(row):
     for a in ((4,) + (0,) * m, (0,) * m + (4,), (2, 1, 1, 0)[: m + 1], (1,) * (m + 1)):
         got = 0.0
         for pts in pieces.verts:
-            nodes, weights = subsimplex_rule(pts, ORDER_LADDER[0])
+            det = abs(np.linalg.det(pts[1:] - pts[0]))
+            nodes, weights = subsimplex_rule(pts, ORDER_LADDER[0], det)
             s = np.hstack([1.0 - nodes.sum(axis=1, keepdims=True), nodes])
             got += weights @ np.prod(s ** np.array(a), axis=1)
         want = math.prod(map(math.factorial, a)) / math.factorial(sum(a) + m)

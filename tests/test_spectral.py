@@ -24,6 +24,7 @@ from specforms import (
     model_delta_bracket,
     perturbation_identity,
     schatten_norm,
+    taylor_integral_form,
 )
 from specforms import spectral
 from specforms.experiments import _stream_stacks
@@ -448,17 +449,22 @@ def test_each_raw_matrix_is_checked_hermitian_once(monkeypatch):
     v = np.full((3, 3), 0.1 + 0j)
     spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
     symbol = DividedDifference(PowerAbs(3.5), 2)
+    # (checks, matrices they cover), a stack counting its members.
     cases = {
-        "FrechetForm": (lambda: FrechetForm(h, 2.5), 1),
-        "model_delta_bracket": (lambda: model_delta_bracket(h, PowerAbs(2.5), [v]), 1),
+        "FrechetForm": (lambda: FrechetForm(h, 2.5), (1, 1)),
+        "model_delta_bracket": (lambda: model_delta_bracket(h, PowerAbs(2.5), [v]), (1, 1)),
         "perturbation_identity": (
             lambda: perturbation_identity(spec, h, h + v, [h, -h], [v, v]),
-            4,
+            (4, 4),
         ),
-        "MoiRequest": (lambda: MoiRequest((h, h + v, -h), (v, v), symbol), 3),
-        "_stream_stacks": (lambda: _stream_stacks([1, 2], 1, 3, "generic", 2.5), 2),
+        "MoiRequest": (lambda: MoiRequest((h, h + v, -h), (v, v), symbol), (3, 3)),
+        "_stream_stacks": (lambda: _stream_stacks([1, 2], 1, 3, "generic", 2.5), (2, 4)),
+        # h0, h1, then the 8 + 16 moving points of the first Gauss orders.
+        "taylor_integral_form": (lambda: taylor_integral_form(h, h + 0.1 * v, 3.5), (3, 26)),
     }
     for name, (call, count) in cases.items():
         calls.clear()
         call()
-        assert len(calls) == count, name
+        shapes = [np.shape(getattr(a, "matrix", a)) for a, *_ in calls]
+        covered = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)
+        assert (len(calls), covered) == count, name
