@@ -300,16 +300,20 @@ def fd_oracle(h, v, p, k):
         raise UnsupportedConfigError(f"finite differences support orders 1..3, not {k}")
     h = _check_hermitian(as_complex_matrix(h, "base"), "base")
     v = _matching(_check_hermitian(v, "direction"), h, "direction", "base")
-    model = PowerAbs(p)
+    model, norms = PowerAbs(p), (operator_norm(h), operator_norm(v))
+    return _fd_core(h, v, model, k, norms, float(np.min(np.abs(np.linalg.eigvalsh(h)))))
 
+
+def _fd_core(h, v, model, k, norms, gap):
+    """fd_oracle on checked h and v, with model = PowerAbs(p), norms =
+    (||H||_2, ||V||_2) and gap = min |lambda(H)| given."""
     eps = np.finfo(float).eps
-    h_norm, v_norm = operator_norm(h), operator_norm(v)
+    h_norm, v_norm = norms
     step = eps ** (1.0 / (k + 2)) * (1.0 + h_norm) / (1.0 + v_norm)
 
     offsets, weights, scale = _STENCILS[k]
     # By Weyl's inequality no sampled eigenvalue lies further than this from H's.
     reach = max(map(abs, offsets)) * 2.0 * step * v_norm
-    gap = float(np.min(np.abs(np.linalg.eigvalsh(h))))
     if gap <= reach:
         raise UnsupportedConfigError(
             f"order-{k} stencil can reach the kink: reach {reach:.3e} >= min |lambda(H)| {gap:.3e}"
@@ -415,8 +419,9 @@ def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
     oracle_skipped = gap < FD_SAFE_GAP
     oracle = []
     if not oracle_skipped:
+        norms, kink = (operator_norm(h), operator_norm(v)), float(np.min(np.abs(lam0)))
         for k, d in enumerate(deltas, start=1):
-            fd, fd_err = fd_oracle(h, v, exponent.p, k)
+            fd, fd_err = _fd_core(h, v, model, k, norms, kink)
             series = math.factorial(k) * d
             oracle.append(
                 {

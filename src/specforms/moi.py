@@ -14,11 +14,11 @@ one-entry integrals over the inner slots. Those and every other symbol's
 integral take one route (_tensor_core): the symbol tensor (_phi_tensor),
 contracted against the rotated perturbations with einsum (_contract).
 The tensor is evaluated in blocks of index tuples, each handed over as the
-transpose of its column stack: momenta with an origin through
-divided_difference, separable sums term by term, other momenta by
-quadrature, bare callables once per distinct index tuple, and the
-monomial shift of a symbol (algebraic_shift), a divided difference
-included, as each row's eigenvalue powers times the symbol's value there.
+transpose of its column stack: momenta as c * f^[m] of their origin
+through divided_difference, separable sums term by term, bare callables
+once per distinct index tuple, and the monomial shift of a symbol
+(algebraic_shift), a divided difference included, as each row's
+eigenvalue powers times the symbol's value there.
 The recurrence keeps its last Loewner values, keyed by the model, the
 tolerance and the bits of the eigenvalue pairs, so that forms of several
 orders on one base evaluate them once. The model's class fixes its domain,
@@ -195,8 +195,8 @@ class MoiRequest:
     point, or one instance per seed); the integral is then the stack of the
     S integrals. Stacks in several slots have one length and pair up index
     by index; a slot holding one matrix serves every index. A symbol that
-    states its order (a divided difference or a separable symbol) must
-    take as many perturbations.
+    states its order (a divided difference, a momentum or a separable
+    symbol) must take as many perturbations.
     """
 
     decompositions: tuple
@@ -527,7 +527,7 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     the difference equals the companion momentum psi of order m+1 on
     (A, B, H_1..H_m) applied to (A - B, V_1..V_m). Returns the Frobenius
     norm of lhs - rhs; psi is built by momentum_perturbation_pair, once
-    per call.
+    per call and before any slot is decomposed.
 
     A, B and each tail may be a matrix, a stack (S, n, n) of matrices, or
     the decomposition of either; each perturbation may be a matrix or a
@@ -552,6 +552,7 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
             f"companion integral order {phi_spec.m + 1} exceeds the "
             f"supported {MAX_ORDER}"
         )
+    psi = momentum_perturbation_pair(phi_spec)
 
     names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
     names += tuple(f"perturbation {j}" for j in range(len(perts)))
@@ -560,7 +561,6 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     twice = np.tile(np.arange(half), 2)  # each stacked slot again, to pair with B's half
     pair = _joined((da, db), half)
     t_ab = moi_exact(MoiRequest((pair, *_along(tail, twice)), _along(perts, twice), phi_spec, tol))
-    psi = momentum_perturbation_pair(phi_spec)
     gap = da.source.matrix - db.source.matrix
     t_psi = moi_exact(MoiRequest((da, db, *tail), (gap,) + perts, psi, tol))
     residuals = t_ab[:half] - t_ab[half:] - t_psi

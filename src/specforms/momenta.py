@@ -6,10 +6,10 @@ and maps m+1 real arguments to
     phi(x_0, ..., x_m) = c * integral over S_m of h(sum_j s_j x_j),
 
 with S_m carrying the usual corner-simplex measure of total mass 1/m!.
-With h = f^(m) this is c times the m-th divided difference of f, which
-is both the bridge to operator integrals and the fast evaluation route:
-such specs remember the antiderivative model and are evaluated through
-the divided-difference table whenever possible.
+With h = f^(m), f the spec's origin, this is c * f^[m], the bridge to
+operator integrals: the symbol (momentum_eval) and its perturbation
+companion c * f^[m+1] are divided differences of f, and quadrature serves
+divided_difference's near ties and a kernel without an origin.
 
 Quadrature takes one row of arguments or a stack of rows (R, m+1), and
 every row takes the one path. The stack is cut once (simplex.split_by_kink
@@ -26,11 +26,11 @@ keeps the bits of its one-row call.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import QuadratureError, UnsupportedConfigError, ValidationError
+from .errors import QuadratureError, ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .simplex import (
     ORDER_LADDER,
@@ -40,14 +40,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import (
-    QUAD_TOL,
-    check_within,
-    checked_tol,
-    map_distinct_rows,
-    sorted_columns,
-    whole_number,
-)
+from .util import QUAD_TOL, check_within, checked_tol, whole_number
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -78,8 +71,8 @@ class MomentumSpec:
     m: int
     kernel: ScalarFunctionModel
     q_terms: tuple = None
-    #: model whose m-th derivative equals the kernel; enables the
-    #: divided-difference evaluation route
+    #: model f whose m-th derivative is the kernel: the symbol is c * f^[m];
+    #: a spec without one can only be integrated (momentum_quadrature)
     origin: ScalarFunctionModel = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -96,6 +89,10 @@ class MomentumSpec:
         model = as_kernel(model)
         k = _divided_order(model, k, 1)
         return cls(m=k, kernel=model.derivative_model(k), origin=model)
+
+    @property
+    def order(self):
+        return self.m
 
     @property
     def constant_weight(self):
@@ -222,47 +219,38 @@ def momentum_quadrature(spec, x, tol=QUAD_TOL):
     )
 
 
+def _origin(spec):
+    """The spec's origin model, or a ValidationError for a spec without one."""
+    if spec.origin is None:
+        raise ValidationError(
+            f"order-{spec.m} momentum of {spec.kernel!r} has no origin model: "
+            "integrate its kernel with momentum_quadrature"
+        )
+    return spec.origin
+
+
 def momentum_eval(spec, x, tol=QUAD_TOL):
-    """Momentum value at x; divided-difference route when available.
+    """c * f^[m], f the spec's origin, by divided_difference at tolerance tol:
+    at one row x of m+1 arguments, a float, or at each row of a stack (R, m+1)."""
+    from .divided import divided_difference  # deferred: circular otherwise
 
-    x may also be a stack of rows (R, m+1), giving R values. Quadrature
-    then takes the stack of distinct rows in one call, the rows of the
-    symmetric momentum being sorted first by the compare-exchange network
-    that divided differences use (util.sorted_columns).
-    """
+    origin = _origin(spec)
     x = np.asarray(x, dtype=float)
-    if spec.origin is not None:
-        from .divided import divided_difference  # deferred: circular otherwise
-
-        return spec.constant_weight * divided_difference(spec.origin, x, quad_tol=tol)
-    if x.ndim != 2:
-        return momentum_quadrature(spec, x, tol=tol)
-    x = sorted_columns(x).T
-    return map_distinct_rows(lambda rows: momentum_quadrature(spec, rows, tol=tol), x)
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.m + 1:
+        raise ValidationError(
+            f"momentum of order {spec.m} takes {spec.m + 1} arguments, got {x.shape}"
+        )
+    return spec.constant_weight * divided_difference(origin, x, quad_tol=tol)
 
 
 def momentum_perturbation_pair(spec):
-    """Companion spec psi with one more argument and kernel h'.
+    """Companion psi = c * f^[m+1] of phi = c * f^[m], f the spec's origin.
 
     psi satisfies psi(x_0, x_1, y_1, ..., y_m) = the first divided
     difference of x -> phi(x, y_1, ..., y_m) taken at (x_0, x_1), which
-    is the scalar identity behind the operator perturbation formula. psi
-    keeps the constant weight c of phi.
+    is the scalar identity behind the operator perturbation formula. A
+    spec without an origin raises ValidationError, and an origin without
+    m + 1 continuous derivatives UnsupportedConfigError.
     """
-    kernel = spec.kernel
-    try:
-        new_kernel = kernel.derivative_model(1)
-    except UnsupportedConfigError as exc:
-        raise UnsupportedConfigError(
-            "perturbation companion needs a differentiable kernel model"
-        ) from exc
-    if getattr(new_kernel, "beta", 0.0) <= -1.0:
-        raise UnsupportedConfigError(
-            "kernel derivative is not integrable; cannot form the companion"
-        )
-
-    origin = None
-    if spec.origin is not None and spec.m + 1 <= spec.origin.max_order:
-        origin = spec.origin
-    weight = (((0,) * (spec.m + 2), spec.constant_weight),)
-    return MomentumSpec(m=spec.m + 1, kernel=new_kernel, q_terms=weight, origin=origin)
+    psi = MomentumSpec.from_divided_difference(_origin(spec), spec.m + 1)
+    return replace(psi, q_terms=(((0,) * (psi.m + 1), spec.constant_weight),))

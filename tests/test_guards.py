@@ -48,7 +48,7 @@ V = 0.5 * np.eye(2)
 # 0.3 above the diagonal only: the lower triangle alone looks Hermitian.
 SKEW = np.array([[0.0, 0.3], [0.0, 0.0]])
 DD_SPEC = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
-# No origin model, so momentum_eval takes the quadrature route.
+# No origin model: a kernel for momentum_quadrature only.
 PLAIN_SPEC = MomentumSpec(1, PowerAbs(2.5).derivative_model(1))
 
 CALLS = {
@@ -59,7 +59,14 @@ CALLS = {
     ),
     "DividedDifference": (lambda: DividedDifference(PowerAbs(2.5), 1)([NAN, 0.1]), "^nodes"),
     "momentum_eval table": (lambda: momentum_eval(DD_SPEC, [NAN, 0.1]), "^nodes"),
-    "momentum_eval quadrature": (lambda: momentum_eval(PLAIN_SPEC, [NAN, 0.1]), "^arguments"),
+    "momentum_quadrature origin-less": (
+        lambda: momentum_quadrature(PLAIN_SPEC, [NAN, 0.1]),
+        "^arguments",
+    ),
+    "momentum_eval origin-less": (
+        lambda: momentum_eval(PLAIN_SPEC, [0.2, 0.1]),
+        "no origin model: integrate its kernel with momentum_quadrature$",
+    ),
     "momentum_quadrature": (lambda: momentum_quadrature(DD_SPEC, [NAN, 0.1]), "^arguments"),
     "momentum_quadrature tol": (
         lambda: momentum_quadrature(DD_SPEC, [0.2, 0.1], tol=NAN),
@@ -232,6 +239,10 @@ CALLS["moi_separable order"] = (
 CALLS["MoiRequest order"] = (
     lambda: MoiRequest((H, H), (V,), DividedDifference(PowerAbs(3.5), 2)),
     "^symbol takes 3 arguments, got 2",
+)
+CALLS["MoiRequest momentum order"] = (
+    lambda: MoiRequest((H, H, H), (V, V), MomentumSpec.from_divided_difference(PowerAbs(3.5), 1)),
+    "^symbol takes 2 arguments, got 3",
 )
 CALLS["perturbation_identity perturbation"] = (
     lambda: perturbation_identity(DD_SPEC, H, H + 0.1 * V, [H], [V * NAN]),

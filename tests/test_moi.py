@@ -611,9 +611,11 @@ def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
     rng = np.random.default_rng(60 + order)
     count, dim = 3, 3
     cubic = Polynomial((0.2, -1.0, 0.5))
+    quartic = Polynomial((0.2, -1.0, 0.5, 0.3, -0.4))
+    weight = (((0,) * (order + 1), 1.5),)
     symbols = (
         DividedDifference(PowerAbs(3.5), order),
-        MomentumSpec(m=order, kernel=cubic, q_terms=(((0,) * (order + 1), 1.5),)),
+        MomentumSpec(order, quartic.derivative_model(order), weight, origin=quartic),
         SeparableSymbol(((0.5, (cubic,) * (order + 1)), (-2.0, (Monomial(2),) * (order + 1)))),
         lambda *vals: vals[0] - 2.0 * math.prod(vals[1:]),
     )
@@ -899,16 +901,16 @@ def test_tensor_of_signed_zeros_matches_scalar_routes():
 
 
 def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
-    # Separable sums, quadrature-route momenta and bare callables fill the
-    # tensor block by block, matching their values at single tuples.
+    # Separable sums, weighted momenta and bare callables fill the tensor
+    # block by block, matching their values at single tuples.
     monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
     lam = np.array([-0.6, 0.0, 0.0, 0.45])
     sets = [lam, binned_eigenvalues(lam, 4), lam]
     cubic = Polynomial((0.2, -1.0, 0.5))
-    kernel = PowerAbs(2.5).derivative_model(2)
+    origin = PowerAbs(2.5)
     symbols = (
         SeparableSymbol(((0.5, (cubic, Monomial(1), cubic)), (-2.0, (Monomial(2),) * 3))),
-        MomentumSpec(m=2, kernel=kernel),
+        MomentumSpec(2, origin.derivative_model(2), (((0, 0, 0), 1.5),), origin=origin),
     )
     for symbol in symbols:
         if isinstance(symbol, SeparableSymbol):

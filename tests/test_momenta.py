@@ -37,14 +37,14 @@ def test_constant_kernel_gives_simplex_volume():
     for m, vol in ((1, 1.0), (2, 0.5), (3, 1.0 / 6.0)):
         spec = MomentumSpec(m=m, kernel=ONE)
         x = np.linspace(-0.5, 0.7, m + 1)
-        np.testing.assert_allclose(momentum_eval(spec, x), vol, rtol=1e-12)
+        np.testing.assert_allclose(momentum_quadrature(spec, x), vol, rtol=1e-12)
 
 
 def test_linear_kernel_hand_value():
     # h(u) = 6u, m = 2: each s_j integrates to 1/6, so phi = x0 + x1 + x2
     spec = MomentumSpec(m=2, kernel=SIX_X)
     for x in ([0.1, -0.4, 0.9], [0.0, 0.0, 1.2], [-1.0, 1.0, 0.5]):
-        np.testing.assert_allclose(momentum_eval(spec, x), sum(x), rtol=1e-12)
+        np.testing.assert_allclose(momentum_quadrature(spec, x), sum(x), rtol=1e-12)
 
 
 def test_constant_weight_symmetry():
@@ -58,22 +58,22 @@ def test_constant_weight_symmetry():
 
 
 def test_constant_weight_contract(monkeypatch):
-    # The weight is one constant c: it scales both routes of momentum_eval
-    # exactly (a power of two, with the quadrature's absolute tolerance
-    # scaled alike), it passes to the companion, and nothing but a constant
-    # term is accepted.
+    # The weight is one constant c: it scales the symbol (momentum_eval)
+    # and the integral (momentum_quadrature) exactly (a power of two, with
+    # the quadrature's absolute tolerance scaled alike), it passes to the
+    # companion, and nothing but a constant term is accepted.
     c, m = 4.0, 2
     one = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
     weight = (((0,) * (m + 1), c),)
     rows = np.array([[0.7, -0.2, 0.4], [0.3, 0.3, 0.3001], [0.6, 0.3, 4e-9], [0.2, 0.5, 0.9]])
-    for origin in (one.origin, None):
+    for origin, evaluate in ((one.origin, momentum_eval), (None, momentum_quadrature)):
         spec = MomentumSpec(m=m, kernel=one.kernel, q_terms=weight, origin=origin)
         assert spec.constant_weight == c
         base = MomentumSpec(m=m, kernel=one.kernel, origin=origin)
-        got = momentum_eval(spec, rows, tol=c * QUAD_TOL)
-        assert got.tobytes() == (c * momentum_eval(base, rows, tol=QUAD_TOL)).tobytes()
-        psi = momentum_perturbation_pair(spec)
-        assert psi.constant_weight == c and psi.q_terms == (((0,) * (m + 2), c),)
+        got = evaluate(spec, rows, tol=c * QUAD_TOL)
+        assert got.tobytes() == (c * evaluate(base, rows, tol=QUAD_TOL)).tobytes()
+    psi = momentum_perturbation_pair(MomentumSpec(m, one.kernel, weight, one.origin))
+    assert psi.constant_weight == c and psi.q_terms == (((0,) * (m + 2), c),)
     with pytest.raises(ValidationError, match="polynomial weights are retired"):
         MomentumSpec(m=m, kernel=ONE, q_terms=(((0, 1, 1), 1.0),))
 
@@ -153,46 +153,66 @@ def test_perturbation_pair_confluent_matches_partial_derivative():
     np.testing.assert_allclose(lhs, (plus - minus) / (2.0 * h), rtol=0, atol=1e-6)
 
 
-def test_row_stack_takes_quadrature_once_per_distinct_row(monkeypatch):
-    # A momentum without a divided-difference route maps a row stack to
-    # one value per row, counting permuted rows once. Quadrature takes the
-    # distinct rows as one stack.
-    from specforms import momenta
+def test_perturbation_pair_is_the_next_divided_difference_of_the_origin():
+    # psi = c f^[m+1] of the origin f, keeping the weight c; an origin with
+    # too few derivatives, or none at all, is refused.
+    origin = PowerAbs(3.5)
+    weight = (((0,) * 3, 3.0),)
+    spec = MomentumSpec(m=2, kernel=origin.derivative_model(2), q_terms=weight, origin=origin)
+    psi = momentum_perturbation_pair(spec)
+    assert (psi.m, psi.order, psi.origin, psi.constant_weight) == (3, 3, origin, 3.0)
+    assert psi.kernel.power_form == origin.derivative_model(3).power_form
+    x = np.array([0.6, -0.3, 0.2, -0.5])
+    assert momentum_eval(psi, x) == 3.0 * divided_difference(origin, x)
+    with pytest.raises(UnsupportedConfigError, match="order-3 divided difference"):
+        momentum_perturbation_pair(MomentumSpec.from_divided_difference(PowerAbs(2.5), 2))
+    kernel_only = MomentumSpec(m=1, kernel=PowerAbs(2.5).derivative_model(1))
+    with pytest.raises(ValidationError, match="no origin model: .* momentum_quadrature"):
+        momentum_perturbation_pair(kernel_only)
+
+
+def test_companion_is_refused_before_any_decomposition(monkeypatch):
+    # An origin-less spec and an origin without m + 1 derivatives are
+    # refused before the eigensolver sees a matrix.
+    (a, v), (b, _), (h, _) = generate_instance([1, 2, 3], 4, "generic", 2.5)
+    handed, eigh = [], np.linalg.eigh
+
+    def counted(x):
+        handed.append(len(x) if x.ndim == 3 else 1)
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    kernel_only = MomentumSpec(m=1, kernel=PowerAbs(2.5).derivative_model(1))
+    with pytest.raises(ValidationError, match="no origin model"):
+        perturbation_identity(kernel_only, a, b, [h], [v])
+    short = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
+    with pytest.raises(UnsupportedConfigError, match="order-3 divided difference"):
+        perturbation_identity(short, a, b, [h, h], [v, v])
+    assert handed == []
+
+
+def test_near_tie_rows_take_quadrature_once_per_distinct_row(monkeypatch):
+    # A row stack maps to one value per row through the origin's divided
+    # difference; its near-tie rows go to quadrature as one stack of the
+    # distinct sorted rows, a permuted row counting once.
+    from specforms import divided
 
     rows_seen = []
-    quadrature = momenta.momentum_quadrature
+    quadrature = divided.momentum_quadrature
 
     def counted(spec, x, tol=1e-9):
         rows_seen.extend(map(tuple, np.atleast_2d(x)))
         return quadrature(spec, x, tol=tol)
 
-    monkeypatch.setattr(momenta, "momentum_quadrature", counted)
-    rows = np.array([[0.3, -0.2, 0.8], [0.8, 0.3, -0.2], [0.3, -0.2, 0.8], [0.1, 0.5, -0.6]])
-    spec = MomentumSpec(m=2, kernel=PowerAbs(2.5).derivative_model(2))
+    monkeypatch.setattr(divided, "momentum_quadrature", counted)
+    near = [0.3, 0.3 + 1e-9, 0.8]
+    rows = np.array([near, near[::-1], near, [0.1, 0.5, -0.6], [0.2, -0.4, 0.2 + 2e-9]])
+    spec = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
     got = momentum_eval(spec, rows, tol=QUAD_TOL)
-    assert got.shape == (4,) and len(rows_seen) == len(set(rows_seen)) == 2
-    args = np.sort(rows, axis=1)
+    assert got.shape == (5,) and len(rows_seen) == len(set(rows_seen)) == 2
+    args = np.sort(rows[[0, 4]], axis=1)
     assert set(rows_seen) == set(map(tuple, args))
-    np.testing.assert_array_equal(got, [quadrature(spec, x, tol=QUAD_TOL) for x in args])
-
-
-def test_constant_weight_rows_sort_as_np_sort_bitwise():
-    # The column network in place of np.sort: tie-free rows, exact ties,
-    # rows crossing the kink, and rows holding -0.0, 0.0 or both.
-    rng = np.random.default_rng(19)
-    for m in (1, 2):
-        rows = rng.uniform(-0.9, 0.9, (12, m + 1))
-        rows[1] = rows[0]
-        rows[1, :2] = rows[0, 1::-1]  # row 0 in another order
-        rows[2, -1] = rows[2, 0]
-        rows[3, :2] = (-0.0, 0.0)
-        rows[4, :2] = (0.0, -0.0)
-        rows[5, 0], rows[6, -1] = -0.0, 0.0
-        rows[7] = np.linspace(-0.2, 0.3, m + 1)[::-1]
-        spec = MomentumSpec(m=m, kernel=PowerAbs(3.5).derivative_model(m))
-        got = momentum_eval(spec, rows, tol=QUAD_TOL)
-        want = [momentum_quadrature(spec, x, tol=QUAD_TOL) for x in np.sort(rows, axis=1)]
-        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert got[[0, 1, 2]].tolist() == [quadrature(spec, args[0], tol=QUAD_TOL)] * 3
 
 
 def test_validation_guards():
@@ -205,8 +225,10 @@ def test_validation_guards():
     with pytest.raises(UnsupportedConfigError):
         MomentumSpec.from_divided_difference(PowerAbs(2.5), 3)
     spec = MomentumSpec(m=2, kernel=ONE)
-    with pytest.raises(ValidationError):
-        momentum_eval(spec, np.array([0.1, 0.2]))
+    with pytest.raises(ValidationError, match="takes 3 arguments"):
+        momentum_quadrature(spec, np.array([0.1, 0.2]))
+    with pytest.raises(ValidationError, match="takes 3 arguments"):
+        momentum_eval(MomentumSpec.from_divided_difference(PowerAbs(3.5), 2), [0.1, 0.2])
     with pytest.raises(ValidationError, match="domain"):
         momentum_eval(MomentumSpec.from_divided_difference(PowerAbs(2.5), 1), np.array([0.1, 5.0]))
 

@@ -24,6 +24,7 @@ from specforms import (
     model_delta_bracket,
     perturbation_identity,
     schatten_norm,
+    taylor_expand,
     taylor_integral_form,
 )
 from specforms import spectral
@@ -461,6 +462,8 @@ def test_each_raw_matrix_is_checked_hermitian_once(monkeypatch):
         "_stream_stacks": (lambda: _stream_stacks([1, 2], 1, 3, "generic", 2.5), (2, 4)),
         # h0, h1, then the 8 + 16 moving points of the first Gauss orders.
         "taylor_integral_form": (lambda: taylor_integral_form(h, h + 0.1 * v, 3.5), (3, 26)),
+        # H and V, once for the expansion and its three oracle entries.
+        "taylor_expand": (lambda: taylor_expand(h, v, 3.5), (2, 2)),
     }
     for name, (call, count) in cases.items():
         calls.clear()
