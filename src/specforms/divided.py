@@ -13,8 +13,8 @@ representation
 
     f^[k](x_0..x_k) = integral over S_k of f^(k)(sum_j s_j x_j),
 
-the order-k momentum of f^(k) with weight 1, computed by simplex
-quadrature. A row without exact ties goes there when an adjacent gap is
+computed by simplex quadrature of f^(k) (momentum_quadrature of the
+model). A row without exact ties goes there when an adjacent gap is
 small; a row with one when the table's rounding-error bound is large
 (_routed_table). That bound is computed only for a stack holding an
 exact tie.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
-from .momenta import MomentumSpec, momentum_quadrature
+from .momenta import momentum_quadrature
 from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
@@ -122,12 +122,11 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     distinct near-tie rows are evaluated by one quadrature call on their
     stack.
     """
-    model, cols, k, batched = _prepare(model, nodes)
+    model, cols, _, batched = _prepare(model, nodes)
     values, near = _routed_table(model, cols)
     if near.any():
-        spec = MomentumSpec.from_divided_difference(model, k)
         values[near] = map_distinct_rows(
-            lambda rows: momentum_quadrature(spec, rows, tol=quad_tol), cols[:, near].T
+            lambda rows: momentum_quadrature(model, rows, tol=quad_tol), cols[:, near].T
         )
     return values if batched else float(values[0])
 
@@ -140,8 +139,7 @@ def divided_difference_via_momentum(model, nodes):
         raise ValidationError("the oracle route takes one node set")
     if k == 0:
         return float(model.eval(cols[0, 0]))
-    spec = MomentumSpec.from_divided_difference(model, k)
-    return momentum_quadrature(spec, cols[:, 0])
+    return momentum_quadrature(model, cols[:, 0])
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature could not cut, integrate or converge on a row.
 
     Raised inside momentum_quadrature, the error names its row: `nodes`,
-    `order` and `level` are the failing row, the momentum order and the
-    per-axis order being tried. `change` is the last change between
-    levels when the ladder runs out, and None for the other failures: a
-    kink or grading cut that lost volume (at the first level, where the
-    pieces are cut), a face the kernel is not integrable against, or a
-    kernel singular on a whole piece. Raised by the simplex geometry on
-    its own, a cut that lost volume names its row by `row`, its index in
-    the stack given to simplex.split_by_kink; the other fields are None.
+    `order` and `level` are the failing row, the divided-difference order
+    and the per-axis order being tried. `change` is the last change
+    between levels when the ladder runs out, and None for a kink or
+    grading cut that lost volume (at the first level, where the pieces are
+    cut). Raised by the simplex geometry on its own, a cut that lost
+    volume names its row by `row`, its index in the stack given to
+    simplex.split_by_kink, and simplex.join_rule refuses a face the kernel
+    is not integrable against; the other fields are None.
     """
 
     def __init__(self, message, nodes=None, order=None, level=None, change=None, row=None):

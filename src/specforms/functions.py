@@ -21,7 +21,11 @@ SMOOTH_ORDER = 10**9
 
 
 class ScalarFunctionModel:
-    """Interface: domain, max_order, eval(x, order), derivative_model(k)."""
+    """Interface: domain, max_order, eval(x, order), derivative_model(k).
+
+    An origin model (PowerKernel, Polynomial) has a repr naming every
+    parameter, so one repr is one function: MomentumSpec and moi's Loewner
+    memo compare such models by repr."""
 
     domain = (-np.inf, np.inf)
     #: index K such that f, f', ..., f^(K) are continuous on the domain
@@ -55,9 +59,9 @@ class PowerKernel(ScalarFunctionModel):
     """f(x) = coef * |x|^beta * sign(x)^parity on the working interval.
 
     Differentiation maps (coef, beta, parity) to (coef*beta, beta-1,
-    parity+1), so the family is closed under derivative_model. beta may
-    drop below zero for quadrature kernels; such models are integrable
-    but blow up at the origin.
+    parity+1), so the family is closed under derivative_model. Up to
+    max_order each derivative is continuous, with beta > 0 or coef 0;
+    past it beta may drop below zero, where the model blows up at 0.
     """
 
     domain = WORKING_INTERVAL

@@ -322,9 +322,8 @@ def sorted_row_route(model, rows, quad_tol=1e-9):
         inexact = ~(error <= divided.TIE_TABLE_RTOL * np.abs(values) + divided.TIE_TABLE_ATOL)
         near = np.where((gaps == 0.0).any(axis=0), inexact, close)
         if near.any():
-            spec = divided.MomentumSpec.from_divided_difference(model, cols.shape[0] - 1)
             values[near] = divided.map_distinct_rows(
-                lambda distinct: divided.momentum_quadrature(spec, distinct, tol=quad_tol),
+                lambda distinct: divided.momentum_quadrature(model, distinct, tol=quad_tol),
                 x[near],
             )
     return values

@@ -48,8 +48,6 @@ V = 0.5 * np.eye(2)
 # 0.3 above the diagonal only: the lower triangle alone looks Hermitian.
 SKEW = np.array([[0.0, 0.3], [0.0, 0.0]])
 DD_SPEC = MomentumSpec.from_divided_difference(PowerAbs(2.5), 1)
-# No origin model: a kernel for momentum_quadrature only.
-PLAIN_SPEC = MomentumSpec(1, PowerAbs(2.5).derivative_model(1))
 
 CALLS = {
     "divided_difference": (lambda: divided_difference(PowerAbs(2.5), [NAN, 0.1]), "^nodes"),
@@ -59,17 +57,19 @@ CALLS = {
     ),
     "DividedDifference": (lambda: DividedDifference(PowerAbs(2.5), 1)([NAN, 0.1]), "^nodes"),
     "momentum_eval table": (lambda: momentum_eval(DD_SPEC, [NAN, 0.1]), "^nodes"),
-    "momentum_quadrature origin-less": (
-        lambda: momentum_quadrature(PLAIN_SPEC, [NAN, 0.1]),
-        "^arguments",
+    # A momentum's kernel is its origin's derivative, and it has an origin.
+    "MomentumSpec kernel": (
+        lambda: MomentumSpec(m=2, kernel=Polynomial((1.0,)), origin=PowerAbs(3.5)),
+        r"^kernel Polynomial\(.*\) of an order-2 momentum is not the derivative "
+        r"PowerKernel\(8.75, 1.5, 0\) of its origin PowerKernel\(1.0, 3.5, 0\)$",
     ),
-    "momentum_eval origin-less": (
-        lambda: momentum_eval(PLAIN_SPEC, [0.2, 0.1]),
-        "no origin model: integrate its kernel with momentum_quadrature$",
+    "MomentumSpec origin": (
+        lambda: MomentumSpec(m=1, kernel=DD_SPEC.kernel, origin=None),
+        "^cannot use None as a scalar kernel",
     ),
-    "momentum_quadrature": (lambda: momentum_quadrature(DD_SPEC, [NAN, 0.1]), "^arguments"),
+    "momentum_quadrature": (lambda: momentum_quadrature(PowerAbs(2.5), [NAN, 0.1]), "^arguments"),
     "momentum_quadrature tol": (
-        lambda: momentum_quadrature(DD_SPEC, [0.2, 0.1], tol=NAN),
+        lambda: momentum_quadrature(PowerAbs(2.5), [0.2, 0.1], tol=NAN),
         "^quadrature tol",
     ),
     "PowerAbs": (lambda: PowerAbs(NAN), "1 < p < inf, got nan"),
@@ -144,8 +144,8 @@ CALLS = {
 # Counts and orders are not truncated: a fraction or NaN is rejected.
 for bad in (NAN, 2.7):
     CALLS[f"MomentumSpec m={bad}"] = (
-        lambda bad=bad: MomentumSpec(m=bad, kernel=PowerAbs(2.5)),
-        "^momentum order must be a whole number",
+        lambda bad=bad: MomentumSpec(m=bad, kernel=PowerAbs(2.5), origin=PowerAbs(2.5)),
+        "^divided-difference order must be a whole number",
     )
     CALLS[f"binned_eigenvalues n={bad}"] = (
         lambda bad=bad: binned_eigenvalues([0.1, 0.5], bad),
@@ -414,7 +414,7 @@ for bad in (NAN, 0.0, -1.0, np.inf):
 # Infinite, zero and negative tolerances fail the same guards.
 for bad in (0.0, -1e-9, np.inf):
     CALLS[f"momentum_quadrature tol={bad}"] = (
-        lambda bad=bad: momentum_quadrature(DD_SPEC, [0.2, 0.1], tol=bad),
+        lambda bad=bad: momentum_quadrature(PowerAbs(2.5), [0.2, 0.1], tol=bad),
         "^quadrature tol",
     )
 

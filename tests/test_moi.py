@@ -615,7 +615,9 @@ def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
     weight = (((0,) * (order + 1), 1.5),)
     symbols = (
         DividedDifference(PowerAbs(3.5), order),
-        MomentumSpec(order, quartic.derivative_model(order), weight, origin=quartic),
+        MomentumSpec(
+            m=order, kernel=quartic.derivative_model(order), origin=quartic, q_terms=weight
+        ),
         SeparableSymbol(((0.5, (cubic,) * (order + 1)), (-2.0, (Monomial(2),) * (order + 1)))),
         lambda *vals: vals[0] - 2.0 * math.prod(vals[1:]),
     )
@@ -910,7 +912,9 @@ def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
     origin = PowerAbs(2.5)
     symbols = (
         SeparableSymbol(((0.5, (cubic, Monomial(1), cubic)), (-2.0, (Monomial(2),) * 3))),
-        MomentumSpec(2, origin.derivative_model(2), (((0, 0, 0), 1.5),), origin=origin),
+        MomentumSpec(
+            m=2, kernel=origin.derivative_model(2), origin=origin, q_terms=(((0, 0, 0), 1.5),)
+        ),
     )
     for symbol in symbols:
         if isinstance(symbol, SeparableSymbol):

@@ -1,12 +1,14 @@
 """Integral momenta over the simplex: hand values, constant weights, companions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyint
 
 from specforms import (
-    CallableKernel,
     Monomial,
     MomentumSpec,
     Polynomial,
@@ -23,28 +25,39 @@ from specforms import (
 )
 from specforms import experiments, moi, momenta, simplex
 from specforms.momenta import momentum_quadrature
-from specforms.simplex import ORDER_LADDER, _SNAP, graded_pieces, group_pieces, split_by_kink
+from specforms.simplex import (
+    ORDER_LADDER,
+    _SNAP,
+    graded_pieces,
+    group_pieces,
+    join_rule,
+    split_by_kink,
+)
 
 QUAD_TOL = 1e-9
 CROSS_TOL = 1e-8
 
 ONE = Polynomial((1.0,))
-SIX_X = Polynomial((0.0, 6.0))
+
+
+def one(m):
+    """x^m / m!, whose m-th derivative is 1."""
+    return Polynomial([0.0] * m + [1.0 / math.factorial(m)])
 
 
 def test_constant_kernel_gives_simplex_volume():
     # integral of 1 over S_m has mass 1/m!
     for m, vol in ((1, 1.0), (2, 0.5), (3, 1.0 / 6.0)):
-        spec = MomentumSpec(m=m, kernel=ONE)
         x = np.linspace(-0.5, 0.7, m + 1)
-        np.testing.assert_allclose(momentum_quadrature(spec, x), vol, rtol=1e-12)
+        np.testing.assert_allclose(momentum_quadrature(one(m), x), vol, rtol=1e-12)
 
 
 def test_linear_kernel_hand_value():
-    # h(u) = 6u, m = 2: each s_j integrates to 1/6, so phi = x0 + x1 + x2
-    spec = MomentumSpec(m=2, kernel=SIX_X)
+    # f = x^3, so h(u) = 6u at m = 2: each s_j integrates to 1/6, and
+    # phi = x0 + x1 + x2
+    cube = Polynomial((0.0, 0.0, 0.0, 1.0))
     for x in ([0.1, -0.4, 0.9], [0.0, 0.0, 1.2], [-1.0, 1.0, 0.5]):
-        np.testing.assert_allclose(momentum_quadrature(spec, x), sum(x), rtol=1e-12)
+        np.testing.assert_allclose(momentum_quadrature(cube, x), sum(x), rtol=1e-12)
 
 
 def test_constant_weight_symmetry():
@@ -57,41 +70,51 @@ def test_constant_weight_symmetry():
     assert spec.constant_weight == 1.0
 
 
-def test_constant_weight_contract(monkeypatch):
+def test_constant_weight_contract():
     # The weight is one constant c: it scales the symbol (momentum_eval)
-    # and the integral (momentum_quadrature) exactly (a power of two, with
-    # the quadrature's absolute tolerance scaled alike), it passes to the
-    # companion, and nothing but a constant term is accepted.
+    # exactly (a power of two), it passes to the companion, and nothing but
+    # a constant term is accepted.
     c, m = 4.0, 2
-    one = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
+    base = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
     weight = (((0,) * (m + 1), c),)
     rows = np.array([[0.7, -0.2, 0.4], [0.3, 0.3, 0.3001], [0.6, 0.3, 4e-9], [0.2, 0.5, 0.9]])
-    for origin, evaluate in ((one.origin, momentum_eval), (None, momentum_quadrature)):
-        spec = MomentumSpec(m=m, kernel=one.kernel, q_terms=weight, origin=origin)
-        assert spec.constant_weight == c
-        base = MomentumSpec(m=m, kernel=one.kernel, origin=origin)
-        got = evaluate(spec, rows, tol=c * QUAD_TOL)
-        assert got.tobytes() == (c * evaluate(base, rows, tol=QUAD_TOL)).tobytes()
-    psi = momentum_perturbation_pair(MomentumSpec(m, one.kernel, weight, one.origin))
+    spec = MomentumSpec(m=m, kernel=base.kernel, origin=base.origin, q_terms=weight)
+    assert spec.constant_weight == c
+    got = momentum_eval(spec, rows)
+    assert got.tobytes() == (c * momentum_eval(base, rows)).tobytes()
+    psi = momentum_perturbation_pair(spec)
     assert psi.constant_weight == c and psi.q_terms == (((0,) * (m + 2), c),)
     with pytest.raises(ValidationError, match="polynomial weights are retired"):
-        MomentumSpec(m=m, kernel=ONE, q_terms=(((0, 1, 1), 1.0),))
+        MomentumSpec(m=m, kernel=ONE, origin=one(m), q_terms=(((0, 1, 1), 1.0),))
 
-    # A companion scaled by 1 + 1e-3, as the benchmark's perturbed-companion
-    # check scales it, fails the order-1 cubic perturbation identity.
-    cubic = MomentumSpec.from_divided_difference(experiments._PERTURBATION_POLY, 1)
+
+@pytest.mark.parametrize(
+    "origin, bound",
+    [(experiments._PERTURBATION_POLY, "perturbation_poly"), (PowerAbs(2.5), "perturbation_power")],
+)
+def test_benchmark_companion_rebuild_moves_the_identity_by_its_weight(origin, bound, monkeypatch):
+    # The benchmark's perturbed-companion check rebuilds psi field by field,
+    # MomentumSpec(m=, kernel=, q_terms=, origin=), with its weight scaled.
+    # The rebuild must stay valid, and the order-1 identity residual must
+    # then read the scale less 1 times the companion integral, here the
+    # residual at scale 2.
+    phi = MomentumSpec.from_divided_difference(origin, 1)
     (a, v), (b, _), (h, _) = generate_instance([1, 2, 3], 4, "generic", 2.5)
-    tol = experiments.DEFAULT_TOLERANCES["perturbation_poly"]
-    assert perturbation_identity(cubic, a, b, [h], [v]) <= tol
+    tol = experiments.DEFAULT_TOLERANCES[bound]
+    assert perturbation_identity(phi, a, b, [h], [v]) <= tol
     pair = moi.momentum_perturbation_pair
+    residuals = {}
+    for scale in (1.0 + 1e-3, 2.0):
 
-    def scaled(spec):
-        psi = pair(spec)
-        terms = tuple((alpha, w * (1.0 + 1e-3)) for alpha, w in psi.q_terms)
-        return MomentumSpec(m=psi.m, kernel=psi.kernel, q_terms=terms, origin=psi.origin)
+        def scaled(spec, scale=scale):
+            psi = pair(spec)
+            terms = tuple((alpha, w * scale) for alpha, w in psi.q_terms)
+            return MomentumSpec(m=psi.m, kernel=psi.kernel, q_terms=terms, origin=psi.origin)
 
-    monkeypatch.setattr(moi, "momentum_perturbation_pair", scaled)
-    assert perturbation_identity(cubic, a, b, [h], [v]) > tol
+        monkeypatch.setattr(moi, "momentum_perturbation_pair", scaled)
+        residuals[scale] = perturbation_identity(phi, a, b, [h], [v])
+    assert residuals[1.0 + 1e-3] > tol
+    np.testing.assert_allclose(residuals[1.0 + 1e-3], 1e-3 * residuals[2.0], rtol=1e-8)
 
 
 def test_divided_difference_route_matches_quadrature():
@@ -100,11 +123,10 @@ def test_divided_difference_route_matches_quadrature():
     for p in (2.5, 3.5):
         for k in (1, 2):
             spec = MomentumSpec.from_divided_difference(PowerAbs(p), k)
-            assert spec.origin is not None
             for _ in range(5):
                 x = rng.uniform(-1.0, 1.0, size=k + 1)
                 fast = momentum_eval(spec, x, tol=QUAD_TOL)
-                slow = momentum_quadrature(spec, x, tol=QUAD_TOL)
+                slow = momentum_quadrature(spec.origin, x, tol=QUAD_TOL)
                 np.testing.assert_allclose(fast, slow, rtol=0, atol=CROSS_TOL)
 
 
@@ -113,15 +135,14 @@ def test_quadrature_handles_arguments_straddling_zero():
     spec = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
     x = np.array([-0.8, 0.5, 0.2])
     fast = momentum_eval(spec, x, tol=QUAD_TOL)
-    slow = momentum_quadrature(spec, x, tol=QUAD_TOL)
+    slow = momentum_quadrature(spec.origin, x, tol=QUAD_TOL)
     np.testing.assert_allclose(fast, slow, rtol=0, atol=CROSS_TOL)
     # A node 7.5e-10 from the kink: triangulating the cut sides with a
     # Delaunay (Qhull) call raised QhullError here, even with joggling.
     x = np.array(
         [0.03923010488866392, -7.510138023989476e-10, -0.8248415645362699, -0.0049459421552124835]
     )
-    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 3)
-    slow = momentum_quadrature(spec, x, tol=QUAD_TOL)
+    slow = momentum_quadrature(PowerAbs(3.5), x, tol=QUAD_TOL)
     np.testing.assert_allclose(slow, divided_difference(PowerAbs(3.5), x), rtol=0, atol=QUAD_TOL)
 
 
@@ -155,7 +176,7 @@ def test_perturbation_pair_confluent_matches_partial_derivative():
 
 def test_perturbation_pair_is_the_next_divided_difference_of_the_origin():
     # psi = c f^[m+1] of the origin f, keeping the weight c; an origin with
-    # too few derivatives, or none at all, is refused.
+    # too few derivatives is refused.
     origin = PowerAbs(3.5)
     weight = (((0,) * 3, 3.0),)
     spec = MomentumSpec(m=2, kernel=origin.derivative_model(2), q_terms=weight, origin=origin)
@@ -166,14 +187,55 @@ def test_perturbation_pair_is_the_next_divided_difference_of_the_origin():
     assert momentum_eval(psi, x) == 3.0 * divided_difference(origin, x)
     with pytest.raises(UnsupportedConfigError, match="order-3 divided difference"):
         momentum_perturbation_pair(MomentumSpec.from_divided_difference(PowerAbs(2.5), 2))
-    kernel_only = MomentumSpec(m=1, kernel=PowerAbs(2.5).derivative_model(1))
-    with pytest.raises(ValidationError, match="no origin model: .* momentum_quadrature"):
-        momentum_perturbation_pair(kernel_only)
+
+
+def test_kernel_must_be_the_origins_derivative():
+    # The kernel says nothing the origin does not (tests/test_guards.py
+    # refuses a kernel of another model): another order's derivative is
+    # refused, and an equal model built by hand is taken.
+    origin = PowerAbs(3.5)
+    with pytest.raises(ValidationError, match="is not the derivative"):
+        MomentumSpec(m=1, kernel=origin.derivative_model(2), origin=origin)
+    spec = MomentumSpec(m=2, kernel=PowerKernel(8.75, 1.5), origin=origin)
+    assert momentum_eval(spec, [0.1, 0.4, 0.7]) == divided_difference(origin, [0.1, 0.4, 0.7])
+
+
+def test_order_four_companion_builds_and_meets_the_integral_cap(monkeypatch):
+    # Only the origin's derivative count bounds a momentum's order: the
+    # order-4 momentum of a polynomial has its order-5 companion, and
+    # perturbation_identity refuses it by moi.MAX_ORDER before the
+    # eigensolver sees a matrix.
+    quartic = MomentumSpec.from_divided_difference(experiments._PERTURBATION_POLY, 4)
+    psi = momentum_perturbation_pair(quartic)
+    assert (psi.m, psi.kernel.eval(0.3)) == (5, 0.0)
+    (a, v), (b, _), (h, _) = generate_instance([1, 2, 3], 4, "generic", 2.5)
+    handed, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: handed.append(x) or eigh(x))
+    with pytest.raises(UnsupportedConfigError, match="companion integral order 5 exceeds"):
+        perturbation_identity(quartic, a, b, [h] * 4, [v] * 4)
+    assert handed == []
+
+
+def test_quadrature_takes_orders_one_to_four_within_the_model():
+    # Rows of 2 to 5 arguments, and no order above the model's derivative
+    # count: f^(k) must be continuous.
+    for width in (1, 6):
+        with pytest.raises(ValidationError, match="rows of 2 to 5 arguments"):
+            momentum_quadrature(one(5), np.linspace(0.1, 0.6, width))
+    with pytest.raises(ValidationError, match="rows of 2 to 5 arguments"):
+        momentum_quadrature(one(1), np.zeros((2, 1)))
+    with pytest.raises(
+        UnsupportedConfigError,
+        match="^order-3 divided difference needs 3 continuous derivatives, model has 2$",
+    ):
+        momentum_quadrature(PowerAbs(2.5), np.array([0.1, 0.2, 0.3, 0.4]))
+    got = momentum_quadrature(one(4), np.linspace(-0.5, 0.7, 5))
+    np.testing.assert_allclose(got, 1.0 / 24.0, rtol=1e-12)
 
 
 def test_companion_is_refused_before_any_decomposition(monkeypatch):
-    # An origin-less spec and an origin without m + 1 derivatives are
-    # refused before the eigensolver sees a matrix.
+    # An origin without m + 1 derivatives is refused before the eigensolver
+    # sees a matrix.
     (a, v), (b, _), (h, _) = generate_instance([1, 2, 3], 4, "generic", 2.5)
     handed, eigh = [], np.linalg.eigh
 
@@ -182,9 +244,6 @@ def test_companion_is_refused_before_any_decomposition(monkeypatch):
         return eigh(x)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    kernel_only = MomentumSpec(m=1, kernel=PowerAbs(2.5).derivative_model(1))
-    with pytest.raises(ValidationError, match="no origin model"):
-        perturbation_identity(kernel_only, a, b, [h], [v])
     short = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
     with pytest.raises(UnsupportedConfigError, match="order-3 divided difference"):
         perturbation_identity(short, a, b, [h, h], [v, v])
@@ -200,9 +259,9 @@ def test_near_tie_rows_take_quadrature_once_per_distinct_row(monkeypatch):
     rows_seen = []
     quadrature = divided.momentum_quadrature
 
-    def counted(spec, x, tol=1e-9):
+    def counted(model, x, tol=1e-9):
         rows_seen.extend(map(tuple, np.atleast_2d(x)))
-        return quadrature(spec, x, tol=tol)
+        return quadrature(model, x, tol=tol)
 
     monkeypatch.setattr(divided, "momentum_quadrature", counted)
     near = [0.3, 0.3 + 1e-9, 0.8]
@@ -212,33 +271,29 @@ def test_near_tie_rows_take_quadrature_once_per_distinct_row(monkeypatch):
     assert got.shape == (5,) and len(rows_seen) == len(set(rows_seen)) == 2
     args = np.sort(rows[[0, 4]], axis=1)
     assert set(rows_seen) == set(map(tuple, args))
-    assert got[[0, 1, 2]].tolist() == [quadrature(spec, args[0], tol=QUAD_TOL)] * 3
+    assert got[[0, 1, 2]].tolist() == [quadrature(spec.origin, args[0], tol=QUAD_TOL)] * 3
 
 
 def test_validation_guards():
     with pytest.raises(ValidationError):
-        MomentumSpec(m=0, kernel=ONE)
+        MomentumSpec(m=0, kernel=ONE, origin=ONE)
     with pytest.raises(ValidationError):
-        MomentumSpec(m=5, kernel=ONE)
-    with pytest.raises(ValidationError):
-        MomentumSpec(m=2, kernel=ONE, q_terms=(((0, 1), 1.0),))
+        MomentumSpec(m=2, kernel=ONE, origin=one(2), q_terms=(((0, 1), 1.0),))
     with pytest.raises(UnsupportedConfigError):
         MomentumSpec.from_divided_difference(PowerAbs(2.5), 3)
-    spec = MomentumSpec(m=2, kernel=ONE)
-    with pytest.raises(ValidationError, match="takes 3 arguments"):
-        momentum_quadrature(spec, np.array([0.1, 0.2]))
     with pytest.raises(ValidationError, match="takes 3 arguments"):
         momentum_eval(MomentumSpec.from_divided_difference(PowerAbs(3.5), 2), [0.1, 0.2])
     with pytest.raises(ValidationError, match="domain"):
         momentum_eval(MomentumSpec.from_divided_difference(PowerAbs(2.5), 1), np.array([0.1, 5.0]))
 
 
-def stack_specs(m):
-    """A kinked kernel, a polynomial and an opaque callable, all of order m."""
+def stack_models(m):
+    """Models whose m-th derivative is a kinked kernel, a cubic and a
+    kernel that is smooth and not a polynomial on rows of one sign."""
     return {
-        "power": MomentumSpec.from_divided_difference(PowerAbs(3.5), m),
-        "polynomial": MomentumSpec(m=m, kernel=Polynomial((0.3, -1.0, 0.5, 2.0))),
-        "exp": MomentumSpec(m=m, kernel=CallableKernel(np.exp)),
+        "power": PowerAbs(3.5),
+        "polynomial": Polynomial(polyint((0.3, -1.0, 0.5, 2.0), m)),
+        "smooth": PowerAbs(4.5),
     }
 
 
@@ -271,10 +326,12 @@ def plain_rows(rows):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["power", "polynomial", "exp"])
+@pytest.mark.parametrize("kind", ["power", "polynomial", "smooth"])
 def test_stacked_quadrature_matches_row_calls_bitwise(m, kind, monkeypatch):
-    spec = stack_specs(m)[kind]
+    model = stack_models(m)[kind]
     rows = mixed_rows(m, np.random.default_rng(10 * m + len(kind)))
+    if kind == "smooth":  # the rows of one strict sign
+        rows = rows[(np.sign(rows) == np.sign(rows[:, :1])).all(axis=1)]
     plain = plain_rows(rows)
     assert plain.any() and not plain.all()
     assert_rows_cut_as_alone(rows)
@@ -282,10 +339,10 @@ def test_stacked_quadrature_matches_row_calls_bitwise(m, kind, monkeypatch):
     # of one piece each at the higher levels.
     for chunk in (momenta.CHUNK_NODES, 500):
         monkeypatch.setattr(momenta, "CHUNK_NODES", chunk)
-        got = momentum_quadrature(spec, rows, tol=1e-9)
+        got = momentum_quadrature(model, rows, tol=1e-9)
         assert got.shape == (len(rows),)
-        assert momentum_quadrature(spec, rows[:0]).shape == (0,)
-        each = [momentum_quadrature(spec, row, tol=1e-9) for row in rows]
+        assert momentum_quadrature(model, rows[:0]).shape == (0,)
+        each = [momentum_quadrature(model, row, tol=1e-9) for row in rows]
         assert all(type(v) is float for v in each)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in each]
 
@@ -373,14 +430,14 @@ TIED_HEX = {
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_tied_rows_keep_their_pinned_bits(m):
-    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), m)
+    model = PowerAbs(3.5)
     keys = list(TIED_HEX[m])
     rows = np.array(
         [[a] * m + [a - gap if a == 4e-4 else a + gap] for a, gap in keys]
     )
     expected = [TIED_HEX[m][key] for key in keys]
-    assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
-    assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
+    assert [momentum_quadrature(model, row).hex() for row in rows] == expected
+    assert [v.hex() for v in momentum_quadrature(model, rows).tolist()] == expected
 
 
 # Rows of order 3 cut into many pieces, at the parent of the grouped piece
@@ -405,11 +462,11 @@ MANY_PIECE_HEX = {
 
 
 def test_many_piece_rows_keep_their_pinned_bits():
-    spec = stack_specs(3)["power"]
+    model = stack_models(3)["power"]
     rows = np.array(MANY_PIECE_ROWS)
     expected = list(MANY_PIECE_HEX["power"])
-    assert [momentum_quadrature(spec, row).hex() for row in rows] == expected
-    assert [v.hex() for v in momentum_quadrature(spec, rows).tolist()] == expected
+    assert [momentum_quadrature(model, row).hex() for row in rows] == expected
+    assert [v.hex() for v in momentum_quadrature(model, rows).tolist()] == expected
 
 
 def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
@@ -417,7 +474,6 @@ def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
     # row: at each ladder level each piece group takes at most one kernel
     # call (join groups take the power form on their own), the plain
     # row's piece joining the group of pieces clear of the kink.
-    spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
     rows = np.array(
         [[-0.5, 0.7, 2e-9], [0.6, 0.3, 4e-9], [0.4, -0.6, 0.8], [0.3, 0.31, 0.32], [-0.45, -3e-9, 0.1]]
     )
@@ -433,37 +489,40 @@ def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
         return evaluate(self, x, order)
 
     monkeypatch.setattr(PowerKernel, "eval", counted)
-    momentum_quadrature(spec, rows)
+    momentum_quadrature(PowerAbs(3.5), rows)
     assert set(per_level) <= {q**2 for q in ORDER_LADDER} and len(per_level) >= 3
     assert max(per_level.values()) <= len(groups)
 
 
 def test_geometry_failures_name_their_row(monkeypatch):
-    # A face the kernel is not integrable against, a kernel singular on a
-    # whole piece, and cuts that lose volume (one staircase simplex of each
-    # side dropped): each error names its row of the stack, at the first
-    # level.
+    # Cuts that lose volume (one staircase simplex of each side dropped):
+    # each error names its row of the stack, at the first level.
     smooth = [0.3, 0.4, 0.5]
-    singular = MomentumSpec(m=2, kernel=PowerKernel(1.0, -1.5))
-    power = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
     cases = [
-        (singular, [-0.5, 0.3, 0.2], "kernel exponent -1.5 is not integrable"),
-        (singular, [0.0, 0.0, 0.0], "kernel is singular on the whole simplex"),
-        (power, [-0.5, 0.3, 0.2], "kink subdivision lost volume"),
-        (power, [0.6, 0.3, 1e-6], "graded subdivision lost volume"),
+        ([-0.5, 0.3, 0.2], "kink subdivision lost volume"),
+        ([0.6, 0.3, 1e-6], "graded subdivision lost volume"),
     ]
     staircases = simplex._staircases
-    for spec, row, message in cases:
-        if "lost volume" in message:
-            monkeypatch.setattr(
-                simplex, "_staircases", lambda *a: tuple(p[1:] for p in staircases(*a))
-            )
+    monkeypatch.setattr(
+        simplex, "_staircases", lambda *a: tuple(p[1:] for p in staircases(*a))
+    )
+    for row, message in cases:
         with pytest.raises(QuadratureError, match=message) as info:
-            momentum_quadrature(spec, np.array([smooth, row]))
+            momentum_quadrature(PowerAbs(3.5), np.array([smooth, row]))
         err = info.value
         assert err.nodes.tolist() == row and err.order == 2
         assert err.level == ORDER_LADDER[0] and err.change is None
         assert f"order 2 at nodes {row}" in str(err)
+
+
+def test_join_rule_refuses_a_kernel_not_integrable_against_its_face():
+    # The kernels quadrature takes are continuous, but the rule itself
+    # refuses an exponent whose face integral diverges: r^(g + beta) with
+    # a one-vertex opposite face (g = 0) and beta = -1.5.
+    groups = group_pieces(graded_pieces(split_by_kink(np.array([[-0.5, 0.3, 0.2]]))))
+    join = next(group for group in groups if group.f >= 0 and group.g == 0)
+    with pytest.raises(QuadratureError, match="kernel exponent -1.5 is not integrable"):
+        join_rule(join, ORDER_LADDER[0], -1.5)
 
 
 def test_quadrature_error_names_its_row(monkeypatch):
@@ -471,11 +530,10 @@ def test_quadrature_error_names_its_row(monkeypatch):
     # kink-crossing row and the smooth plain row do not; the error names
     # the first row of the stack that failed.
     monkeypatch.setattr(momenta, "ORDER_LADDER", (4, 6))
-    spec = MomentumSpec.from_divided_difference(PowerAbs(2.5), 2)
     easy, crossing, smooth = [0.3, 0.3, 0.3001], [-0.8, 0.5, 0.2], [0.2, 0.5, 0.9]
     for rows, bad in (([easy, crossing, smooth], crossing), ([smooth, easy, crossing], smooth)):
         with pytest.raises(QuadratureError) as info:
-            momentum_quadrature(spec, np.array(rows), tol=1e-12)
+            momentum_quadrature(PowerAbs(2.5), np.array(rows), tol=1e-12)
         err = info.value
         assert err.nodes.tolist() == bad and err.order == 2 and err.level == 6
         assert err.change > 1e-12

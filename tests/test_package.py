@@ -273,7 +273,7 @@ SETTINGS = {
     ),
     "FrechetForm": ("order", "quad_tol", "model"),
     "MoiRequest": ("tol",),
-    "MomentumSpec": ("q_terms", "origin"),
+    "MomentumSpec": ("q_terms",),
     "Polynomial.derivative_model": ("k",),
     "Polynomial.eval": ("order",),
     "PowerKernel": ("parity",),

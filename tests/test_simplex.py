@@ -2,8 +2,8 @@
 and its rules (Gauss-Jacobi, the staircase cut) against mpmath and exact
 polynomial integrals.
 
-Each integral is a momentum: a kernel h of the affine argument
-ell(s) = x_0 + sum_j s_j (x_j - x_0) against a polynomial weight Q(s)
+Each integral is the m-th divided difference of a model f: its kernel
+h = f^(m) of the affine argument ell(s) = x_0 + sum_j s_j (x_j - x_0)
 over the corner simplex R_m, evaluated by the one quadrature engine.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import integrate
 
-from specforms import CallableKernel, MomentumSpec, Polynomial, PowerKernel, ValidationError
+from specforms import Polynomial, PowerAbs, PowerKernel
 from specforms.momenta import momentum_quadrature
 from specforms.simplex import (
     ORDER_LADDER,
@@ -28,9 +28,15 @@ from specforms.simplex import (
 
 SIMPLEX_TOL = 1e-11
 
-ONE = Polynomial((1.0,))
-ABS = PowerKernel(1.0, 1.0)
-ABS_CUBED = PowerKernel(1.0, 3.0)
+# Origins whose m-th derivative is the kernel named: the constant 1,
+# |x| and |x|^3.
+def one(m):
+    """x^m / m!, whose m-th derivative is 1."""
+    return Polynomial([0.0] * m + [1.0 / math.factorial(m)])
+
+
+ABS = {2: PowerKernel(1.0 / 6.0, 3.0), 3: PowerKernel(1.0 / 24.0, 4.0, 1)}
+ABS_CUBED = PowerKernel(1.0 / 20.0, 5.0)
 
 
 def dblquad_of_ell(fn, x):
@@ -55,17 +61,8 @@ def test_weights_sum_to_simplex_volume():
         assert np.all(pts >= -1e-12)
         assert np.all(pts.sum(axis=1) <= 1.0 + 1e-12)
         x = np.linspace(-0.5, 0.7, m + 1)
-        got = momentum_quadrature(MomentumSpec(m=m, kernel=ONE), x)
+        got = momentum_quadrature(one(m), x)
         np.testing.assert_allclose(got, volume, rtol=0, atol=1e-12)
-
-
-def test_rejects_bad_orders():
-    with pytest.raises(ValidationError):
-        MomentumSpec(m=0, kernel=ONE)
-    with pytest.raises(ValidationError):
-        MomentumSpec(m=5, kernel=ONE)
-    with pytest.raises(ValidationError):
-        momentum_quadrature(MomentumSpec(m=2, kernel=ONE), np.array([0.1, 0.2]))
 
 
 def monomial_integrals(m, powers, q):
@@ -98,12 +95,11 @@ def test_polynomial_exactness_m3():
 
 
 def test_smooth_integrand_matches_dblquad():
-    # exp(s1 - 2 s2) is exp(ell(s)) at vertex values (0, 1, -2)
-    x = np.array([0.0, 1.0, -2.0])
-    got = momentum_quadrature(MomentumSpec(m=2, kernel=CallableKernel(np.exp)), x, tol=1e-13)
-    want, err = integrate.dblquad(
-        lambda y, u: np.exp(u - 2.0 * y), 0.0, 1.0, 0.0, lambda u: 1.0 - u
-    )
+    # f = |x|^4.5 on nodes clear of 0: the kernel 15.75 |ell|^2.5 is smooth
+    # on the simplex, and not a polynomial.
+    x = np.array([0.5, 1.2, 0.8])
+    got = momentum_quadrature(PowerAbs(4.5), x, tol=1e-13)
+    want, err = dblquad_of_ell(lambda u: 15.75 * abs(u) ** 2.5, x)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -114,7 +110,7 @@ def test_kink_split_makes_odd_kernels_exact_m2():
     x = np.array([-0.6, 1.0, 0.4])
     want, err = dblquad_of_ell(abs, x)
     assert err < 1e-10
-    got = momentum_quadrature(MomentumSpec(m=2, kernel=ABS), x)
+    got = momentum_quadrature(ABS[2], x)
     np.testing.assert_allclose(got, want, rtol=0, atol=SIMPLEX_TOL)
     pts, wts = corner_rule(2, ORDER_LADDER[-1])
     unsplit = wts @ np.abs(x[0] + pts @ (x[1:] - x[0]))
@@ -122,13 +118,13 @@ def test_kink_split_makes_odd_kernels_exact_m2():
 
     # odd cubic kernel: still piecewise polynomial after the split
     want3, _ = dblquad_of_ell(lambda u: abs(u) ** 3, x)
-    got3 = momentum_quadrature(MomentumSpec(m=2, kernel=ABS_CUBED), x)
+    got3 = momentum_quadrature(ABS_CUBED, x)
     np.testing.assert_allclose(got3, want3, rtol=0, atol=SIMPLEX_TOL)
 
 
 def test_kink_split_makes_odd_kernels_exact_m3():
     x = np.array([-0.5, 0.8, 0.3, -0.2])
-    got = momentum_quadrature(MomentumSpec(m=3, kernel=ABS), x)
+    got = momentum_quadrature(ABS[3], x)
     # Frozen reference: scipy.integrate.tplquad of |ell| over the same
     # simplex at epsabs=epsrel=1e-12 (reported error 4.2e-10).
     want = 0.03247115378123234
@@ -138,7 +134,7 @@ def test_kink_split_makes_odd_kernels_exact_m3():
 def test_kink_on_vertex_still_integrates():
     # kink locus passes exactly through a vertex (x0 = 0)
     x = np.array([0.0, 1.0, -1.0])
-    got = momentum_quadrature(MomentumSpec(m=2, kernel=ABS), x)
+    got = momentum_quadrature(ABS[2], x)
     want, err = dblquad_of_ell(abs, x)
     np.testing.assert_allclose(got, want, rtol=0, atol=SIMPLEX_TOL)
 
@@ -147,8 +143,8 @@ def test_all_positive_kink_nodes_equals_plain_rule():
     # No sign change: |ell| is the smooth ell there, so the kink-aware
     # route and the plain route agree closely.
     x = np.array([0.3, 0.9, 0.5])
-    kinked = momentum_quadrature(MomentumSpec(m=2, kernel=ABS), x)
-    plain = momentum_quadrature(MomentumSpec(m=2, kernel=Polynomial((0.0, 1.0))), x)
+    kinked = momentum_quadrature(ABS[2], x)
+    plain = momentum_quadrature(Polynomial((0.0, 0.0, 0.0, 1.0 / 6.0)), x)
     np.testing.assert_allclose(kinked, plain, rtol=1e-12)
 
 
