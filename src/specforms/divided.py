@@ -20,12 +20,13 @@ small; a row with one when the table's rounding-error bound is large
 exact tie.
 
 Every entry point takes one node set or a stack of rows (R, k+1), which
-may be the transpose of a (k+1, R) column stack. The rows are sorted into
-the columns of one (k+1, R) array by a compare-exchange network over
-whole columns (util.sorted_columns), making the result bit-for-bit
-symmetric under argument permutations. The rows of a stack are evaluated
-together, and the distinct near-tie rows of a call go to quadrature as
-one stack, each row keeping the bits of its own one-row call.
+may be the transpose of a (k+1, R) column stack. The rows are sorted,
+stably, into the columns of one (k+1, R) array (util.sorted_columns),
+making the result bit-for-bit symmetric under argument permutations. The
+rows of a stack are evaluated together, and the distinct near-tie rows of
+a call go to quadrature as one stack, each row keeping the bits of its own
+one-row call. Quadrature stops at order ORDER_CAP, so a near-tie row of a
+higher order is refused.
 """
 
 import math
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
-from .momenta import momentum_quadrature
+from .momenta import ORDER_CAP, momentum_quadrature
 from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
@@ -104,7 +105,7 @@ def _routed_table(model, cols):
     values, error = _table(model, cols, bool((cols[1:] == cols[:-1]).any()))
     if cols.shape[0] == 1:  # k = 0: the value is the table's
         return values, np.zeros(values.shape, dtype=bool)
-    gaps = np.diff(cols, axis=0)
+    gaps = cols[1:] - cols[:-1]
     near = gaps.min(axis=0) < CONFLUENCE_FACTOR * (1.0 + (cols[-1] - cols[0]))
     if error is not None:
         ties = (gaps == 0.0).any(axis=0)
@@ -120,11 +121,18 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     (R, k+1), giving an array of R values; a (k+1, R) column stack may be
     passed as its transpose, which the sort reads column by column. The
     distinct near-tie rows are evaluated by one quadrature call on their
-    stack.
+    stack; past quadrature's ORDER_CAP a near-tie row raises
+    UnsupportedConfigError naming it.
     """
-    model, cols, _, batched = _prepare(model, nodes)
+    model, cols, k, batched = _prepare(model, nodes)
     values, near = _routed_table(model, cols)
     if near.any():
+        if k > ORDER_CAP:
+            row = cols[:, np.argmax(near)].tolist()
+            raise UnsupportedConfigError(
+                f"order-{k} divided difference at nodes {row}: its nodes are too close "
+                f"for the table, and quadrature takes orders 1..{ORDER_CAP}"
+            )
         values[near] = map_distinct_rows(
             lambda rows: momentum_quadrature(model, rows, tol=quad_tol), cols[:, near].T
         )

@@ -59,8 +59,9 @@ class PowerKernel(ScalarFunctionModel):
     """f(x) = coef * |x|^beta * sign(x)^parity on the working interval.
 
     Differentiation maps (coef, beta, parity) to (coef*beta, beta-1,
-    parity+1), so the family is closed under derivative_model. Up to
-    max_order each derivative is continuous, with beta > 0 or coef 0;
+    parity+1), so the family is closed under derivative_model, which
+    builds the model of each order once and keeps it on the instance. Up
+    to max_order each derivative is continuous, with beta > 0 or coef 0;
     past it beta may drop below zero, where the model blows up at 0.
     """
 
@@ -80,6 +81,7 @@ class PowerKernel(ScalarFunctionModel):
             self.max_order = SMOOTH_ORDER
         else:
             self.max_order = _power_max_order(self.beta, self.parity)
+        self._derivatives = {}
 
     def __repr__(self):
         return f"PowerKernel({self.coef!r}, {self.beta!r}, {self.parity!r})"
@@ -118,7 +120,11 @@ class PowerKernel(ScalarFunctionModel):
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
-        return PowerKernel(self._coef_at(k), self.beta - k, self.parity + k)
+        model = self._derivatives.get(k)
+        if model is None:
+            beta, parity = self.beta - k, self.parity + k
+            model = self._derivatives[k] = PowerKernel(self._coef_at(k), beta, parity)
+        return model
 
 
 def PowerAbs(p):
@@ -138,7 +144,8 @@ class Polynomial(ScalarFunctionModel):
     """sum_j coeffs[j] * x^j with exact derivative models.
 
     The coefficients of each derivative order are computed once, by
-    numpy.polynomial, and kept on the instance. eval takes the steps of
+    numpy.polynomial, and kept on the instance, as is the model
+    derivative_model gives for each order. eval takes the steps of
     numpy's Polynomial.__call__ itself, with the same bits: the identity
     domain map 0.0 + 1.0*x (which turns -0.0 into 0.0), then Horner's
     rule from c[-1] + x*0. The domain is the whole real line.
@@ -152,6 +159,7 @@ class Polynomial(ScalarFunctionModel):
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
         self._coefs = {0: np.array(coeffs or [0.0])}
+        self._derivatives = {}
 
     def __repr__(self):
         return f"Polynomial({self.coeffs!r})"
@@ -184,12 +192,16 @@ class Polynomial(ScalarFunctionModel):
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
-        return Polynomial(list(self._coef(k)))
+        model = self._derivatives.get(k)
+        if model is None:
+            model = self._derivatives[k] = Polynomial(list(self._coef(k)))
+        return model
 
 
 class CallableKernel(ScalarFunctionModel):
-    """Opaque scalar function on the whole real line; usable as a
-    quadrature kernel only."""
+    """Opaque scalar function on the whole real line, with no derivatives:
+    a factor of a separable symbol, or its own order-0 divided difference.
+    Quadrature, which integrates a derivative model, refuses it."""
 
     max_order = 0
 

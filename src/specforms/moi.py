@@ -8,21 +8,21 @@ eigenprojection series
         = sum over index tuples of phi(lam^0_{i_0}, ..., lam^m_{i_m})
           P^0_{i_0} V_1 P^1_{i_1} ... V_m P^m_{i_m}.
 
-moi_exact and moi_binned integrate a divided-difference symbol by the
-Sylvester recurrence (_sylvester_core), whose near pairs are a stack of
-one-entry integrals over the inner slots. Those and every other symbol's
-integral take one route (_tensor_core): the symbol tensor (_phi_tensor),
+moi_exact and moi_binned integrate each symbol c * f^[k] of one function
+f, a divided difference (c = 1) or a momentum of its origin, by the
+Sylvester recurrence (_sylvester_core), which sums its near pairs itself
+(_near_pairs) and builds no tensor. Every other symbol takes the symbol
+tensor (_tensor_core): its values at every index tuple (_phi_tensor),
 contracted against the rotated perturbations with einsum (_contract).
 The tensor is evaluated in blocks of index tuples, each handed over as the
-transpose of its column stack: momenta as c * f^[m] of their origin
-through divided_difference, separable sums term by term, bare callables
-once per distinct index tuple, and the monomial shift of a symbol
-(algebraic_shift), a divided difference included, as each row's
-eigenvalue powers times the symbol's value there.
+transpose of its column stack: separable sums term by term, bare
+callables once per distinct index tuple, and the monomial shift of a
+symbol (algebraic_shift), a divided difference or a momentum included, as
+each row's eigenvalue powers times the symbol's value there.
 The recurrence keeps its last Loewner values, keyed by the model, the
-tolerance and the bits of the eigenvalue pairs, so that forms of several
-orders on one base evaluate them once. The model's class fixes its domain,
-so the key need not carry it.
+weight c, the tolerance and the bits of the eigenvalue pairs, so that
+forms of several orders on one base evaluate them once. The model's class
+fixes its domain, so the key need not carry it.
 
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
@@ -39,6 +39,7 @@ stack by its index.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +71,8 @@ from .util import (
 MAX_ORDER = 3
 # Index tuples per block of a symbol tensor, one symbol call each: an
 # order-3 tensor at dim 64 has 16.8M of them, which are never held as one
-# row stack. A stack of integrals goes in groups of tensors this size.
+# row stack. A stack of integrals goes in groups of tensors this size, and
+# the recurrence's near pairs in groups whose weights number no more.
 CHUNK_ROWS = 1 << 16
 # A pair of eigenvalues x, y of slots two or more apart is too close to
 # divide by in the Sylvester recurrence when |x - y| < NEAR_PAIR (1 + |x| + |y|).
@@ -196,7 +198,9 @@ class MoiRequest:
     S integrals. Stacks in several slots have one length and pair up index
     by index; a slot holding one matrix serves every index. A symbol that
     states its order (a divided difference, a momentum or a separable
-    symbol) must take as many perturbations.
+    symbol) must take as many perturbations. A divided difference or a
+    momentum is integrated by the Sylvester recurrence, any other symbol
+    through its tensor.
     """
 
     decompositions: tuple
@@ -345,12 +349,77 @@ def _tensor_core(symbol, tol, eig_sets, rotated):
     return np.concatenate(cores, axis=-3)
 
 
-def _sylvester_core(request, eig_sets, rotated):
-    """The core of the integral of a divided difference f^[k] by the
-    Sylvester recurrence, with no tensor over k+1 slots.
+def _at_order(symbol, order):
+    """c * f^[order] for the symbol c * f^[k] of its model f: a divided
+    difference of the model, or a momentum of the origin with weight c."""
+    if isinstance(symbol, MomentumSpec):
+        weight = (((0,) * (order + 1), symbol.constant_weight),)
+        origin = symbol.origin
+        return MomentumSpec(order, origin.derivative_model(order), origin, weight)
+    return DividedDifference(symbol.model, order)
 
-    Block (a, b) is the core of T_{f^[b-a]}(V_{a+1}..V_b) on (H_a..H_b).
-    Level 1 is the Loewner blocks f^[1](lam^a_i, lam^{a+1}_l) V_{a+1}[i, l],
+
+def _near(x, y):
+    """Where the eigenvalues x and y are too close to divide by."""
+    return np.abs(x - y) < NEAR_PAIR * (1.0 + np.abs(x) + np.abs(y))
+
+
+def _near_pairs(level, eigs, rots, parts):
+    """The entries of near pairs, summed directly, one array per part.
+
+    Each part (a, b, m, i, l) holds entries (m, i, l) of block (a, b),
+    b - a = 2 or 3, whose outer eigenvalues x = lam^a_i and z = lam^b_l are
+    near. There f^[b-a](x, y_1.., z) = g^[b-a-2](y_1..), g(y) = f^[2](x, y, z).
+    At b - a = 2 the entry is sum_j V_{a+1}[i, j] g(lam^{a+1}_j) V_{a+2}[j, l].
+    At b - a = 3 the middle weight of inner pair (j, k) is the quotient
+    (g(y_j) - g(w_k)) / (y_j - w_k) of g at y = lam^{a+1} and w = lam^{a+2},
+    or f^[3](x, y_j, w_k, z) at a near inner pair. The parts take g in one
+    f^[2] call and their near inner pairs in one f^[3] call, level(L, rows)
+    giving the symbol's order-L values at rows (R, L+1). Each entry is the
+    contraction (_contract) of its weights with row i of V_{a+1}, the
+    middle perturbation and column l of V_b, as for a one-entry integral.
+    """
+    gathered, rows = [], []
+    for a, b, m, i, l in parts:
+        x, z = eigs[a][m, i, None], eigs[b][m, l, None]
+        inner = np.stack([eigs[r][m] for r in range(a + 1, b)])  # (b-a-1, P, n)
+        gathered.append((x, z, inner))
+        row = np.empty(inner.shape + (3,))
+        row[..., 0], row[..., 1], row[..., 2] = x, inner, z
+        rows.append(row.reshape(-1, 3))
+    g, lo = level(2, np.concatenate(rows)), 0
+    weights, quads = [], []  # quads: a middle block, its near inner pairs and their rows
+    for x, z, inner in gathered:
+        gs, lo = g[lo : lo + inner.size].reshape(inner.shape), lo + inner.size
+        if len(inner) == 1:
+            weights.append(gs[0])
+            continue
+        y, w = inner[0][:, :, None], inner[1][:, None, :]
+        close = _near(y, w)
+        weights.append((gs[0][:, :, None] - gs[1][:, None, :]) / np.where(close, 1.0, y - w))
+        p, j, k = spot = np.nonzero(close)
+        if len(p):
+            quad = np.stack([x[p, 0], y[p, j, 0], w[p, 0, k], z[p, 0]], axis=-1)
+            quads.append((weights[-1], spot, quad))
+    if quads:
+        values, lo = level(3, np.concatenate([q for _, _, q in quads])), 0
+        for middle, spot, q in quads:
+            middle[spot], lo = values[lo : lo + len(q)], lo + len(q)
+    entries = []
+    for (a, b, m, i, l), weight in zip(parts, weights):
+        chain = [rots[a][..., m, i, None, :]] + [rots[r][..., m, :, :] for r in range(a + 1, b - 1)]
+        chain.append(rots[b - 1].swapaxes(-1, -2)[..., m, l, :, None])
+        entries.append(_contract(weight[:, None, ..., None], chain)[..., 0, 0])
+    return entries
+
+
+def _sylvester_core(request, eig_sets, rotated):
+    """The core of the integral of c * f^[k], a divided difference (c = 1)
+    or a momentum of its origin f, by the Sylvester recurrence, with no
+    tensor over k+1 slots.
+
+    Block (a, b) is the core of T_{c f^[b-a]}(V_{a+1}..V_b) on (H_a..H_b).
+    Level 1 is the Loewner blocks c f^[1](lam^a_i, lam^{a+1}_l) V_{a+1}[i, l],
     one symbol call evaluating each distinct pair of eigenvalue arrays. As
     (x_0 - x_L) f^[L](x_0..x_L) = f^[L-1](x_0..x_{L-1}) - f^[L-1](x_1..x_L),
     a block of level L >= 2 solves
@@ -358,20 +427,29 @@ def _sylvester_core(request, eig_sets, rotated):
         (lam^a_i - lam^b_l) B_ab[i, l] = (B_a,b-1 V_b - V_{a+1} B_a+1,b)[i, l],
 
     except at the near pairs, |lam^a_i - lam^b_l| < NEAR_PAIR (1 + |lam^a_i|
-    + |lam^b_l|). Those entries are summed directly, as a stack of
-    one-entry integrals (_tensor_core): the first and last slots hold the
-    one eigenvalue lam^a_i and lam^b_l, and the rotated perturbations are
-    row i of V_{a+1}, the inner ones whole and column l of V_b. Every array
-    has a member axis, the stack of eigenvalue sets or one member, which
-    rides the matmul batch axis with any stack of the perturbations.
+    + |lam^b_l|), whose entries are summed directly (_near_pairs): the near
+    pairs of all blocks in turn, in groups whose weights number at most
+    CHUNK_ROWS. The symbol at order L is the request's own at L = k and
+    otherwise built once per call, when its level is reached (_at_order). Every array has a member axis,
+    the stack of eigenvalue sets or one member, which rides the matmul batch
+    axis with any stack of the perturbations.
     """
     global _last_loewner
-    model, k, tol = request.symbol.model, request.order, request.tol
+    symbol, k, tol = request.symbol, request.order, request.tol
+    momentum = isinstance(symbol, MomentumSpec)
+    model = symbol.origin if momentum else symbol.model
+    levels = {k: _symbol_adapter(symbol, tol)}
+
+    def level(order, rows):
+        if order not in levels:
+            levels[order] = _symbol_adapter(_at_order(symbol, order), tol)
+        return _checked_values(levels[order](rows), rows.T)
+
     n = eig_sets[0].shape[-1]
     members = next((len(e) for e in eig_sets if e.ndim == 2), None)
     if members:
-        eigs = [np.broadcast_to(e, (members, n)) for e in eig_sets]
-        rots = [np.broadcast_to(r, (members, n, n)) for r in rotated]
+        eigs = [e if e.ndim == 2 else np.broadcast_to(e, (members, n)) for e in eig_sets]
+        rots = [r if r.ndim == 3 else np.broadcast_to(r, (members, n, n)) for r in rotated]
     else:
         eigs, rots = [e[None] for e in eig_sets], [r[..., None, :, :] for r in rotated]
     keys = [(id(eig_sets[a]), id(eig_sets[a + 1])) for a in range(k)]
@@ -385,49 +463,57 @@ def _sylvester_core(request, eig_sets, rotated):
         pair = cols[lo : lo + count * n * n].reshape(count, n, n, 2)
         pair[..., 0], pair[..., 1] = eig_sets[a][..., None], eig_sets[a + 1][..., None, :]
     # Kept by the model (whose repr carries every parameter for these two
-    # kinds, and whose class fixes its domain), the tolerance and the bits
-    # of the rows, which are pairs: the bytes fix their count.
+    # kinds, and whose class fixes its domain), the weight, the tolerance
+    # and the bits of the rows, which are pairs: the bytes fix their count.
     known = isinstance(model, (PowerKernel, Polynomial))
-    memo = (repr(model), tol, cols.tobytes()) if known else None
+    weight = symbol.constant_weight if momentum else 1.0
+    memo = (repr(model), weight, tol, cols.tobytes()) if known else None
     last_key, values = _last_loewner
     if memo is None or memo != last_key:
-        values = _checked_values(DividedDifference(model, 1)(cols, quad_tol=tol), cols.T)
+        values = level(1, cols)
         values.setflags(write=False)
         _last_loewner = (memo, values)
     blocks = {}
     for a, key in enumerate(keys):
         _, count, lo = spans[key]
         blocks[a, a + 1] = values[lo : lo + count * n * n].reshape(count, n, n) * rots[a]
-    for level in range(2, k + 1):
-        symbol = DividedDifference(model, level)
-        for a in range(k - level + 1):
-            b = a + level
-            x, y = eigs[a][..., None], eigs[b][..., None, :]
-            close = np.abs(x - y) < NEAR_PAIR * (1.0 + np.abs(x) + np.abs(y))
-            step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
-            blocks[a, b] = step / np.where(close, 1.0, x - y)
-            m, i, l = np.nonzero(close)
-            if len(i):  # a stack of one-entry integrals, entry (m, i, l) each
-                sets = [eigs[a][m, i, None]] + [eigs[r][m] for r in range(a + 1, b)]
-                sets.append(eigs[b][m, l, None])
-                chain = [rots[a][..., m, i, None, :]]
-                chain += [rots[r][..., m, :, :] for r in range(a + 1, b - 1)]
-                chain.append(rots[b - 1].swapaxes(-1, -2)[..., m, l, :][..., :, None])
-                core = _tensor_core(symbol, tol, sets, chain)
-                blocks[a, b][..., m, i, l] = core[..., 0, 0]
+    close, near = {}, {}  # of each block (a, b) of level 2 or more, and its near pairs
+    for span in range(2, k + 1):
+        for a in range(k - span + 1):
+            close[a, a + span] = c = _near(eigs[a][..., None], eigs[a + span][..., None, :])
+            if c.any():
+                near[a, a + span] = np.nonzero(c)
+    direct = {key: [] for key in near}
+    # pairs per group: each holds at most n^(k-1) weights times any perturbation stack
+    size = max(1, CHUNK_ROWS // (max(math.prod(r.shape[:-3]) for r in rots) * n ** (k - 1)))
+    ends = list(itertools.accumulate((len(pairs[0]) for pairs in near.values()), initial=0))
+    for lo in range(0, ends[-1], size):
+        hi = lo + size
+        parts = [  # each block's pairs within lo..hi of the list of all
+            (a, b) + tuple(p[max(lo - first, 0) : hi - first] for p in pairs)
+            for ((a, b), pairs), first, last in zip(near.items(), ends, ends[1:])
+            if first < hi and lo < last
+        ]
+        for (a, b, *_), entries in zip(parts, _near_pairs(level, eigs, rots, parts)):
+            direct[a, b].append(entries)
+    for (a, b), c in close.items():
+        step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
+        blocks[a, b] = step / np.where(c, 1.0, eigs[a][..., None] - eigs[b][..., None, :])
+        if (a, b) in near:
+            blocks[a, b][(...,) + near[a, b]] = np.concatenate(direct[a, b], axis=-1)
     return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
 
 
 def _integral(request, eig_sets):
     """The integral from the request's matrices and eigenvalue sets, its
     core in the eigenbases taken by the Sylvester recurrence for a divided
-    difference, else by the symbol tensor."""
+    difference or a momentum, else by the symbol tensor."""
     decs = request.decompositions
     rotated = [
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
-    if isinstance(request.symbol, DividedDifference):
+    if isinstance(request.symbol, (DividedDifference, MomentumSpec)):
         core = _sylvester_core(request, eig_sets, rotated)
     else:
         core = _tensor_core(request.symbol, request.tol, eig_sets, rotated)
@@ -537,7 +623,8 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     returns one float. The matrices among A, B and the tails are
     decomposed in one call, the decompositions reused. T_A and T_B are one
     integral whose first slot is the stack (A, B) of 2S, every other
-    stacked slot taken at the tile index 0..S-1, 0..S-1.
+    stacked slot taken at the tile index 0..S-1, 0..S-1. Both integrals,
+    of momenta of one origin, take the Sylvester recurrence.
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")

@@ -82,7 +82,7 @@ class MomentumSpec:
         origin = as_kernel(self.origin)
         m = _divided_order(origin, self.m, 1)
         derivative = origin.derivative_model(m)
-        if repr(self.kernel) != repr(derivative):
+        if self.kernel is not derivative and repr(self.kernel) != repr(derivative):
             raise ValidationError(
                 f"kernel {self.kernel!r} of an order-{m} momentum is not the "
                 f"derivative {derivative!r} of its origin {origin!r}"

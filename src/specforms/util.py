@@ -74,8 +74,10 @@ def check_within(values, bounds, what):
 def whole_number(value, what):
     """value as an int, or a ValidationError naming `what` when it is not a
     whole number: 2.7 is not truncated, and NaN is not a number of nodes.
-    An integer of any size passes as it is."""
-    if isinstance(value, numbers.Integral):
+    An integer of any size passes as it is. A plain int is tested first:
+    the test against numbers.Integral runs Python code on every call, and
+    every derivative order and kernel evaluation comes through here."""
+    if type(value) is int or isinstance(value, numbers.Integral):
         return int(value)
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValidationError(f"{what} must be a whole number, got {value!r}")
@@ -121,27 +123,13 @@ def lp_norms(spectra, p):
 
 def sorted_columns(rows):
     """Each row of a stack (R, m) sorted ascending, as the columns of a new
-    (m, R) array.
+    C-contiguous (m, R) array.
 
-    An odd-even transposition network of compare-exchanges, each running
-    along two whole columns. A pair is exchanged only where its first entry
-    is the greater (`a > b`), so entries that compare equal, such as -0.0
-    and 0.0, keep their order. The exchange moves bit patterns: the int64
-    views trade their difference, which may wrap but is exact. (np.minimum
-    and np.maximum turn [-0.0, 0.0] into [0.0, 0.0]; np.where also moves
-    bits but takes three times as long on unpredictable masks.)
+    numpy's stable sort of each row moves entries as they are, and entries
+    that compare equal, such as -0.0 and 0.0, keep their order, so a row
+    keeps the bits of Python's sorted().
     """
-    cols = np.array(rows.T, dtype=float, order="C")
-    bits = cols.view(np.int64)
-    m = len(cols)
-    for step in range(m):
-        for i in range(step % 2, m - 1, 2):
-            swap = cols[i] > cols[i + 1]
-            if swap.any():
-                trade = (bits[i + 1] - bits[i]) * swap
-                bits[i] += trade
-                bits[i + 1] -= trade
-    return cols
+    return np.sort(np.asarray(rows, dtype=float), axis=1, kind="stable").T.copy()
 
 
 def map_distinct_rows(fn, rows):

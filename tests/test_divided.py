@@ -297,7 +297,7 @@ def test_sorted_columns_sort_each_row_stably():
 
 
 def sorted_row_route(model, rows, quad_tol=1e-9):
-    """The route before the column network, restated: np.sort each row,
+    """The route before the sorted columns, restated: np.sort each row,
     the full table with its error bound on every stack, routing by the gap
     switch or (rows with an exact tie) by that bound, and one quadrature
     call on the distinct near rows."""
@@ -369,7 +369,7 @@ def mixed_rows(rng, k, count, tied):
 
 
 def test_row_api_matches_the_sorted_row_route_bitwise():
-    # The column network, the .T column stack and a table that bounds its
+    # The sorted columns, the .T column stack and a table that bounds its
     # error only for a stack holding a tie leave every value's bits alone.
     rng = np.random.default_rng(19)
     models = (PowerAbs(3.5), PowerAbs(2.5), Polynomial((0.25, -1.0, 0.5, 2.0)))

@@ -457,3 +457,15 @@ def test_divided_difference_of_a_bare_callable_needs_derivatives():
     # The callable becomes a kernel without derivatives, so no order >= 1.
     with pytest.raises(UnsupportedConfigError, match="model has 0"):
         DividedDifference(lambda x: x, 1)
+
+
+def test_near_tie_past_the_quadrature_cap_names_the_divided_difference():
+    # A near tie at order 5 would need quadrature, which stops at order 4:
+    # the refusal names the divided difference, its nodes and the cap.
+    nodes = [0.1, 0.1 + 1e-9, 0.3, 0.4, 0.5, 0.6]
+    with pytest.raises(UnsupportedConfigError) as caught:
+        divided_difference(Polynomial((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)), nodes)
+    assert str(caught.value) == (
+        f"order-5 divided difference at nodes {nodes}: its nodes are too close "
+        "for the table, and quadrature takes orders 1..4"
+    )

@@ -151,47 +151,43 @@ def test_binned_integral_converges_to_exact():
     assert errs[2] < 0.12 * errs[0]
 
 
-def test_divided_differences_build_no_tensor(monkeypatch):
-    # moi_exact and moi_binned integrate a divided difference of any order by
-    # the recurrence, which builds tensors only for its near pairs: a stack
-    # of one-entry integrals, whose first and last slots hold one eigenvalue.
-    # Its monomial shift, the left side of algebraic_shift, still builds the
-    # whole symbol tensor. On the binned spectra, with their exact ties, the
-    # recurrence agrees with that tensor.
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+def test_divided_differences_build_no_tensor(stacked, monkeypatch):
+    # moi_exact and moi_binned integrate a divided difference or a momentum
+    # of any order by the recurrence, which sums its near pairs itself and
+    # builds no tensor, on one instance or a stack. Only the monomial shift,
+    # the left side of algebraic_shift, builds the whole symbol tensor. On
+    # the binned spectra, with their exact ties, the recurrence agrees with
+    # that tensor.
     built, tensor_core = [], moi._tensor_core
 
     def counted(symbol, tol, eig_sets, rotated):
         built.append((type(symbol).__name__, tuple(e.shape[-1] for e in eig_sets)))
         return tensor_core(symbol, tol, eig_sets, rotated)
 
-    def near_pairs_only(order):
-        assert all(kind == "DividedDifference" for kind, _ in built), order
-        assert all(len(sizes) <= order + 1 for _, sizes in built), order
-        assert all(sizes[0] == sizes[-1] == 1 for _, sizes in built), (order, built)
-
     monkeypatch.setattr(moi, "_tensor_core", counted)
     rng = np.random.default_rng(61)
-    dec = eigendecompose(random_hermitian(rng, 5, scale=0.8))
+    count = 3 if stacked else None
+    h = [random_hermitian(rng, 5, scale=0.8) for _ in range(count or 1)]
+    dec = eigendecompose(np.stack(h) if stacked else h[0])
     # Five eigenvalues in [-0.8, 0.8] snap to four bins: one tie at least.
     snapped = binned_eigenvalues(dec.eigenvalues, 2)
     snapped = SpectralDecomposition(snapped, dec.eigenvectors, dec.source)
     for order in (1, 2, 3):
         perts = tuple(random_hermitian(rng, 5) for _ in range(order))
-        symbol = DividedDifference(PowerAbs(3.5), order)
-        binned = moi_binned(MoiRequest((dec,) * (order + 1), perts, symbol), 2)
-        moi_exact(MoiRequest((dec,) * (order + 1), perts, symbol))
-        near_pairs_only(order)
-        if order > 1:  # the ties of the binned spectrum are near pairs
-            assert built, order
-        built.clear()
-        tensor, _ = algebraic_shift(
-            MoiRequest((snapped,) * (order + 1), perts, symbol), (0,) * (order + 1)
-        )
-        assert built[0] == ("_MonomialShift", (5,) * (order + 1)), order
-        del built[0]
-        near_pairs_only(order)
-        built.clear()
-        assert np.linalg.norm(binned - tensor) <= 1e-12 * np.linalg.norm(tensor), order
+        for symbol in (
+            DividedDifference(PowerAbs(3.5), order),
+            MomentumSpec.from_divided_difference(PowerAbs(3.5), order),
+        ):
+            binned = moi_binned(MoiRequest((dec,) * (order + 1), perts, symbol), 2)
+            moi_exact(MoiRequest((dec,) * (order + 1), perts, symbol))
+            assert built == [], (order, symbol)
+            tensor, _ = algebraic_shift(
+                MoiRequest((snapped,) * (order + 1), perts, symbol), (0,) * (order + 1)
+            )
+            assert built == [("_MonomialShift", (5,) * (order + 1))], (order, symbol)
+            built.clear()
+            assert np.linalg.norm(binned - tensor) <= 1e-12 * np.linalg.norm(tensor), order
 
 
 def test_algebraic_shift_hand_case():
@@ -258,14 +254,14 @@ def test_perturbation_identity_takes_decompositions_bitwise():
         assert decomposed == from_matrices
 
 
-# Residuals of perturbation_identity computed when T_A and T_B were still
-# two integrals over separately decomposed A and B: the stacked evaluation
-# keeps every bit, whichever mix of matrices and decompositions is passed.
+# Residuals of perturbation_identity with both momenta on the Sylvester
+# recurrence, which sums its own near pairs: the stacked evaluation keeps
+# every bit, whichever mix of matrices and decompositions is passed.
 PINNED_RESIDUALS = {
-    (1, "cubic"): "0x1.17566d911144ap-49",
-    (1, "power"): "0x1.57aa4c0593c8fp-50",
-    (2, "cubic"): "0x1.f79bb5015a2e5p-50",
-    (2, "power"): "0x1.1ce7b8e71d751p-50",
+    (1, "cubic"): "0x1.2db9b765d024cp-49",
+    (1, "power"): "0x1.4395d28d90433p-50",
+    (2, "cubic"): "0x1.35859bdd7bd80p-49",
+    (2, "power"): "0x1.6dab4487d8c89p-50",
 }
 
 
@@ -744,28 +740,121 @@ def test_recurrence_matches_the_tensor_path(profile, shared):
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
 def test_near_pairs_across_blocks_keep_their_bits(shared, monkeypatch):
-    # With CHUNK_ROWS = 7 the near pairs of a dim-5 integral go one entry
-    # per group, and an order-3 entry's 25 index tuples span five blocks of
-    # 5. The integral keeps the bits of the unpatched run, which takes each
-    # near-pair stack in one block, and so each member the bits of its own
-    # unpatched call. One profile: the blocks do not depend on the values,
-    # and the clustered rows' quadrature makes one-entry groups slow.
+    # The near pairs of all blocks go in groups whose temporaries hold at
+    # most CHUNK_ROWS entries: n^(k-1) weights per pair of an order-k
+    # integral, times any perturbation stack, so 5 at order 2 and 25 at
+    # order 3 at dim 5. With CHUNK_ROWS = 7 every pair is a group of its
+    # own, and with 60 the groups hold up to 12 and 2 pairs. The integral
+    # keeps the bits of the unpatched run, which takes every near pair in
+    # one group, and so each member the bits of its own unpatched call. One
+    # profile: the groups do not depend on the values.
     cases = [case for case in _requests_at_the_switch("singular", shared) if case[0] > 1]
-    whole = [(moi_exact(request), _member_calls(request)) for _, _, request in cases]
-    monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
-    blocks, build = [], moi._phi_tensor
+    groups, near_pairs = [], moi._near_pairs
 
-    def recorded(symbol, eig_sets, tol):
-        blocks.append(math.prod(e.shape[-1] for e in eig_sets))
-        return build(symbol, eig_sets, tol)
+    def recorded(level, eigs, rots, parts):
+        groups.append((max(b - a for a, b, *_ in parts), sum(len(m) for _, _, m, _, _ in parts)))
+        return near_pairs(level, eigs, rots, parts)
 
-    monkeypatch.setattr(moi, "_phi_tensor", recorded)
-    for (order, stacked, request), (want, members) in zip(cases, whole):
+    monkeypatch.setattr(moi, "_near_pairs", recorded)
+    whole = [moi_exact(request) for _, _, request in cases]
+    unpatched = len(groups)
+    whole = [(want, _member_calls(request)) for want, (_, _, request) in zip(whole, cases)]
+    for rows, largest in ((7, {2: 1, 3: 1}), (60, {2: 12, 3: 2})):
+        monkeypatch.setattr(moi, "CHUNK_ROWS", rows)
+        groups.clear()
+        for (order, stacked, request), (want, members) in zip(cases, whole):
+            got = moi_exact(request)
+            assert got.tobytes() == want.tobytes(), (rows, order, stacked)
+            for b, one in enumerate(members):
+                assert got[b].tobytes() == one.tobytes(), (rows, order, stacked, b)
+        assert {span for span, _ in groups} == {2, 3}, rows
+        assert all(size <= largest[span] for span, size in groups), rows
+        assert len(groups) > unpatched, rows
+
+
+# Eigenvalues of four dim-5 slots: near pairs across every two slots at
+# -0.2 and 0.45, none of them exact, each slot's other values apart.
+NEAR_SPECTRA = (
+    (-0.7, -0.2, 0.1, 0.45, 0.8),
+    (-0.6, -0.203, 0.3, 0.452, 0.9),
+    (-0.5, -0.201, 0.2, 0.451, 0.7),
+    (-0.65, -0.2005, 0.15, 0.4505, 0.85),
+)
+
+
+def _near_pair_requests():
+    """(order, shared, request) of dim-5 divided-difference integrals at
+    orders 2 and 3 whose near pairs take both direct sums, inner near pairs
+    included: on one shared set, with an exact tie at every diagonal pair
+    and a cluster at 0.45, or on the distinct NEAR_SPECTRA. Each takes a
+    stack of 2 in its last perturbation, and a shared set takes one in its
+    decompositions too."""
+    rng = np.random.default_rng(97)
+
+    def matrix(values):
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        return (q * values) @ q.T
+
+    spectra = [NEAR_SPECTRA, [tuple(x + 0.01 for x in lam) for lam in NEAR_SPECTRA]]
+    for order, shared in itertools.product((2, 3), (True, False)):
+        if shared:  # the first slot's set, with 0.45 and 0.4505 in it
+            sets = [[spectra[b][0][:3] + (0.45, 0.4505)] * (order + 1) for b in range(2)]
+        else:
+            sets = [spectra[b][: order + 1] for b in range(2)]
+        hs = [[matrix(lam) for lam in sets[b]] for b in range(2)]
+        if shared:
+            decs = (eigendecompose(np.stack([hs[0][0], hs[1][0]])),) * (order + 1)
+        else:
+            decs = tuple(eigendecompose(h) for h in hs[0])
+        perts = [random_hermitian(rng, 5) for _ in range(order)]
+        perts[-1] = np.stack([perts[-1], random_hermitian(rng, 5)])
+        symbol = DividedDifference(PowerAbs(3.5), order)
+        yield order, shared, MoiRequest(decs, tuple(perts), symbol)
+
+
+def test_near_pairs_match_the_tensor_path(monkeypatch):
+    # Near pairs at levels 2 and 3, on shared and distinct sets, with near
+    # and tied inner pairs, against the tensor path (the left side of
+    # algebraic_shift at zero powers) within the bounds of
+    # test_recurrence_matches_the_tensor_path: 1e-12 relative, 1e-11 on a
+    # shared set at order 3.
+    spans, near_pairs = set(), moi._near_pairs
+
+    def recorded(level, eigs, rots, parts):
+        for a, b, m, _, _ in parts:
+            inner = b - a == 3 and moi._near(eigs[a + 1][m][:, :, None], eigs[a + 2][m][:, None, :])
+            spans.add((b - a, bool(np.any(inner))))
+        return near_pairs(level, eigs, rots, parts)
+
+    monkeypatch.setattr(moi, "_near_pairs", recorded)
+    for order, shared, request in _near_pair_requests():
         got = moi_exact(request)
-        assert got.tobytes() == want.tobytes(), (order, stacked)
-        for b, one in enumerate(members):
-            assert got[b].tobytes() == one.tobytes(), (order, stacked, b)
-    assert max(blocks) == 25  # an order-3 near pair: 25 index tuples in five blocks
+        tensor, _ = algebraic_shift(request, (0,) * (order + 1))
+        bound = 1e-11 if shared and order == 3 else 1e-12
+        for b in range(2):
+            error = np.linalg.norm(tensor[b] - got[b]) / np.linalg.norm(got[b])
+            assert error <= bound, (order, shared, b, error)
+    assert spans == {(2, False), (3, True)}
+
+
+@pytest.mark.parametrize("model", [PowerAbs(3.5), Polynomial((0.25, -1.0, 0.5, 2.0))])
+def test_momentum_integral_is_its_weight_times_the_divided_difference(model):
+    # A momentum c f^[m] of an origin f takes the recurrence of f^[m]: with
+    # c = 1 its integral has the bits of DividedDifference(f, m). A power
+    # of two scales every value exactly, so with c = 0.5 or -2 it has each
+    # value of c times that, up to the sign of a zero. (Another c rounds
+    # each Loewner value, and the recurrence's divisions may amplify that
+    # past 1e-15.)
+    for order, _, request in _requests_at_the_switch("clustered", True):
+        decs, perts = request.decompositions, request.perturbations
+        want = moi_exact(MoiRequest(decs, perts, DividedDifference(model, order)))
+        for c in (1.0, 0.5, -2.0):
+            weight = (((0,) * (order + 1), c),)
+            spec = MomentumSpec(order, model.derivative_model(order), model, weight)
+            got = moi_exact(MoiRequest(decs, perts, spec))
+            if c == 1.0:
+                assert got.tobytes() == want.tobytes(), order
+            assert np.array_equal(got, c * want), (order, c)
 
 
 def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):

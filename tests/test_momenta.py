@@ -200,6 +200,27 @@ def test_kernel_must_be_the_origins_derivative():
     assert momentum_eval(spec, [0.1, 0.4, 0.7]) == divided_difference(origin, [0.1, 0.4, 0.7])
 
 
+def test_a_momentums_kernel_is_built_once(monkeypatch):
+    # derivative_model keeps one model per order on its origin, so a spec
+    # and its companion construct each polynomial kernel once: the spec's
+    # kernel check takes the kept model without another build.
+    for origin in (PowerAbs(3.5), Polynomial((0.25, -1.0, 0.5, 2.0))):
+        assert origin.derivative_model(2) is origin.derivative_model(2)
+    built, init = [], Polynomial.__init__
+
+    def counted(self, coeffs):
+        built.append(len(np.atleast_1d(coeffs)))
+        init(self, coeffs)
+
+    cubic = Polynomial((0.25, -1.0, 0.5, 2.0))
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    spec = MomentumSpec.from_divided_difference(cubic, 2)
+    psi = momentum_perturbation_pair(spec)
+    assert built == [2, 1]  # the second derivative, then the third
+    assert spec.kernel is cubic.derivative_model(2)
+    assert psi.kernel is cubic.derivative_model(3)
+
+
 def test_order_four_companion_builds_and_meets_the_integral_cap(monkeypatch):
     # Only the origin's derivative count bounds a momentum's order: the
     # order-4 momentum of a polynomial has its order-5 companion, and
