@@ -78,18 +78,17 @@ def _table(model, cols, tied):
     """
     vals = np.asarray(model.eval(cols), dtype=float)
     err = ROUNDING * np.abs(vals) + UNDERFLOW if tied else None
-    for level in range(1, cols.shape[0]):
-        lo, hi = cols[:-level], cols[level:]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for level in range(1, cols.shape[0]):
+            lo, hi = cols[:-level], cols[level:]
             step = hi - lo
             vals = (vals[1:] - vals[:-1]) / step
             if tied:
                 err = (err[1:] + err[:-1]) / step + ROUNDING * np.abs(vals) + UNDERFLOW
-        if tied:
-            tie = hi == lo
-            if tie.any():
-                vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
-                err[tie] = ROUNDING * np.abs(vals[tie]) + UNDERFLOW
+                tie = hi == lo
+                if tie.any():
+                    vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
+                    err[tie] = ROUNDING * np.abs(vals[tie]) + UNDERFLOW
     return vals[0], (err[0] if tied else None)
 
 

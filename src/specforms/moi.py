@@ -11,9 +11,12 @@ eigenprojection series
 moi_exact and moi_binned integrate each symbol c * f^[k] of one function
 f, a divided difference (c = 1) or a momentum of its origin, by the
 Sylvester recurrence (_sylvester_core), which sums its near pairs itself
-(_near_pairs) and builds no tensor. Every other symbol takes the symbol
-tensor (_tensor_core): its values at every index tuple (_phi_tensor),
-contracted against the rotated perturbations with einsum (_contract).
+(_near_pairs) and builds no tensor; a near pair's inner rows far from their
+pivot take the quotient of Loewner values the recurrence already has, so
+only rows whose nodes are all close evaluate f^[2]. Every other symbol
+takes the symbol tensor (_tensor_core): its values at every index tuple
+(_phi_tensor), contracted against the rotated perturbations with einsum
+(_contract).
 The tensor is evaluated in blocks of index tuples, each handed over as the
 transpose of its column stack: separable sums term by term, bare
 callables once per distinct index tuple, and the monomial shift of a
@@ -364,37 +367,54 @@ def _near(x, y):
     return np.abs(x - y) < NEAR_PAIR * (1.0 + np.abs(x) + np.abs(y))
 
 
-def _near_pairs(level, eigs, rots, parts):
+def _near_pairs(level, eigs, rots, loewner, parts):
     """The entries of near pairs, summed directly, one array per part.
 
-    Each part (a, b, m, i, l) holds entries (m, i, l) of block (a, b),
+    Each part (a, b, m, i, l, F) holds entries (m, i, l) of block (a, b),
     b - a = 2 or 3, whose outer eigenvalues x = lam^a_i and z = lam^b_l are
-    near. There f^[b-a](x, y_1.., z) = g^[b-a-2](y_1..), g(y) = f^[2](x, y, z).
-    At b - a = 2 the entry is sum_j V_{a+1}[i, j] g(lam^{a+1}_j) V_{a+2}[j, l].
-    At b - a = 3 the middle weight of inner pair (j, k) is the quotient
+    near, and F = c f^[1](x, z) at each. There c f^[b-a](x, y_1.., z) =
+    g^[b-a-2](y_1..), g(y) = c f^[2](x, y, z). At b - a = 2 the entry is
+    sum_j V_{a+1}[i, j] g(lam^{a+1}_j) V_{a+2}[j, l]. At b - a = 3 the
+    middle weight of inner pair (j, k) is the quotient
     (g(y_j) - g(w_k)) / (y_j - w_k) of g at y = lam^{a+1} and w = lam^{a+2},
-    or f^[3](x, y_j, w_k, z) at a near inner pair. The parts take g in one
-    f^[2] call and their near inner pairs in one f^[3] call, level(L, rows)
-    giving the symbol's order-L values at rows (R, L+1). Each entry is the
-    contraction (_contract) of its weights with row i of V_{a+1}, the
+    or c f^[3](x, y_j, w_k, z) at a near inner pair.
+
+    g at an inner eigenvalue y far from its pivot p is the table's own
+    quotient (F - c f^[1](y, q)) / (p - y), {p, q} = {x, z}, from the
+    Loewner values loewner[r] (M, n, n) of block (r, r+1): the last inner
+    slot pivots on x and reads c f^[1](y, z) from block (b-1, b), the first
+    of two on z and reads c f^[1](x, y) from block (a, a+1). Only the rows
+    near their pivot (_near) take the symbol itself: those of all parts in
+    one f^[2] call, and the near inner pairs in one f^[3] call, level(L,
+    rows) giving the symbol's order-L values at rows (R, L+1). Each entry is
+    the contraction (_contract) of its weights with row i of V_{a+1}, the
     middle perturbation and column l of V_b, as for a one-entry integral.
     """
-    gathered, rows = [], []
-    for a, b, m, i, l in parts:
+    gathered, fills = [], []  # fills: a g, its rows near their pivot and their nodes
+    for a, b, m, i, l, f in parts:
         x, z = eigs[a][m, i, None], eigs[b][m, l, None]
-        inner = np.stack([eigs[r][m] for r in range(a + 1, b)])  # (b-a-1, P, n)
-        gathered.append((x, z, inner))
-        row = np.empty(inner.shape + (3,))
-        row[..., 0], row[..., 1], row[..., 2] = x, inner, z
-        rows.append(row.reshape(-1, 3))
-    g, lo = level(2, np.concatenate(rows)), 0
+        sides = [(z, loewner[a][m, i, :])] if b - a == 3 else []
+        sides.append((x, loewner[b - 1][m, :, l]))
+        ys, gs = [], []
+        for r, (pivot, other) in zip(range(a + 1, b), sides):
+            ys.append(eigs[r][m])
+            close = _near(pivot, ys[-1])
+            gs.append((f[:, None] - other) / np.where(close, 1.0, pivot - ys[-1]))
+            if close.any():
+                p, j = spot = np.nonzero(close)
+                row = np.stack([x[p, 0], ys[-1][p, j], z[p, 0]], axis=-1)
+                fills.append((gs[-1], spot, row))
+        gathered.append((x, z, ys, gs))
+    if fills:
+        values, lo = level(2, np.concatenate([row for _, _, row in fills])), 0
+        for g, spot, row in fills:
+            g[spot], lo = values[lo : lo + len(row)], lo + len(row)
     weights, quads = [], []  # quads: a middle block, its near inner pairs and their rows
-    for x, z, inner in gathered:
-        gs, lo = g[lo : lo + inner.size].reshape(inner.shape), lo + inner.size
-        if len(inner) == 1:
+    for x, z, ys, gs in gathered:
+        if len(ys) == 1:
             weights.append(gs[0])
             continue
-        y, w = inner[0][:, :, None], inner[1][:, None, :]
+        y, w = ys[0][:, :, None], ys[1][:, None, :]
         close = _near(y, w)
         weights.append((gs[0][:, :, None] - gs[1][:, None, :]) / np.where(close, 1.0, y - w))
         p, j, k = spot = np.nonzero(close)
@@ -406,7 +426,7 @@ def _near_pairs(level, eigs, rots, parts):
         for middle, spot, q in quads:
             middle[spot], lo = values[lo : lo + len(q)], lo + len(q)
     entries = []
-    for (a, b, m, i, l), weight in zip(parts, weights):
+    for (a, b, m, i, l, _), weight in zip(parts, weights):
         chain = [rots[a][..., m, i, None, :]] + [rots[r][..., m, :, :] for r in range(a + 1, b - 1)]
         chain.append(rots[b - 1].swapaxes(-1, -2)[..., m, l, :, None])
         entries.append(_contract(weight[:, None, ..., None], chain)[..., 0, 0])
@@ -429,10 +449,16 @@ def _sylvester_core(request, eig_sets, rotated):
     except at the near pairs, |lam^a_i - lam^b_l| < NEAR_PAIR (1 + |lam^a_i|
     + |lam^b_l|), whose entries are summed directly (_near_pairs): the near
     pairs of all blocks in turn, in groups whose weights number at most
-    CHUNK_ROWS. The symbol at order L is the request's own at L = k and
-    otherwise built once per call, when its level is reached (_at_order). Every array has a member axis,
-    the stack of eigenvalue sets or one member, which rides the matmul batch
-    axis with any stack of the perturbations.
+    CHUNK_ROWS. A near pair's inner rows far from their pivot take the
+    table's quotient of Loewner values: those of the blocks (a, a+1) and
+    F = c f^[1](x, z) of the pair, x = lam^a_i and z = lam^b_l. F is read
+    from the span of the arrays lam^a and lam^b where they form one (a
+    shared base adds no row), else it is a row of its own in the one
+    level-1 call. Only rows near their pivot take the symbol at order 2.
+    The symbol at order L is the request's own at L = k and otherwise built
+    once per call, when its level is reached (_at_order). Every array has a
+    member axis, the stack of eigenvalue sets or one member, which rides the
+    matmul batch axis with any stack of the perturbations.
     """
     global _last_loewner
     symbol, k, tol = request.symbol, request.order, request.tol
@@ -452,16 +478,30 @@ def _sylvester_core(request, eig_sets, rotated):
         rots = [r if r.ndim == 3 else np.broadcast_to(r, (members, n, n)) for r in rotated]
     else:
         eigs, rots = [e[None] for e in eig_sets], [r[..., None, :, :] for r in rotated]
-    keys = [(id(eig_sets[a]), id(eig_sets[a + 1])) for a in range(k)]
+    close, near = {}, {}  # of each block (a, b) of level 2 or more, and its near pairs
+    for span in range(2, k + 1):
+        for a in range(k - span + 1):
+            close[a, a + span] = c = _near(eigs[a][..., None], eigs[a + span][..., None, :])
+            if c.any():
+                near[a, a + span] = np.nonzero(c)
+    ids = [id(e) for e in eig_sets]
     spans, rows = {}, 0  # each distinct pair: its first slot, member count and first row
-    for a, key in enumerate(keys):
-        if key not in spans:
+    for a in range(k):
+        if (ids[a], ids[a + 1]) not in spans:
             count = members if eig_sets[a].ndim + eig_sets[a + 1].ndim > 2 else 1
-            spans[key], rows = (a, count, rows), rows + count * n * n
-    cols = np.empty((rows, 2))
+            spans[ids[a], ids[a + 1]], rows = (a, count, rows), rows + count * n * n
+    # F = c f^[1](x, z) of each near pair: its span's value, else a row of its own
+    extra, lo = {}, rows  # the first row of each block whose F needs its own
+    for a, b in near:
+        if (ids[a], ids[b]) not in spans:
+            extra[a, b], lo = lo, lo + len(near[a, b][0])
+    cols = np.empty((lo, 2))
     for a, count, lo in spans.values():
         pair = cols[lo : lo + count * n * n].reshape(count, n, n, 2)
         pair[..., 0], pair[..., 1] = eig_sets[a][..., None], eig_sets[a + 1][..., None, :]
+    for (a, b), lo in extra.items():
+        m, i, l = near[a, b]
+        cols[lo : lo + len(m), 0], cols[lo : lo + len(m), 1] = eigs[a][m, i], eigs[b][m, l]
     # Kept by the model (whose repr carries every parameter for these two
     # kinds, and whose class fixes its domain), the weight, the tolerance
     # and the bits of the rows, which are pairs: the bytes fix their count.
@@ -473,16 +513,17 @@ def _sylvester_core(request, eig_sets, rotated):
         values = level(1, cols)
         values.setflags(write=False)
         _last_loewner = (memo, values)
-    blocks = {}
-    for a, key in enumerate(keys):
-        _, count, lo = spans[key]
-        blocks[a, a + 1] = values[lo : lo + count * n * n].reshape(count, n, n) * rots[a]
-    close, near = {}, {}  # of each block (a, b) of level 2 or more, and its near pairs
-    for span in range(2, k + 1):
-        for a in range(k - span + 1):
-            close[a, a + span] = c = _near(eigs[a][..., None], eigs[a + span][..., None, :])
-            if c.any():
-                near[a, a + span] = np.nonzero(c)
+    by_span = {}  # the values of each span, (M, n, n) with M the member count or 1
+    for key, (_, count, lo) in spans.items():
+        by_span[key] = values[lo : lo + count * n * n].reshape(count, n, n)
+        if count < len(eigs[0]):
+            by_span[key] = np.broadcast_to(by_span[key], eigs[0].shape + (n,))
+    loewner = [by_span[ids[a], ids[a + 1]] for a in range(k)]
+    blocks = {(a, a + 1): loewner[a] * rots[a] for a in range(k)}
+    for (a, b), pairs in near.items():
+        lo = extra.get((a, b))
+        f = by_span[ids[a], ids[b]][pairs] if lo is None else values[lo : lo + len(pairs[0])]
+        near[a, b] = pairs + (f,)
     direct = {key: [] for key in near}
     # pairs per group: each holds at most n^(k-1) weights times any perturbation stack
     size = max(1, CHUNK_ROWS // (max(math.prod(r.shape[:-3]) for r in rots) * n ** (k - 1)))
@@ -494,13 +535,13 @@ def _sylvester_core(request, eig_sets, rotated):
             for ((a, b), pairs), first, last in zip(near.items(), ends, ends[1:])
             if first < hi and lo < last
         ]
-        for (a, b, *_), entries in zip(parts, _near_pairs(level, eigs, rots, parts)):
+        for (a, b, *_), entries in zip(parts, _near_pairs(level, eigs, rots, loewner, parts)):
             direct[a, b].append(entries)
     for (a, b), c in close.items():
         step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
         blocks[a, b] = step / np.where(c, 1.0, eigs[a][..., None] - eigs[b][..., None, :])
         if (a, b) in near:
-            blocks[a, b][(...,) + near[a, b]] = np.concatenate(direct[a, b], axis=-1)
+            blocks[a, b][(...,) + near[a, b][:3]] = np.concatenate(direct[a, b], axis=-1)
     return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
 
 

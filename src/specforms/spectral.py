@@ -33,25 +33,26 @@ def _check_hermitian(a, what="matrix"):
     if a.shape[-1] < 1:
         raise ValidationError(f"{what} must have dimension >= 1, got shape {a.shape}")
     with np.errstate(invalid="ignore"):
-        gap = np.abs(a - adjoint(a)).max(axis=(-2, -1))
-    bad = np.flatnonzero(~(gap <= HERMITICITY_TOL))
-    if bad.size:
-        where = f" at stack index {bad[0]}" if a.ndim == 3 else ""
-        raise ValidationError(
-            f"{what}{where} is not Hermitian: max |A - A*| = "
-            f"{gap.flat[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
-        )
-    return a
+        gap = np.abs(a - adjoint(a))
+        if gap.max() <= HERMITICITY_TOL:
+            return a
+        gap = gap.max(axis=(-2, -1))
+    bad = np.flatnonzero(~(gap <= HERMITICITY_TOL))[0]  # some member fails, as the whole did
+    where = f" at stack index {bad}" if a.ndim == 3 else ""
+    raise ValidationError(
+        f"{what}{where} is not Hermitian: max |A - A*| = "
+        f"{gap.flat[bad]:.3e} > {HERMITICITY_TOL:.0e}"
+    )
 
 
 def _check_finite(a, what="matrix"):
     """a itself, a matrix or a stack (B, n, n), unless an entry is NaN or
     infinite. An error on a stack names the offending index."""
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
-    if bad.size:
-        where = f" at stack index {bad[0]}" if a.ndim == 3 else ""
-        raise ValidationError(f"{what}{where} has a non-finite entry")
-    return a
+    if np.isfinite(a).all():
+        return a
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))[0]
+    where = f" at stack index {bad}" if a.ndim == 3 else ""
+    raise ValidationError(f"{what}{where} has a non-finite entry")
 
 
 @dataclass(frozen=True)

@@ -260,8 +260,8 @@ def test_perturbation_identity_takes_decompositions_bitwise():
 PINNED_RESIDUALS = {
     (1, "cubic"): "0x1.2db9b765d024cp-49",
     (1, "power"): "0x1.4395d28d90433p-50",
-    (2, "cubic"): "0x1.35859bdd7bd80p-49",
-    (2, "power"): "0x1.6dab4487d8c89p-50",
+    (2, "cubic"): "0x1.3afc103ab7ff5p-49",
+    (2, "power"): "0x1.735a8cc175817p-50",
 }
 
 
@@ -751,9 +751,9 @@ def test_near_pairs_across_blocks_keep_their_bits(shared, monkeypatch):
     cases = [case for case in _requests_at_the_switch("singular", shared) if case[0] > 1]
     groups, near_pairs = [], moi._near_pairs
 
-    def recorded(level, eigs, rots, parts):
-        groups.append((max(b - a for a, b, *_ in parts), sum(len(m) for _, _, m, _, _ in parts)))
-        return near_pairs(level, eigs, rots, parts)
+    def recorded(level, eigs, rots, loewner, parts):
+        groups.append((max(b - a for a, b, *_ in parts), sum(len(m) for _, _, m, *_ in parts)))
+        return near_pairs(level, eigs, rots, loewner, parts)
 
     monkeypatch.setattr(moi, "_near_pairs", recorded)
     whole = [moi_exact(request) for _, _, request in cases]
@@ -820,11 +820,11 @@ def test_near_pairs_match_the_tensor_path(monkeypatch):
     # shared set at order 3.
     spans, near_pairs = set(), moi._near_pairs
 
-    def recorded(level, eigs, rots, parts):
-        for a, b, m, _, _ in parts:
+    def recorded(level, eigs, rots, loewner, parts):
+        for a, b, m, *_ in parts:
             inner = b - a == 3 and moi._near(eigs[a + 1][m][:, :, None], eigs[a + 2][m][:, None, :])
             spans.add((b - a, bool(np.any(inner))))
-        return near_pairs(level, eigs, rots, parts)
+        return near_pairs(level, eigs, rots, loewner, parts)
 
     monkeypatch.setattr(moi, "_near_pairs", recorded)
     for order, shared, request in _near_pair_requests():
@@ -835,6 +835,74 @@ def test_near_pairs_match_the_tensor_path(monkeypatch):
             error = np.linalg.norm(tensor[b] - got[b]) / np.linalg.norm(got[b])
             assert error <= bound, (order, shared, b, error)
     assert spans == {(2, False), (3, True)}
+
+
+def test_clustered_near_pairs_send_only_close_rows_to_quadrature(monkeypatch):
+    # The tied-forms benchmark's third clustered instance (dim 8, p = 3.5):
+    # one eigenbasis in every slot, a pair 1e-7 apart at -0.676 and one at
+    # -0.212, and an eigenvalue at 0.004. Its order-3 form is the order-2
+    # integral of f' = d|x|^3.5/dx. A near pair's inner row far from its
+    # pivot takes the Loewner values, so only rows whose three nodes are
+    # close reach quadrature: none whose hull holds the kink at 0, at most 4
+    # distinct order-2 rows, and at least one row, so that the benchmark
+    # still reaches quadrature. The integral matches the tensor path within
+    # the bound of test_recurrence_matches_the_tensor_path at order 2.
+    h, v = generate_instance(610668475, 8, "clustered", 3.5)
+    dec = eigendecompose(h)
+    rows, quadrature = [], divided.momentum_quadrature
+
+    def recorded(model, nodes, tol=1e-9):
+        rows.extend(map(tuple, np.atleast_2d(nodes)))
+        return quadrature(model, nodes, tol=tol)
+
+    monkeypatch.setattr(divided, "momentum_quadrature", recorded)
+    monkeypatch.setattr(moi, "_last_loewner", (None, None))
+    symbol = DividedDifference(PowerAbs(3.5).derivative_model(1), 2)
+    request = MoiRequest((dec,) * 3, (v.matrix,) * 2, symbol)
+    got = moi_exact(request)
+    assert {len(r) for r in rows} == {2, 3}
+    assert not [r for r in rows if min(r) <= 0.0 <= max(r)]
+    assert len({r for r in rows if len(r) == 3}) <= 4
+    tensor, _ = algebraic_shift(request, (0, 0, 0))
+    assert np.linalg.norm(tensor - got) <= 1e-12 * np.linalg.norm(got)
+
+
+def _power_divided_difference_60_digits(nodes, p=3.5):
+    """|t|^p at distinct nodes, divided, with 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        nodes = [mpmath.mpf(float(t)) for t in nodes]
+        total = mpmath.mpf(0)
+        for i, t in enumerate(nodes):
+            total += abs(t) ** mpmath.mpf(p) / mpmath.fprod(t - s for s in nodes if s is not t)
+        return float(total)
+
+
+def test_far_inner_rows_of_near_pairs_match_60_digits():
+    # On a diagonal H with the clustered instance's spectrum, less one node
+    # of its second pair, unit perturbations E_{0 j}, (E_{j k},) E_{k 1} pick
+    # out the single value f^[L](x, y_j, (w_k,) z) of the near pair x, z
+    # 1e-7 apart at -0.676 as entry (0, 1) of the integral. Each inner node
+    # is far from x, z and the other inner node, so the value is the
+    # quotient of Loewner values, level 3 dividing once more: 1e-14 relative
+    # to the 60-digit divided difference. Every row with an inner node above
+    # 0 holds the kink; on rows at -0.212 alone, simplex quadrature of
+    # f^[2](x, y, z) was off by 1.3e-13.
+    lam = [-0.67599658, -0.67599648, -0.21226044, 0.00405223, 0.2198345, 0.42723208, 0.76562943]
+    dec = eigendecompose(np.diag(lam))
+
+    def unit(i, j):
+        e = np.zeros((len(lam), len(lam)))
+        e[i, j] = 1.0
+        return e
+
+    for inner in [(j,) for j in range(2, 7)] + list(itertools.permutations(range(2, 7), 2)):
+        path = (0,) + inner + (1,)
+        perts = tuple(unit(i, j) for i, j in zip(path, path[1:]))
+        symbol = DividedDifference(PowerAbs(3.5), len(inner) + 1)
+        got = moi_exact(MoiRequest((dec,) * len(path), perts, symbol))[0, 1]
+        want = _power_divided_difference_60_digits([lam[i] for i in path])
+        assert got.imag == 0.0 and abs(got.real - want) <= 1e-14 * abs(want), (inner, got, want)
 
 
 @pytest.mark.parametrize("model", [PowerAbs(3.5), Polynomial((0.25, -1.0, 0.5, 2.0))])
