@@ -12,7 +12,9 @@ p-dependent fractional decay order. A bracket of distinct complex
 Hermitian directions is complex at order 3; only its symmetrization is
 real, so that is where the symmetrized form checks the reality of the
 trace: delta_symmetric stacks the k! argument orders into one bracket
-call and checks their sum. The brackets, their symmetrization, the trace
+call and checks their sum. Along one repeated direction the orders are
+all the same, so delta^(k)(V, .., V) is the bracket itself, as
+taylor_expand takes it. The brackets, their symmetrization, the trace
 identity, the integral Taylor remainder and the Hoelder differences all
 build their integrals through one helper, _divided_integral.
 
@@ -237,12 +239,16 @@ class FrechetForm:
 def delta_symmetric(form, directions):
     """delta^(k): average of delta^[k] over all argument permutations.
 
-    The k! orders are stacked slot by slot, so that one bracket call, and
-    one integral, serves them all. The complex brackets are summed and the
-    sum is checked real once: single brackets of distinct complex
-    directions are complex at order 3.
+    Along one repeated direction every order is the same, and
+    delta^(k)(V, .., V) is the bracket of [V] * k itself, as taylor_expand
+    takes it. Otherwise the k! orders are stacked slot by slot, so that one
+    bracket call, and one integral, serves them all. The complex brackets
+    are summed and the sum is checked real once: single brackets of
+    distinct complex directions are complex at order 3.
     """
     vs = form.directions_ok(directions)
+    if all(np.array_equal(v, vs[0]) for v in vs[1:]):
+        return model_delta_bracket(form.base, form.model, vs, quad_tol=form.quad_tol)
     orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
     brackets = model_delta_bracket(form.base, form.model, orders, quad_tol=form.quad_tol)
     total = complex(sum(brackets.real), sum(brackets.imag))

@@ -115,10 +115,13 @@ def gauss01(q):
 
 
 def lp_norms(spectra, p):
-    """The l^p norm of each row of a stack of spectra (R, n). The final
+    """The l^p norm of each row of a stack of spectra (R, n). The sums are
+    one reduction over C-ordered rows, which keeps each row's pairwise sum
+    (a Fortran-ordered stack would add across columns instead); the final
     power is a Python-float pow per row: the array power differs from it in
     the last bit."""
-    return np.array([float(np.sum(np.abs(row) ** p)) ** (1.0 / p) for row in spectra])
+    sums = np.sum(np.abs(np.ascontiguousarray(spectra)) ** p, axis=1)
+    return np.array([float(s) ** (1.0 / p) for s in sums])
 
 
 def sorted_columns(rows):

@@ -25,7 +25,8 @@ from specforms.experiments import (
     run,
     run_selftest,
 )
-from specforms.forms import FrechetForm, delta_symmetric
+from specforms.forms import FrechetForm, delta_symmetric, model_delta_bracket
+from specforms.functions import PowerAbs
 from specforms.instances import generate_instance
 from specforms.spectral import HermitianMatrix, eigendecompose
 from specforms.util import canonical_json
@@ -231,6 +232,21 @@ def test_cli_derivative_of_distinct_complex_directions(tmp_path, capsys):
     assert code == 0 and payload["passed"] is True
     form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=3)
     assert payload["data"]["value"] == delta_symmetric(form, dirs)
+
+
+def test_cli_derivative_along_one_direction_file_reports_the_bracket(tmp_path, capsys):
+    # Three reads of one file are equal copies: delta^(3)(V, V, V) is the
+    # bracket of [V] * 3, with its bits.
+    h, v = generate_instance(1, 8, "generic", 3.5)
+    d_path = _write_matrix(tmp_path / "v.json", v.matrix)
+    argv = ["derivative", "--p", "3.5"]
+    argv += ["--matrix", _write_matrix(tmp_path / "h.json", h.matrix)]
+    argv += ["--dir", d_path] * 3
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["data"]["order"] == 3
+    bracket = model_delta_bracket(eigendecompose(h), PowerAbs(3.5), [v.matrix] * 3)
+    assert payload["data"]["value"] == bracket
 
 
 def test_seed_streams_follow_the_stride():

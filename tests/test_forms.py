@@ -33,7 +33,7 @@ from specforms.spectral import (
     eigendecompose,
     schatten_norm,
 )
-from specforms.util import real_trace
+from specforms.util import real_trace, real_value
 
 
 def small_hermitian(rng, dim, scale=0.5):
@@ -104,6 +104,63 @@ def test_symmetric_form_of_distinct_complex_directions():
         model_delta_bracket(form.base, form.model, dirs)
     brackets = model_delta_bracket(form.base, form.model, [np.stack([d]) for d in dirs])
     assert brackets.dtype == complex and abs(brackets[0].imag) > 1e-3
+
+
+def _stacked_permutation_sum(form, dirs):
+    """delta^(k) as the k! argument orders stacked slot by slot into one
+    bracket call, their sum checked real once and divided by k!."""
+    orders = [np.stack(slot) for slot in zip(*itertools.permutations(dirs))]
+    brackets = model_delta_bracket(form.base, form.model, orders)
+    total = complex(sum(brackets.real), sum(brackets.imag))
+    return real_value(total) / math.factorial(len(dirs))
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_symmetric_form_along_one_direction_is_its_bracket(profile):
+    # delta^(k)(V, .., V) is one argument order: the bracket itself, with
+    # the bits of the Taylor coefficient, whether the k directions are one
+    # object or equal copies.
+    p = 3.5
+    for dim in (3, 5, 8):
+        for seed in (1, 4, 14, 18):
+            h, v = generate_instance(seed, dim, profile, p)
+            deltas = taylor_expand(h.matrix, v.matrix, p).deltas
+            for k in (1, 2, 3):
+                form = FrechetForm(base=h, exponent=p, order=k)
+                bracket = model_delta_bracket(form.base, form.model, [v.matrix] * k)
+                assert bracket == deltas[k - 1]
+                assert delta_symmetric(form, [v.matrix] * k) == bracket
+                assert delta_symmetric(form, [v.matrix.copy() for _ in range(k)]) == bracket
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symmetric_form_of_distinct_directions_keeps_the_stacked_sum(k):
+    for seed, dim, profile in ((1, 3, "generic"), (4, 5, "singular"), (14, 8, "clustered")):
+        h, v = generate_instance(seed, dim, profile, 3.5)
+        dirs = [v.matrix] + _complex_directions(seed, dim, k - 1)
+        form = FrechetForm(base=h, exponent=3.5, order=k)
+        assert delta_symmetric(form, dirs) == _stacked_permutation_sum(form, dirs)
+        # A partly repeated list is not one direction: all k! orders.
+        dirs = [v.matrix] * (k - 1) + dirs[-1:]
+        assert delta_symmetric(form, dirs) == _stacked_permutation_sum(form, dirs)
+
+
+def test_symmetric_form_along_one_direction_takes_one_unstacked_bracket(monkeypatch):
+    stacks = []
+
+    def recorded(request):
+        stacks.append([np.shape(w) for w in request.perturbations])
+        return moi_exact(request)
+
+    monkeypatch.setattr(forms, "moi_exact", recorded)
+    h, v = generate_instance(5, 6, "clustered", 3.5)
+    form = FrechetForm(base=h, exponent=3.5, order=3)
+    delta_symmetric(form, [v.matrix] * 3)
+    assert stacks == [[(6, 6)] * 2]
+    stacks.clear()
+    w = _complex_directions(5, 6, 1)[0]
+    delta_symmetric(form, [v.matrix, v.matrix, w])
+    assert stacks == [[(6, 6, 6)] * 2]
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -17,6 +17,7 @@ from specforms.instances import (
     _draw,
     generate_instance,
 )
+from specforms.util import lp_norms
 
 
 def test_splitmix_first_outputs_are_pinned():
@@ -200,3 +201,16 @@ def test_integer_seeds_wrap_modulo_two_to_the_64():
             assert got.matrix.tobytes() == want.matrix.tobytes()
     assert SplitMix64(np.int64(-1)).state == MASK64
     assert SplitMix64(5.0).state == 5
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.5, 4.0])
+def test_lp_norms_keep_the_bits_of_the_per_row_formula(p):
+    # The stack's sums are one reduction; each row must keep the bits of
+    # its own sum and its Python-float power, in any memory layout.
+    rng = np.random.default_rng(41)
+    for n in (*range(1, 70), 128):
+        stack = rng.standard_normal((5, n))
+        for spectra in (stack, np.asfortranarray(stack), stack[::-1, ::-1]):
+            want = [float(np.sum(np.abs(row) ** p)) ** (1.0 / p) for row in spectra]
+            got = lp_norms(spectra, p)
+            assert got.shape == (5,) and got.tolist() == want
