@@ -11,11 +11,9 @@ nodes collide.
 
 import numpy as np
 
-from specforms.divided import (
-    divided_difference,
-    divided_difference_via_momentum,
-)
+from specforms.divided import divided_difference
 from specforms.functions import Monomial, Polynomial, PowerAbs
+from specforms.momenta import momentum_quadrature
 from specforms.spectral import SchattenExponent
 
 # ---------------------------------------------------------------------------
@@ -45,7 +43,7 @@ model = PowerAbs(2.5)
 for _ in range(3):
     nodes = np.sort(rng.uniform(-1.0, 1.0, size=3))
     a = divided_difference(model, nodes)
-    b = divided_difference_via_momentum(model, nodes)
+    b = momentum_quadrature(model, nodes)
     print(f"  nodes {np.round(nodes, 3)}  recursion {a:+.9f}  "
           f"integral {b:+.9f}  gap {abs(a - b):.2e}")
 

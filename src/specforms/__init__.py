@@ -6,11 +6,7 @@ divided differences, multiple operator integrals on eigenvalue grids,
 and seeded experiment drivers with reproducible reports.
 """
 
-from .divided import (
-    DividedDifference,
-    divided_difference,
-    divided_difference_via_momentum,
-)
+from .divided import DividedDifference, divided_difference
 from .errors import (
     EigenSolverError,
     QuadratureError,
@@ -114,7 +110,6 @@ __all__ = [
     "canonical_json",
     "delta_symmetric",
     "divided_difference",
-    "divided_difference_via_momentum",
     "eigendecompose",
     "embedded_delta",
     "fd_oracle",

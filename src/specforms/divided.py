@@ -138,17 +138,6 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     return values if batched else float(values[0])
 
 
-def divided_difference_via_momentum(model, nodes):
-    """f^[k] forced through the integral representation (oracle route), at
-    the library's quadrature tolerance (util.QUAD_TOL)."""
-    model, cols, k, _ = _prepare(model, nodes)
-    if cols.shape[1] != 1:
-        raise ValidationError("the oracle route takes one node set")
-    if k == 0:
-        return float(model.eval(cols[0, 0]))
-    return momentum_quadrature(model, cols[:, 0])
-
-
 @dataclass(frozen=True)
 class DividedDifference:
     """Symbol descriptor: order-k divided difference of a scalar model."""

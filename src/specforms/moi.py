@@ -20,8 +20,8 @@ takes the symbol tensor (_tensor_core): its values at every index tuple
 The tensor is evaluated in blocks of index tuples, each handed over as the
 transpose of its column stack: separable sums term by term, bare
 callables once per distinct index tuple, and the monomial shift of a
-symbol (algebraic_shift), a divided difference or a momentum included, as
-each row's eigenvalue powers times the symbol's value there.
+symbol (algebraic_shift) as each slot's powers, taken once per
+eigenvalue, times the symbol's values.
 The recurrence keeps its last Loewner values, keyed by the model, the
 weight c, the tolerance and the bits of the eigenvalue pairs, so that
 forms of several orders on one base evaluate them once. The model's class
@@ -51,7 +51,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import Polynomial, PowerKernel, as_kernel
-from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
+from .momenta import MomentumSpec, _weighted_momentum, momentum_eval, momentum_perturbation_pair
 from .spectral import (
     SpectralDecomposition,
     _check_finite,
@@ -241,7 +241,7 @@ class MoiRequest:
 
 @dataclass(frozen=True)
 class _MonomialShift:
-    """psi = x_0^{s_0} ... x_m^{s_m} * phi for a symbol phi."""
+    """algebraic_shift's psi = x_0^{s_0} ... x_m^{s_m} * phi for a symbol phi."""
 
     symbol: object
     powers: tuple
@@ -249,16 +249,6 @@ class _MonomialShift:
 
 def _symbol_adapter(symbol, tol):
     """The symbol as one evaluator mapping a row stack (R, m+1) to R values."""
-    if isinstance(symbol, _MonomialShift):
-        phi = _symbol_adapter(symbol.symbol, tol)
-
-        def shifted(rows):
-            # Python-float powers, multiplied left to right and then onto phi:
-            # the order of the scalar product x_0^s_0 * ... * x_m^s_m * phi.
-            powers = [np.array([v**s for v in x.tolist()]) for x, s in zip(rows.T, symbol.powers)]
-            return functools.reduce(np.multiply, powers) * phi(rows)
-
-        return shifted
     if isinstance(symbol, DividedDifference):
         return lambda rows: symbol(rows, quad_tol=tol)
     if isinstance(symbol, MomentumSpec):
@@ -283,6 +273,20 @@ def _checked_values(values, cols):
     return values
 
 
+def _powers(x, s, j):
+    """x**s in Python floats at each eigenvalue of the array x of decomposition
+    j, in its shape; the first to overflow raises ValidationError."""
+    powers = []
+    for v in x.ravel().tolist():
+        try:
+            powers.append(v**s)
+        except OverflowError:
+            raise ValidationError(
+                f"monomial exponent {s} of decomposition {j} overflows at eigenvalue {v}"
+            ) from None
+    return np.array(powers).reshape(x.shape)
+
+
 def _phi_tensor(symbol, eig_sets, tol):
     """The symbol at every index tuple of the eigenvalue sets.
 
@@ -293,7 +297,9 @@ def _phi_tensor(symbol, eig_sets, tol):
     the symbol is evaluated one block at a time: a block fixes the axes
     before a cut axis, takes a slice of the cut axis and keeps every later
     axis whole, CHUNK_ROWS index tuples at most. A block goes to the symbol
-    as the transpose of its (m+1, R) column stack.
+    as the transpose of its (m+1, R) column stack. A shift's powers (_powers)
+    ride the blocks as further slots, multiplied left to right and then onto
+    the symbol's values, as in the product x_0^s_0 * ... * x_m^s_m * phi.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
@@ -303,6 +309,10 @@ def _phi_tensor(symbol, eig_sets, tol):
         e.reshape((e.shape[:-1] or (1,) * len(lead)) + (1,) * j + (-1,) + (1,) * (after - j))
         for j, e in enumerate(eig_sets)
     ]
+    count = len(slots)  # the eigenvalue slots; a shift's powers follow them
+    if isinstance(symbol, _MonomialShift):
+        slots += [_powers(x, s, j) for j, (x, s) in enumerate(zip(slots, symbol.powers))]
+        symbol = symbol.symbol
     evaluate = _symbol_adapter(symbol, tol)
     cut = next(c for c in range(len(shape)) if math.prod(shape[c + 1 :]) <= CHUNK_ROWS)
     width = CHUNK_ROWS // math.prod(shape[cut + 1 :])
@@ -316,7 +326,10 @@ def _phi_tensor(symbol, eig_sets, tol):
             for col, x, at in zip(cols, slots, fixed):
                 col[...] = x[at] if x.shape[cut] == 1 else x[at + (slice(lo, lo + width),)]
             cols = cols.reshape(len(slots), -1)
-            phi[start : start + cols.shape[1]] = _checked_values(evaluate(cols.T), cols)
+            values = evaluate(cols[:count].T)
+            if len(slots) > count:
+                values = functools.reduce(np.multiply, cols[count:]) * values
+            phi[start : start + cols.shape[1]] = _checked_values(values, cols[:count])
             start += cols.shape[1]
     return phi.reshape(shape)
 
@@ -356,9 +369,7 @@ def _at_order(symbol, order):
     """c * f^[order] for the symbol c * f^[k] of its model f: a divided
     difference of the model, or a momentum of the origin with weight c."""
     if isinstance(symbol, MomentumSpec):
-        weight = (((0,) * (order + 1), symbol.constant_weight),)
-        origin = symbol.origin
-        return MomentumSpec(order, origin.derivative_model(order), origin, weight)
+        return _weighted_momentum(symbol.origin, order, symbol.constant_weight)
     return DividedDifference(symbol.model, order)
 
 

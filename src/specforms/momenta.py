@@ -237,7 +237,11 @@ def momentum_perturbation_pair(spec):
     origin without m + 1 continuous derivatives raises
     UnsupportedConfigError.
     """
-    origin = spec.origin
-    k = _divided_order(origin, spec.m + 1, 1)
-    weight = (((0,) * (k + 1), spec.constant_weight),)
-    return MomentumSpec(m=k, kernel=origin.derivative_model(k), origin=origin, q_terms=weight)
+    k = _divided_order(spec.origin, spec.m + 1, 1)
+    return _weighted_momentum(spec.origin, k, spec.constant_weight)
+
+
+def _weighted_momentum(origin, order, weight):
+    """The momentum c * f^[order] of the origin f, c the weight."""
+    q_terms = (((0,) * (order + 1), weight),)
+    return MomentumSpec(order, origin.derivative_model(order), origin, q_terms)

@@ -13,11 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from specforms.divided import (
-    DividedDifference,
-    divided_difference,
-    divided_difference_via_momentum,
-)
+from specforms.divided import DividedDifference, divided_difference
 from specforms.experiments import (
     SEED_STRIDE,
     ExperimentConfig,
@@ -43,7 +39,7 @@ from specforms.moi import (
     moi_separable,
     perturbation_identity,
 )
-from specforms.momenta import MomentumSpec
+from specforms.momenta import MomentumSpec, momentum_quadrature
 from specforms.spectral import SchattenExponent, eigendecompose
 from specforms.util import fit_loglog_slope, frobenius, real_trace
 
@@ -260,7 +256,7 @@ def test_criterion_08_divided_difference_cross_checks():
                 continue
             done += 1
             a = divided_difference(model, x)
-            b = divided_difference_via_momentum(model, x)
+            b = momentum_quadrature(model, x)
             assert abs(a - b) <= 1e-8 * (1.0 + abs(a)), (
                 f"p={p} k={k} x={x}: routes differ by {abs(a - b):.3e}"
             )

@@ -244,6 +244,17 @@ CALLS["MoiRequest momentum order"] = (
     lambda: MoiRequest((H, H, H), (V, V), MomentumSpec.from_divided_difference(PowerAbs(3.5), 1)),
     "^symbol takes 2 arguments, got 3",
 )
+# A monomial power past the float range names its slot, its exponent and the
+# eigenvalue, whether the power or the exponent itself is out of range.
+H_WIDE = np.diag([1.9, -0.2])
+CALLS["algebraic_shift power overflow"] = (
+    lambda: algebraic_shift(MoiRequest((H_WIDE, H_WIDE), (V,), DD1), (1200, 0)),
+    "^monomial exponent 1200 of decomposition 0 overflows at eigenvalue 1.9$",
+)
+CALLS["algebraic_shift exponent overflow"] = (
+    lambda: algebraic_shift(MoiRequest((H_WIDE, H_WIDE), (V,), DD1), (0, 10**400)),
+    f"^monomial exponent {10**400} of decomposition 1 overflows at eigenvalue -0.2$",
+)
 CALLS["perturbation_identity perturbation"] = (
     lambda: perturbation_identity(DD_SPEC, H, H + 0.1 * V, [H], [V * NAN]),
     "^perturbation 0 has a non-finite entry",

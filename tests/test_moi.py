@@ -214,30 +214,43 @@ def test_algebraic_shift_random_residuals():
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-def test_algebraic_shift_left_side_matches_bare_callable(stacked):
+def test_algebraic_shift_left_side_matches_bare_callable(stacked, monkeypatch):
     # The left side multiplies the symbol tensor by the eigenvalue powers;
-    # the reference evaluates psi = x_0^s_0 ... x_m^s_m * phi entry by entry.
+    # the reference evaluates psi = 1.0 * x_0^s_0 * ... * x_m^s_m * phi entry
+    # by entry, the same product in the same order, so every bit agrees: for
+    # divided differences, a weighted momentum and a separable symbol, over
+    # tensors of several blocks each, with an exact 0 among slot 1's
+    # eigenvalues.
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
     rng = np.random.default_rng(29)
-    for symbol in (DividedDifference(PowerAbs(2.5), 2), DividedDifference(Monomial(4), 2)):
+    f = PowerAbs(2.5)
+    weighted = MomentumSpec(2, f.derivative_model(2), f, (((0, 0, 0), 1.5),))
+    separable = SeparableSymbol(
+        ((0.5, (f, Monomial(2), Monomial(1))), (-1.5, (Monomial(1), f, Monomial(3))))
+    )
+    for symbol in (DividedDifference(f, 2), DividedDifference(Monomial(4), 2), weighted, separable):
+        phi = (lambda rows: momentum_eval(weighted, rows)) if symbol is weighted else symbol
         for powers in ((1, 2, 0), (0, 0, 3), (2, 1, 1)):
             first = np.stack([random_hermitian(rng, 3) for _ in range(2)]) if stacked else (
                 random_hermitian(rng, 3)
             )
-            decs = (eigendecompose(first),) + tuple(
+            decs = [eigendecompose(first)] + [
                 eigendecompose(random_hermitian(rng, 3)) for _ in range(2)
-            )
+            ]
+            zero = decs[1].eigenvalues.copy()
+            zero[1] = 0.0
+            decs[1] = SpectralDecomposition(zero, decs[1].eigenvectors, decs[1].source)
             perts = tuple(random_hermitian(rng, 3) for _ in range(2))
 
-            def shifted(*vals, symbol=symbol, powers=powers):
+            def shifted(*vals, phi=phi, powers=powers):
                 prod = 1.0
                 for x, s in zip(vals, powers):
                     prod *= x**s
-                return prod * symbol(np.asarray([vals]))[0]
+                return prod * phi(np.asarray([vals]))[0]
 
-            lhs, _ = algebraic_shift(MoiRequest(decs, perts, symbol), powers)
-            want = moi_exact(MoiRequest(decs, perts, shifted))
-            assert lhs.shape == want.shape
-            assert np.all(np.abs(lhs - want) <= 1e-15 * (1.0 + np.abs(want)))
+            lhs, _ = algebraic_shift(MoiRequest(tuple(decs), perts, symbol), powers)
+            want = moi_exact(MoiRequest(tuple(decs), perts, shifted))
+            assert np.array_equal(lhs, want), (symbol, powers)
 
 
 def test_perturbation_identity_takes_decompositions_bitwise():
