@@ -262,14 +262,15 @@ def _symbol_adapter(symbol, tol):
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 
-def _checked_values(values, cols):
-    """The symbol's values at the columns of cols (m+1, R), or a
-    ValidationError naming the first eigenvalue tuple without a finite one."""
+def _checked_values(values, cols, what="symbol"):
+    """The values of `what` at the columns of cols (m+1, R), or a
+    ValidationError naming it and the first eigenvalue tuple without a
+    finite value."""
     finite = np.isfinite(values)
     if not finite.all():
         r = int(np.argmin(finite))
         vals = tuple(float(x) for x in cols[:, r])
-        raise ValidationError(f"symbol evaluated to {values[r]} at eigenvalue tuple {vals}")
+        raise ValidationError(f"{what} evaluated to {values[r]} at eigenvalue tuple {vals}")
     return values
 
 
@@ -299,7 +300,9 @@ def _phi_tensor(symbol, eig_sets, tol):
     axis whole, CHUNK_ROWS index tuples at most. A block goes to the symbol
     as the transpose of its (m+1, R) column stack. A shift's powers (_powers)
     ride the blocks as further slots, multiplied left to right and then onto
-    the symbol's values, as in the product x_0^s_0 * ... * x_m^s_m * phi.
+    the symbol's values, as in the product x_0^s_0 * ... * x_m^s_m * phi;
+    a product past the float range raises ValidationError naming the
+    shift's exponents and the eigenvalue tuple.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
@@ -312,6 +315,7 @@ def _phi_tensor(symbol, eig_sets, tol):
     count = len(slots)  # the eigenvalue slots; a shift's powers follow them
     if isinstance(symbol, _MonomialShift):
         slots += [_powers(x, s, j) for j, (x, s) in enumerate(zip(slots, symbol.powers))]
+        shift = f"symbol times the monomial shift of exponents {symbol.powers}"
         symbol = symbol.symbol
     evaluate = _symbol_adapter(symbol, tol)
     cut = next(c for c in range(len(shape)) if math.prod(shape[c + 1 :]) <= CHUNK_ROWS)
@@ -326,10 +330,12 @@ def _phi_tensor(symbol, eig_sets, tol):
             for col, x, at in zip(cols, slots, fixed):
                 col[...] = x[at] if x.shape[cut] == 1 else x[at + (slice(lo, lo + width),)]
             cols = cols.reshape(len(slots), -1)
-            values = evaluate(cols[:count].T)
+            values = _checked_values(evaluate(cols[:count].T), cols[:count])
             if len(slots) > count:
-                values = functools.reduce(np.multiply, cols[count:]) * values
-            phi[start : start + cols.shape[1]] = _checked_values(values, cols[:count])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = functools.reduce(np.multiply, cols[count:]) * values
+                values = _checked_values(values, cols[:count], shift)
+            phi[start : start + cols.shape[1]] = values
             start += cols.shape[1]
     return phi.reshape(shape)
 

@@ -161,11 +161,10 @@ class SpectralDecomposition:
 
 def _fix_phases(u):
     """Rotate each column of a stack (B, n, n) so that its first
-    non-negligible entry is real positive."""
-    big = np.abs(u) > 1e-12
-    first = np.argmax(big, axis=-2)[..., None, :]
+    non-negligible entry is real positive. A unit column has an entry of
+    modulus at least 1/sqrt(n), so every column has such an entry."""
+    first = np.argmax(np.abs(u) > 1e-12, axis=-2)[..., None, :]
     lead = np.take_along_axis(u, first, axis=-2)
-    lead = np.where(np.take_along_axis(big, first, axis=-2), lead, 1.0)
     return u * (np.conj(lead) / np.abs(lead))
 
 
@@ -256,23 +255,28 @@ class SchattenExponent:
 
 
 def _lp_of_singular_values(s, p):
-    if not s.size:
-        return 0.0
+    """The l^p norm of each row of a stack (B, k) of descending singular
+    values, as floats. The largest value of a row is factored out against
+    overflow at large p; a row of zeros is divided by 1 and has norm 0. The
+    row sums are one reduction over C-ordered rows and each power is taken
+    on the row's own scalars, so each norm has the bits of its row alone
+    (see util.lp_norms)."""
+    if not s.shape[-1]:
+        return np.zeros(len(s))
+    top = s[:, 0]
     if np.isinf(p):
-        return float(s[0])
-    top = s[0]
-    if top == 0.0:
-        return 0.0
-    # Factor out the largest singular value to avoid overflow for large p.
-    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
+        return top.astype(float)
+    scaled = s / np.where(top == 0.0, 1.0, top)[:, None]
+    sums = np.sum(np.ascontiguousarray(scaled) ** p, axis=1)
+    return np.array([float(t * u ** (1.0 / p)) for t, u in zip(top, sums)])
 
 
 def schatten_norm(a, p):
     """Schatten p-norm, the l^p norm of the singular values, p >= 1.
 
     A stack (B, r, c) gives the array of its B norms: the singular values
-    of all members come from one solver call, and each norm is the
-    expression of its one-matrix call on its own row.
+    of all members come from one solver call and their norms from one
+    reduction, each norm with the bits of its one-matrix call.
     """
     p = real_number(p, "Schatten exponent p")
     if not p >= 1.0:
@@ -282,8 +286,8 @@ def schatten_norm(a, p):
         raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
     s = np.linalg.svd(_check_finite(m), compute_uv=False)
     if s.ndim == 1:
-        return _lp_of_singular_values(s, p)
-    return np.array([_lp_of_singular_values(row, p) for row in s])
+        return float(_lp_of_singular_values(s[None], p)[0])
+    return _lp_of_singular_values(s, p)
 
 
 def apply_scalar_function(model, decomp):

@@ -114,6 +114,55 @@ def gauss01(q):
     return x, w
 
 
+# The 15-point Gauss-Kronrod rule on [-1, 1], QUADPACK's qk15 (Piessens et
+# al., 1983): the non-negative Kronrod abscissae, descending (entries 1, 3,
+# 5 and the final 0 are the 7-point Gauss nodes), their Kronrod weights, and
+# the Gauss weights at xgk[1], xgk[3], xgk[5] and 0.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+
+@lru_cache(maxsize=None)
+def kronrod01():
+    """The 15-point Gauss-Kronrod rule on [0, 1] with its embedded 7-point
+    Gauss rule: read-only (nodes, gauss weights, kronrod weights), the 15
+    nodes ascending and the Gauss weights 0 at the 8 Kronrod-only nodes.
+    The Kronrod rule is exact through degree 22, the Gauss rule through 13."""
+    x, wk = np.array(_XGK), np.array(_WGK)
+    wg = np.zeros(8)
+    wg[1::2] = _WG
+    # Each half mirrored onto [-1, 1], ascending, then mapped to [0, 1].
+    rule = [(np.concatenate([-x, x[-2::-1]]) + 1.0) / 2.0]
+    rule += [np.concatenate([w, w[-2::-1]]) / 2.0 for w in (wg, wk)]
+    for a in rule:
+        a.setflags(write=False)
+    return tuple(rule)
+
+
 def lp_norms(spectra, p):
     """The l^p norm of each row of a stack of spectra (R, n). The sums are
     one reduction over C-ordered rows, which keeps each row's pairwise sum

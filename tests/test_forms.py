@@ -33,7 +33,7 @@ from specforms.spectral import (
     eigendecompose,
     schatten_norm,
 )
-from specforms.util import real_trace, real_value
+from specforms.util import gauss01, kronrod01, real_trace, real_value
 
 
 def small_hermitian(rng, dim, scale=0.5):
@@ -400,10 +400,36 @@ def test_integral_expansion_first_order_branch():
     assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
 
 
+def test_kronrod_rule_matches_mpmath():
+    # The t-integral's first level: the 15-point Kronrod rule and its
+    # embedded 7-point Gauss rule on [0, 1], summed at 40 digits over
+    # (2t - 1)^d, whose integral is 1/(d + 1) for even d and 0 for odd d.
+    mp = pytest.importorskip("mpmath").mp
+    nodes, gauss7, kronrod15 = kronrod01()
+    assert nodes.shape == gauss7.shape == kronrod15.shape == (15,)
+    assert np.all(np.diff(nodes) > 0) and np.count_nonzero(gauss7) == 7
+
+    def error(weights, d):
+        with mp.workdps(40):
+            total = mp.fsum(mp.mpf(w) * (2 * mp.mpf(t) - 1) ** d for t, w in zip(nodes, weights))
+            return float(abs(total - mp.mpf(1 - d % 2) / (d + 1)))
+
+    assert max(error(kronrod15, d) for d in range(23)) <= 1e-15
+    assert error(kronrod15, 24) >= 1e-10
+    assert max(error(gauss7, d) for d in range(14)) <= 1e-15
+    assert error(gauss7, 14) >= 1e-10
+    # The embedded rule is gauss01(7) up to the rounding of the tables.
+    x, w = gauss01(7)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(nodes[gauss7 > 0], x, rtol=0, atol=4 * eps)
+    np.testing.assert_allclose(gauss7[gauss7 > 0], w, rtol=0, atol=4 * eps)
+
+
 def per_node_integral_form(h0, h1, p):
     """rhs of taylor_integral_form, one decomposition and integral per node:
-    each order of the 8/16/32/64 ladder summed on its own, the value that of
-    the order the ladder stops at alone."""
+    the 15-point Kronrod rule checked against its embedded 7-point Gauss
+    rule, then Gauss-Legendre 32 and 64, each level summed on its own, the
+    value that of the level the ladder stops at alone."""
     m = SchattenExponent(p).m
     v = h1 - h0
     model = PowerAbs(p)
@@ -413,10 +439,11 @@ def per_node_integral_form(h0, h1, p):
     for k in range(1, m):
         rhs += model_delta_bracket(d0, model, [v] * k)
 
-    def t_integral(order):
-        x, w = np.polynomial.legendre.leggauss(order)
+    def t_integral(nodes, weights):
         total = 0.0
-        for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
+        for t, weight in zip(nodes, weights):
+            if weight == 0.0:
+                continue
             dt = eigendecompose(h0 + t * v)
             if m == 1:
                 value = real_trace(v @ apply_scalar_function(g, dt).matrix)
@@ -427,16 +454,18 @@ def per_node_integral_form(h0, h1, p):
             total += weight * value
         return total
 
-    previous = t_integral(8)
-    for order in (16, 32, 64):
-        value = t_integral(order)
+    nodes, gauss7, kronrod15 = kronrod01()
+    previous, value = t_integral(nodes, gauss7), t_integral(nodes, kronrod15)
+    for order in (32, 64):
         if abs(value - previous) <= 1e-8 * (1.0 + abs(value)):
             break
-        previous = value
+        x, w = np.polynomial.legendre.leggauss(order)
+        previous, value = value, t_integral((x + 1.0) / 2.0, w / 2.0)
     return rhs + value
 
 
-# m = 1, 2, 3; the segments stop at Gauss orders 16, 32 and 64 between them.
+# m = 1, 2, 3; the segments stop at the Kronrod level and at Gauss orders 32
+# and 64 between them.
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
 @pytest.mark.parametrize("profile", PROFILES)
 def test_stacked_integral_form_matches_per_node_reference(profile, p, monkeypatch):
@@ -551,13 +580,14 @@ def test_taylor_remainder_is_the_per_point_difference():
 
 
 # lhs and rhs of taylor_integral_form on the dim-4 segment from H_0 to
-# H_0 + 0.3 V/|V|_F of a seeded instance, and the Gauss order its ladder
-# stops at: (profile, p, seed, final order, lhs, rhs).
+# H_0 + 0.3 V/|V|_F of a seeded instance, and the rule its ladder stops at
+# (15 for the Kronrod level, else the Gauss order): (profile, p, seed,
+# final rule, lhs, rhs).
 INTEGRAL_FORM_HEX = [
-    ("generic", 2.5, 1, 16, "0x1.9605b96c6ff44p+0", "0x1.9605b96c6ff3ep+0"),
+    ("generic", 2.5, 1, 15, "0x1.9605b96c6ff44p+0", "0x1.9605b96c6ff3ep+0"),
     ("generic", 3.5, 12, 64, "0x1.495be6ed4bd18p+0", "0x1.495be6ed6ad98p+0"),
     ("singular", 2.5, 1, 32, "0x1.1d271671b4fb0p+0", "0x1.1d27167094c58p+0"),
-    ("singular", 3.5, 1, 16, "0x1.1b640efbafdc9p+0", "0x1.1b640efbc957ep+0"),
+    ("singular", 3.5, 1, 15, "0x1.1b640efbafdc9p+0", "0x1.1b640efbaad82p+0"),
     ("clustered", 2.5, 2, 64, "0x1.54a1d9e742fa9p+0", "0x1.54a1d8d99e739p+0"),
     ("clustered", 3.5, 2, 32, "0x1.73ea6c1184c4cp+0", "0x1.73ea6c14a7bc7p+0"),
 ]
@@ -600,19 +630,46 @@ def count_solver_calls(monkeypatch):
 @pytest.mark.parametrize(
     "profile, p, seed, final", [row[:4] for row in INTEGRAL_FORM_HEX], ids=SEGMENT_IDS
 )
-def test_first_two_gauss_orders_share_one_decomposition_and_integral(
+def test_kronrod_level_shares_one_decomposition_and_integral(
     profile, p, seed, final, monkeypatch
 ):
     calls = count_solver_calls(monkeypatch)
     h0, h1 = moving_segment(profile, p, seed)
     taylor_integral_form(h0, h1, p)
-    later = (16, 32, 64).index(final)  # orders 32 and 64 run on their own
+    later = (15, 32, 64).index(final)  # orders 32 and 64 run on their own
     m = SchattenExponent(p).m
-    # H_0 and orders 8 and 16 in one call, and one more call per later order.
+    # H_0 and the 15 Kronrod nodes in one call, and one more call per later
+    # order.
     assert calls["eigendecompose"] == 1 + later
     # The derivative term of order 2 (at m = 3) makes one integral, and the
-    # Gauss orders one for 8 and 16 together and one per later order.
+    # t-integral one for the Kronrod level and one per later order.
     assert calls["moi_exact"] == (m - 2) + 1 + later
+
+
+def test_kronrod_level_decomposes_16_matrices_and_integrates_15_members(monkeypatch):
+    # Each segment's H_0 and its 15 Kronrod nodes go to one eigendecompose
+    # call, and the remainder is one stacked integral of 15 members per
+    # segment; the members still open then take 32 and 64 nodes.
+    handed, members = [], []
+    eig, exact = forms.eigendecompose, forms.moi_exact
+
+    def decomposed(a):
+        handed.append(len(a.matrix))
+        return eig(a)
+
+    def integrated(request):
+        members.append(len(request.decompositions[0].eigenvalues))
+        return exact(request)
+
+    monkeypatch.setattr(forms, "eigendecompose", decomposed)
+    monkeypatch.setattr(forms, "moi_exact", integrated)
+    rows = [row for row in INTEGRAL_FORM_HEX if row[1] == 2.5]  # m = 2
+    assert [row[3] for row in rows] == [15, 32, 64]
+    taylor_integral_form(*moving_segment(*rows[0][:3]), 2.5)
+    assert (handed, members) == ([16], [15])
+    handed.clear(), members.clear()
+    taylor_integral_form(*stacked_segments(rows), 2.5)
+    assert (handed, members) == ([3 * 16, 2 * 32, 64], [3 * 15, 2 * 32, 64])
 
 
 def stacked_segments(rows):
@@ -623,7 +680,7 @@ def stacked_segments(rows):
 
 @pytest.mark.parametrize("p", [2.5, 3.5])
 def test_stacked_integral_form_keeps_each_members_bits(p):
-    # Each exponent's rows stop at two or three different Gauss orders.
+    # Each exponent's rows stop at three different levels.
     rows = [row for row in INTEGRAL_FORM_HEX if row[1] == p]
     assert len({row[3] for row in rows}) > 1
     h0, h1 = stacked_segments(rows)
@@ -663,10 +720,10 @@ def test_stacked_integral_form_takes_one_call_per_gauss_order(p, monkeypatch):
     h0, h1 = stacked_segments(rows)
     calls = count_solver_calls(monkeypatch)
     taylor_integral_form(h0, h1, p)
-    later = (16, 32, 64).index(max(row[3] for row in rows))
+    later = (15, 32, 64).index(max(row[3] for row in rows))
     m = SchattenExponent(p).m
-    # Every H_0 and orders 8 and 16 of every member in one call, then one
-    # call per later order that some member reaches.
+    # Every H_0 and the 15 Kronrod nodes of every member in one call, then
+    # one call per later order that some member reaches.
     assert calls["eigendecompose"] == 1 + later
     assert calls["moi_exact"] == (m - 2) + 1 + later
 

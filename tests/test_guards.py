@@ -255,6 +255,13 @@ CALLS["algebraic_shift exponent overflow"] = (
     lambda: algebraic_shift(MoiRequest((H_WIDE, H_WIDE), (V,), DD1), (0, 10**400)),
     f"^monomial exponent {10**400} of decomposition 1 overflows at eigenvalue -0.2$",
 )
+# Powers that are each in range but whose product overflows name the shift,
+# not the symbol.
+CALLS["algebraic_shift product overflow"] = (
+    lambda: algebraic_shift(MoiRequest((H_WIDE, H_WIDE), (V,), DD1), (600, 600)),
+    r"^symbol times the monomial shift of exponents \(600, 600\) evaluated to inf at "
+    r"eigenvalue tuple \(1\.9, 1\.9\)$",
+)
 CALLS["perturbation_identity perturbation"] = (
     lambda: perturbation_identity(DD_SPEC, H, H + 0.1 * V, [H], [V * NAN]),
     "^perturbation 0 has a non-finite entry",

@@ -105,6 +105,32 @@ def test_eigendecompose_phase_is_deterministic():
         assert lead.real > 0
 
 
+def test_null_vector_with_zero_leading_entries_takes_the_phase_convention():
+    # (0, 0, 1, i)/sqrt(2) spans the kernel of each matrix: its first two
+    # entries come out exactly 0, and its first entry above 1e-12 is made
+    # real positive. Every column has such an entry (a unit column has one
+    # of modulus at least 1/sqrt(n)), so the phases equal those of a rule
+    # that falls back to no rotation for a column without one.
+    blocks = [[[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.5]], np.diag([0.4, -0.7]), [[0.2, 0.5j], [-0.5j, 0.1]]]
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[:, :2, :2] = blocks
+    stack[:, 2:, 2:] = [[0.5, 0.5j], [-0.5j, 0.5]]
+    _, raw = np.linalg.eigh(stack)
+    big = np.abs(raw) > 1e-12
+    first = np.argmax(big, axis=-2)[..., None, :]
+    lead = np.take_along_axis(raw, first, axis=-2)
+    lead = np.where(np.take_along_axis(big, first, axis=-2), lead, 1.0)
+    want = raw * (np.conj(lead) / np.abs(lead))
+    dec = eigendecompose(stack)
+    np.testing.assert_array_equal(dec.eigenvectors, want)
+    for i, h in enumerate(stack):
+        one = eigendecompose(h)
+        np.testing.assert_array_equal(one.eigenvectors, want[i])
+        null = one.eigenvectors[:, np.argmin(np.abs(one.eigenvalues))]
+        assert np.all(null[:2] == 0.0) and null[2].imag == 0.0 and null[2].real > 0.0
+        np.testing.assert_allclose(null, np.array([0, 0, 1, 1j]) / np.sqrt(2.0), atol=1e-15)
+
+
 def random_stack(rng, d, count):
     stack = np.stack([random_hermitian(rng, d) for _ in range(count)])
     stack[1] = np.diag(np.round(rng.normal(size=d), 1))  # exact ties, exact vectors
@@ -262,6 +288,25 @@ def test_stacked_schatten_norms_match_member_calls():
         got = schatten_norm(stack, p)
         assert got.shape == (5,) and got[2] == 0.0
         assert np.array_equal(got, [schatten_norm(a, p) for a in stack])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.4, 2.5, 3.5, np.inf])
+def test_stacked_schatten_norms_keep_the_bits_of_the_per_row_formula(p):
+    # The stack's sums are one reduction; each norm must keep the bits of
+    # its own row's formula, a member that is 0 included.
+    rng = np.random.default_rng(43)
+    for shape in ((130, 4, 4), (5, 4, 6), (3, 7, 2), (4, 1, 1), (2, 16, 16)):
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack[1] = 0.0
+        want = []
+        for s in np.linalg.svd(stack, compute_uv=False):
+            top = s[0]
+            if np.isinf(p) or top == 0.0:
+                want.append(float(top))
+            else:
+                want.append(float(top * np.sum((s / top) ** p) ** (1.0 / p)))
+        got = schatten_norm(stack, p)
+        assert got.shape == (shape[0],) and got.tolist() == want
 
 
 def test_apply_scalar_function_matches_eigenreconstruction():
@@ -460,8 +505,8 @@ def test_each_raw_matrix_is_checked_hermitian_once(monkeypatch):
         ),
         "MoiRequest": (lambda: MoiRequest((h, h + v, -h), (v, v), symbol), (3, 3)),
         "_stream_stacks": (lambda: _stream_stacks([1, 2], 1, 3, "generic", 2.5), (2, 4)),
-        # h0, h1, then the 8 + 16 moving points of the first Gauss orders.
-        "taylor_integral_form": (lambda: taylor_integral_form(h, h + 0.1 * v, 3.5), (3, 26)),
+        # h0, h1, then the 15 moving points of the Kronrod level.
+        "taylor_integral_form": (lambda: taylor_integral_form(h, h + 0.1 * v, 3.5), (3, 17)),
         # H and V, once for the expansion and its three oracle entries.
         "taylor_expand": (lambda: taylor_expand(h, v, 3.5), (2, 2)),
     }
