@@ -37,7 +37,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .momenta import ORDER_CAP, momentum_quadrature
-from .util import QUAD_TOL, check_within, map_distinct_rows, sorted_columns
+from .util import QUAD_TOL, check_within, map_distinct_rows, numeric_array, sorted_columns
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -57,7 +57,7 @@ TIE_TABLE_ATOL = 1e-15
 def _prepare(model, nodes):
     """(model, node sets sorted as the columns of a (k+1, R) array, k, batched)."""
     model = as_kernel(model)
-    x = np.asarray(nodes, dtype=float)
+    x = numeric_array(nodes, float, "nodes")
     batched = x.ndim == 2
     if x.size < 1:
         raise ValidationError("divided difference needs at least one node")

@@ -50,6 +50,7 @@ from .util import (
     QUAD_TOL,
     as_complex_matrices,
     as_complex_matrix,
+    as_sequence,
     check_within,
     checked_tol,
     fit_loglog_slope,
@@ -155,7 +156,7 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     decomposition = _decomposed(decomposition, "base")
     n = decomposition.dim
     vs = []
-    for j, v in enumerate(directions):
+    for j, v in enumerate(as_sequence(directions, "directions")):
         v = as_complex_matrices(v, f"direction {j}")
         if v.shape[-2:] != (n, n):
             raise ValidationError(f"direction {j} has shape {v.shape}, the base is {n} x {n}")
@@ -224,7 +225,7 @@ class FrechetForm:
     def directions_ok(self, directions):
         if self.base.stack is not None:
             raise ValidationError("the forms of a stacked base are taken member by member")
-        vs = [_check_hermitian(v, "direction") for v in directions]
+        vs = [_check_hermitian(v, "direction") for v in as_sequence(directions, "directions")]
         if len(vs) != self.order:
             raise ValidationError(
                 f"form of order {self.order} takes {self.order} directions, "
@@ -606,6 +607,7 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
     anything is decomposed, joins the perturbations in the slot check, and
     the matrices among the base and the tails are decomposed in one call.
     """
+    tail, perturbations = as_sequence(tail, "tail"), as_sequence(perturbations, "perturbations")
     if len(tail) != len(perturbations):
         raise ValidationError(
             f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"

@@ -27,6 +27,10 @@ weight c, the tolerance and the bits of the eigenvalue pairs, so that
 forms of several orders on one base evaluate them once. The model's class
 fixes its domain, so the key need not carry it.
 
+perturbation_identity takes two integrals: T_A on (A, H_1..H_m), and its
+companion psi = c * f^[m+1] on (A, B, H_1..H_m), whose recurrence hands
+back its block (1, m+1), the core of T_B, beside its top block.
+
 Any decomposition and any perturbation may be a stack of one common
 length S, and a slot holding one matrix broadcasts against the stacks:
 one call then evaluates the S integrals.
@@ -56,7 +60,6 @@ from .spectral import (
     SpectralDecomposition,
     _check_finite,
     _check_hermitian,
-    _checked,
     _symmetrized,
     eigendecompose,
 )
@@ -64,6 +67,7 @@ from .util import (
     QUAD_TOL,
     adjoint,
     as_complex_matrices,
+    as_sequence,
     checked_tol,
     frobenius,
     map_distinct_rows,
@@ -138,19 +142,6 @@ def _along(slots, index):
     return tuple(x[index] if getattr(x, "eigenvectors", x).ndim == 3 else x for x in slots)
 
 
-def _joined(decs, count):
-    """One stacked decomposition of decs in turn, each a stack of `count`
-    or the decomposition of one matrix taken `count` times."""
-    parts = ([], [], [])
-    for d in decs:
-        for part, x in zip(parts, (d.eigenvalues, d.eigenvectors, d.source.matrix)):
-            part.extend([x] if d.stack is not None else [x[None]] * count)
-    w, u, sources = (np.concatenate(part) for part in parts)
-    for x in (w, u, sources):
-        x.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=u, source=_checked(sources))
-
-
 @dataclass(frozen=True)
 class SeparableSymbol:
     """phi(x_0..x_m) = sum_t w_t * a_{t,0}(x_0) * ... * a_{t,m}(x_m)."""
@@ -212,6 +203,8 @@ class MoiRequest:
     tol: float = QUAD_TOL
 
     def __post_init__(self):
+        for name in ("decompositions", "perturbations"):
+            object.__setattr__(self, name, as_sequence(getattr(self, name), name))
         m = len(self.perturbations)
         if len(self.decompositions) != m + 1:
             raise ValidationError(
@@ -450,7 +443,7 @@ def _near_pairs(level, eigs, rots, loewner, parts):
     return entries
 
 
-def _sylvester_core(request, eig_sets, rotated):
+def _sylvester_core(request, eig_sets, rotated, inner=False):
     """The core of the integral of c * f^[k], a divided difference (c = 1)
     or a momentum of its origin f, by the Sylvester recurrence, with no
     tensor over k+1 slots.
@@ -475,7 +468,9 @@ def _sylvester_core(request, eig_sets, rotated):
     The symbol at order L is the request's own at L = k and otherwise built
     once per call, when its level is reached (_at_order). Every array has a
     member axis, the stack of eigenvalue sets or one member, which rides the
-    matmul batch axis with any stack of the perturbations.
+    matmul batch axis with any stack of the perturbations. With inner, the
+    pair of blocks (0, k) and (1, k) returns, the latter the core of
+    T_{c f^[k-1]}(V_2..V_k) on (H_1..H_k).
     """
     global _last_loewner
     symbol, k, tol = request.symbol, request.order, request.tol
@@ -559,23 +554,29 @@ def _sylvester_core(request, eig_sets, rotated):
         blocks[a, b] = step / np.where(c, 1.0, eigs[a][..., None] - eigs[b][..., None, :])
         if (a, b) in near:
             blocks[a, b][(...,) + near[a, b][:3]] = np.concatenate(direct[a, b], axis=-1)
-    return blocks[0, k] if members else blocks[0, k][..., 0, :, :]
+    cores = [blocks[a, k] if members else blocks[a, k][..., 0, :, :] for a in range(1 + inner)]
+    return tuple(cores) if inner else cores[0]
 
 
-def _integral(request, eig_sets):
+def _integral(request, eig_sets, inner=False):
     """The integral from the request's matrices and eigenvalue sets, its
     core in the eigenbases taken by the Sylvester recurrence for a divided
-    difference or a momentum, else by the symbol tensor."""
+    difference or a momentum, else by the symbol tensor. With inner, the
+    recurrence of c * f^[k] also gives the integral of c * f^[k-1] on the
+    slots after the first, and the pair of the two returns."""
     decs = request.decompositions
     rotated = [
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
     if isinstance(request.symbol, (DividedDifference, MomentumSpec)):
-        core = _sylvester_core(request, eig_sets, rotated)
+        core = _sylvester_core(request, eig_sets, rotated, inner)
     else:
         core = _tensor_core(request.symbol, request.tol, eig_sets, rotated)
-    return decs[0].eigenvectors @ core @ adjoint(decs[-1].eigenvectors)
+    back = adjoint(decs[-1].eigenvectors)
+    if inner:
+        return tuple(d.eigenvectors @ c @ back for d, c in zip(decs, core))
+    return decs[0].eigenvectors @ core @ back
 
 
 def moi_exact(request):
@@ -610,7 +611,7 @@ def moi_separable(symbol, decompositions, perturbations):
     """
     if not isinstance(symbol, SeparableSymbol):
         raise ValidationError("moi_separable needs a SeparableSymbol")
-    request = MoiRequest(tuple(decompositions), tuple(perturbations), symbol)
+    request = MoiRequest(decompositions, perturbations, symbol)
     decs, perts = request.decompositions, request.perturbations
     total = None
     for w, fns in symbol.terms:
@@ -628,6 +629,7 @@ def algebraic_shift(request, powers):
     T_phi with H_0^{s_0} multiplied onto the left of V_1 and H_j^{s_j}
     onto the right of V_j. Returns (lhs, rhs) evaluated independently.
     """
+    powers = as_sequence(powers, "monomial exponents")
     powers = tuple(whole_number(s, "monomial exponent") for s in powers)
     if len(powers) != request.order + 1:
         raise ValidationError(
@@ -679,14 +681,14 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     holding one matrix serving all of them, and returns the array of their
     S residuals, each the Frobenius norm of its own member; otherwise it
     returns one float. The matrices among A, B and the tails are
-    decomposed in one call, the decompositions reused. T_A and T_B are one
-    integral whose first slot is the stack (A, B) of 2S, every other
-    stacked slot taken at the tile index 0..S-1, 0..S-1. Both integrals,
-    of momenta of one origin, take the Sylvester recurrence.
+    decomposed in one call, the decompositions reused. Two integrals of
+    momenta of one origin follow, both by the Sylvester recurrence: T_A on
+    (A, H_1..H_m), and psi's on (A, B, H_1..H_m), whose block (1, m+1) is
+    T_B's core, so T_B is read off it and not integrated again.
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
-    tail, perts = tuple(tail), tuple(perturbations)
+    tail, perts = as_sequence(tail, "tail"), as_sequence(perturbations, "perturbations")
     if len(tail) != phi_spec.m or len(perts) != phi_spec.m:
         raise ValidationError(
             f"momentum of order {phi_spec.m} needs {phi_spec.m} trailing "
@@ -702,13 +704,11 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
     names += tuple(f"perturbation {j}" for j in range(len(perts)))
     (da, db, *tail), perts, stack = _prepared_slots((a, b) + tail, perts, names)
-    half = stack or 1
-    twice = np.tile(np.arange(half), 2)  # each stacked slot again, to pair with B's half
-    pair = _joined((da, db), half)
-    t_ab = moi_exact(MoiRequest((pair, *_along(tail, twice)), _along(perts, twice), phi_spec, tol))
+    t_a = moi_exact(MoiRequest((da, *tail), perts, phi_spec, tol))
     gap = da.source.matrix - db.source.matrix
-    t_psi = moi_exact(MoiRequest((da, db, *tail), (gap,) + perts, psi, tol))
-    residuals = t_ab[:half] - t_ab[half:] - t_psi
+    companion = MoiRequest((da, db, *tail), (gap,) + perts, psi, tol)
+    t_psi, t_b = _integral(companion, [d.eigenvalues for d in companion.decompositions], True)
+    residuals = t_a - t_b - t_psi
     if stack is None:
-        return frobenius(residuals[0])
+        return frobenius(residuals)
     return np.array([frobenius(r) for r in residuals])

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenSolverError, ValidationError
-from .util import adjoint, as_complex_matrices, check_within, real_number, whole_number
+from .util import (
+    adjoint,
+    as_complex_matrices,
+    check_within,
+    numeric_array,
+    real_number,
+    whole_number,
+)
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -281,7 +288,7 @@ def schatten_norm(a, p):
     p = real_number(p, "Schatten exponent p")
     if not p >= 1.0:
         raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    m = numeric_array(getattr(a, "matrix", a), complex, "Schatten norm matrix")
     if m.ndim not in (2, 3):
         raise ValidationError(f"expected a matrix or a stack of them, got shape {m.shape}")
     s = np.linalg.svd(_check_finite(m), compute_uv=False)

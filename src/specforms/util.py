@@ -15,9 +15,27 @@ TRACE_IMAG_TOL = 1e-10
 QUAD_TOL = 1e-9
 
 
+def as_sequence(items, what):
+    """items as a tuple, or a ValidationError naming `what` when they are
+    not a sequence (None or a number, say)."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {items!r}") from None
+
+
+def numeric_array(values, dtype, what):
+    """values as an ndarray of the dtype, or a ValidationError naming `what` when
+    numpy cannot read them as numbers (a string, say)."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {values!r:.80}") from None
+
+
 def as_complex_matrix(a, what):
     """Coerce input to a square complex ndarray; an error names `what`."""
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    m = numeric_array(getattr(a, "matrix", a), complex, what)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what}: expected a square matrix, got shape {m.shape}")
     return m
@@ -26,7 +44,7 @@ def as_complex_matrix(a, what):
 def as_complex_matrices(a, what):
     """A square complex matrix, or a stack (B, n, n) of B >= 1 of them; an
     error names `what`."""
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    m = numeric_array(getattr(a, "matrix", a), complex, what)
     if m.ndim == 3 and m.shape[1] == m.shape[2]:
         if not len(m):
             raise ValidationError(f"{what}: a stack must hold at least one matrix")

@@ -23,6 +23,7 @@ from specforms import (
     UnsupportedConfigError,
     ValidationError,
     algebraic_shift,
+    delta_symmetric,
     divided_difference,
     embedded_delta,
     fd_oracle,
@@ -462,6 +463,75 @@ CALLS["model_delta_bracket direction nan"] = (
     lambda: model_delta_bracket(eigendecompose(H4), PowerAbs(3.5), [V4_NAN]),
     "^direction 0 has a non-finite entry",
 )
+
+# An argument that must be a sequence, or numbers, and is not: None, a
+# number or a string where matrices, exponents or nodes are wanted.
+B = np.diag([0.1, 0.25])
+DD1 = DividedDifference(PowerAbs(2.5), 1)
+SEP1 = SeparableSymbol(((1.0, (PowerAbs(2.5), PowerAbs(2.5))),))
+for name, call, message in (
+    (
+        "perturbation_identity tail None",
+        lambda: perturbation_identity(DD_SPEC, H, B, None, (V,)),
+        "^tail must be a sequence, got None$",
+    ),
+    (
+        "perturbation_identity tail number",
+        lambda: perturbation_identity(DD_SPEC, H, B, 3.0, (V,)),
+        "^tail must be a sequence, got 3.0$",
+    ),
+    (
+        "perturbation_identity perturbations None",
+        lambda: perturbation_identity(DD_SPEC, H, B, (H,), None),
+        "^perturbations must be a sequence, got None$",
+    ),
+    (
+        "MoiRequest perturbations None",
+        lambda: MoiRequest((H, B), None, DD1),
+        "^perturbations must be a sequence, got None$",
+    ),
+    (
+        "MoiRequest decompositions None",
+        lambda: MoiRequest(None, (V,), DD1),
+        "^decompositions must be a sequence, got None$",
+    ),
+    (
+        "moi_separable perturbations None",
+        lambda: moi_separable(SEP1, (H, B), None),
+        "^perturbations must be a sequence, got None$",
+    ),
+    (
+        "model_delta_bracket directions None",
+        lambda: model_delta_bracket(eigendecompose(H), PowerAbs(2.5), None),
+        "^directions must be a sequence, got None$",
+    ),
+    (
+        "delta_symmetric directions None",
+        lambda: delta_symmetric(FrechetForm(eigendecompose(H), 2.5), None),
+        "^directions must be a sequence, got None$",
+    ),
+    (
+        "algebraic_shift powers None",
+        lambda: algebraic_shift(MoiRequest((H, B), (V,), DD1), None),
+        "^monomial exponents must be a sequence, got None$",
+    ),
+    (
+        "holder_difference_norms tail None",
+        lambda: holder_difference_norms(PowerAbs(2.5), H, V, None, (), (0.1, 0.2), 2.5),
+        "^tail must be a sequence, got None$",
+    ),
+    (
+        "schatten_norm string",
+        lambda: schatten_norm("abc", 2.0),
+        "^Schatten norm matrix must be numeric, got 'abc'$",
+    ),
+    (
+        "divided_difference string",
+        lambda: divided_difference(PowerAbs(2.5), "abc"),
+        "^nodes must be numeric, got 'abc'$",
+    ),
+):
+    CALLS[name] = (call, message)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

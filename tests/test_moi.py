@@ -374,6 +374,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch):
+    # One decomposition call, T_A as one moi_exact on (A, tails), and one
+    # companion recurrence whose inner block gives T_B.
     rng = np.random.default_rng(53)
     spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
     a, b, h1, h2 = (random_hermitian(rng, 4, scale=0.5) for _ in range(4))
@@ -381,13 +383,52 @@ def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch)
     decomposed = [eigendecompose(x) for x in (a, b, h1, h2)]
     eig = count_calls(monkeypatch, moi, "eigendecompose")
     exact = count_calls(monkeypatch, moi, "moi_exact")
+    cores = count_calls(monkeypatch, moi, "_sylvester_core")
     perturbation_identity(spec, a, b, (h1, h2), perts)
     assert len(eig) == 1 and eig[0][0].matrix.shape == (4, 4, 4)
-    assert len(exact) == 2
+    assert len(exact) == 1 and exact[0][0].decompositions[0].stack is None
+    assert [(c[0].order, c[3]) for c in cores] == [(2, False), (3, True)]
     perturbation_identity(spec, decomposed[0], b, (decomposed[2], h2), perts)
     assert len(eig) == 2 and eig[1][0].matrix.shape == (2, 4, 4)
     perturbation_identity(spec, *decomposed[:2], decomposed[2:], perts)
-    assert len(eig) == 2 and len(exact) == 6
+    assert len(eig) == 2 and len(exact) == 3 and len(cores) == 6
+    stack = np.stack([a, b, h1])
+    perturbation_identity(spec, stack, b, (h1, stack), perts)
+    assert len(eig) == 3 and eig[2][0].matrix.shape == (8, 4, 4)
+    assert len(exact) == 4 and exact[3][0].decompositions[0].stack == 3
+    assert [(c[0].order, c[3]) for c in cores[6:]] == [(2, False), (3, True)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_companion_inner_block_is_the_integral_on_b_bitwise(m):
+    # The companion psi = c f^[m+1] on (A, B, tails) hands back T_B beside
+    # T_psi: each has the bits of its own moi_exact call, with every slot
+    # stacked, a mix of stacks and single matrices, or no stack at all.
+    p = m + 1.5
+    instances = [
+        generate_instance([seed + j for j in range(m + 2)], 5, "generic", p)
+        for seed in (11 * m, 100 + 10 * m, 200 + 10 * m)
+    ]
+    a, b, *tails = (np.stack([draws[j][0].matrix for draws in instances]) for j in range(m + 2))
+    perts = [np.stack([draws[j][1].matrix for draws in instances]) for j in range(m)]
+    for model in (Polynomial((0.25, -1.0, 0.5, 2.0)), PowerAbs(p)):
+        spec = MomentumSpec.from_divided_difference(model, m)
+        psi = moi.momentum_perturbation_pair(spec)
+        for slots in (
+            (a, b, *tails, *perts),
+            (a, b[1], *tails[:-1], tails[-1][2], *perts),
+            (a[0], b[0], *(t[0] for t in tails), *perts),
+            (a[0], b[0], *(t[0] for t in tails), *(v[0] for v in perts)),
+        ):
+            da, db, *rest = (eigendecompose(x) for x in slots[: m + 2])
+            vs = tuple(slots[m + 2 :])
+            gap = da.source.matrix - db.source.matrix
+            companion = MoiRequest((da, db, *rest), (gap,) + vs, psi)
+            eigs = [d.eigenvalues for d in companion.decompositions]
+            t_psi, t_b = moi._integral(companion, eigs, True)
+            assert np.array_equal(t_psi, moi_exact(companion))
+            want = moi_exact(MoiRequest((db, *rest), vs, spec))
+            assert np.array_equal(t_b, want), (model, len(slots))
 
 
 def test_request_decomposes_its_raw_slots_in_one_call(monkeypatch):
