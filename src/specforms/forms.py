@@ -33,7 +33,7 @@ import numpy as np
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import PowerAbs
-from .moi import MAX_ORDER, MoiRequest, _along, _prepared_slots, moi_exact
+from .moi import MAX_ORDER, MoiRequest, _along, _integral, _prepared_slots, moi_exact
 from .spectral import (
     HermitianMatrix,
     SchattenExponent,
@@ -116,22 +116,33 @@ def _check_unit_ball(lams, p):
             raise ValidationError(f"base point must satisfy ||H||_p <= 1, got {norm:.6f}")
 
 
-def _divided_integral(g, decompositions, perturbations, quad_tol):
+def _divided_integral(g, decompositions, perturbations, quad_tol, blocks=None):
     """T^{(H_0..H_j)}_{g^[j]}(V_1..V_j) with j = len(perturbations).
 
     At j = 0 this is g(H_0). The first decomposition and the perturbations
     may be stacks, as in MoiRequest; the result is then the stack of values.
+    The caller has checked the slots as moi._prepared_slots would, the tol
+    and j <= MAX_ORDER. With blocks, moi._integral's tuple of blocks returns.
     """
     if not perturbations:
         return apply_scalar_function(g, decompositions[0]).matrix
-    return moi_exact(
-        MoiRequest(
-            decompositions=tuple(decompositions),
-            perturbations=tuple(perturbations),
-            symbol=DividedDifference(g, len(perturbations)),
-            tol=quad_tol,
-        )
-    )
+    symbol = DividedDifference(g, len(perturbations))
+    request = MoiRequest._prepared(decompositions, perturbations, symbol, quad_tol)
+    if blocks is None:
+        return moi_exact(request)
+    return _integral(request, [d.eigenvalues for d in request.decompositions], blocks)
+
+
+def _bracket_value(v, integral, k):
+    """(1/k) tr(v integral), checked real, or the complex array of a stack."""
+    traces = np.trace(v @ integral, axis1=-2, axis2=-1)
+    if traces.ndim == 0:
+        return real_value(traces) / k
+    # Real and imaginary parts divided apart: a complex division by k
+    # multiplies by 1/k, which differs from it in the last bit.
+    brackets = np.empty_like(traces)
+    brackets.real, brackets.imag = traces.real / k, traces.imag / k
+    return brackets
 
 
 def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
@@ -151,29 +162,25 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     stack (B, n, n): the value is then the complex array of the B brackets,
     unchecked, for the caller to combine and check. A direction that is not
     n x n, n the base's dimension, or has a non-finite entry raises
-    ValidationError naming it ("direction j"), as does a non-Hermitian base.
+    ValidationError naming it ("direction j"), as does a non-Hermitian base,
+    and so do stacks of different lengths (a stacked base's among them).
     """
     decomposition = _decomposed(decomposition, "base")
-    n = decomposition.dim
-    vs = []
+    quad_tol, n = checked_tol(quad_tol), decomposition.dim
+    vs, lengths = [], {decomposition.stack} - {None}
     for j, v in enumerate(as_sequence(directions, "directions")):
         v = as_complex_matrices(v, f"direction {j}")
         if v.shape[-2:] != (n, n):
             raise ValidationError(f"direction {j} has shape {v.shape}, the base is {n} x {n}")
         vs.append(_check_finite(v, f"direction {j}"))
+        lengths |= {len(v)} if v.ndim == 3 else set()
+    if len(lengths) > 1:
+        raise ValidationError(f"stacks differ in length: {sorted(lengths)}")
     k = len(vs)
     if not 1 <= k <= MAX_ORDER:
         raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_ORDER}")
     g = model.derivative_model(1)
-    integral = _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol)
-    traces = np.trace(vs[0] @ integral, axis1=-2, axis2=-1)
-    if traces.ndim == 0:
-        return real_value(traces) / k
-    # Real and imaginary parts divided apart: a complex division by k
-    # multiplies by 1/k, which differs from it in the last bit.
-    brackets = np.empty_like(traces)
-    brackets.real, brackets.imag = traces.real / k, traces.imag / k
-    return brackets
+    return _bracket_value(vs[0], _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol), k)
 
 
 @dataclass(frozen=True)
@@ -222,21 +229,6 @@ class FrechetForm:
                 f"(orders 1..{limit})"
             )
 
-    def directions_ok(self, directions):
-        if self.base.stack is not None:
-            raise ValidationError("the forms of a stacked base are taken member by member")
-        vs = [_check_hermitian(v, "direction") for v in as_sequence(directions, "directions")]
-        if len(vs) != self.order:
-            raise ValidationError(
-                f"form of order {self.order} takes {self.order} directions, "
-                f"got {len(vs)}"
-            )
-        d = self.base.dim
-        for v in vs:
-            if v.shape != (d, d):
-                raise ValidationError(f"direction shape {v.shape} != ({d}, {d})")
-        return vs
-
 
 def delta_symmetric(form, directions):
     """delta^(k): average of delta^[k] over all argument permutations.
@@ -246,9 +238,18 @@ def delta_symmetric(form, directions):
     takes it. Otherwise the k! orders are stacked slot by slot, so that one
     bracket call, and one integral, serves them all. The complex brackets
     are summed and the sum is checked real once: single brackets of
-    distinct complex directions are complex at order 3.
+    distinct complex directions are complex at order 3. The base must be one
+    matrix, and the directions k Hermitian matrices of its shape.
     """
-    vs = form.directions_ok(directions)
+    if form.base.stack is not None:
+        raise ValidationError("the forms of a stacked base are taken member by member")
+    vs = [_check_hermitian(v, "direction") for v in as_sequence(directions, "directions")]
+    k, d = form.order, form.base.dim
+    if len(vs) != k:
+        raise ValidationError(f"form of order {k} takes {k} directions, got {len(vs)}")
+    for v in vs:  # one matrix each, of the base's shape, for the orders to stack
+        if v.shape != (d, d):
+            raise ValidationError(f"direction shape {v.shape} != ({d}, {d})")
     if all(np.array_equal(v, vs[0]) for v in vs[1:]):
         return model_delta_bracket(form.base, form.model, vs, quad_tol=form.quad_tol)
     orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
@@ -270,12 +271,13 @@ def trace_identity_residual(form, direction):
     With a stacked base or a stack (S, n, n) of directions the call returns
     the array of S residuals, a base or direction of one matrix serving
     every member; each side's integrals are one stacked call, and each
-    residual has the bits of its member's one-instance call.
+    residual has the bits of its member's one-instance call. A direction
+    unlike the base in size or stack length raises ValidationError.
     """
-    k = form.order
-    v = _check_hermitian(direction, "direction")
-    dec = form.base
-    model = form.model
+    k, dec, model = form.order, form.base, form.model
+    v, shape = _check_hermitian(direction, "direction"), dec.eigenvectors.shape
+    if v.shape[-1] != shape[-1] or v.ndim == len(shape) == 3 and len(v) != shape[0]:
+        raise ValidationError(f"direction has shape {v.shape}, base has {shape}")
     lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
     rhs = real_value(model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol))
     return abs(lhs - rhs)
@@ -374,10 +376,11 @@ class TaylorReport:
 def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
     """Taylor data of t -> ||H + tV||_p^p on a grid of small t > 0.
 
-    Computes the diagonal derivative forms delta^(k) for k = 1..m, the
-    remainder after subtracting the degree-m polynomial, and the fitted
-    log-log slope of |remainder| over grid points above the cancellation
-    floor. Slope fitting wants at least four usable points; an all-zero
+    Computes the diagonal derivative forms delta^(k) for k = 1..m (for
+    k >= 2 the blocks of one recurrence of order m - 1), the remainder
+    after subtracting the degree-m polynomial, and the fitted log-log
+    slope of |remainder| over grid points above the cancellation floor.
+    Slope fitting wants at least four usable points; an all-zero
     remainder (V = 0, or an exactly polynomial power) reports slope NaN.
     The finite-difference oracle entries are skipped when the spectrum
     comes within 0.05 of the kink at zero, where stencils are unreliable.
@@ -402,7 +405,11 @@ def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
 
     model = PowerAbs(exponent.p)
     base = float(np.sum(model.eval(lam0)))
-    deltas = [model_delta_bracket(decomposition, model, [v] * k) for k in range(1, m + 1)]
+    g, blocks = model.derivative_model(1), tuple((0, j) for j in range(1, m))
+    integrals = [_divided_integral(g, (decomposition,), (), QUAD_TOL)]
+    if blocks:
+        integrals += _divided_integral(g, (decomposition,) * m, (v,) * (m - 1), QUAD_TOL, blocks)
+    deltas = [_bracket_value(v, x, k) for k, x in enumerate(integrals, start=1)]
 
     remainder = []
     for t, lam in zip(t_grid, lams):
@@ -612,6 +619,8 @@ def holder_difference_norms(phi_model, base, direction, tail, perturbations, t_g
         raise ValidationError(
             f"{len(perturbations)} perturbations need as many tails, got {len(tail)}"
         )
+    if len(perturbations) > MAX_ORDER:
+        raise ValidationError(f"operator integral order {len(tail)} outside 0..{MAX_ORDER}")
     p = SchattenExponent(p).p
     t_grid = np.array(_t_grid(t_grid))
     direction = _check_finite(as_complex_matrices(direction, "direction"), "direction")

@@ -42,7 +42,8 @@ matrices and finite perturbations are checked before anything is
 decomposed, and the raw matrices among the decomposition slots go through
 one eigendecompose call, a decomposition being reused. An error names the slot
 ("decomposition j" or "perturbation j" of a request) and a member of a
-stack by its index.
+stack by its index. A request on slots so prepared is made by
+MoiRequest._prepared, which checks nothing again.
 """
 
 import functools
@@ -52,10 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided import DividedDifference
+from .divided import DividedDifference, divided_difference
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import Polynomial, PowerKernel, as_kernel
-from .momenta import MomentumSpec, _weighted_momentum, momentum_eval, momentum_perturbation_pair
+from .momenta import MomentumSpec, momentum_eval, momentum_perturbation_pair
 from .spectral import (
     SpectralDecomposition,
     _check_finite,
@@ -220,8 +221,17 @@ class MoiRequest:
         names = [f"decomposition {j}" for j in range(m + 1)]
         names += [f"perturbation {j}" for j in range(m)]
         decs, perts, _ = _prepared_slots(self.decompositions, self.perturbations, names)
-        object.__setattr__(self, "decompositions", decs)
-        object.__setattr__(self, "perturbations", perts)
+        vars(self).update(decompositions=decs, perturbations=perts)
+
+    @classmethod
+    def _prepared(cls, decompositions, perturbations, symbol, tol):
+        """The request on slots as _prepared_slots returns them (1..MAX_ORDER
+        perturbations), a symbol of their order and a checked tol, checking
+        nothing again."""
+        request = object.__new__(cls)
+        fields = (tuple(decompositions), tuple(perturbations), symbol, tol)
+        vars(request).update(zip(("decompositions", "perturbations", "symbol", "tol"), fields))
+        return request
 
     @property
     def order(self):
@@ -364,14 +374,6 @@ def _tensor_core(symbol, tol, eig_sets, rotated):
     return np.concatenate(cores, axis=-3)
 
 
-def _at_order(symbol, order):
-    """c * f^[order] for the symbol c * f^[k] of its model f: a divided
-    difference of the model, or a momentum of the origin with weight c."""
-    if isinstance(symbol, MomentumSpec):
-        return _weighted_momentum(symbol.origin, order, symbol.constant_weight)
-    return DividedDifference(symbol.model, order)
-
-
 def _near(x, y):
     """Where the eigenvalues x and y are too close to divide by."""
     return np.abs(x - y) < NEAR_PAIR * (1.0 + np.abs(x) + np.abs(y))
@@ -443,7 +445,7 @@ def _near_pairs(level, eigs, rots, loewner, parts):
     return entries
 
 
-def _sylvester_core(request, eig_sets, rotated, inner=False):
+def _sylvester_core(request, eig_sets, rotated, blocks):
     """The core of the integral of c * f^[k], a divided difference (c = 1)
     or a momentum of its origin f, by the Sylvester recurrence, with no
     tensor over k+1 slots.
@@ -465,23 +467,22 @@ def _sylvester_core(request, eig_sets, rotated, inner=False):
     from the span of the arrays lam^a and lam^b where they form one (a
     shared base adds no row), else it is a row of its own in the one
     level-1 call. Only rows near their pivot take the symbol at order 2.
-    The symbol at order L is the request's own at L = k and otherwise built
-    once per call, when its level is reached (_at_order). Every array has a
-    member axis, the stack of eigenvalue sets or one member, which rides the
-    matmul batch axis with any stack of the perturbations. With inner, the
-    pair of blocks (0, k) and (1, k) returns, the latter the core of
-    T_{c f^[k-1]}(V_2..V_k) on (H_1..H_k).
+    Level k takes the request's symbol, each lower level
+    c * divided_difference(f, rows), and no symbol is built. Every array has
+    a member axis, the stack of eigenvalue sets or one member, which rides
+    the matmul batch axis with any stack of the perturbations. The cores of
+    the blocks (a, b) in `blocks` return, each with its own integral's bits.
     """
     global _last_loewner
     symbol, k, tol = request.symbol, request.order, request.tol
     momentum = isinstance(symbol, MomentumSpec)
-    model = symbol.origin if momentum else symbol.model
-    levels = {k: _symbol_adapter(symbol, tol)}
+    model, weight = (symbol.origin, symbol.constant_weight) if momentum else (symbol.model, 1.0)
+    top = _symbol_adapter(symbol, tol)
 
     def level(order, rows):
-        if order not in levels:
-            levels[order] = _symbol_adapter(_at_order(symbol, order), tol)
-        return _checked_values(levels[order](rows), rows.T)
+        if order == k:
+            return _checked_values(top(rows), rows.T)
+        return _checked_values(weight * divided_difference(model, rows, quad_tol=tol), rows.T)
 
     n = eig_sets[0].shape[-1]
     members = next((len(e) for e in eig_sets if e.ndim == 2), None)
@@ -518,7 +519,6 @@ def _sylvester_core(request, eig_sets, rotated, inner=False):
     # kinds, and whose class fixes its domain), the weight, the tolerance
     # and the bits of the rows, which are pairs: the bytes fix their count.
     known = isinstance(model, (PowerKernel, Polynomial))
-    weight = symbol.constant_weight if momentum else 1.0
     memo = (repr(model), weight, tol, cols.tobytes()) if known else None
     last_key, values = _last_loewner
     if memo is None or memo != last_key:
@@ -531,7 +531,7 @@ def _sylvester_core(request, eig_sets, rotated, inner=False):
         if count < len(eigs[0]):
             by_span[key] = np.broadcast_to(by_span[key], eigs[0].shape + (n,))
     loewner = [by_span[ids[a], ids[a + 1]] for a in range(k)]
-    blocks = {(a, a + 1): loewner[a] * rots[a] for a in range(k)}
+    solved = {(a, a + 1): loewner[a] * rots[a] for a in range(k)}
     for (a, b), pairs in near.items():
         lo = extra.get((a, b))
         f = by_span[ids[a], ids[b]][pairs] if lo is None else values[lo : lo + len(pairs[0])]
@@ -550,33 +550,32 @@ def _sylvester_core(request, eig_sets, rotated, inner=False):
         for (a, b, *_), entries in zip(parts, _near_pairs(level, eigs, rots, loewner, parts)):
             direct[a, b].append(entries)
     for (a, b), c in close.items():
-        step = blocks[a, b - 1] @ rots[b - 1] - rots[a] @ blocks[a + 1, b]
-        blocks[a, b] = step / np.where(c, 1.0, eigs[a][..., None] - eigs[b][..., None, :])
+        step = solved[a, b - 1] @ rots[b - 1] - rots[a] @ solved[a + 1, b]
+        solved[a, b] = step / np.where(c, 1.0, eigs[a][..., None] - eigs[b][..., None, :])
         if (a, b) in near:
-            blocks[a, b][(...,) + near[a, b][:3]] = np.concatenate(direct[a, b], axis=-1)
-    cores = [blocks[a, k] if members else blocks[a, k][..., 0, :, :] for a in range(1 + inner)]
-    return tuple(cores) if inner else cores[0]
+            solved[a, b][(...,) + near[a, b][:3]] = np.concatenate(direct[a, b], axis=-1)
+    return tuple(solved[key] if members else solved[key][..., 0, :, :] for key in blocks)
 
 
-def _integral(request, eig_sets, inner=False):
+def _integral(request, eig_sets, blocks=None):
     """The integral from the request's matrices and eigenvalue sets, its
     core in the eigenbases taken by the Sylvester recurrence for a divided
-    difference or a momentum, else by the symbol tensor. With inner, the
-    recurrence of c * f^[k] also gives the integral of c * f^[k-1] on the
-    slots after the first, and the pair of the two returns."""
-    decs = request.decompositions
+    difference or a momentum, else by the symbol tensor. With blocks, a
+    tuple of (a, b), the recurrence of c * f^[k] returns the tuple of their
+    integrals, T_{c f^[b-a]}(V_{a+1}..V_b) on (H_a..H_b)."""
+    decs, wanted = request.decompositions, blocks or ((0, request.order),)
     rotated = [
         adjoint(decs[j].eigenvectors) @ request.perturbations[j] @ decs[j + 1].eigenvectors
         for j in range(request.order)
     ]
     if isinstance(request.symbol, (DividedDifference, MomentumSpec)):
-        core = _sylvester_core(request, eig_sets, rotated, inner)
+        cores = _sylvester_core(request, eig_sets, rotated, wanted)
     else:
-        core = _tensor_core(request.symbol, request.tol, eig_sets, rotated)
-    back = adjoint(decs[-1].eigenvectors)
-    if inner:
-        return tuple(d.eigenvectors @ c @ back for d, c in zip(decs, core))
-    return decs[0].eigenvectors @ core @ back
+        cores = (_tensor_core(request.symbol, request.tol, eig_sets, rotated),)
+    integrals = [
+        decs[a].eigenvectors @ c @ adjoint(decs[b].eigenvectors) for (a, b), c in zip(wanted, cores)
+    ]
+    return tuple(integrals) if blocks else integrals[0]
 
 
 def moi_exact(request):
@@ -638,13 +637,9 @@ def algebraic_shift(request, powers):
     if any(s < 0 for s in powers):
         raise ValidationError("monomial exponents must be >= 0")
 
+    shifted = _MonomialShift(request.symbol, powers)
     lhs = moi_exact(
-        MoiRequest(
-            decompositions=request.decompositions,
-            perturbations=request.perturbations,
-            symbol=_MonomialShift(request.symbol, powers),
-            tol=request.tol,
-        )
+        MoiRequest._prepared(request.decompositions, request.perturbations, shifted, request.tol)
     )
 
     decs = request.decompositions
@@ -680,34 +675,35 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     stack of S. With a stack anywhere, the call checks S instances, a slot
     holding one matrix serving all of them, and returns the array of their
     S residuals, each the Frobenius norm of its own member; otherwise it
-    returns one float. The matrices among A, B and the tails are
-    decomposed in one call, the decompositions reused. Two integrals of
-    momenta of one origin follow, both by the Sylvester recurrence: T_A on
-    (A, H_1..H_m), and psi's on (A, B, H_1..H_m), whose block (1, m+1) is
-    T_B's core, so T_B is read off it and not integrated again.
+    returns one float. The slots are prepared once: the matrices among A,
+    B and the tails are decomposed in one call, the decompositions reused.
+    Two integrals of momenta of one origin follow, both by the Sylvester
+    recurrence: T_A on (A, H_1..H_m), and psi's on (A, B, H_1..H_m), whose
+    blocks (0, m+1) and (1, m+1) are T_psi and T_B, so T_B is not
+    integrated again.
     """
     if not isinstance(phi_spec, MomentumSpec):
         raise ValidationError("perturbation identity needs a MomentumSpec symbol")
     tail, perts = as_sequence(tail, "tail"), as_sequence(perturbations, "perturbations")
-    if len(tail) != phi_spec.m or len(perts) != phi_spec.m:
+    m = phi_spec.m
+    if len(tail) != m or len(perts) != m:
         raise ValidationError(
-            f"momentum of order {phi_spec.m} needs {phi_spec.m} trailing "
-            f"decompositions and perturbations"
+            f"momentum of order {m} needs {m} trailing decompositions and perturbations"
         )
-    if phi_spec.m + 1 > MAX_ORDER:
+    if m + 1 > MAX_ORDER:
         raise UnsupportedConfigError(
-            f"companion integral order {phi_spec.m + 1} exceeds the "
-            f"supported {MAX_ORDER}"
+            f"companion integral order {m + 1} exceeds the supported {MAX_ORDER}"
         )
-    psi = momentum_perturbation_pair(phi_spec)
+    psi, tol = momentum_perturbation_pair(phi_spec), checked_tol(tol)
 
     names = ("A", "B") + tuple(f"tail {j}" for j in range(len(tail)))
     names += tuple(f"perturbation {j}" for j in range(len(perts)))
     (da, db, *tail), perts, stack = _prepared_slots((a, b) + tail, perts, names)
-    t_a = moi_exact(MoiRequest((da, *tail), perts, phi_spec, tol))
+    t_a = moi_exact(MoiRequest._prepared((da, *tail), perts, phi_spec, tol))
     gap = da.source.matrix - db.source.matrix
-    companion = MoiRequest((da, db, *tail), (gap,) + perts, psi, tol)
-    t_psi, t_b = _integral(companion, [d.eigenvalues for d in companion.decompositions], True)
+    companion = MoiRequest._prepared((da, db, *tail), (gap,) + perts, psi, tol)
+    eig_sets = [d.eigenvalues for d in companion.decompositions]
+    t_psi, t_b = _integral(companion, eig_sets, ((0, m + 1), (1, m + 1)))
     residuals = t_a - t_b - t_psi
     if stack is None:
         return frobenius(residuals)

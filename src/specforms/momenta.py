@@ -238,10 +238,5 @@ def momentum_perturbation_pair(spec):
     UnsupportedConfigError.
     """
     k = _divided_order(spec.origin, spec.m + 1, 1)
-    return _weighted_momentum(spec.origin, k, spec.constant_weight)
-
-
-def _weighted_momentum(origin, order, weight):
-    """The momentum c * f^[order] of the origin f, c the weight."""
-    q_terms = (((0,) * (order + 1), weight),)
-    return MomentumSpec(order, origin.derivative_model(order), origin, q_terms)
+    q_terms = (((0,) * (k + 1), spec.constant_weight),)
+    return MomentumSpec(k, spec.origin.derivative_model(k), spec.origin, q_terms)

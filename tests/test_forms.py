@@ -297,6 +297,24 @@ def test_fd_oracle_rejects_bad_order_and_interval():
         fd_oracle(np.eye(2) * (2.0 - 1e-5), np.eye(2), 2.5, 1)
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+def test_taylor_deltas_are_the_brackets_bitwise_from_one_recurrence(monkeypatch, profile):
+    # delta^(2..m) are the blocks (0, 1)..(0, m-1) of one order-(m-1)
+    # recurrence of f', each with the bits of model_delta_bracket along [V] * k.
+    h, v = generate_instance(29, 6, profile, 3.5)
+    cores, core = [], moi._sylvester_core
+
+    def counted(request, eig_sets, rotated, blocks):
+        cores.append((request.order, blocks))
+        return core(request, eig_sets, rotated, blocks)
+
+    monkeypatch.setattr(moi, "_sylvester_core", counted)
+    deltas = taylor_expand(h.matrix, v.matrix, 3.5).deltas
+    assert cores == [(2, ((0, 1), (0, 2)))]
+    want = [model_delta_bracket(h.matrix, PowerAbs(3.5), [v.matrix] * k) for k in (1, 2, 3)]
+    assert [d.hex() for d in deltas] == [w.hex() for w in want]
+
+
 def test_taylor_slope_tracks_p_on_singular_profile():
     h, v = generate_instance(5, 4, profile="singular", p=1.5)
     report = taylor_expand(h.matrix, v.matrix, 1.5)

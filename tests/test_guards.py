@@ -38,6 +38,7 @@ from specforms import (
     schatten_norm,
     taylor_expand,
     taylor_integral_form,
+    trace_identity_residual,
 )
 from specforms.forms import selfadjoint_embed
 from specforms.moi import binned_eigenvalues
@@ -462,6 +463,40 @@ CALLS["model_delta_bracket direction size"] = (
 CALLS["model_delta_bracket direction nan"] = (
     lambda: model_delta_bracket(eigendecompose(H4), PowerAbs(3.5), [V4_NAN]),
     "^direction 0 has a non-finite entry",
+)
+# Stacks of different lengths, among the directions or against a stacked
+# base, are refused before any integral; so is a trace-identity direction
+# of another size or stack length than its base.
+V4 = 0.1 * np.eye(4)
+CALLS["model_delta_bracket direction stacks"] = (
+    lambda: model_delta_bracket(
+        eigendecompose(H4), PowerAbs(3.5), [np.stack([V4] * 3), np.stack([V4] * 2)]
+    ),
+    r"^stacks differ in length: \[2, 3\]$",
+)
+CALLS["model_delta_bracket base stack"] = (
+    lambda: model_delta_bracket(
+        eigendecompose(np.stack([H4] * 2)), PowerAbs(3.5), [V4, np.stack([V4] * 3)]
+    ),
+    r"^stacks differ in length: \[2, 3\]$",
+)
+CALLS["trace_identity_residual direction size"] = (
+    lambda: trace_identity_residual(FrechetForm(eigendecompose(H4), 3.5, order=2), V3),
+    r"^direction has shape \(3, 3\), base has \(4, 4\)$",
+)
+CALLS["trace_identity_residual direction stack"] = (
+    lambda: trace_identity_residual(
+        FrechetForm(eigendecompose(np.stack([H4] * 2)), 3.5, order=2), np.stack([V4] * 3)
+    ),
+    r"^direction has shape \(3, 4, 4\), base has \(2, 4, 4\)$",
+)
+CALLS["trace_identity_residual direction Hermitian"] = (
+    lambda: trace_identity_residual(FrechetForm(eigendecompose(H), 3.5, order=2), V + SKEW),
+    "^direction is not Hermitian",
+)
+CALLS["holder_difference_norms order"] = (
+    lambda: holder_difference_norms(Monomial(5), H, V, [H] * 4, [V] * 4, (0.1,), 2.5),
+    r"^operator integral order 4 outside 0\.\.3$",
 )
 
 # An argument that must be a sequence, or numbers, and is not: None, a

@@ -375,7 +375,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch):
     # One decomposition call, T_A as one moi_exact on (A, tails), and one
-    # companion recurrence whose inner block gives T_B.
+    # companion recurrence whose block (1, m+1) gives T_B beside (0, m+1).
     rng = np.random.default_rng(53)
     spec = MomentumSpec.from_divided_difference(PowerAbs(3.5), 2)
     a, b, h1, h2 = (random_hermitian(rng, 4, scale=0.5) for _ in range(4))
@@ -387,7 +387,7 @@ def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch)
     perturbation_identity(spec, a, b, (h1, h2), perts)
     assert len(eig) == 1 and eig[0][0].matrix.shape == (4, 4, 4)
     assert len(exact) == 1 and exact[0][0].decompositions[0].stack is None
-    assert [(c[0].order, c[3]) for c in cores] == [(2, False), (3, True)]
+    assert [(c[0].order, c[3]) for c in cores] == [(2, ((0, 2),)), (3, ((0, 3), (1, 3)))]
     perturbation_identity(spec, decomposed[0], b, (decomposed[2], h2), perts)
     assert len(eig) == 2 and eig[1][0].matrix.shape == (2, 4, 4)
     perturbation_identity(spec, *decomposed[:2], decomposed[2:], perts)
@@ -396,14 +396,15 @@ def test_perturbation_identity_decomposes_once_and_integrates_twice(monkeypatch)
     perturbation_identity(spec, stack, b, (h1, stack), perts)
     assert len(eig) == 3 and eig[2][0].matrix.shape == (8, 4, 4)
     assert len(exact) == 4 and exact[3][0].decompositions[0].stack == 3
-    assert [(c[0].order, c[3]) for c in cores[6:]] == [(2, False), (3, True)]
+    assert [(c[0].order, c[3]) for c in cores[6:]] == [(2, ((0, 2),)), (3, ((0, 3), (1, 3)))]
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_companion_inner_block_is_the_integral_on_b_bitwise(m):
-    # The companion psi = c f^[m+1] on (A, B, tails) hands back T_B beside
-    # T_psi: each has the bits of its own moi_exact call, with every slot
-    # stacked, a mix of stacks and single matrices, or no stack at all.
+    # The companion psi = c f^[m+1] on (A, B, tails) hands back its block
+    # (1, m+1), T_B, beside (0, m+1), T_psi: each has the bits of its own
+    # moi_exact call, with every slot stacked, a mix of stacks and single
+    # matrices, or no stack at all.
     p = m + 1.5
     instances = [
         generate_instance([seed + j for j in range(m + 2)], 5, "generic", p)
@@ -425,10 +426,75 @@ def test_companion_inner_block_is_the_integral_on_b_bitwise(m):
             gap = da.source.matrix - db.source.matrix
             companion = MoiRequest((da, db, *rest), (gap,) + vs, psi)
             eigs = [d.eigenvalues for d in companion.decompositions]
-            t_psi, t_b = moi._integral(companion, eigs, True)
+            t_psi, t_b = moi._integral(companion, eigs, ((0, m + 1), (1, m + 1)))
             assert np.array_equal(t_psi, moi_exact(companion))
             want = moi_exact(MoiRequest((db, *rest), vs, spec))
             assert np.array_equal(t_b, want), (model, len(slots))
+
+
+def test_perturbation_identity_prepares_once_and_builds_only_its_companion(monkeypatch):
+    # The slots are prepared once, and both requests are made from them; the
+    # one symbol built is the companion, none per recurrence level.
+    rng = np.random.default_rng(59)
+    spec = MomentumSpec.from_divided_difference(Polynomial((0.25, -1.0, 0.5, 2.0)), 2)
+    a, b, h1, h2 = (random_hermitian(rng, 4, scale=0.5) for _ in range(4))
+    perts = (random_hermitian(rng, 4), np.stack([random_hermitian(rng, 4) for _ in range(3)]))
+    prepared = count_calls(monkeypatch, moi, "_prepared_slots")
+    built, init = [], MomentumSpec.__post_init__
+
+    def counted(self):
+        built.append(self.m)
+        init(self)
+
+    monkeypatch.setattr(MomentumSpec, "__post_init__", counted)
+    assert perturbation_identity(spec, a, b, (h1, h2), perts).shape == (3,)
+    assert len(prepared) == 1 and built == [3]
+
+
+def _block_requests():
+    """(label, request) pairs of orders 2 and 3 at dim 5: a divided
+    difference of |x|^3.5 and momenta (c = 1.5) of it and of a cubic, on one
+    shared decomposition, on distinct ones, and with stacked slots."""
+    models = (PowerAbs(3.5), Polynomial((0.25, -1.0, 0.5, 2.0)))
+    for profile, k in itertools.product(PROFILES, (2, 3)):
+        draws = generate_instance([7 * k + j for j in range(k + 1)], 5, profile, 3.5)
+        hs = [eigendecompose(h.matrix) for h, _ in draws]
+        vs = [v.matrix for _, v in draws]
+        stack = eigendecompose(np.stack([h.matrix for h, _ in draws]))
+        slots = {
+            "shared": ((hs[0],) * (k + 1), (vs[0],) * k),
+            "distinct": (hs, vs[:k]),
+            "stacked": ((stack, *hs[1:k], stack), (np.stack(vs), *vs[1:k])),
+        }
+        symbols = [DividedDifference(models[0], k)]
+        for model in models:
+            weight = (((0,) * (k + 1), 1.5),)
+            symbols.append(MomentumSpec(k, model.derivative_model(k), model, weight))
+        for (name, (decs, perts)), symbol in itertools.product(slots.items(), symbols):
+            yield (profile, k, name, symbol), MoiRequest(decs[: k + 1], perts, symbol)
+
+
+def _of_order(symbol, j):
+    """The symbol c * f^[k] of a request at order j: c * f^[j]."""
+    if isinstance(symbol, DividedDifference):
+        return DividedDifference(symbol.model, j)
+    weight = (((0,) * (j + 1), symbol.constant_weight),)
+    return MomentumSpec(j, symbol.origin.derivative_model(j), symbol.origin, weight)
+
+
+@pytest.mark.parametrize("chunk", [moi.CHUNK_ROWS, 37])
+def test_block_zero_j_of_a_recurrence_is_the_order_j_integral_bitwise(monkeypatch, chunk):
+    # Block (0, j) of an order-k recurrence is T_{c f^[j]}(V_1..V_j) on
+    # (H_0..H_j), with the bits of that integral's own call; its top block
+    # is the request's integral.
+    monkeypatch.setattr(moi, "CHUNK_ROWS", chunk)
+    for label, request in _block_requests():
+        k, decs, perts = request.order, request.decompositions, request.perturbations
+        blocks = tuple((0, j) for j in range(1, k + 1))
+        got = moi._integral(request, [d.eigenvalues for d in decs], blocks)
+        for (_, j), block in zip(blocks, got):
+            want = moi_exact(MoiRequest(decs[: j + 1], perts[:j], _of_order(request.symbol, j)))
+            assert block.tobytes() == want.tobytes(), (label, j)
 
 
 def test_request_decomposes_its_raw_slots_in_one_call(monkeypatch):
@@ -987,11 +1053,11 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
     rng = np.random.default_rng(83)
     dec = eigendecompose(random_hermitian(rng, 4, scale=0.8))
     v = random_hermitian(rng, 4)
-    orders, call = [], DividedDifference.__call__
+    orders, call = [], divided.divided_difference
 
-    def counted(self, values, quad_tol=1e-9):
-        orders.append(self.order)
-        return call(self, values, quad_tol=quad_tol)
+    def counted(model, nodes, quad_tol=1e-9):  # the symbol's values and a level's below it
+        orders.append(np.shape(nodes)[-1] - 1)
+        return call(model, nodes, quad_tol=quad_tol)
 
     def integral(model, order, tol=1e-9, d=dec):
         symbol = DividedDifference(model, order)
@@ -1011,7 +1077,8 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
         def eval(self, x, order=0):
             return self.scale * PowerAbs(3.5).eval(x, order)
 
-    monkeypatch.setattr(DividedDifference, "__call__", counted)
+    for module in (divided, moi):
+        monkeypatch.setattr(module, "divided_difference", counted)
     monkeypatch.setattr(moi, "_last_loewner", (None, None))
     kernel = PowerAbs(3.5).derivative_model(1)
     first = integral(kernel, 1)
