@@ -471,18 +471,15 @@ def run_selftest(config):
     short = seeds[:3]
     mid = seeds[:5]
 
-    # Trace identity across the battery exponents at orders 2..m: one form
-    # over the seeds' stack per order, one stacked call each.
+    # Trace identity across the battery exponents: one form of order m over
+    # the seeds' stack, one call for every order; the worst of orders 2..m.
     for p in _selftest_ps(config.p):
         exponent = SchattenExponent(p)
         if exponent.m < 2:
             continue
         ((dec, v),) = _stream_stacks(seeds, 1, config.dim, "generic", p)
-        worst = max(
-            max(trace_identity_residual(FrechetForm(base=dec, exponent=exponent, order=k), v))
-            for k in range(2, exponent.m + 1)
-        )
-        checks.add(f"trace_identity_p{p:g}", worst, "<=", tol["trace_identity"])
+        residuals = trace_identity_residual(FrechetForm(dec, exponent, order=exponent.m), v)
+        checks.add(f"trace_identity_p{p:g}", residuals[:, 1:].max(), "<=", tol["trace_identity"])
 
     # Hand-checkable trace identity: H = diag(0, 1), f = x^3, order 2.
     hand_form = FrechetForm(
@@ -493,10 +490,7 @@ def run_selftest(config):
     )
     hand_v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     checks.add(
-        "hand_trace_identity",
-        trace_identity_residual(hand_form, hand_v),
-        "<=",
-        tol["hand_case"],
+        "hand_trace_identity", trace_identity_residual(hand_form, hand_v)[1], "<=", tol["hand_case"]
     )
 
     # Monomial-shift identity on random order-2 integrals, one stacked call

@@ -13,15 +13,16 @@ Hermitian directions is complex at order 3; only its symmetrization is
 real, so that is where the symmetrized form checks the reality of the
 trace: delta_symmetric stacks the k! argument orders into one bracket
 call and checks their sum. Along one repeated direction the orders are
-all the same, so delta^(k)(V, .., V) is the bracket itself, as
-taylor_expand takes it. The brackets, their symmetrization, the trace
+all the same, so delta^(k)(V, .., V) is the bracket itself; taylor_expand
+and the trace identity take those of orders 1..k from g(H) and the blocks
+of one recurrence. The brackets, their symmetrization, the trace
 identity, the integral Taylor remainder and the Hoelder differences all
 build their integrals through one helper, _divided_integral.
 
-The trace identity and the Hoelder differences also check a stack of S
-instances in one call (a stacked base decomposition, stacked directions,
-tails and perturbations), returning S values whose bits are those of the
-S one-instance calls.
+The trace identity checks every order up to its form's in one call. It
+and the Hoelder differences also check a stack of S instances in one
+call (a stacked base decomposition, stacked directions, tails and
+perturbations), their bits those of the S one-instance calls.
 """
 
 import itertools
@@ -145,6 +146,17 @@ def _bracket_value(v, integral, k):
     return brackets
 
 
+def _diagonal_deltas(g, decomposition, v, m, quad_tol):
+    """delta^(1..m)(V, .., V) of the model whose derivative is g, on slots
+    checked for _divided_integral: the brackets of g(H) and of the blocks
+    (0, 1)..(0, m-1) of one recurrence, with model_delta_bracket's bits."""
+    integrals = [_divided_integral(g, (decomposition,), (), quad_tol)]
+    if m > 1:
+        blocks = tuple((0, j) for j in range(1, m))
+        integrals += _divided_integral(g, (decomposition,) * m, (v,) * (m - 1), quad_tol, blocks)
+    return [_bracket_value(v, x, k) for k, x in enumerate(integrals, start=1)]
+
+
 def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     """Unsymmetrized k-linear derivative form of tr f(H) for a scalar model.
 
@@ -191,9 +203,8 @@ class FrechetForm:
     sense (residual smoothness of |x|^p is p - m). Supplying a smoother
     model (a polynomial, say) lifts that ceiling to the model's own
     derivative count, still capped at moi.MAX_ORDER (3). An order outside
-    that range raises UnsupportedConfigError. delta_symmetric and
-    trace_identity_residual both work at this order, so checking several
-    orders takes one form per order.
+    that range raises UnsupportedConfigError. delta_symmetric works at
+    this order, and trace_identity_residual at every order up to it.
 
     The base may be a stacked decomposition of S points, each checked
     against the working interval and the unit ball on its own; the trace
@@ -243,13 +254,14 @@ def delta_symmetric(form, directions):
     """
     if form.base.stack is not None:
         raise ValidationError("the forms of a stacked base are taken member by member")
-    vs = [_check_hermitian(v, "direction") for v in as_sequence(directions, "directions")]
+    vs = as_sequence(directions, "directions")
+    vs = [_check_hermitian(v, f"direction {j}") for j, v in enumerate(vs)]
     k, d = form.order, form.base.dim
     if len(vs) != k:
         raise ValidationError(f"form of order {k} takes {k} directions, got {len(vs)}")
-    for v in vs:  # one matrix each, of the base's shape, for the orders to stack
+    for j, v in enumerate(vs):  # one matrix each, of the base's shape, for the orders to stack
         if v.shape != (d, d):
-            raise ValidationError(f"direction shape {v.shape} != ({d}, {d})")
+            raise ValidationError(f"direction {j} has shape {v.shape}, the base is {d} x {d}")
     if all(np.array_equal(v, vs[0]) for v in vs[1:]):
         return model_delta_bracket(form.base, form.model, vs, quad_tol=form.quad_tol)
     orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
@@ -259,28 +271,32 @@ def delta_symmetric(form, directions):
 
 
 def trace_identity_residual(form, direction):
-    """|tr T_{f^[k]}(V..V) - (1/k) tr(V T_{g^[k-1]}(V..V))| with g = f' and
-    k = form.order.
+    """|tr T_{f^[j]}(V..V) - (1/j) tr(V T_{g^[j-1]}(V..V))| with g = f' at
+    each order j = 1..k, k = form.order: an array whose column j - 1 holds
+    order j.
 
-    The left side integrates the order-k divided difference of f itself;
-    the right side is the reduced form (model_delta_bracket). Both are
-    exact traces, so the residual is purely numerical noise: rounding in
-    the divided-difference tables, plus quadrature error at near-ties.
-    Checking several orders takes one form per order.
+    The left sides are the blocks (0, 1)..(0, k) of one order-k recurrence
+    of f itself; the right sides are the reduced forms, taken as in
+    taylor_expand from g(H) and one recurrence of order k - 1. Column j - 1
+    has the bits of an order-j integral against model_delta_bracket along
+    [V] * j. Both are exact traces, so the residual is purely numerical
+    noise: rounding in the divided-difference tables, plus quadrature error
+    at near-ties.
 
     With a stacked base or a stack (S, n, n) of directions the call returns
-    the array of S residuals, a base or direction of one matrix serving
-    every member; each side's integrals are one stacked call, and each
-    residual has the bits of its member's one-instance call. A direction
-    unlike the base in size or stack length raises ValidationError.
+    S rows, a base or direction of one matrix serving every member; each
+    row has the bits of its member's one-instance call. The direction is
+    checked once: one that is not Hermitian, or unlike the base in size or
+    stack length, raises ValidationError.
     """
     k, dec, model = form.order, form.base, form.model
     v, shape = _check_hermitian(direction, "direction"), dec.eigenvectors.shape
     if v.shape[-1] != shape[-1] or v.ndim == len(shape) == 3 and len(v) != shape[0]:
         raise ValidationError(f"direction has shape {v.shape}, base has {shape}")
-    lhs = real_trace(_divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol))
-    rhs = real_value(model_delta_bracket(dec, model, [v] * k, quad_tol=form.quad_tol))
-    return abs(lhs - rhs)
+    blocks = tuple((0, j) for j in range(1, k + 1))
+    lhs = _divided_integral(model, (dec,) * (k + 1), (v,) * k, form.quad_tol, blocks)
+    rhs = _diagonal_deltas(model.derivative_model(1), dec, v, k, form.quad_tol)
+    return np.stack([abs(real_trace(x) - real_value(y)) for x, y in zip(lhs, rhs)], axis=-1)
 
 
 # Fourth-order central stencils: offsets, weights, and the scale that
@@ -405,11 +421,7 @@ def taylor_expand(h, v, p, t_grid=DEFAULT_T_GRID):
 
     model = PowerAbs(exponent.p)
     base = float(np.sum(model.eval(lam0)))
-    g, blocks = model.derivative_model(1), tuple((0, j) for j in range(1, m))
-    integrals = [_divided_integral(g, (decomposition,), (), QUAD_TOL)]
-    if blocks:
-        integrals += _divided_integral(g, (decomposition,) * m, (v,) * (m - 1), QUAD_TOL, blocks)
-    deltas = [_bracket_value(v, x, k) for k, x in enumerate(integrals, start=1)]
+    deltas = _diagonal_deltas(model.derivative_model(1), decomposition, v, m, QUAD_TOL)
 
     remainder = []
     for t, lam in zip(t_grid, lams):

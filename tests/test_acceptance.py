@@ -138,13 +138,12 @@ def test_criterion_03_perturbation_identity_residuals():
 
 def test_criterion_04_trace_identity():
     # tr T_{f^[k]}(V..V) = (1/k) tr(V T_{g^[k-1]}(V..V)) with g = f';
-    # 20 seeds at p = 3.5 for k in {2, 3}, then a by-hand anchor where
-    # both sides equal 3 exactly.
+    # 20 seeds at p = 3.5, one call for every k in {1, 2, 3}, then a by-hand
+    # anchor where both sides equal 3 exactly.
     for seed in range(1, 21):
         h, v = generate_instance(seed, 4, "generic", 3.5)
-        for k in (2, 3):
-            form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=k)
-            resid = trace_identity_residual(form, v.matrix)
+        form = FrechetForm(base=eigendecompose(h), exponent=3.5, order=3)
+        for k, resid in enumerate(trace_identity_residual(form, v.matrix), start=1):
             assert resid <= 1e-7, f"seed={seed} k={k}: residual {resid:.3e}"
 
     dec = eigendecompose(np.diag([0.0, 1.0]))

@@ -333,11 +333,9 @@ def test_batteries_send_their_seeds_through_one_stacked_call(monkeypatch):
     traces = count_calls(monkeypatch, experiments, "trace_identity_residual")
     segments = count_calls(monkeypatch, experiments, "taylor_integral_form")
     assert run(ExperimentConfig(mode="selftest")).passed
-    # One form and call per order over the 10 seeds (order 2 at p 2.5,
-    # orders 2 and 3 at p 3.5), then the hand case.
-    assert [(form.base.stack, form.order) for form, _ in traces] == [
-        (10, 2), (10, 2), (10, 3), (None, 2)
-    ]
+    # One form and call of order m over the 10 seeds per exponent (m = 2 at
+    # p 2.5, 3 at p 3.5), then the hand case.
+    assert [(form.base.stack, form.order) for form, _ in traces] == [(10, 2), (10, 3), (None, 2)]
     # One integral-Taylor call per exponent over the 3 seeds' segments.
     assert [(p, h0.shape[0], h1.shape[0]) for h0, h1, p in segments] == [(2.5, 3, 3), (3.5, 3, 3)]
     holder = count_calls(monkeypatch, experiments, "holder_difference_norms")

@@ -9,7 +9,7 @@ import pytest
 from specforms import forms, moi, spectral
 from specforms.divided import DividedDifference
 from specforms.errors import UnsupportedConfigError, ValidationError
-from specforms.experiments import DEFAULT_TOLERANCES
+from specforms.experiments import DEFAULT_TOLERANCES, _stream_stacks
 from specforms.forms import (
     FD_SAFE_GAP,
     FrechetForm,
@@ -215,35 +215,106 @@ def test_stacked_bracket_matches_member_calls():
 def test_trace_identity_cubic_hand_case():
     form = FrechetForm(base=np.diag([0.0, 1.0]), exponent=2.0, order=2, model=Monomial(3))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert trace_identity_residual(form, flip) <= 1e-12
+    got = trace_identity_residual(form, flip)
+    assert got.shape == (2,) and max(got) <= 1e-12
 
 
 def test_trace_identity_kink_kernel():
     rng = np.random.default_rng(6)
-    for k in (2, 3):
+    for _ in range(2):
         h = small_hermitian(rng, 4)
         v = small_hermitian(rng, 4, scale=1.0)
-        form = FrechetForm(base=h, exponent=3.5, order=k)
-        assert trace_identity_residual(form, v) <= 1e-7
+        got = trace_identity_residual(FrechetForm(base=h, exponent=3.5, order=3), v)
+        assert got.shape == (3,) and max(got) <= 1e-7
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_stacked_trace_identity_matches_member_calls(profile):
     for p in (2.5, 3.5):
+        m = SchattenExponent(p).m
         draws = generate_instance([3, 8, 13, 21], 4, profile, p)
         dec = eigendecompose(np.stack([h.matrix for h, _ in draws]))
         v = np.stack([u.matrix for _, u in draws])
-        for k in range(2, SchattenExponent(p).m + 1):
-            got = trace_identity_residual(FrechetForm(base=dec, exponent=p, order=k), v)
-            want = [
-                trace_identity_residual(FrechetForm(base=dec[i], exponent=p, order=k), v[i])
-                for i in range(len(draws))
-            ]
-            assert got.shape == (4,) and np.array_equal(got, want)
+        got = trace_identity_residual(FrechetForm(base=dec, exponent=p, order=m), v)
+        want = [
+            trace_identity_residual(FrechetForm(base=dec[i], exponent=p, order=m), v[i])
+            for i in range(len(draws))
+        ]
+        assert got.shape == (4, m) and np.array_equal(got, want)
         # A base of one matrix serves every direction of the stack.
-        one_base = FrechetForm(base=dec[0], exponent=p, order=2)
+        one_base = FrechetForm(base=dec[0], exponent=p, order=m)
         got = trace_identity_residual(one_base, v)
         assert np.array_equal(got, [trace_identity_residual(one_base, u) for u in v])
+
+
+def _trace_residual_at_order(dec, model, v, j):
+    """|tr T_{f^[j]}(V..V) - model_delta_bracket along [V] * j| for one
+    instance, from one order-j integral on each side."""
+    integral = moi_exact(MoiRequest((dec,) * (j + 1), (v,) * j, DividedDifference(model, j)))
+    return abs(real_trace(integral) - model_delta_bracket(dec, model, [v] * j))
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("p", [2.5, 3.5])
+def test_trace_identity_columns_are_the_order_j_residuals_from_two_recurrences(
+    monkeypatch, profile, p
+):
+    # Column j - 1 has the bits of the order-j identity with one integral
+    # per side, while a call runs one recurrence of f with the blocks
+    # (0, 1)..(0, k) and one of f' with (0, 1)..(0, k-1), and no bracket.
+    model = PowerAbs(p)
+    draws = generate_instance([5, 17, 29], 5, profile, p)
+    dec = eigendecompose(np.stack([h.matrix for h, _ in draws]))
+    v = np.stack([u.matrix for _, u in draws])
+    cores, core = [], moi._sylvester_core
+
+    def counted(request, eig_sets, rotated, blocks):
+        cores.append(blocks)
+        return core(request, eig_sets, rotated, blocks)
+
+    monkeypatch.setattr(moi, "_sylvester_core", counted)
+    monkeypatch.setattr(forms, "model_delta_bracket", lambda *args, **kw: pytest.fail("bracket"))
+    for k in range(1, SchattenExponent(p).m + 1):
+        calls = (
+            ("one instance", dec[0], v[0], [(dec[0], v[0])]),
+            ("stacked base", dec, v, [(dec[i], v[i]) for i in range(3)]),
+            ("one base, stacked direction", dec[0], v, [(dec[0], u) for u in v]),
+        )
+        for name, base, direction, members in calls:
+            want = [
+                _trace_residual_at_order(d, model, u, j).hex()
+                for d, u in members
+                for j in range(1, k + 1)
+            ]
+            cores.clear()
+            got = trace_identity_residual(FrechetForm(base=base, exponent=p, order=k), direction)
+            assert got.shape == ((3, k) if len(members) == 3 else (k,)), name
+            assert [x.hex() for x in got.flat] == want, name
+            lhs = tuple((0, j) for j in range(1, k + 1))
+            assert cores == ([lhs, lhs[:-1]] if k > 1 else [lhs]), name
+
+
+# The selftest battery's trace residuals, worst over seeds 1-10 at dim 4
+# (generic), by (p, order), and the hand case: each column keeps the bits
+# of the one-order call it replaced.
+PINNED_TRACE_RESIDUALS = {
+    (2.5, 1): "0x1.0000000000000p-49",
+    (2.5, 2): "0x1.c000000000000p-49",
+    (3.5, 1): "0x1.8000000000000p-50",
+    (3.5, 2): "0x1.0000000000000p-49",
+    (3.5, 3): "0x1.c000000000000p-50",
+}
+
+
+def test_trace_identity_keeps_its_pinned_bits():
+    for p in (2.5, 3.5):
+        ((dec, v),) = _stream_stacks(list(range(1, 11)), 1, 4, "generic", p)
+        m = SchattenExponent(p).m
+        worst = trace_identity_residual(FrechetForm(base=dec, exponent=p, order=m), v).max(axis=0)
+        assert [x.hex() for x in worst] == [PINNED_TRACE_RESIDUALS[(p, j)] for j in range(1, m + 1)]
+    hand = FrechetForm(base=np.diag([0.0, 1.0]), exponent=3.0, order=2, model=Monomial(3))
+    got = trace_identity_residual(hand, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert got[1].hex() == "0x0.0p+0"
 
 
 def test_fd_oracle_square_function():

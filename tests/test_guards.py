@@ -494,6 +494,15 @@ CALLS["trace_identity_residual direction Hermitian"] = (
     lambda: trace_identity_residual(FrechetForm(eigendecompose(H), 3.5, order=2), V + SKEW),
     "^direction is not Hermitian",
 )
+# delta_symmetric names the bad direction by its index, as model_delta_bracket does.
+CALLS["delta_symmetric direction Hermitian"] = (
+    lambda: delta_symmetric(FrechetForm(eigendecompose(H), 2.5, order=2), [V, V + SKEW]),
+    r"^direction 1 is not Hermitian: max \|A - A\*\| = ",
+)
+CALLS["delta_symmetric direction size"] = (
+    lambda: delta_symmetric(FrechetForm(eigendecompose(H), 2.5, order=2), [V, np.eye(3)]),
+    r"^direction 1 has shape \(3, 3\), the base is 2 x 2$",
+)
 CALLS["holder_difference_norms order"] = (
     lambda: holder_difference_norms(Monomial(5), H, V, [H] * 4, [V] * 4, (0.1,), 2.5),
     r"^operator integral order 4 outside 0\.\.3$",
