@@ -37,7 +37,14 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .momenta import ORDER_CAP, momentum_quadrature
-from .util import QUAD_TOL, check_within, map_distinct_rows, numeric_array, sorted_columns
+from .util import (
+    QUAD_TOL,
+    argument_rows,
+    check_within,
+    map_distinct_rows,
+    numeric_array,
+    sorted_columns,
+)
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -151,9 +158,5 @@ class DividedDifference:
 
     def __call__(self, values, quad_tol=QUAD_TOL):
         """Value at one argument tuple, or at each row of a stack (R, order+1)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.order + 1:
-            raise ValidationError(
-                f"symbol takes {self.order + 1} arguments, got {values.shape}"
-            )
+        values = argument_rows(values, self.order + 1)
         return divided_difference(self.model, values, quad_tol=quad_tol)

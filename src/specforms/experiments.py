@@ -430,9 +430,7 @@ def _perturbation_residuals(config, seeds, m):
     p_m = m + 1.5
     battery = _perturbation_battery(seeds, config.dim, p_m, m)
     return tuple(
-        max(
-            perturbation_identity(MomentumSpec.from_divided_difference(model, m), *battery)
-        )
+        perturbation_identity(MomentumSpec.from_divided_difference(model, m), *battery).max()
         for model in (_PERTURBATION_POLY, PowerAbs(p_m))
     )
 
@@ -501,7 +499,7 @@ def run_selftest(config):
     )
     checks.add(
         "algebraic_shift_max",
-        max(frobenius(d) for d in lhs - rhs),
+        np.max([frobenius(d) for d in lhs - rhs]),
         "<=",
         tol["algebraic_shift"],
     )
@@ -525,7 +523,7 @@ def run_selftest(config):
 
     checks.add(
         "separable_cross_max",
-        max(_map_ordered(one_separable, range(len(mid)))),
+        np.max(_map_ordered(one_separable, range(len(mid)))),
         "<=",
         tol["separable_cross"],
     )
@@ -538,7 +536,7 @@ def run_selftest(config):
         lhs, rhs = taylor_integral_form(h0.matrix, h0.matrix + steps, p)
         checks.add(
             f"integral_taylor_p{p:g}",
-            max(np.abs(lhs - rhs)),
+            np.abs(lhs - rhs).max(),
             "<=",
             tol["integral_taylor"],
         )

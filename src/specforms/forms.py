@@ -33,7 +33,7 @@ import numpy as np
 
 from .divided import DividedDifference
 from .errors import UnsupportedConfigError, ValidationError
-from .functions import PowerAbs
+from .functions import PowerAbs, as_kernel
 from .moi import MAX_ORDER, MoiRequest, _along, _integral, _prepared_slots, moi_exact
 from .spectral import (
     HermitianMatrix,
@@ -191,7 +191,7 @@ def model_delta_bracket(decomposition, model, directions, quad_tol=QUAD_TOL):
     k = len(vs)
     if not 1 <= k <= MAX_ORDER:
         raise UnsupportedConfigError(f"form order {k} outside 1..{MAX_ORDER}")
-    g = model.derivative_model(1)
+    g = as_kernel(model).derivative_model(1)
     return _bracket_value(vs[0], _divided_integral(g, (decomposition,) * k, vs[1:], quad_tol), k)
 
 
@@ -233,6 +233,7 @@ class FrechetForm:
             object.__setattr__(self, "model", PowerAbs(exp.p))
             limit = min(exp.m, MAX_ORDER)
         else:
+            object.__setattr__(self, "model", as_kernel(self.model))
             limit = min(self.model.max_order, MAX_ORDER)
         if not 1 <= self.order <= limit:
             raise UnsupportedConfigError(
@@ -252,6 +253,8 @@ def delta_symmetric(form, directions):
     distinct complex directions are complex at order 3. The base must be one
     matrix, and the directions k Hermitian matrices of its shape.
     """
+    if not isinstance(form, FrechetForm):
+        raise ValidationError(f"form must be a FrechetForm, got {form!r:.80}")
     if form.base.stack is not None:
         raise ValidationError("the forms of a stacked base are taken member by member")
     vs = as_sequence(directions, "directions")
@@ -289,6 +292,8 @@ def trace_identity_residual(form, direction):
     checked once: one that is not Hermitian, or unlike the base in size or
     stack length, raises ValidationError.
     """
+    if not isinstance(form, FrechetForm):
+        raise ValidationError(f"form must be a FrechetForm, got {form!r:.80}")
     k, dec, model = form.order, form.base, form.model
     v, shape = _check_hermitian(direction, "direction"), dec.eigenvectors.shape
     if v.shape[-1] != shape[-1] or v.ndim == len(shape) == 3 and len(v) != shape[0]:

@@ -7,6 +7,11 @@ real line. The central family is c * |x|^beta * sign(x)^kappa, which is
 closed under differentiation and covers |x|^p together with every
 derivative that the norm-expansion machinery needs. Polynomials are kept
 as a separate smooth model.
+
+The base class holds the one derivative ladder: derivative_model(k)
+checks the order, builds f^(k) through the class's _derivative hook once
+per k and keeps it on the instance, and eval(x, k) reads any order k > 0
+off that model.
 """
 
 import numpy as np
@@ -14,7 +19,7 @@ from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedConfigError, ValidationError
 from .spectral import WORKING_INTERVAL, SchattenExponent
-from .util import real_number, whole_number
+from .util import numeric_array, real_number, whole_number
 
 # Stand-in for "derivatives of every order are continuous".
 SMOOTH_ORDER = 10**9
@@ -23,9 +28,12 @@ SMOOTH_ORDER = 10**9
 class ScalarFunctionModel:
     """Interface: domain, max_order, eval(x, order), derivative_model(k).
 
-    An origin model (PowerKernel, Polynomial) has a repr naming every
-    parameter, so one repr is one function: MomentumSpec and moi's Loewner
-    memo compare such models by repr."""
+    derivative_model(k) is the model of f^(k): the model itself at k = 0,
+    else the _derivative(k) of a subclass, built once per k and kept on the
+    instance. A class without that hook has no derivative models. An origin
+    model (PowerKernel, Polynomial) has a repr naming every parameter, so
+    one repr is one function: MomentumSpec and moi's Loewner memo compare
+    such models by repr."""
 
     domain = (-np.inf, np.inf)
     #: index K such that f, f', ..., f^(K) are continuous on the domain
@@ -37,6 +45,18 @@ class ScalarFunctionModel:
         raise NotImplementedError
 
     def derivative_model(self, k=1):
+        k = whole_number(k, "derivative order")
+        if k < 0:
+            raise ValidationError("derivative order must be >= 0")
+        if k == 0:
+            return self
+        ladder = vars(self).setdefault("_derivatives", {})
+        model = ladder.get(k)
+        if model is None:
+            model = ladder[k] = self._derivative(k)
+        return model
+
+    def _derivative(self, k):
         raise UnsupportedConfigError(
             f"{type(self).__name__} does not expose derivative models"
         )
@@ -59,8 +79,8 @@ class PowerKernel(ScalarFunctionModel):
     """f(x) = coef * |x|^beta * sign(x)^parity on the working interval.
 
     Differentiation maps (coef, beta, parity) to (coef*beta, beta-1,
-    parity+1), so the family is closed under derivative_model, which
-    builds the model of each order once and keeps it on the instance. Up
+    parity+1), so the family is closed under the ladder: f^(k) has
+    coefficient coef*beta*...*(beta-k+1), beta - k and parity + k. Up
     to max_order each derivative is continuous, with beta > 0 or coef 0;
     past it beta may drop below zero, where the model blows up at 0.
     """
@@ -81,7 +101,6 @@ class PowerKernel(ScalarFunctionModel):
             self.max_order = SMOOTH_ORDER
         else:
             self.max_order = _power_max_order(self.beta, self.parity)
-        self._derivatives = {}
 
     def __repr__(self):
         return f"PowerKernel({self.coef!r}, {self.beta!r}, {self.parity!r})"
@@ -90,20 +109,16 @@ class PowerKernel(ScalarFunctionModel):
     def power_form(self):
         return (self.coef, self.beta, self.parity)
 
-    def _coef_at(self, order):
+    def _derivative(self, k):
         c = self.coef
-        for j in range(order):
+        for j in range(k):
             c *= self.beta - j
-        return c
+        return PowerKernel(c, self.beta - k, self.parity + k)
 
     def eval(self, x, order=0):
-        order = whole_number(order, "derivative order")
-        if order < 0:
-            raise ValidationError("derivative order must be >= 0")
-        x = np.asarray(x, dtype=float)
-        c = self._coef_at(order)
-        b = self.beta - order
-        par = (self.parity + order) % 2
+        if order != 0:
+            return self.derivative_model(order).eval(x)
+        x, c, b = numeric_array(x, float, "kernel arguments"), self.coef, self.beta
         if c == 0.0:
             mag = np.zeros_like(x)
         elif b == 0.0:
@@ -111,20 +126,8 @@ class PowerKernel(ScalarFunctionModel):
         else:
             with np.errstate(divide="ignore"):
                 mag = np.abs(x) ** b
-        out = c * mag * np.sign(x) if par else c * mag
+        out = c * mag * np.sign(x) if self.parity else c * mag
         return out if out.shape else float(out)
-
-    def derivative_model(self, k=1):
-        k = whole_number(k, "derivative order")
-        if k < 0:
-            raise ValidationError("derivative order must be >= 0")
-        if k == 0:
-            return self
-        model = self._derivatives.get(k)
-        if model is None:
-            beta, parity = self.beta - k, self.parity + k
-            model = self._derivatives[k] = PowerKernel(self._coef_at(k), beta, parity)
-        return model
 
 
 def PowerAbs(p):
@@ -141,14 +144,13 @@ def Monomial(n):
 
 
 class Polynomial(ScalarFunctionModel):
-    """sum_j coeffs[j] * x^j with exact derivative models.
+    """sum_j coeffs[j] * x^j, whose k-th derivative model takes the
+    coefficients numpy.polynomial's polyder gives.
 
-    The coefficients of each derivative order are computed once, by
-    numpy.polynomial, and kept on the instance, as is the model
-    derivative_model gives for each order. eval takes the steps of
-    numpy's Polynomial.__call__ itself, with the same bits: the identity
-    domain map 0.0 + 1.0*x (which turns -0.0 into 0.0), then Horner's
-    rule from c[-1] + x*0. The domain is the whole real line.
+    eval takes the steps of numpy's Polynomial.__call__ itself, with the
+    same bits: the identity domain map 0.0 + 1.0*x (which turns -0.0 into
+    0.0), then Horner's rule from c[-1] + x*0. The domain is the whole
+    real line.
     """
 
     max_order = SMOOTH_ORDER
@@ -158,44 +160,27 @@ class Polynomial(ScalarFunctionModel):
         coeffs = [real_number(c, "polynomial coefficient") for c in coeffs]
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
-        self._coefs = {0: np.array(coeffs or [0.0])}
-        self._derivatives = {}
+        self._coeffs = np.array(coeffs or [0.0])
 
     def __repr__(self):
         return f"Polynomial({self.coeffs!r})"
 
     @property
     def coeffs(self):
-        return list(self._coefs[0])
+        return list(self._coeffs)
 
-    def _coef(self, order):
-        """The coefficient array of the derivative of this order."""
-        c = self._coefs.get(order)
-        if c is None:
-            c = self._coefs[order] = polyder(self._coefs[0], order)
-        return c
+    def _derivative(self, k):
+        return Polynomial(list(polyder(self._coeffs, k)))
 
     def eval(self, x, order=0):
-        order = whole_number(order, "derivative order")
-        if order < 0:
-            raise ValidationError("derivative order must be >= 0")
-        c = self._coef(order)
-        x = 0.0 + 1.0 * np.asarray(x, dtype=float)
+        if order != 0:
+            return self.derivative_model(order).eval(x)
+        c = self._coeffs
+        x = 0.0 + 1.0 * numeric_array(x, float, "kernel arguments")
         out = c[-1] + x * 0
         for a in c[-2::-1]:
             out = a + out * x
         return out if out.shape else float(out)
-
-    def derivative_model(self, k=1):
-        k = whole_number(k, "derivative order")
-        if k < 0:
-            raise ValidationError("derivative order must be >= 0")
-        if k == 0:
-            return self
-        model = self._derivatives.get(k)
-        if model is None:
-            model = self._derivatives[k] = Polynomial(list(self._coef(k)))
-        return model
 
 
 class CallableKernel(ScalarFunctionModel):
@@ -212,11 +197,8 @@ class CallableKernel(ScalarFunctionModel):
 
     def eval(self, x, order=0):
         if order != 0:
-            raise UnsupportedConfigError(
-                "callable kernels carry no derivative information"
-            )
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self._fn(x), dtype=float)
+            return self.derivative_model(order).eval(x)
+        out = np.asarray(self._fn(numeric_array(x, float, "kernel arguments")), dtype=float)
         return out if out.shape else float(out)
 
 

@@ -67,6 +67,7 @@ from .spectral import (
 from .util import (
     QUAD_TOL,
     adjoint,
+    argument_rows,
     as_complex_matrices,
     as_sequence,
     checked_tol,
@@ -169,11 +170,7 @@ class SeparableSymbol:
 
     def __call__(self, values):
         """Value at one argument tuple, or at each row of a stack (R, m+1)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.order + 1:
-            raise ValidationError(
-                f"symbol takes {self.order + 1} arguments, got {values.shape}"
-            )
+        values = argument_rows(values, self.order + 1)
         total = 0.0
         for w, fns in self.terms:
             prod = w

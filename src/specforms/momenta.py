@@ -40,7 +40,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import QUAD_TOL, check_within, checked_tol
+from .util import QUAD_TOL, argument_rows, check_within, checked_tol, numeric_array
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -158,7 +158,7 @@ def momentum_quadrature(model, x, tol=QUAD_TOL):
     cut, or when the 40-node cap is reached without agreement.
     """
     model = as_kernel(model)
-    x = np.asarray(x, dtype=float)
+    x = numeric_array(x, float, "arguments")
     rows = x.reshape(1, -1) if x.ndim == 1 else x
     if rows.ndim != 2 or not 2 <= rows.shape[1] <= ORDER_CAP + 1:
         raise ValidationError(
@@ -217,14 +217,11 @@ def momentum_quadrature(model, x, tol=QUAD_TOL):
 
 def momentum_eval(spec, x, tol=QUAD_TOL):
     """c * f^[m], f the spec's origin, by divided_difference at tolerance tol:
-    at one row x of m+1 arguments, a float, or at each row of a stack (R, m+1)."""
+    at one row x of m+1 arguments, a float, or at each row of a stack (R, m+1),
+    read by util.argument_rows, the row rule of every symbol."""
     from .divided import divided_difference  # deferred: circular otherwise
 
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.m + 1:
-        raise ValidationError(
-            f"momentum of order {spec.m} takes {spec.m + 1} arguments, got {x.shape}"
-        )
+    x = argument_rows(x, spec.m + 1)
     return spec.constant_weight * divided_difference(spec.origin, x, quad_tol=tol)
 
 

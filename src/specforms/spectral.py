@@ -299,8 +299,11 @@ def schatten_norm(a, p):
 
 def apply_scalar_function(model, decomp):
     """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
-    a stacked decomposition), symmetrized and so exactly Hermitian."""
-    lam = decomp.eigenvalues
+    a stacked decomposition), symmetrized and so exactly Hermitian. The
+    model may be a bare callable; anything else raises ValidationError."""
+    from .functions import as_kernel  # deferred: functions imports this module
+
+    model, lam = as_kernel(model), decomp.eigenvalues
     check_within(lam, model.domain, "values")
     out = _symmetrized(decomp.compose(model.eval(lam)))
     _check_finite(out.matrix, "f(H)")

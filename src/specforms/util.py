@@ -33,6 +33,16 @@ def numeric_array(values, dtype, what):
         raise ValidationError(f"{what} must be numeric, got {values!r:.80}") from None
 
 
+def argument_rows(values, arity):
+    """values as one row of `arity` float arguments of a symbol, or a stack
+    of rows (R, arity); else a ValidationError, "symbol takes N arguments,
+    got S" for a shape S of other rows, or naming non-numeric values."""
+    x = numeric_array(values, float, "symbol arguments")
+    if x.ndim not in (1, 2) or x.shape[-1] != arity:
+        raise ValidationError(f"symbol takes {arity} arguments, got {x.shape}")
+    return x
+
+
 def as_complex_matrix(a, what):
     """Coerce input to a square complex ndarray; an error names `what`."""
     m = numeric_array(getattr(a, "matrix", a), complex, what)

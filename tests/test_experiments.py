@@ -580,3 +580,46 @@ def test_cli_removed_flags_exit_two_as_unknown(argv, monkeypatch, capsys):
     assert exc.value.code == 2
     flag = next(arg for arg in argv if arg.startswith(("--order", "--tol-quad")))
     assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _nan_at_member_one(monkeypatch, name):
+    """Wrap experiments.name so that member 1 of every stack it returns is
+    NaN: the array it returns, or each array of the tuple."""
+    fn = getattr(experiments, name)
+
+    def poisoned(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for part in out if isinstance(out, tuple) else (out,):
+            if len(part) > 1:
+                part[1] = np.nan
+        return out
+
+    monkeypatch.setattr(experiments, name, poisoned)
+
+
+def test_a_nan_residual_past_the_first_member_fails_its_row(monkeypatch):
+    # Python's max keeps its first element and skips a later NaN; every
+    # battery row must take the NaN and fail instead.
+    for name in ("perturbation_identity", "taylor_integral_form", "algebraic_shift"):
+        _nan_at_member_one(monkeypatch, name)
+    separable, products = experiments.moi_separable, []
+
+    def nan_second_product(*args):
+        products.append(separable(*args))
+        return products[-1] * np.nan if len(products) == 2 else products[-1]
+
+    monkeypatch.setattr(experiments, "moi_separable", nan_second_product)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the members in order
+    poisoned = {
+        "perturbation-check": {
+            f"{kind}_m{m}_max_residual" for kind in ("poly", "power") for m in (1, 2)
+        },
+        "selftest": {f"perturbation_{kind}_m{m}" for kind in ("poly", "power") for m in (1, 2)}
+        | {"integral_taylor_p2.5", "integral_taylor_p3.5"}
+        | {"algebraic_shift_max", "separable_cross_max"},
+    }
+    for mode, rows in poisoned.items():
+        report = run(ExperimentConfig(mode=mode, dim=3))
+        failed = {row["name"] for row in report.checks if not row["passed"]}
+        assert failed == rows, mode
+        assert all(np.isnan(row["value"]) for row in report.checks if row["name"] in rows)

@@ -33,7 +33,7 @@ from specforms.spectral import (
     eigendecompose,
     schatten_norm,
 )
-from specforms.util import gauss01, kronrod01, real_trace, real_value
+from specforms.util import gauss01, kronrod01, lp_norms, real_trace, real_value
 
 
 def small_hermitian(rng, dim, scale=0.5):
@@ -939,3 +939,59 @@ def test_holder_norms_input_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="t grid"):
             holder_difference_norms(g, base, w, (), (), [0.01, bad], 2.5)
+
+
+# Commuting pairs: every derivative form of tr|H|^p reduces to the scalar
+# ladder. Bounds on the error relative to sum_i |f^(k)(h_i)| prod_j |v_ji| / k!,
+# read on a wider battery (seeds 1-300 at dims 2, 3, 8, 16, 64, and 3000
+# hypothesis draws of seed, dim 2-16, exponent, profile, order and direction
+# kind): at most 1.5e-14, so 2e-13 is a margin of 13x. The one exception is
+# the top order k = m near the kink, where f^(m) ~ |x|^(p - m) has unbounded
+# slope: the rounding of H's eigenvalues (eps * ||H||) then moves the exact
+# value by up to eps * ||H|| * sum_i |f^(m+1)(h_i)| prod_j |v_ji| / m!, and the
+# battery read up to 9.8e-10 (dims 2-3, a near-zero eigenvalue ~3e-8 beside
+# large direction entries), so 1e-8 is a margin of 10x.
+COMMUTING_RTOL = 2e-13
+COMMUTING_KINK_TOP_RTOL = 1e-8
+
+
+def _commuting_case(seed, dim, p, profile, k, repeated):
+    """(H, [V_1..V_k], h, v): H = U diag(h) U* and V_j = U diag(v_j) U*
+    for one seeded unitary U, h scaled to l^p norm 0.9. "tied" repeats
+    each even-indexed eigenvalue at the next index; "kink" redraws every
+    even-indexed one within 1e-6 of 0. A repeated direction is one v_j k
+    times; otherwise the k directions differ."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    h = rng.uniform(-1.0, 1.0, dim)
+    if profile == "tied":
+        h[1::2] = h[::2][: dim // 2]
+    h *= 0.9 / lp_norms(h[None], p)[0]
+    if profile == "kink":
+        h[::2] = rng.uniform(-1e-6, 1e-6, h[::2].size)
+    v = rng.uniform(-1.0, 1.0, (1 if repeated else k, dim))
+    v = np.repeat(v, k, axis=0) if repeated else v
+
+    def conjugated(d):
+        a = (u * d) @ u.conj().T
+        return (a + a.conj().T) / 2
+
+    return conjugated(h), [conjugated(x) for x in v], h, v
+
+
+@pytest.mark.parametrize("profile", ["distinct", "tied", "kink"])
+@pytest.mark.parametrize("p", [2.5, 3.5])
+def test_commuting_forms_are_the_scalar_ladder(p, profile):
+    # delta^(k)(V_1..V_k) = sum_i f^(k)(h_i) prod_j v_ji / k!, f^(k) off the
+    # ladder, along one repeated direction (one bracket) and along k
+    # distinct commuting ones (the k! argument orders in one call).
+    m = SchattenExponent(p).m
+    for dim, seed, k in itertools.product((2, 3, 8, 16, 64), (1, 2, 3), range(1, m + 1)):
+        fk = PowerAbs(p).derivative_model(k)
+        for repeated in (True, False) if k > 1 else (True,):
+            hm, vms, h, v = _commuting_case(seed, dim, p, profile, k, repeated)
+            got = delta_symmetric(FrechetForm(hm, p, order=k), vms)
+            terms = fk.eval(h) * np.prod(v, axis=0) / math.factorial(k)
+            error = abs(got - terms.sum()) / np.abs(terms).sum()
+            rtol = COMMUTING_KINK_TOP_RTOL if profile == "kink" and k == m else COMMUTING_RTOL
+            assert error <= rtol, (dim, seed, k, repeated, error)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specforms import (
+    CallableKernel,
     DividedDifference,
     ExperimentConfig,
     FrechetForm,
@@ -23,6 +24,7 @@ from specforms import (
     UnsupportedConfigError,
     ValidationError,
     algebraic_shift,
+    apply_scalar_function,
     delta_symmetric,
     divided_difference,
     embedded_delta,
@@ -574,6 +576,73 @@ for name, call, message in (
         lambda: divided_difference(PowerAbs(2.5), "abc"),
         "^nodes must be numeric, got 'abc'$",
     ),
+    # The scalar layer: a model comes through as_kernel, a kernel or a
+    # symbol reads its arguments as numbers, and a form must be a form.
+    (
+        "FrechetForm model string",
+        lambda: FrechetForm(eigendecompose(H), 2.5, model="abc"),
+        "^cannot use 'abc' as a scalar kernel$",
+    ),
+    (
+        "model_delta_bracket model string",
+        lambda: model_delta_bracket(eigendecompose(H), "abc", (V,)),
+        "^cannot use 'abc' as a scalar kernel$",
+    ),
+    (
+        "apply_scalar_function model string",
+        lambda: apply_scalar_function("abc", eigendecompose(H)),
+        "^cannot use 'abc' as a scalar kernel$",
+    ),
+    (
+        "PowerKernel.eval string",
+        lambda: PowerAbs(2.5).eval("a"),
+        "^kernel arguments must be numeric, got 'a'$",
+    ),
+    (
+        "Polynomial.eval string",
+        lambda: Polynomial((0.5, 1.0)).eval("a"),
+        "^kernel arguments must be numeric, got 'a'$",
+    ),
+    (
+        "CallableKernel.eval string",
+        lambda: CallableKernel(np.abs).eval("a"),
+        "^kernel arguments must be numeric, got 'a'$",
+    ),
+    (
+        "delta_symmetric form string",
+        lambda: delta_symmetric("abc", (V,)),
+        "^form must be a FrechetForm, got 'abc'$",
+    ),
+    (
+        "trace_identity_residual form string",
+        lambda: trace_identity_residual("abc", V),
+        "^form must be a FrechetForm, got 'abc'$",
+    ),
+    (
+        "DividedDifference string",
+        lambda: DD1("ab"),
+        "^symbol arguments must be numeric, got 'ab'$",
+    ),
+    (
+        "SeparableSymbol string",
+        lambda: SEP1(["a", "b"]),
+        r"^symbol arguments must be numeric, got \['a', 'b'\]$",
+    ),
+    (
+        "momentum_eval string",
+        lambda: momentum_eval(DD_SPEC, "ab"),
+        "^symbol arguments must be numeric, got 'ab'$",
+    ),
+    (
+        "momentum_quadrature string",
+        lambda: momentum_quadrature(PowerAbs(2.5), ["a", "b"]),
+        r"^arguments must be numeric, got \['a', 'b'\]$",
+    ),
+    (
+        "momentum_eval arity",
+        lambda: momentum_eval(DD_SPEC, [0.1, 0.2, 0.3]),
+        r"^symbol takes 2 arguments, got \(3,\)$",
+    ),
 ):
     CALLS[name] = (call, message)
 
@@ -589,6 +658,18 @@ def test_divided_difference_of_a_bare_callable_needs_derivatives():
     # The callable becomes a kernel without derivatives, so no order >= 1.
     with pytest.raises(UnsupportedConfigError, match="model has 0"):
         DividedDifference(lambda x: x, 1)
+
+
+def test_a_bare_callable_model_has_no_derivatives():
+    # A callable model becomes a CallableKernel: the forms refuse the
+    # orders it lacks, and f(H), which needs none, takes it.
+    dec = eigendecompose(H)
+    with pytest.raises(UnsupportedConfigError, match=r"\(orders 1\.\.0\)$"):
+        FrechetForm(dec, 2.5, model=np.abs)
+    with pytest.raises(UnsupportedConfigError, match="^CallableKernel does not expose derivative"):
+        model_delta_bracket(dec, np.abs, (V,))
+    got = apply_scalar_function(lambda x: np.abs(x) ** 2.5, dec).matrix
+    assert np.array_equal(got, apply_scalar_function(PowerAbs(2.5), dec).matrix)
 
 
 def test_near_tie_past_the_quadrature_cap_names_the_divided_difference():

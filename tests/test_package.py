@@ -274,10 +274,8 @@ SETTINGS = {
     "FrechetForm": ("order", "quad_tol", "model"),
     "MoiRequest": ("tol",),
     "MomentumSpec": ("q_terms",),
-    "Polynomial.derivative_model": ("k",),
     "Polynomial.eval": ("order",),
     "PowerKernel": ("parity",),
-    "PowerKernel.derivative_model": ("k",),
     "PowerKernel.eval": ("order",),
     "RunReport": ("data", "wall_clock_s"),
     "RunReport.save": ("fmt",),
