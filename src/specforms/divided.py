@@ -23,10 +23,11 @@ Every entry point takes one node set or a stack of rows (R, k+1), which
 may be the transpose of a (k+1, R) column stack. The rows are sorted,
 stably, into the columns of one (k+1, R) array (util.sorted_columns),
 making the result bit-for-bit symmetric under argument permutations. The
-rows of a stack are evaluated together, and the distinct near-tie rows of
-a call go to quadrature as one stack, each row keeping the bits of its own
-one-row call. Quadrature stops at order ORDER_CAP, so a near-tie row of a
-higher order is refused.
+rows of a stack are evaluated together, and the near-tie rows of a call go
+to quadrature as one stack, each row keeping the bits of its own one-row
+call: rows with the same bytes once sorted take one quadrature row.
+Quadrature stops at order ORDER_CAP, so a near-tie row of a higher order is
+refused.
 """
 
 import math
@@ -37,14 +38,7 @@ import numpy as np
 from .errors import UnsupportedConfigError, ValidationError
 from .functions import ScalarFunctionModel, _divided_order, as_kernel
 from .momenta import ORDER_CAP, momentum_quadrature
-from .util import (
-    QUAD_TOL,
-    argument_rows,
-    check_within,
-    map_distinct_rows,
-    numeric_array,
-    sorted_columns,
-)
+from .util import QUAD_TOL, argument_rows, check_within, numeric_array, sorted_columns
 
 # Adjacent-gap threshold, relative to the node spread, below which a row
 # without exact ties leaves the table for the integral representation.
@@ -126,8 +120,8 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
     `nodes` is one node set, giving a float, or a stack of rows of shape
     (R, k+1), giving an array of R values; a (k+1, R) column stack may be
     passed as its transpose, which the sort reads column by column. The
-    distinct near-tie rows are evaluated by one quadrature call on their
-    stack; past quadrature's ORDER_CAP a near-tie row raises
+    near-tie rows are evaluated by one quadrature call on the stack of their
+    distinct bit patterns; past quadrature's ORDER_CAP a near-tie row raises
     UnsupportedConfigError naming it.
     """
     model, cols, k, batched = _prepare(model, nodes)
@@ -139,9 +133,11 @@ def divided_difference(model, nodes, quad_tol=QUAD_TOL):
                 f"order-{k} divided difference at nodes {row}: its nodes are too close "
                 f"for the table, and quadrature takes orders 1..{ORDER_CAP}"
             )
-        values[near] = map_distinct_rows(
-            lambda rows: momentum_quadrature(model, rows, tol=quad_tol), cols[:, near].T
-        )
+        # One quadrature row per sorted row's bytes: a shared base repeats rows.
+        rows = np.ascontiguousarray(cols[:, near].T)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * (k + 1)))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values[near] = momentum_quadrature(model, rows[first], tol=quad_tol)[inverse]
     return values if batched else float(values[0])
 
 

@@ -56,6 +56,7 @@ from .util import (
     checked_tol,
     fit_loglog_slope,
     gauss01,
+    instance_of,
     kronrod01,
     lp_norms,
     operator_norm,
@@ -253,19 +254,20 @@ def delta_symmetric(form, directions):
     distinct complex directions are complex at order 3. The base must be one
     matrix, and the directions k Hermitian matrices of its shape.
     """
-    if not isinstance(form, FrechetForm):
-        raise ValidationError(f"form must be a FrechetForm, got {form!r:.80}")
+    instance_of(form, FrechetForm, "form")
     if form.base.stack is not None:
         raise ValidationError("the forms of a stacked base are taken member by member")
-    vs = as_sequence(directions, "directions")
-    vs = [_check_hermitian(v, f"direction {j}") for j, v in enumerate(vs)]
+    raw, vs = as_sequence(directions, "directions"), []
+    for j, v in enumerate(raw):  # an object passed again is checked once, at its first index
+        same = [vs[i] for i in range(j) if raw[i] is v]
+        vs.append(same[0] if same else _check_hermitian(v, f"direction {j}"))
     k, d = form.order, form.base.dim
     if len(vs) != k:
         raise ValidationError(f"form of order {k} takes {k} directions, got {len(vs)}")
     for j, v in enumerate(vs):  # one matrix each, of the base's shape, for the orders to stack
         if v.shape != (d, d):
             raise ValidationError(f"direction {j} has shape {v.shape}, the base is {d} x {d}")
-    if all(np.array_equal(v, vs[0]) for v in vs[1:]):
+    if all(v is vs[0] or np.array_equal(v, vs[0]) for v in vs[1:]):
         return model_delta_bracket(form.base, form.model, vs, quad_tol=form.quad_tol)
     orders = [np.stack(slot) for slot in zip(*itertools.permutations(vs))]
     brackets = model_delta_bracket(form.base, form.model, orders, quad_tol=form.quad_tol)
@@ -292,8 +294,7 @@ def trace_identity_residual(form, direction):
     checked once: one that is not Hermitian, or unlike the base in size or
     stack length, raises ValidationError.
     """
-    if not isinstance(form, FrechetForm):
-        raise ValidationError(f"form must be a FrechetForm, got {form!r:.80}")
+    instance_of(form, FrechetForm, "form")
     k, dec, model = form.order, form.base, form.model
     v, shape = _check_hermitian(direction, "direction"), dec.eigenvectors.shape
     if v.shape[-1] != shape[-1] or v.ndim == len(shape) == 3 and len(v) != shape[0]:

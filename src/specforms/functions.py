@@ -198,7 +198,8 @@ class CallableKernel(ScalarFunctionModel):
     def eval(self, x, order=0):
         if order != 0:
             return self.derivative_model(order).eval(x)
-        out = np.asarray(self._fn(numeric_array(x, float, "kernel arguments")), dtype=float)
+        out = self._fn(numeric_array(x, float, "kernel arguments"))
+        out = numeric_array(out, float, "kernel values")
         return out if out.shape else float(out)
 
 

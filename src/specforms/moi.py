@@ -72,7 +72,6 @@ from .util import (
     as_sequence,
     checked_tol,
     frobenius,
-    map_distinct_rows,
     real_number,
     whole_number,
 )
@@ -255,10 +254,12 @@ def _symbol_adapter(symbol, tol):
         return lambda rows: momentum_eval(symbol, rows, tol=tol)
     if isinstance(symbol, SeparableSymbol):
         return symbol
-    if callable(symbol):
-        return lambda rows: map_distinct_rows(
-            lambda distinct: [symbol(*row) for row in distinct.tolist()], rows
-        )
+    if callable(symbol):  # one Python call per distinct index tuple
+        def evaluate(rows):
+            distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+            return np.array([symbol(*row) for row in distinct.tolist()], float)[inverse.ravel()]
+
+        return evaluate
     raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
 
 

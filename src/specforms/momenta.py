@@ -40,7 +40,7 @@ from .simplex import (
     split_by_kink,
     subsimplex_rule,
 )
-from .util import QUAD_TOL, argument_rows, check_within, checked_tol, numeric_array
+from .util import QUAD_TOL, argument_rows, check_within, checked_tol, instance_of, numeric_array
 
 # Nodes per stacked kernel call of a piece group: the graded pieces of one
 # row reach about a million nodes at q = 11, which are never held at once.
@@ -221,7 +221,7 @@ def momentum_eval(spec, x, tol=QUAD_TOL):
     read by util.argument_rows, the row rule of every symbol."""
     from .divided import divided_difference  # deferred: circular otherwise
 
-    x = argument_rows(x, spec.m + 1)
+    x = argument_rows(x, instance_of(spec, MomentumSpec, "spec").m + 1)
     return spec.constant_weight * divided_difference(spec.origin, x, quad_tol=tol)
 
 
@@ -234,6 +234,6 @@ def momentum_perturbation_pair(spec):
     origin without m + 1 continuous derivatives raises
     UnsupportedConfigError.
     """
-    k = _divided_order(spec.origin, spec.m + 1, 1)
+    k = _divided_order(instance_of(spec, MomentumSpec, "spec").origin, spec.m + 1, 1)
     q_terms = (((0,) * (k + 1), spec.constant_weight),)
     return MomentumSpec(k, spec.origin.derivative_model(k), spec.origin, q_terms)

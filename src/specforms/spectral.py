@@ -20,6 +20,7 @@ from .util import (
     adjoint,
     as_complex_matrices,
     check_within,
+    instance_of,
     numeric_array,
     real_number,
     whole_number,
@@ -300,9 +301,10 @@ def schatten_norm(a, p):
 def apply_scalar_function(model, decomp):
     """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
     a stacked decomposition), symmetrized and so exactly Hermitian. The
-    model may be a bare callable; anything else raises ValidationError."""
+    model may be a bare callable; a bad model or decomposition raises ValidationError."""
     from .functions import as_kernel  # deferred: functions imports this module
 
+    decomp = instance_of(decomp, SpectralDecomposition, "decomposition")
     model, lam = as_kernel(model), decomp.eigenvalues
     check_within(lam, model.domain, "values")
     out = _symmetrized(decomp.compose(model.eval(lam)))

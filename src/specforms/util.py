@@ -33,6 +33,14 @@ def numeric_array(values, dtype, what):
         raise ValidationError(f"{what} must be numeric, got {values!r:.80}") from None
 
 
+def instance_of(value, cls, what):
+    """value itself, or a ValidationError "`what` must be a <cls>, got ..."
+    when it is not an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r:.80}")
+    return value
+
+
 def argument_rows(values, arity):
     """values as one row of `arity` float arguments of a symbol, or a stack
     of rows (R, arity); else a ValidationError, "symbol takes N arguments,
@@ -210,16 +218,6 @@ def sorted_columns(rows):
     keeps the bits of Python's sorted().
     """
     return np.sort(np.asarray(rows, dtype=float), axis=1, kind="stable").T.copy()
-
-
-def map_distinct_rows(fn, rows):
-    """fn applied to the stack of distinct rows of `rows` (R, n) in one call.
-
-    fn maps a stack (D, n) to D values; the result scatters them back to
-    the R float values in row order.
-    """
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return np.asarray(fn(distinct), dtype=float)[inverse.reshape(-1)]
 
 
 def frobenius(a):

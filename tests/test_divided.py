@@ -300,7 +300,7 @@ def sorted_row_route(model, rows, quad_tol=1e-9):
     """The route before the sorted columns, restated: np.sort each row,
     the full table with its error bound on every stack, routing by the gap
     switch or (rows with an exact tie) by that bound, and one quadrature
-    call on the distinct near rows."""
+    call on the near rows as they come."""
     x = np.sort(rows, axis=1)
     cols = np.ascontiguousarray(x.T)
     vals = np.asarray(model.eval(cols), dtype=float)
@@ -322,11 +322,31 @@ def sorted_row_route(model, rows, quad_tol=1e-9):
         inexact = ~(error <= divided.TIE_TABLE_RTOL * np.abs(values) + divided.TIE_TABLE_ATOL)
         near = np.where((gaps == 0.0).any(axis=0), inexact, close)
         if near.any():
-            values[near] = divided.map_distinct_rows(
-                lambda distinct: divided.momentum_quadrature(model, distinct, tol=quad_tol),
-                x[near],
-            )
+            values[near] = momentum_quadrature(model, x[near], tol=quad_tol)
     return values
+
+
+def test_near_tie_rows_take_quadrature_once_per_bit_pattern(monkeypatch):
+    # A near-tie row that comes three times, once permuted, beside distinct
+    # rows: quadrature is called once, on each distinct sorted near-tie row
+    # once, and every value has the bits of its row's one-row call.
+    stacks = []
+
+    def recorded(model, x, tol):
+        stacks.append(np.array(x).tolist())
+        return momentum_quadrature(model, x, tol=tol)
+
+    monkeypatch.setattr(divided, "momentum_quadrature", recorded)
+    near = [0.3, 0.3 + 1e-9, 0.8]
+    rows = [near, [0.1, 0.5, -0.6], near[::-1], [0.2, -0.4, 0.2 + 2e-9], near, [-0.5, 0.25, 0.7]]
+    model = PowerAbs(2.5)
+    got = divided_difference(model, rows)
+    assert len(stacks) == 1 and sorted(stacks[0]) == sorted([near, sorted(rows[3])])
+    tied = [0, 2, 3, 4]
+    want = [momentum_quadrature(model, sorted(rows[i])) for i in tied]
+    assert got[tied].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    for i in (1, 5):  # the table's rows keep their one-row bits too
+        assert got[i].view(np.int64) == np.float64(divided_difference(model, rows[i])).view(np.int64)
 
 
 def mixed_rows(rng, k, count, tied):

@@ -163,6 +163,27 @@ def test_symmetric_form_along_one_direction_takes_one_unstacked_bracket(monkeypa
     assert stacks == [[(6, 6, 6)] * 2]
 
 
+def test_a_direction_passed_again_as_one_object_is_checked_once(monkeypatch):
+    # [V] * k holds one object k times: it takes one Hermitian check and
+    # gives the bits of k equal copies; a matrix that fails the check is
+    # named by the first index that holds it.
+    h, v = generate_instance(5, 6, "clustered", 3.5)
+    form = FrechetForm(base=h, exponent=3.5, order=3)
+    checked, check = [], forms._check_hermitian
+
+    def counted(a, what):
+        checked.append(what)
+        return check(a, what)
+
+    monkeypatch.setattr(forms, "_check_hermitian", counted)
+    got = delta_symmetric(form, [v.matrix] * 3)
+    assert checked == ["direction 0"]
+    assert got == delta_symmetric(form, [v.matrix.copy() for _ in range(3)])
+    skew = v.matrix + np.triu(np.ones((6, 6)), 1)
+    with pytest.raises(ValidationError, match="^direction 1 is not Hermitian"):
+        delta_symmetric(form, [v.matrix, skew, skew])
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_symmetric_form_polarises_its_diagonal(profile):
     # A symmetric k-linear form is fixed by its diagonal:

@@ -44,7 +44,12 @@ from specforms import (
 )
 from specforms.forms import selfadjoint_embed
 from specforms.moi import binned_eigenvalues
-from specforms.momenta import MomentumSpec, momentum_eval, momentum_quadrature
+from specforms.momenta import (
+    MomentumSpec,
+    momentum_eval,
+    momentum_perturbation_pair,
+    momentum_quadrature,
+)
 
 NAN = float("nan")
 H = np.diag([0.3, -0.2])
@@ -637,6 +642,26 @@ for name, call, message in (
         "momentum_quadrature string",
         lambda: momentum_quadrature(PowerAbs(2.5), ["a", "b"]),
         r"^arguments must be numeric, got \['a', 'b'\]$",
+    ),
+    (
+        "momentum_eval spec string",
+        lambda: momentum_eval("x", [0.1, 0.2]),
+        "^spec must be a MomentumSpec, got 'x'$",
+    ),
+    (
+        "momentum_perturbation_pair spec string",
+        lambda: momentum_perturbation_pair("x"),
+        "^spec must be a MomentumSpec, got 'x'$",
+    ),
+    (
+        "apply_scalar_function decomposition string",
+        lambda: apply_scalar_function(PowerAbs(2.5), "abc"),
+        "^decomposition must be a SpectralDecomposition, got 'abc'$",
+    ),
+    (
+        "CallableKernel.eval string values",
+        lambda: CallableKernel(lambda x: "abc").eval(0.5),
+        "^kernel values must be numeric, got 'abc'$",
     ),
     (
         "momentum_eval arity",
