@@ -365,7 +365,8 @@ def run_moi_convergence(config):
         "<=",
         tol["on_grid_exact"],
     )
-    const_req = MoiRequest((hand, hand), (x,), lambda *vals: 0.75)
+    constant = SeparableSymbol(((0.75, (Polynomial([1.0]), Polynomial([1.0]))),))
+    const_req = MoiRequest((hand, hand), (x,), constant)
     checks.add(
         "constant_symbol",
         max(frobenius(moi_binned(const_req, n) - 0.75 * x) for n in (1, 7, 32, 501)),

@@ -13,15 +13,14 @@ f, a divided difference (c = 1) or a momentum of its origin, by the
 Sylvester recurrence (_sylvester_core), which sums its near pairs itself
 (_near_pairs) and builds no tensor; a near pair's inner rows far from their
 pivot take the quotient of Loewner values the recurrence already has, so
-only rows whose nodes are all close evaluate f^[2]. Every other symbol
-takes the symbol tensor (_tensor_core): its values at every index tuple
-(_phi_tensor), contracted against the rotated perturbations with einsum
-(_contract).
+only rows whose nodes are all close evaluate f^[2]. A separable symbol
+and the monomial shift of a symbol take the symbol tensor (_tensor_core):
+its values at every index tuple (_phi_tensor), contracted against the
+rotated perturbations with einsum (_contract).
 The tensor is evaluated in blocks of index tuples, each handed over as the
-transpose of its column stack: separable sums term by term, bare
-callables once per distinct index tuple, and the monomial shift of a
-symbol (algebraic_shift) as each slot's powers, taken once per
-eigenvalue, times the symbol's values.
+transpose of its column stack: a separable symbol sums term by term, and
+a shift (algebraic_shift) multiplies each slot's powers, taken once per
+eigenvalue, onto the symbol's values.
 The recurrence keeps its last Loewner values, keyed by the model, the
 weight c, the tolerance and the bits of the eigenvalue pairs, so that
 forms of several orders on one base evaluate them once. The model's class
@@ -72,6 +71,8 @@ from .util import (
     as_sequence,
     checked_tol,
     frobenius,
+    instance_of,
+    numeric_array,
     real_number,
     whole_number,
 )
@@ -152,6 +153,10 @@ class SeparableSymbol:
     def __post_init__(self):
         if not self.terms:
             raise ValidationError("separable symbol needs at least one term")
+        if not all(isinstance(t, (tuple, list)) and len(t) == 2 for t in self.terms):
+            raise ValidationError(
+                f"separable terms must be (weight, factors) pairs, got {self.terms!r:.80}"
+            )
         sizes = {len(fns) for _, fns in self.terms}
         if len(sizes) != 1:
             raise ValidationError("all separable terms must share one arity")
@@ -187,11 +192,11 @@ class MoiRequest:
     decomposition a stack of S decompositions (a slot riding a moving
     point, or one instance per seed); the integral is then the stack of the
     S integrals. Stacks in several slots have one length and pair up index
-    by index; a slot holding one matrix serves every index. A symbol that
-    states its order (a divided difference, a momentum or a separable
-    symbol) must take as many perturbations. A divided difference or a
-    momentum is integrated by the Sylvester recurrence, any other symbol
-    through its tensor.
+    by index; a slot holding one matrix serves every index. The symbol is a
+    divided difference, a momentum or a separable symbol, refused as anything
+    else before any slot is checked, and its order is the count of
+    perturbations. A divided difference or a momentum is integrated by the
+    Sylvester recurrence, a separable symbol through its tensor.
     """
 
     decompositions: tuple
@@ -200,6 +205,7 @@ class MoiRequest:
     tol: float = QUAD_TOL
 
     def __post_init__(self):
+        instance_of(self.symbol, (DividedDifference, MomentumSpec, SeparableSymbol), "symbol")
         for name in ("decompositions", "perturbations"):
             object.__setattr__(self, name, as_sequence(getattr(self, name), name))
         m = len(self.perturbations)
@@ -210,9 +216,8 @@ class MoiRequest:
             )
         if not 1 <= m <= MAX_ORDER:
             raise ValidationError(f"operator integral order {m} outside 1..{MAX_ORDER}")
-        order = getattr(self.symbol, "order", m)
-        if order != m:
-            raise ValidationError(f"symbol takes {order + 1} arguments, got {m + 1}")
+        if self.symbol.order != m:
+            raise ValidationError(f"symbol takes {self.symbol.order + 1} arguments, got {m + 1}")
         object.__setattr__(self, "tol", checked_tol(self.tol))
         names = [f"decomposition {j}" for j in range(m + 1)]
         names += [f"perturbation {j}" for j in range(m)]
@@ -247,20 +252,13 @@ class _MonomialShift:
 
 
 def _symbol_adapter(symbol, tol):
-    """The symbol as one evaluator mapping a row stack (R, m+1) to R values."""
+    """The symbol, of a kind MoiRequest takes, as one evaluator mapping a row
+    stack (R, m+1) to R values."""
     if isinstance(symbol, DividedDifference):
         return lambda rows: symbol(rows, quad_tol=tol)
     if isinstance(symbol, MomentumSpec):
         return lambda rows: momentum_eval(symbol, rows, tol=tol)
-    if isinstance(symbol, SeparableSymbol):
-        return symbol
-    if callable(symbol):  # one Python call per distinct index tuple
-        def evaluate(rows):
-            distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-            return np.array([symbol(*row) for row in distinct.tolist()], float)[inverse.ravel()]
-
-        return evaluate
-    raise ValidationError(f"cannot interpret {symbol!r} as an integral symbol")
+    return symbol  # a SeparableSymbol
 
 
 def _checked_values(values, cols, what="symbol"):
@@ -578,7 +576,8 @@ def _integral(request, eig_sets, blocks=None):
 
 def moi_exact(request):
     """Dense evaluation of the operator integral."""
-    return _integral(request, [d.eigenvalues for d in request.decompositions])
+    decs = instance_of(request, MoiRequest, "request").decompositions
+    return _integral(request, [d.eigenvalues for d in decs])
 
 
 def binned_eigenvalues(eigenvalues, n):
@@ -586,7 +585,7 @@ def binned_eigenvalues(eigenvalues, n):
     n = whole_number(n, "bin count")
     if n < 1:
         raise ValidationError("bin count must be >= 1")
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    eigenvalues = numeric_array(eigenvalues, float, "eigenvalues to bin")
     if not np.isfinite(eigenvalues).all():
         raise ValidationError(f"eigenvalues to bin must be finite, got {eigenvalues}")
     return np.floor(eigenvalues * n) / n
@@ -594,7 +593,8 @@ def binned_eigenvalues(eigenvalues, n):
 
 def moi_binned(request, n):
     """Operator integral with the symbol read on the 1/n eigenvalue grid."""
-    eig_sets = [binned_eigenvalues(d.eigenvalues, n) for d in request.decompositions]
+    decs = instance_of(request, MoiRequest, "request").decompositions
+    eig_sets = [binned_eigenvalues(d.eigenvalues, n) for d in decs]
     return _integral(request, eig_sets)
 
 
@@ -606,8 +606,7 @@ def moi_separable(symbol, decompositions, perturbations):
     The slots are checked and prepared by a MoiRequest, so any of them may
     be a stack of one common length and an error names its slot.
     """
-    if not isinstance(symbol, SeparableSymbol):
-        raise ValidationError("moi_separable needs a SeparableSymbol")
+    symbol = instance_of(symbol, SeparableSymbol, "symbol")
     request = MoiRequest(decompositions, perturbations, symbol)
     decs, perts = request.decompositions, request.perturbations
     total = None
@@ -626,6 +625,7 @@ def algebraic_shift(request, powers):
     T_phi with H_0^{s_0} multiplied onto the left of V_1 and H_j^{s_j}
     onto the right of V_j. Returns (lhs, rhs) evaluated independently.
     """
+    instance_of(request, MoiRequest, "request")
     powers = as_sequence(powers, "monomial exponents")
     powers = tuple(whole_number(s, "monomial exponent") for s in powers)
     if len(powers) != request.order + 1:
@@ -680,8 +680,7 @@ def perturbation_identity(phi_spec, a, b, tail, perturbations, tol=QUAD_TOL):
     blocks (0, m+1) and (1, m+1) are T_psi and T_B, so T_B is not
     integrated again.
     """
-    if not isinstance(phi_spec, MomentumSpec):
-        raise ValidationError("perturbation identity needs a MomentumSpec symbol")
+    instance_of(phi_spec, MomentumSpec, "phi_spec")
     tail, perts = as_sequence(tail, "tail"), as_sequence(perturbations, "perturbations")
     m = phi_spec.m
     if len(tail) != m or len(perts) != m:

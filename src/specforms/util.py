@@ -35,9 +35,10 @@ def numeric_array(values, dtype, what):
 
 def instance_of(value, cls, what):
     """value itself, or a ValidationError "`what` must be a <cls>, got ..."
-    when it is not an instance of cls."""
+    when it is not an instance of cls, a class or a tuple of classes."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r:.80}")
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValidationError(f"{what} must be a {kinds}, got {value!r:.80}")
     return value
 
 
@@ -232,8 +233,7 @@ def operator_norm(a):
 
 def fit_loglog_slope(x, y):
     """Least-squares slope of log(y) against log(x), at two distinct x at least."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = numeric_array(x, float, "slope fit x"), numeric_array(y, float, "slope fit y")
     if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
         raise ValidationError("slope fit needs finite positive data")
     # min < max, not np.unique: the first np.unique call imports numpy.ma.

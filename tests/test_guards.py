@@ -4,9 +4,12 @@ that count reject fractions, and the matrix arguments of the oracles reject
 non-Hermitian input or a shape unlike their partner's, with a
 ValidationError that names the offending argument."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from specforms import moi
 from specforms import (
     CallableKernel,
     DividedDifference,
@@ -43,7 +46,7 @@ from specforms import (
     trace_identity_residual,
 )
 from specforms.forms import selfadjoint_embed
-from specforms.moi import binned_eigenvalues
+from specforms.moi import binned_eigenvalues, moi_binned
 from specforms.momenta import (
     MomentumSpec,
     momentum_eval,
@@ -663,6 +666,47 @@ for name, call, message in (
         lambda: CallableKernel(lambda x: "abc").eval(0.5),
         "^kernel values must be numeric, got 'abc'$",
     ),
+    # An argument of the wrong type names itself and the type it must be.
+    (
+        "moi_exact request string",
+        lambda: moi_exact("abc"),
+        "^request must be a MoiRequest, got 'abc'$",
+    ),
+    (
+        "moi_binned request string",
+        lambda: moi_binned("abc", 4),
+        "^request must be a MoiRequest, got 'abc'$",
+    ),
+    (
+        "algebraic_shift request string",
+        lambda: algebraic_shift("abc", (1, 0)),
+        "^request must be a MoiRequest, got 'abc'$",
+    ),
+    (
+        "moi_separable symbol string",
+        lambda: moi_separable("abc", (H, H), (V,)),
+        "^symbol must be a SeparableSymbol, got 'abc'$",
+    ),
+    (
+        "perturbation_identity phi_spec string",
+        lambda: perturbation_identity("abc", H, H, [H], [V]),
+        "^phi_spec must be a MomentumSpec, got 'abc'$",
+    ),
+    (
+        "SeparableSymbol terms string",
+        lambda: SeparableSymbol("ab"),
+        r"^separable terms must be \(weight, factors\) pairs, got 'ab'$",
+    ),
+    (
+        "fit_loglog_slope string",
+        lambda: fit_loglog_slope("ab", "cd"),
+        "^slope fit x must be numeric, got 'ab'$",
+    ),
+    (
+        "binned_eigenvalues string",
+        lambda: binned_eigenvalues("abc", 4),
+        "^eigenvalues to bin must be numeric, got 'abc'$",
+    ),
     (
         "momentum_eval arity",
         lambda: momentum_eval(DD_SPEC, [0.1, 0.2, 0.3]),
@@ -677,6 +721,23 @@ def test_bad_input_raises_validation_error_naming_the_argument(name):
     call, message = CALLS[name]
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_every_request_entry_of_moi_refuses_a_non_request():
+    # Each public function of moi whose first parameter is a request checks
+    # it first, so a new one is covered here without a row of its own.
+    entries = [
+        fn
+        for name, fn in inspect.getmembers(moi, inspect.isfunction)
+        if not name.startswith("_")
+        and fn.__module__ == moi.__name__
+        and next(iter(inspect.signature(fn).parameters), None) == "request"
+    ]
+    assert {"moi_exact", "moi_binned", "algebraic_shift"} <= {fn.__name__ for fn in entries}
+    for fn in entries:
+        rest = len(inspect.signature(fn).parameters) - 1
+        with pytest.raises(ValidationError, match="^request must be a MoiRequest, got 'abc'$"):
+            fn("abc", *[None] * rest)
 
 
 def test_divided_difference_of_a_bare_callable_needs_derivatives():

@@ -2,7 +2,6 @@
 symbol-tensor path)."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from specforms import divided, moi
 from specforms.divided import DividedDifference, divided_difference
 from specforms.errors import ValidationError
-from specforms.functions import Monomial, Polynomial, PowerAbs, ScalarFunctionModel
+from specforms.functions import CallableKernel, Monomial, Polynomial, PowerAbs, ScalarFunctionModel
 from specforms.instances import PROFILES, SplitMix64, generate_instance
 from specforms.moi import (
     MoiRequest,
@@ -25,7 +24,9 @@ from specforms.moi import (
 )
 from specforms.momenta import MomentumSpec, momentum_eval
 from specforms.spectral import SpectralDecomposition, eigendecompose
-from specforms.util import frobenius
+from specforms.util import adjoint, frobenius
+
+ONE = Polynomial((1.0,))
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -82,7 +83,7 @@ def test_constant_symbol_collapses_to_product():
     v1 = random_hermitian(rng, 4)
     v2 = random_hermitian(rng, 4)
     dec = eigendecompose(h)
-    got = moi_exact(MoiRequest((dec, dec, dec), (v1, v2), lambda *vals: 0.5))
+    got = moi_exact(MoiRequest((dec, dec, dec), (v1, v2), SeparableSymbol(((0.5, (ONE,) * 3),))))
     np.testing.assert_allclose(got.real, 0.5 * v1 @ v2, atol=1e-11)
 
 
@@ -196,7 +197,7 @@ def test_algebraic_shift_hand_case():
     h = random_hermitian(rng, 3)
     v = random_hermitian(rng, 3)
     dec = eigendecompose(h)
-    req = MoiRequest((dec, dec), (v,), lambda *vals: 1.0)
+    req = MoiRequest((dec, dec), (v,), SeparableSymbol(((1.0, (ONE, ONE)),)))
     lhs, rhs = algebraic_shift(req, (1, 0))
     np.testing.assert_allclose(lhs, dec.source.matrix @ v, atol=1e-12)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -213,14 +214,32 @@ def test_algebraic_shift_random_residuals():
         assert frobenius(lhs - rhs) <= 1e-10 * (1.0 + frobenius(lhs))
 
 
+def entrywise_shift(phi, powers, eig_sets):
+    """psi = 1.0 * x_0^s_0 * ... * x_m^s_m * phi one entry at a time, in
+    Python floats; a stacked first set (S, n) gives a leading axis S."""
+    first = eig_sets[0]
+    if first.ndim == 2:
+        return np.stack([entrywise_shift(phi, powers, [row, *eig_sets[1:]]) for row in first])
+    shape = tuple(e.size for e in eig_sets)
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        vals = [float(e[i]) for e, i in zip(eig_sets, idx)]
+        prod = 1.0
+        for x, s in zip(vals, powers):
+            prod *= x**s
+        out[idx] = prod * phi(np.asarray([vals]))[0]
+    return out
+
+
 @pytest.mark.parametrize("stacked", [False, True])
-def test_algebraic_shift_left_side_matches_bare_callable(stacked, monkeypatch):
+def test_algebraic_shift_left_side_matches_entrywise_psi(stacked, monkeypatch):
     # The left side multiplies the symbol tensor by the eigenvalue powers;
     # the reference evaluates psi = 1.0 * x_0^s_0 * ... * x_m^s_m * phi entry
-    # by entry, the same product in the same order, so every bit agrees: for
-    # divided differences, a weighted momentum and a separable symbol, over
-    # tensors of several blocks each, with an exact 0 among slot 1's
-    # eigenvalues.
+    # by entry, the same product in the same order, and contracts it against
+    # the request's rotated perturbations as the integral does, so every bit
+    # agrees: for divided differences, a weighted momentum and a separable
+    # symbol, over tensors of several blocks each, with an exact 0 among
+    # slot 1's eigenvalues.
     monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
     rng = np.random.default_rng(29)
     f = PowerAbs(2.5)
@@ -242,14 +261,14 @@ def test_algebraic_shift_left_side_matches_bare_callable(stacked, monkeypatch):
             decs[1] = SpectralDecomposition(zero, decs[1].eigenvectors, decs[1].source)
             perts = tuple(random_hermitian(rng, 3) for _ in range(2))
 
-            def shifted(*vals, phi=phi, powers=powers):
-                prod = 1.0
-                for x, s in zip(vals, powers):
-                    prod *= x**s
-                return prod * phi(np.asarray([vals]))[0]
-
-            lhs, _ = algebraic_shift(MoiRequest(tuple(decs), perts, symbol), powers)
-            want = moi_exact(MoiRequest(tuple(decs), perts, shifted))
+            request = MoiRequest(tuple(decs), perts, symbol)
+            lhs, _ = algebraic_shift(request, powers)
+            bases = [d.eigenvectors for d in request.decompositions]
+            psi = entrywise_shift(phi, powers, [d.eigenvalues for d in request.decompositions])
+            rotated = [
+                adjoint(bases[j]) @ v @ bases[j + 1] for j, v in enumerate(request.perturbations)
+            ]
+            want = bases[0] @ moi._contract(psi, rotated) @ adjoint(bases[-1])
             assert np.array_equal(lhs, want), (symbol, powers)
 
 
@@ -659,8 +678,9 @@ def test_request_validation():
         MoiRequest((h3,) * 5, (v3,) * 4, sym)  # order above the cap
     with pytest.raises(ValidationError):
         MoiRequest((h3, h3, h3), (v3,), sym)  # count mismatch
-    with pytest.raises(ValidationError):
-        moi_exact(MoiRequest((h3, h3), (v3,), lambda *vals: float("nan")))
+    nan = SeparableSymbol(((1.0, (CallableKernel(lambda x: np.full_like(x, np.nan)), ONE)),))
+    with pytest.raises(ValidationError, match="^symbol evaluated to nan at eigenvalue tuple"):
+        moi_exact(MoiRequest((h3, h3), (v3,), nan))
     with pytest.raises(ValidationError, match="symbol takes 2 arguments"):
         moi_exact(MoiRequest((h3,) * 3, (v3,) * 2, sym))  # a symbol of another order
     with pytest.raises(ValidationError):
@@ -670,6 +690,22 @@ def test_request_validation():
         MoiRequest((points, h3), (np.stack([v3] * 3),), sym)  # stack lengths
     with pytest.raises(ValidationError, match="stacks differ in length"):
         MoiRequest((h3, points), (np.stack([v3] * 3),), sym)  # a later slot's stack too
+
+
+@pytest.mark.parametrize(
+    "symbol", ["abc", lambda x, y: x * y, PowerAbs(2.5)], ids=["string", "lambda", "model"]
+)
+def test_request_refuses_other_symbols_before_any_slot(symbol, monkeypatch):
+    # Only a divided difference, a momentum or a separable symbol is
+    # integrated; anything else is refused before a slot is decomposed.
+    def fail(*args, **kwargs):
+        raise AssertionError("eigendecompose called")
+
+    monkeypatch.setattr(moi, "eigendecompose", fail)
+    h = np.diag([0.3, -0.2])
+    message = "^symbol must be a DividedDifference or MomentumSpec or SeparableSymbol, got "
+    with pytest.raises(ValidationError, match=message):
+        MoiRequest((h, h), (h,), symbol)
 
 
 def test_stacked_perturbations_give_each_integral():
@@ -701,7 +737,8 @@ def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch
         return phi
 
     monkeypatch.setattr(moi, "_phi_tensor", recorded)
-    for symbol in (DividedDifference(PowerAbs(3.5), order), lambda *vals: float(np.prod(vals))):
+    product = SeparableSymbol(((1.0, (Monomial(1),) * (order + 1)),))
+    for symbol in (DividedDifference(PowerAbs(3.5), order), product):
         stacked = moi_exact(MoiRequest((eigendecompose(points),) + tail, (first,) + rest, symbol))
         assert stacked.shape == (5, 3, 3)
         if not isinstance(symbol, DividedDifference):  # the recurrence builds no tensor
@@ -735,7 +772,9 @@ def test_stacks_in_any_slot_match_member_calls_bitwise(order, monkeypatch):
             m=order, kernel=quartic.derivative_model(order), origin=quartic, q_terms=weight
         ),
         SeparableSymbol(((0.5, (cubic,) * (order + 1)), (-2.0, (Monomial(2),) * (order + 1)))),
-        lambda *vals: vals[0] - 2.0 * math.prod(vals[1:]),
+        SeparableSymbol(
+            ((1.0, (Monomial(1),) + (ONE,) * order), (-2.0, (ONE,) + (Monomial(1),) * order))
+        ),
     )
 
     def draw(stacked):
@@ -1181,8 +1220,8 @@ def test_tensor_of_signed_zeros_matches_scalar_routes():
 
 
 def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
-    # Separable sums, weighted momenta and bare callables fill the tensor
-    # block by block, matching their values at single tuples.
+    # Separable sums and weighted momenta fill the tensor block by block,
+    # matching their values at single tuples.
     monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
     lam = np.array([-0.6, 0.0, 0.0, 0.45])
     sets = [lam, binned_eigenvalues(lam, 4), lam]
@@ -1203,25 +1242,6 @@ def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
         for idx in np.ndindex(got.shape):
             want = single(np.array([e[i] for e, i in zip(sets, idx)]))
             assert abs(got[idx] - want) <= 1e-12 * (1.0 + abs(want))
-
-    seen = []
-
-    def bare(x, y, z):
-        seen.append((x, y, z))
-        return x - 2.0 * y * z
-
-    got = _phi_tensor(bare, sets, 1e-9)
-    assert all(type(x) is float for row in seen for x in row)
-    for idx in np.ndindex(got.shape):
-        x, y, z = (e[i] for e, i in zip(sets, idx))
-        assert got[idx] == x - 2.0 * y * z
-    # The 4x4x4 tensor has 16 > 7 tuples after its first axis and 4 <= 7
-    # after its second: each block is one (i, j) and all 4 values of k.
-    flat = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 3)
-    distinct = sum(
-        len(np.unique(flat[lo : lo + 4], axis=0)) for lo in range(0, len(flat), 4)
-    )
-    assert len(seen) == distinct < len(flat)
 
 
 def count_quadrature(monkeypatch):
