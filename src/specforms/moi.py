@@ -16,11 +16,13 @@ pivot take the quotient of Loewner values the recurrence already has, so
 only rows whose nodes are all close evaluate f^[2]. A separable symbol
 and the monomial shift of a symbol take the symbol tensor (_tensor_core):
 its values at every index tuple (_phi_tensor), contracted against the
-rotated perturbations with einsum (_contract).
-The tensor is evaluated in blocks of index tuples, each handed over as the
-transpose of its column stack: a separable symbol sums term by term, and
-a shift (algebraic_shift) multiplies each slot's powers, taken once per
-eigenvalue, onto the symbol's values.
+rotated perturbations with einsum (_contract). It goes in one pass over
+blocks of whole leading rows, stack members or the rows of one member's
+first axis, CHUNK_ROWS entries or one row at most; each block is evaluated
+in one symbol call and contracted at once into its slice of the core. A
+separable symbol sums term by term, and a shift (algebraic_shift)
+multiplies each slot's powers, taken once per eigenvalue, onto the
+symbol's values.
 The recurrence keeps its last Loewner values, keyed by the model, the
 weight c, the tolerance and the bits of the eigenvalue pairs, so that
 forms of several orders on one base evaluate them once. The model's class
@@ -78,10 +80,10 @@ from .util import (
 )
 
 MAX_ORDER = 3
-# Index tuples per block of a symbol tensor, one symbol call each: an
-# order-3 tensor at dim 64 has 16.8M of them, which are never held as one
-# row stack. A stack of integrals goes in groups of tensors this size, and
-# the recurrence's near pairs in groups whose weights number no more.
+# Index tuples per block of a symbol tensor, one symbol call and one
+# contraction each, unless one leading row holds more: an order-3 tensor at
+# dim 64 has 16.8M of them, never held at once. The recurrence's near pairs
+# go in groups whose weights number no more.
 CHUNK_ROWS = 1 << 16
 # A pair of eigenvalues x, y of slots two or more apart is too close to
 # divide by in the Sylvester recurrence when |x - y| < NEAR_PAIR (1 + |x| + |y|).
@@ -151,18 +153,19 @@ class SeparableSymbol:
     terms: tuple  # of (weight, (model_or_callable, ...))
 
     def __post_init__(self):
-        if not self.terms:
+        terms = as_sequence(self.terms, "separable terms")
+        if not terms:
             raise ValidationError("separable symbol needs at least one term")
-        if not all(isinstance(t, (tuple, list)) and len(t) == 2 for t in self.terms):
+        if not all(isinstance(t, (tuple, list)) and len(t) == 2 for t in terms):
             raise ValidationError(
                 f"separable terms must be (weight, factors) pairs, got {self.terms!r:.80}"
             )
-        sizes = {len(fns) for _, fns in self.terms}
-        if len(sizes) != 1:
+        terms = [(w, as_sequence(fns, "separable factors")) for w, fns in terms]
+        if len({len(fns) for _, fns in terms}) != 1:
             raise ValidationError("all separable terms must share one arity")
         terms = tuple(
             (real_number(w, "separable weight"), tuple(as_kernel(f) for f in fns))
-            for w, fns in self.terms
+            for w, fns in terms
         )
         if not all(math.isfinite(w) for w, _ in terms):
             raise ValidationError(f"separable weights must be finite, got {[w for w, _ in terms]}")
@@ -288,55 +291,43 @@ def _powers(x, s, j):
 
 
 def _phi_tensor(symbol, eig_sets, tol):
-    """The symbol at every index tuple of the eigenvalue sets.
+    """The symbol at every index tuple of the eigenvalue sets, in one call.
 
     A set of shape (S, n_j) is a stack, and stacked sets share one length
     S: the tensor then carries a leading axis S, and entry
     (b, i_0, ..., i_m) takes the eigenvalue of each stacked slot from its
-    row b. Each slot's eigenvalues are broadcast over the tensor shape, and
-    the symbol is evaluated one block at a time: a block fixes the axes
-    before a cut axis, takes a slice of the cut axis and keeps every later
-    axis whole, CHUNK_ROWS index tuples at most. A block goes to the symbol
-    as the transpose of its (m+1, R) column stack. A shift's powers (_powers)
-    ride the blocks as further slots, multiplied left to right and then onto
-    the symbol's values, as in the product x_0^s_0 * ... * x_m^s_m * phi;
-    a product past the float range raises ValidationError naming the
-    shift's exponents and the eigenvalue tuple.
+    row b. Each set's eigenvalues are broadcast over the tensor shape and
+    go to the symbol as the transpose of their (m+1, R) column stack. A
+    shift's powers (_powers), taken once per eigenvalue, are multiplied left
+    to right and then onto the symbol's values, as in the product
+    x_0^s_0 * ... * x_m^s_m * phi; a product past the float range raises
+    ValidationError naming the shift's exponents and the eigenvalue tuple.
     """
     eig_sets = [np.asarray(e) for e in eig_sets]
     lead = next(((len(e),) for e in eig_sets if e.ndim == 2), ())
     shape = lead + tuple(e.shape[-1] for e in eig_sets)
     after = len(eig_sets) - 1
-    slots = [  # each slot's eigenvalues along its own axis (and the stack axis)
-        e.reshape((e.shape[:-1] or (1,) * len(lead)) + (1,) * j + (-1,) + (1,) * (after - j))
-        for j, e in enumerate(eig_sets)
-    ]
-    count = len(slots)  # the eigenvalue slots; a shift's powers follow them
+
+    def on_axis(e, j):  # set j's values along its own axis (and the stack axis)
+        return e.reshape((e.shape[:-1] or (1,) * len(lead)) + (1,) * j + (-1,) + (1,) * (after - j))
+
+    powers = []  # a shift's powers, each set's along its own axis
     if isinstance(symbol, _MonomialShift):
-        slots += [_powers(x, s, j) for j, (x, s) in enumerate(zip(slots, symbol.powers))]
+        powers = [
+            on_axis(_powers(e, s, j), j) for j, (e, s) in enumerate(zip(eig_sets, symbol.powers))
+        ]
         shift = f"symbol times the monomial shift of exponents {symbol.powers}"
         symbol = symbol.symbol
-    evaluate = _symbol_adapter(symbol, tol)
-    cut = next(c for c in range(len(shape)) if math.prod(shape[c + 1 :]) <= CHUNK_ROWS)
-    width = CHUNK_ROWS // math.prod(shape[cut + 1 :])
-    # The blocks run in the tensor's C order, each a run of its flat entries.
-    phi, start = np.empty(math.prod(shape)), 0
-    for head in np.ndindex(shape[:cut]) if cut else [()]:
-        # each slot at the head: its own index on an axis where it varies, else 0
-        fixed = [tuple(min(i, n - 1) for i, n in zip(head, x.shape)) for x in slots]
-        for lo in range(0, shape[cut], width):
-            cols = np.empty((len(slots), min(width, shape[cut] - lo)) + shape[cut + 1 :])
-            for col, x, at in zip(cols, slots, fixed):
-                col[...] = x[at] if x.shape[cut] == 1 else x[at + (slice(lo, lo + width),)]
-            cols = cols.reshape(len(slots), -1)
-            values = _checked_values(evaluate(cols[:count].T), cols[:count])
-            if len(slots) > count:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values = functools.reduce(np.multiply, cols[count:]) * values
-                values = _checked_values(values, cols[:count], shift)
-            phi[start : start + cols.shape[1]] = values
-            start += cols.shape[1]
-    return phi.reshape(shape)
+    cols = np.empty((len(eig_sets),) + shape)
+    for j, (col, e) in enumerate(zip(cols, eig_sets)):
+        col[...] = on_axis(e, j)
+    cols = cols.reshape(len(eig_sets), -1)
+    values = _checked_values(_symbol_adapter(symbol, tol)(cols.T), cols).reshape(shape)
+    if powers:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = functools.reduce(np.multiply, powers) * values
+        _checked_values(values.ravel(), cols, shift)
+    return values
 
 
 def _contract(phi, rotated):
@@ -351,23 +342,31 @@ def _contract(phi, rotated):
 
 def _tensor_core(symbol, tol, eig_sets, rotated):
     """The core of the integral: the symbol tensor contracted with the
-    rotated perturbations. A stack of eigenvalue sets goes in groups of
-    max(1, CHUNK_ROWS // entries per integral) members, so that no group's
-    tensor exceeds CHUNK_ROWS entries unless one integral alone does, and
-    each rotated stack is sliced on its member axis, the third from last;
-    otherwise one tensor serves every member of a perturbation stack."""
-    stack = next((len(e) for e in eig_sets if e.ndim == 2), None)
-    size = max(1, CHUNK_ROWS // math.prod(e.shape[-1] for e in eig_sets))
-    if stack is None or stack <= size:
-        return _contract(_phi_tensor(symbol, eig_sets, tol), rotated)
-    cores = [
-        _contract(
-            _phi_tensor(symbol, [e[lo : lo + size] if e.ndim == 2 else e for e in eig_sets], tol),
-            [r[..., lo : lo + size, :, :] if r.ndim > 2 else r for r in rotated],
-        )
-        for lo in range(0, stack, size)
-    ]
-    return np.concatenate(cores, axis=-3)
+    rotated perturbations, in one pass over blocks of its whole leading rows.
+
+    While one member's tensor has at most CHUNK_ROWS entries, the rows are
+    members of the stack of eigenvalue sets, several to a block (a tensor
+    without a stack is one block, serving every member of a perturbation
+    stack); otherwise they are rows of one member's first eigenvalue axis,
+    as many to a block as CHUNK_ROWS holds and at least one. Each block
+    takes one symbol call (_phi_tensor) and is contracted at once into its
+    slice of the core: each rotated stack is sliced on its member axis, the
+    third from last, and the first rotated perturbation on its rows.
+    """
+    n, stack = eig_sets[0].shape[-1], next((len(e) for e in eig_sets if e.ndim == 2), None)
+    row = math.prod(e.shape[-1] for e in eig_sets[1:])  # entries per leading row of a member
+    step = max(1, CHUNK_ROWS // (n * row))  # members per block
+    size = max(1, CHUNK_ROWS // row)  # rows per block: every row when a member fits
+    lead = np.broadcast_shapes(*(r.shape[:-2] for r in rotated))
+    core = np.empty(lead + (n, rotated[-1].shape[-1]), complex)
+    for at in [slice(lo, lo + step) for lo in range(0, stack, step)] if stack else [slice(None)]:
+        sets = [e[at] if e.ndim == 2 else e for e in eig_sets]
+        rots = [r[..., at, :, :] if r.ndim == 3 else r for r in rotated]
+        for lo in range(0, n, size):
+            rows = slice(lo, lo + size)
+            phi = _phi_tensor(symbol, [sets[0][..., rows]] + sets[1:], tol)
+            core[at][..., rows, :] = _contract(phi, [rots[0][..., rows, :]] + rots[1:])
+    return core
 
 
 def _near(x, y):

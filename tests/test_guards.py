@@ -383,6 +383,19 @@ for bad in (NAN, np.inf):
         lambda bad=bad: SeparableSymbol(((bad, (Monomial(1),) * 2),)),
         "^separable weights must be finite",
     )
+# Terms, and each term's factors, that are not sequences name themselves.
+CALLS["SeparableSymbol terms=5"] = (
+    lambda: SeparableSymbol(5),
+    "^separable terms must be a sequence, got 5$",
+)
+CALLS["SeparableSymbol factors=5"] = (
+    lambda: SeparableSymbol(((1.0, 5),)),
+    "^separable factors must be a sequence, got 5$",
+)
+CALLS["SeparableSymbol factors=PowerAbs"] = (
+    lambda: SeparableSymbol(((1.0, PowerAbs(2.5)),)),
+    r"^separable factors must be a sequence, got PowerKernel\(1\.0, 2\.5, 0\)$",
+)
 # Fields a run config reads as numbers name themselves.
 NUMBERS = (("p", "x", "^p"), ("t_grid", ["abc"], "^t grid entry"))
 for field, bad, message in NUMBERS:

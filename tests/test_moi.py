@@ -2,6 +2,7 @@
 symbol-tensor path)."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -722,7 +723,7 @@ def test_stacked_perturbations_give_each_integral():
 
 @pytest.mark.parametrize("order", (1, 2, 3))
 def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch):
-    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # groups of max(1, 37 // 3^(order+1))
+    monkeypatch.setattr(moi, "CHUNK_ROWS", 37)  # blocks of whole members, or of leading rows
     rng = np.random.default_rng(10 + order)
     points = np.stack([random_hermitian(rng, 3, scale=0.8) for _ in range(5)])
     tail = tuple(eigendecompose(random_hermitian(rng, 3, scale=0.8)) for _ in range(order))
@@ -742,8 +743,8 @@ def test_decomposition_stack_combines_with_perturbation_stack(order, monkeypatch
         stacked = moi_exact(MoiRequest((eigendecompose(points),) + tail, (first,) + rest, symbol))
         assert stacked.shape == (5, 3, 3)
         if not isinstance(symbol, DividedDifference):  # the recurrence builds no tensor
-            # no group's tensor exceeds CHUNK_ROWS entries, unless one integral's does
-            assert sizes and max(sizes) <= max(37, 3 ** (order + 1))
+            # no block exceeds CHUNK_ROWS entries, unless one leading row does
+            assert sizes and max(sizes) <= max(37, 3**order)
         for h, v, got in zip(points, first, stacked):
             want = moi_exact(MoiRequest((eigendecompose(h),) + tail, (v,) + rest, symbol))
             assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
@@ -1219,29 +1220,94 @@ def test_tensor_of_signed_zeros_matches_scalar_routes():
     assert got.tobytes() == scalar_phi(symbol, [signed] * 3).tobytes()
 
 
-def test_every_symbol_kind_takes_the_chunked_path(monkeypatch):
-    # Separable sums and weighted momenta fill the tensor block by block,
-    # matching their values at single tuples.
-    monkeypatch.setattr(moi, "CHUNK_ROWS", 7)
-    lam = np.array([-0.6, 0.0, 0.0, 0.45])
-    sets = [lam, binned_eigenvalues(lam, 4), lam]
-    cubic = Polynomial((0.2, -1.0, 0.5))
-    origin = PowerAbs(2.5)
-    symbols = (
-        SeparableSymbol(((0.5, (cubic, Monomial(1), cubic)), (-2.0, (Monomial(2),) * 3))),
-        MomentumSpec(
-            m=2, kernel=origin.derivative_model(2), origin=origin, q_terms=(((0, 0, 0), 1.5),)
-        ),
-    )
-    for symbol in symbols:
-        if isinstance(symbol, SeparableSymbol):
-            single = symbol
-        else:
-            single = lambda x, symbol=symbol: momentum_eval(symbol, x)
-        got = _phi_tensor(symbol, sets, 1e-9)
-        for idx in np.ndindex(got.shape):
-            want = single(np.array([e[i] for e, i in zip(sets, idx)]))
-            assert abs(got[idx] - want) <= 1e-12 * (1.0 + abs(want))
+def _tensor_cases(rng):
+    """(label, decompositions, perturbations) on the symbol tensor at dim 3: a
+    stack of five decompositions at each order, one order-3 member of 81
+    entries, and a perturbation stack over unstacked sets."""
+    def h():
+        return random_hermitian(rng, 3, rng.uniform(0.5, 1))
+
+    cases = []
+    for order in (1, 2, 3):
+        decs = (eigendecompose(np.stack([h() for _ in range(5)])),) + tuple(
+            eigendecompose(h()) for _ in range(order)
+        )
+        perts = tuple(h() for _ in range(order))
+        cases.append((f"stack order {order}", decs, perts))
+    one = tuple(eigendecompose(h()) for _ in range(4))
+    cases.append(("one member order 3", one, (h(),) * 3))
+    stacked = (np.stack([h() for _ in range(4)]), h(), np.stack([h() for _ in range(4)]))
+    cases.append(("perturbation stack", tuple(eigendecompose(h()) for _ in range(4)), stacked))
+    return cases
+
+
+def _unchunked(request, symbol):
+    """The integral of symbol on the request's slots from its whole tensor,
+    contracted in one call."""
+    bases = [d.eigenvectors for d in request.decompositions]
+    rotated = [adjoint(bases[j]) @ v @ bases[j + 1] for j, v in enumerate(request.perturbations)]
+    phi = _phi_tensor(symbol, [d.eigenvalues for d in request.decompositions], request.tol)
+    return bases[0] @ moi._contract(phi, rotated) @ adjoint(bases[-1])
+
+
+@pytest.mark.parametrize("chunk", [7, 37])
+def test_tensor_blocks_are_bounded_and_keep_the_unchunked_bits(chunk, monkeypatch):
+    # The tensor path evaluates blocks of whole leading rows, stack members
+    # while a member's tensor fits CHUNK_ROWS, else rows of its first axis:
+    # no block exceeds max(CHUNK_ROWS, one leading row) entries, and
+    # moi_exact and algebraic_shift's left side keep every bit of the whole
+    # tensor contracted at once. With CHUNK_ROWS = 37 the order-1 stack
+    # takes several members per block; at 7 every tensor goes by rows.
+    monkeypatch.setattr(moi, "CHUNK_ROWS", chunk)
+    blocks = []
+
+    def recorded(symbol, eig_sets, tol):
+        phi = _phi_tensor(symbol, eig_sets, tol)
+        blocks.append((phi.size, np.prod([np.shape(e)[-1] for e in eig_sets[1:]])))
+        return phi
+
+    monkeypatch.setattr(moi, "_phi_tensor", recorded)
+    rng = np.random.default_rng(83)
+    for label, decs, perts in _tensor_cases(rng):
+        order = len(perts)
+        separable = SeparableSymbol(
+            (
+                (0.5, (PowerAbs(2.5),) + (Monomial(1),) * order),
+                (-1.5, (Monomial(2),) * (order + 1)),
+            )
+        )
+        for symbol in (separable, DividedDifference(PowerAbs(3.5), order)):
+            request = MoiRequest(decs, perts, symbol)
+            powers = (1,) + (2,) * order
+            blocks.clear()
+            if symbol is separable:
+                got = moi_exact(request)
+                assert got.tobytes() == _unchunked(request, symbol).tobytes(), label
+            lhs, _ = algebraic_shift(request, powers)
+            want = _unchunked(request, moi._MonomialShift(symbol, powers))
+            assert lhs.tobytes() == want.tobytes(), (label, symbol)
+            assert len(blocks) > 1, (label, blocks)
+            assert all(size <= max(chunk, row) for size, row in blocks), (label, blocks)
+            if chunk == 37 and order == 1:  # four members of 9 entries to a block
+                assert blocks[0][0] == 36, blocks
+
+
+def test_tensor_memory_stays_under_one_member():
+    # An order-3 separable integral at dim 40 has a tensor of 40^4 entries,
+    # 20.5 MB; evaluated and contracted a leading row at a time, its peak
+    # traced allocation stays under a third of that.
+    rng = np.random.default_rng(89)
+    dec = eigendecompose(random_hermitian(rng, 40))
+    perts = tuple(random_hermitian(rng, 40) for _ in range(3))
+    symbol = SeparableSymbol(((1.0, (Monomial(1), Monomial(2), Monomial(1), Monomial(3))),))
+    request = MoiRequest((dec,) * 4, perts, symbol)
+    tracemalloc.start()
+    try:
+        moi_exact(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40**4 * 8 / 3, peak
 
 
 def count_quadrature(monkeypatch):
