@@ -88,7 +88,7 @@ def _table(model, cols, tied):
                 err = (err[1:] + err[:-1]) / step + ROUNDING * np.abs(vals) + UNDERFLOW
                 tie = hi == lo
                 if tie.any():
-                    vals[tie] = model.eval(lo[tie], order=level) / math.factorial(level)
+                    vals[tie] = model.derivative_model(level).eval(lo[tie]) / math.factorial(level)
                     err[tie] = ROUNDING * np.abs(vals[tie]) + UNDERFLOW
     return vals[0], (err[0] if tied else None)
 
@@ -149,8 +149,7 @@ class DividedDifference:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "model", as_kernel(self.model))
-        object.__setattr__(self, "order", _divided_order(self.model, self.order, 0))
+        object.__setattr__(self, "order", _divided_order(as_kernel(self.model), self.order, 0))
 
     def __call__(self, values, quad_tol=QUAD_TOL):
         """Value at one argument tuple, or at each row of a stack (R, order+1)."""

@@ -49,9 +49,11 @@ from .momenta import MomentumSpec
 from .spectral import HermitianMatrix, SchattenExponent, eigendecompose
 from .util import (
     QUAD_TOL,
+    as_sequence,
     canonical_json,
     fit_loglog_slope,
     frobenius,
+    instance_of,
     real_number,
     whole_number,
 )
@@ -118,6 +120,8 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        for name in ("mode", "profile", "matrix_path", "out_dir", "fmt"):
+            instance_of(getattr(self, name), str, name)
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}; choose from {MODES}")
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
@@ -130,9 +134,7 @@ class ExperimentConfig:
         if self.mode in ("selftest", "taylor-scan", "holder-scan"):
             _expansion_exponent(self.p)
         if self.profile not in PROFILES:
-            raise ValidationError(
-                f"unknown profile {self.profile!r}; choose from {PROFILES}"
-            )
+            raise ValidationError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
         for field, items in (("t_grid", "numbers"), ("n_grid", "numbers"), ("dir_paths", "paths")):
             value = getattr(self, field)
             if isinstance(value, str):
@@ -140,13 +142,14 @@ class ExperimentConfig:
                     f"{field} must be a sequence of {items}, got the string {value!r}"
                 )
         object.__setattr__(self, "t_grid", _t_grid(self.t_grid))
-        n_grid = tuple(whole_number(n, "n grid entry") for n in self.n_grid)
+        n_grid = tuple(whole_number(n, "n grid entry") for n in as_sequence(self.n_grid, "n_grid"))
         if not n_grid or any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n grid must be nonempty, positive, strictly increasing")
         object.__setattr__(self, "n_grid", n_grid)
         if len(set(self.t_grid)) < 2 or len(n_grid) < 2:
             raise ValidationError("slope fit needs at least two distinct x values")
-        object.__setattr__(self, "dir_paths", tuple(str(p) for p in self.dir_paths))
+        dir_paths = tuple(map(str, as_sequence(self.dir_paths, "dir_paths")))
+        object.__setattr__(self, "dir_paths", dir_paths)
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be json or csv, got {self.fmt!r}")
         if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):

@@ -59,6 +59,7 @@ from .util import (
     instance_of,
     kronrod01,
     lp_norms,
+    numeric_array,
     operator_norm,
     real_number,
     real_trace,
@@ -234,8 +235,7 @@ class FrechetForm:
             object.__setattr__(self, "model", PowerAbs(exp.p))
             limit = min(exp.m, MAX_ORDER)
         else:
-            object.__setattr__(self, "model", as_kernel(self.model))
-            limit = min(self.model.max_order, MAX_ORDER)
+            limit = min(as_kernel(self.model).max_order, MAX_ORDER)
         if not 1 <= self.order <= limit:
             raise UnsupportedConfigError(
                 f"derivative order {self.order} not available for p={exp.p} "
@@ -369,7 +369,8 @@ def _fd_core(h, v, model, k, norms, gap):
     # A sample sum f(lambda_i) >= 0 rounds by about eps (||H|| sum|f'| + sum f),
     # which the fine stencil multiplies by sum|w| / (scale h^k); measured
     # errors away from the kink reach 2.6 times that, so the margin is 8.
-    rounding = eps * np.max(h_norm * np.abs(model.eval(lams, 1)).sum(axis=1) + samples)
+    slopes = np.abs(model.derivative_model(1).eval(lams)).sum(axis=1)
+    rounding = eps * np.max(h_norm * slopes + samples)
     roundoff = 8.0 * rounding * sum(map(abs, weights)) / (scale * step**k)
     return fine + correction, abs(correction) + roundoff + 1e-15 * (1.0 + abs(fine))
 
@@ -583,7 +584,9 @@ def taylor_integral_form(h0, h1, p, quad_tol=QUAD_TOL):
 
 def selfadjoint_embed(x, p):
     """Hermitian dilation 2^{-1/p} [[0, X], [X*, 0]] preserving ||.||_p."""
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
+    x = np.atleast_2d(numeric_array(x, complex, "embedded matrix X"))
+    if x.ndim != 2:
+        raise ValidationError(f"embedded matrix X must be 2-D, got shape {x.shape}")
     p = real_number(p, "embedding p")
     if not p >= 1.0:
         raise ValidationError(f"embedding needs p >= 1, got {p}")

@@ -1,17 +1,14 @@
 """Scalar function models with explicit derivative structure.
 
-A model knows how many continuous derivatives it has and how to evaluate
-any of them. Each model class has one fixed domain: a PowerKernel lives on
-the working interval [-2, 2], a Polynomial or CallableKernel on the whole
-real line. The central family is c * |x|^beta * sign(x)^kappa, which is
-closed under differentiation and covers |x|^p together with every
-derivative that the norm-expansion machinery needs. Polynomials are kept
-as a separate smooth model.
-
-The base class holds the one derivative ladder: derivative_model(k)
-checks the order, builds f^(k) through the class's _derivative hook once
-per k and keeps it on the instance, and eval(x, k) reads any order k > 0
-off that model.
+A model knows how many continuous derivatives it has. eval(x) evaluates the
+model itself, and derivative_model(k), the one derivative ladder in the base
+class, is the model of f^(k): f^(k)(x) is derivative_model(k).eval(x). Each
+model class has one fixed domain: a PowerKernel lives on the working
+interval [-2, 2], a Polynomial or CallableKernel on the whole real line. The
+central family is c * |x|^beta * sign(x)^kappa, which is closed under
+differentiation and covers |x|^p together with every derivative that the
+norm-expansion machinery needs. Polynomials are kept as a separate smooth
+model.
 """
 
 import numpy as np
@@ -26,7 +23,7 @@ SMOOTH_ORDER = 10**9
 
 
 class ScalarFunctionModel:
-    """Interface: domain, max_order, eval(x, order), derivative_model(k).
+    """Interface: domain, max_order, eval(x), derivative_model(k).
 
     derivative_model(k) is the model of f^(k): the model itself at k = 0,
     else the _derivative(k) of a subclass, built once per k and kept on the
@@ -41,20 +38,19 @@ class ScalarFunctionModel:
     #: (coef, beta, parity) when f(x) = coef * |x|^beta * sign(x)^parity
     power_form = None
 
-    def eval(self, x, order=0):
+    def eval(self, x):
         raise NotImplementedError
 
-    def derivative_model(self, k=1):
+    def derivative_model(self, k):
         k = whole_number(k, "derivative order")
         if k < 0:
             raise ValidationError("derivative order must be >= 0")
         if k == 0:
             return self
         ladder = vars(self).setdefault("_derivatives", {})
-        model = ladder.get(k)
-        if model is None:
-            model = ladder[k] = self._derivative(k)
-        return model
+        if k not in ladder:
+            ladder[k] = self._derivative(k)
+        return ladder[k]
 
     def _derivative(self, k):
         raise UnsupportedConfigError(
@@ -115,9 +111,7 @@ class PowerKernel(ScalarFunctionModel):
             c *= self.beta - j
         return PowerKernel(c, self.beta - k, self.parity + k)
 
-    def eval(self, x, order=0):
-        if order != 0:
-            return self.derivative_model(order).eval(x)
+    def eval(self, x):
         x, c, b = numeric_array(x, float, "kernel arguments"), self.coef, self.beta
         if c == 0.0:
             mag = np.zeros_like(x)
@@ -172,9 +166,7 @@ class Polynomial(ScalarFunctionModel):
     def _derivative(self, k):
         return Polynomial(list(polyder(self._coeffs, k)))
 
-    def eval(self, x, order=0):
-        if order != 0:
-            return self.derivative_model(order).eval(x)
+    def eval(self, x):
         c = self._coeffs
         x = 0.0 + 1.0 * numeric_array(x, float, "kernel arguments")
         out = c[-1] + x * 0
@@ -195,9 +187,7 @@ class CallableKernel(ScalarFunctionModel):
             raise ValidationError("kernel must be callable")
         self._fn = fn
 
-    def eval(self, x, order=0):
-        if order != 0:
-            return self.derivative_model(order).eval(x)
+    def eval(self, x):
         out = self._fn(numeric_array(x, float, "kernel arguments"))
         out = numeric_array(out, float, "kernel values")
         return out if out.shape else float(out)
@@ -218,10 +208,9 @@ def _divided_order(model, k, least):
 
 
 def as_kernel(obj):
-    """Coerce a model or bare callable into a ScalarFunctionModel."""
+    """obj if it is a ScalarFunctionModel, else ValidationError (a bare
+    callable is not one: wrap it in CallableKernel)."""
     if isinstance(obj, ScalarFunctionModel):
         return obj
-    if callable(obj):
-        return CallableKernel(obj)
     raise ValidationError(f"cannot use {obj!r} as a scalar kernel")
 

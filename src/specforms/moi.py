@@ -150,7 +150,7 @@ def _along(slots, index):
 class SeparableSymbol:
     """phi(x_0..x_m) = sum_t w_t * a_{t,0}(x_0) * ... * a_{t,m}(x_m)."""
 
-    terms: tuple  # of (weight, (model_or_callable, ...))
+    terms: tuple  # of (weight, (model, ...))
 
     def __post_init__(self):
         terms = as_sequence(self.terms, "separable terms")

@@ -53,14 +53,20 @@ def _normalize_terms(m, q_terms):
     """The one weight term ((0,) * (m+1), c), c the sum of the coefficients
     of q_terms (1 without terms), each of whose exponents must be zero."""
     zero = (0,) * (m + 1)
+    try:
+        terms = [(tuple(alpha), float(coef)) for alpha, coef in q_terms or ((zero, 1.0),)]
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"q_terms must be (exponents, coefficient) pairs, got {q_terms!r:.80}"
+        ) from None
     c = 0.0
-    for alpha, coef in q_terms or ((zero, 1.0),):
-        if tuple(alpha) != zero:
+    for alpha, coef in terms:
+        if alpha != zero:
             raise ValidationError(
                 f"weight term {alpha} of an order-{m} momentum is not the constant "
                 f"{zero}: polynomial weights are retired"
             )
-        c += float(coef)
+        c += coef
     if not np.isfinite(c):
         raise ValidationError("weight coefficients must be finite")
     return ((zero, c),)
@@ -88,7 +94,6 @@ class MomentumSpec:
                 f"derivative {derivative!r} of its origin {origin!r}"
             )
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "q_terms", _normalize_terms(m, self.q_terms))
 
     @classmethod

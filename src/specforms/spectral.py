@@ -100,7 +100,7 @@ class HermitianMatrix:
             dim = whole_number(data["dim"], "matrix dimension")
             re = np.asarray(data["re"], dtype=float)
             im = np.asarray(data["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed matrix payload: {exc}") from exc
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValidationError(
@@ -300,8 +300,8 @@ def schatten_norm(a, p):
 
 def apply_scalar_function(model, decomp):
     """f(H) = U diag(f(lambda)) U* for a scalar model f (for each matrix of
-    a stacked decomposition), symmetrized and so exactly Hermitian. The
-    model may be a bare callable; a bad model or decomposition raises ValidationError."""
+    a stacked decomposition), symmetrized and so exactly Hermitian. A bad
+    model (not a ScalarFunctionModel) or decomposition raises ValidationError."""
     from .functions import as_kernel  # deferred: functions imports this module
 
     decomp = instance_of(decomp, SpectralDecomposition, "decomposition")

@@ -193,11 +193,6 @@ WHOLE = {
         "^derivative order",
     ),
     "Monomial n": (lambda: Monomial(2.7), "^monomial degree"),
-    "PowerKernel.eval order": (lambda: PowerAbs(3.5).eval(0.5, order=2.7), "^derivative order"),
-    "Polynomial.eval order": (
-        lambda: Polynomial((0.5, 1.0, 2.0)).eval(0.5, order=2.7),
-        "^derivative order",
-    ),
     "generate_instance dim": (lambda: generate_instance(1, 2.7), "^instance dimension"),
     "generate_instance seed": (lambda: generate_instance(2.7, 3), "^seed"),
     "generate_instance seeds": (lambda: generate_instance([1, 2.7], 3), "^seed"),
@@ -303,6 +298,47 @@ CALLS["ExperimentConfig n_grid str"] = (
     lambda: ExperimentConfig(mode="moi-convergence", n_grid="48"),
     "^n_grid must be a sequence of numbers, got the string '48'",
 )
+# A string field is tested for its type before its value, and a sequence
+# field that is not one names itself.
+ARRAY = np.array(["selftest", "json"])
+for field in ("mode", "profile", "fmt"):
+    CALLS[f"ExperimentConfig {field} array"] = (
+        lambda field=field: ExperimentConfig(**{"mode": "selftest", field: ARRAY}),
+        f"^{field} must be a str, got array",
+    )
+for field in ("out_dir", "matrix_path"):
+    CALLS[f"ExperimentConfig {field}=nan"] = (
+        lambda field=field: ExperimentConfig("selftest", **{field: NAN}),
+        f"^{field} must be a str, got nan$",
+    )
+for field in ("n_grid", "dir_paths"):
+    CALLS[f"ExperimentConfig {field}=None"] = (
+        lambda field=field: ExperimentConfig("selftest", **{field: None}),
+        f"^{field} must be a sequence, got None$",
+    )
+# A momentum's weight terms are a sequence of (exponents, coefficient) pairs.
+for bad in ("abc", NAN):
+    CALLS[f"MomentumSpec q_terms={bad!r}"] = (
+        lambda bad=bad: MomentumSpec(2, DD_SPEC.origin.derivative_model(2), DD_SPEC.origin, bad),
+        rf"^q_terms must be \(exponents, coefficient\) pairs, got {bad!r}$",
+    )
+# A matrix payload, or the X of a dilation, must be one matrix.
+CALLS["HermitianMatrix.from_dict array"] = (
+    lambda: HermitianMatrix.from_dict(np.ones((2, 2, 2))),
+    "^malformed matrix payload",
+)
+for name, call in (
+    ("selfadjoint_embed", lambda x: selfadjoint_embed(x, 2.5)),
+    ("embedded_delta", lambda x: embedded_delta(x, x, 2.5, 1)),
+):
+    CALLS[f"{name} X string"] = (
+        lambda call=call: call("abc"),
+        "^embedded matrix X must be numeric, got 'abc'$",
+    )
+    CALLS[f"{name} X stack"] = (
+        lambda call=call: call(np.ones((2, 2, 2))),
+        r"^embedded matrix X must be 2-D, got shape \(2, 2, 2\)$",
+    )
 CALLS["holder_difference_norms empty t_grid"] = (
     lambda: holder_difference_norms(PowerAbs(2.5), H, V, [H], [V], [], 3),
     "^t grid must be nonempty, finite and positive$",
@@ -753,21 +789,34 @@ def test_every_request_entry_of_moi_refuses_a_non_request():
             fn("abc", *[None] * rest)
 
 
-def test_divided_difference_of_a_bare_callable_needs_derivatives():
-    # The callable becomes a kernel without derivatives, so no order >= 1.
+def test_divided_difference_of_a_callable_kernel_needs_derivatives():
+    # A CallableKernel has no derivatives, so no order >= 1.
     with pytest.raises(UnsupportedConfigError, match="model has 0"):
-        DividedDifference(lambda x: x, 1)
+        DividedDifference(CallableKernel(lambda x: x), 1)
 
 
-def test_a_bare_callable_model_has_no_derivatives():
-    # A callable model becomes a CallableKernel: the forms refuse the
-    # orders it lacks, and f(H), which needs none, takes it.
+def test_a_bare_callable_is_not_a_model():
+    # Every model argument is refused as a bare callable. Wrapped in a
+    # CallableKernel it is a model: the forms refuse the orders it lacks,
+    # and f(H), which needs none, takes it.
     dec = eigendecompose(H)
+    refused = "^cannot use <ufunc 'absolute'> as a scalar kernel$"
+    for call in (
+        lambda f: FrechetForm(dec, 2.5, model=f),
+        lambda f: model_delta_bracket(dec, f, (V,)),
+        lambda f: apply_scalar_function(f, dec),
+        lambda f: DividedDifference(f, 1),
+        lambda f: divided_difference(f, [0.1, 0.2]),
+        lambda f: MomentumSpec.from_divided_difference(f, 1),
+        lambda f: SeparableSymbol(((1.0, (f, f)),)),
+    ):
+        with pytest.raises(ValidationError, match=refused):
+            call(np.abs)
     with pytest.raises(UnsupportedConfigError, match=r"\(orders 1\.\.0\)$"):
-        FrechetForm(dec, 2.5, model=np.abs)
+        FrechetForm(dec, 2.5, model=CallableKernel(np.abs))
     with pytest.raises(UnsupportedConfigError, match="^CallableKernel does not expose derivative"):
-        model_delta_bracket(dec, np.abs, (V,))
-    got = apply_scalar_function(lambda x: np.abs(x) ** 2.5, dec).matrix
+        model_delta_bracket(dec, CallableKernel(np.abs), (V,))
+    got = apply_scalar_function(CallableKernel(lambda x: np.abs(x) ** 2.5), dec).matrix
     assert np.array_equal(got, apply_scalar_function(PowerAbs(2.5), dec).matrix)
 
 

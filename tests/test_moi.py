@@ -10,7 +10,14 @@ import pytest
 from specforms import divided, moi
 from specforms.divided import DividedDifference, divided_difference
 from specforms.errors import ValidationError
-from specforms.functions import CallableKernel, Monomial, Polynomial, PowerAbs, ScalarFunctionModel
+from specforms.functions import (
+    CallableKernel,
+    Monomial,
+    Polynomial,
+    PowerAbs,
+    PowerKernel,
+    ScalarFunctionModel,
+)
 from specforms.instances import PROFILES, SplitMix64, generate_instance
 from specforms.moi import (
     MoiRequest,
@@ -1114,8 +1121,11 @@ def test_loewner_values_are_reused_across_forms_of_one_base(monkeypatch):
         def __repr__(self):
             return "Opaque()"
 
-        def eval(self, x, order=0):
-            return self.scale * PowerAbs(3.5).eval(x, order)
+        def eval(self, x):
+            return self.scale * PowerAbs(3.5).eval(x)
+
+        def _derivative(self, k):
+            return PowerKernel(self.scale, 3.5).derivative_model(k)
 
     for module in (divided, moi):
         monkeypatch.setattr(module, "divided_difference", counted)

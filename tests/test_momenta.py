@@ -504,10 +504,10 @@ def test_kernel_calls_follow_piece_groups_not_pieces(monkeypatch):
     per_level = {}
     evaluate = PowerKernel.eval
 
-    def counted(self, x, order=0):
+    def counted(self, x):
         nodes = np.shape(x)[-1]  # q^m nodes per row or piece at level q
         per_level[nodes] = per_level.get(nodes, 0) + 1
-        return evaluate(self, x, order)
+        return evaluate(self, x)
 
     monkeypatch.setattr(PowerKernel, "eval", counted)
     momentum_quadrature(PowerAbs(3.5), rows)

@@ -265,7 +265,6 @@ def _defaulted_parameters():
 # Each one doubles the configurations that tests must cover, so a new one is
 # added here on purpose, with a caller outside the tests that sets it.
 SETTINGS = {
-    "CallableKernel.eval": ("order",),
     "DividedDifference.__call__": ("quad_tol",),
     "ExperimentConfig": (
         "seed", "dim", "p", "profile", "t_grid", "n_grid", "matrix_path", "dir_paths",
@@ -274,14 +273,10 @@ SETTINGS = {
     "FrechetForm": ("order", "quad_tol", "model"),
     "MoiRequest": ("tol",),
     "MomentumSpec": ("q_terms",),
-    "Polynomial.eval": ("order",),
     "PowerKernel": ("parity",),
-    "PowerKernel.eval": ("order",),
     "RunReport": ("data", "wall_clock_s"),
     "RunReport.save": ("fmt",),
     "RunReport.to_json": ("drop_volatile",),
-    "ScalarFunctionModel.derivative_model": ("k",),
-    "ScalarFunctionModel.eval": ("order",),
     "canonical_json": ("drop_volatile",),
     "divided_difference": ("quad_tol",),
     "generate_instance": ("profile", "p"),
